@@ -1,27 +1,22 @@
-// Columnar vs row-at-a-time serving throughput.
+// Block-scan serving throughput against the per-row oracle.
 //
-// The columnar fast path (DESIGN.md §2b "Columnar serving path") evaluates
-// one subspace at a time over 1024-row blocks gathered straight from the
-// table's column storage, carrying a survivor bitmask between subspaces,
-// instead of materializing every row and looping subspaces per row. This
-// bench sweeps variant x threads x scan path over a full-table PredictRows
-// scan plus a bounded RetrieveMatches, reports throughput for all three
-// paths (row-at-a-time, columnar scalar, columnar SIMD) and their ratios,
-// and verifies the contracts as it goes: flipping between the row and
-// scalar columnar paths must never change a single output byte, and the
-// SIMD throughput mode must stay within statistical parity of the scalar
+// The block scan (DESIGN.md §2b "Columnar serving path") evaluates one
+// subspace at a time over 1024-row blocks gathered straight from the
+// table's column storage, carrying each row's early-reject between
+// subspaces. Its reference is the per-row oracle: `PredictRow` over every
+// materialized `Table::Row`, fanned out over the same lane count. This bench
+// sweeps variant x threads over a full-table PredictRows scan plus a bounded
+// RetrieveMatches, reports throughput for the oracle and both scan kernels
+// (scalar, SIMD) and their ratios, and verifies the contracts as it goes:
+// the scalar scan must match the oracle byte for byte, and the SIMD
+// throughput mode must stay within statistical parity of the scalar
 // verdicts (mismatch fraction and match-set F1 within epsilon — only rows
 // whose probability sits exactly at the 0.5 threshold boundary may flip).
 //
-// Expected shape: columnar wins on every variant from the removed per-row
-// heap traffic, the row-tiled batch kernels, and the once-per-call folding
-// of the per-user-constant halves (the M_cp left half for the memory-mode
-// variants; the emb_R head of f_clf's first layer for Basic, which also
-// halves that layer's work — making Basic the largest winner). The
-// acceptance bar for this path is >= 1.5x single-thread columnar speedup on
-// the Meta variant in full (LTE_BENCH_FULL=1) mode. The SIMD mode rides on
-// top of the columnar layout (float32 transposed tiles, vector kernels) and
-// is reported as a further ratio over the scalar columnar pass.
+// The oracle materializes every row and allocates per call, so the
+// `speedup` ratios (oracle / scalar scan) are not comparable with figures
+// recorded against the former row-at-a-time scan path. The SIMD mode is
+// reported as a further ratio over the scalar scan.
 
 #include <algorithm>
 #include <cstdio>
@@ -45,15 +40,15 @@ namespace {
 struct SweepRow {
   std::string variant;
   int64_t threads = 0;
-  double row_wall_s = 0.0;
+  double row_wall_s = 0.0;  // The per-row oracle.
   double col_wall_s = 0.0;
   double simd_wall_s = 0.0;
   double row_rows_per_s = 0.0;
   double col_rows_per_s = 0.0;
   double simd_rows_per_s = 0.0;
-  double speedup = 0.0;       // row / columnar (scalar).
+  double speedup = 0.0;       // oracle / columnar (scalar).
   double simd_speedup = 0.0;  // columnar (scalar) / simd.
-  bool bit_identical = true;  // row vs columnar scalar.
+  bool bit_identical = true;  // oracle vs columnar scalar.
   double simd_mismatch_fraction = 0.0;
   double simd_match_f1 = 1.0;
   bool simd_parity = true;
@@ -121,8 +116,21 @@ std::vector<std::vector<double>> UserLabels(
   return labels;
 }
 
+/// The per-row oracle over `rows`, fanned out over `threads` lanes.
+void OraclePredictRows(const core::ExplorationSession& session,
+                       const data::Table& table,
+                       const std::vector<int64_t>& rows, int64_t threads,
+                       std::vector<double>* out) {
+  out->assign(rows.size(), 0.0);
+  ThreadPool::Shared().ParallelFor(
+      0, static_cast<int64_t>(rows.size()), threads, [&](int64_t i) {
+        const auto k = static_cast<size_t>(i);
+        (*out)[k] = session.PredictRow(table.Row(rows[k])).value_or(-1.0);
+      });
+}
+
 void Run() {
-  PrintHeader("Columnar serving path: scan-path x variant x threads sweep");
+  PrintHeader("Block scan vs per-row oracle: variant x threads sweep");
   std::printf("hardware threads available: %lld\n",
               static_cast<long long>(DefaultThreadCount()));
 
@@ -163,7 +171,7 @@ void Run() {
   double meta_single_thread_speedup = 0.0;
   double meta_single_thread_simd_speedup = 0.0;
   std::vector<SweepRow> results;
-  eval::TextTable table({"variant x threads", "row (s)", "columnar (s)",
+  eval::TextTable table({"variant x threads", "oracle (s)", "columnar (s)",
                          "simd (s)", "simd rows/s", "col speedup",
                          "simd x col", "identical", "parity"});
   for (const core::Variant variant : variants) {
@@ -179,13 +187,14 @@ void Run() {
       row.variant = VariantName(variant);
       row.threads = threads;
 
-      // Same adapted session answers all paths, so any output difference
-      // below is the scan implementation's fault alone. One untimed warmup
-      // per path settles scratch capacities and the page cache; the untimed
-      // RetrieveMatches calls feed the byte-identity and parity checks
-      // without polluting the scan timing. The parity comparison runs over
-      // unbounded retrievals — a bounded scalar prefix and a bounded SIMD
-      // prefix could truncate at different rows and understate agreement.
+      // Same adapted session answers the oracle and both kernels, so any
+      // output difference below is the scan implementation's fault alone.
+      // One untimed warmup per path settles scratch capacities and the page
+      // cache; the untimed RetrieveMatches calls feed the byte-identity and
+      // parity checks without polluting the scan timing. The parity
+      // comparison runs over unbounded retrievals — a bounded scalar prefix
+      // and a bounded SIMD prefix could truncate at different rows and
+      // understate agreement.
       std::vector<double> row_preds;
       std::vector<double> col_preds;
       std::vector<double> simd_preds;
@@ -194,10 +203,11 @@ void Run() {
       std::vector<int64_t> col_matches_all;
       std::vector<int64_t> simd_matches_all;
 
-      session.set_scan_path(core::ScanPath::kRowAtATime);
-      if (!session.PredictRows(sdss, all_rows, &row_preds).ok()) return;
-      if (!session.RetrieveMatches(sdss, /*limit=*/500, &row_matches).ok()) {
-        return;
+      OraclePredictRows(session, sdss, all_rows, threads, &row_preds);
+      // The oracle's bounded retrieval: its first 500 matches in row order.
+      for (size_t r = 0; r < row_preds.size() && row_matches.size() < 500;
+           ++r) {
+        if (row_preds[r] > 0.5) row_matches.push_back(static_cast<int64_t>(r));
       }
       session.set_scan_path(core::ScanPath::kColumnar);
       if (!session.PredictRows(sdss, all_rows, &col_preds).ok()) return;
@@ -224,9 +234,8 @@ void Run() {
       row.col_wall_s = 0.0;
       row.simd_wall_s = 0.0;
       for (int64_t r = 0; r < reps; ++r) {
-        session.set_scan_path(core::ScanPath::kRowAtATime);
         Stopwatch row_sw;
-        if (!session.PredictRows(sdss, all_rows, &row_preds).ok()) return;
+        OraclePredictRows(session, sdss, all_rows, threads, &row_preds);
         const double row_s = row_sw.ElapsedSeconds();
         if (r == 0 || row_s < row.row_wall_s) row.row_wall_s = row_s;
 
@@ -278,14 +287,14 @@ void Run() {
     }
   }
   table.Print();
-  std::printf("all row/columnar pairs byte-identical: %s\n",
-              all_identical ? "yes" : "NO — scan-path contract violated");
+  std::printf("all oracle/columnar pairs byte-identical: %s\n",
+              all_identical ? "yes" : "NO — scan contract violated");
   std::printf("all simd rows within statistical parity: %s "
               "(max mismatch fraction %.2e, gate <= %.0e)\n",
               all_simd_parity ? "yes" : "NO — parity contract violated",
               max_simd_mismatch, kMaxSimdMismatchFraction);
-  std::printf("Meta single-thread columnar speedup: %.2fx (target >= 1.5x at "
-              "full scale)\n",
+  std::printf("Meta single-thread columnar speedup over the per-row oracle: "
+              "%.2fx\n",
               meta_single_thread_speedup);
   std::printf("Meta single-thread simd-over-columnar speedup: %.2fx\n",
               meta_single_thread_simd_speedup);
@@ -304,6 +313,8 @@ void Run() {
     std::fprintf(f, "  \"reps\": %lld,\n", static_cast<long long>(reps));
     std::fprintf(f, "  \"hardware_threads\": %lld,\n",
                  static_cast<long long>(DefaultThreadCount()));
+    std::fprintf(f,
+                 "  \"speedup_reference\": \"per-row PredictRow oracle\",\n");
     std::fprintf(f, "  \"bit_identical\": %s,\n",
                  all_identical ? "true" : "false");
     std::fprintf(f, "  \"simd_parity\": %s,\n",

@@ -63,20 +63,23 @@ class ThreadPool {
 
   /// Early-exit variant for chunked scans (e.g. a `limit`-bounded table
   /// scan): up to `max_parallelism` lanes repeatedly claim the next chunk
-  /// index from a shared counter and run `fn(chunk)`; before every claim a
-  /// lane consults `cancelled()`, and once it returns true no further chunks
-  /// are claimed (chunks already running finish normally). `cancelled` must
-  /// be monotone (once true it stays true) and safe to call concurrently.
+  /// index from a shared counter and run `fn(lane, chunk)`; before every
+  /// claim a lane consults `cancelled()`, and once it returns true no further
+  /// chunks are claimed (chunks already running finish normally).
+  /// `cancelled` must be monotone (once true it stays true) and safe to call
+  /// concurrently.
   ///
-  /// Chunks are claimed in increasing order, so on return the set of
-  /// executed chunks is a contiguous prefix [0, C) with C == num_chunks when
-  /// cancellation never fired. Unlike ParallelFor, *which* chunks beyond the
-  /// cancellation point still ran depends on timing — callers must derive
-  /// their result only from chunk outputs that are timing-independent (e.g.
-  /// concatenate per-chunk slots in chunk order and truncate at the limit;
-  /// see Explorer::RetrieveMatches).
+  /// `lane` lies in [0, min(max_parallelism, num_chunks)) and no two calls
+  /// with the same lane run concurrently, so callers can keep one scratch
+  /// per lane; the chunks one lane runs ascend. Chunks are claimed in
+  /// increasing order, so on return the set of executed chunks is a
+  /// contiguous prefix [0, C) with C == num_chunks when cancellation never
+  /// fired. Unlike ParallelFor, *which* chunks beyond the cancellation point
+  /// still ran depends on timing — callers must derive their result only
+  /// from chunk outputs that are timing-independent (e.g. order the matches
+  /// found by row and truncate at the limit; see core::RunBlockScan).
   void ParallelForEarlyExit(int64_t num_chunks, int64_t max_parallelism,
-                            const std::function<void(int64_t)>& fn,
+                            const std::function<void(int64_t, int64_t)>& fn,
                             const std::function<bool()>& cancelled);
 
   /// Process-wide pool with DefaultThreadCount() workers, created on first

@@ -1,0 +1,315 @@
+#include "core/block_scan.h"
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstring>
+#include <numeric>
+
+#include "common/check.h"
+#include "common/thread_pool.h"
+#include "core/exploration_session.h"
+
+namespace lte::core {
+namespace {
+
+/// One lane's buffers, reserved for a full block when the pass starts and
+/// reused for every block the lane claims.
+struct LaneScratch {
+  /// Per subscriber: block positions it still predicts positive.
+  std::vector<std::vector<int64_t>> alive;
+  /// Per retrieval subscriber: matches found by this lane (lanes > 0; lane 0
+  /// appends straight to the subscriber's output).
+  std::vector<std::vector<int64_t>> hits;
+  std::vector<int64_t> next;
+  std::vector<uint8_t> member;         // 1 = some subscriber needs it.
+  std::vector<int64_t> encoded_index;  // Block position -> row of `encoded`.
+  std::vector<int64_t> gather;         // Table rows of the encoded set.
+  std::vector<int64_t> sub_rows;
+  std::vector<double> encoded;
+  std::vector<double> sub_encoded;
+  std::vector<double> probs;
+  std::vector<double> point;
+  TaskModel::BatchScratch batch;
+  int64_t encode_passes = 0;
+};
+
+class BlockPass {
+ public:
+  BlockPass(const data::Table& table,
+            std::span<const ScanSubscriber> subscribers, int64_t num_threads)
+      : subscribers_(subscribers),
+        model_(subscribers.front().session->model()),
+        found_(subscribers.size()) {
+    bool any_retrieve = false;
+    can_cancel_ = true;
+    int64_t max_active = 0;
+    for (const ScanSubscriber& sub : subscribers_) {
+      LTE_CHECK(&sub.session->model() == &model_);
+      const bool retrieve = sub.matches != nullptr;
+      if (retrieve) {
+        LTE_CHECK_NE(sub.limit, 0);
+      } else {
+        LTE_CHECK(!sub.rows.empty());
+        LTE_CHECK_EQ(sub.predictions.size(), sub.rows.size());
+      }
+      any_retrieve |= retrieve;
+      can_cancel_ &= retrieve && sub.limit > 0;
+      max_active = std::max(max_active, sub.session->active_subspaces());
+    }
+    // The row domain. Its row count is read before any view is taken, so
+    // every view covers it even while the table keeps appending.
+    if (any_retrieve) {
+      implicit_ = true;
+      domain_rows_ = table.num_rows();
+    } else if (subscribers_.size() == 1) {
+      domain_ = subscribers_.front().rows;
+    } else {
+      for (const ScanSubscriber& sub : subscribers_) {
+        union_rows_.insert(union_rows_.end(), sub.rows.begin(),
+                           sub.rows.end());
+      }
+      std::sort(union_rows_.begin(), union_rows_.end());
+      union_rows_.erase(std::unique(union_rows_.begin(), union_rows_.end()),
+                        union_rows_.end());
+      domain_ = union_rows_;
+    }
+    if (!implicit_) domain_rows_ = static_cast<int64_t>(domain_.size());
+    num_blocks_ = (domain_rows_ + kServingBlockRows - 1) / kServingBlockRows;
+
+    views_.resize(static_cast<size_t>(max_active));
+    int64_t max_width = 0;
+    for (int64_t s = 0; s < max_active; ++s) {
+      const std::vector<int64_t>& attrs = model_.subspace(s)->attribute_indices;
+      for (const int64_t a : attrs) {
+        views_[static_cast<size_t>(s)].push_back(table.View(a));
+      }
+      widths_.push_back(model_.encoder().ProjectedWidth(attrs));
+      max_width = std::max(max_width, widths_.back());
+    }
+
+    const int64_t lanes = std::min(ResolveThreadCount(num_threads),
+                                   std::max<int64_t>(num_blocks_, 1));
+    const auto block = static_cast<size_t>(
+        std::min<int64_t>(kServingBlockRows, domain_rows_));
+    const size_t q_count = subscribers_.size();
+    lanes_.resize(static_cast<size_t>(lanes));
+    for (LaneScratch& sc : lanes_) {
+      sc.alive.resize(q_count);
+      for (std::vector<int64_t>& alive : sc.alive) alive.reserve(block);
+      sc.hits.resize(q_count);
+      sc.next.reserve(block);
+      sc.member.resize(block);
+      sc.encoded_index.resize(block);
+      sc.gather.reserve(block);
+      sc.probs.reserve(block);
+      sc.encoded.reserve(block * static_cast<size_t>(max_width));
+      if (q_count > 1) {
+        sc.sub_rows.reserve(block);
+        sc.sub_encoded.reserve(block * static_cast<size_t>(max_width));
+      }
+    }
+  }
+
+  BlockScanStats Run() {
+    ThreadPool::Shared().ParallelForEarlyExit(
+        num_blocks_, static_cast<int64_t>(lanes_.size()),
+        [this](int64_t lane, int64_t block) {
+          ScanBlock(&lanes_[static_cast<size_t>(lane)], lane == 0, block);
+        },
+        [this] { return Satisfied(); });
+
+    BlockScanStats stats;
+    stats.domain_rows = domain_rows_;
+    for (const LaneScratch& sc : lanes_) {
+      stats.encode_passes += sc.encode_passes;
+    }
+    for (size_t q = 0; q < subscribers_.size(); ++q) {
+      std::vector<int64_t>* matches = subscribers_[q].matches;
+      if (matches == nullptr) continue;
+      // Each lane claims ascending blocks, so each lane's matches ascend;
+      // merging them yields ascending row order.
+      for (size_t l = 1; l < lanes_.size(); ++l) {
+        const auto mid = static_cast<std::ptrdiff_t>(matches->size());
+        matches->insert(matches->end(), lanes_[l].hits[q].begin(),
+                        lanes_[l].hits[q].end());
+        std::inplace_merge(matches->begin(), matches->begin() + mid,
+                           matches->end());
+      }
+      // The executed blocks form a prefix holding the first `limit` matches
+      // (blocks are claimed in increasing order and only the cancellation
+      // check stops claiming), so truncation yields the unlimited scan's
+      // prefix no matter which blocks past the cut still ran.
+      const int64_t limit = subscribers_[q].limit;
+      if (limit > 0 && static_cast<int64_t>(matches->size()) > limit) {
+        matches->resize(static_cast<size_t>(limit));
+      }
+    }
+    return stats;
+  }
+
+ private:
+  int64_t RowAt(int64_t position) const {
+    return implicit_ ? position : domain_[static_cast<size_t>(position)];
+  }
+
+  /// A retrieval subscribes to every row of the (implicit) domain, and a
+  /// lone prediction's rows are the domain; others intersect it.
+  bool OwnsDomain(const ScanSubscriber& sub) const {
+    return sub.matches != nullptr || subscribers_.size() == 1;
+  }
+
+  /// True once every subscriber is a limit-bounded retrieval whose matches
+  /// cover its limit. Monotone: match counts only grow.
+  bool Satisfied() const {
+    if (!can_cancel_) return false;
+    for (size_t q = 0; q < subscribers_.size(); ++q) {
+      if (found_[q].load(std::memory_order_relaxed) < subscribers_[q].limit) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void ScanBlock(LaneScratch* sc, bool lane_zero, int64_t block) {
+    const int64_t lo = block * kServingBlockRows;
+    const int64_t n = std::min(kServingBlockRows, domain_rows_ - lo);
+    const size_t q_count = subscribers_.size();
+
+    // Each subscriber's alive positions: the whole block for the domain
+    // owner, else the block's rows that appear in its ascending row set.
+    int64_t max_active = 0;
+    for (size_t q = 0; q < q_count; ++q) {
+      const ScanSubscriber& sub = subscribers_[q];
+      std::vector<int64_t>& alive = sc->alive[q];
+      alive.clear();
+      if (OwnsDomain(sub)) {
+        alive.resize(static_cast<size_t>(n));
+        std::iota(alive.begin(), alive.end(), int64_t{0});
+      } else {
+        int64_t p = 0;
+        auto it = std::lower_bound(sub.rows.begin(), sub.rows.end(), RowAt(lo));
+        for (; it != sub.rows.end(); ++it) {
+          while (p < n && RowAt(lo + p) < *it) ++p;
+          if (p == n) break;
+          if (RowAt(lo + p) == *it) alive.push_back(p++);
+        }
+      }
+      if (!alive.empty()) {
+        max_active = std::max(max_active, sub.session->active_subspaces());
+      }
+    }
+
+    // One gather+encode per subspace over the union of live positions, then
+    // each live subscriber scores its own survivors and prunes them.
+    for (int64_t s = 0; s < max_active; ++s) {
+      const auto live = [&](size_t q) {
+        return !sc->alive[q].empty() &&
+               subscribers_[q].session->active_subspaces() > s;
+      };
+      std::fill_n(sc->member.begin(), n, uint8_t{0});
+      bool any = false;
+      for (size_t q = 0; q < q_count; ++q) {
+        if (!live(q)) continue;
+        for (const int64_t p : sc->alive[q]) {
+          sc->member[static_cast<size_t>(p)] = 1;
+        }
+        any = true;
+      }
+      if (!any) break;
+      sc->gather.clear();
+      for (int64_t p = 0; p < n; ++p) {
+        if (sc->member[static_cast<size_t>(p)] == 0) continue;
+        sc->encoded_index[static_cast<size_t>(p)] =
+            static_cast<int64_t>(sc->gather.size());
+        sc->gather.push_back(RowAt(lo + p));
+      }
+      const auto su = static_cast<size_t>(s);
+      model_.encoder().EncodeGatheredInto(
+          views_[su], model_.subspace(s)->attribute_indices, sc->gather,
+          &sc->encoded);
+      ++sc->encode_passes;
+      const auto width = static_cast<size_t>(widths_[su]);
+
+      for (size_t q = 0; q < q_count; ++q) {
+        if (!live(q)) continue;
+        std::vector<int64_t>& alive = sc->alive[q];
+        std::span<const int64_t> rows = sc->gather;
+        std::span<const double> encoded = sc->encoded;
+        if (alive.size() != sc->gather.size()) {
+          // A strict subset of the encoded set: copy out this subscriber's
+          // survivors so its batch forward sees only them.
+          sc->sub_rows.resize(alive.size());
+          sc->sub_encoded.resize(alive.size() * width);
+          for (size_t i = 0; i < alive.size(); ++i) {
+            const auto e = static_cast<size_t>(
+                sc->encoded_index[static_cast<size_t>(alive[i])]);
+            sc->sub_rows[i] = sc->gather[e];
+            std::memcpy(sc->sub_encoded.data() + i * width,
+                        sc->encoded.data() + e * width,
+                        width * sizeof(double));
+          }
+          rows = sc->sub_rows;
+          encoded = sc->sub_encoded;
+        }
+        sc->probs.resize(alive.size());
+        subscribers_[q].session->ScoreEncodedBlock(
+            s, encoded, rows, views_[su], &sc->batch, &sc->point, sc->probs);
+        sc->next.clear();
+        for (size_t i = 0; i < alive.size(); ++i) {
+          if (sc->probs[i] >= 0.5) sc->next.push_back(alive[i]);
+        }
+        alive.swap(sc->next);
+      }
+    }
+
+    // Demux the block's survivors into each subscriber's output.
+    for (size_t q = 0; q < q_count; ++q) {
+      const ScanSubscriber& sub = subscribers_[q];
+      const std::vector<int64_t>& alive = sc->alive[q];
+      if (alive.empty()) continue;
+      if (sub.matches != nullptr) {
+        std::vector<int64_t>& out = lane_zero ? *sub.matches : sc->hits[q];
+        for (const int64_t p : alive) out.push_back(lo + p);
+        if (sub.limit > 0) {
+          found_[q].fetch_add(static_cast<int64_t>(alive.size()),
+                              std::memory_order_relaxed);
+        }
+      } else if (OwnsDomain(sub)) {
+        for (const int64_t p : alive) {
+          sub.predictions[static_cast<size_t>(lo + p)] = 1.0;
+        }
+      } else {
+        auto it = sub.rows.begin();
+        for (const int64_t p : alive) {
+          it = std::lower_bound(it, sub.rows.end(), RowAt(lo + p));
+          sub.predictions[static_cast<size_t>(it - sub.rows.begin())] = 1.0;
+        }
+      }
+    }
+  }
+
+  std::span<const ScanSubscriber> subscribers_;
+  const ExplorationModel& model_;
+  bool implicit_ = false;              // Domain is [0, domain_rows_).
+  std::span<const int64_t> domain_;    // Explicit domain rows otherwise.
+  std::vector<int64_t> union_rows_;    // Storage for a merged domain.
+  int64_t domain_rows_ = 0;
+  int64_t num_blocks_ = 0;
+  bool can_cancel_ = false;
+  std::vector<std::atomic<int64_t>> found_;  // Per subscriber match count.
+  std::vector<std::vector<data::ColumnView>> views_;  // Per subspace.
+  std::vector<int64_t> widths_;                       // Per subspace.
+  std::vector<LaneScratch> lanes_;
+};
+
+}  // namespace
+
+BlockScanStats RunBlockScan(const data::Table& table,
+                            std::span<const ScanSubscriber> subscribers,
+                            int64_t num_threads) {
+  if (subscribers.empty()) return {};
+  return BlockPass(table, subscribers, num_threads).Run();
+}
+
+}  // namespace lte::core

@@ -1,0 +1,74 @@
+#ifndef LTE_CORE_BLOCK_SCAN_H_
+#define LTE_CORE_BLOCK_SCAN_H_
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "data/table.h"
+
+namespace lte::core {
+
+class ExplorationSession;
+
+/// One session's share of a block-scan pass: either a row-set prediction
+/// (`predictions` non-empty) or a whole-table retrieval (`matches` non-null).
+struct ScanSubscriber {
+  const ExplorationSession* session = nullptr;
+  /// Prediction: the table rows to score, ascending and deduplicated. The one
+  /// exception is a prediction that is alone in its pass: its rows are the
+  /// pass's row domain as given, so any order and duplicates are allowed.
+  std::span<const int64_t> rows;
+  /// Prediction output, one slot per `rows` entry, zero-filled by the caller;
+  /// the pass sets the slots of interesting rows to 1.0.
+  std::span<double> predictions;
+  /// Retrieval output: receives the first `limit` matching row ids in
+  /// ascending order (`limit < 0` = all). Cleared by the caller.
+  std::vector<int64_t>* matches = nullptr;
+  /// Retrieval: nonzero (callers answer `limit == 0` without a pass).
+  int64_t limit = -1;
+};
+
+/// What one pass did, for the serving stats ledger.
+struct BlockScanStats {
+  /// Gather+encode rounds: one per (block, subspace) with live subscribers.
+  int64_t encode_passes = 0;
+  /// Rows in the pass's row domain (the table's row count when any
+  /// subscriber retrieves).
+  int64_t domain_rows = 0;
+};
+
+/// The one block scan behind every table evaluation of the conjunctive UIR
+/// R^u = ∧ R_i (paper Section III-B): `ExplorationSession::PredictRows` and
+/// `RetrieveMatches` run it with one subscriber, `serving::
+/// CoalescedScanScheduler` with every request of a shared pass.
+///
+/// The row domain is `[0, table.num_rows())` when any subscriber retrieves,
+/// the lone prediction's rows when there is one subscriber, and otherwise the
+/// union of the subscribers' row sets. The domain is split into
+/// `kServingBlockRows`-row blocks that up to `num_threads` lanes claim in
+/// increasing order (0 = auto). Per block and active subspace in conjunction
+/// order, the rows still alive for any subscriber are gathered and encoded
+/// once, then each subscriber scores its own survivors through
+/// `ExplorationSession::ScoreEncodedBlock` and drops the rows it rejects.
+/// When every subscriber is a limit-bounded retrieval whose matches cover
+/// its limit, lanes stop claiming blocks; executed blocks always form a
+/// prefix, so truncating the ascending matches reproduces the unlimited
+/// scan's prefix.
+///
+/// Every verdict is bit-identical to that session scanning alone, at any
+/// lane count and in any pass composition (DESIGN.md §2b). Scratch lives per
+/// lane for the whole pass, so on one lane the number of allocations does
+/// not grow with the number of blocks (other lanes' match lists grow with
+/// the matches they find).
+///
+/// Preconditions (LTE_CHECKed where cheap): every session passed
+/// `ValidateServing(table)` and shares one model; predictions are non-empty
+/// and in range; retrievals have a nonzero limit.
+BlockScanStats RunBlockScan(const data::Table& table,
+                            std::span<const ScanSubscriber> subscribers,
+                            int64_t num_threads);
+
+}  // namespace lte::core
+
+#endif  // LTE_CORE_BLOCK_SCAN_H_

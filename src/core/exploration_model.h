@@ -33,14 +33,14 @@ struct ExplorerOptions {
   /// Pool lanes for every fan-out, offline and online: per-subspace task
   /// generation + encoding + meta-training in `ExplorationModel::Pretrain`,
   /// per-subspace fast adaptation in `ExplorationSession::StartExploration`,
-  /// and the chunked table scans of `PredictRows`/`RetrieveMatches` all
+  /// and the block scans of `PredictRows`/`RetrieveMatches` all
   /// share this one knob on the process-wide ThreadPool (sessions may
   /// override it per session). The library-wide convention applies: 0 = auto
   /// (one lane per hardware thread), 1 = the exact sequential path, N caps
   /// the lanes (matching `MetaTrainerOptions`/`KMeansOptions`). Parallel
   /// training reads key-split `Rng::Fork(subspace_index)` streams and scans
-  /// collect into per-chunk slots concatenated in row order, so every result
-  /// is bit-identical at any thread count (see rng.h for the split scheme).
+  /// write per-row slots or sorted match lists, so every result is
+  /// bit-identical at any thread count (see rng.h for the split scheme).
   int64_t num_threads = 0;
   /// Online fast-adaptation schedule. A larger learning rate than the
   /// offline ρ is preferred online (paper Fig. 8(d) discussion).

@@ -19,10 +19,10 @@
 
 namespace lte::core {
 
-/// Rows per serving scan block: the unit RetrieveMatches lanes claim, the
-/// block size of the columnar fast path, and the granularity the coalesced
-/// serving front-end (src/serving/) groups cross-session work at. One value
-/// keeps a claimed chunk equal to one encode/score round everywhere.
+/// Rows per serving scan block: the unit the block scan's lanes claim and
+/// the granularity of one gather/encode/score round (core/block_scan.h),
+/// for a session's own scans and the coalesced front-end (src/serving/)
+/// alike.
 inline constexpr int64_t kServingBlockRows = 1024;
 
 /// Which LTE variant answers predictions (paper Section VIII-A).
@@ -37,26 +37,22 @@ enum class Variant {
   kMetaStar,
 };
 
-/// Which implementation backs the chunked table scans (`PredictRows`,
-/// `RetrieveMatches`). kColumnar and kRowAtATime produce byte-identical
-/// output; the row path is retained as the validation/benchmark reference
-/// for the columnar fast path (see DESIGN.md §2b "Columnar serving path").
+/// Which batch-forward kernel the block scan (`PredictRows`,
+/// `RetrieveMatches`, the coalesced front-end) and `SuggestTuples` score
+/// with (DESIGN.md §2b "Columnar serving path"). Both score 1024-row blocks
+/// gathered straight from column views, one subspace at a time with per-row
+/// early-reject; the per-row `PredictRow` is the test oracle for both.
 /// kColumnarSimd trades the byte-identity contract for throughput: it is
 /// gated by statistical parity instead (same match sets up to an epsilon of
 /// threshold-boundary rows), and stays opt-in.
 enum class ScanPath {
-  /// Default: evaluate one subspace at a time over 1024-row blocks gathered
-  /// straight from column views, with a survivor bitmask carrying the
-  /// conjunctive early-reject between subspaces. Scalar double kernels —
-  /// byte-identical to kRowAtATime.
+  /// Default: scalar double kernels — byte-identical to `PredictRow`.
   kColumnar,
-  /// Reference: materialize each row and loop subspaces per row.
-  kRowAtATime,
   /// Opt-in throughput mode: the same block/survivor scan, but the batch
   /// forward runs the float32 vector kernels (nn::BatchKernel::kSimd).
   /// Deterministic — same inputs, same bits, at any thread count and in any
   /// batch composition — but parity-gated rather than byte-identical to the
-  /// scalar paths: a row whose probability sits within float error of the
+  /// scalar kernel: a row whose probability sits within float error of the
   /// 0.5 threshold may flip. tests/columnar_scan_test.cc bounds the
   /// mismatch fraction; bench_columnar_scan measures and gates it in CI.
   kColumnarSimd,
@@ -201,9 +197,10 @@ class ExplorationSession {
   /// Batch counterpart of PredictRow and the primitive RetrieveMatches and
   /// the bench harness build on: evaluates the conjunctive membership of the
   /// given `rows` of `table` and stores one 0.0/1.0 per index (in input
-  /// order) in `*predictions`. Rows are scanned in parallel lanes capped by
-  /// `num_threads()`, each lane writing disjoint per-index slots, so the
-  /// output is bit-identical at any thread count. Fails before
+  /// order) in `*predictions`. Runs a one-subscriber block scan
+  /// (core/block_scan.h) on the calling thread with `num_threads()` lanes,
+  /// each writing disjoint per-index slots, so the output is bit-identical
+  /// at any thread count. Fails before
   /// StartExploration, when `table` is narrower than an active subspace's
   /// attributes, or on an out-of-range row index.
   Status PredictRows(const data::Table& table, std::span<const int64_t> rows,
@@ -213,12 +210,12 @@ class ExplorationSession {
   /// indices the adapted classifiers predict interesting — in ascending row
   /// order — in `*matches`. `limit < 0` scans everything, `limit == 0`
   /// returns an empty result, and `limit > 0` truncates to the first `limit`
-  /// matches in row order. The scan is chunked across parallel lanes capped
-  /// by `num_threads()`; lanes collect into per-chunk slots that are
-  /// concatenated in row order, and with a positive `limit` lanes stop
-  /// claiming chunks once the matches already found cover it, so the result
-  /// is bit-identical at any thread count. Fails before StartExploration or
-  /// when `table` is narrower than an active subspace's attributes.
+  /// matches in row order. Runs a one-subscriber block scan
+  /// (core/block_scan.h) on the calling thread with `num_threads()` lanes;
+  /// with a positive `limit` lanes stop claiming blocks once the matches
+  /// found cover it, and the result is bit-identical at any thread count.
+  /// Fails before StartExploration or when `table` is narrower than an
+  /// active subspace's attributes.
   Status RetrieveMatches(const data::Table& table, int64_t limit,
                          std::vector<int64_t>* matches) const;
 
@@ -297,12 +294,12 @@ class ExplorationSession {
   /// the coalesced front-end automatically honors each subscriber's own
   /// throughput choice inside one shared pass. `out[k]` is bit-identical to
   /// the same-kernel standalone verdict for that tuple — and, on the scalar
-  /// kernel, to the row path's — because the encode and the batch forward
+  /// kernel, to `PredictRow`'s — because the encode and the batch forward
   /// are both row-independent: it does not matter which other rows — or
-  /// which other sessions' rows — share the block (DESIGN.md §2c).
+  /// which other sessions' rows — share the block (DESIGN.md §2b).
   ///
-  /// Preconditions (LTE_CHECKed, not Status-mapped — callers are the scan
-  /// paths and the scheduler, which validate via ValidateServing first):
+  /// Preconditions (LTE_CHECKed, not Status-mapped — callers are the block
+  /// scan and tools that validate via ValidateServing first):
   /// StartExploration has adapted subspace `s`, and the spans agree in size.
   /// Thread-safe under the same contract as the const query surface.
   void ScoreEncodedBlock(int64_t s, std::span<const double> encoded,
@@ -312,15 +309,12 @@ class ExplorationSession {
                          std::vector<double>* point_scratch,
                          std::span<double> out) const;
 
-  /// Scan implementation behind PredictRows/RetrieveMatches (and the kernel
-  /// SuggestTuples scores candidates with). The default kColumnar is the
-  /// fast path; kRowAtATime keeps the reference implementation reachable for
-  /// validation and benchmarking — those two are byte-identical
-  /// (test-enforced), so flipping between them — like num_threads — changes
-  /// scheduling and speed, never output. kColumnarSimd is the opt-in
-  /// throughput mode: deterministic but parity-gated, not byte-identical
-  /// (see the ScanPath doc). Single-writer like the mutating calls: do not
-  /// flip it concurrently with this session's queries.
+  /// Batch-forward kernel of this session's scans and SuggestTuples. The
+  /// default kColumnar is byte-identical to `PredictRow` (test-enforced);
+  /// kColumnarSimd is the opt-in throughput mode: deterministic but
+  /// parity-gated, not byte-identical (see the ScanPath doc). Single-writer
+  /// like the mutating calls: do not flip it concurrently with this
+  /// session's queries.
   ScanPath scan_path() const { return scan_path_; }
   void set_scan_path(ScanPath path) { scan_path_ = path; }
 
@@ -347,26 +341,11 @@ class ExplorationSession {
     std::vector<LabeledBatch> history;
   };
 
-  /// Reusable per-lane buffers for the hot prediction path: the raw
-  /// projected point and its encoding. Capacity reaches a steady state after
-  /// the first row, so chunked scans allocate nothing per row.
+  /// Buffers for the per-row prediction path (PredictRow, PredictSubspace):
+  /// the raw projected point and its encoding.
   struct Scratch {
     std::vector<double> point;
     std::vector<double> encoded;
-  };
-
-  /// Reusable per-lane buffers for the columnar fast path. All capacities
-  /// reach a steady state after the first block.
-  struct BlockScratch {
-    std::vector<uint8_t> alive;      // Survivor bitmask over the block.
-    std::vector<int64_t> survivors;  // Block positions still positive.
-    std::vector<int64_t> next;       // Survivors after the current subspace.
-    std::vector<int64_t> gather;     // Table row ids of the survivors.
-    std::vector<data::ColumnView> columns;  // Active subspace's views.
-    std::vector<double> encoded;     // Survivors x width scratch matrix.
-    std::vector<double> probs;       // One probability per survivor.
-    std::vector<double> point;       // Raw point for the FP/FN refiner.
-    TaskModel::BatchScratch batch;
   };
 
   /// Reusable buffers for SuggestTuples: the candidate transpose (so the
@@ -383,19 +362,6 @@ class ExplorationSession {
     TaskModel::BatchScratch batch;
   };
 
-  /// Columnar evaluation of one block of row indices (any order, at most
-  /// ~1024 at a time for cache-sized scratch): for each active subspace in
-  /// conjunction order, gathers the subspace's attribute columns for the
-  /// rows still predicted positive, encodes them into the reusable scratch
-  /// matrix, scores the whole block through the batch forward, and clears
-  /// rejected rows from the survivor bitmask so later subspaces only score
-  /// surviving rows — the same early-reject the row-at-a-time loop performs
-  /// per row. Writes `rows.size()` 0.0/1.0 values to `out`, bit-identical to
-  /// PredictRowInTable per row (callers validated via ValidateServing).
-  void PredictBlockColumnar(const data::Table& table,
-                            std::span<const int64_t> rows,
-                            BlockScratch* scratch, double* out) const;
-
   /// LoadFromStream body; the wrapper maps any escaping allocation failure
   /// (e.g. a plausible-but-huge corrupted length) to an IoError Status.
   Status LoadFromStreamImpl(std::istream* in);
@@ -403,11 +369,6 @@ class ExplorationSession {
   /// PredictSubspace body minus the misuse checks (callers validated).
   double PredictSubspaceUnchecked(int64_t s, const std::vector<double>& point,
                                   Scratch* scratch) const;
-
-  /// Conjunctive membership of row `r` of `table`; equals
-  /// *PredictRow(table.Row(r)) once ValidateServing(table) passed.
-  double PredictRowInTable(const data::Table& table, int64_t r,
-                           Scratch* scratch) const;
 
   std::shared_ptr<const ExplorationModel> model_;
   int64_t num_threads_override_;

@@ -186,11 +186,10 @@ class Explorer {
   /// indices the adapted classifiers predict interesting — in ascending row
   /// order — in `*matches`. `limit < 0` scans everything, `limit == 0`
   /// returns an empty result, and `limit > 0` truncates to the first `limit`
-  /// matches in row order. The scan is chunked across parallel lanes capped
-  /// by `options().num_threads`; lanes collect into per-chunk slots that are
-  /// concatenated in row order, and with a positive `limit` lanes stop
-  /// claiming chunks once the matches already found cover it, so the result
-  /// is bit-identical at any thread count. Fails before StartExploration or
+  /// matches in row order. The block scan runs in parallel lanes capped by
+  /// `options().num_threads`; with a positive `limit` lanes stop claiming
+  /// blocks once the matches already found cover it, and the result is
+  /// bit-identical at any thread count. Fails before StartExploration or
   /// when `table` is narrower than an active subspace's attributes.
   Status RetrieveMatches(const data::Table& table, int64_t limit,
                          std::vector<int64_t>* matches) const {

@@ -392,13 +392,14 @@ void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
                                         nn::BatchKernel kernel) const {
   LTE_CHECK_GE(count, 0);
   LTE_CHECK_EQ(static_cast<int64_t>(out.size()), count);
+  const int64_t in_w = f_tau_.in_features();
+  LTE_CHECK_EQ(static_cast<int64_t>(tuples.size()), count * in_w);
   if (count == 0) return;
   if (!emb_r_valid_) {
     emb_r_cache_ = f_r_.Forward(uis_feature_);
     emb_r_valid_ = true;
   }
   const auto ne = static_cast<int64_t>(emb_r_cache_.size());
-  const int64_t in_w = f_tau_.in_features();
 
   // The emb_R-dependent prefixes are the same for every row; evaluate them
   // once per call.

@@ -13,7 +13,7 @@ namespace lte::nn {
 
 /// Which kernel implementation backs the batched inference forwards.
 enum class BatchKernel {
-  /// Default: scalar double tiles, bit-identical to the row-at-a-time path
+  /// Default: scalar double tiles, bit-identical to the per-row `Forward`
   /// (the serving determinism contract). Always the reference.
   kScalar,
   /// Opt-in throughput mode: float32 arithmetic over a transposed/packed

@@ -1,7 +1,6 @@
 #ifndef LTE_SERVING_COALESCED_SCAN_SCHEDULER_H_
 #define LTE_SERVING_COALESCED_SCAN_SCHEDULER_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/block_scan.h"
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
 #include "data/table.h"
@@ -67,12 +67,13 @@ struct CoalescedScanStats {
 /// subspace block N times even though the encoding is user-independent. This
 /// scheduler accepts `PredictRows` / `RetrieveMatches` requests from many
 /// sessions, groups whatever is queued when a flush trigger fires into one
-/// shared pass, and for each subspace x `core::kServingBlockRows`-row block
-/// gathers + encodes **once** (`TabularEncoder::EncodeGatheredInto`), then
-/// runs each subscribed session's batch forward over its own survivors of
-/// the shared encoded block (`ExplorationSession::ScoreEncodedBlock`). The
+/// shared pass — one `core::RunBlockScan` with every request as a
+/// subscriber — which for each subspace x `core::kServingBlockRows`-row
+/// block gathers + encodes **once**, then runs each subscribed session's
+/// batch forward over its own survivors of the shared encoded block. The
 /// per-user work shrinks to the adapted-weights matmul plus the Meta* FP/FN
-/// refinement.
+/// refinement. The scheduler itself only queues, flushes, applies
+/// backpressure and keeps stats.
 ///
 ///   CoalescedScanScheduler scheduler(model, &table);
 ///   // Per user, on the user's own thread:
@@ -82,7 +83,7 @@ struct CoalescedScanStats {
 /// Determinism contract: every (session, row) verdict is byte-identical to
 /// that session scanning alone — batch composition, block boundaries, lane
 /// count, and flush timing change scheduling only, never bytes (argument in
-/// DESIGN.md §2c; enforced by tests/coalesced_scheduler_test.cc, including
+/// DESIGN.md §2b; enforced by tests/coalesced_scheduler_test.cc, including
 /// under the TSan CI job). Per-session result order is preserved:
 /// `PredictRows` demultiplexes verdicts back to the caller's input order
 /// (duplicates included), `RetrieveMatches` returns ascending row ids
@@ -138,31 +139,12 @@ class CoalescedScanScheduler {
   /// One queued scan, owned by the stack frame of the submission call that
   /// is blocked on it (so spans and output pointers stay valid for free).
   struct Request {
-    const core::ExplorationSession* session = nullptr;
-    bool retrieve = false;
-    /// PredictRows: caller's row selection, original order, duplicates kept.
-    std::span<const int64_t> rows;
-    /// PredictRows: sorted deduplicated copy of `rows` for block membership.
-    std::vector<int64_t> sorted_rows;
-    int64_t limit = -1;
-    std::vector<double>* predictions = nullptr;
-    std::vector<int64_t>* matches = nullptr;
-    /// One slot per union-domain row position; 1 = predicted interesting.
-    /// Lanes write disjoint block slices; read after the pass's pool join.
-    std::vector<uint8_t> verdict;
-    /// Matches found so far (limit-bounded retrievals only): lets later
-    /// blocks skip scoring this session once the limit is already covered by
-    /// completed lower-index blocks. Monotone, so relaxed ordering suffices
-    /// — a stale low read only costs a redundant (bit-identical) score.
-    std::atomic<int64_t> found{0};
+    core::ScanSubscriber subscriber;
+    /// PredictRows: the caller's row count, duplicates included, charged to
+    /// `rows_served`. A retrieval is charged its pass's row domain instead.
+    int64_t prediction_rows = 0;
     std::chrono::steady_clock::time_point enqueue_time;
     bool done = false;  // Guarded by the scheduler mutex.
-  };
-
-  /// What one shared pass reports back for the stats ledger.
-  struct BatchOutcome {
-    int64_t encode_passes = 0;
-    int64_t rows_served = 0;
   };
 
   /// Validates what both entry points share; never enqueues on failure.
@@ -172,10 +154,6 @@ class CoalescedScanScheduler {
   Status Submit(Request* request);
 
   void SchedulerLoop();
-  BatchOutcome RunBatch(const std::vector<Request*>& batch) const;
-  void ProcessBlock(const std::vector<Request*>& batch,
-                    std::span<const int64_t> union_rows, int64_t block,
-                    std::atomic<int64_t>* encode_passes) const;
 
   std::shared_ptr<const core::ExplorationModel> model_;
   const data::Table* table_;

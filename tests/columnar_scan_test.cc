@@ -1,9 +1,9 @@
-// Byte-identity property tests for the columnar serving fast path: the
-// kColumnar scan behind PredictRows/RetrieveMatches must produce exactly the
-// same bytes as the kRowAtATime reference — for every variant, at any thread
-// count, for ragged block boundaries, and under retrieval limits. The
-// argument for why this holds is in DESIGN.md §2b "Columnar serving path";
-// this file is the enforcement.
+// Byte-identity property tests for the block scan: the kColumnar scan behind
+// PredictRows/RetrieveMatches must produce exactly the same bytes as the
+// per-row PredictRow oracle — for every variant, at any thread count, for
+// ragged block boundaries, and under retrieval limits. The argument for why
+// this holds is in DESIGN.md §2b "Columnar serving path"; this file is the
+// enforcement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,6 +77,19 @@ class ColumnarScanTest : public ::testing::Test {
     return labels;
   }
 
+  // The oracle: one PredictRow per materialized table row, sharing no
+  // batching machinery with the block scan.
+  std::vector<double> OraclePredictions(const ExplorationSession& session,
+                                        const std::vector<int64_t>& rows) {
+    std::vector<double> out;
+    for (const int64_t r : rows) {
+      const std::optional<double> p = session.PredictRow(table_.Row(r));
+      EXPECT_TRUE(p.has_value());
+      out.push_back(p.value_or(-1.0));
+    }
+    return out;
+  }
+
   data::Table table_;
   std::vector<data::Subspace> subspaces_;
   std::shared_ptr<ExplorationModel> model_;
@@ -85,14 +98,14 @@ class ColumnarScanTest : public ::testing::Test {
 TEST_F(ColumnarScanTest, ColumnarIsDefault) {
   ExplorationSession session(model_);
   EXPECT_EQ(session.scan_path(), ScanPath::kColumnar);
-  session.set_scan_path(ScanPath::kRowAtATime);
-  EXPECT_EQ(session.scan_path(), ScanPath::kRowAtATime);
+  session.set_scan_path(ScanPath::kColumnarSimd);
+  EXPECT_EQ(session.scan_path(), ScanPath::kColumnarSimd);
 }
 
 // The core property: for every variant and thread count, PredictRows and
-// RetrieveMatches return the same bytes on both scan paths — over the whole
-// ragged table, over subsets whose sizes are not multiples of the block
-// size, and over non-contiguous row selections.
+// RetrieveMatches return the same bytes as the per-row oracle — over the
+// whole ragged table, over subsets whose sizes are not multiples of the
+// block size, and over non-contiguous row selections.
 TEST_F(ColumnarScanTest, PathsAreByteIdentical) {
   const Variant variants[] = {Variant::kBasic, Variant::kMeta,
                               Variant::kMetaStar};
@@ -117,18 +130,19 @@ TEST_F(ColumnarScanTest, PathsAreByteIdentical) {
       ExplorationSession session(model_, threads);
       Rng rng(99);
       ASSERT_TRUE(session.StartExploration(UserLabels(), variant, &rng).ok());
+      const std::vector<double> oracle =
+          OraclePredictions(session, row_sets[0]);
 
       for (size_t i = 0; i < row_sets.size(); ++i) {
         SCOPED_TRACE(testing::Message() << "row_set=" << i);
-        session.set_scan_path(ScanPath::kColumnar);
         std::vector<double> columnar;
         ASSERT_TRUE(session.PredictRows(table_, row_sets[i], &columnar).ok());
-        session.set_scan_path(ScanPath::kRowAtATime);
-        std::vector<double> row_at_a_time;
-        ASSERT_TRUE(
-            session.PredictRows(table_, row_sets[i], &row_at_a_time).ok());
+        std::vector<double> expected;
+        for (const int64_t r : row_sets[i]) {
+          expected.push_back(oracle[static_cast<size_t>(r)]);
+        }
         // Exact 0.0/1.0 equality — no tolerance.
-        EXPECT_EQ(columnar, row_at_a_time);
+        EXPECT_EQ(columnar, expected);
         // Sanity: the scan found both classes (a degenerate all-0/all-1
         // prediction would make the identity check vacuous).
         if (i == 0) {
@@ -141,15 +155,18 @@ TEST_F(ColumnarScanTest, PathsAreByteIdentical) {
 
       for (const int64_t limit : {-1, 0, 1, 7, 100, 5000}) {
         SCOPED_TRACE(testing::Message() << "limit=" << limit);
-        session.set_scan_path(ScanPath::kColumnar);
         std::vector<int64_t> columnar;
         ASSERT_TRUE(session.RetrieveMatches(table_, limit, &columnar).ok());
-        session.set_scan_path(ScanPath::kRowAtATime);
-        std::vector<int64_t> row_at_a_time;
-        ASSERT_TRUE(
-            session.RetrieveMatches(table_, limit, &row_at_a_time).ok());
-        EXPECT_EQ(columnar, row_at_a_time);
-        // Matches are ascending row ids regardless of path.
+        // The oracle's first `limit` matches in row order.
+        std::vector<int64_t> expected;
+        for (int64_t r = 0; r < table_.num_rows(); ++r) {
+          if (limit >= 0 && static_cast<int64_t>(expected.size()) >= limit) {
+            break;
+          }
+          if (oracle[static_cast<size_t>(r)] > 0.5) expected.push_back(r);
+        }
+        EXPECT_EQ(columnar, expected);
+        // Matches are ascending row ids.
         EXPECT_TRUE(
             std::is_sorted(columnar.begin(), columnar.end()));
         if (limit >= 0) {
@@ -160,8 +177,8 @@ TEST_F(ColumnarScanTest, PathsAreByteIdentical) {
   }
 }
 
-// Both scan paths must also agree with the scalar PredictRow API, which
-// shares no batching machinery with either.
+// A single-threaded Meta* scan of a prefix agrees with the scalar PredictRow
+// API row by row.
 TEST_F(ColumnarScanTest, BlockScanAgreesWithScalarPredictRow) {
   ExplorationSession session(model_, /*num_threads=*/1);
   Rng rng(5);
@@ -190,11 +207,7 @@ TEST_F(ColumnarScanTest, SmallAndSingleRowScans) {
         std::vector<int64_t>{5, 5, 5}}) {
     std::vector<double> columnar;
     ASSERT_TRUE(session.PredictRows(table_, rows, &columnar).ok());
-    session.set_scan_path(ScanPath::kRowAtATime);
-    std::vector<double> reference;
-    ASSERT_TRUE(session.PredictRows(table_, rows, &reference).ok());
-    session.set_scan_path(ScanPath::kColumnar);
-    EXPECT_EQ(columnar, reference);
+    EXPECT_EQ(columnar, OraclePredictions(session, rows));
   }
   std::vector<double> empty;
   ASSERT_TRUE(session.PredictRows(table_, {}, &empty).ok());

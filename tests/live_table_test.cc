@@ -8,7 +8,8 @@
 //    stability across later appends, snapshot prefixes.
 //  * Byte-identity: ragged appends whose boundaries fall mid-block must
 //    produce byte-identical PredictRows / RetrieveMatches against the
-//    monolithic twin, across both scan paths and thread counts {1, 4}.
+//    monolithic twin, on both scan kernels and thread counts {1, 4}, and
+//    the scalar kernel must match the per-row PredictRow oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -271,9 +272,10 @@ std::vector<data::Subspace>* LiveTableScanTest::subspaces_ = nullptr;
 std::shared_ptr<core::ExplorationModel> LiveTableScanTest::model_;
 
 // The tentpole property: a segmented table is indistinguishable from its
-// monolithic twin — byte for byte — on every scan path, at 1 and 4 threads,
-// for all three variants, including row selections that cross the append
-// boundary and both segment seams.
+// monolithic twin — byte for byte — on both scan kernels, at 1 and 4
+// threads, for all three variants, including row selections that cross the
+// append boundary and both segment seams. On the scalar kernel the seam rows
+// also match the per-row PredictRow oracle.
 TEST_F(LiveTableScanTest, SegmentedScanByteIdenticalToMonolithic) {
   std::vector<int64_t> all_rows(static_cast<size_t>(monolithic_->num_rows()));
   std::iota(all_rows.begin(), all_rows.end(), 0);
@@ -290,7 +292,7 @@ TEST_F(LiveTableScanTest, SegmentedScanByteIdenticalToMonolithic) {
       Rng rng(1000);
       ASSERT_TRUE(session.StartExploration(UserLabels(), variant, &rng).ok());
       for (const core::ScanPath path :
-           {core::ScanPath::kRowAtATime, core::ScanPath::kColumnar}) {
+           {core::ScanPath::kColumnar, core::ScanPath::kColumnarSimd}) {
         session.set_scan_path(path);
         for (const std::vector<int64_t>& rows : {all_rows, seams}) {
           std::vector<double> mono_preds;
@@ -299,6 +301,15 @@ TEST_F(LiveTableScanTest, SegmentedScanByteIdenticalToMonolithic) {
               session.PredictRows(*monolithic_, rows, &mono_preds).ok());
           ASSERT_TRUE(session.PredictRows(*live_, rows, &live_preds).ok());
           EXPECT_EQ(mono_preds, live_preds);
+        }
+        if (path == core::ScanPath::kColumnar) {
+          std::vector<double> live_preds;
+          ASSERT_TRUE(session.PredictRows(*live_, seams, &live_preds).ok());
+          for (size_t i = 0; i < seams.size(); ++i) {
+            EXPECT_EQ(live_preds[i],
+                      session.PredictRow(live_->Row(seams[i])).value_or(-1.0))
+                << "row " << seams[i];
+          }
         }
         std::vector<int64_t> mono_matches;
         std::vector<int64_t> live_matches;

@@ -196,5 +196,18 @@ TEST(MetaLearnerTest, RequiresTupleFeatureDim) {
   EXPECT_DEATH(MetaLearner(opt, &rng), "tuple_feature_dim");
 }
 
+// A tuple span shorter than count x f_tau's input width must die before the
+// batch forward slices past its end.
+TEST(MetaLearnerTest, PredictProbabilityBatchRejectsShortInput) {
+  Rng rng(12);
+  MetaLearner learner(SmallOptions(true), &rng);
+  const TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
+  TaskModel::BatchScratch scratch;
+  std::vector<double> out(3);
+  const std::vector<double> two_tuples(2 * 6, 0.5);
+  EXPECT_DEATH(tm.PredictProbabilityBatch(two_tuples, 3, &scratch, out),
+               "tuples\\.size\\(\\)");
+}
+
 }  // namespace
 }  // namespace lte::core

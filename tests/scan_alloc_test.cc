@@ -1,0 +1,181 @@
+// Allocation test for the block scan: after a warm-up, a full-table scan
+// must not allocate per block. A counting global operator new tallies every
+// heap allocation in the process; the same calls on an 8-block table may
+// allocate no more than on a 2-block table — directly on a session and
+// through the coalesced scheduler, on both scan kernels.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <numeric>
+#include <vector>
+
+#include "core/exploration_model.h"
+#include "core/exploration_session.h"
+#include "data/synthetic.h"
+#include "serving/coalesced_scan_scheduler.h"
+
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so the compiler never sees malloc() inside one call and
+// operator delete outside it (or new and an inlined free()) as a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace lte::core {
+namespace {
+
+ExplorerOptions SmallExplorerOptions() {
+  ExplorerOptions opt;
+  opt.task_gen.k_u = 30;
+  opt.task_gen.k_s = 10;
+  opt.task_gen.k_q = 30;
+  opt.task_gen.delta = 5;
+  opt.task_gen.alpha = 2;
+  opt.task_gen.psi = 8;
+  opt.learner.embedding_size = 12;
+  opt.learner.clf_hidden = {12};
+  opt.learner.num_memory_modes = 3;
+  opt.num_meta_tasks = 25;
+  opt.trainer.epochs = 3;
+  opt.trainer.task_batch_size = 10;
+  opt.trainer.local_steps = 6;
+  opt.trainer.local_lr = 0.2;
+  opt.trainer.global_lr = 0.1;
+  opt.online_steps = 25;
+  opt.online_lr = 0.2;
+  opt.encoder.num_gmm_components = 3;
+  opt.encoder.num_jenks_intervals = 3;
+  return opt;
+}
+
+/// Heap allocations of `scan(&matches, &predictions)` — a full-table
+/// RetrieveMatches(-1) plus PredictRows over every row — after one warm-up
+/// call has sized the outputs, started the shared pool and touched every
+/// lazily built cache.
+template <typename Scan>
+int64_t SteadyStateAllocations(const Scan& scan, int64_t num_rows) {
+  std::vector<int64_t> matches;
+  std::vector<double> predictions;
+  scan(&matches, &predictions);
+  const int64_t before = g_allocations.load(std::memory_order_relaxed);
+  scan(&matches, &predictions);
+  const int64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(static_cast<int64_t>(predictions.size()), num_rows);
+  EXPECT_FALSE(matches.empty());  // Non-vacuity: the scan kept survivors.
+  return after - before;
+}
+
+std::vector<int64_t> AllRows(const data::Table& table) {
+  std::vector<int64_t> rows(static_cast<size_t>(table.num_rows()));
+  std::iota(rows.begin(), rows.end(), int64_t{0});
+  return rows;
+}
+
+class ScanAllocTest : public ::testing::TestWithParam<ScanPath> {
+ protected:
+  static void SetUpTestSuite() {
+    Rng rng(23);
+    const int64_t rows = 8 * kServingBlockRows;
+    large_ = new data::Table(data::MakeBlobs(rows, 4, 5, &rng));
+    small_ = new data::Table(large_->SnapshotPrefix(2 * kServingBlockRows));
+    model_ = std::make_shared<ExplorationModel>(SmallExplorerOptions());
+    const std::vector<data::Subspace> subspaces = {data::Subspace{{0, 1}},
+                                                   data::Subspace{{2, 3}}};
+    ASSERT_TRUE(model_->Pretrain(*large_, subspaces, true, &rng).ok());
+  }
+
+  static void TearDownTestSuite() {
+    model_.reset();
+    delete small_;
+    delete large_;
+  }
+
+  // Interesting iff the subspace point's first coordinate is below its
+  // initial tuples' median: mixed labels, so every scan keeps survivors.
+  static std::vector<std::vector<double>> UserLabels() {
+    std::vector<std::vector<double>> labels(2);
+    for (int64_t s = 0; s < 2; ++s) {
+      const auto& tuples = *model_->InitialTuples(s);
+      std::vector<double> firsts;
+      for (const auto& t : tuples) firsts.push_back(t[0]);
+      std::nth_element(firsts.begin(), firsts.begin() + firsts.size() / 2,
+                       firsts.end());
+      const double median = firsts[firsts.size() / 2];
+      for (const auto& t : tuples) {
+        labels[static_cast<size_t>(s)].push_back(t[0] < median ? 1.0 : 0.0);
+      }
+    }
+    return labels;
+  }
+
+  static data::Table* large_;
+  static data::Table* small_;
+  static std::shared_ptr<ExplorationModel> model_;
+};
+
+data::Table* ScanAllocTest::large_ = nullptr;
+data::Table* ScanAllocTest::small_ = nullptr;
+std::shared_ptr<ExplorationModel> ScanAllocTest::model_;
+
+TEST_P(ScanAllocTest, SessionScanAllocationsDoNotGrowWithBlocks) {
+  ExplorationSession session(model_, /*num_threads=*/1);
+  session.set_scan_path(GetParam());
+  Rng rng(5);
+  ASSERT_TRUE(
+      session.StartExploration(UserLabels(), Variant::kMetaStar, &rng).ok());
+  const auto allocations = [&](const data::Table& table) {
+    const std::vector<int64_t> rows = AllRows(table);
+    return SteadyStateAllocations(
+        [&](std::vector<int64_t>* matches, std::vector<double>* predictions) {
+          EXPECT_TRUE(session.RetrieveMatches(table, -1, matches).ok());
+          EXPECT_TRUE(session.PredictRows(table, rows, predictions).ok());
+        },
+        table.num_rows());
+  };
+  const int64_t small_allocs = allocations(*small_);
+  EXPECT_LE(allocations(*large_), small_allocs);
+}
+
+TEST_P(ScanAllocTest, SchedulerScanAllocationsDoNotGrowWithBlocks) {
+  ExplorationSession session(model_, /*num_threads=*/1);
+  session.set_scan_path(GetParam());
+  Rng rng(5);
+  ASSERT_TRUE(
+      session.StartExploration(UserLabels(), Variant::kMetaStar, &rng).ok());
+  const auto allocations = [&](const data::Table& table) {
+    const std::vector<int64_t> rows = AllRows(table);
+    serving::CoalescedScanOptions options;
+    options.num_threads = 1;
+    options.flush_deadline_micros = 0;
+    serving::CoalescedScanScheduler scheduler(model_, &table, options);
+    return SteadyStateAllocations(
+        [&](std::vector<int64_t>* matches, std::vector<double>* predictions) {
+          EXPECT_TRUE(scheduler.RetrieveMatches(session, -1, matches).ok());
+          EXPECT_TRUE(scheduler.PredictRows(session, rows, predictions).ok());
+        },
+        table.num_rows());
+  };
+  const int64_t small_allocs = allocations(*small_);
+  EXPECT_LE(allocations(*large_), small_allocs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, ScanAllocTest,
+                         ::testing::Values(ScanPath::kColumnar,
+                                           ScanPath::kColumnarSimd));
+
+}  // namespace
+}  // namespace lte::core

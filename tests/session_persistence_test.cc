@@ -194,7 +194,7 @@ class SessionPersistenceTest : public ::testing::Test {
 // may run a different host configuration than the saver.
 TEST_F(SessionPersistenceTest, RoundTripContinuationMatchesUninterrupted) {
   for (const Variant variant : {Variant::kMetaStar, Variant::kBasic}) {
-    for (const ScanPath path : {ScanPath::kColumnar, ScanPath::kRowAtATime}) {
+    for (const ScanPath path : {ScanPath::kColumnar, ScanPath::kColumnarSimd}) {
       for (const int64_t save_threads : {int64_t{1}, int64_t{4}}) {
         // Uninterrupted reference: start, continue twice, serve.
         ExplorationSession reference(model_, save_threads);
@@ -254,7 +254,7 @@ TEST_F(SessionPersistenceTest, SavedBytesIdenticalAcrossHostKnobs) {
   EXPECT_EQ(base, SavedMidExploration(Variant::kMetaStar, 4,
                                       ScanPath::kColumnar));
   EXPECT_EQ(base, SavedMidExploration(Variant::kMetaStar, 1,
-                                      ScanPath::kRowAtATime));
+                                      ScanPath::kColumnarSimd));
 }
 
 // Truncating the file at every byte boundary must yield an error Status —

@@ -130,11 +130,23 @@ TEST(ThreadPoolTest, ReusableAcrossManyJobs) {
 TEST(ThreadPoolTest, EarlyExitRunsEveryChunkWhenNeverCancelled) {
   ThreadPool pool(4);
   std::vector<int> hits(500, 0);
+  // Per lane: the chunks it ran, in order. A lane never runs two chunks at
+  // once, so each lane's slot is written by one thread at a time.
+  std::vector<std::vector<int64_t>> by_lane(4);
   pool.ParallelForEarlyExit(
-      500, 4, [&](int64_t c) { ++hits[static_cast<size_t>(c)]; },
+      500, 4,
+      [&](int64_t lane, int64_t c) {
+        ASSERT_GE(lane, 0);
+        ASSERT_LT(lane, 4);
+        ++hits[static_cast<size_t>(c)];
+        by_lane[static_cast<size_t>(lane)].push_back(c);
+      },
       [] { return false; });
   for (size_t c = 0; c < hits.size(); ++c) {
     ASSERT_EQ(hits[c], 1) << "chunk " << c;
+  }
+  for (const std::vector<int64_t>& chunks : by_lane) {
+    EXPECT_TRUE(std::is_sorted(chunks.begin(), chunks.end()));
   }
 }
 
@@ -147,7 +159,9 @@ TEST(ThreadPoolTest, EarlyExitExecutesContiguousPrefix) {
   std::atomic<int64_t> done{0};
   pool.ParallelForEarlyExit(
       1000, 4,
-      [&](int64_t c) {
+      [&](int64_t lane, int64_t c) {
+        EXPECT_GE(lane, 0);
+        EXPECT_LT(lane, 4);
         hits[static_cast<size_t>(c)].fetch_add(1);
         done.fetch_add(1);
       },
@@ -168,10 +182,10 @@ TEST(ThreadPoolTest, EarlyExitCancelledUpFrontRunsNothing) {
   ThreadPool pool(2);
   int64_t calls = 0;
   pool.ParallelForEarlyExit(
-      100, 4, [&](int64_t) { ++calls; }, [] { return true; });
+      100, 4, [&](int64_t, int64_t) { ++calls; }, [] { return true; });
   EXPECT_EQ(calls, 0);
   pool.ParallelForEarlyExit(
-      0, 4, [&](int64_t) { ++calls; }, [] { return false; });
+      0, 4, [&](int64_t, int64_t) { ++calls; }, [] { return false; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -180,14 +194,24 @@ TEST(ThreadPoolTest, EarlyExitSequentialAndNestedFallbacks) {
   ThreadPool pool(4);
   std::vector<int64_t> order;
   pool.ParallelForEarlyExit(
-      8, 1, [&](int64_t c) { order.push_back(c); }, [] { return false; });
+      8, 1,
+      [&](int64_t lane, int64_t c) {
+        EXPECT_EQ(lane, 0);
+        order.push_back(c);
+      },
+      [] { return false; });
   EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
   // From inside a pool lane the early-exit loop must complete inline rather
   // than deadlock on the busy pool.
   std::atomic<int64_t> nested{0};
   pool.ParallelFor(0, 4, 4, [&](int64_t) {
     pool.ParallelForEarlyExit(
-        16, 4, [&](int64_t) { nested.fetch_add(1); }, [] { return false; });
+        16, 4,
+        [&](int64_t lane, int64_t) {
+          EXPECT_EQ(lane, 0);  // The inline fallback is one lane.
+          nested.fetch_add(1);
+        },
+        [] { return false; });
   });
   EXPECT_EQ(nested.load(), 4 * 16);
 }
