@@ -29,6 +29,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "bench_common.h"
+#include "core/block_scan.h"
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
 #include "eval/report.h"
@@ -52,6 +53,9 @@ struct SweepRow {
   double simd_mismatch_fraction = 0.0;
   double simd_match_f1 = 1.0;
   bool simd_parity = true;
+  // Rows that reached the batch forward in one full-table scalar scan (the
+  // rest were settled by the Meta* FP/FN subregions); deterministic.
+  int64_t rows_forwarded = 0;
 };
 
 // The SIMD parity gate thresholds (see DESIGN.md §2b): only rows whose
@@ -173,7 +177,7 @@ void Run() {
   std::vector<SweepRow> results;
   eval::TextTable table({"variant x threads", "oracle (s)", "columnar (s)",
                          "simd (s)", "simd rows/s", "col speedup",
-                         "simd x col", "identical", "parity"});
+                         "simd x col", "identical", "parity", "forwarded"});
   for (const core::Variant variant : variants) {
     for (const int64_t threads : thread_sweep) {
       core::ExplorationSession session(model, threads);
@@ -218,6 +222,15 @@ void Run() {
                .ok()) {
         return;
       }
+      // The same full-table scan once more, as a bare one-subscriber pass
+      // for its forward count.
+      std::vector<double> counted(all_rows.size(), 0.0);
+      core::ScanSubscriber counter;
+      counter.session = &session;
+      counter.rows = all_rows;
+      counter.predictions = counted;
+      row.rows_forwarded =
+          core::RunBlockScan(sdss, {&counter, 1}, threads).rows_forwarded;
       session.set_scan_path(core::ScanPath::kColumnarSimd);
       if (!session.PredictRows(sdss, all_rows, &simd_preds).ok()) return;
       if (!session.RetrieveMatches(sdss, /*limit=*/-1, &simd_matches_all)
@@ -252,7 +265,8 @@ void Run() {
         if (r == 0 || simd_s < row.simd_wall_s) row.simd_wall_s = simd_s;
       }
 
-      row.bit_identical = row_preds == col_preds && row_matches == col_matches;
+      row.bit_identical = row_preds == col_preds &&
+                          row_matches == col_matches && counted == col_preds;
       all_identical = all_identical && row.bit_identical;
       row.simd_mismatch_fraction = MismatchFraction(col_preds, simd_preds);
       row.simd_match_f1 = MatchSetF1(col_matches_all, simd_matches_all);
@@ -281,7 +295,8 @@ void Run() {
                    {row.row_wall_s, row.col_wall_s, row.simd_wall_s,
                     row.simd_rows_per_s, row.speedup, row.simd_speedup,
                     row.bit_identical ? 1.0 : 0.0,
-                    row.simd_parity ? 1.0 : 0.0},
+                    row.simd_parity ? 1.0 : 0.0,
+                    static_cast<double>(row.rows_forwarded)},
                    2);
       results.push_back(row);
     }
@@ -337,13 +352,15 @@ void Run() {
           "\"simd_rows_per_s\": %.1f, "
           "\"speedup\": %.3f, \"simd_speedup\": %.3f, "
           "\"bit_identical\": %s, \"simd_parity\": %s, "
-          "\"simd_mismatch_fraction\": %.6e, \"simd_match_f1\": %.6f}%s\n",
+          "\"simd_mismatch_fraction\": %.6e, \"simd_match_f1\": %.6f, "
+          "\"rows_forwarded\": %lld}%s\n",
           r.variant.c_str(), static_cast<long long>(r.threads), r.row_wall_s,
           r.col_wall_s, r.simd_wall_s, r.row_rows_per_s, r.col_rows_per_s,
           r.simd_rows_per_s, r.speedup, r.simd_speedup,
           r.bit_identical ? "true" : "false",
           r.simd_parity ? "true" : "false", r.simd_mismatch_fraction,
-          r.simd_match_f1, i + 1 < results.size() ? "," : "");
+          r.simd_match_f1, static_cast<long long>(r.rows_forwarded),
+          i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -18,20 +18,25 @@ namespace {
 struct LaneScratch {
   /// Per subscriber: block positions it still predicts positive.
   std::vector<std::vector<int64_t>> alive;
+  /// Per subscriber: the subregion membership of each `alive` position in
+  /// the current subspace, and how many of them are band rows.
+  std::vector<std::vector<FpFnOptimizer::Membership>> where;
+  std::vector<int64_t> band;
   /// Per retrieval subscriber: matches found by this lane (lanes > 0; lane 0
   /// appends straight to the subscriber's output).
   std::vector<std::vector<int64_t>> hits;
   std::vector<int64_t> next;
-  std::vector<uint8_t> member;         // 1 = some subscriber needs it.
+  std::vector<uint8_t> member;         // 1 = some subscriber's band row.
   std::vector<int64_t> encoded_index;  // Block position -> row of `encoded`.
   std::vector<int64_t> gather;         // Table rows of the encoded set.
   std::vector<int64_t> sub_rows;
   std::vector<double> encoded;
   std::vector<double> sub_encoded;
   std::vector<double> probs;
-  std::vector<double> point;
+  std::vector<double> verdicts;
   TaskModel::BatchScratch batch;
   int64_t encode_passes = 0;
+  int64_t rows_forwarded = 0;
 };
 
 class BlockPass {
@@ -97,15 +102,19 @@ class BlockPass {
     for (LaneScratch& sc : lanes_) {
       sc.alive.resize(q_count);
       for (std::vector<int64_t>& alive : sc.alive) alive.reserve(block);
+      sc.where.resize(q_count);
+      for (auto& where : sc.where) where.reserve(block);
+      sc.band.resize(q_count);
       sc.hits.resize(q_count);
       sc.next.reserve(block);
       sc.member.resize(block);
       sc.encoded_index.resize(block);
       sc.gather.reserve(block);
+      sc.sub_rows.reserve(block);
       sc.probs.reserve(block);
+      sc.verdicts.reserve(block);
       sc.encoded.reserve(block * static_cast<size_t>(max_width));
       if (q_count > 1) {
-        sc.sub_rows.reserve(block);
         sc.sub_encoded.reserve(block * static_cast<size_t>(max_width));
       }
     }
@@ -123,6 +132,7 @@ class BlockPass {
     stats.domain_rows = domain_rows_;
     for (const LaneScratch& sc : lanes_) {
       stats.encode_passes += sc.encode_passes;
+      stats.rows_forwarded += sc.rows_forwarded;
     }
     for (size_t q = 0; q < subscribers_.size(); ++q) {
       std::vector<int64_t>* matches = subscribers_[q].matches;
@@ -200,64 +210,86 @@ class BlockPass {
       }
     }
 
-    // One gather+encode per subspace over the union of live positions, then
-    // each live subscriber scores its own survivors and prunes them.
+    // Per subspace: each live subscriber first settles the rows its FP/FN
+    // subregions decide, from the raw column values alone. One gather+encode
+    // covers the union of the remaining band rows; each subscriber forwards
+    // its own band rows and drops every row it rejects.
     for (int64_t s = 0; s < max_active; ++s) {
+      const auto su = static_cast<size_t>(s);
       const auto live = [&](size_t q) {
         return !sc->alive[q].empty() &&
                subscribers_[q].session->active_subspaces() > s;
       };
       std::fill_n(sc->member.begin(), n, uint8_t{0});
-      bool any = false;
+      bool any_live = false;
+      bool any_band = false;
       for (size_t q = 0; q < q_count; ++q) {
         if (!live(q)) continue;
-        for (const int64_t p : sc->alive[q]) {
-          sc->member[static_cast<size_t>(p)] = 1;
+        const std::vector<int64_t>& alive = sc->alive[q];
+        std::vector<FpFnOptimizer::Membership>& where = sc->where[q];
+        sc->sub_rows.resize(alive.size());
+        for (size_t i = 0; i < alive.size(); ++i) {
+          sc->sub_rows[i] = RowAt(lo + alive[i]);
         }
-        any = true;
+        where.resize(alive.size());
+        sc->band[q] = subscribers_[q].session->LocateRows(
+            s, views_[su], sc->sub_rows, where);
+        for (size_t i = 0; i < alive.size(); ++i) {
+          if (!where[i].decided()) {
+            sc->member[static_cast<size_t>(alive[i])] = 1;
+          }
+        }
+        any_live = true;
+        any_band |= sc->band[q] > 0;
       }
-      if (!any) break;
-      sc->gather.clear();
-      for (int64_t p = 0; p < n; ++p) {
-        if (sc->member[static_cast<size_t>(p)] == 0) continue;
-        sc->encoded_index[static_cast<size_t>(p)] =
-            static_cast<int64_t>(sc->gather.size());
-        sc->gather.push_back(RowAt(lo + p));
+      if (!any_live) break;
+      if (any_band) {
+        sc->gather.clear();
+        for (int64_t p = 0; p < n; ++p) {
+          if (sc->member[static_cast<size_t>(p)] == 0) continue;
+          sc->encoded_index[static_cast<size_t>(p)] =
+              static_cast<int64_t>(sc->gather.size());
+          sc->gather.push_back(RowAt(lo + p));
+        }
+        model_.encoder().EncodeGatheredInto(
+            views_[su], model_.subspace(s)->attribute_indices, sc->gather,
+            &sc->encoded);
+        ++sc->encode_passes;
       }
-      const auto su = static_cast<size_t>(s);
-      model_.encoder().EncodeGatheredInto(
-          views_[su], model_.subspace(s)->attribute_indices, sc->gather,
-          &sc->encoded);
-      ++sc->encode_passes;
       const auto width = static_cast<size_t>(widths_[su]);
 
       for (size_t q = 0; q < q_count; ++q) {
         if (!live(q)) continue;
         std::vector<int64_t>& alive = sc->alive[q];
-        std::span<const int64_t> rows = sc->gather;
-        std::span<const double> encoded = sc->encoded;
-        if (alive.size() != sc->gather.size()) {
-          // A strict subset of the encoded set: copy out this subscriber's
-          // survivors so its batch forward sees only them.
-          sc->sub_rows.resize(alive.size());
-          sc->sub_encoded.resize(alive.size() * width);
-          for (size_t i = 0; i < alive.size(); ++i) {
-            const auto e = static_cast<size_t>(
-                sc->encoded_index[static_cast<size_t>(alive[i])]);
-            sc->sub_rows[i] = sc->gather[e];
-            std::memcpy(sc->sub_encoded.data() + i * width,
-                        sc->encoded.data() + e * width,
-                        width * sizeof(double));
+        const std::vector<FpFnOptimizer::Membership>& where = sc->where[q];
+        const auto band = static_cast<size_t>(sc->band[q]);
+        sc->probs.resize(band);
+        if (band > 0) {
+          std::span<const double> encoded = sc->encoded;
+          if (band != sc->gather.size()) {
+            // A strict subset of the encoded set: copy out this subscriber's
+            // band rows so its batch forward sees only them.
+            sc->sub_encoded.resize(band * width);
+            size_t b = 0;
+            for (size_t i = 0; i < alive.size(); ++i) {
+              if (where[i].decided()) continue;
+              const auto e = static_cast<size_t>(
+                  sc->encoded_index[static_cast<size_t>(alive[i])]);
+              std::memcpy(sc->sub_encoded.data() + b++ * width,
+                          sc->encoded.data() + e * width,
+                          width * sizeof(double));
+            }
+            encoded = sc->sub_encoded;
           }
-          rows = sc->sub_rows;
-          encoded = sc->sub_encoded;
+          subscribers_[q].session->ForwardEncoded(s, encoded, &sc->batch,
+                                                  sc->probs);
+          sc->rows_forwarded += static_cast<int64_t>(band);
         }
-        sc->probs.resize(alive.size());
-        subscribers_[q].session->ScoreEncodedBlock(
-            s, encoded, rows, views_[su], &sc->batch, &sc->point, sc->probs);
+        sc->verdicts.resize(alive.size());
+        FpFnOptimizer::DecideAll(where, sc->probs, sc->verdicts);
         sc->next.clear();
         for (size_t i = 0; i < alive.size(); ++i) {
-          if (sc->probs[i] >= 0.5) sc->next.push_back(alive[i]);
+          if (sc->verdicts[i] >= 0.5) sc->next.push_back(alive[i]);
         }
         alive.swap(sc->next);
       }

@@ -29,10 +29,17 @@ struct ScanSubscriber {
   int64_t limit = -1;
 };
 
-/// What one pass did, for the serving stats ledger.
+/// What one pass did, for the serving stats ledger. All three are pure
+/// functions of the table, the sessions and the pass composition.
 struct BlockScanStats {
-  /// Gather+encode rounds: one per (block, subspace) with live subscribers.
+  /// Gather+encode rounds: one per (block, subspace) in which some live
+  /// subscriber has band rows. A (block, subspace) whose rows the FP/FN
+  /// subregions settle entirely is never encoded.
   int64_t encode_passes = 0;
+  /// Rows that reached a batch forward, summed over subscribers and
+  /// subspaces: the band rows (every live row for a subscriber without
+  /// subregions).
+  int64_t rows_forwarded = 0;
   /// Rows in the pass's row domain (the table's row count when any
   /// subscriber retrieves).
   int64_t domain_rows = 0;
@@ -48,16 +55,23 @@ struct BlockScanStats {
 /// union of the subscribers' row sets. The domain is split into
 /// `kServingBlockRows`-row blocks that up to `num_threads` lanes claim in
 /// increasing order (0 = auto). Per block and active subspace in conjunction
-/// order, the rows still alive for any subscriber are gathered and encoded
-/// once, then each subscriber scores its own survivors through
-/// `ExplorationSession::ScoreEncodedBlock` and drops the rows it rejects.
+/// order, region first:
+///  * each subscriber locates the rows still alive for it in its Meta*
+///    FP/FN subregions (`ExplorationSession::LocateRows`, raw column values,
+///    no encode); a row inside both or outside both takes that verdict;
+///  * the union of the remaining band rows is gathered and encoded once;
+///  * each subscriber forwards its own band rows
+///    (`ExplorationSession::ForwardEncoded`), every row gets
+///    `FpFnOptimizer::Decide`'s verdict, and the rows it rejects drop out.
+/// Subscribers without subregions send every alive row to the forward.
 /// When every subscriber is a limit-bounded retrieval whose matches cover
 /// its limit, lanes stop claiming blocks; executed blocks always form a
 /// prefix, so truncating the ascending matches reproduces the unlimited
 /// scan's prefix.
 ///
 /// Every verdict is bit-identical to that session scanning alone, at any
-/// lane count and in any pass composition (DESIGN.md §2b). Scratch lives per
+/// lane count and in any pass composition, and on the scalar kernel to the
+/// per-row `PredictRow` (DESIGN.md §2b). Scratch lives per
 /// lane for the whole pass, so on one lane the number of allocations does
 /// not grow with the number of blocks (other lanes' match lists grow with
 /// the matches they find).

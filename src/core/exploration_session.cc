@@ -1,5 +1,6 @@
 #include "core/exploration_session.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -603,33 +604,67 @@ double ExplorationSession::PredictSubspaceUnchecked(
   return pred;
 }
 
+int64_t ExplorationSession::LocateRows(
+    int64_t s, const std::vector<data::ColumnView>& columns,
+    std::span<const int64_t> rows,
+    std::span<FpFnOptimizer::Membership> where) const {
+  LTE_CHECK(s >= 0 && s < active_count_);
+  LTE_CHECK(where.size() == rows.size());
+  const std::optional<FpFnOptimizer>& fpfn =
+      states_[static_cast<size_t>(s)].fpfn;
+  if (!fpfn.has_value() || !fpfn->has_positive_centers()) {
+    std::fill(where.begin(), where.end(), FpFnOptimizer::kPassThrough);
+    return static_cast<int64_t>(rows.size());
+  }
+  // Subregions exist only over 1-D and 2-D subspaces (geom::ConvexRegion).
+  LTE_CHECK(!columns.empty() && columns.size() <= 2);
+  double point[2] = {0.0, 0.0};
+  const std::span<const double> p(point, columns.size());
+  int64_t band = 0;
+  for (size_t k = 0; k < rows.size(); ++k) {
+    for (size_t j = 0; j < columns.size(); ++j) point[j] = columns[j][rows[k]];
+    where[k] = fpfn->Locate(p);
+    if (!where[k].decided()) ++band;
+  }
+  return band;
+}
+
+void ExplorationSession::ForwardEncoded(int64_t s,
+                                        std::span<const double> encoded,
+                                        TaskModel::BatchScratch* batch_scratch,
+                                        std::span<double> probs) const {
+  LTE_CHECK(s >= 0 && s < active_count_);
+  const SubspaceSession& state = states_[static_cast<size_t>(s)];
+  LTE_CHECK(state.task_model != nullptr);
+  const nn::BatchKernel kernel = scan_path_ == ScanPath::kColumnarSimd
+                                     ? nn::BatchKernel::kSimd
+                                     : nn::BatchKernel::kScalar;
+  state.task_model->PredictProbabilityBatch(
+      encoded, static_cast<int64_t>(probs.size()), batch_scratch, probs,
+      kernel);
+}
+
 void ExplorationSession::ScoreEncodedBlock(
     int64_t s, std::span<const double> encoded, std::span<const int64_t> rows,
     const std::vector<data::ColumnView>& columns,
     TaskModel::BatchScratch* batch_scratch, std::vector<double>* point_scratch,
     std::span<double> out) const {
-  LTE_CHECK(s >= 0 && s < active_count_);
-  const SubspaceSession& state = states_[static_cast<size_t>(s)];
-  LTE_CHECK(state.task_model != nullptr);
-  const auto count = static_cast<int64_t>(rows.size());
-  LTE_CHECK(static_cast<int64_t>(out.size()) == count);
-  const nn::BatchKernel kernel = scan_path_ == ScanPath::kColumnarSimd
-                                     ? nn::BatchKernel::kSimd
-                                     : nn::BatchKernel::kScalar;
-  state.task_model->PredictProbabilityBatch(encoded, count, batch_scratch,
-                                            out, kernel);
-  for (int64_t i = 0; i < count; ++i) {
-    double pred = out[static_cast<size_t>(i)] > 0.5 ? 1.0 : 0.0;
-    if (state.fpfn.has_value()) {
-      point_scratch->clear();
-      const int64_t r = rows[static_cast<size_t>(i)];
-      for (const data::ColumnView& col : columns) {
-        point_scratch->push_back(col[r]);
-      }
-      pred = state.fpfn->Refine(*point_scratch, pred);
-    }
-    out[static_cast<size_t>(i)] = pred;
+  const size_t count = rows.size();
+  LTE_CHECK(out.size() == count);
+  std::vector<FpFnOptimizer::Membership> where(count);
+  const int64_t band = LocateRows(s, columns, rows, where);
+  const auto width = static_cast<size_t>(model_->encoder().ProjectedWidth(
+      model_->subspace(s)->attribute_indices));
+  LTE_CHECK(encoded.size() == count * width);
+  point_scratch->clear();
+  for (size_t k = 0; k < count; ++k) {
+    if (where[k].decided()) continue;
+    const auto tuple = encoded.subspan(k * width, width);
+    point_scratch->insert(point_scratch->end(), tuple.begin(), tuple.end());
   }
+  std::vector<double> probs(static_cast<size_t>(band));
+  ForwardEncoded(s, *point_scratch, batch_scratch, probs);
+  FpFnOptimizer::DecideAll(where, probs, out);
 }
 
 std::optional<double> ExplorationSession::PredictSubspace(

@@ -282,26 +282,49 @@ class ExplorationSession {
   /// on the submitting thread instead of inside a shared batch pass.
   Status ValidateServing(const data::Table& table) const;
 
-  /// Low-level serving hook for the coalesced front-end: scores
-  /// `rows.size()` pre-encoded subspace-`s` tuples and writes the final
-  /// 0.0/1.0 verdicts (threshold, then the Meta* FP/FN refinement) into
-  /// `out`. `encoded` holds the tuples row-major at the subspace's projected
-  /// width — exactly what `TabularEncoder::EncodeGatheredInto` produces —
-  /// with `rows[k]` the table row id of tuple k and `columns` the subspace's
-  /// attribute column views (read only by the FP/FN refiner's raw-point
-  /// gather). Scoring uses this session's scan-path kernel (kColumnarSimd →
-  /// the float32 vector kernels, anything else → the scalar reference), so
-  /// the coalesced front-end automatically honors each subscriber's own
-  /// throughput choice inside one shared pass. `out[k]` is bit-identical to
-  /// the same-kernel standalone verdict for that tuple — and, on the scalar
-  /// kernel, to `PredictRow`'s — because the encode and the batch forward
-  /// are both row-independent: it does not matter which other rows — or
-  /// which other sessions' rows — share the block (DESIGN.md §2b).
+  /// Region-first step of scoring subspace `s` (DESIGN.md §2b): writes each
+  /// `rows[k]`'s FP/FN subregion membership into `where[k]`, read straight
+  /// from its raw `columns` values (the subspace's attribute column views;
+  /// nothing is encoded), and returns the number of band rows — rows whose
+  /// verdict the classifier still decides, because outer ≠ inner. Without
+  /// subregions (non-Meta* variants, or no positive center label) every row
+  /// is band, located as `FpFnOptimizer::kPassThrough`. A row's verdict is
+  /// `FpFnOptimizer::Decide(where[k], probability)`; for a decided row the
+  /// probability cannot matter, so it never needs a forward.
   ///
   /// Preconditions (LTE_CHECKed, not Status-mapped — callers are the block
   /// scan and tools that validate via ValidateServing first):
   /// StartExploration has adapted subspace `s`, and the spans agree in size.
   /// Thread-safe under the same contract as the const query surface.
+  int64_t LocateRows(int64_t s, const std::vector<data::ColumnView>& columns,
+                     std::span<const int64_t> rows,
+                     std::span<FpFnOptimizer::Membership> where) const;
+
+  /// Batch forward of `probs.size()` pre-encoded subspace-`s` tuples —
+  /// row-major at the subspace's projected width, exactly what
+  /// `TabularEncoder::EncodeGatheredInto` produces — writing P(interesting)
+  /// per tuple. Uses this session's scan-path kernel (kColumnarSimd → the
+  /// float32 vector kernels, anything else → the scalar reference), so a
+  /// shared pass honors each subscriber's own throughput choice. Each
+  /// probability depends on its own tuple only, never on which other rows —
+  /// or which other sessions' rows — share the batch. Same preconditions
+  /// as LocateRows.
+  void ForwardEncoded(int64_t s, std::span<const double> encoded,
+                      TaskModel::BatchScratch* batch_scratch,
+                      std::span<double> probs) const;
+
+  /// Scores `rows.size()` pre-encoded subspace-`s` tuples (`encoded`, laid
+  /// out as for ForwardEncoded; `rows[k]` is tuple k's table row and
+  /// `columns` the subspace's attribute column views) and writes the final
+  /// 0.0/1.0 verdicts into `out`, by the block scan's own steps: LocateRows,
+  /// then ForwardEncoded on the band rows only (their encodings are copied
+  /// into `point_scratch`), then `FpFnOptimizer::DecideAll`. `out[k]` is
+  /// bit-identical to the same-kernel block-scan verdict for that tuple —
+  /// and, on the scalar kernel, to `PredictRow`'s. A tool hook (block-by-
+  /// block replays time it); it allocates its per-call membership and
+  /// probability buffers, and the block scan does not go through it. Same
+  /// preconditions as LocateRows, and `encoded` holds exactly `rows.size()`
+  /// tuples.
   void ScoreEncodedBlock(int64_t s, std::span<const double> encoded,
                          std::span<const int64_t> rows,
                          const std::vector<data::ColumnView>& columns,

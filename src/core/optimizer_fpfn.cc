@@ -46,19 +46,29 @@ FpFnOptimizer::FpFnOptimizer(const SubspaceContext& context,
   inner_ = BuildSubregion(context, center_labels, n_sub);
 }
 
+void FpFnOptimizer::DecideAll(std::span<const Membership> where,
+                              std::span<const double> band_probs,
+                              std::span<double> verdicts) {
+  LTE_CHECK_EQ(where.size(), verdicts.size());
+  size_t next = 0;
+  for (size_t k = 0; k < where.size(); ++k) {
+    // A decided row's verdict is the same for any probability; it reads none.
+    double prob = 0.0;
+    if (!where[k].decided()) {
+      LTE_CHECK_LT(next, band_probs.size());
+      prob = band_probs[next++];
+    }
+    verdicts[k] = Decide(where[k], prob);
+  }
+  LTE_CHECK_EQ(next, band_probs.size());
+}
+
 double FpFnOptimizer::Refine(const std::vector<double>& point,
                              double prediction) const {
   // With no positive labels there is nothing to anchor the subregions on;
   // leave the classifier's verdict untouched.
   if (!has_positive_) return prediction;
-  if (prediction > 0.5) {
-    // FP repair: a positive prediction outside the outer superset of the
-    // UIS must be spurious.
-    return outer_.Contains(point) ? 1.0 : 0.0;
-  }
-  // FN repair: a negative prediction inside the conservative inner subset
-  // must be a hole.
-  return inner_.Contains(point) ? 1.0 : 0.0;
+  return Decide(Locate(point), prediction);
 }
 
 }  // namespace lte::core

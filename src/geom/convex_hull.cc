@@ -74,11 +74,10 @@ bool PointInConvexPolygon(const Point2& p, const std::vector<Point2>& hull,
   if (hull.size() == 2) {
     return SegmentDistance(p, hull[0], hull[1]) <= eps;
   }
-  // p is inside a CCW polygon iff it is on the left of (or on) every edge.
-  for (size_t i = 0; i < hull.size(); ++i) {
-    const Point2& a = hull[i];
-    const Point2& b = hull[(i + 1) % hull.size()];
-    if (Cross(a, b, p) < -eps) return false;
+  // p is inside a CCW polygon iff it is on the left of (or on) every edge
+  // hull[j] -> hull[i]; the first edge is the closing one.
+  for (size_t i = 0, j = hull.size() - 1; i < hull.size(); j = i++) {
+    if (Cross(hull[j], hull[i], p) < -eps) return false;
   }
   return true;
 }

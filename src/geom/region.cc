@@ -33,7 +33,7 @@ ConvexRegion ConvexRegion::HullOf(
   return r;
 }
 
-bool ConvexRegion::Contains(const std::vector<double>& point,
+bool ConvexRegion::Contains(std::span<const double> point,
                             double eps) const {
   if (empty()) return false;
   LTE_CHECK_EQ(static_cast<int64_t>(point.size()), dimension_);
@@ -47,7 +47,7 @@ void Region::AddPart(ConvexRegion part) {
   if (!part.empty()) parts_.push_back(std::move(part));
 }
 
-bool Region::Contains(const std::vector<double>& point, double eps) const {
+bool Region::Contains(std::span<const double> point, double eps) const {
   for (const ConvexRegion& part : parts_) {
     if (part.Contains(point, eps)) return true;
   }

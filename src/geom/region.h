@@ -2,6 +2,7 @@
 #define LTE_GEOM_REGION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geom/convex_hull.h"
@@ -23,8 +24,12 @@ class ConvexRegion {
   ConvexRegion() = default;
 
   /// Boundary-inclusive membership. `point` must match the region dimension;
-  /// an empty region contains nothing.
-  bool Contains(const std::vector<double>& point, double eps = 1e-9) const;
+  /// an empty region contains nothing. Allocation-free, so per-row callers
+  /// can pass a stack array of column values.
+  bool Contains(std::span<const double> point, double eps = 1e-9) const;
+  bool Contains(const std::vector<double>& point, double eps = 1e-9) const {
+    return Contains(std::span<const double>(point), eps);
+  }
 
   int64_t dimension() const { return dimension_; }
   bool empty() const { return dimension_ == 0; }
@@ -52,7 +57,10 @@ class Region {
   void AddPart(ConvexRegion part);
 
   /// True when any convex part contains the point.
-  bool Contains(const std::vector<double>& point, double eps = 1e-9) const;
+  bool Contains(std::span<const double> point, double eps = 1e-9) const;
+  bool Contains(const std::vector<double>& point, double eps = 1e-9) const {
+    return Contains(std::span<const double>(point), eps);
+  }
 
   const std::vector<ConvexRegion>& parts() const { return parts_; }
   bool empty() const { return parts_.empty(); }

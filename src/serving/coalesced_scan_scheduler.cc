@@ -177,6 +177,7 @@ void CoalescedScanScheduler::SchedulerLoop() {
       stats_.largest_batch = std::max<int64_t>(
           stats_.largest_batch, static_cast<int64_t>(batch.size()));
       stats_.encode_passes += pass.encode_passes;
+      stats_.rows_forwarded += pass.rows_forwarded;
       for (Request* request : batch) {
         stats_.rows_served += request->subscriber.matches != nullptr
                                   ? pass.domain_rows

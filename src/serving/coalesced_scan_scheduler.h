@@ -52,11 +52,15 @@ struct CoalescedScanStats {
   /// Result rows delivered across all requests (a full-table PredictRows
   /// for S sessions counts S * num_rows).
   int64_t rows_served = 0;
-  /// Gather+encode rounds executed, one per (block, subspace) with live
-  /// subscribers — the quantity coalescing amortizes: independent sessions
-  /// would pay one round per *session* per (block, subspace), the shared
-  /// pass pays at most one regardless of how many sessions subscribe.
+  /// Gather+encode rounds executed, one per (block, subspace) in which some
+  /// subscriber has band rows (core::BlockScanStats) — the quantity
+  /// coalescing amortizes: independent sessions would pay one round per
+  /// *session* per (block, subspace), the shared pass pays at most one
+  /// regardless of how many sessions subscribe.
   int64_t encode_passes = 0;
+  /// Rows that reached a subscriber's batch forward (band rows; see
+  /// core::BlockScanStats::rows_forwarded).
+  int64_t rows_forwarded = 0;
 };
 
 /// Cross-session coalesced scan scheduler: the "many users, one table pass"
@@ -70,10 +74,11 @@ struct CoalescedScanStats {
 /// shared pass — one `core::RunBlockScan` with every request as a
 /// subscriber — which for each subspace x `core::kServingBlockRows`-row
 /// block gathers + encodes **once**, then runs each subscribed session's
-/// batch forward over its own survivors of the shared encoded block. The
-/// per-user work shrinks to the adapted-weights matmul plus the Meta* FP/FN
-/// refinement. The scheduler itself only queues, flushes, applies
-/// backpressure and keeps stats.
+/// batch forward over its own band rows of the shared encoded block. The
+/// per-user work shrinks to the Meta* FP/FN region test plus the
+/// adapted-weights matmul over the rows the regions leave undecided. The
+/// scheduler itself only queues, flushes, applies backpressure and keeps
+/// stats.
 ///
 ///   CoalescedScanScheduler scheduler(model, &table);
 ///   // Per user, on the user's own thread:

@@ -285,7 +285,7 @@ TEST_F(CoalescedScanSchedulerTest, MixedBatchDemultiplexes) {
 
 // Mixed kernels in one shared pass: a kColumnarSimd subscriber coalesced
 // with scalar subscribers still receives exactly the bytes of its own
-// standalone SIMD scan, and the scalar subscribers theirs — ScoreEncodedBlock
+// standalone SIMD scan, and the scalar subscribers theirs — ForwardEncoded
 // derives the kernel from each subscriber session's scan path, so one batch
 // can serve both without cross-contamination.
 TEST_F(CoalescedScanSchedulerTest, MixedKernelSubscribersMatchStandalone) {

@@ -6,6 +6,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/lte.h"
 #include "data/synthetic.h"
@@ -33,7 +34,9 @@ class ModelRobustnessTest : public ::testing::Test {
                     .Pretrain(table, {data::Subspace{{0, 1}}},
                               /*train_meta=*/true, &rng)
                     .ok());
-    path_ = testing::TempDir() + "/robustness.ltemodel";
+    // Per-test file names: ctest runs the cases of this fixture as parallel
+    // processes sharing one TempDir().
+    path_ = TestPath("robustness");
     ASSERT_TRUE(explorer.Save(path_).ok());
 
     std::ifstream in(path_, std::ios::binary);
@@ -48,8 +51,13 @@ class ModelRobustnessTest : public ::testing::Test {
     out.write(bytes_.data(), static_cast<std::streamsize>(n));
   }
 
-  std::string truncated_path() const {
-    return testing::TempDir() + "/truncated.ltemodel";
+  std::string truncated_path() const { return TestPath("truncated"); }
+
+  static std::string TestPath(const std::string& stem) {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return testing::TempDir() + "/" + stem + "_" + info->test_suite_name() +
+           "_" + info->name() + ".ltemodel";
   }
 
   std::string path_;
