@@ -6,21 +6,16 @@
 // subspaces. Its reference is the per-row oracle: `PredictRow` over every
 // materialized `Table::Row`, fanned out over the same lane count. This bench
 // sweeps variant x threads over a full-table PredictRows scan plus a bounded
-// RetrieveMatches, reports throughput for the oracle and both scan kernels
-// (scalar, SIMD) and their ratios, and verifies the contracts as it goes:
-// the scalar scan must match the oracle byte for byte, and the SIMD
-// throughput mode must stay within statistical parity of the scalar
-// verdicts (mismatch fraction and match-set F1 within epsilon — only rows
-// whose probability sits exactly at the 0.5 threshold boundary may flip).
+// RetrieveMatches, reports throughput for the oracle and the block scan and
+// their ratio, and verifies the contract as it goes: the scan must match the
+// oracle byte for byte.
 //
 // The oracle materializes every row and allocates per call, so the
-// `speedup` ratios (oracle / scalar scan) are not comparable with figures
-// recorded against the former row-at-a-time scan path. The SIMD mode is
-// reported as a further ratio over the scalar scan.
+// `speedup` ratios (oracle / scan) are not comparable with figures recorded
+// against the former row-at-a-time scan path.
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -37,55 +32,20 @@
 namespace lte::bench {
 namespace {
 
-/// One (variant, threads) configuration of the sweep, all three paths timed.
+/// One (variant, threads) configuration of the sweep, both paths timed.
 struct SweepRow {
   std::string variant;
   int64_t threads = 0;
   double row_wall_s = 0.0;  // The per-row oracle.
   double col_wall_s = 0.0;
-  double simd_wall_s = 0.0;
   double row_rows_per_s = 0.0;
   double col_rows_per_s = 0.0;
-  double simd_rows_per_s = 0.0;
-  double speedup = 0.0;       // oracle / columnar (scalar).
-  double simd_speedup = 0.0;  // columnar (scalar) / simd.
-  bool bit_identical = true;  // oracle vs columnar scalar.
-  double simd_mismatch_fraction = 0.0;
-  double simd_match_f1 = 1.0;
-  bool simd_parity = true;
-  // Rows that reached the batch forward in one full-table scalar scan (the
-  // rest were settled by the Meta* FP/FN subregions); deterministic.
+  double speedup = 0.0;       // oracle / columnar.
+  bool bit_identical = true;  // oracle vs columnar.
+  // Rows that reached the batch forward in one full-table scan (the rest
+  // were settled by the Meta* FP/FN subregions); deterministic.
   int64_t rows_forwarded = 0;
 };
-
-// The SIMD parity gate thresholds (see DESIGN.md §2b): only rows whose
-// probability sits at the 0.5 threshold boundary may flip under float32, a
-// measure-zero set in practice.
-constexpr double kMaxSimdMismatchFraction = 1e-3;
-constexpr double kMinSimdMatchF1 = 1.0 - 1e-3;
-
-double MismatchFraction(const std::vector<double>& a,
-                        const std::vector<double>& b) {
-  if (a.size() != b.size()) return 1.0;
-  if (a.empty()) return 0.0;
-  size_t mismatches = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) ++mismatches;
-  }
-  return static_cast<double>(mismatches) / static_cast<double>(a.size());
-}
-
-// F1 between two ascending match-id sets: 1.0 means identical sets.
-double MatchSetF1(const std::vector<int64_t>& ref,
-                  const std::vector<int64_t>& got) {
-  if (ref.empty() && got.empty()) return 1.0;
-  std::vector<int64_t> both;
-  std::set_intersection(ref.begin(), ref.end(), got.begin(), got.end(),
-                        std::back_inserter(both));
-  const double tp = static_cast<double>(both.size());
-  const double denom = static_cast<double>(ref.size() + got.size());
-  return denom == 0.0 ? 1.0 : 2.0 * tp / denom;
-}
 
 const char* VariantName(core::Variant v) {
   switch (v) {
@@ -170,14 +130,11 @@ void Run() {
                   : std::vector<int64_t>{1, 2, 4};
 
   bool all_identical = true;
-  bool all_simd_parity = true;
-  double max_simd_mismatch = 0.0;
   double meta_single_thread_speedup = 0.0;
-  double meta_single_thread_simd_speedup = 0.0;
   std::vector<SweepRow> results;
   eval::TextTable table({"variant x threads", "oracle (s)", "columnar (s)",
-                         "simd (s)", "simd rows/s", "col speedup",
-                         "simd x col", "identical", "parity", "forwarded"});
+                         "col rows/s", "col speedup", "identical",
+                         "forwarded"});
   for (const core::Variant variant : variants) {
     for (const int64_t threads : thread_sweep) {
       core::ExplorationSession session(model, threads);
@@ -191,21 +148,15 @@ void Run() {
       row.variant = VariantName(variant);
       row.threads = threads;
 
-      // Same adapted session answers the oracle and both kernels, so any
-      // output difference below is the scan implementation's fault alone.
-      // One untimed warmup per path settles scratch capacities and the page
-      // cache; the untimed RetrieveMatches calls feed the byte-identity and
-      // parity checks without polluting the scan timing. The parity
-      // comparison runs over unbounded retrievals — a bounded scalar prefix
-      // and a bounded SIMD prefix could truncate at different rows and
-      // understate agreement.
+      // Same adapted session answers the oracle and the scan, so any output
+      // difference below is the scan implementation's fault alone. One
+      // untimed warmup per path settles scratch capacities and the page
+      // cache; the untimed RetrieveMatches call feeds the byte-identity
+      // check without polluting the scan timing.
       std::vector<double> row_preds;
       std::vector<double> col_preds;
-      std::vector<double> simd_preds;
       std::vector<int64_t> row_matches;
       std::vector<int64_t> col_matches;
-      std::vector<int64_t> col_matches_all;
-      std::vector<int64_t> simd_matches_all;
 
       OraclePredictRows(session, sdss, all_rows, threads, &row_preds);
       // The oracle's bounded retrieval: its first 500 matches in row order.
@@ -213,13 +164,8 @@ void Run() {
            ++r) {
         if (row_preds[r] > 0.5) row_matches.push_back(static_cast<int64_t>(r));
       }
-      session.set_scan_path(core::ScanPath::kColumnar);
       if (!session.PredictRows(sdss, all_rows, &col_preds).ok()) return;
       if (!session.RetrieveMatches(sdss, /*limit=*/500, &col_matches).ok()) {
-        return;
-      }
-      if (!session.RetrieveMatches(sdss, /*limit=*/-1, &col_matches_all)
-               .ok()) {
         return;
       }
       // The same full-table scan once more, as a bare one-subscriber pass
@@ -231,12 +177,6 @@ void Run() {
       counter.predictions = counted;
       row.rows_forwarded =
           core::RunBlockScan(sdss, {&counter, 1}, threads).rows_forwarded;
-      session.set_scan_path(core::ScanPath::kColumnarSimd);
-      if (!session.PredictRows(sdss, all_rows, &simd_preds).ok()) return;
-      if (!session.RetrieveMatches(sdss, /*limit=*/-1, &simd_matches_all)
-               .ok()) {
-        return;
-      }
 
       // Interleave single full-table passes and keep the minimum wall per
       // path. Back-to-back rep blocks attribute any machine-state drift
@@ -245,57 +185,34 @@ void Run() {
       // conditions.
       row.row_wall_s = 0.0;
       row.col_wall_s = 0.0;
-      row.simd_wall_s = 0.0;
       for (int64_t r = 0; r < reps; ++r) {
         Stopwatch row_sw;
         OraclePredictRows(session, sdss, all_rows, threads, &row_preds);
         const double row_s = row_sw.ElapsedSeconds();
         if (r == 0 || row_s < row.row_wall_s) row.row_wall_s = row_s;
 
-        session.set_scan_path(core::ScanPath::kColumnar);
         Stopwatch col_sw;
         if (!session.PredictRows(sdss, all_rows, &col_preds).ok()) return;
         const double col_s = col_sw.ElapsedSeconds();
         if (r == 0 || col_s < row.col_wall_s) row.col_wall_s = col_s;
-
-        session.set_scan_path(core::ScanPath::kColumnarSimd);
-        Stopwatch simd_sw;
-        if (!session.PredictRows(sdss, all_rows, &simd_preds).ok()) return;
-        const double simd_s = simd_sw.ElapsedSeconds();
-        if (r == 0 || simd_s < row.simd_wall_s) row.simd_wall_s = simd_s;
       }
 
       row.bit_identical = row_preds == col_preds &&
                           row_matches == col_matches && counted == col_preds;
       all_identical = all_identical && row.bit_identical;
-      row.simd_mismatch_fraction = MismatchFraction(col_preds, simd_preds);
-      row.simd_match_f1 = MatchSetF1(col_matches_all, simd_matches_all);
-      row.simd_parity =
-          row.simd_mismatch_fraction <= kMaxSimdMismatchFraction &&
-          row.simd_match_f1 >= kMinSimdMatchF1;
-      all_simd_parity = all_simd_parity && row.simd_parity;
-      max_simd_mismatch =
-          std::max(max_simd_mismatch, row.simd_mismatch_fraction);
       const double scanned = static_cast<double>(rows);
       row.row_rows_per_s =
           row.row_wall_s > 0.0 ? scanned / row.row_wall_s : 0.0;
       row.col_rows_per_s =
           row.col_wall_s > 0.0 ? scanned / row.col_wall_s : 0.0;
-      row.simd_rows_per_s =
-          row.simd_wall_s > 0.0 ? scanned / row.simd_wall_s : 0.0;
       row.speedup =
           row.col_wall_s > 0.0 ? row.row_wall_s / row.col_wall_s : 0.0;
-      row.simd_speedup =
-          row.simd_wall_s > 0.0 ? row.col_wall_s / row.simd_wall_s : 0.0;
       if (variant == core::Variant::kMeta && threads == 1) {
         meta_single_thread_speedup = row.speedup;
-        meta_single_thread_simd_speedup = row.simd_speedup;
       }
       table.AddRow(row.variant + " x " + std::to_string(threads),
-                   {row.row_wall_s, row.col_wall_s, row.simd_wall_s,
-                    row.simd_rows_per_s, row.speedup, row.simd_speedup,
-                    row.bit_identical ? 1.0 : 0.0,
-                    row.simd_parity ? 1.0 : 0.0,
+                   {row.row_wall_s, row.col_wall_s, row.col_rows_per_s,
+                    row.speedup, row.bit_identical ? 1.0 : 0.0,
                     static_cast<double>(row.rows_forwarded)},
                    2);
       results.push_back(row);
@@ -304,15 +221,9 @@ void Run() {
   table.Print();
   std::printf("all oracle/columnar pairs byte-identical: %s\n",
               all_identical ? "yes" : "NO — scan contract violated");
-  std::printf("all simd rows within statistical parity: %s "
-              "(max mismatch fraction %.2e, gate <= %.0e)\n",
-              all_simd_parity ? "yes" : "NO — parity contract violated",
-              max_simd_mismatch, kMaxSimdMismatchFraction);
   std::printf("Meta single-thread columnar speedup over the per-row oracle: "
               "%.2fx\n",
               meta_single_thread_speedup);
-  std::printf("Meta single-thread simd-over-columnar speedup: %.2fx\n",
-              meta_single_thread_simd_speedup);
 
   const std::string json_path = JsonOutputPath();
   if (!json_path.empty()) {
@@ -332,14 +243,8 @@ void Run() {
                  "  \"speedup_reference\": \"per-row PredictRow oracle\",\n");
     std::fprintf(f, "  \"bit_identical\": %s,\n",
                  all_identical ? "true" : "false");
-    std::fprintf(f, "  \"simd_parity\": %s,\n",
-                 all_simd_parity ? "true" : "false");
-    std::fprintf(f, "  \"simd_max_mismatch_fraction\": %.6e,\n",
-                 max_simd_mismatch);
     std::fprintf(f, "  \"meta_single_thread_speedup\": %.3f,\n",
                  meta_single_thread_speedup);
-    std::fprintf(f, "  \"meta_single_thread_simd_speedup\": %.3f,\n",
-                 meta_single_thread_simd_speedup);
     std::fprintf(f, "  \"sweep\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
       const SweepRow& r = results[i];
@@ -347,19 +252,13 @@ void Run() {
           f,
           "    {\"variant\": \"%s\", \"threads\": %lld, "
           "\"row_wall_s\": %.6f, \"columnar_wall_s\": %.6f, "
-          "\"simd_wall_s\": %.6f, "
           "\"row_rows_per_s\": %.1f, \"columnar_rows_per_s\": %.1f, "
-          "\"simd_rows_per_s\": %.1f, "
-          "\"speedup\": %.3f, \"simd_speedup\": %.3f, "
-          "\"bit_identical\": %s, \"simd_parity\": %s, "
-          "\"simd_mismatch_fraction\": %.6e, \"simd_match_f1\": %.6f, "
+          "\"speedup\": %.3f, \"bit_identical\": %s, "
           "\"rows_forwarded\": %lld}%s\n",
           r.variant.c_str(), static_cast<long long>(r.threads), r.row_wall_s,
-          r.col_wall_s, r.simd_wall_s, r.row_rows_per_s, r.col_rows_per_s,
-          r.simd_rows_per_s, r.speedup, r.simd_speedup,
+          r.col_wall_s, r.row_rows_per_s, r.col_rows_per_s, r.speedup,
           r.bit_identical ? "true" : "false",
-          r.simd_parity ? "true" : "false", r.simd_mismatch_fraction,
-          r.simd_match_f1, static_cast<long long>(r.rows_forwarded),
+          static_cast<long long>(r.rows_forwarded),
           i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstring>
 #include <numeric>
 
 #include "common/check.h"
@@ -29,13 +28,15 @@ struct LaneScratch {
   std::vector<uint8_t> member;         // 1 = some subscriber's band row.
   std::vector<int64_t> encoded_index;  // Block position -> row of `encoded`.
   std::vector<int64_t> gather;         // Table rows of the encoded set.
+  /// One subscriber's table rows (LocateRows), then its band rows' indices
+  /// into `encoded` (ForwardEncoded).
   std::vector<int64_t> sub_rows;
   std::vector<double> encoded;
-  std::vector<double> sub_encoded;
   std::vector<double> probs;
   std::vector<double> verdicts;
   TaskModel::BatchScratch batch;
   int64_t encode_passes = 0;
+  int64_t rows_encoded = 0;
   int64_t rows_forwarded = 0;
 };
 
@@ -89,8 +90,8 @@ class BlockPass {
       for (const int64_t a : attrs) {
         views_[static_cast<size_t>(s)].push_back(table.View(a));
       }
-      widths_.push_back(model_.encoder().ProjectedWidth(attrs));
-      max_width = std::max(max_width, widths_.back());
+      max_width =
+          std::max(max_width, model_.encoder().ProjectedWidth(attrs));
     }
 
     const int64_t lanes = std::min(ResolveThreadCount(num_threads),
@@ -114,9 +115,6 @@ class BlockPass {
       sc.probs.reserve(block);
       sc.verdicts.reserve(block);
       sc.encoded.reserve(block * static_cast<size_t>(max_width));
-      if (q_count > 1) {
-        sc.sub_encoded.reserve(block * static_cast<size_t>(max_width));
-      }
     }
   }
 
@@ -132,6 +130,7 @@ class BlockPass {
     stats.domain_rows = domain_rows_;
     for (const LaneScratch& sc : lanes_) {
       stats.encode_passes += sc.encode_passes;
+      stats.rows_encoded += sc.rows_encoded;
       stats.rows_forwarded += sc.rows_forwarded;
     }
     for (size_t q = 0; q < subscribers_.size(); ++q) {
@@ -255,8 +254,8 @@ class BlockPass {
             views_[su], model_.subspace(s)->attribute_indices, sc->gather,
             &sc->encoded);
         ++sc->encode_passes;
+        sc->rows_encoded += static_cast<int64_t>(sc->gather.size());
       }
-      const auto width = static_cast<size_t>(widths_[su]);
 
       for (size_t q = 0; q < q_count; ++q) {
         if (!live(q)) continue;
@@ -265,24 +264,16 @@ class BlockPass {
         const auto band = static_cast<size_t>(sc->band[q]);
         sc->probs.resize(band);
         if (band > 0) {
-          std::span<const double> encoded = sc->encoded;
-          if (band != sc->gather.size()) {
-            // A strict subset of the encoded set: copy out this subscriber's
-            // band rows so its batch forward sees only them.
-            sc->sub_encoded.resize(band * width);
-            size_t b = 0;
-            for (size_t i = 0; i < alive.size(); ++i) {
-              if (where[i].decided()) continue;
-              const auto e = static_cast<size_t>(
-                  sc->encoded_index[static_cast<size_t>(alive[i])]);
-              std::memcpy(sc->sub_encoded.data() + b++ * width,
-                          sc->encoded.data() + e * width,
-                          width * sizeof(double));
-            }
-            encoded = sc->sub_encoded;
+          // The subscriber's band rows, as indices into the shared encoded
+          // block: its forward reads them in place.
+          sc->sub_rows.clear();
+          for (size_t i = 0; i < alive.size(); ++i) {
+            if (where[i].decided()) continue;
+            sc->sub_rows.push_back(
+                sc->encoded_index[static_cast<size_t>(alive[i])]);
           }
-          subscribers_[q].session->ForwardEncoded(s, encoded, &sc->batch,
-                                                  sc->probs);
+          subscribers_[q].session->ForwardEncoded(s, sc->encoded, sc->sub_rows,
+                                                  &sc->batch, sc->probs);
           sc->rows_forwarded += static_cast<int64_t>(band);
         }
         sc->verdicts.resize(alive.size());
@@ -331,7 +322,6 @@ class BlockPass {
   bool can_cancel_ = false;
   std::vector<std::atomic<int64_t>> found_;  // Per subscriber match count.
   std::vector<std::vector<data::ColumnView>> views_;  // Per subspace.
-  std::vector<int64_t> widths_;                       // Per subspace.
   std::vector<LaneScratch> lanes_;
 };
 

@@ -29,13 +29,16 @@ struct ScanSubscriber {
   int64_t limit = -1;
 };
 
-/// What one pass did, for the serving stats ledger. All three are pure
+/// What one pass did, for the serving stats ledger. All four are pure
 /// functions of the table, the sessions and the pass composition.
 struct BlockScanStats {
   /// Gather+encode rounds: one per (block, subspace) in which some live
   /// subscriber has band rows. A (block, subspace) whose rows the FP/FN
   /// subregions settle entirely is never encoded.
   int64_t encode_passes = 0;
+  /// Rows gathered and encoded over those rounds: per round, the union of
+  /// the live subscribers' band rows.
+  int64_t rows_encoded = 0;
   /// Rows that reached a batch forward, summed over subscribers and
   /// subspaces: the band rows (every live row for a subscriber without
   /// subregions).
@@ -60,9 +63,11 @@ struct BlockScanStats {
 ///    FP/FN subregions (`ExplorationSession::LocateRows`, raw column values,
 ///    no encode); a row inside both or outside both takes that verdict;
 ///  * the union of the remaining band rows is gathered and encoded once;
-///  * each subscriber forwards its own band rows
-///    (`ExplorationSession::ForwardEncoded`), every row gets
-///    `FpFnOptimizer::Decide`'s verdict, and the rows it rejects drop out.
+///  * each subscriber forwards its own band rows, passed as indices into
+///    the shared encoded block and read in place
+///    (`ExplorationSession::ForwardEncoded`; nothing is copied out), every
+///    row gets `FpFnOptimizer::Decide`'s verdict, and the rows it rejects
+///    drop out.
 /// Subscribers without subregions send every alive row to the forward.
 /// When every subscriber is a limit-bounded retrieval whose matches cover
 /// its limit, lanes stop claiming blocks; executed blocks always form a
@@ -70,11 +75,10 @@ struct BlockScanStats {
 /// scan's prefix.
 ///
 /// Every verdict is bit-identical to that session scanning alone, at any
-/// lane count and in any pass composition, and on the scalar kernel to the
-/// per-row `PredictRow` (DESIGN.md §2b). Scratch lives per
-/// lane for the whole pass, so on one lane the number of allocations does
-/// not grow with the number of blocks (other lanes' match lists grow with
-/// the matches they find).
+/// lane count and in any pass composition, and to the per-row `PredictRow`
+/// (DESIGN.md §2b). Scratch lives per lane for the whole pass, so on one
+/// lane the number of allocations does not grow with the number of blocks
+/// (other lanes' match lists grow with the matches they find).
 ///
 /// Preconditions (LTE_CHECKed where cheap): every session passed
 /// `ValidateServing(table)` and shares one model; predictions are non-empty

@@ -531,10 +531,8 @@ Status ExplorationSession::SuggestTuples(
   model_->encoder().EncodeGatheredInto(sc.columns, attrs, sc.rows,
                                        &sc.encoded);
   sc.probs.resize(candidates.size());
-  state.task_model->PredictProbabilityBatch(
-      sc.encoded, n, &sc.batch, sc.probs,
-      scan_path_ == ScanPath::kColumnarSimd ? nn::BatchKernel::kSimd
-                                            : nn::BatchKernel::kScalar);
+  state.task_model->PredictProbabilityBatch(sc.encoded, n, &sc.batch,
+                                            sc.probs);
   state.policy->Select(sc.probs, k, rng_.has_value() ? &*rng_ : nullptr,
                        suggested);
   return Status::OK();
@@ -631,17 +629,14 @@ int64_t ExplorationSession::LocateRows(
 
 void ExplorationSession::ForwardEncoded(int64_t s,
                                         std::span<const double> encoded,
+                                        std::span<const int64_t> rows,
                                         TaskModel::BatchScratch* batch_scratch,
                                         std::span<double> probs) const {
   LTE_CHECK(s >= 0 && s < active_count_);
   const SubspaceSession& state = states_[static_cast<size_t>(s)];
   LTE_CHECK(state.task_model != nullptr);
-  const nn::BatchKernel kernel = scan_path_ == ScanPath::kColumnarSimd
-                                     ? nn::BatchKernel::kSimd
-                                     : nn::BatchKernel::kScalar;
   state.task_model->PredictProbabilityBatch(
-      encoded, static_cast<int64_t>(probs.size()), batch_scratch, probs,
-      kernel);
+      encoded, static_cast<int64_t>(probs.size()), batch_scratch, probs, rows);
 }
 
 void ExplorationSession::ScoreEncodedBlock(
@@ -663,7 +658,7 @@ void ExplorationSession::ScoreEncodedBlock(
     point_scratch->insert(point_scratch->end(), tuple.begin(), tuple.end());
   }
   std::vector<double> probs(static_cast<size_t>(band));
-  ForwardEncoded(s, *point_scratch, batch_scratch, probs);
+  ForwardEncoded(s, *point_scratch, /*rows=*/{}, batch_scratch, probs);
   FpFnOptimizer::DecideAll(where, probs, out);
 }
 

@@ -37,27 +37,6 @@ enum class Variant {
   kMetaStar,
 };
 
-/// Which batch-forward kernel the block scan (`PredictRows`,
-/// `RetrieveMatches`, the coalesced front-end) and `SuggestTuples` score
-/// with (DESIGN.md §2b "Columnar serving path"). Both score 1024-row blocks
-/// gathered straight from column views, one subspace at a time with per-row
-/// early-reject; the per-row `PredictRow` is the test oracle for both.
-/// kColumnarSimd trades the byte-identity contract for throughput: it is
-/// gated by statistical parity instead (same match sets up to an epsilon of
-/// threshold-boundary rows), and stays opt-in.
-enum class ScanPath {
-  /// Default: scalar double kernels — byte-identical to `PredictRow`.
-  kColumnar,
-  /// Opt-in throughput mode: the same block/survivor scan, but the batch
-  /// forward runs the float32 vector kernels (nn::BatchKernel::kSimd).
-  /// Deterministic — same inputs, same bits, at any thread count and in any
-  /// batch composition — but parity-gated rather than byte-identical to the
-  /// scalar kernel: a row whose probability sits within float error of the
-  /// 0.5 threshold may flip. tests/columnar_scan_test.cc bounds the
-  /// mismatch fraction; bench_columnar_scan measures and gates it in CI.
-  kColumnarSimd,
-};
-
 /// One user's online exploration against a shared `ExplorationModel` (paper
 /// Figure 2, online phase): the fast-adapted per-subspace task models, the
 /// Meta* FP/FN optimizers, and the full query surface.
@@ -260,8 +239,8 @@ class ExplorationSession {
   /// the message), never a crash. Any truncated or corrupted stream returns
   /// an error Status and leaves this session's previous state fully intact:
   /// the decode validates everything into temporaries and commits only on
-  /// success. Host knobs (num_threads override, scan path) are not part of
-  /// the file and keep their current values.
+  /// success. The num_threads override is a host knob, not part of the
+  /// file, and keeps its current value.
   Status Load(const std::string& path);
 
   /// Stream counterpart of Load (same format, no file handling).
@@ -300,16 +279,19 @@ class ExplorationSession {
                      std::span<const int64_t> rows,
                      std::span<FpFnOptimizer::Membership> where) const;
 
-  /// Batch forward of `probs.size()` pre-encoded subspace-`s` tuples —
+  /// Batch forward of pre-encoded subspace-`s` tuples — `encoded` is
   /// row-major at the subspace's projected width, exactly what
   /// `TabularEncoder::EncodeGatheredInto` produces — writing P(interesting)
-  /// per tuple. Uses this session's scan-path kernel (kColumnarSimd → the
-  /// float32 vector kernels, anything else → the scalar reference), so a
-  /// shared pass honors each subscriber's own throughput choice. Each
+  /// for tuple k into `probs[k]`. Tuple k is row `rows[k]` of `encoded`,
+  /// read in place: the block scan passes each subscriber's band rows as
+  /// indices into the pass's shared encoded block. Empty `rows` = every
+  /// row, and `encoded` then holds exactly `probs.size()` tuples. Each
   /// probability depends on its own tuple only, never on which other rows —
-  /// or which other sessions' rows — share the batch. Same preconditions
-  /// as LocateRows.
+  /// or which other sessions' rows — share the batch, and is bit-identical
+  /// to the per-row probability `PredictRow` thresholds. Same
+  /// preconditions as LocateRows.
   void ForwardEncoded(int64_t s, std::span<const double> encoded,
+                      std::span<const int64_t> rows,
                       TaskModel::BatchScratch* batch_scratch,
                       std::span<double> probs) const;
 
@@ -319,27 +301,17 @@ class ExplorationSession {
   /// 0.0/1.0 verdicts into `out`, by the block scan's own steps: LocateRows,
   /// then ForwardEncoded on the band rows only (their encodings are copied
   /// into `point_scratch`), then `FpFnOptimizer::DecideAll`. `out[k]` is
-  /// bit-identical to the same-kernel block-scan verdict for that tuple —
-  /// and, on the scalar kernel, to `PredictRow`'s. A tool hook (block-by-
-  /// block replays time it); it allocates its per-call membership and
-  /// probability buffers, and the block scan does not go through it. Same
-  /// preconditions as LocateRows, and `encoded` holds exactly `rows.size()`
-  /// tuples.
+  /// bit-identical to the block-scan verdict for that tuple and to
+  /// `PredictRow`'s. A tool hook (block-by-block replays time it); it
+  /// allocates its per-call membership and probability buffers, and the
+  /// block scan does not go through it. Same preconditions as LocateRows,
+  /// and `encoded` holds exactly `rows.size()` tuples.
   void ScoreEncodedBlock(int64_t s, std::span<const double> encoded,
                          std::span<const int64_t> rows,
                          const std::vector<data::ColumnView>& columns,
                          TaskModel::BatchScratch* batch_scratch,
                          std::vector<double>* point_scratch,
                          std::span<double> out) const;
-
-  /// Batch-forward kernel of this session's scans and SuggestTuples. The
-  /// default kColumnar is byte-identical to `PredictRow` (test-enforced);
-  /// kColumnarSimd is the opt-in throughput mode: deterministic but
-  /// parity-gated, not byte-identical (see the ScanPath doc). Single-writer
-  /// like the mutating calls: do not flip it concurrently with this
-  /// session's queries.
-  ScanPath scan_path() const { return scan_path_; }
-  void set_scan_path(ScanPath path) { scan_path_ = path; }
 
  private:
   /// One ContinueExploration call's labelled tuples (raw subspace
@@ -398,7 +370,6 @@ class ExplorationSession {
   std::vector<SubspaceSession> states_;
   int64_t active_count_ = 0;
   Variant variant_ = Variant::kBasic;
-  ScanPath scan_path_ = ScanPath::kColumnar;
   std::optional<Rng> rng_;  // Session-owned stream; persisted when present.
   SuggestScratch suggest_scratch_;  // Mutating-call scratch (single-writer).
 };

@@ -8,7 +8,6 @@
 #include "common/math_util.h"
 #include "nn/activations.h"
 #include "nn/loss.h"
-#include "nn/simd_kernels.h"
 
 namespace lte::core {
 namespace {
@@ -389,11 +388,15 @@ double TaskModel::PredictProbability(const std::vector<double>& tuple) const {
 void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
                                         int64_t count, BatchScratch* scratch,
                                         std::span<double> out,
-                                        nn::BatchKernel kernel) const {
+                                        std::span<const int64_t> rows) const {
   LTE_CHECK_GE(count, 0);
   LTE_CHECK_EQ(static_cast<int64_t>(out.size()), count);
   const int64_t in_w = f_tau_.in_features();
-  LTE_CHECK_EQ(static_cast<int64_t>(tuples.size()), count * in_w);
+  if (rows.empty()) {
+    LTE_CHECK_EQ(static_cast<int64_t>(tuples.size()), count * in_w);
+  } else {
+    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
+  }
   if (count == 0) return;
   if (!emb_r_valid_) {
     emb_r_cache_ = f_r_.Forward(uis_feature_);
@@ -433,52 +436,18 @@ void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
   constexpr int64_t kSlice = 128;
   for (int64_t s0 = 0; s0 < count; s0 += kSlice) {
     const int64_t sc = std::min(kSlice, count - s0);
+    // Dense input: this slice's tuples. Indexed input: this slice's
+    // indices into the whole of `tuples`.
     const std::span<const double> slice =
-        tuples.subspan(static_cast<size_t>(s0 * in_w),
-                       static_cast<size_t>(sc * in_w));
-    if (kernel == nn::BatchKernel::kSimd) {
-      // Throughput mode: every stage runs through the float32 vector
-      // kernels. The per-call constant folds above (mcp_left / clf1_left)
-      // stay double — they are computed once, not per row — and seed the
-      // float accumulators, preserving the reference's operation order at
-      // float precision.
-      f_tau_.ForwardBatchSimdInto(slice, sc, &scratch->mlp,
-                                  &scratch->emb_tau);
-      if (use_memory_) {
-        // M_cp right-half product as one transposed-layout layer: weights
-        // stride 2·N_e with the first N_e columns skipped, accumulators
-        // seeded from mcp_left, no bias, no activation.
-        const int64_t padded = nn::simd::PaddedCount(sc);
-        scratch->fxt.resize(static_cast<size_t>(ne * padded));
-        nn::simd::PackTransposedFloat(scratch->emb_tau.data(), sc, ne, padded,
-                                      scratch->fxt.data());
-        scratch->finit.resize(static_cast<size_t>(ne));
-        for (int64_t o = 0; o < ne; ++o) {
-          scratch->finit[static_cast<size_t>(o)] =
-              static_cast<float>(scratch->mcp_left[static_cast<size_t>(o)]);
-        }
-        scratch->fyt.resize(static_cast<size_t>(ne * padded));
-        nn::simd::LayerForwardTransposed(
-            m_cp_.data().data(), /*w_stride=*/2 * ne, /*skip=*/ne,
-            /*data_w=*/ne, /*out_w=*/ne, scratch->fxt.data(), padded,
-            scratch->finit.data(), /*bias=*/nullptr, /*relu=*/false,
-            scratch->fyt.data());
-        scratch->clf_in.resize(static_cast<size_t>(sc * ne));
-        nn::simd::UnpackTransposedToDouble(scratch->fyt.data(), sc, ne, padded,
-                                           scratch->clf_in.data());
-        f_clf_.ForwardBatchSimdInto(scratch->clf_in, sc, &scratch->mlp,
-                                    &scratch->logits);
-      } else {
-        f_clf_.ForwardBatchSimdInto(scratch->emb_tau, sc, &scratch->mlp,
-                                    &scratch->logits, scratch->clf1_left);
-      }
-      for (int64_t n = 0; n < sc; ++n) {
-        out[static_cast<size_t>(s0 + n)] =
-            nn::Sigmoid(scratch->logits[static_cast<size_t>(n)]);
-      }
-      continue;
-    }
-    f_tau_.ForwardBatchInto(slice, sc, &scratch->mlp, &scratch->emb_tau);
+        rows.empty() ? tuples.subspan(static_cast<size_t>(s0 * in_w),
+                                      static_cast<size_t>(sc * in_w))
+                     : tuples;
+    const std::span<const int64_t> slice_rows =
+        rows.empty() ? rows
+                     : rows.subspan(static_cast<size_t>(s0),
+                                    static_cast<size_t>(sc));
+    f_tau_.ForwardBatchInto(slice, sc, &scratch->mlp, &scratch->emb_tau,
+                            /*first_layer_prefix=*/{}, slice_rows);
 
     if (use_memory_) {
       scratch->clf_in.resize(static_cast<size_t>(sc * ne));

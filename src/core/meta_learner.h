@@ -83,27 +83,23 @@ class TaskModel {
     std::vector<double> logits;    // count x 1.
     std::vector<double> mcp_left;  // N_e: left half of M_cp applied to emb_R.
     std::vector<double> clf1_left; // f_clf layer-1 prefix over emb_R (kBasic).
-    std::vector<float> fxt;        // kSimd: transposed emb_tau (M_cp stage).
-    std::vector<float> fyt;        // kSimd: transposed M_cp outputs.
-    std::vector<float> finit;      // kSimd: float seeds from mcp_left.
   };
 
   /// Block counterpart of PredictProbability for the columnar serving path:
-  /// `tuples` holds `count` row-major encoded tuples of f_tau's input width
-  /// each; writes P(interesting) for tuple n into `out[n]`. Both span sizes
-  /// must match `count` exactly (LTE_CHECKed). With the default
-  /// kScalar kernel each probability is bit-identical to PredictProbability
-  /// on that tuple — the batch runs the same operation sequence per row (the
-  /// constant left half of the M_cp · [emb_R; emb_tau] product is evaluated
-  /// once per block, which is exactly the per-row accumulation prefix, so
-  /// the sum is unchanged). With kSimd every stage — f_tau, the M_cp
-  /// right-half product, f_clf — runs through the float32 vector kernels
-  /// instead: statistically equal, parity-gated, deterministic (see
-  /// nn::BatchKernel). Same thread-safety contract as Logit.
-  void PredictProbabilityBatch(
-      std::span<const double> tuples, int64_t count, BatchScratch* scratch,
-      std::span<double> out,
-      nn::BatchKernel kernel = nn::BatchKernel::kScalar) const;
+  /// writes P(interesting) for tuple n into `out[n]`, for `count` encoded
+  /// tuples of f_tau's input width. With `rows` empty (default), `tuples`
+  /// holds exactly those `count` tuples row-major; otherwise tuple n is row
+  /// `rows[n]` of `tuples`, read in place, so a caller forwards any subset
+  /// of a shared encoded block without copying it out. Sizes and indices
+  /// are LTE_CHECKed. Each probability is bit-identical to
+  /// PredictProbability on that tuple — the batch runs the same operation
+  /// sequence per row (the constant left half of the M_cp · [emb_R; emb_tau]
+  /// product is evaluated once per call, which is exactly the per-row
+  /// accumulation prefix, so the sum is unchanged). Same thread-safety
+  /// contract as Logit.
+  void PredictProbabilityBatch(std::span<const double> tuples, int64_t count,
+                               BatchScratch* scratch, std::span<double> out,
+                               std::span<const int64_t> rows = {}) const;
 
   /// Eagerly refreshes the cached UIS embedding emb_R so that subsequent
   /// const predictions perform no writes at all — the required handshake

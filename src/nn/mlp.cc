@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "nn/activations.h"
-#include "nn/simd_kernels.h"
 
 namespace lte::nn {
 namespace {
@@ -13,11 +12,22 @@ namespace {
 /// Validates a batch input's shape and returns the implied shared-head
 /// width. The modulo check runs before the width division: a ragged `x`
 /// whose size is not a multiple of `count` used to silently floor-divide
-/// into a garbage head width — now it aborts naming both sizes.
+/// into a garbage head width — now it aborts naming both sizes. Indexed
+/// rows carry every feature, so `x` holds whole rows and every index must
+/// name one of them.
 int64_t CheckedBatchHeadWidth(size_t x_size, int64_t count,
                               int64_t in_features, size_t prefix_size,
-                              int64_t first_layer_out) {
+                              int64_t first_layer_out,
+                              std::span<const int64_t> rows) {
   LTE_CHECK_GE(count, 0);
+  if (!rows.empty()) {
+    LTE_CHECK_EQ(prefix_size, 0u);
+    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
+    LTE_CHECK_EQ(static_cast<int64_t>(x_size) % in_features, 0);
+    const int64_t x_rows = static_cast<int64_t>(x_size) / in_features;
+    for (const int64_t r : rows) LTE_CHECK(r >= 0 && r < x_rows);
+    return 0;
+  }
   LTE_CHECK_MSG(
       count == 0 || x_size % static_cast<size_t>(count) == 0,
       ("batch forward: x.size()=" + std::to_string(x_size) +
@@ -78,12 +88,13 @@ std::vector<double> Mlp::Forward(const std::vector<double>& x,
 
 void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
                            BatchScratch* scratch, std::vector<double>* out,
-                           std::span<const double> first_layer_prefix) const {
+                           std::span<const double> first_layer_prefix,
+                           std::span<const int64_t> rows) const {
   LTE_CHECK(!layers_.empty());
   const int64_t head_w =
       CheckedBatchHeadWidth(x.size(), count, in_features(),
                             first_layer_prefix.size(),
-                            layers_.front().out_features());
+                            layers_.front().out_features(), rows);
   const double* in = x.data();
   for (size_t i = 0; i < layers_.size(); ++i) {
     const Linear& layer = layers_[i];
@@ -95,6 +106,12 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
     // its accumulators start from the precomputed prefix.
     const int64_t skip = first && !first_layer_prefix.empty() ? head_w : 0;
     const int64_t data_w = in_w - skip;
+    // Input row n of this layer: the indexed row of `x` for the first layer
+    // of an indexed batch, else row n of the dense activations.
+    const bool indexed = first && !rows.empty();
+    const auto row = [&](int64_t n) {
+      return in + (indexed ? rows[static_cast<size_t>(n)] : n) * data_w;
+    };
     std::vector<double>* dst =
         last ? out : (in == scratch->a.data() ? &scratch->b : &scratch->a);
     dst->resize(static_cast<size_t>(count * out_w));
@@ -104,19 +121,20 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
     // kRowTile rows instead of once per row, and the innermost loop runs
     // kRowTile independent scalar accumulator chains — breaking the
     // single-accumulator FP-add latency chain a per-row dot product is
-    // stuck with. The tile rows are read in place at stride data_w rather
-    // than packed contiguously: a transposed pack invites the
-    // autovectorizer in, and on the deployment hosts packed-double SSE
-    // arithmetic measures slower per element than the scalar chains this
-    // shape compiles to (see bench_columnar_scan). Each row's own
-    // accumulation is untouched: accumulator t sums row t's terms in
-    // ascending input order with the bias added after the full dot (same
-    // operation order as Linear::Forward, ReLU fused), so every row is
-    // bit-identical to the vector-at-a-time path.
+    // stuck with. The tile rows are read in place rather than packed
+    // contiguously: a transposed pack invites the autovectorizer in, and on
+    // the deployment hosts packed-double SSE arithmetic measures slower per
+    // element than the scalar chains this shape compiles to (see
+    // bench_columnar_scan). Each row's own accumulation is untouched:
+    // accumulator t sums row t's terms in ascending input order with the
+    // bias added after the full dot (same operation order as
+    // Linear::Forward, ReLU fused), so every row is bit-identical to the
+    // vector-at-a-time path.
     constexpr int64_t kRowTile = 8;
     const int64_t full = count - count % kRowTile;
     for (int64_t n0 = 0; n0 < full; n0 += kRowTile) {
-      const double* base = in + n0 * data_w;
+      const double* tile[kRowTile];
+      for (int64_t t = 0; t < kRowTile; ++t) tile[t] = row(n0 + t);
       for (int64_t o = 0; o < out_w; ++o) {
         const double* w = weights + o * in_w + skip;
         const double init =
@@ -125,9 +143,7 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
         for (int64_t t = 0; t < kRowTile; ++t) acc[t] = init;
         for (int64_t c = 0; c < data_w; ++c) {
           const double wc = w[c];
-          for (int64_t t = 0; t < kRowTile; ++t) {
-            acc[t] += wc * base[t * data_w + c];
-          }
+          for (int64_t t = 0; t < kRowTile; ++t) acc[t] += wc * tile[t][c];
         }
         const double b = bias[static_cast<size_t>(o)];
         for (int64_t t = 0; t < kRowTile; ++t) {
@@ -138,69 +154,17 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
     }
     // Ragged tail: one row at a time, identical per-row operation order.
     for (int64_t n = full; n < count; ++n) {
-      const double* row = in + n * data_w;
+      const double* r = row(n);
       for (int64_t o = 0; o < out_w; ++o) {
         const double* w = weights + o * in_w + skip;
         double s = skip > 0 ? first_layer_prefix[static_cast<size_t>(o)] : 0.0;
-        for (int64_t c = 0; c < data_w; ++c) s += w[c] * row[c];
+        for (int64_t c = 0; c < data_w; ++c) s += w[c] * r[c];
         s += bias[static_cast<size_t>(o)];
         dst->data()[n * out_w + o] = last ? s : (s > 0.0 ? s : 0.0);
       }
     }
     in = dst->data();
   }
-}
-
-void Mlp::ForwardBatchSimdInto(std::span<const double> x, int64_t count,
-                               BatchScratch* scratch, std::vector<double>* out,
-                               std::span<const double> first_layer_prefix)
-    const {
-  LTE_CHECK(!layers_.empty());
-  const int64_t head_w =
-      CheckedBatchHeadWidth(x.size(), count, in_features(),
-                            first_layer_prefix.size(),
-                            layers_.front().out_features());
-  out->resize(static_cast<size_t>(count * out_features()));
-  if (count == 0) return;
-  // Pack once into the transposed/padded float layout; every layer chains on
-  // it and only the final activations are unpacked back to row-major double.
-  const int64_t padded = simd::PaddedCount(count);
-  const int64_t data_w0 =
-      layers_.front().in_features() -
-      (first_layer_prefix.empty() ? int64_t{0} : head_w);
-  scratch->fa.resize(static_cast<size_t>(data_w0 * padded));
-  simd::PackTransposedFloat(x.data(), count, data_w0, padded,
-                            scratch->fa.data());
-  const float* in = scratch->fa.data();
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const Linear& layer = layers_[i];
-    const int64_t in_w = layer.in_features();
-    const int64_t out_w = layer.out_features();
-    const bool first = i == 0;
-    const bool last = i + 1 == layers_.size();
-    const int64_t skip = first && !first_layer_prefix.empty() ? head_w : 0;
-    const float* init = nullptr;
-    if (skip > 0) {
-      // The shared-head prefix seeds each accumulator chain, exactly where
-      // the scalar path resumes — converted to float once per call.
-      scratch->finit.resize(static_cast<size_t>(out_w));
-      for (int64_t o = 0; o < out_w; ++o) {
-        scratch->finit[static_cast<size_t>(o)] =
-            static_cast<float>(first_layer_prefix[static_cast<size_t>(o)]);
-      }
-      init = scratch->finit.data();
-    }
-    std::vector<float>* dst =
-        in == scratch->fa.data() ? &scratch->fb : &scratch->fa;
-    dst->resize(static_cast<size_t>(out_w * padded));
-    simd::LayerForwardTransposed(layer.weights().data().data(), in_w, skip,
-                                 in_w - skip, out_w, in, padded, init,
-                                 layer.bias().data(), /*relu=*/!last,
-                                 dst->data());
-    in = dst->data();
-  }
-  simd::UnpackTransposedToDouble(in, count, out_features(), padded,
-                                 out->data());
 }
 
 void Mlp::ComputeFirstLayerPrefix(std::span<const double> head,

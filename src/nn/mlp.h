@@ -11,20 +11,6 @@
 
 namespace lte::nn {
 
-/// Which kernel implementation backs the batched inference forwards.
-enum class BatchKernel {
-  /// Default: scalar double tiles, bit-identical to the per-row `Forward`
-  /// (the serving determinism contract). Always the reference.
-  kScalar,
-  /// Opt-in throughput mode: float32 arithmetic over a transposed/packed
-  /// layout with explicit vector kernels (nn/simd_kernels.h). Outputs are
-  /// statistically — not bitwise — equal to the scalar reference; callers
-  /// gate it with a parity test, never a byte-identity test. Deterministic
-  /// in its own right: the same inputs produce the same bits at any thread
-  /// count and in any batch composition.
-  kSimd,
-};
-
 /// A multi-layer perceptron: Linear -> ReLU -> ... -> Linear (no activation
 /// on the final layer; callers apply sigmoid / BCE-with-logits as needed).
 ///
@@ -59,24 +45,25 @@ class Mlp {
 
   /// Reusable ping-pong activation buffers for ForwardBatchInto. Capacities
   /// reach a steady state after the first block, so batched inference
-  /// allocates nothing per call. The float buffers are the kSimd
-  /// throughput-mode counterparts (transposed/packed layout); they stay
-  /// empty unless the SIMD path runs.
+  /// allocates nothing per call.
   struct BatchScratch {
     std::vector<double> a;
     std::vector<double> b;
-    std::vector<float> fa;      // Transposed float activations (ping).
-    std::vector<float> fb;      // Transposed float activations (pong).
-    std::vector<float> finit;   // Per-output float accumulator seeds.
   };
 
   /// Batch inference forward for the columnar serving path: `x` holds
-  /// `count` row-major inputs of in_features() doubles each; writes `count`
+  /// row-major inputs of in_features() doubles each; writes `count`
   /// row-major outputs of out_features() doubles into `*out` (resized).
   /// Captures no cache (inference only, no Backward). Each row's output is
   /// bit-identical to Forward on that row — every output element accumulates
   /// its dot product in the same order, adds the bias last, and applies the
   /// same ReLU — so batching rows never changes results.
+  ///
+  /// `rows` selects the inputs by index: output n is the forward of row
+  /// `rows[n]` of `x`, read in place by the first layer, so a caller can
+  /// forward any subset of a shared encoded block without copying it out.
+  /// Empty (default) = the first `count` rows of `x`, which then holds
+  /// exactly `count` rows.
   ///
   /// `first_layer_prefix` supports inputs whose leading features are the
   /// same for every row in the batch (e.g. a per-user embedding
@@ -87,23 +74,12 @@ class Mlp {
   /// — the exact running sum Forward reaches after the head's terms — so
   /// outputs stay bit-identical while the head is neither copied per row
   /// nor re-multiplied per row. Empty (default) = rows carry all features.
+  /// Not combinable with `rows` (the head width is implied by `x.size()`
+  /// over `count`).
   void ForwardBatchInto(std::span<const double> x, int64_t count,
                         BatchScratch* scratch, std::vector<double>* out,
-                        std::span<const double> first_layer_prefix = {}) const;
-
-  /// SIMD throughput-mode counterpart of ForwardBatchInto (BatchKernel
-  /// doc): same shapes, same `first_layer_prefix` contract, but the layers
-  /// run in float32 over a transposed/packed layout with explicit vector
-  /// kernels. Each output element still accumulates its dot product in
-  /// ascending input order, seeds from the (float-converted) prefix, adds
-  /// the bias last, and applies the same ReLU — the operation *order* of the
-  /// scalar reference at float precision — so outputs are statistically
-  /// close (parity-gated by callers) and fully deterministic, just not
-  /// bit-equal to the double path.
-  void ForwardBatchSimdInto(std::span<const double> x, int64_t count,
-                            BatchScratch* scratch, std::vector<double>* out,
-                            std::span<const double> first_layer_prefix = {})
-      const;
+                        std::span<const double> first_layer_prefix = {},
+                        std::span<const int64_t> rows = {}) const;
 
   /// Partial first-layer dot products of a shared input head:
   /// (*prefix)[o] = sum_{c < head.size()} weights0[o][c] * head[c],

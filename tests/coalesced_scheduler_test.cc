@@ -283,57 +283,6 @@ TEST_F(CoalescedScanSchedulerTest, MixedBatchDemultiplexes) {
   EXPECT_EQ(scheduler.stats().largest_batch, 2);
 }
 
-// Mixed kernels in one shared pass: a kColumnarSimd subscriber coalesced
-// with scalar subscribers still receives exactly the bytes of its own
-// standalone SIMD scan, and the scalar subscribers theirs — ForwardEncoded
-// derives the kernel from each subscriber session's scan path, so one batch
-// can serve both without cross-contamination.
-TEST_F(CoalescedScanSchedulerTest, MixedKernelSubscribersMatchStandalone) {
-  constexpr int64_t kSessions = 4;
-  std::vector<int64_t> all_rows(static_cast<size_t>(table_->num_rows()));
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-  std::vector<std::unique_ptr<core::ExplorationSession>> sessions;
-  std::vector<std::vector<double>> independent(kSessions);
-  for (int64_t u = 0; u < kSessions; ++u) {
-    sessions.push_back(MakeSession(u));
-    // Odd sessions opt into the SIMD throughput mode.
-    if (u % 2 == 1) {
-      sessions.back()->set_scan_path(core::ScanPath::kColumnarSimd);
-    }
-    ASSERT_TRUE(sessions.back()
-                    ->PredictRows(*table_, all_rows,
-                                  &independent[static_cast<size_t>(u)])
-                    .ok());
-  }
-
-  CoalescedScanOptions options;
-  options.max_batch_requests = kSessions;  // Deterministic single batch.
-  options.flush_deadline_micros = 5000000;
-  CoalescedScanScheduler scheduler(model_, table_, options);
-  std::vector<std::vector<double>> coalesced(kSessions);
-  std::vector<Status> statuses(kSessions);
-  {
-    std::vector<std::thread> submitters;
-    for (int64_t u = 0; u < kSessions; ++u) {
-      submitters.emplace_back([&, u] {
-        statuses[static_cast<size_t>(u)] = scheduler.PredictRows(
-            *sessions[static_cast<size_t>(u)], all_rows,
-            &coalesced[static_cast<size_t>(u)]);
-      });
-    }
-    for (std::thread& t : submitters) t.join();
-  }
-  for (int64_t u = 0; u < kSessions; ++u) {
-    SCOPED_TRACE(testing::Message()
-                 << "session=" << u
-                 << (u % 2 == 1 ? " (simd)" : " (scalar)"));
-    ASSERT_TRUE(statuses[static_cast<size_t>(u)].ok());
-    EXPECT_EQ(coalesced[static_cast<size_t>(u)],
-              independent[static_cast<size_t>(u)]);
-  }
-  EXPECT_EQ(scheduler.stats().batches, 1);
-}
-
 // The amortization the subsystem exists for: S sessions coalesced into one
 // shared pass cost ONE gather+encode per (block, subspace) — not S.
 TEST_F(CoalescedScanSchedulerTest, EncodeCostAmortizedAcrossSessions) {

@@ -1,4 +1,4 @@
-// Byte-identity property tests for the block scan: the kColumnar scan behind
+// Byte-identity property tests for the block scan: the scan behind
 // PredictRows/RetrieveMatches must produce exactly the same bytes as the
 // per-row PredictRow oracle — for every variant, at any thread count, for
 // ragged block boundaries, and under retrieval limits. The argument for why
@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -95,11 +94,18 @@ class ColumnarScanTest : public ::testing::Test {
   std::shared_ptr<ExplorationModel> model_;
 };
 
+// A default-constructed session (automatic lane count) scans the whole
+// table through the block scan with the oracle's bytes.
 TEST_F(ColumnarScanTest, ColumnarIsDefault) {
   ExplorationSession session(model_);
-  EXPECT_EQ(session.scan_path(), ScanPath::kColumnar);
-  session.set_scan_path(ScanPath::kColumnarSimd);
-  EXPECT_EQ(session.scan_path(), ScanPath::kColumnarSimd);
+  Rng rng(3);
+  ASSERT_TRUE(
+      session.StartExploration(UserLabels(), Variant::kMetaStar, &rng).ok());
+  std::vector<int64_t> rows(static_cast<size_t>(table_.num_rows()));
+  std::iota(rows.begin(), rows.end(), 0);
+  std::vector<double> columnar;
+  ASSERT_TRUE(session.PredictRows(table_, rows, &columnar).ok());
+  EXPECT_EQ(columnar, OraclePredictions(session, rows));
 }
 
 // The core property: for every variant and thread count, PredictRows and
@@ -212,141 +218,6 @@ TEST_F(ColumnarScanTest, SmallAndSingleRowScans) {
   std::vector<double> empty;
   ASSERT_TRUE(session.PredictRows(table_, {}, &empty).ok());
   EXPECT_TRUE(empty.empty());
-}
-
-// ---------------------------------------------------------------------------
-// SIMD throughput mode (ScanPath::kColumnarSimd). The float32 vector kernels
-// trade bit-identity for throughput, so the contract is *statistical* parity
-// with the scalar verdicts — only rows whose probability sits exactly at the
-// 0.5 threshold boundary may flip — plus full determinism of the SIMD path
-// itself. These tests are the parity gate named in DESIGN.md §2b.
-// ---------------------------------------------------------------------------
-
-double MismatchFraction(const std::vector<double>& a,
-                        const std::vector<double>& b) {
-  EXPECT_EQ(a.size(), b.size());
-  if (a.empty()) return 0.0;
-  size_t mismatches = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) ++mismatches;
-  }
-  return static_cast<double>(mismatches) / static_cast<double>(a.size());
-}
-
-// F1 between two ascending match-id sets: 1.0 means identical sets.
-double MatchSetF1(const std::vector<int64_t>& ref,
-                  const std::vector<int64_t>& got) {
-  if (ref.empty() && got.empty()) return 1.0;
-  std::vector<int64_t> both;
-  std::set_intersection(ref.begin(), ref.end(), got.begin(), got.end(),
-                        std::back_inserter(both));
-  const double tp = static_cast<double>(both.size());
-  const double denom = static_cast<double>(ref.size() + got.size());
-  return denom == 0.0 ? 1.0 : 2.0 * tp / denom;
-}
-
-// The parity gate: for every variant and thread count, the SIMD scan's
-// verdicts agree with the scalar columnar scan on all but a vanishing
-// fraction of rows, and the retrieved match sets have F1 within epsilon of
-// identical.
-TEST_F(ColumnarScanTest, SimdParityAcrossVariantsAndThreads) {
-  constexpr double kMaxMismatchFraction = 1e-3;
-  constexpr double kMinMatchF1 = 1.0 - 1e-3;
-  const Variant variants[] = {Variant::kBasic, Variant::kMeta,
-                              Variant::kMetaStar};
-  std::vector<int64_t> all_rows(table_.num_rows());
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-
-  for (const Variant variant : variants) {
-    for (const int64_t threads : {1, 4}) {
-      SCOPED_TRACE(testing::Message()
-                   << "variant=" << static_cast<int>(variant)
-                   << " threads=" << threads);
-      ExplorationSession session(model_, threads);
-      Rng rng(99);
-      ASSERT_TRUE(session.StartExploration(UserLabels(), variant, &rng).ok());
-
-      session.set_scan_path(ScanPath::kColumnar);
-      std::vector<double> scalar_preds;
-      ASSERT_TRUE(session.PredictRows(table_, all_rows, &scalar_preds).ok());
-      std::vector<int64_t> scalar_matches;
-      ASSERT_TRUE(session.RetrieveMatches(table_, -1, &scalar_matches).ok());
-
-      session.set_scan_path(ScanPath::kColumnarSimd);
-      std::vector<double> simd_preds;
-      ASSERT_TRUE(session.PredictRows(table_, all_rows, &simd_preds).ok());
-      std::vector<int64_t> simd_matches;
-      ASSERT_TRUE(session.RetrieveMatches(table_, -1, &simd_matches).ok());
-
-      EXPECT_LE(MismatchFraction(scalar_preds, simd_preds),
-                kMaxMismatchFraction);
-      EXPECT_GE(MatchSetF1(scalar_matches, simd_matches), kMinMatchF1);
-      EXPECT_TRUE(std::is_sorted(simd_matches.begin(), simd_matches.end()));
-
-      // Non-vacuity: the SIMD scan found both classes.
-      const double ones =
-          std::accumulate(simd_preds.begin(), simd_preds.end(), 0.0);
-      EXPECT_GT(ones, 0.0);
-      EXPECT_LT(ones, static_cast<double>(simd_preds.size()));
-    }
-  }
-}
-
-// The SIMD path is deterministic in its own right: the same rows produce the
-// same bits at any thread count, in any batch composition (whole table vs
-// ragged subsets), and across repeated scans. Bounded retrieval over the
-// SIMD path keeps the same prefix-truncation semantics as the scalar paths.
-TEST_F(ColumnarScanTest, SimdPathIsDeterministic) {
-  Rng rng(99);
-  std::vector<int64_t> all_rows(table_.num_rows());
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-
-  std::vector<double> reference;
-  std::vector<int64_t> reference_matches;
-  for (const int64_t threads : {1, 4, 1}) {
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    ExplorationSession session(model_, threads);
-    Rng start_rng(99);
-    ASSERT_TRUE(
-        session.StartExploration(UserLabels(), Variant::kMeta, &start_rng)
-            .ok());
-    session.set_scan_path(ScanPath::kColumnarSimd);
-
-    std::vector<double> preds;
-    ASSERT_TRUE(session.PredictRows(table_, all_rows, &preds).ok());
-    std::vector<int64_t> matches;
-    ASSERT_TRUE(session.RetrieveMatches(table_, -1, &matches).ok());
-    if (reference.empty()) {
-      reference = preds;
-      reference_matches = matches;
-    } else {
-      EXPECT_EQ(preds, reference);
-      EXPECT_EQ(matches, reference_matches);
-    }
-
-    // A row's verdict does not depend on which batch it rides in: a ragged
-    // strided subset reproduces the whole-table bits row for row.
-    std::vector<int64_t> strided;
-    for (int64_t r = 1; r < table_.num_rows(); r += 7) strided.push_back(r);
-    std::vector<double> subset;
-    ASSERT_TRUE(session.PredictRows(table_, strided, &subset).ok());
-    for (size_t i = 0; i < strided.size(); ++i) {
-      ASSERT_EQ(subset[i], reference[static_cast<size_t>(strided[i])])
-          << "row " << strided[i];
-    }
-
-    // Bounded retrieval equals the prefix of the unlimited SIMD scan.
-    for (const int64_t limit : {0, 1, 7, 100}) {
-      std::vector<int64_t> bounded;
-      ASSERT_TRUE(session.RetrieveMatches(table_, limit, &bounded).ok());
-      const auto want = static_cast<size_t>(
-          std::min<int64_t>(limit,
-                            static_cast<int64_t>(reference_matches.size())));
-      ASSERT_EQ(bounded.size(), want) << "limit=" << limit;
-      EXPECT_TRUE(std::equal(bounded.begin(), bounded.end(),
-                             reference_matches.begin()));
-    }
-  }
 }
 
 }  // namespace

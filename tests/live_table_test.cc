@@ -1,5 +1,5 @@
 // Live-table (segmented append) test battery: data::Table::AppendRows seals
-// immutable segments behind previously vended views, and every scan path
+// immutable segments behind previously vended views, and the block scan
 // treats a segmented table exactly like the monolithic table holding the
 // same rows. The argument for why appends are invisible to readers is in
 // DESIGN.md §2e "Live tables & model epochs"; this file is the enforcement:
@@ -8,8 +8,8 @@
 //    stability across later appends, snapshot prefixes.
 //  * Byte-identity: ragged appends whose boundaries fall mid-block must
 //    produce byte-identical PredictRows / RetrieveMatches against the
-//    monolithic twin, on both scan kernels and thread counts {1, 4}, and
-//    the scalar kernel must match the per-row PredictRow oracle.
+//    monolithic twin at thread counts {1, 4}, and match the per-row
+//    PredictRow oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -272,10 +272,10 @@ std::vector<data::Subspace>* LiveTableScanTest::subspaces_ = nullptr;
 std::shared_ptr<core::ExplorationModel> LiveTableScanTest::model_;
 
 // The tentpole property: a segmented table is indistinguishable from its
-// monolithic twin — byte for byte — on both scan kernels, at 1 and 4
-// threads, for all three variants, including row selections that cross the
-// append boundary and both segment seams. On the scalar kernel the seam rows
-// also match the per-row PredictRow oracle.
+// monolithic twin — byte for byte — at 1 and 4 threads, for all three
+// variants, including row selections that cross the append boundary and
+// both segment seams. The seam rows also match the per-row PredictRow
+// oracle.
 TEST_F(LiveTableScanTest, SegmentedScanByteIdenticalToMonolithic) {
   std::vector<int64_t> all_rows(static_cast<size_t>(monolithic_->num_rows()));
   std::iota(all_rows.begin(), all_rows.end(), 0);
@@ -291,37 +291,30 @@ TEST_F(LiveTableScanTest, SegmentedScanByteIdenticalToMonolithic) {
       core::ExplorationSession session(model_, threads);
       Rng rng(1000);
       ASSERT_TRUE(session.StartExploration(UserLabels(), variant, &rng).ok());
-      for (const core::ScanPath path :
-           {core::ScanPath::kColumnar, core::ScanPath::kColumnarSimd}) {
-        session.set_scan_path(path);
-        for (const std::vector<int64_t>& rows : {all_rows, seams}) {
-          std::vector<double> mono_preds;
-          std::vector<double> live_preds;
-          ASSERT_TRUE(
-              session.PredictRows(*monolithic_, rows, &mono_preds).ok());
-          ASSERT_TRUE(session.PredictRows(*live_, rows, &live_preds).ok());
-          EXPECT_EQ(mono_preds, live_preds);
-        }
-        if (path == core::ScanPath::kColumnar) {
-          std::vector<double> live_preds;
-          ASSERT_TRUE(session.PredictRows(*live_, seams, &live_preds).ok());
-          for (size_t i = 0; i < seams.size(); ++i) {
-            EXPECT_EQ(live_preds[i],
-                      session.PredictRow(live_->Row(seams[i])).value_or(-1.0))
-                << "row " << seams[i];
-          }
-        }
-        std::vector<int64_t> mono_matches;
-        std::vector<int64_t> live_matches;
-        ASSERT_TRUE(
-            session.RetrieveMatches(*monolithic_, -1, &mono_matches).ok());
-        ASSERT_TRUE(session.RetrieveMatches(*live_, -1, &live_matches).ok());
-        EXPECT_EQ(mono_matches, live_matches);
-        ASSERT_TRUE(
-            session.RetrieveMatches(*monolithic_, 100, &mono_matches).ok());
-        ASSERT_TRUE(session.RetrieveMatches(*live_, 100, &live_matches).ok());
-        EXPECT_EQ(mono_matches, live_matches);
+      for (const std::vector<int64_t>& rows : {all_rows, seams}) {
+        std::vector<double> mono_preds;
+        std::vector<double> live_preds;
+        ASSERT_TRUE(session.PredictRows(*monolithic_, rows, &mono_preds).ok());
+        ASSERT_TRUE(session.PredictRows(*live_, rows, &live_preds).ok());
+        EXPECT_EQ(mono_preds, live_preds);
       }
+      std::vector<double> live_preds;
+      ASSERT_TRUE(session.PredictRows(*live_, seams, &live_preds).ok());
+      for (size_t i = 0; i < seams.size(); ++i) {
+        EXPECT_EQ(live_preds[i],
+                  session.PredictRow(live_->Row(seams[i])).value_or(-1.0))
+            << "row " << seams[i];
+      }
+      std::vector<int64_t> mono_matches;
+      std::vector<int64_t> live_matches;
+      ASSERT_TRUE(
+          session.RetrieveMatches(*monolithic_, -1, &mono_matches).ok());
+      ASSERT_TRUE(session.RetrieveMatches(*live_, -1, &live_matches).ok());
+      EXPECT_EQ(mono_matches, live_matches);
+      ASSERT_TRUE(
+          session.RetrieveMatches(*monolithic_, 100, &mono_matches).ok());
+      ASSERT_TRUE(session.RetrieveMatches(*live_, 100, &live_matches).ok());
+      EXPECT_EQ(mono_matches, live_matches);
     }
   }
 }

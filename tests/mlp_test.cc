@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-#include <span>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "nn/activations.h"
@@ -125,113 +122,30 @@ std::vector<double> RandomBatch(Rng* rng, int64_t count, int64_t width) {
   return x;
 }
 
-// The SIMD kernel runs the scalar reference's operation order at float32
-// precision, so outputs agree to float rounding accumulated over the
-// network depth — a relative tolerance far tighter than any behavioural
-// difference, far looser than double round-off.
-void ExpectClose(const std::vector<double>& ref, const std::vector<double>& got,
-                 const char* what) {
-  ASSERT_EQ(ref.size(), got.size()) << what;
-  for (size_t i = 0; i < ref.size(); ++i) {
-    const double tol = 1e-4 * std::max(1.0, std::abs(ref[i]));
-    EXPECT_NEAR(ref[i], got[i], tol) << what << " element " << i;
-  }
-}
-
-// Tentpole coverage: the SIMD batch forward must agree with the scalar
-// reference across ragged counts spanning every padding/tiling regime —
-// empty, sub-lane, exactly one vector lane, lane+1, and around the 128-row
-// serving slice.
-TEST(MlpTest, SimdBatchMatchesScalarAcrossRaggedCounts) {
+// Row-index input: each indexed row's output is bit-identical to Forward
+// on that row, whatever the order, repeats and count of the indices —
+// including ragged tile tails.
+TEST(MlpTest, IndexedBatchMatchesPerRowForward) {
   Rng rng(7);
   Mlp mlp({6, 16, 8, 1}, &rng);
   Mlp::BatchScratch scratch;
-  for (int64_t count : {0, 1, 7, 8, 9, 127, 128, 129}) {
-    const std::vector<double> x = RandomBatch(&rng, count, 6);
-    std::vector<double> ref;
+  const int64_t x_rows = 40;
+  const std::vector<double> x = RandomBatch(&rng, x_rows, 6);
+  std::vector<double> dense;
+  mlp.ForwardBatchInto(x, x_rows, &scratch, &dense);
+  for (const int64_t count : {1, 7, 8, 9, 33}) {
+    std::vector<int64_t> rows;
+    for (int64_t n = 0; n < count; ++n) rows.push_back((n * 13 + 5) % x_rows);
     std::vector<double> got;
-    mlp.ForwardBatchInto(x, count, &scratch, &ref);
-    mlp.ForwardBatchSimdInto(x, count, &scratch, &got);
-    ASSERT_EQ(ref.size(), static_cast<size_t>(count));
-    ExpectClose(ref, got, ("count=" + std::to_string(count)).c_str());
-  }
-}
-
-// Denormals and negative zero: the SIMD path must neither trap nor diverge
-// behaviourally on the edges of float's representable range. Negative zero
-// must come out of ReLU exactly like the scalar path maps it (to +0.0).
-TEST(MlpTest, SimdBatchHandlesDenormalsAndNegativeZero) {
-  Rng rng(8);
-  Mlp mlp({4, 8, 1}, &rng);
-  Mlp::BatchScratch scratch;
-  const double denorm = std::numeric_limits<double>::denorm_min();
-  const std::vector<double> x = {
-      -0.0, 0.0,     denorm,  -denorm,  // All-tiny row.
-      1.0,  -0.0,    -1.0,    denorm,   // Mixed row.
-      -0.0, -0.0,    -0.0,    -0.0,     // All negative zero.
-      1e-30, -1e-30, 1e-38,   -1e-38,   // Float-denormal magnitudes.
-  };
-  std::vector<double> ref;
-  std::vector<double> got;
-  mlp.ForwardBatchInto(x, 4, &scratch, &ref);
-  mlp.ForwardBatchSimdInto(x, 4, &scratch, &got);
-  ExpectClose(ref, got, "denormal batch");
-  for (double v : got) EXPECT_TRUE(std::isfinite(v));
-}
-
-// The shared-head prefix contract holds for the SIMD kernel too: seeding
-// the first layer from the (float-converted) prefix over a shared head must
-// agree with running full rows that carry the head explicitly.
-TEST(MlpTest, SimdBatchPrefixMatchesFullRows) {
-  Rng rng(9);
-  const int64_t head_w = 3;
-  const int64_t tail_w = 4;
-  Mlp mlp({head_w + tail_w, 12, 1}, &rng);
-  Mlp::BatchScratch scratch;
-  const std::vector<double> head = {0.25, -1.5, 0.75};
-  std::vector<double> prefix;
-  mlp.ComputeFirstLayerPrefix(head, &prefix);
-
-  for (int64_t count : {1, 9, 129}) {
-    const std::vector<double> tails = RandomBatch(&rng, count, tail_w);
-    std::vector<double> full(static_cast<size_t>(count * (head_w + tail_w)));
+    mlp.ForwardBatchInto(x, count, &scratch, &got, {}, rows);
+    ASSERT_EQ(got.size(), static_cast<size_t>(count));
     for (int64_t n = 0; n < count; ++n) {
-      for (int64_t c = 0; c < head_w; ++c)
-        full[static_cast<size_t>(n * (head_w + tail_w) + c)] =
-            head[static_cast<size_t>(c)];
-      for (int64_t c = 0; c < tail_w; ++c)
-        full[static_cast<size_t>(n * (head_w + tail_w) + head_w + c)] =
-            tails[static_cast<size_t>(n * tail_w + c)];
+      const int64_t r = rows[static_cast<size_t>(n)];
+      const std::vector<double> row(x.begin() + r * 6, x.begin() + r * 6 + 6);
+      EXPECT_EQ(got[static_cast<size_t>(n)], mlp.Forward(row)[0])
+          << "count=" << count << " n=" << n;
+      EXPECT_EQ(got[static_cast<size_t>(n)], dense[static_cast<size_t>(r)]);
     }
-    std::vector<double> with_prefix;
-    std::vector<double> with_full;
-    mlp.ForwardBatchSimdInto(tails, count, &scratch, &with_prefix, prefix);
-    mlp.ForwardBatchSimdInto(full, count, &scratch, &with_full);
-    ExpectClose(with_full, with_prefix,
-                ("prefix count=" + std::to_string(count)).c_str());
-  }
-}
-
-// SIMD determinism: a row's output must not depend on which batch it rides
-// in — scoring rows one at a time, in a ragged tail, or inside a big block
-// must produce the same bits (the padding lanes are zero-filled and each
-// element's accumulation chain is independent of its neighbours).
-TEST(MlpTest, SimdBatchIsDeterministicAcrossBatchCompositions) {
-  Rng rng(10);
-  Mlp mlp({5, 10, 1}, &rng);
-  Mlp::BatchScratch scratch;
-  const int64_t count = 37;
-  const std::vector<double> x = RandomBatch(&rng, count, 5);
-
-  std::vector<double> whole;
-  mlp.ForwardBatchSimdInto(x, count, &scratch, &whole);
-
-  for (int64_t n = 0; n < count; ++n) {
-    std::vector<double> one;
-    const std::span<const double> row(x.data() + n * 5, 5);
-    mlp.ForwardBatchSimdInto(row, 1, &scratch, &one);
-    ASSERT_EQ(one.size(), 1u);
-    EXPECT_EQ(whole[static_cast<size_t>(n)], one[0]) << "row " << n;
   }
 }
 
@@ -246,8 +160,17 @@ TEST(MlpDeathTest, BatchForwardRejectsRaggedInput) {
   const std::vector<double> ragged(11, 0.5);  // 11 % 3 != 0.
   EXPECT_DEATH(mlp.ForwardBatchInto(ragged, 3, &scratch, &out),
                "x\\.size\\(\\)=11.*count=3");
-  EXPECT_DEATH(mlp.ForwardBatchSimdInto(ragged, 3, &scratch, &out),
-               "x\\.size\\(\\)=11.*count=3");
+}
+
+TEST(MlpDeathTest, IndexedBatchRejectsOutOfRangeRow) {
+  Rng rng(12);
+  Mlp mlp({4, 6, 1}, &rng);
+  Mlp::BatchScratch scratch;
+  std::vector<double> out;
+  const std::vector<double> x(2 * 4, 0.5);  // Two rows.
+  const std::vector<int64_t> rows = {1, 2};
+  EXPECT_DEATH(mlp.ForwardBatchInto(x, 2, &scratch, &out, {}, rows),
+               "r < x_rows");
 }
 
 }  // namespace

@@ -482,9 +482,10 @@ TEST_F(RegionBoundaryTest, ScoreEncodedBlockMatchesPredictSubspace) {
 
 // Through the coalesced scheduler: every user's predictions and
 // retrievals (limits -1, 1, 20) submitted concurrently into shared passes,
-// at 1 and 4 lanes, equal the oracle. A SIMD-kernel subscriber rides along
-// and must reproduce its own standalone verdicts. CoalescedScanStats sums
-// the subscribers' forward counts.
+// at 1 and 4 lanes, equal the oracle. CoalescedScanStats sums the
+// subscribers' forward counts. In one pass over every user, each Meta*
+// subscriber with subregions forwards a strict subset of the shared
+// encoded rows, by index, and still gets the oracle's verdicts.
 TEST_F(RegionBoundaryTest, CoalescedScansMatchOracle) {
   std::vector<int64_t> all(static_cast<size_t>(table_->num_rows()));
   std::iota(all.begin(), all.end(), int64_t{0});
@@ -495,10 +496,6 @@ TEST_F(RegionBoundaryTest, CoalescedScansMatchOracle) {
     sessions.push_back(Session(u, 1));
     oracles.push_back(Oracle(*sessions.back()));
   }
-  auto simd = Session(0, 1);
-  simd->set_scan_path(ScanPath::kColumnarSimd);
-  std::vector<double> simd_alone;
-  ASSERT_TRUE(simd->PredictRows(*table_, all, &simd_alone).ok());
 
   for (const int64_t threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << "scheduler threads=" << threads);
@@ -513,7 +510,6 @@ TEST_F(RegionBoundaryTest, CoalescedScansMatchOracle) {
     std::vector<std::vector<double>> partial(kNumUsers);
     std::vector<std::vector<std::vector<int64_t>>> matches(
         kNumUsers, std::vector<std::vector<int64_t>>(n_limits));
-    std::vector<double> simd_coalesced;
     std::vector<std::thread> submitters;
     for (size_t u = 0; u < kNumUsers; ++u) {
       const ExplorationSession& session = *sessions[u];
@@ -532,9 +528,6 @@ TEST_F(RegionBoundaryTest, CoalescedScansMatchOracle) {
         });
       }
     }
-    submitters.emplace_back([&] {
-      EXPECT_TRUE(scheduler.PredictRows(*simd, all, &simd_coalesced).ok());
-    });
     for (std::thread& t : submitters) t.join();
 
     for (size_t u = 0; u < kNumUsers; ++u) {
@@ -546,21 +539,48 @@ TEST_F(RegionBoundaryTest, CoalescedScansMatchOracle) {
             << "limit=" << kLimits[i];
       }
     }
-    EXPECT_EQ(simd_coalesced, simd_alone);
   }
 
   // A subscriber's band rows depend only on its own alive rows, so the
   // scheduler's forward count for full-table predictions is the sum of the
   // standalone counts, whatever the pass composition.
   int64_t standalone = 0;
+  std::vector<int64_t> forwarded(kNumUsers);
   for (size_t u = 0; u < kNumUsers; ++u) {
     std::vector<double> predictions(all.size(), 0.0);
     ScanSubscriber sub;
     sub.session = sessions[u].get();
     sub.rows = all;
     sub.predictions = predictions;
-    standalone += RunBlockScan(*table_, {&sub, 1}, 1).rows_forwarded;
+    forwarded[u] = RunBlockScan(*table_, {&sub, 1}, 1).rows_forwarded;
+    standalone += forwarded[u];
   }
+
+  // One pass with every user subscribed: the Meta session (no subregions)
+  // forwards all its alive rows, so the shared encoded block holds rows
+  // that each subregion subscriber's band leaves out, and those subscribers
+  // forward their band rows by index into it.
+  for (const int64_t threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "one pass, threads=" << threads);
+    std::vector<std::vector<double>> predictions(
+        kNumUsers, std::vector<double>(all.size(), 0.0));
+    std::vector<ScanSubscriber> subs(kNumUsers);
+    for (size_t u = 0; u < kNumUsers; ++u) {
+      subs[u].session = sessions[u].get();
+      subs[u].rows = all;
+      subs[u].predictions = predictions[u];
+    }
+    const BlockScanStats pass = RunBlockScan(*table_, subs, threads);
+    EXPECT_EQ(pass.rows_forwarded, standalone);
+    for (size_t u = 0; u < kNumUsers; ++u) {
+      SCOPED_TRACE(testing::Message() << "user=" << u);
+      EXPECT_EQ(predictions[u], oracles[u]);
+      if (HasSubregions(u)) {
+        EXPECT_LT(forwarded[u], pass.rows_encoded);
+      }
+    }
+  }
+
   serving::CoalescedScanOptions options;
   options.num_threads = 4;
   options.max_batch_requests = static_cast<int64_t>(kNumUsers);

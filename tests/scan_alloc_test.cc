@@ -2,7 +2,7 @@
 // must not allocate per block. A counting global operator new tallies every
 // heap allocation in the process; the same calls on an 8-block table may
 // allocate no more than on a 2-block table — directly on a session and
-// through the coalesced scheduler, on both scan kernels.
+// through the coalesced scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,7 +85,7 @@ std::vector<int64_t> AllRows(const data::Table& table) {
   return rows;
 }
 
-class ScanAllocTest : public ::testing::TestWithParam<ScanPath> {
+class ScanAllocTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     Rng rng(23);
@@ -131,9 +131,8 @@ data::Table* ScanAllocTest::large_ = nullptr;
 data::Table* ScanAllocTest::small_ = nullptr;
 std::shared_ptr<ExplorationModel> ScanAllocTest::model_;
 
-TEST_P(ScanAllocTest, SessionScanAllocationsDoNotGrowWithBlocks) {
+TEST_F(ScanAllocTest, SessionScanAllocationsDoNotGrowWithBlocks) {
   ExplorationSession session(model_, /*num_threads=*/1);
-  session.set_scan_path(GetParam());
   Rng rng(5);
   ASSERT_TRUE(
       session.StartExploration(UserLabels(), Variant::kMetaStar, &rng).ok());
@@ -150,9 +149,8 @@ TEST_P(ScanAllocTest, SessionScanAllocationsDoNotGrowWithBlocks) {
   EXPECT_LE(allocations(*large_), small_allocs);
 }
 
-TEST_P(ScanAllocTest, SchedulerScanAllocationsDoNotGrowWithBlocks) {
+TEST_F(ScanAllocTest, SchedulerScanAllocationsDoNotGrowWithBlocks) {
   ExplorationSession session(model_, /*num_threads=*/1);
-  session.set_scan_path(GetParam());
   Rng rng(5);
   ASSERT_TRUE(
       session.StartExploration(UserLabels(), Variant::kMetaStar, &rng).ok());
@@ -172,10 +170,6 @@ TEST_P(ScanAllocTest, SchedulerScanAllocationsDoNotGrowWithBlocks) {
   const int64_t small_allocs = allocations(*small_);
   EXPECT_LE(allocations(*large_), small_allocs);
 }
-
-INSTANTIATE_TEST_SUITE_P(Kernels, ScanAllocTest,
-                         ::testing::Values(ScanPath::kColumnar,
-                                           ScanPath::kColumnarSimd));
 
 }  // namespace
 }  // namespace lte::core

@@ -1,7 +1,7 @@
 // Session lifecycle test battery, part 1: ExplorationSession::Save/Load.
 //
 //  * Round-trip determinism: Save -> Load -> continue is byte-identical to
-//    the uninterrupted session, across scan paths and thread counts {1, 4}.
+//    the uninterrupted session, across thread counts {1, 4}.
 //  * Adversarial decodes: truncation at every byte boundary and bit flips
 //    across the header + model stamp return an error Status — never a crash,
 //    never a silent load (runs under the ASan/UBSan CI job).
@@ -162,10 +162,8 @@ class SessionPersistenceTest : public ::testing::Test {
   // Serializes a mid-exploration session (start + one continue batch on each
   // subspace, session-owned rng) to a string. kMetaStar exercises every
   // section of the format: memories, history, and the FP/FN rebuild.
-  std::string SavedMidExploration(Variant variant, int64_t threads,
-                                  ScanPath path) {
+  std::string SavedMidExploration(Variant variant, int64_t threads) {
     ExplorationSession session(model_, threads);
-    session.set_scan_path(path);
     session.SeedRng(777);
     EXPECT_TRUE(
         session.StartExploration(UserLabels(0), variant, session.session_rng())
@@ -190,71 +188,62 @@ class SessionPersistenceTest : public ::testing::Test {
 };
 
 // Save -> Load -> continue must be byte-identical to never having saved, for
-// every variant, scan path, and thread count — and across them: the loader
-// may run a different host configuration than the saver.
+// every variant and thread count — and across them: the loader may run a
+// different host configuration than the saver.
 TEST_F(SessionPersistenceTest, RoundTripContinuationMatchesUninterrupted) {
   for (const Variant variant : {Variant::kMetaStar, Variant::kBasic}) {
-    for (const ScanPath path : {ScanPath::kColumnar, ScanPath::kColumnarSimd}) {
-      for (const int64_t save_threads : {int64_t{1}, int64_t{4}}) {
-        // Uninterrupted reference: start, continue twice, serve.
-        ExplorationSession reference(model_, save_threads);
-        reference.set_scan_path(path);
-        reference.SeedRng(777);
+    for (const int64_t save_threads : {int64_t{1}, int64_t{4}}) {
+      // Uninterrupted reference: start, continue twice, serve.
+      ExplorationSession reference(model_, save_threads);
+      reference.SeedRng(777);
+      ASSERT_TRUE(reference
+                      .StartExploration(UserLabels(0), variant,
+                                        reference.session_rng())
+                      .ok());
+      ConfigurePoliciesAndSuggest(&reference);
+      std::vector<std::vector<double>> points;
+      std::vector<double> labels;
+      for (int64_t s = 0; s < 2; ++s) {
+        MakeBatch(0, 1, s, &points, &labels);
         ASSERT_TRUE(reference
-                        .StartExploration(UserLabels(0), variant,
-                                          reference.session_rng())
-                        .ok());
-        ConfigurePoliciesAndSuggest(&reference);
-        std::vector<std::vector<double>> points;
-        std::vector<double> labels;
-        for (int64_t s = 0; s < 2; ++s) {
-          MakeBatch(0, 1, s, &points, &labels);
-          ASSERT_TRUE(reference
-                          .ContinueExploration(s, points, labels,
-                                               reference.session_rng())
-                          .ok());
-        }
-        const std::string saved =
-            SavedMidExploration(variant, save_threads, path);
-        MakeBatch(0, 2, 0, &points, &labels);
-        ASSERT_TRUE(reference
-                        .ContinueExploration(0, points, labels,
+                        .ContinueExploration(s, points, labels,
                                              reference.session_rng())
                         .ok());
-        const Outcome expected = Serve(reference);
+      }
+      const std::string saved = SavedMidExploration(variant, save_threads);
+      MakeBatch(0, 2, 0, &points, &labels);
+      ASSERT_TRUE(reference
+                      .ContinueExploration(0, points, labels,
+                                           reference.session_rng())
+                      .ok());
+      const Outcome expected = Serve(reference);
 
-        for (const int64_t load_threads : {int64_t{1}, int64_t{4}}) {
-          ExplorationSession restored(model_, load_threads);
-          restored.set_scan_path(path);
-          std::istringstream in(saved, std::ios::binary);
-          ASSERT_TRUE(restored.LoadFromStream(&in).ok());
-          ASSERT_EQ(restored.active_subspaces(), 2);
-          ASSERT_NE(restored.session_rng(), nullptr);
-          MakeBatch(0, 2, 0, &points, &labels);
-          ASSERT_TRUE(restored
-                          .ContinueExploration(0, points, labels,
-                                               restored.session_rng())
-                          .ok());
-          EXPECT_TRUE(Serve(restored) == expected)
-              << "variant=" << static_cast<int>(variant)
-              << " path=" << static_cast<int>(path)
-              << " save_threads=" << save_threads
-              << " load_threads=" << load_threads;
-        }
+      for (const int64_t load_threads : {int64_t{1}, int64_t{4}}) {
+        ExplorationSession restored(model_, load_threads);
+        std::istringstream in(saved, std::ios::binary);
+        ASSERT_TRUE(restored.LoadFromStream(&in).ok());
+        ASSERT_EQ(restored.active_subspaces(), 2);
+        ASSERT_NE(restored.session_rng(), nullptr);
+        MakeBatch(0, 2, 0, &points, &labels);
+        ASSERT_TRUE(restored
+                        .ContinueExploration(0, points, labels,
+                                             restored.session_rng())
+                        .ok());
+        EXPECT_TRUE(Serve(restored) == expected)
+            << "variant=" << static_cast<int>(variant)
+            << " save_threads=" << save_threads
+            << " load_threads=" << load_threads;
       }
     }
   }
 }
 
-// The serialized bytes themselves are thread-count- and scan-path-invariant:
-// persistence inherits the adaptation determinism contract.
+// The serialized bytes themselves are thread-count-invariant: persistence
+// inherits the adaptation determinism contract.
 TEST_F(SessionPersistenceTest, SavedBytesIdenticalAcrossHostKnobs) {
-  const std::string base =
-      SavedMidExploration(Variant::kMetaStar, 1, ScanPath::kColumnar);
-  EXPECT_EQ(base, SavedMidExploration(Variant::kMetaStar, 4,
-                                      ScanPath::kColumnar));
-  EXPECT_EQ(base, SavedMidExploration(Variant::kMetaStar, 1,
-                                      ScanPath::kColumnarSimd));
+  const std::string base = SavedMidExploration(Variant::kMetaStar, 1);
+  EXPECT_EQ(base, SavedMidExploration(Variant::kMetaStar, 4));
+  EXPECT_EQ(base, SavedMidExploration(Variant::kMetaStar, 0));
 }
 
 // Truncating the file at every byte boundary must yield an error Status —
@@ -262,7 +251,7 @@ TEST_F(SessionPersistenceTest, SavedBytesIdenticalAcrossHostKnobs) {
 // session's previous state untouched.
 TEST_F(SessionPersistenceTest, TruncationAtEveryByteFailsCleanly) {
   const std::string saved =
-      SavedMidExploration(Variant::kMetaStar, 1, ScanPath::kColumnar);
+      SavedMidExploration(Variant::kMetaStar, 1);
   // Sanity: the intact stream loads.
   ExplorationSession intact(model_, 1);
   std::istringstream full(saved, std::ios::binary);
@@ -290,7 +279,7 @@ TEST_F(SessionPersistenceTest, TruncationAtEveryByteFailsCleanly) {
 // as FailedPrecondition.
 TEST_F(SessionPersistenceTest, HeaderAndStampBitFlipsFailCleanly) {
   const std::string saved =
-      SavedMidExploration(Variant::kMetaStar, 1, ScanPath::kColumnar);
+      SavedMidExploration(Variant::kMetaStar, 1);
   ASSERT_GE(saved.size(), 24u);
   for (size_t byte = 0; byte < 24; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
