@@ -45,6 +45,10 @@ struct SweepRow {
   // Rows that reached the batch forward in one full-table scan (the rest
   // were settled by the Meta* FP/FN subregions); deterministic.
   int64_t rows_forwarded = 0;
+  // Rows of that scan that needed the direct FP/FN hull test (the rest took
+  // their grid cell's proven membership); deterministic, 0 without
+  // subregions.
+  int64_t rows_located = 0;
 };
 
 const char* VariantName(core::Variant v) {
@@ -134,7 +138,7 @@ void Run() {
   std::vector<SweepRow> results;
   eval::TextTable table({"variant x threads", "oracle (s)", "columnar (s)",
                          "col rows/s", "col speedup", "identical",
-                         "forwarded"});
+                         "forwarded", "located"});
   for (const core::Variant variant : variants) {
     for (const int64_t threads : thread_sweep) {
       core::ExplorationSession session(model, threads);
@@ -169,14 +173,16 @@ void Run() {
         return;
       }
       // The same full-table scan once more, as a bare one-subscriber pass
-      // for its forward count.
+      // for its forward and hull-test counts.
       std::vector<double> counted(all_rows.size(), 0.0);
       core::ScanSubscriber counter;
       counter.session = &session;
       counter.rows = all_rows;
       counter.predictions = counted;
-      row.rows_forwarded =
-          core::RunBlockScan(sdss, {&counter, 1}, threads).rows_forwarded;
+      const core::BlockScanStats counts =
+          core::RunBlockScan(sdss, {&counter, 1}, threads);
+      row.rows_forwarded = counts.rows_forwarded;
+      row.rows_located = counts.rows_located;
 
       // Interleave single full-table passes and keep the minimum wall per
       // path. Back-to-back rep blocks attribute any machine-state drift
@@ -213,7 +219,8 @@ void Run() {
       table.AddRow(row.variant + " x " + std::to_string(threads),
                    {row.row_wall_s, row.col_wall_s, row.col_rows_per_s,
                     row.speedup, row.bit_identical ? 1.0 : 0.0,
-                    static_cast<double>(row.rows_forwarded)},
+                    static_cast<double>(row.rows_forwarded),
+                    static_cast<double>(row.rows_located)},
                    2);
       results.push_back(row);
     }
@@ -254,11 +261,12 @@ void Run() {
           "\"row_wall_s\": %.6f, \"columnar_wall_s\": %.6f, "
           "\"row_rows_per_s\": %.1f, \"columnar_rows_per_s\": %.1f, "
           "\"speedup\": %.3f, \"bit_identical\": %s, "
-          "\"rows_forwarded\": %lld}%s\n",
+          "\"rows_forwarded\": %lld, \"rows_located\": %lld}%s\n",
           r.variant.c_str(), static_cast<long long>(r.threads), r.row_wall_s,
           r.col_wall_s, r.row_rows_per_s, r.col_rows_per_s, r.speedup,
           r.bit_identical ? "true" : "false",
           static_cast<long long>(r.rows_forwarded),
+          static_cast<long long>(r.rows_located),
           i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -38,6 +38,7 @@ struct LaneScratch {
   int64_t encode_passes = 0;
   int64_t rows_encoded = 0;
   int64_t rows_forwarded = 0;
+  int64_t rows_located = 0;
 };
 
 class BlockPass {
@@ -132,6 +133,7 @@ class BlockPass {
       stats.encode_passes += sc.encode_passes;
       stats.rows_encoded += sc.rows_encoded;
       stats.rows_forwarded += sc.rows_forwarded;
+      stats.rows_located += sc.rows_located;
     }
     for (size_t q = 0; q < subscribers_.size(); ++q) {
       std::vector<int64_t>* matches = subscribers_[q].matches;
@@ -232,7 +234,7 @@ class BlockPass {
         }
         where.resize(alive.size());
         sc->band[q] = subscribers_[q].session->LocateRows(
-            s, views_[su], sc->sub_rows, where);
+            s, views_[su], sc->sub_rows, where, &sc->rows_located);
         for (size_t i = 0; i < alive.size(); ++i) {
           if (!where[i].decided()) {
             sc->member[static_cast<size_t>(alive[i])] = 1;

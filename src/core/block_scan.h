@@ -29,7 +29,7 @@ struct ScanSubscriber {
   int64_t limit = -1;
 };
 
-/// What one pass did, for the serving stats ledger. All four are pure
+/// What one pass did, for the serving stats ledger. All five are pure
 /// functions of the table, the sessions and the pass composition.
 struct BlockScanStats {
   /// Gather+encode rounds: one per (block, subspace) in which some live
@@ -43,6 +43,11 @@ struct BlockScanStats {
   /// subspaces: the band rows (every live row for a subscriber without
   /// subregions).
   int64_t rows_forwarded = 0;
+  /// Rows that needed the direct FP/FN hull test, summed over subscribers
+  /// and subspaces: rows located in a subregion subscriber's subspace whose
+  /// grid cell does not prove their membership (open cells, rows outside
+  /// the Pretrain value box, every row of a 1-D subspace).
+  int64_t rows_located = 0;
   /// Rows in the pass's row domain (the table's row count when any
   /// subscriber retrieves).
   int64_t domain_rows = 0;
@@ -61,7 +66,9 @@ struct BlockScanStats {
 /// order, region first:
 ///  * each subscriber locates the rows still alive for it in its Meta*
 ///    FP/FN subregions (`ExplorationSession::LocateRows`, raw column values,
-///    no encode); a row inside both or outside both takes that verdict;
+///    no encode; a row in a proven grid cell takes the cell's membership
+///    without a hull test); a row inside both or outside both takes that
+///    verdict;
 ///  * the union of the remaining band rows is gathered and encoded once;
 ///  * each subscriber forwards its own band rows, passed as indices into
 ///    the shared encoded block and read in place

@@ -104,6 +104,15 @@ TupleEncoder ExplorationModel::MakeEncoder(int64_t s) const {
   };
 }
 
+std::optional<geom::Box> ExplorationModel::ValueBox(int64_t s) const {
+  const std::vector<int64_t>& attrs =
+      subspaces_[static_cast<size_t>(s)].attribute_indices;
+  if (attrs.size() != 2) return std::nullopt;
+  const preprocess::MinMaxNormalizer& range = encoder_.normalizer();
+  return geom::Box{range.min(attrs[0]), range.max(attrs[0]),
+                   range.min(attrs[1]), range.max(attrs[1])};
+}
+
 Status ExplorationModel::Pretrain(const data::Table& table,
                                   const std::vector<data::Subspace>& subspaces,
                                   bool train_meta, Rng* rng) {

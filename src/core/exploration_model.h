@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/optimizer_fpfn.h"
 #include "data/subspace.h"
 #include "data/table.h"
+#include "geom/region.h"
 #include "policy/suggest_policy.h"
 #include "preprocess/tabular_encoder.h"
 
@@ -148,6 +150,13 @@ class ExplorationModel {
 
   const preprocess::TabularEncoder& encoder() const { return encoder_; }
   const ExplorerOptions& options() const { return options_; }
+
+  /// The raw value box of 2-D subspace `s`: each attribute's [min, max]
+  /// over the whole Pretrain table, as the encoder's min-max normalizer
+  /// recorded (and persists) it. The FP/FN optimizer's settling cells span
+  /// it. nullopt for a 1-D subspace. Requires `s` in range after
+  /// Pretrain/Load.
+  std::optional<geom::Box> ValueBox(int64_t s) const;
 
   /// Closure encoding raw subspace-`s` points with the fitted encoder.
   /// Requires `s` in range.

@@ -271,7 +271,7 @@ Status ExplorationSession::LoadFromStreamImpl(std::istream* in) {
           state.start_labels.begin(),
           state.start_labels.begin() + static_cast<int64_t>(k_s));
       state.fpfn.emplace(generator.context(), center_labels,
-                         model_->options().fpfn);
+                         model_->options().fpfn, model_->ValueBox(s));
     }
     if (version >= 2) {
       bool has_policy = false;
@@ -407,7 +407,8 @@ Status ExplorationSession::StartExploration(
         state.task_model->WarmUisEmbedding();
 
         if (variant == Variant::kMetaStar) {
-          state.fpfn.emplace(ctx, center_labels, options.fpfn);
+          state.fpfn.emplace(ctx, center_labels, options.fpfn,
+                             model_->ValueBox(si));
         } else {
           state.fpfn.reset();
         }
@@ -605,7 +606,7 @@ double ExplorationSession::PredictSubspaceUnchecked(
 int64_t ExplorationSession::LocateRows(
     int64_t s, const std::vector<data::ColumnView>& columns,
     std::span<const int64_t> rows,
-    std::span<FpFnOptimizer::Membership> where) const {
+    std::span<FpFnOptimizer::Membership> where, int64_t* located) const {
   LTE_CHECK(s >= 0 && s < active_count_);
   LTE_CHECK(where.size() == rows.size());
   const std::optional<FpFnOptimizer>& fpfn =
@@ -619,11 +620,18 @@ int64_t ExplorationSession::LocateRows(
   double point[2] = {0.0, 0.0};
   const std::span<const double> p(point, columns.size());
   int64_t band = 0;
+  int64_t direct = 0;
   for (size_t k = 0; k < rows.size(); ++k) {
     for (size_t j = 0; j < columns.size(); ++j) point[j] = columns[j][rows[k]];
-    where[k] = fpfn->Locate(p);
+    // The row's grid cell answers when it is proven (2-D subspaces only);
+    // otherwise both hull tests run.
+    if (!fpfn->Settle(p, &where[k])) {
+      where[k] = fpfn->Locate(p);
+      ++direct;
+    }
     if (!where[k].decided()) ++band;
   }
+  if (located != nullptr) *located += direct;
   return band;
 }
 

@@ -271,13 +271,20 @@ class ExplorationSession {
   /// `FpFnOptimizer::Decide(where[k], probability)`; for a decided row the
   /// probability cannot matter, so it never needs a forward.
   ///
+  /// With subregions, a row whose grid cell proves its membership
+  /// (`FpFnOptimizer::Settle`) takes it from the cell; the others get both
+  /// hull tests (`FpFnOptimizer::Locate`), and their number is added to
+  /// `*located` when it is non-null. The two agree exactly, so `where` does
+  /// not depend on which rows the cells settle.
+  ///
   /// Preconditions (LTE_CHECKed, not Status-mapped — callers are the block
   /// scan and tools that validate via ValidateServing first):
   /// StartExploration has adapted subspace `s`, and the spans agree in size.
   /// Thread-safe under the same contract as the const query surface.
   int64_t LocateRows(int64_t s, const std::vector<data::ColumnView>& columns,
                      std::span<const int64_t> rows,
-                     std::span<FpFnOptimizer::Membership> where) const;
+                     std::span<FpFnOptimizer::Membership> where,
+                     int64_t* located = nullptr) const;
 
   /// Batch forward of pre-encoded subspace-`s` tuples — `encoded` is
   /// row-major at the subspace's projected width, exactly what

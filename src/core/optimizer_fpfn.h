@@ -1,7 +1,9 @@
 #ifndef LTE_CORE_OPTIMIZER_FPFN_H_
 #define LTE_CORE_OPTIMIZER_FPFN_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,6 +39,12 @@ struct FpFnOptions {
 /// forwards them (DESIGN.md §2b). No containment between the subregions is
 /// assumed: near a boundary a point can be inside the inner subregion yet
 /// outside the outer one, and the rule still reproduces Refine exactly.
+///
+/// Over a 2-D subspace with a value box, construction also certifies a fixed
+/// kSettleGrid x kSettleGrid grid of cells over the box: a cell whose every
+/// point provably has one membership records it, so `Settle` answers most
+/// rows from their cell instead of running both hull tests (DESIGN.md §2b,
+/// "Cell settling"). Locate and Refine never read the cells.
 class FpFnOptimizer {
  public:
   /// A raw point's membership in the outer and inner subregions.
@@ -52,14 +60,44 @@ class FpFnOptimizer {
   /// subregions apply.
   static constexpr Membership kPassThrough{true, false};
 
+  /// Grid cells per axis of the settling table. Fixed: G = 64 proves more
+  /// rows but doubles the build, which every session restore pays
+  /// (EXPERIMENTS.md, "Cell settling").
+  static constexpr int64_t kSettleGrid = 32;
+
   /// `center_labels` are the user's 0/1 labels of the k_s C^s centers.
+  /// `value_box` is the raw [min, max] box of a 2-D subspace (x = its first
+  /// attribute); with one, and with finite bounds, the settling cells are
+  /// built over it. Without, Settle always defers to Locate.
   FpFnOptimizer(const SubspaceContext& context,
                 const std::vector<double>& center_labels,
-                const FpFnOptions& options);
+                const FpFnOptions& options,
+                std::optional<geom::Box> value_box = std::nullopt);
 
   /// Where a raw subspace point lies. Requires has_positive_centers().
   Membership Locate(std::span<const double> point) const {
     return {outer_.Contains(point), inner_.Contains(point)};
+  }
+
+  /// If the cell of 2-D raw point `point` proves its membership, writes it
+  /// to `*m` (equal to `Locate(point)`) and returns true. Returns false for
+  /// a point in an open cell or outside the value box (NaN included), and
+  /// always without cells. Requires has_positive_centers().
+  bool Settle(std::span<const double> point, Membership* m) const {
+    if (cells_.empty()) return false;
+    const double x = point[0];
+    const double y = point[1];
+    if (!(x >= box_.xlo && x <= box_.xhi && y >= box_.ylo && y <= box_.yhi)) {
+      return false;
+    }
+    const int64_t cx = std::min(
+        kSettleGrid - 1, static_cast<int64_t>((x - box_.xlo) * scale_x_));
+    const int64_t cy = std::min(
+        kSettleGrid - 1, static_cast<int64_t>((y - box_.ylo) * scale_y_));
+    const uint8_t cell = cells_[static_cast<size_t>(cy * kSettleGrid + cx)];
+    if ((cell & kOpenCell) != 0) return false;
+    *m = {(cell & kOuterBit) != 0, (cell & kInnerBit) != 0};
+    return true;
   }
 
   /// The Meta* decision rule: a positive prediction (> 0.5) keeps the point
@@ -85,9 +123,24 @@ class FpFnOptimizer {
   bool has_positive_centers() const { return has_positive_; }
 
  private:
+  /// A cell's code: kOpenCell set when either region leaves it unproven,
+  /// else its proven membership as kOuterBit | kInnerBit.
+  static constexpr uint8_t kOuterBit = 1;
+  static constexpr uint8_t kInnerBit = 2;
+  static constexpr uint8_t kOpenCell = 4;
+
+  void BuildCells(const geom::Box& box);
+
   geom::Region outer_;
   geom::Region inner_;
   bool has_positive_ = false;
+  /// Settling table, row-major by cy (empty = none): cell (cx, cy) holds the
+  /// points whose `(x - box_.xlo) * scale_x_` truncates to cx (clamped to
+  /// the last cell), and likewise for y.
+  geom::Box box_;
+  double scale_x_ = 0.0;
+  double scale_y_ = 0.0;
+  std::vector<uint8_t> cells_;
 };
 
 }  // namespace lte::core

@@ -9,6 +9,20 @@
 
 namespace lte::geom {
 
+/// A closed axis-aligned rectangle [xlo, xhi] x [ylo, yhi] (xlo <= xhi,
+/// ylo <= yhi; a zero-width side is allowed).
+struct Box {
+  double xlo = 0.0;
+  double xhi = 0.0;
+  double ylo = 0.0;
+  double yhi = 0.0;
+};
+
+/// What a 2-D region's `Contains` answers for every point of a Box: true
+/// for all of them (kInside), false for all (kOutside), or not proven either
+/// way (kOpen).
+enum class BoxRelation { kInside, kOutside, kOpen };
+
 /// One convex building block of a user interest subregion (UIS).
 ///
 /// The paper formulates a simulated UIS as the union of α convex hulls, each
@@ -30,6 +44,21 @@ class ConvexRegion {
   bool Contains(const std::vector<double>& point, double eps = 1e-9) const {
     return Contains(std::span<const double>(point), eps);
   }
+
+  /// Proves `Contains(p, eps)` constant over every double point p of
+  /// `box`, or answers kOpen. Sound but incomplete: kInside and kOutside
+  /// are never wrong, and a box the proof cannot settle is kOpen. Requires a
+  /// 2-D region; an empty one excludes every box.
+  ///
+  /// `Cross(a, b, p)` is affine in p, so over a box its extremes sit at the
+  /// corners. A polygon contains the box when every edge's cross product is
+  /// >= -eps + tol at all four corners, and excludes it when some edge's is
+  /// < -eps - tol at all four. `tol` bounds twice the rounding error of a
+  /// cross product anywhere in the box, so the proof holds for the rounded
+  /// values `Contains` computes, not just the exact ones. A point or segment
+  /// hull is never proven to contain a box; it excludes a box that lies more
+  /// than eps + tol beyond its bounding box along an axis.
+  BoxRelation Relate(const Box& box, double eps = 1e-9) const;
 
   int64_t dimension() const { return dimension_; }
   bool empty() const { return dimension_ == 0; }

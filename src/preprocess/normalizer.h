@@ -27,6 +27,10 @@ class MinMaxNormalizer {
     return static_cast<int64_t>(mins_.size());
   }
 
+  /// The [min, max] that Fit recorded for attribute `attr`.
+  double min(int64_t attr) const { return mins_[static_cast<size_t>(attr)]; }
+  double max(int64_t attr) const { return maxs_[static_cast<size_t>(attr)]; }
+
   /// Maps attribute `attr`'s value x into [0, 1] (clamped; constant columns
   /// map to 0.5).
   double Transform(int64_t attr, double x) const;

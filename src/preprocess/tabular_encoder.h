@@ -116,6 +116,8 @@ class TabularEncoder {
 
   bool fitted() const { return fitted_; }
   const EncoderOptions& options() const { return options_; }
+  /// The min-max fallback, fitted on the whole table Fit was given.
+  const MinMaxNormalizer& normalizer() const { return normalizer_; }
 
   /// The encoding mode actually used for `attr` (only differs from
   /// options().mode under kAuto).

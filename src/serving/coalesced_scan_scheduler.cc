@@ -178,6 +178,7 @@ void CoalescedScanScheduler::SchedulerLoop() {
           stats_.largest_batch, static_cast<int64_t>(batch.size()));
       stats_.encode_passes += pass.encode_passes;
       stats_.rows_forwarded += pass.rows_forwarded;
+      stats_.rows_located += pass.rows_located;
       for (Request* request : batch) {
         stats_.rows_served += request->subscriber.matches != nullptr
                                   ? pass.domain_rows

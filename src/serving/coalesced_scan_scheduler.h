@@ -61,6 +61,9 @@ struct CoalescedScanStats {
   /// Rows that reached a subscriber's batch forward (band rows; see
   /// core::BlockScanStats::rows_forwarded).
   int64_t rows_forwarded = 0;
+  /// Rows that needed the direct FP/FN hull test (see
+  /// core::BlockScanStats::rows_located).
+  int64_t rows_located = 0;
 };
 
 /// Cross-session coalesced scan scheduler: the "many users, one table pass"

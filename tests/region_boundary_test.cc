@@ -10,6 +10,15 @@
 // and through the coalesced scheduler, at 1 and 4 lanes, across a segment
 // seam — must reproduce the per-row oracle byte for byte. Runs under the
 // TSan CI job.
+//
+// The scans settle most rows from the FP/FN optimizer's proven grid cells
+// (`FpFnOptimizer::Settle`) and test only the rest against the hulls. The
+// table therefore also holds rows exactly on the settling grid's lines and
+// cell corners and one ulp to either side, rows outside the Pretrain value
+// box on both sides of the segment seam, a subspace where whole hulls fit
+// in one cell, and one whose second column is constant (a zero-height box).
+// The oracle never reads the cells, and every scan's `rows_located` count is
+// checked exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +28,8 @@
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +39,7 @@
 #include "core/exploration_session.h"
 #include "core/optimizer_fpfn.h"
 #include "geom/convex_hull.h"
+#include "geom/region.h"
 #include "serving/coalesced_scan_scheduler.h"
 
 namespace lte::core {
@@ -59,27 +71,40 @@ ExplorerOptions SmallExplorerOptions() {
   return opt;
 }
 
-// Pretraining table, three 2-D subspaces:
+const std::vector<std::string> kColumns = {"a0", "a1", "a2", "a3", "a4",
+                                           "a5", "a6", "a7", "a8", "a9"};
+
+// Pretraining table, five 2-D subspaces:
 //  {0,1} four Gaussian blobs — proper polygon hulls;
 //  {2,3} points on the diagonal y == x — every center is exactly on it, so
 //        every hull is a segment;
 //  {4,5} a 3x3 grid of dyadic values — k-means centers coincide with grid
 //        points exactly, so groups of coinciding centers give single-point
-//        hulls.
+//        hulls;
+//  {6,7} every row but two uniform over [1.0, 1.2]^2, with the two at
+//        (0, 0) and (10, 10) — the value box is [0, 10]^2, so the rows and
+//        the hulls of their centers fit inside one settling cell;
+//  {8,9} uniform x against a constant y — a zero-height value box.
 data::Table PretrainTable() {
   Rng rng(31);
-  data::Table table({"a0", "a1", "a2", "a3", "a4", "a5"});
+  data::Table table(kColumns);
   const double blobs[4][2] = {{2, 2}, {7, 3}, {4, 8}, {8, 8}};
   for (int64_t i = 0; i < 3000; ++i) {
     const double* c = blobs[rng.UniformInt(4)];
     const double d = rng.Uniform(0.0, 10.0);
     const double grid[3] = {0.0, 0.5, 1.0};
-    const std::vector<double> row = {rng.Normal(c[0], 1.0),
-                                     rng.Normal(c[1], 1.0),
-                                     d,
-                                     d,
-                                     grid[rng.UniformInt(3)],
-                                     grid[rng.UniformInt(3)]};
+    const double corner = i == 0 ? 0.0 : 10.0;
+    const std::vector<double> row = {
+        rng.Normal(c[0], 1.0),
+        rng.Normal(c[1], 1.0),
+        d,
+        d,
+        grid[rng.UniformInt(3)],
+        grid[rng.UniformInt(3)],
+        i < 2 ? corner : rng.Uniform(1.0, 1.2),
+        i < 2 ? corner : rng.Uniform(1.0, 1.2),
+        rng.Uniform(0.0, 10.0),
+        3.0};
     EXPECT_TRUE(table.AppendRow(row).ok());
   }
   return table;
@@ -139,7 +164,8 @@ class RegionBoundaryTest : public ::testing::Test {
   static void SetUpTestSuite() {
     const data::Table pretrain = PretrainTable();
     subspaces_ = new std::vector<data::Subspace>{
-        data::Subspace{{0, 1}}, data::Subspace{{2, 3}}, data::Subspace{{4, 5}}};
+        data::Subspace{{0, 1}}, data::Subspace{{2, 3}}, data::Subspace{{4, 5}},
+        data::Subspace{{6, 7}}, data::Subspace{{8, 9}}};
     model_ = new std::shared_ptr<ExplorationModel>(
         std::make_shared<ExplorationModel>(SmallExplorerOptions()));
     Rng rng(37);
@@ -169,17 +195,20 @@ class RegionBoundaryTest : public ::testing::Test {
     return model().generator(s)->options().k_s;
   }
 
+  // Per subspace: the first coordinate below which kThreshold labels a
+  // tuple interesting.
+  static constexpr double kMidpoints[5] = {5.0, 5.0, 0.5, 1.1, 5.0};
+
   // Start labels per subspace: interesting iff the tuple's first coordinate
   // is below the subspace's midpoint (kThreshold), every other tuple
   // (kAlternate), or every tuple but the k_s centers (kNoPositiveCenters:
   // no subregions, yet a classifier that still finds matches).
   static std::vector<std::vector<double>> Labels(Labeling labeling) {
-    const double midpoints[3] = {5.0, 5.0, 0.5};
     std::vector<std::vector<double>> labels(subspaces_->size());
     for (int64_t s = 0; s < num_subspaces(); ++s) {
       const std::vector<Point>& tuples = *model().InitialTuples(s);
       for (size_t i = 0; i < tuples.size(); ++i) {
-        double label = tuples[i][0] <= midpoints[s] ? 1.0 : 0.0;
+        double label = tuples[i][0] <= kMidpoints[s] ? 1.0 : 0.0;
         if (labeling == Labeling::kAlternate) label = i % 2 == 0 ? 1.0 : 0.0;
         if (labeling == Labeling::kNoPositiveCenters) {
           label = static_cast<int64_t>(i) < k_s(s) ? 0.0 : 1.0;
@@ -191,13 +220,81 @@ class RegionBoundaryTest : public ::testing::Test {
   }
 
   // The FP/FN optimizer a Meta* session builds for `labels` in subspace s:
-  // a pure function of the clustering context and the center labels.
+  // a pure function of the clustering context and the center labels. With
+  // `cells`, it also builds the settling cells over the subspace's value
+  // box, as the session does; without, Settle always defers to Locate.
   static FpFnOptimizer Optimizer(const std::vector<std::vector<double>>& labels,
-                                 int64_t s) {
+                                 int64_t s, bool cells = false) {
     const std::vector<double>& all = labels[static_cast<size_t>(s)];
     const std::vector<double> centers(all.begin(), all.begin() + k_s(s));
-    return FpFnOptimizer(model().generator(s)->context(), centers,
-                         model().options().fpfn);
+    return FpFnOptimizer(
+        model().generator(s)->context(), centers, model().options().fpfn,
+        cells ? model().ValueBox(s) : std::optional<geom::Box>());
+  }
+
+  // The settling grid's line positions over [lo, hi], as the optimizer
+  // builds its cells: lo + c * (hi - lo) / G for c = 0..G.
+  static std::vector<double> GridLines(double lo, double hi) {
+    const int64_t g = FpFnOptimizer::kSettleGrid;
+    const double step = (hi - lo) / static_cast<double>(g);
+    std::vector<double> lines;
+    for (int64_t c = 0; c <= g; ++c) {
+      lines.push_back(lo + static_cast<double>(c) * step);
+    }
+    return lines;
+  }
+
+  // v and its neighbours one ulp below and above.
+  static std::vector<double> Ulps(double v) {
+    return {std::nextafter(v, -INFINITY), v, std::nextafter(v, INFINITY)};
+  }
+
+  // Rows on the settling grid of a subspace: every cell corner of every
+  // other grid line, one ulp to either side of it along each axis, and the
+  // midpoints of the cell edges along every line.
+  static std::vector<Point> GridProbes(int64_t s) {
+    const geom::Box box = *model().ValueBox(s);
+    const std::vector<double> xs = GridLines(box.xlo, box.xhi);
+    const std::vector<double> ys = GridLines(box.ylo, box.yhi);
+    std::vector<Point> out;
+    for (size_t i = 0; i < xs.size(); i += 2) {
+      for (size_t j = 0; j < ys.size(); j += 2) {
+        for (const double x : Ulps(xs[i])) out.push_back({x, ys[j]});
+        for (const double y : Ulps(ys[j])) out.push_back({xs[i], y});
+      }
+    }
+    for (size_t i = 0; i < xs.size(); ++i) {
+      for (size_t j = 0; j + 1 < ys.size(); j += 4) {
+        const double mid = 0.5 * (ys[j] + ys[j + 1]);
+        out.push_back({xs[i], mid});
+        out.push_back({0.5 * (xs[j] + xs[j + 1]), ys[i]});
+      }
+    }
+    return out;
+  }
+
+  // Rows outside a subspace's Pretrain value box: one ulp, 1e-9 and 1.0
+  // past each side, and past two sides at once.
+  static std::vector<Point> OutsideProbes(int64_t s) {
+    const geom::Box box = *model().ValueBox(s);
+    const double mx = 0.5 * (box.xlo + box.xhi);
+    const double my = 0.5 * (box.ylo + box.yhi);
+    std::vector<Point> out;
+    const auto below = [](double v, double d) {
+      return d == 0.0 ? std::nextafter(v, -INFINITY) : v - d;
+    };
+    const auto above = [](double v, double d) {
+      return d == 0.0 ? std::nextafter(v, INFINITY) : v + d;
+    };
+    for (const double d : {0.0, kTolerance, 1.0}) {
+      out.push_back({below(box.xlo, d), my});
+      out.push_back({above(box.xhi, d), my});
+      out.push_back({mx, below(box.ylo, d)});
+      out.push_back({mx, above(box.yhi, d)});
+      out.push_back({below(box.xlo, d), below(box.ylo, d)});
+      out.push_back({above(box.xhi, d), above(box.yhi, d)});
+    }
+    return out;
   }
 
   // Per subspace: every C^s and C^u center plus the probes around every part
@@ -225,37 +322,57 @@ class RegionBoundaryTest : public ::testing::Test {
   // Rows put each subspace's probes behind anchors in the other subspaces,
   // so the conjunction reaches every subspace: the anchors are the C^s
   // centers, which the kThreshold/kAlternate sessions' inner subregions
-  // contain whenever that center is labelled positive. The last rows arrive
-  // through AppendRows, so every scan also crosses a segment seam.
+  // contain whenever that center is labelled positive. Anchor 0 is a center
+  // kThreshold labels positive in every other subspace, anchor 1 one that
+  // kAlternate does (an even index), anchor 2 any center.
+  static void AddAnchoredRows(int64_t s, const std::vector<Point>& own,
+                              size_t anchors, std::vector<Point>* rows) {
+    for (size_t j = 0; j < own.size(); ++j) {
+      for (size_t anchor = 0; anchor < anchors; ++anchor) {
+        Point row;
+        for (int64_t t = 0; t < num_subspaces(); ++t) {
+          const std::vector<Point>& centers =
+              model().generator(t)->context().centers_s;
+          std::vector<size_t> picks;
+          for (size_t c = 0; c < centers.size(); ++c) {
+            if ((anchor == 0 && centers[c][0] <= kMidpoints[t]) ||
+                (anchor == 1 && c % 2 == 0) || anchor == 2) {
+              picks.push_back(c);
+            }
+          }
+          const Point& p =
+              t == s ? own[j] : centers[picks[(j + 3 * anchor) % picks.size()]];
+          row.insert(row.end(), p.begin(), p.end());
+        }
+        rows->push_back(std::move(row));
+      }
+    }
+  }
+
+  // The hull probes (three anchors each) and grid probes (one), then the
+  // rows outside the value box. The last fifth of the hull and grid rows
+  // arrive through AppendRows, so every scan also crosses a segment seam;
+  // the outside rows straddle it, half on each side.
   static data::Table AdversarialTable() {
     const std::vector<std::vector<Point>> probes = Probes();
     std::vector<Point> rows;
+    std::vector<Point> outside;
     for (int64_t s = 0; s < num_subspaces(); ++s) {
-      const std::vector<Point>& own = probes[static_cast<size_t>(s)];
-      for (size_t j = 0; j < own.size(); ++j) {
-        for (size_t anchor = 0; anchor < 3; ++anchor) {
-          Point row;
-          for (int64_t t = 0; t < num_subspaces(); ++t) {
-            const std::vector<Point>& centers =
-                model().generator(t)->context().centers_s;
-            const Point& p =
-                t == s ? own[j] : centers[(j + 3 * anchor) % centers.size()];
-            row.insert(row.end(), p.begin(), p.end());
-          }
-          rows.push_back(std::move(row));
-        }
-      }
+      AddAnchoredRows(s, probes[static_cast<size_t>(s)], 3, &rows);
+      AddAnchoredRows(s, GridProbes(s), 1, &rows);
+      AddAnchoredRows(s, OutsideProbes(s), 3, &outside);
     }
-    data::Table table({"a0", "a1", "a2", "a3", "a4", "a5"});
-    const size_t base = rows.size() - rows.size() / 5;
-    for (size_t i = 0; i < base; ++i) {
-      EXPECT_TRUE(table.AppendRow(rows[i]).ok());
-    }
-    EXPECT_TRUE(table
-                    .AppendRows(std::vector<Point>(
-                        rows.begin() + static_cast<std::ptrdiff_t>(base),
-                        rows.end()))
-                    .ok());
+    const auto base =
+        static_cast<std::ptrdiff_t>(rows.size() - rows.size() / 5);
+    const auto half = static_cast<std::ptrdiff_t>(outside.size() / 2);
+    std::vector<Point> first(rows.begin(), rows.begin() + base);
+    first.insert(first.end(), outside.begin(), outside.begin() + half);
+    std::vector<Point> appended(outside.begin() + half, outside.end());
+    appended.insert(appended.end(), rows.begin() + base, rows.end());
+    data::Table table(kColumns);
+    seam_ = static_cast<int64_t>(first.size());
+    for (const Point& row : first) EXPECT_TRUE(table.AppendRow(row).ok());
+    EXPECT_TRUE(table.AppendRows(appended).ok());
     return table;
   }
 
@@ -331,6 +448,7 @@ class RegionBoundaryTest : public ::testing::Test {
   static std::shared_ptr<ExplorationModel>* model_;
   static std::vector<std::vector<std::vector<double>>>* labelings_;
   static data::Table* table_;
+  static int64_t seam_;  // First row id of the appended segment.
 };
 
 std::vector<data::Subspace>* RegionBoundaryTest::subspaces_ = nullptr;
@@ -338,6 +456,7 @@ std::shared_ptr<ExplorationModel>* RegionBoundaryTest::model_ = nullptr;
 std::vector<std::vector<std::vector<double>>>* RegionBoundaryTest::labelings_ =
     nullptr;
 data::Table* RegionBoundaryTest::table_ = nullptr;
+int64_t RegionBoundaryTest::seam_ = 0;
 
 const int64_t kLimits[] = {-1, 1, 20};
 
@@ -381,6 +500,100 @@ TEST_F(RegionBoundaryTest, FixtureCoversDegenerateHullsAndAllMemberships) {
   }
 }
 
+// The settling-grid shapes: a polygon hull that fits inside one grid cell,
+// a value box of zero height, and rows outside the value box on both sides
+// of the segment seam.
+TEST_F(RegionBoundaryTest, FixtureCoversSettlingGridShapes) {
+  int64_t polygons_in_one_cell = 0;
+  for (size_t u = 0; u < kNumUsers; ++u) {
+    if (!HasSubregions(u)) continue;
+    for (int64_t s = 0; s < num_subspaces(); ++s) {
+      const geom::Box box = *model().ValueBox(s);
+      const std::vector<double> xs = GridLines(box.xlo, box.xhi);
+      const std::vector<double> ys = GridLines(box.ylo, box.yhi);
+      const FpFnOptimizer opt = Optimizer(LabelsOf(u), s);
+      for (const geom::Region* region :
+           {&opt.outer_subregion(), &opt.inner_subregion()}) {
+        for (const geom::ConvexRegion& part : region->parts()) {
+          if (part.hull().size() < 3) continue;
+          const auto [xmin, xmax] = std::minmax_element(
+              part.hull().begin(), part.hull().end(),
+              [](const geom::Point2& a, const geom::Point2& b) {
+                return a.x < b.x;
+              });
+          const auto [ymin, ymax] = std::minmax_element(
+              part.hull().begin(), part.hull().end(),
+              [](const geom::Point2& a, const geom::Point2& b) {
+                return a.y < b.y;
+              });
+          for (size_t c = 0; c + 1 < xs.size(); ++c) {
+            for (size_t d = 0; d + 1 < ys.size(); ++d) {
+              if (xs[c] < xmin->x && xmax->x < xs[c + 1] && ys[d] < ymin->y &&
+                  ymax->y < ys[d + 1]) {
+                ++polygons_in_one_cell;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(polygons_in_one_cell, 0) << "no polygon hull inside one cell";
+
+  const geom::Box flat = *model().ValueBox(4);
+  EXPECT_EQ(flat.ylo, flat.yhi) << "the constant column's box has height";
+  EXPECT_LT(flat.xlo, flat.xhi);
+
+  // Rows outside the value box, before and after the seam.
+  ASSERT_EQ(table_->num_segments(), 1);
+  int64_t outside[2] = {0, 0};
+  for (int64_t r = 0; r < table_->num_rows(); ++r) {
+    for (int64_t s = 0; s < num_subspaces(); ++s) {
+      const geom::Box box = *model().ValueBox(s);
+      const Point p = table_->RowProjected(
+          r, (*subspaces_)[static_cast<size_t>(s)].attribute_indices);
+      if (p[0] < box.xlo || p[0] > box.xhi || p[1] < box.ylo ||
+          p[1] > box.yhi) {
+        ++outside[r < seam_ ? 0 : 1];
+      }
+    }
+  }
+  EXPECT_GT(outside[0], 0) << "no row outside the box before the seam";
+  EXPECT_GT(outside[1], 0) << "no row outside the box after the seam";
+}
+
+// Every row a session's grid cell settles gets exactly the membership the
+// hull tests give it, in every subspace and for every labeling with
+// subregions; and the cells do settle rows here, in every subspace, though
+// never all of them.
+TEST_F(RegionBoundaryTest, SettledCellsAgreeWithLocate) {
+  for (int64_t s = 0; s < num_subspaces(); ++s) {
+    const std::vector<int64_t>& attrs =
+        (*subspaces_)[static_cast<size_t>(s)].attribute_indices;
+    int64_t settled = 0;
+    int64_t located = 0;
+    for (size_t u = 0; u < kNumUsers; ++u) {
+      if (!HasSubregions(u)) continue;
+      SCOPED_TRACE(testing::Message() << "user=" << u << " s=" << s);
+      const FpFnOptimizer opt = Optimizer(LabelsOf(u), s, /*cells=*/true);
+      for (int64_t r = 0; r < table_->num_rows(); ++r) {
+        const Point p = table_->RowProjected(r, attrs);
+        FpFnOptimizer::Membership m;
+        if (!opt.Settle(p, &m)) {
+          ++located;
+          continue;
+        }
+        ++settled;
+        const FpFnOptimizer::Membership direct = opt.Locate(p);
+        ASSERT_EQ(m.outer, direct.outer) << "row " << r;
+        ASSERT_EQ(m.inner, direct.inner) << "row " << r;
+      }
+    }
+    EXPECT_GT(settled, 0) << "s=" << s;
+    EXPECT_GT(located, 0) << "s=" << s;
+  }
+}
+
 // Direct scans: PredictRows (every row, and a scrambled selection with
 // duplicates) and RetrieveMatches at limits -1, 1, 20 equal the oracle at
 // 1 and 4 lanes, and the region step really skips forwards on the Meta*
@@ -415,37 +628,46 @@ TEST_F(RegionBoundaryTest, DirectScansMatchOracle) {
     }
     // rows_forwarded is exact: per row, each subspace the conjunction
     // reaches forwards it unless its subregions decide it. Without
-    // subregions that is every (row, reached subspace) pair.
+    // subregions that is every (row, reached subspace) pair. rows_located
+    // is exact too: the reached pairs whose grid cell proves nothing, with
+    // subregions, and none without.
     const auto session = Session(u, 1);
     std::vector<FpFnOptimizer> optimizers;
     for (int64_t s = 0; s < num_subspaces(); ++s) {
-      optimizers.push_back(Optimizer(LabelsOf(u), s));
+      optimizers.push_back(Optimizer(LabelsOf(u), s, /*cells=*/true));
     }
     int64_t reached = 0;
     int64_t band = 0;
+    int64_t located = 0;
     for (int64_t r = 0; r < table_->num_rows(); ++r) {
       for (int64_t s = 0; s < num_subspaces(); ++s) {
         const Point p = table_->RowProjected(
             r, (*subspaces_)[static_cast<size_t>(s)].attribute_indices);
+        const FpFnOptimizer& opt = optimizers[static_cast<size_t>(s)];
+        FpFnOptimizer::Membership m;
         ++reached;
-        if (!HasSubregions(u) ||
-            !optimizers[static_cast<size_t>(s)].Locate(p).decided()) {
-          ++band;
-        }
+        if (!HasSubregions(u) || !opt.Locate(p).decided()) ++band;
+        if (HasSubregions(u) && !opt.Settle(p, &m)) ++located;
         if (session->PredictSubspace(s, p) != 1.0) break;
       }
     }
-    std::vector<int64_t> matches;
-    ScanSubscriber sub;
-    sub.session = session.get();
-    sub.matches = &matches;
-    const BlockScanStats stats = RunBlockScan(*table_, {&sub, 1}, 1);
-    EXPECT_EQ(matches, Matches(oracle, -1));
-    EXPECT_EQ(stats.rows_forwarded, band) << "user=" << u;
+    for (const int64_t threads : {1, 4}) {
+      std::vector<int64_t> matches;
+      ScanSubscriber sub;
+      sub.session = session.get();
+      sub.matches = &matches;
+      const BlockScanStats stats = RunBlockScan(*table_, {&sub, 1}, threads);
+      EXPECT_EQ(matches, Matches(oracle, -1));
+      EXPECT_EQ(stats.rows_forwarded, band) << "user=" << u;
+      EXPECT_EQ(stats.rows_located, located) << "user=" << u;
+    }
     if (HasSubregions(u)) {
       EXPECT_LT(band, reached) << "user=" << u;
+      EXPECT_GT(located, 0) << "user=" << u;
+      EXPECT_LT(located, reached) << "user=" << u;
     } else {
       EXPECT_EQ(band, reached) << "user=" << u;
+      EXPECT_EQ(located, 0) << "user=" << u;
     }
   }
 }
@@ -541,10 +763,12 @@ TEST_F(RegionBoundaryTest, CoalescedScansMatchOracle) {
     }
   }
 
-  // A subscriber's band rows depend only on its own alive rows, so the
-  // scheduler's forward count for full-table predictions is the sum of the
-  // standalone counts, whatever the pass composition.
+  // A subscriber's band rows and hull-tested rows depend only on its own
+  // alive rows, so the scheduler's forward and hull-test counts for
+  // full-table predictions are the sums of the standalone counts, whatever
+  // the pass composition.
   int64_t standalone = 0;
+  int64_t standalone_located = 0;
   std::vector<int64_t> forwarded(kNumUsers);
   for (size_t u = 0; u < kNumUsers; ++u) {
     std::vector<double> predictions(all.size(), 0.0);
@@ -552,9 +776,12 @@ TEST_F(RegionBoundaryTest, CoalescedScansMatchOracle) {
     sub.session = sessions[u].get();
     sub.rows = all;
     sub.predictions = predictions;
-    forwarded[u] = RunBlockScan(*table_, {&sub, 1}, 1).rows_forwarded;
+    const BlockScanStats alone = RunBlockScan(*table_, {&sub, 1}, 1);
+    forwarded[u] = alone.rows_forwarded;
     standalone += forwarded[u];
+    standalone_located += alone.rows_located;
   }
+  EXPECT_GT(standalone_located, 0);
 
   // One pass with every user subscribed: the Meta session (no subregions)
   // forwards all its alive rows, so the shared encoded block holds rows
@@ -572,6 +799,7 @@ TEST_F(RegionBoundaryTest, CoalescedScansMatchOracle) {
     }
     const BlockScanStats pass = RunBlockScan(*table_, subs, threads);
     EXPECT_EQ(pass.rows_forwarded, standalone);
+    EXPECT_EQ(pass.rows_located, standalone_located);
     for (size_t u = 0; u < kNumUsers; ++u) {
       SCOPED_TRACE(testing::Message() << "user=" << u);
       EXPECT_EQ(predictions[u], oracles[u]);
@@ -593,7 +821,9 @@ TEST_F(RegionBoundaryTest, CoalescedScansMatchOracle) {
     });
   }
   for (std::thread& t : submitters) t.join();
+  for (size_t u = 0; u < kNumUsers; ++u) EXPECT_EQ(full[u], oracles[u]);
   EXPECT_EQ(scheduler.stats().rows_forwarded, standalone);
+  EXPECT_EQ(scheduler.stats().rows_located, standalone_located);
 }
 
 }  // namespace
