@@ -109,7 +109,9 @@ void BM_SvmTrain(benchmark::State& state) {
 BENCHMARK(BM_SvmTrain)->Arg(30)->Arg(105);
 
 // The meta-learner's online fast-adaptation: the per-user cost of LTE's
-// online phase (paper Figure 6's flat line).
+// online phase (paper Figure 6's flat line). Args: {labels, steps}, batch
+// 10. {30, 30} is a start-shaped adaptation; {5, 40} is continue-shaped,
+// a few new labels over many steps, so each step's minibatch is all of them.
 void BM_TaskModelAdaptation(benchmark::State& state) {
   lte::Rng rng(7);
   lte::core::MetaLearnerOptions opt;
@@ -120,17 +122,17 @@ void BM_TaskModelAdaptation(benchmark::State& state) {
   lte::core::MetaLearner learner(opt, &rng);
   std::vector<double> v_r(100);
   for (double& b : v_r) b = rng.Bernoulli(0.3) ? 1.0 : 0.0;
-  const auto x = RandomPoints(30, 26, &rng);
+  const auto x = RandomPoints(state.range(0), 26, &rng);
   std::vector<double> y;
   for (const auto& p : x) y.push_back(p[0] > 0.5 ? 1.0 : 0.0);
   for (auto _ : state) {
     lte::core::TaskModel tm = learner.CreateTaskModel(v_r);
-    lte::core::LocallyAdapt(&tm, x, y, /*steps=*/30, /*batch_size=*/10,
-                            /*lr=*/0.2, &rng);
+    lte::core::LocallyAdapt(&tm, x, y, /*steps=*/state.range(1),
+                            /*batch_size=*/10, /*lr=*/0.2, &rng);
     benchmark::DoNotOptimize(tm.Logit(x[0]));
   }
 }
-BENCHMARK(BM_TaskModelAdaptation);
+BENCHMARK(BM_TaskModelAdaptation)->Args({30, 30})->Args({5, 40});
 
 void BM_TaskModelPredict(benchmark::State& state) {
   lte::Rng rng(8);

@@ -1,5 +1,6 @@
 #include "core/exploration_model.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -73,6 +74,22 @@ Status LoadOptions(BinaryReader* r, ExplorerOptions* opt) {
   return Status::OK();
 }
 
+// The schedule every StartExploration / ContinueExploration adapts with. A
+// non-positive batch would abort inside LocallyAdapt on the first call, so
+// it is refused where options enter a model: Pretrain and Load.
+Status CheckOnlineSchedule(const ExplorerOptions& opt) {
+  if (opt.online_steps < 0) {
+    return Status::InvalidArgument("online_steps must be >= 0");
+  }
+  if (opt.online_batch_size <= 0) {
+    return Status::InvalidArgument("online_batch_size must be > 0");
+  }
+  if (!std::isfinite(opt.online_lr) || opt.online_lr <= 0.0) {
+    return Status::InvalidArgument("online_lr must be finite and > 0");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const data::Subspace* ExplorationModel::subspace(int64_t s) const {
@@ -118,6 +135,10 @@ Status ExplorationModel::Pretrain(const data::Table& table,
                                   bool train_meta, Rng* rng) {
   if (subspaces.empty()) {
     return Status::InvalidArgument("explorer: no subspaces");
+  }
+  const Status schedule = CheckOnlineSchedule(options_);
+  if (!schedule.ok()) {
+    return Status::InvalidArgument("explorer: " + schedule.message());
   }
   subspaces_ = subspaces;
   encoder_ = preprocess::TabularEncoder(options_.encoder);
@@ -269,6 +290,10 @@ Status ExplorationModel::LoadFromStream(std::istream* in) {
   }
   ExplorerOptions options;
   LTE_RETURN_IF_ERROR(LoadOptions(&r, &options));
+  const Status schedule = CheckOnlineSchedule(options);
+  if (!schedule.ok()) {
+    return Status::IoError("model load: " + schedule.message());
+  }
   // Threading is a serving-host knob, not model state: keep the values this
   // instance was constructed with (neither is serialized — LoadOptions
   // leaves them at their defaults).

@@ -45,7 +45,9 @@ struct ExplorerOptions {
   /// bit-identical at any thread count (see rng.h for the split scheme).
   int64_t num_threads = 0;
   /// Online fast-adaptation schedule. A larger learning rate than the
-  /// offline ρ is preferred online (paper Fig. 8(d) discussion).
+  /// offline ρ is preferred online (paper Fig. 8(d) discussion). Pretrain
+  /// and Load refuse online_steps < 0, online_batch_size <= 0 and a
+  /// non-finite or non-positive online_lr.
   int64_t online_steps = 30;
   int64_t online_batch_size = 16;
   double online_lr = 0.1;

@@ -41,6 +41,13 @@ std::string HexU64(uint64_t v) {
   return buf;
 }
 
+// Labels are relevance scores in [0, 1]. NaN fails both bounds, so one
+// NaN label is refused before it can turn every adapted parameter into NaN.
+bool AllLabelsValid(const std::vector<double>& labels) {
+  return std::all_of(labels.begin(), labels.end(),
+                     [](double y) { return y >= 0.0 && y <= 1.0; });
+}
+
 }  // namespace
 
 ExplorationSession::ExplorationSession(
@@ -347,6 +354,10 @@ Status ExplorationSession::StartExploration(
       return Status::InvalidArgument(
           "session: label count mismatch in subspace " + std::to_string(s));
     }
+    if (!AllLabelsValid(labels_per_subspace[s])) {
+      return Status::InvalidArgument(
+          "session: label outside [0, 1] in subspace " + std::to_string(s));
+    }
   }
   variant_ = variant;
   active_count_ = static_cast<int64_t>(labels_per_subspace.size());
@@ -557,6 +568,15 @@ Status ExplorationSession::ContinueExploration(
       return Status::InvalidArgument(
           "session: point width mismatch in subspace " + std::to_string(s));
     }
+    if (!std::all_of(p.begin(), p.end(),
+                     [](double v) { return std::isfinite(v); })) {
+      return Status::InvalidArgument(
+          "session: non-finite point in subspace " + std::to_string(s));
+    }
+  }
+  if (!AllLabelsValid(labels)) {
+    return Status::InvalidArgument(
+        "session: label outside [0, 1] in subspace " + std::to_string(s));
   }
   SubspaceSession& state = states_[static_cast<size_t>(s)];
   if (state.task_model == nullptr) {

@@ -108,8 +108,9 @@ class ExplorationSession {
   /// the first k subspaces explores a k-subspace prefix of the interest
   /// space (the dimensionality sweeps of the paper's Figures 4 and 7(c) use
   /// this); PredictRow then conjoins only those subspaces. Fails if the
-  /// model is not pretrained, label shapes mismatch, or a meta variant is
-  /// requested without meta-training.
+  /// model is not pretrained, label shapes mismatch, a label lies outside
+  /// [0, 1] (NaN included), or a meta variant is requested without
+  /// meta-training; a failed call changes no state.
   ///
   /// Subspaces adapt in parallel lanes capped by `num_threads()`; subspace s
   /// trains on its own `Rng::Fork(s)` stream split from one `rng->Fork()`
@@ -156,7 +157,8 @@ class ExplorationSession {
   /// feeds additional labelled tuples of subspace `s` (raw subspace
   /// coordinates) through the same local-update path, continuing from the
   /// current adapted state. Use after StartExploration, e.g. from an active-
-  /// learning loop that keeps querying the user.
+  /// learning loop that keeps querying the user. Fails, changing no state,
+  /// on a non-finite point coordinate or a label outside [0, 1].
   Status ContinueExploration(int64_t s,
                              const std::vector<std::vector<double>>& points,
                              const std::vector<double>& labels, Rng* rng);

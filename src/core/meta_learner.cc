@@ -20,6 +20,56 @@ std::vector<int64_t> LayerSizes(int64_t in, const std::vector<int64_t>& hidden,
   return sizes;
 }
 
+// (*left)[o] = Σ_{c < N_e} M_cp[o][c] · emb_R[c] in ascending c: the exact
+// running sum M_cp.MatVec([emb_R; emb_tau]) reaches after its emb_R half.
+// Shared by every tuple of a batch.
+void ConversionPrefix(const nn::Matrix& m_cp, std::span<const double> emb_r,
+                      std::vector<double>* left) {
+  const auto ne = static_cast<int64_t>(emb_r.size());
+  left->resize(static_cast<size_t>(ne));
+  nn::DotRows(m_cp.data().data(), 2 * ne, ne, emb_r, nullptr, left->data());
+}
+
+// out row n = M_cp · [emb_R; emb_tau row n] for `count` rows of `emb_tau`
+// (N_e wide each), continuing each output from ConversionPrefix's `left`.
+//
+// Row-tiled like Mlp::ForwardBatchInto: each M_cp row is streamed once per
+// tile rather than once per tuple, the inner loop runs kRowTile independent
+// scalar accumulator chains, and the tile rows are read in place at stride
+// N_e (a transposed pack measures slower on the deployment hosts — see the
+// note in Mlp::ForwardBatchInto). Accumulator t starts from the shared
+// prefix and adds row t's tau terms in ascending order — the per-row
+// operation sequence of the reference MatVec, so the product stays
+// bit-identical.
+void ConvertBatch(const nn::Matrix& m_cp, const std::vector<double>& left,
+                  const double* emb_tau, int64_t count, double* out) {
+  const auto ne = static_cast<int64_t>(left.size());
+  constexpr int64_t kRowTile = 8;
+  const int64_t full = count - count % kRowTile;
+  for (int64_t n0 = 0; n0 < full; n0 += kRowTile) {
+    const double* base = emb_tau + n0 * ne;
+    for (int64_t o = 0; o < ne; ++o) {
+      const double* w = m_cp.data().data() + o * 2 * ne + ne;
+      double acc[kRowTile];
+      for (int64_t t = 0; t < kRowTile; ++t) {
+        acc[t] = left[static_cast<size_t>(o)];
+      }
+      for (int64_t c = 0; c < ne; ++c) {
+        const double wc = w[c];
+        for (int64_t t = 0; t < kRowTile; ++t) acc[t] += wc * base[t * ne + c];
+      }
+      for (int64_t t = 0; t < kRowTile; ++t) out[(n0 + t) * ne + o] = acc[t];
+    }
+  }
+  // Ragged tail: one row at a time, identical per-row operation order.
+  for (int64_t n = full; n < count; ++n) {
+    nn::DotRows(m_cp.data().data() + ne, 2 * ne, ne,
+                std::span<const double>(emb_tau + n * ne,
+                                        static_cast<size_t>(ne)),
+                left.data(), out + n * ne);
+  }
+}
+
 }  // namespace
 
 MetaLearner::MetaLearner(MetaLearnerOptions options, Rng* rng)
@@ -214,83 +264,142 @@ Status MetaLearner::LoadFrom(BinaryReader* reader,
   return Status::OK();
 }
 
-double TaskModel::ForwardLogit(const std::vector<double>& emb_r,
-                               const std::vector<double>& tuple,
-                               nn::Mlp::Cache* tau_cache,
-                               nn::Mlp::Cache* clf_cache,
-                               std::vector<double>* concat,
-                               std::vector<double>* conv) const {
-  const std::vector<double> emb_tau = f_tau_.Forward(tuple, tau_cache);
-  std::vector<double> z = emb_r;
-  z.insert(z.end(), emb_tau.begin(), emb_tau.end());
-  std::vector<double> c = use_memory_ ? m_cp_.MatVec(z) : z;
-  const std::vector<double> out = f_clf_.Forward(c, clf_cache);
-  if (concat != nullptr) *concat = std::move(z);
-  if (conv != nullptr) *conv = std::move(c);
-  return out[0];
-}
+double TaskModel::AccumulateBatch(std::span<const double> tuples,
+                                  std::span<const double> labels,
+                                  std::span<const int64_t> rows,
+                                  TrainScratch* scratch) {
+  const int64_t in_w = f_tau_.in_features();
+  LTE_CHECK_EQ(static_cast<int64_t>(tuples.size()),
+               static_cast<int64_t>(labels.size()) * in_w);
+  const auto count = static_cast<int64_t>(rows.empty() ? labels.size()
+                                                       : rows.size());
+  LTE_CHECK_GT(count, 0);
+  const auto label = [&](int64_t n) {
+    return labels[static_cast<size_t>(
+        rows.empty() ? n : rows[static_cast<size_t>(n)])];
+  };
+  const double inv_n = 1.0 / static_cast<double>(count);
 
-double TaskModel::AccumulateBatch(
-    const std::vector<std::vector<double>>& tuples,
-    const std::vector<double>& labels) {
-  LTE_CHECK_EQ(tuples.size(), labels.size());
-  LTE_CHECK(!tuples.empty());
-  const double inv_n = 1.0 / static_cast<double>(tuples.size());
-
-  // emb_R is shared by the whole batch: one forward through f_R, one
-  // backward with the summed embedding gradient.
-  nn::Mlp::Cache r_cache;
-  const std::vector<double> emb_r = f_r_.Forward(uis_feature_, &r_cache);
+  // Forward. emb_R is shared by the whole batch: one row through f_R.
+  const std::span<const double> emb_r =
+      f_r_.ForwardTrain(uis_feature_, 1, &scratch->r);
   const auto ne = static_cast<int64_t>(emb_r.size());
-  std::vector<double> g_emb_r_sum(emb_r.size(), 0.0);
+  const std::span<const double> emb_tau =
+      f_tau_.ForwardTrain(tuples, count, &scratch->tau, rows);
+  const int64_t clf_w = f_clf_.in_features();
+  scratch->clf_in.resize(static_cast<size_t>(count * clf_w));
+  if (use_memory_) {
+    // c = M_cp · [emb_R; emb_tau], its emb_R half evaluated once per step.
+    ConversionPrefix(m_cp_, emb_r, &scratch->mcp_left);
+    ConvertBatch(m_cp_, scratch->mcp_left, emb_tau.data(), count,
+                 scratch->clf_in.data());
+  } else {
+    // Plain MAML: f_clf reads the concatenation [emb_R, emb_tau].
+    for (int64_t n = 0; n < count; ++n) {
+      double* dst = scratch->clf_in.data() + n * clf_w;
+      std::copy(emb_r.begin(), emb_r.end(), dst);
+      std::copy(emb_tau.begin() + n * ne, emb_tau.begin() + (n + 1) * ne,
+                dst + ne);
+    }
+  }
+  const std::span<const double> logits =
+      f_clf_.ForwardTrain(scratch->clf_in, count, &scratch->clf);
 
   double loss = 0.0;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    nn::Mlp::Cache tau_cache;
-    nn::Mlp::Cache clf_cache;
-    std::vector<double> concat;
-    std::vector<double> conv;
-    const double logit = ForwardLogit(emb_r, tuples[i], &tau_cache, &clf_cache,
-                                      &concat, &conv);
-    loss += inv_n * nn::BceWithLogits(logit, labels[i]);
-    const double dlogit = inv_n * nn::BceWithLogitsGrad(logit, labels[i]);
-
-    std::vector<double> g_conv = f_clf_.Backward(clf_cache, {dlogit});
-    std::vector<double> g_concat;
-    if (use_memory_) {
-      grad_m_cp_.AddOuter(g_conv, concat);
-      g_concat = m_cp_.TransposeMatVec(g_conv);
-    } else {
-      g_concat = std::move(g_conv);
-    }
-    for (int64_t j = 0; j < ne; ++j) {
-      g_emb_r_sum[static_cast<size_t>(j)] += g_concat[static_cast<size_t>(j)];
-    }
-    const std::vector<double> g_emb_tau(g_concat.begin() + ne, g_concat.end());
-    f_tau_.Backward(tau_cache, g_emb_tau);
+  scratch->grad_logit.resize(static_cast<size_t>(count));
+  for (int64_t n = 0; n < count; ++n) {
+    const double logit = logits[static_cast<size_t>(n)];
+    loss += inv_n * nn::BceWithLogits(logit, label(n));
+    scratch->grad_logit[static_cast<size_t>(n)] =
+        inv_n * nn::BceWithLogitsGrad(logit, label(n));
   }
-  f_r_.Backward(r_cache, g_emb_r_sum);
+
+  // Backward: f_clf, then the conversion, then f_tau, then f_R with the
+  // embedding gradient summed over the batch in tuple order.
+  f_clf_.BackwardBatch(scratch->grad_logit, &scratch->clf,
+                       &scratch->grad_clf_in);
+  const double* g_conv = scratch->grad_clf_in.data();
+  scratch->grad_emb_r.assign(static_cast<size_t>(ne), 0.0);
+  double* g_emb_r = scratch->grad_emb_r.data();
+  scratch->grad_emb_tau.resize(static_cast<size_t>(count * ne));
+  if (use_memory_) {
+    // dM_cp += g_conv [emb_R; emb_tau]^T per tuple (Matrix::AddOuter's
+    // sequence and zero skips), row o outer so it stays in L1.
+    double* gm = grad_m_cp_.mutable_data()->data();
+    for (int64_t o = 0; o < ne; ++o) {
+      double* dst = gm + o * 2 * ne;
+      for (int64_t n = 0; n < count; ++n) {
+        const double g = g_conv[n * ne + o];
+        if (g == 0.0) continue;
+        const double* tau = emb_tau.data() + n * ne;
+        for (int64_t c = 0; c < ne; ++c) dst[c] += g * emb_r[c];
+        for (int64_t c = 0; c < ne; ++c) dst[ne + c] += g * tau[c];
+      }
+    }
+    // [g_emb_R; g_emb_tau] = M_cp^T g_conv per tuple (TransposeMatVec's
+    // sequence and zero skips).
+    const double* m = m_cp_.data().data();
+    scratch->grad_left.resize(static_cast<size_t>(ne));
+    for (int64_t n = 0; n < count; ++n) {
+      double* left = scratch->grad_left.data();
+      double* right = scratch->grad_emb_tau.data() + n * ne;
+      std::fill(left, left + ne, 0.0);
+      std::fill(right, right + ne, 0.0);
+      for (int64_t o = 0; o < ne; ++o) {
+        const double g = g_conv[n * ne + o];
+        if (g == 0.0) continue;
+        const double* w = m + o * 2 * ne;
+        for (int64_t c = 0; c < ne; ++c) left[c] += w[c] * g;
+        for (int64_t c = 0; c < ne; ++c) right[c] += w[ne + c] * g;
+      }
+      for (int64_t j = 0; j < ne; ++j) g_emb_r[j] += left[j];
+    }
+  } else {
+    for (int64_t n = 0; n < count; ++n) {
+      const double* g = g_conv + n * clf_w;
+      for (int64_t j = 0; j < ne; ++j) g_emb_r[j] += g[j];
+      std::copy(g + ne, g + 2 * ne, scratch->grad_emb_tau.data() + n * ne);
+    }
+  }
+  f_tau_.BackwardBatch(scratch->grad_emb_tau, &scratch->tau);
+  f_r_.BackwardBatch(scratch->grad_emb_r, &scratch->r);
   return loss;
 }
 
 void TaskModel::ApplyAccumulated(double lr, double max_grad_norm) {
   // Record the θ_R gradient before consuming it (Eq. 15 uses it to write the
   // UIS-feature memory).
-  const std::vector<double> gr = f_r_.GetGradients();
-  LTE_CHECK_EQ(gr.size(), support_grad_r_.size());
-  for (size_t i = 0; i < gr.size(); ++i) support_grad_r_[i] += gr[i];
+  f_r_.AddGradientsTo(support_grad_r_);
 
   double effective_lr = lr;
   if (max_grad_norm > 0.0) {
+    // Two running sums, each in its reference order: the blocks' squared
+    // gradients, one chain through f_R, f_tau and f_clf in GetGradients
+    // order, and M_cp's Frobenius sum. One loop advances both, so their
+    // add latencies overlap.
     double norm_sq = 0.0;
-    auto add = [&norm_sq](const std::vector<double>& g) {
-      for (double x : g) norm_sq += x * x;
+    double mcp_sq = 0.0;
+    std::span<const double> mcp;
+    if (use_memory_) mcp = grad_m_cp_.data();
+    const auto add = [&](std::span<const double> g) {
+      const size_t both = std::min(g.size(), mcp.size());
+      for (size_t i = 0; i < both; ++i) {
+        norm_sq += g[i] * g[i];
+        mcp_sq += mcp[i] * mcp[i];
+      }
+      for (size_t i = both; i < g.size(); ++i) norm_sq += g[i] * g[i];
+      mcp = mcp.subspan(both);
     };
-    add(gr);
-    add(f_tau_.GetGradients());
-    add(f_clf_.GetGradients());
+    for (const nn::Mlp* block : {&f_r_, &f_tau_, &f_clf_}) {
+      for (const nn::Linear& layer : block->layers()) {
+        add(layer.grad_weights().data());
+        add(layer.grad_bias());
+      }
+    }
+    for (const double g : mcp) mcp_sq += g * g;
     if (use_memory_) {
-      const double m = grad_m_cp_.FrobeniusNorm();
+      // Matrix::FrobeniusNorm() squared back, as the reference sums it.
+      const double m = std::sqrt(mcp_sq);
       norm_sq += m * m;
     }
     const double norm = std::sqrt(norm_sq);
@@ -378,7 +487,10 @@ double TaskModel::Logit(const std::vector<double>& tuple) const {
     emb_r_cache_ = f_r_.Forward(uis_feature_);
     emb_r_valid_ = true;
   }
-  return ForwardLogit(emb_r_cache_, tuple, nullptr, nullptr, nullptr, nullptr);
+  const std::vector<double> emb_tau = f_tau_.Forward(tuple);
+  std::vector<double> z = emb_r_cache_;
+  z.insert(z.end(), emb_tau.begin(), emb_tau.end());
+  return f_clf_.Forward(use_memory_ ? m_cp_.MatVec(z) : z)[0];
 }
 
 double TaskModel::PredictProbability(const std::vector<double>& tuple) const {
@@ -411,15 +523,7 @@ void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
     // prefix that MatVec reaches after the first N_e terms, and each row
     // continues the accumulation over its emb_tau half in the same order —
     // bit-identical to the per-row product.
-    scratch->mcp_left.resize(static_cast<size_t>(ne));
-    for (int64_t o = 0; o < ne; ++o) {
-      const double* w = m_cp_.data().data() + o * 2 * ne;
-      double s = 0.0;
-      for (int64_t c = 0; c < ne; ++c) {
-        s += w[c] * emb_r_cache_[static_cast<size_t>(c)];
-      }
-      scratch->mcp_left[static_cast<size_t>(o)] = s;
-    }
+    ConversionPrefix(m_cp_, emb_r_cache_, &scratch->mcp_left);
   } else {
     // Plain MAML: f_clf reads the concatenation [emb_R, emb_tau]. Fold the
     // constant emb_R head into a first-layer prefix so rows feed f_clf just
@@ -451,45 +555,8 @@ void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
 
     if (use_memory_) {
       scratch->clf_in.resize(static_cast<size_t>(sc * ne));
-      // Row-tiled like Mlp::ForwardBatchInto: each M_cp row is streamed once
-      // per tile rather than once per tuple, the inner loop runs kRowTile
-      // independent scalar accumulator chains, and the tile rows are read in
-      // place at stride N_e (a transposed pack measures slower on the
-      // deployment hosts — see the note in Mlp::ForwardBatchInto).
-      // Accumulator t starts from the shared prefix and adds row t's tau
-      // terms in ascending order — the per-row operation sequence of the
-      // reference MatVec, so the product stays bit-identical.
-      constexpr int64_t kRowTile = 8;
-      const int64_t full = sc - sc % kRowTile;
-      for (int64_t n0 = 0; n0 < full; n0 += kRowTile) {
-        const double* base = scratch->emb_tau.data() + n0 * ne;
-        for (int64_t o = 0; o < ne; ++o) {
-          const double* w = m_cp_.data().data() + o * 2 * ne + ne;
-          double acc[kRowTile];
-          for (int64_t t = 0; t < kRowTile; ++t) {
-            acc[t] = scratch->mcp_left[static_cast<size_t>(o)];
-          }
-          for (int64_t c = 0; c < ne; ++c) {
-            const double wc = w[c];
-            for (int64_t t = 0; t < kRowTile; ++t) {
-              acc[t] += wc * base[t * ne + c];
-            }
-          }
-          for (int64_t t = 0; t < kRowTile; ++t) {
-            scratch->clf_in.data()[(n0 + t) * ne + o] = acc[t];
-          }
-        }
-      }
-      // Ragged tail: one row at a time, identical per-row operation order.
-      for (int64_t n = full; n < sc; ++n) {
-        const double* tau = scratch->emb_tau.data() + n * ne;
-        for (int64_t o = 0; o < ne; ++o) {
-          const double* w = m_cp_.data().data() + o * 2 * ne + ne;
-          double s = scratch->mcp_left[static_cast<size_t>(o)];
-          for (int64_t c = 0; c < ne; ++c) s += w[c] * tau[c];
-          scratch->clf_in.data()[n * ne + o] = s;
-        }
-      }
+      ConvertBatch(m_cp_, scratch->mcp_left, scratch->emb_tau.data(), sc,
+                   scratch->clf_in.data());
       f_clf_.ForwardBatchInto(scratch->clf_in, sc, &scratch->mlp,
                               &scratch->logits);
     } else {

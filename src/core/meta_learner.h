@@ -44,11 +44,36 @@ class MetaLearner;
 /// task (Eq. 6, 10, 11) and then trained on the task's support set.
 class TaskModel {
  public:
-  /// One SGD micro-step's worth of accumulated gradients: runs forward and
-  /// backward over the batch, adds gradients into the block accumulators,
-  /// and returns the mean BCE loss. Call ApplyAccumulated() to step.
-  double AccumulateBatch(const std::vector<std::vector<double>>& tuples,
-                         const std::vector<double>& labels);
+  /// Reusable buffers of one training step (AccumulateBatch). The caller
+  /// owns it — LocallyAdapt keeps one for all of its steps — so a task model
+  /// carries no training state at rest. Capacities reach a steady state after
+  /// the first step, so later steps allocate nothing.
+  struct TrainScratch {
+    nn::Mlp::TrainScratch r;
+    nn::Mlp::TrainScratch tau;
+    nn::Mlp::TrainScratch clf;
+    std::vector<double> mcp_left;      // N_e: M_cp's emb_R half, once per step.
+    std::vector<double> clf_in;        // count x f_clf input width.
+    std::vector<double> grad_logit;    // count.
+    std::vector<double> grad_clf_in;   // count x f_clf input width.
+    std::vector<double> grad_emb_tau;  // count x N_e.
+    std::vector<double> grad_emb_r;    // N_e, summed over the batch.
+    std::vector<double> grad_left;     // N_e: one tuple's emb_R gradient.
+  };
+
+  /// One SGD micro-step's worth of accumulated gradients over a minibatch:
+  /// runs a batch forward and backward, adds gradients into the block
+  /// accumulators, and returns the mean BCE loss. Call ApplyAccumulated() to
+  /// step. Tuple n of the minibatch is row `rows[n]` of `tuples` (row-major,
+  /// f_tau's input width per row) with label `labels[rows[n]]`; empty
+  /// `rows` = every row in order. Every accumulator receives exactly the
+  /// addition sequence of backpropagating the tuples one at a time in
+  /// minibatch order, so the step is bit-identical to the per-tuple
+  /// reference (tests/meta_learner_test.cc).
+  double AccumulateBatch(std::span<const double> tuples,
+                         std::span<const double> labels,
+                         std::span<const int64_t> rows,
+                         TrainScratch* scratch);
 
   /// Applies the accumulated gradients with learning rate `lr` (Eq. 12) and
   /// clears them. When `max_grad_norm` > 0 the joint gradient (all blocks
@@ -146,14 +171,6 @@ class TaskModel {
 
  private:
   friend class MetaLearner;
-
-  // Forward pass for one tuple given a precomputed emb_R; fills caches for
-  // the backward pass when requested.
-  double ForwardLogit(const std::vector<double>& emb_r,
-                      const std::vector<double>& tuple,
-                      nn::Mlp::Cache* tau_cache, nn::Mlp::Cache* clf_cache,
-                      std::vector<double>* concat,
-                      std::vector<double>* conv) const;
 
   bool use_memory_ = false;
   std::vector<double> uis_feature_;

@@ -28,46 +28,55 @@ std::vector<EncodedMetaTask> EncodeTasks(const std::vector<MetaTask>& tasks,
   return out;
 }
 
+namespace {
+
+// Row-major copy of equal-width rows.
+std::vector<double> PackRows(const std::vector<std::vector<double>>& x) {
+  std::vector<double> packed;
+  packed.reserve(x.empty() ? 0 : x.size() * x.front().size());
+  for (const auto& row : x) {
+    LTE_CHECK_EQ(row.size(), x.front().size());
+    packed.insert(packed.end(), row.begin(), row.end());
+  }
+  return packed;
+}
+
+}  // namespace
+
 void LocallyAdapt(TaskModel* model, const std::vector<std::vector<double>>& x,
                   const std::vector<double>& y, int64_t steps,
                   int64_t batch_size, double lr, Rng* rng,
                   double max_grad_norm) {
   LTE_CHECK_EQ(x.size(), y.size());
   LTE_CHECK(!x.empty());
+  LTE_CHECK_GT(batch_size, 0);
   const auto n = static_cast<int64_t>(x.size());
+  // Packed once; each step names its minibatch by row index, and one
+  // scratch serves every step.
+  const std::vector<double> packed = PackRows(x);
+  TaskModel::TrainScratch scratch;
   std::vector<int64_t> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), int64_t{0});
   int64_t cursor = n;  // Forces an initial shuffle.
+  std::vector<int64_t> batch(static_cast<size_t>(std::min(batch_size, n)));
 
   for (int64_t step = 0; step < steps; ++step) {
-    const int64_t take = std::min(batch_size, n);
-    std::vector<std::vector<double>> bx;
-    std::vector<double> by;
-    bx.reserve(static_cast<size_t>(take));
-    by.reserve(static_cast<size_t>(take));
-    for (int64_t i = 0; i < take; ++i) {
+    for (int64_t& idx : batch) {
       if (cursor >= n) {
         rng->Shuffle(&order);
         cursor = 0;
       }
-      const int64_t idx = order[static_cast<size_t>(cursor++)];
-      bx.push_back(x[static_cast<size_t>(idx)]);
-      by.push_back(y[static_cast<size_t>(idx)]);
+      idx = order[static_cast<size_t>(cursor++)];
     }
-    model->ZeroGrad();
-    model->AccumulateBatch(bx, by);
+    // Every ApplyAccumulated ends by zeroing the accumulators, so only the
+    // first step needs a fresh start.
+    if (step == 0) model->ZeroGrad();
+    model->AccumulateBatch(packed, y, batch, &scratch);
     model->ApplyAccumulated(lr, max_grad_norm);
   }
 }
 
 namespace {
-
-// Adds src into *dst (both flattened gradient vectors).
-void AddInto(const std::vector<double>& src, std::vector<double>* dst) {
-  if (dst->empty()) dst->assign(src.size(), 0.0);
-  LTE_CHECK_EQ(src.size(), dst->size());
-  for (size_t i = 0; i < src.size(); ++i) (*dst)[i] += src[i];
-}
 
 // One-step global update: φ ⇐ φ − λ/|batch| · Σ ∇ (Eq. 13).
 void ApplyGlobal(nn::Mlp* phi, const std::vector<double>& grad_sum,
@@ -133,8 +142,10 @@ Status MetaTrain(const std::vector<EncodedMetaTask>& tasks,
         // the adapted parameters (first-order meta-gradient; the paper's
         // one-step update "like [54]").
         tm.ZeroGrad();
+        const std::vector<double> query_x = PackRows(task.query_x);
+        TaskModel::TrainScratch scratch;
         results[static_cast<size_t>(i)].query_loss =
-            tm.AccumulateBatch(task.query_x, task.query_y);
+            tm.AccumulateBatch(query_x, task.query_y, {}, &scratch);
         results[static_cast<size_t>(i)].model = std::move(tm);
       };
 
@@ -151,30 +162,28 @@ Status MetaTrain(const std::vector<EncodedMetaTask>& tasks,
       const std::vector<double> phi_r = learner->phi_r().GetParameters();
       const std::vector<double> phi_tau = learner->phi_tau().GetParameters();
       const std::vector<double> phi_clf = learner->phi_clf().GetParameters();
-      auto reptile_delta = [](const std::vector<double>& phi,
-                              const std::vector<double>& theta) {
-        std::vector<double> d(phi.size());
-        for (size_t j = 0; j < phi.size(); ++j) d[j] = phi[j] - theta[j];
-        return d;
+      // *sum += φ − θ̂, elementwise.
+      auto add_reptile_delta = [](const std::vector<double>& phi,
+                                  const std::vector<double>& theta,
+                                  std::vector<double>* sum) {
+        for (size_t j = 0; j < phi.size(); ++j) (*sum)[j] += phi[j] - theta[j];
       };
 
-      std::vector<double> grad_r;
-      std::vector<double> grad_tau;
-      std::vector<double> grad_clf;
+      std::vector<double> grad_r(phi_r.size(), 0.0);
+      std::vector<double> grad_tau(phi_tau.size(), 0.0);
+      std::vector<double> grad_clf(phi_clf.size(), 0.0);
       for (int64_t i = 0; i < batch; ++i) {
         const TaskModel& tm = results[static_cast<size_t>(i)].model;
         epoch_loss += results[static_cast<size_t>(i)].query_loss;
         ++counted;
         if (reptile) {
-          AddInto(reptile_delta(phi_r, tm.f_r().GetParameters()), &grad_r);
-          AddInto(reptile_delta(phi_tau, tm.f_tau().GetParameters()),
-                  &grad_tau);
-          AddInto(reptile_delta(phi_clf, tm.f_clf().GetParameters()),
-                  &grad_clf);
+          add_reptile_delta(phi_r, tm.f_r().GetParameters(), &grad_r);
+          add_reptile_delta(phi_tau, tm.f_tau().GetParameters(), &grad_tau);
+          add_reptile_delta(phi_clf, tm.f_clf().GetParameters(), &grad_clf);
         } else {
-          AddInto(tm.f_r().GetGradients(), &grad_r);
-          AddInto(tm.f_tau().GetGradients(), &grad_tau);
-          AddInto(tm.f_clf().GetGradients(), &grad_clf);
+          tm.f_r().AddGradientsTo(grad_r);
+          tm.f_tau().AddGradientsTo(grad_tau);
+          tm.f_clf().AddGradientsTo(grad_clf);
         }
         learner->UpdateMemories(tm, options.eta, options.beta, options.gamma);
       }

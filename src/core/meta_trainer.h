@@ -93,7 +93,9 @@ struct MetaTrainStats {
 /// Runs one local adaptation (the underlined steps of Algorithm 2): `steps`
 /// SGD steps of minibatches drawn from the labelled set, with gradient
 /// clipping (`max_grad_norm`; <= 0 disables). This same routine fast-adapts
-/// the meta-learner online with user labels.
+/// the meta-learner online with user labels. `x` is packed once and every
+/// step reuses one TaskModel::TrainScratch, so the allocations of a call do
+/// not grow with `steps`. Requires a non-empty set and `batch_size` > 0.
 void LocallyAdapt(TaskModel* model, const std::vector<std::vector<double>>& x,
                   const std::vector<double>& y, int64_t steps,
                   int64_t batch_size, double lr, Rng* rng,

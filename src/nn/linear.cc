@@ -1,5 +1,7 @@
 #include "nn/linear.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace lte::nn {
@@ -18,12 +20,57 @@ std::vector<double> Linear::Forward(const std::vector<double>& x) const {
   return y;
 }
 
-std::vector<double> Linear::Backward(const std::vector<double>& x,
-                                     const std::vector<double>& grad_out) {
-  LTE_CHECK_EQ(static_cast<int64_t>(grad_out.size()), out_features());
-  grad_weights_.AddOuter(grad_out, x);
-  for (size_t i = 0; i < grad_bias_.size(); ++i) grad_bias_[i] += grad_out[i];
-  return weights_.TransposeMatVec(grad_out);
+void Linear::BackwardBatch(std::span<const double> x,
+                           std::span<const int64_t> rows,
+                           std::span<const double> grad_out,
+                           std::span<double> grad_in) {
+  const int64_t in_w = in_features();
+  const int64_t out_w = out_features();
+  LTE_CHECK_EQ(static_cast<int64_t>(grad_out.size()) % out_w, 0);
+  const int64_t count = static_cast<int64_t>(grad_out.size()) / out_w;
+  LTE_CHECK_EQ(static_cast<int64_t>(x.size()) % in_w, 0);
+  const int64_t x_rows = static_cast<int64_t>(x.size()) / in_w;
+  if (rows.empty()) {
+    LTE_CHECK_EQ(x_rows, count);
+  } else {
+    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
+    for (const int64_t r : rows) LTE_CHECK(r >= 0 && r < x_rows);
+  }
+  const auto row = [&](int64_t n) {
+    return x.data() + (rows.empty() ? n : rows[static_cast<size_t>(n)]) * in_w;
+  };
+  const double* g = grad_out.data();
+  // dW: output row o outer, batch rows inner. Each dW[o][c] still sums its
+  // per-row terms in batch order, while dW's row o stays in L1 across the
+  // batch.
+  double* gw = grad_weights_.mutable_data()->data();
+  for (int64_t o = 0; o < out_w; ++o) {
+    double* dst = gw + o * in_w;
+    for (int64_t n = 0; n < count; ++n) {
+      const double go = g[n * out_w + o];
+      if (go == 0.0) continue;
+      const double* xn = row(n);
+      for (int64_t c = 0; c < in_w; ++c) dst[c] += go * xn[c];
+    }
+  }
+  for (int64_t n = 0; n < count; ++n) {
+    for (int64_t o = 0; o < out_w; ++o) {
+      grad_bias_[static_cast<size_t>(o)] += g[n * out_w + o];
+    }
+  }
+  if (grad_in.empty()) return;
+  LTE_CHECK_EQ(static_cast<int64_t>(grad_in.size()), count * in_w);
+  const double* w = weights_.data().data();
+  for (int64_t n = 0; n < count; ++n) {
+    double* gi = grad_in.data() + n * in_w;
+    std::fill(gi, gi + in_w, 0.0);
+    for (int64_t o = 0; o < out_w; ++o) {
+      const double go = g[n * out_w + o];
+      if (go == 0.0) continue;
+      const double* wo = w + o * in_w;
+      for (int64_t c = 0; c < in_w; ++c) gi[c] += wo[c] * go;
+    }
+  }
 }
 
 void Linear::ZeroGrad() {

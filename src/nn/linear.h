@@ -2,6 +2,7 @@
 #define LTE_NN_LINEAR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,10 +26,18 @@ class Linear {
   /// y = W x + b.
   std::vector<double> Forward(const std::vector<double>& x) const;
 
-  /// Accumulates dW += grad_out x^T and db += grad_out; returns
-  /// grad_in = W^T grad_out. `x` must be the input passed to Forward.
-  std::vector<double> Backward(const std::vector<double>& x,
-                               const std::vector<double>& grad_out);
+  /// Batch backward over the rows of `grad_out` (count x out_features()
+  /// gradients w.r.t. the layer output). Row n's input is row n of `x`, or
+  /// row `rows[n]` of `x` when `rows` is non-empty (x row-major,
+  /// in_features() doubles per row). For each row in order, accumulates
+  /// dW += g_n x_n^T, skipping the zero entries of g_n as Matrix::AddOuter
+  /// does, and db += g_n; so every accumulator receives exactly the addition
+  /// sequence of backpropagating the rows one at a time. When `grad_in` is
+  /// non-empty it receives count x in_features() input gradients
+  /// W^T g_n, accumulated like Matrix::TransposeMatVec; empty skips them.
+  void BackwardBatch(std::span<const double> x, std::span<const int64_t> rows,
+                     std::span<const double> grad_out,
+                     std::span<double> grad_in);
 
   void ZeroGrad();
 
@@ -49,6 +58,8 @@ class Linear {
 
   const Matrix& weights() const { return weights_; }
   const std::vector<double>& bias() const { return bias_; }
+  const Matrix& grad_weights() const { return grad_weights_; }
+  const std::vector<double>& grad_bias() const { return grad_bias_; }
 
  private:
   Matrix weights_;                 // out x in.

@@ -6,6 +6,40 @@
 
 namespace lte::nn {
 
+void DotRows(const double* w, int64_t stride, int64_t rows,
+             std::span<const double> x, const double* init, double* out) {
+  const auto len = static_cast<int64_t>(x.size());
+  constexpr int64_t kOutTile = 4;
+  int64_t o = 0;
+  for (; o + kOutTile <= rows; o += kOutTile) {
+    const double* w0 = w + o * stride;
+    const double* w1 = w0 + stride;
+    const double* w2 = w1 + stride;
+    const double* w3 = w2 + stride;
+    double a0 = init != nullptr ? init[o] : 0.0;
+    double a1 = init != nullptr ? init[o + 1] : 0.0;
+    double a2 = init != nullptr ? init[o + 2] : 0.0;
+    double a3 = init != nullptr ? init[o + 3] : 0.0;
+    for (int64_t c = 0; c < len; ++c) {
+      const double xc = x[static_cast<size_t>(c)];
+      a0 += w0[c] * xc;
+      a1 += w1[c] * xc;
+      a2 += w2[c] * xc;
+      a3 += w3[c] * xc;
+    }
+    out[o] = a0;
+    out[o + 1] = a1;
+    out[o + 2] = a2;
+    out[o + 3] = a3;
+  }
+  for (; o < rows; ++o) {
+    const double* wo = w + o * stride;
+    double a = init != nullptr ? init[o] : 0.0;
+    for (int64_t c = 0; c < len; ++c) a += wo[c] * x[static_cast<size_t>(c)];
+    out[o] = a;
+  }
+}
+
 Matrix::Matrix(int64_t rows, int64_t cols) : rows_(rows), cols_(cols) {
   LTE_CHECK_GE(rows, 0);
   LTE_CHECK_GE(cols, 0);
@@ -29,12 +63,7 @@ void Matrix::InitGaussian(Rng* rng, double stddev) {
 std::vector<double> Matrix::MatVec(const std::vector<double>& x) const {
   LTE_CHECK_EQ(static_cast<int64_t>(x.size()), cols_);
   std::vector<double> y(static_cast<size_t>(rows_), 0.0);
-  for (int64_t r = 0; r < rows_; ++r) {
-    double s = 0.0;
-    const double* row = &data_[static_cast<size_t>(r * cols_)];
-    for (int64_t c = 0; c < cols_; ++c) s += row[c] * x[static_cast<size_t>(c)];
-    y[static_cast<size_t>(r)] = s;
-  }
+  DotRows(data_.data(), cols_, rows_, x, nullptr, y.data());
   return y;
 }
 

@@ -2,12 +2,22 @@
 #define LTE_NN_MATRIX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/binary_io.h"
 #include "common/rng.h"
 
 namespace lte::nn {
+
+/// out[o] = init[o] + Σ_{c < x.size()} w[o * stride + c] · x[c] for
+/// o < rows (`init` null = 0.0). Each output accumulates alone in ascending
+/// c, the operation sequence of a plain dot product, so results are
+/// bit-identical to one; several outputs advance together so that their
+/// independent add chains overlap instead of each waiting out the FP-add
+/// latency of the one before.
+void DotRows(const double* w, int64_t stride, int64_t rows,
+             std::span<const double> x, const double* init, double* out);
 
 /// A dense row-major matrix of doubles.
 ///

@@ -49,6 +49,69 @@ int64_t CheckedBatchHeadWidth(size_t x_size, int64_t count,
   return head_w;
 }
 
+// Forwards `count` rows through one layer into `dst` (count x out width).
+// Input row n is row n of `in`, or row `rows[n]` when `rows` is non-empty,
+// each in_width - `skip` doubles wide; with `skip` > 0 the row lacks the
+// first `skip` features and every accumulator starts from `prefix`.
+//
+// Tiled over rows: each weight row is streamed from cache once per kRowTile
+// rows instead of once per row, and the innermost loop runs kRowTile
+// independent scalar accumulator chains — breaking the single-accumulator
+// FP-add latency chain a per-row dot product is stuck with. The tile rows are
+// read in place rather than packed contiguously: a transposed pack invites
+// the autovectorizer in, and on the deployment hosts packed-double SSE
+// arithmetic measures slower per element than the scalar chains this shape
+// compiles to (see bench_columnar_scan). Each row's own accumulation is
+// untouched: accumulator t sums row t's terms in ascending input order with
+// the bias added after the full dot (same operation order as
+// Linear::Forward, ReLU fused), so every row is bit-identical to the
+// vector-at-a-time path.
+void ForwardLayer(const Linear& layer, const double* in,
+                  std::span<const int64_t> rows, int64_t skip,
+                  std::span<const double> prefix, int64_t count, bool relu,
+                  double* dst) {
+  const int64_t in_w = layer.in_features();
+  const int64_t out_w = layer.out_features();
+  const int64_t data_w = in_w - skip;
+  const auto row = [&](int64_t n) {
+    return in + (rows.empty() ? n : rows[static_cast<size_t>(n)]) * data_w;
+  };
+  const double* weights = layer.weights().data().data();
+  const std::vector<double>& bias = layer.bias();
+  constexpr int64_t kRowTile = 8;
+  const int64_t full = count - count % kRowTile;
+  for (int64_t n0 = 0; n0 < full; n0 += kRowTile) {
+    const double* tile[kRowTile];
+    for (int64_t t = 0; t < kRowTile; ++t) tile[t] = row(n0 + t);
+    for (int64_t o = 0; o < out_w; ++o) {
+      const double* w = weights + o * in_w + skip;
+      const double init = skip > 0 ? prefix[static_cast<size_t>(o)] : 0.0;
+      double acc[kRowTile];
+      for (int64_t t = 0; t < kRowTile; ++t) acc[t] = init;
+      for (int64_t c = 0; c < data_w; ++c) {
+        const double wc = w[c];
+        for (int64_t t = 0; t < kRowTile; ++t) acc[t] += wc * tile[t][c];
+      }
+      const double b = bias[static_cast<size_t>(o)];
+      for (int64_t t = 0; t < kRowTile; ++t) {
+        const double s = acc[t] + b;
+        dst[(n0 + t) * out_w + o] = relu ? (s > 0.0 ? s : 0.0) : s;
+      }
+    }
+  }
+  // Ragged tail: one row at a time, identical per-row operation order.
+  for (int64_t n = full; n < count; ++n) {
+    double* out = dst + n * out_w;
+    DotRows(weights + skip, in_w, out_w,
+            std::span<const double>(row(n), static_cast<size_t>(data_w)),
+            skip > 0 ? prefix.data() : nullptr, out);
+    for (int64_t o = 0; o < out_w; ++o) {
+      const double s = out[o] + bias[static_cast<size_t>(o)];
+      out[o] = relu ? (s > 0.0 ? s : 0.0) : s;
+    }
+  }
+}
+
 }  // namespace
 
 Mlp::Mlp(const std::vector<int64_t>& layer_sizes, Rng* rng) {
@@ -68,18 +131,11 @@ int64_t Mlp::out_features() const {
   return layers_.back().out_features();
 }
 
-std::vector<double> Mlp::Forward(const std::vector<double>& x,
-                                 Cache* cache) const {
+std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
   LTE_CHECK(!layers_.empty());
-  if (cache != nullptr) {
-    cache->inputs.clear();
-    cache->pre_activations.clear();
-  }
   std::vector<double> h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    if (cache != nullptr) cache->inputs.push_back(h);
     std::vector<double> z = layers_[i].Forward(h);
-    if (cache != nullptr) cache->pre_activations.push_back(z);
     // No activation after the final layer.
     h = (i + 1 < layers_.size()) ? Relu(z) : std::move(z);
   }
@@ -97,73 +153,72 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
                             layers_.front().out_features(), rows);
   const double* in = x.data();
   for (size_t i = 0; i < layers_.size(); ++i) {
-    const Linear& layer = layers_[i];
-    const int64_t in_w = layer.in_features();
-    const int64_t out_w = layer.out_features();
     const bool first = i == 0;
     const bool last = i + 1 == layers_.size();
-    // The first layer may skip the shared head: its rows are narrower and
-    // its accumulators start from the precomputed prefix.
-    const int64_t skip = first && !first_layer_prefix.empty() ? head_w : 0;
-    const int64_t data_w = in_w - skip;
-    // Input row n of this layer: the indexed row of `x` for the first layer
-    // of an indexed batch, else row n of the dense activations.
-    const bool indexed = first && !rows.empty();
-    const auto row = [&](int64_t n) {
-      return in + (indexed ? rows[static_cast<size_t>(n)] : n) * data_w;
-    };
     std::vector<double>* dst =
         last ? out : (in == scratch->a.data() ? &scratch->b : &scratch->a);
-    dst->resize(static_cast<size_t>(count * out_w));
-    const double* weights = layer.weights().data().data();
-    const std::vector<double>& bias = layer.bias();
-    // Tiled over rows: each weight row is streamed from cache once per
-    // kRowTile rows instead of once per row, and the innermost loop runs
-    // kRowTile independent scalar accumulator chains — breaking the
-    // single-accumulator FP-add latency chain a per-row dot product is
-    // stuck with. The tile rows are read in place rather than packed
-    // contiguously: a transposed pack invites the autovectorizer in, and on
-    // the deployment hosts packed-double SSE arithmetic measures slower per
-    // element than the scalar chains this shape compiles to (see
-    // bench_columnar_scan). Each row's own accumulation is untouched:
-    // accumulator t sums row t's terms in ascending input order with the
-    // bias added after the full dot (same operation order as
-    // Linear::Forward, ReLU fused), so every row is bit-identical to the
-    // vector-at-a-time path.
-    constexpr int64_t kRowTile = 8;
-    const int64_t full = count - count % kRowTile;
-    for (int64_t n0 = 0; n0 < full; n0 += kRowTile) {
-      const double* tile[kRowTile];
-      for (int64_t t = 0; t < kRowTile; ++t) tile[t] = row(n0 + t);
-      for (int64_t o = 0; o < out_w; ++o) {
-        const double* w = weights + o * in_w + skip;
-        const double init =
-            skip > 0 ? first_layer_prefix[static_cast<size_t>(o)] : 0.0;
-        double acc[kRowTile];
-        for (int64_t t = 0; t < kRowTile; ++t) acc[t] = init;
-        for (int64_t c = 0; c < data_w; ++c) {
-          const double wc = w[c];
-          for (int64_t t = 0; t < kRowTile; ++t) acc[t] += wc * tile[t][c];
-        }
-        const double b = bias[static_cast<size_t>(o)];
-        for (int64_t t = 0; t < kRowTile; ++t) {
-          const double s = acc[t] + b;
-          dst->data()[(n0 + t) * out_w + o] = last ? s : (s > 0.0 ? s : 0.0);
-        }
-      }
-    }
-    // Ragged tail: one row at a time, identical per-row operation order.
-    for (int64_t n = full; n < count; ++n) {
-      const double* r = row(n);
-      for (int64_t o = 0; o < out_w; ++o) {
-        const double* w = weights + o * in_w + skip;
-        double s = skip > 0 ? first_layer_prefix[static_cast<size_t>(o)] : 0.0;
-        for (int64_t c = 0; c < data_w; ++c) s += w[c] * r[c];
-        s += bias[static_cast<size_t>(o)];
-        dst->data()[n * out_w + o] = last ? s : (s > 0.0 ? s : 0.0);
-      }
-    }
+    dst->resize(static_cast<size_t>(count * layers_[i].out_features()));
+    // The first layer may skip the shared head: its rows are narrower and
+    // its accumulators start from the precomputed prefix.
+    ForwardLayer(layers_[i], in, first ? rows : std::span<const int64_t>{},
+                 first && !first_layer_prefix.empty() ? head_w : 0,
+                 first_layer_prefix, count, /*relu=*/!last, dst->data());
     in = dst->data();
+  }
+}
+
+std::span<const double> Mlp::ForwardTrain(std::span<const double> x,
+                                          int64_t count, TrainScratch* scratch,
+                                          std::span<const int64_t> rows) const {
+  LTE_CHECK(!layers_.empty());
+  CheckedBatchHeadWidth(x.size(), count, in_features(), 0, 0, rows);
+  scratch->x = x;
+  scratch->rows = rows;
+  scratch->outputs.resize(layers_.size());
+  const double* in = x.data();
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    std::vector<double>& dst = scratch->outputs[i];
+    dst.resize(static_cast<size_t>(count * layers_[i].out_features()));
+    ForwardLayer(layers_[i], in, i == 0 ? rows : std::span<const int64_t>{},
+                 /*skip=*/0, /*prefix=*/{}, count,
+                 /*relu=*/i + 1 < layers_.size(), dst.data());
+    in = dst.data();
+  }
+  return scratch->outputs.back();
+}
+
+void Mlp::BackwardBatch(std::span<const double> grad_out,
+                        TrainScratch* scratch, std::vector<double>* grad_in) {
+  LTE_CHECK_EQ(scratch->outputs.size(), layers_.size());
+  LTE_CHECK_EQ(grad_out.size(), scratch->outputs.back().size());
+  std::span<const double> g = grad_out;
+  for (size_t i = layers_.size(); i-- > 0;) {
+    Linear& layer = layers_[i];
+    const int64_t count =
+        static_cast<int64_t>(g.size()) / layer.out_features();
+    // Layer i's input gradient feeds layer i - 1; the first layer's goes to
+    // the caller, or is skipped.
+    std::vector<double>* dst =
+        i > 0 ? (g.data() == scratch->grad.data() ? &scratch->grad_next
+                                                  : &scratch->grad)
+              : grad_in;
+    std::span<double> gin;
+    if (dst != nullptr) {
+      dst->resize(static_cast<size_t>(count * layer.in_features()));
+      gin = *dst;
+    }
+    if (i == 0) {
+      layer.BackwardBatch(scratch->x, scratch->rows, g, gin);
+      break;
+    }
+    const std::vector<double>& below = scratch->outputs[i - 1];
+    layer.BackwardBatch(below, {}, g, gin);
+    // ReLU backward through layer i - 1's output: its mask (output > 0) is
+    // the mask of the pre-activation (pre-activation > 0).
+    for (size_t k = 0; k < gin.size(); ++k) {
+      if (!(below[k] > 0.0)) gin[k] = 0.0;
+    }
+    g = gin;
   }
 }
 
@@ -174,27 +229,9 @@ void Mlp::ComputeFirstLayerPrefix(std::span<const double> head,
   LTE_CHECK_LE(static_cast<int64_t>(head.size()), layer.in_features());
   const int64_t in_w = layer.in_features();
   const int64_t out_w = layer.out_features();
-  const double* weights = layer.weights().data().data();
   prefix->resize(static_cast<size_t>(out_w));
-  for (int64_t o = 0; o < out_w; ++o) {
-    const double* w = weights + o * in_w;
-    double s = 0.0;
-    for (size_t c = 0; c < head.size(); ++c) s += w[c] * head[c];
-    (*prefix)[static_cast<size_t>(o)] = s;
-  }
-}
-
-std::vector<double> Mlp::Backward(const Cache& cache,
-                                  const std::vector<double>& grad_out) {
-  LTE_CHECK_EQ(cache.inputs.size(), layers_.size());
-  std::vector<double> g = grad_out;
-  for (size_t i = layers_.size(); i-- > 0;) {
-    if (i + 1 < layers_.size()) {
-      g = ReluBackward(cache.pre_activations[i], g);
-    }
-    g = layers_[i].Backward(cache.inputs[i], g);
-  }
-  return g;
+  DotRows(layer.weights().data().data(), in_w, out_w, head, nullptr,
+          prefix->data());
 }
 
 void Mlp::ZeroGrad() {
@@ -261,6 +298,15 @@ std::vector<double> Mlp::GetGradients() const {
   out.reserve(static_cast<size_t>(ParameterCount()));
   for (const Linear& l : layers_) l.AppendGradients(&out);
   return out;
+}
+
+void Mlp::AddGradientsTo(std::span<double> dst) const {
+  LTE_CHECK_EQ(static_cast<int64_t>(dst.size()), ParameterCount());
+  size_t offset = 0;
+  for (const Linear& l : layers_) {
+    for (const double g : l.grad_weights().data()) dst[offset++] += g;
+    for (const double g : l.grad_bias()) dst[offset++] += g;
+  }
 }
 
 }  // namespace lte::nn

@@ -31,17 +31,8 @@ class Mlp {
   int64_t out_features() const;
   int64_t num_layers() const { return static_cast<int64_t>(layers_.size()); }
 
-  /// Intermediate state captured by Forward for use by Backward.
-  struct Cache {
-    /// inputs[i] is the input to layer i (post-activation of layer i-1).
-    std::vector<std::vector<double>> inputs;
-    /// pre_activations[i] is layer i's linear output (pre-ReLU).
-    std::vector<std::vector<double>> pre_activations;
-  };
-
-  /// Forward pass; fills *cache when non-null.
-  std::vector<double> Forward(const std::vector<double>& x,
-                              Cache* cache = nullptr) const;
+  /// Forward pass for one input.
+  std::vector<double> Forward(const std::vector<double>& x) const;
 
   /// Reusable ping-pong activation buffers for ForwardBatchInto. Capacities
   /// reach a steady state after the first block, so batched inference
@@ -54,10 +45,10 @@ class Mlp {
   /// Batch inference forward for the columnar serving path: `x` holds
   /// row-major inputs of in_features() doubles each; writes `count`
   /// row-major outputs of out_features() doubles into `*out` (resized).
-  /// Captures no cache (inference only, no Backward). Each row's output is
-  /// bit-identical to Forward on that row — every output element accumulates
-  /// its dot product in the same order, adds the bias last, and applies the
-  /// same ReLU — so batching rows never changes results.
+  /// Keeps no activations (inference only; see ForwardTrain). Each row's
+  /// output is bit-identical to Forward on that row — every output element
+  /// accumulates its dot product in the same order, adds the bias last, and
+  /// applies the same ReLU — so batching rows never changes results.
   ///
   /// `rows` selects the inputs by index: output n is the forward of row
   /// `rows[n]` of `x`, read in place by the first layer, so a caller can
@@ -88,10 +79,40 @@ class Mlp {
   void ComputeFirstLayerPrefix(std::span<const double> head,
                                std::vector<double>* prefix) const;
 
-  /// Backpropagates grad_out (gradient w.r.t. the final linear output),
-  /// accumulating layer gradients; returns the gradient w.r.t. the input.
-  std::vector<double> Backward(const Cache& cache,
-                               const std::vector<double>& grad_out);
+  /// Buffers of one batch training step: ForwardTrain keeps every layer's
+  /// output here for BackwardBatch, which passes its gradients between
+  /// layers through `grad` and `grad_next`. Capacities reach a steady state
+  /// after the first step, so a training loop that reuses one scratch
+  /// allocates nothing per step.
+  struct TrainScratch {
+    /// outputs[i]: count x out width of layer i, ReLU applied on every
+    /// layer but the last.
+    std::vector<std::vector<double>> outputs;
+    std::vector<double> grad;
+    std::vector<double> grad_next;
+    /// The batch input of the last ForwardTrain; BackwardBatch reads it
+    /// again, so it must outlive the step.
+    std::span<const double> x;
+    std::span<const int64_t> rows;
+  };
+
+  /// Training forward over a batch: `x`, `count` and `rows` as in
+  /// ForwardBatchInto (no shared-head prefix), with every row bit-identical
+  /// to Forward. Keeps each layer's output in `*scratch` for BackwardBatch
+  /// and returns the final one (count x out_features()).
+  std::span<const double> ForwardTrain(
+      std::span<const double> x, int64_t count, TrainScratch* scratch,
+      std::span<const int64_t> rows = {}) const;
+
+  /// Backpropagates the batch of the last ForwardTrain on `*scratch`.
+  /// `grad_out` holds count x out_features() gradients w.r.t. the final
+  /// linear output. Accumulates every layer's gradients row by row in batch
+  /// order (Linear::BackwardBatch), so each accumulator receives exactly the
+  /// addition sequence of backpropagating the rows one at a time. When
+  /// `grad_in` is non-null it receives count x in_features() input
+  /// gradients; null skips the first layer's input gradient altogether.
+  void BackwardBatch(std::span<const double> grad_out, TrainScratch* scratch,
+                     std::vector<double>* grad_in = nullptr);
 
   void ZeroGrad();
 
@@ -102,6 +123,9 @@ class Mlp {
   std::vector<double> GetParameters() const;
   void SetParameters(const std::vector<double>& params);
   std::vector<double> GetGradients() const;
+
+  /// dst[i] += GetGradients()[i], without the copy.
+  void AddGradientsTo(std::span<double> dst) const;
 
   /// Layer widths {in, hidden..., out} (the constructor argument).
   std::vector<int64_t> LayerSizes() const;

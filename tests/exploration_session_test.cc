@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -255,6 +259,55 @@ TEST_F(ExplorationSessionTest, ContinueExplorationNullRngIsError) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   // The session is untouched and still serves queries.
   EXPECT_TRUE(session.PredictRow(table_.Row(0)).has_value());
+}
+
+// A NaN or out-of-range label, or a non-finite point, is refused before any
+// state changes: one NaN would otherwise turn every adapted parameter into
+// NaN, and the session would checkpoint that state.
+TEST_F(ExplorationSessionTest, RejectsNonFiniteInputsWithoutStateChange) {
+  ExplorationSession session(model_, 1);
+  session.SeedRng(9);
+  ASSERT_TRUE(session
+                  .StartExploration(UserLabels(0), Variant::kMetaStar,
+                                    session.session_rng())
+                  .ok());
+  const auto saved = [&session] {
+    std::ostringstream out(std::ios::binary);
+    EXPECT_TRUE(session.SaveToStream(&out).ok());
+    return out.str();
+  };
+  const std::string before = saved();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> point = (*model_->InitialTuples(0))[0];
+
+  for (const double bad : {nan, inf, -0.5, 1.5}) {
+    EXPECT_EQ(session
+                  .ContinueExploration(0, {point, point}, {1.0, bad},
+                                       session.session_rng())
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "label " << bad;
+    std::vector<double> bad_point = point;
+    bad_point[1] = bad;
+    if (!std::isfinite(bad)) {
+      EXPECT_EQ(session
+                    .ContinueExploration(0, {point, bad_point}, {1.0, 0.0},
+                                         session.session_rng())
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << "coordinate " << bad;
+    }
+    std::vector<std::vector<double>> labels = UserLabels(1);
+    labels[1][3] = bad;
+    EXPECT_EQ(session
+                  .StartExploration(labels, Variant::kMetaStar,
+                                    session.session_rng())
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "start label " << bad;
+  }
+  EXPECT_EQ(saved(), before);
 }
 
 TEST_F(ExplorationSessionTest, ResetDropsAdaptedState) {

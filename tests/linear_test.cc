@@ -42,7 +42,10 @@ TEST(LinearTest, BackwardGradInIsWTransposeG) {
   std::vector<double> params = {1, 2, 3, 4, 0, 0};
   size_t offset = 0;
   layer.LoadParameters(params, &offset);
-  const std::vector<double> gin = layer.Backward({1.0, 1.0}, {1.0, 1.0});
+  const std::vector<double> x = {1.0, 1.0};
+  const std::vector<double> g = {1.0, 1.0};
+  std::vector<double> gin(2);
+  layer.BackwardBatch(x, {}, g, gin);
   // W^T g = [1+3, 2+4].
   EXPECT_DOUBLE_EQ(gin[0], 4.0);
   EXPECT_DOUBLE_EQ(gin[1], 6.0);
@@ -58,7 +61,8 @@ TEST(LinearTest, GradientsMatchFiniteDifference) {
     return y[0] + y[1];
   };
   layer.ZeroGrad();
-  layer.Backward(x, {1.0, 1.0});
+  const std::vector<double> g = {1.0, 1.0};
+  layer.BackwardBatch(x, {}, g, {});
   std::vector<double> analytic;
   layer.AppendGradients(&analytic);
 
@@ -86,8 +90,10 @@ TEST(LinearTest, GradientsAccumulateAcrossBackwardCalls) {
   Rng rng(5);
   Linear layer(1, 1, &rng);
   layer.ZeroGrad();
-  layer.Backward({2.0}, {1.0});
-  layer.Backward({2.0}, {1.0});
+  const std::vector<double> x = {2.0};
+  const std::vector<double> g = {1.0};
+  layer.BackwardBatch(x, {}, g, {});
+  layer.BackwardBatch(x, {}, g, {});
   std::vector<double> grads;
   layer.AppendGradients(&grads);
   EXPECT_DOUBLE_EQ(grads[0], 4.0);  // dW accumulated twice.
@@ -101,12 +107,45 @@ TEST(LinearTest, ApplyGradientsIsSgdStep) {
   size_t off = 0;
   layer.LoadParameters(params, &off);
   layer.ZeroGrad();
-  layer.Backward({1.0}, {1.0});  // dW = 1, db = 1.
+  const std::vector<double> one = {1.0};
+  layer.BackwardBatch(one, {}, one, {});  // dW = 1, db = 1.
   layer.ApplyGradients(0.1);
   std::vector<double> updated;
   layer.AppendParameters(&updated);
   EXPECT_DOUBLE_EQ(updated[0], 1.9);
   EXPECT_DOUBLE_EQ(updated[1], 0.9);
+}
+
+// A batch accumulates its rows in order, reads indexed rows in place, and
+// writes one input gradient per row.
+TEST(LinearTest, BackwardBatchMatchesRowByRow) {
+  Rng rng(7);
+  Linear batch(3, 2, &rng);
+  Linear single = batch;
+  const std::vector<double> x = {0.5, -1.0, 2.0,   // row 0
+                                 1.5, 0.25, -0.5,  // row 1
+                                 -2.0, 1.0, 0.75};  // row 2
+  const std::vector<int64_t> rows = {2, 0};
+  const std::vector<double> g = {1.0, 0.0, -0.5, 2.0};
+  std::vector<double> gin(2 * 3);
+  batch.ZeroGrad();
+  batch.BackwardBatch(x, rows, g, gin);
+  single.ZeroGrad();
+  for (size_t n = 0; n < rows.size(); ++n) {
+    const auto r = static_cast<size_t>(rows[n]);
+    const std::vector<double> xn(x.begin() + r * 3, x.begin() + r * 3 + 3);
+    const std::vector<double> gn(g.begin() + n * 2, g.begin() + n * 2 + 2);
+    std::vector<double> gin_n(3);
+    single.BackwardBatch(xn, {}, gn, gin_n);
+    EXPECT_EQ(gin_n, single.weights().TransposeMatVec(gn));
+    EXPECT_EQ(gin_n, std::vector<double>(gin.begin() + n * 3,
+                                         gin.begin() + n * 3 + 3));
+  }
+  std::vector<double> a;
+  std::vector<double> b;
+  batch.AppendGradients(&a);
+  single.AppendGradients(&b);
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
 
+#include "core/meta_trainer.h"
+#include "nn/activations.h"
 #include "nn/loss.h"
 
 namespace lte::core {
@@ -27,6 +32,20 @@ std::vector<double> RandomVec(Rng* rng, int64_t n, bool binary = false) {
     x = binary ? (rng->Bernoulli(0.4) ? 1.0 : 0.0) : rng->Uniform();
   }
   return v;
+}
+
+// Row-major copy of equal-width tuples, the input layout of AccumulateBatch.
+std::vector<double> Pack(const std::vector<std::vector<double>>& x) {
+  std::vector<double> packed;
+  for (const auto& row : x) packed.insert(packed.end(), row.begin(), row.end());
+  return packed;
+}
+
+// One full-batch training step over `x`, `y` in order.
+double AccumulateAll(TaskModel* tm, const std::vector<std::vector<double>>& x,
+                     const std::vector<double>& y) {
+  TaskModel::TrainScratch scratch;
+  return tm->AccumulateBatch(Pack(x), y, {}, &scratch);
 }
 
 TEST(MetaLearnerTest, AttentionIsDistribution) {
@@ -104,9 +123,11 @@ TEST(MetaLearnerTest, TrainingReducesLossOnTinyTask) {
       x.push_back(std::move(t));
     }
     const double before = tm.EvaluateLoss(x, y);
+    const std::vector<double> packed = Pack(x);
+    TaskModel::TrainScratch scratch;
     for (int step = 0; step < 150; ++step) {
       tm.ZeroGrad();
-      tm.AccumulateBatch(x, y);
+      tm.AccumulateBatch(packed, y, {}, &scratch);
       tm.ApplyAccumulated(0.3);
     }
     const double after = tm.EvaluateLoss(x, y);
@@ -127,7 +148,7 @@ TEST(MetaLearnerTest, ComposedGradientsMatchFiniteDifference) {
     const std::vector<double> y = {1.0};
 
     tm.ZeroGrad();
-    tm.AccumulateBatch(x, y);
+    AccumulateAll(&tm, x, y);
     const std::vector<double> g_tau = tm.f_tau().GetGradients();
 
     // Perturb each f_tau parameter and compare.
@@ -149,6 +170,374 @@ TEST(MetaLearnerTest, ComposedGradientsMatchFiniteDifference) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Per-tuple reference: the training step as it ran before batching. Each
+// tuple is forwarded on its own with cached activations and backpropagated
+// through Matrix::AddOuter / TransposeMatVec, and the step is applied from
+// flattened gradient copies. The library's batch step must match it bit for
+// bit: every accumulator must see the same additions in the same order.
+
+// Zero gradient entries skipped by the reference's AddOuter calls; lets the
+// dead-row case assert that it exercises the skips.
+int64_t g_ref_zero_skips = 0;
+
+struct RefLinear {
+  nn::Matrix w;
+  std::vector<double> b;
+  nn::Matrix gw;
+  std::vector<double> gb;
+
+  explicit RefLinear(const nn::Linear& l)
+      : w(l.weights()),
+        b(l.bias()),
+        gw(l.weights().rows(), l.weights().cols()),
+        gb(l.bias().size(), 0.0) {}
+
+  std::vector<double> Forward(const std::vector<double>& x) const {
+    std::vector<double> y = w.MatVec(x);
+    for (size_t i = 0; i < y.size(); ++i) y[i] += b[i];
+    return y;
+  }
+
+  std::vector<double> Backward(const std::vector<double>& x,
+                               const std::vector<double>& g) {
+    for (const double v : g) g_ref_zero_skips += v == 0.0 ? 1 : 0;
+    gw.AddOuter(g, x);
+    for (size_t i = 0; i < gb.size(); ++i) gb[i] += g[i];
+    return w.TransposeMatVec(g);
+  }
+};
+
+struct RefMlp {
+  struct Cache {
+    std::vector<std::vector<double>> inputs;
+    std::vector<std::vector<double>> pre;
+  };
+  std::vector<RefLinear> layers;
+
+  explicit RefMlp(const nn::Mlp& m) {
+    for (const nn::Linear& l : m.layers()) layers.emplace_back(l);
+  }
+
+  std::vector<double> Forward(const std::vector<double>& x,
+                              Cache* cache) const {
+    std::vector<double> h = x;
+    for (size_t i = 0; i < layers.size(); ++i) {
+      cache->inputs.push_back(h);
+      std::vector<double> z = layers[i].Forward(h);
+      cache->pre.push_back(z);
+      h = i + 1 < layers.size() ? nn::Relu(z) : std::move(z);
+    }
+    return h;
+  }
+
+  std::vector<double> Backward(const Cache& cache,
+                               const std::vector<double>& grad_out) {
+    std::vector<double> g = grad_out;
+    for (size_t i = layers.size(); i-- > 0;) {
+      if (i + 1 < layers.size()) g = nn::ReluBackward(cache.pre[i], g);
+      g = layers[i].Backward(cache.inputs[i], g);
+    }
+    return g;
+  }
+
+  std::vector<double> Parameters() const {
+    std::vector<double> out;
+    for (const RefLinear& l : layers) {
+      out.insert(out.end(), l.w.data().begin(), l.w.data().end());
+      out.insert(out.end(), l.b.begin(), l.b.end());
+    }
+    return out;
+  }
+
+  std::vector<double> Gradients() const {
+    std::vector<double> out;
+    for (const RefLinear& l : layers) {
+      out.insert(out.end(), l.gw.data().begin(), l.gw.data().end());
+      out.insert(out.end(), l.gb.begin(), l.gb.end());
+    }
+    return out;
+  }
+
+  void Apply(double lr) {
+    for (RefLinear& l : layers) {
+      l.w.AddScaled(l.gw, -lr);
+      for (size_t i = 0; i < l.b.size(); ++i) l.b[i] -= lr * l.gb[i];
+    }
+  }
+
+  void ZeroGrad() {
+    for (RefLinear& l : layers) {
+      l.gw.Fill(0.0);
+      for (double& g : l.gb) g = 0.0;
+    }
+  }
+};
+
+struct RefTaskModel {
+  bool use_memory;
+  std::vector<double> uis;
+  RefMlp r;
+  RefMlp tau;
+  RefMlp clf;
+  nn::Matrix m_cp;
+  nn::Matrix g_m_cp;
+  std::vector<double> support_grad_r;
+
+  explicit RefTaskModel(const TaskModel& tm)
+      : use_memory(tm.m_cp().size() > 0),
+        uis(tm.uis_feature()),
+        r(tm.f_r()),
+        tau(tm.f_tau()),
+        clf(tm.f_clf()),
+        m_cp(tm.m_cp()),
+        g_m_cp(tm.m_cp().rows(), tm.m_cp().cols()),
+        support_grad_r(tm.support_grad_r()) {}
+
+  double AccumulateBatch(const std::vector<std::vector<double>>& tuples,
+                         const std::vector<double>& labels) {
+    const double inv_n = 1.0 / static_cast<double>(tuples.size());
+    RefMlp::Cache r_cache;
+    const std::vector<double> emb_r = r.Forward(uis, &r_cache);
+    const auto ne = static_cast<int64_t>(emb_r.size());
+    std::vector<double> g_emb_r_sum(emb_r.size(), 0.0);
+    double loss = 0.0;
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      RefMlp::Cache tau_cache;
+      RefMlp::Cache clf_cache;
+      const std::vector<double> emb_tau = tau.Forward(tuples[i], &tau_cache);
+      std::vector<double> z = emb_r;
+      z.insert(z.end(), emb_tau.begin(), emb_tau.end());
+      const std::vector<double> c = use_memory ? m_cp.MatVec(z) : z;
+      const double logit = clf.Forward(c, &clf_cache)[0];
+      loss += inv_n * nn::BceWithLogits(logit, labels[i]);
+      const double dlogit = inv_n * nn::BceWithLogitsGrad(logit, labels[i]);
+      std::vector<double> g_conv = clf.Backward(clf_cache, {dlogit});
+      std::vector<double> g_concat;
+      if (use_memory) {
+        g_m_cp.AddOuter(g_conv, z);
+        g_concat = m_cp.TransposeMatVec(g_conv);
+      } else {
+        g_concat = std::move(g_conv);
+      }
+      for (int64_t j = 0; j < ne; ++j) {
+        g_emb_r_sum[static_cast<size_t>(j)] += g_concat[static_cast<size_t>(j)];
+      }
+      tau.Backward(tau_cache, std::vector<double>(g_concat.begin() + ne,
+                                                  g_concat.end()));
+    }
+    r.Backward(r_cache, g_emb_r_sum);
+    return loss;
+  }
+
+  void ApplyAccumulated(double lr, double max_grad_norm) {
+    const std::vector<double> gr = r.Gradients();
+    for (size_t i = 0; i < gr.size(); ++i) support_grad_r[i] += gr[i];
+    double effective_lr = lr;
+    if (max_grad_norm > 0.0) {
+      double norm_sq = 0.0;
+      auto add = [&norm_sq](const std::vector<double>& g) {
+        for (double x : g) norm_sq += x * x;
+      };
+      add(gr);
+      add(tau.Gradients());
+      add(clf.Gradients());
+      if (use_memory) {
+        const double m = g_m_cp.FrobeniusNorm();
+        norm_sq += m * m;
+      }
+      const double norm = std::sqrt(norm_sq);
+      if (norm > max_grad_norm) effective_lr = lr * max_grad_norm / norm;
+    }
+    r.Apply(effective_lr);
+    tau.Apply(effective_lr);
+    clf.Apply(effective_lr);
+    if (use_memory) m_cp.AddScaled(g_m_cp, -effective_lr);
+    ZeroGrad();
+  }
+
+  void ZeroGrad() {
+    r.ZeroGrad();
+    tau.ZeroGrad();
+    clf.ZeroGrad();
+    g_m_cp.Fill(0.0);
+  }
+};
+
+void RefLocallyAdapt(RefTaskModel* model,
+                     const std::vector<std::vector<double>>& x,
+                     const std::vector<double>& y, int64_t steps,
+                     int64_t batch_size, double lr, Rng* rng,
+                     double max_grad_norm) {
+  const auto n = static_cast<int64_t>(x.size());
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  int64_t cursor = n;
+  for (int64_t step = 0; step < steps; ++step) {
+    const int64_t take = std::min(batch_size, n);
+    std::vector<std::vector<double>> bx;
+    std::vector<double> by;
+    for (int64_t i = 0; i < take; ++i) {
+      if (cursor >= n) {
+        rng->Shuffle(&order);
+        cursor = 0;
+      }
+      const int64_t idx = order[static_cast<size_t>(cursor++)];
+      bx.push_back(x[static_cast<size_t>(idx)]);
+      by.push_back(y[static_cast<size_t>(idx)]);
+    }
+    model->ZeroGrad();
+    model->AccumulateBatch(bx, by);
+    model->ApplyAccumulated(lr, max_grad_norm);
+  }
+}
+
+// Bitwise equality (distinguishes -0.0 from 0.0 and compares NaN payloads).
+void ExpectBitEqual(const std::vector<double>& got,
+                    const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    uint64_t a = 0;
+    uint64_t b = 0;
+    std::memcpy(&a, &got[i], sizeof(a));
+    std::memcpy(&b, &want[i], sizeof(b));
+    ASSERT_EQ(a, b) << what << "[" << i << "]: " << got[i] << " vs "
+                    << want[i];
+  }
+}
+
+struct OracleShape {
+  const char* name;
+  bool use_memory;
+  std::vector<int64_t> uis_hidden;
+  std::vector<int64_t> tuple_hidden;
+  std::vector<int64_t> clf_hidden;
+};
+
+std::vector<OracleShape> OracleShapes() {
+  return {{"memory", true, {}, {}, {8}},
+          {"plain", false, {}, {}, {8}},
+          {"memory-deep", true, {10}, {9, 7}, {8, 6}},
+          {"plain-deep", false, {10}, {9, 7}, {8, 6}}};
+}
+
+MetaLearnerOptions OracleOptions(const OracleShape& shape) {
+  MetaLearnerOptions opt = SmallOptions(shape.use_memory);
+  opt.uis_hidden = shape.uis_hidden;
+  opt.tuple_hidden = shape.tuple_hidden;
+  opt.clf_hidden = shape.clf_hidden;
+  return opt;
+}
+
+// 60 labelled tuples (k_q, MetaTrain's query batch). With `dead_rows`, every
+// third tuple is all-zero and every fifth far negative, so their hidden
+// ReLUs are dead (biases start at zero) and backward meets zero gradients.
+void OracleData(Rng* rng, bool dead_rows,
+                std::vector<std::vector<double>>* x, std::vector<double>* y) {
+  x->clear();
+  y->clear();
+  for (int i = 0; i < 60; ++i) {
+    std::vector<double> t = RandomVec(rng, 6);
+    if (dead_rows && i % 3 == 0) t.assign(6, 0.0);
+    if (dead_rows && i % 5 == 0) t.assign(6, -50.0);
+    y->push_back(t[0] > 0.5 ? 1.0 : 0.0);
+    x->push_back(std::move(t));
+  }
+}
+
+void ExpectModelMatchesReference(const TaskModel& tm, const RefTaskModel& ref,
+                                 const std::string& what) {
+  ExpectBitEqual(tm.f_r().GetParameters(), ref.r.Parameters(), what + " f_r");
+  ExpectBitEqual(tm.f_tau().GetParameters(), ref.tau.Parameters(),
+                 what + " f_tau");
+  ExpectBitEqual(tm.f_clf().GetParameters(), ref.clf.Parameters(),
+                 what + " f_clf");
+  ExpectBitEqual(tm.m_cp().data(), ref.m_cp.data(), what + " m_cp");
+  ExpectBitEqual(tm.support_grad_r(), ref.support_grad_r,
+                 what + " support_grad_r");
+}
+
+// One minibatch step, indexed out of order from a packed set: the loss and
+// every accumulated gradient equal the per-tuple reference bit for bit.
+TEST(MetaLearnerTest, BatchStepMatchesPerTupleReference) {
+  for (const OracleShape& shape : OracleShapes()) {
+    for (const bool dead_rows : {false, true}) {
+      for (const int64_t batch : {1, 5, 10, 60}) {
+        const std::string what = std::string(shape.name) + " batch=" +
+                                 std::to_string(batch) +
+                                 (dead_rows ? " dead" : "");
+        Rng rng(31);
+        MetaLearner learner(OracleOptions(shape), &rng);
+        TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
+        std::vector<std::vector<double>> x;
+        std::vector<double> y;
+        OracleData(&rng, dead_rows, &x, &y);
+        std::vector<int64_t> rows(60);
+        std::iota(rows.begin(), rows.end(), int64_t{0});
+        rng.Shuffle(&rows);
+        rows.resize(static_cast<size_t>(batch));
+
+        RefTaskModel ref(tm);
+        std::vector<std::vector<double>> bx;
+        std::vector<double> by;
+        for (const int64_t r : rows) {
+          bx.push_back(x[static_cast<size_t>(r)]);
+          by.push_back(y[static_cast<size_t>(r)]);
+        }
+        g_ref_zero_skips = 0;
+        const double want = ref.AccumulateBatch(bx, by);
+        if (dead_rows && batch >= 5) {
+          EXPECT_GT(g_ref_zero_skips, 0) << what;
+        }
+
+        TaskModel::TrainScratch scratch;
+        tm.ZeroGrad();
+        const double got = tm.AccumulateBatch(Pack(x), y, rows, &scratch);
+        ExpectBitEqual({got}, {want}, what + " loss");
+        ExpectBitEqual(tm.f_r().GetGradients(), ref.r.Gradients(),
+                       what + " grad f_r");
+        ExpectBitEqual(tm.f_tau().GetGradients(), ref.tau.Gradients(),
+                       what + " grad f_tau");
+        ExpectBitEqual(tm.f_clf().GetGradients(), ref.clf.Gradients(),
+                       what + " grad f_clf");
+        ExpectBitEqual(tm.grad_m_cp().data(), ref.g_m_cp.data(),
+                       what + " grad m_cp");
+      }
+    }
+  }
+}
+
+// Whole adaptations: after LocallyAdapt, with and without clipping, every
+// parameter, M_cp and the accumulated θ_R support gradient equal the
+// per-tuple reference bit for bit.
+TEST(MetaLearnerTest, LocallyAdaptMatchesPerTupleReference) {
+  for (const OracleShape& shape : OracleShapes()) {
+    for (const bool dead_rows : {false, true}) {
+      for (const int64_t batch : {1, 5, 10, 60}) {
+        for (const double max_norm : {1.0, 0.0}) {
+          const std::string what =
+              std::string(shape.name) + " batch=" + std::to_string(batch) +
+              (dead_rows ? " dead" : "") + " clip=" + std::to_string(max_norm);
+          Rng rng(37);
+          MetaLearner learner(OracleOptions(shape), &rng);
+          TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
+          std::vector<std::vector<double>> x;
+          std::vector<double> y;
+          OracleData(&rng, dead_rows, &x, &y);
+          RefTaskModel ref(tm);
+          Rng rng_lib(41);
+          Rng rng_ref(41);
+          LocallyAdapt(&tm, x, y, /*steps=*/7, batch, /*lr=*/0.3, &rng_lib,
+                       max_norm);
+          RefLocallyAdapt(&ref, x, y, 7, batch, 0.3, &rng_ref, max_norm);
+          ExpectModelMatchesReference(tm, ref, what);
+          EXPECT_EQ(rng_lib.engine()(), rng_ref.engine()()) << what;
+        }
+      }
+    }
+  }
+}
+
 TEST(MetaLearnerTest, UpdateMemoriesMovesMemoryTowardTask) {
   Rng rng(8);
   MetaLearner learner(SmallOptions(true), &rng);
@@ -156,7 +545,7 @@ TEST(MetaLearnerTest, UpdateMemoriesMovesMemoryTowardTask) {
   TaskModel tm = learner.CreateTaskModel(v_r);
   // One local step so support_grad_r is non-zero.
   tm.ZeroGrad();
-  tm.AccumulateBatch({RandomVec(&rng, 6)}, {1.0});
+  AccumulateAll(&tm, {RandomVec(&rng, 6)}, {1.0});
   tm.ApplyAccumulated(0.1);
 
   const nn::Matrix before = learner.memory_vr();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/activations.h"
@@ -55,10 +56,11 @@ TEST(MlpTest, GradientsMatchFiniteDifference) {
   };
 
   const std::vector<double> params = mlp.GetParameters();
-  Mlp::Cache cache;
-  const double logit = mlp.Forward(x, &cache)[0];
+  Mlp::TrainScratch scratch;
+  const double logit = mlp.ForwardTrain(x, 1, &scratch)[0];
   mlp.ZeroGrad();
-  mlp.Backward(cache, {BceWithLogitsGrad(logit, label)});
+  const std::vector<double> grad_out = {BceWithLogitsGrad(logit, label)};
+  mlp.BackwardBatch(grad_out, &scratch);
   const std::vector<double> analytic = mlp.GetGradients();
 
   const double eps = 1e-6;
@@ -77,10 +79,12 @@ TEST(MlpTest, BackwardReturnsInputGradient) {
   Rng rng(5);
   Mlp mlp({2, 3, 1}, &rng);
   const std::vector<double> x = {0.4, -0.6};
-  Mlp::Cache cache;
-  mlp.Forward(x, &cache);
+  Mlp::TrainScratch scratch;
+  mlp.ForwardTrain(x, 1, &scratch);
   mlp.ZeroGrad();
-  const std::vector<double> gin = mlp.Backward(cache, {1.0});
+  const std::vector<double> grad_out = {1.0};
+  std::vector<double> gin;
+  mlp.BackwardBatch(grad_out, &scratch, &gin);
   ASSERT_EQ(gin.size(), 2u);
 
   // Finite-difference check of the input gradient.
@@ -101,13 +105,17 @@ TEST(MlpTest, TrainsToFitXor) {
   const std::vector<std::vector<double>> xs = {
       {0, 0}, {0, 1}, {1, 0}, {1, 1}};
   const std::vector<double> ys = {0, 1, 1, 0};
+  const std::vector<double> packed = {0, 0, 0, 1, 1, 0, 1, 1};
+  Mlp::TrainScratch scratch;
+  std::vector<double> grad_out(4);
   for (int epoch = 0; epoch < 3000; ++epoch) {
     mlp.ZeroGrad();
+    const std::span<const double> logits =
+        mlp.ForwardTrain(packed, 4, &scratch);
     for (size_t i = 0; i < xs.size(); ++i) {
-      Mlp::Cache cache;
-      const double logit = mlp.Forward(xs[i], &cache)[0];
-      mlp.Backward(cache, {BceWithLogitsGrad(logit, ys[i]) / 4.0});
+      grad_out[i] = BceWithLogitsGrad(logits[i], ys[i]) / 4.0;
     }
+    mlp.BackwardBatch(grad_out, &scratch);
     mlp.ApplyGradients(0.5);
   }
   for (size_t i = 0; i < xs.size(); ++i) {

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/lte.h"
 #include "data/synthetic.h"
@@ -116,6 +119,69 @@ TEST_F(ModelRobustnessTest, FailedLoadPreservesPreviousModel) {
   // A failed re-load must not clobber the previously loaded model.
   ASSERT_NE(ex.InitialTuples(0), nullptr);
   EXPECT_EQ(*ex.InitialTuples(0), initial);
+}
+
+// A model whose online schedule has no batch (or a negative step count, or
+// a non-finite or non-positive rate) used to load and then abort the
+// process on its first StartExploration. Load refuses it like any other
+// undecodable field.
+TEST_F(ModelRobustnessTest, InvalidOnlineScheduleRejectedOnLoad) {
+  // The serialized schedule: online_steps, online_batch_size, online_lr at
+  // their ExplorerOptions defaults (30, 16, 0.1).
+  std::string schedule(24, '\0');
+  const int64_t steps = 30;
+  const int64_t batch = 16;
+  const double lr = 0.1;
+  std::memcpy(schedule.data(), &steps, 8);
+  std::memcpy(schedule.data() + 8, &batch, 8);
+  std::memcpy(schedule.data() + 16, &lr, 8);
+  const size_t at = bytes_.find(schedule);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes_.find(schedule, at + 1), std::string::npos);
+
+  const auto patched = [&](size_t offset, auto value) {
+    std::string bytes = bytes_;
+    std::memcpy(bytes.data() + at + offset, &value, 8);
+    return bytes;
+  };
+  const std::vector<std::string> corrupt = {
+      patched(0, int64_t{-1}),
+      patched(8, int64_t{0}),
+      patched(8, int64_t{-3}),
+      patched(16, std::numeric_limits<double>::quiet_NaN()),
+      patched(16, std::numeric_limits<double>::infinity()),
+      patched(16, 0.0),
+      patched(16, -0.1)};
+  for (size_t i = 0; i < corrupt.size(); ++i) {
+    core::ExplorationModel model(core::ExplorerOptions{});
+    std::istringstream in(corrupt[i], std::ios::binary);
+    const Status st = model.LoadFromStream(&in);
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << "case " << i;
+    EXPECT_FALSE(model.pretrained()) << "case " << i;
+  }
+  // The unpatched bytes still load: the search found the real fields.
+  core::ExplorationModel model(core::ExplorerOptions{});
+  std::istringstream in(bytes_, std::ios::binary);
+  EXPECT_TRUE(model.LoadFromStream(&in).ok());
+}
+
+// Pretrain refuses the same schedules before doing any work.
+TEST(ModelScheduleTest, PretrainRejectsInvalidOnlineSchedule) {
+  Rng rng(5);
+  const data::Table table = data::MakeBlobs(300, 2, 3, &rng);
+  std::vector<core::ExplorerOptions> bad(5);
+  bad[0].online_steps = -1;
+  bad[1].online_batch_size = 0;
+  bad[2].online_lr = std::numeric_limits<double>::quiet_NaN();
+  bad[3].online_lr = 0.0;
+  bad[4].online_lr = -std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < bad.size(); ++i) {
+    core::Explorer explorer(bad[i]);
+    const Status st = explorer.Pretrain(table, {data::Subspace{{0, 1}}},
+                                        /*train_meta=*/false, &rng);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "case " << i;
+    EXPECT_EQ(explorer.InitialTuples(0), nullptr) << "case " << i;
+  }
 }
 
 }  // namespace

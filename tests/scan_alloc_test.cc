@@ -1,8 +1,10 @@
-// Allocation test for the block scan: after a warm-up, a full-table scan
-// must not allocate per block. A counting global operator new tallies every
-// heap allocation in the process; the same calls on an 8-block table may
-// allocate no more than on a 2-block table — directly on a session and
-// through the coalesced scheduler.
+// Allocation tests for the block scan and for adaptation. A counting global
+// operator new tallies every heap allocation in the process. After a
+// warm-up, a full-table scan must not allocate per block: the same calls on
+// an 8-block table may allocate no more than on a 2-block table — directly
+// on a session and through the coalesced scheduler. Likewise adaptation must
+// not allocate per gradient step: StartExploration and ContinueExploration
+// at 40 online steps may allocate no more than at 4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,6 +87,24 @@ std::vector<int64_t> AllRows(const data::Table& table) {
   return rows;
 }
 
+// Interesting iff the subspace point's first coordinate is below its
+// initial tuples' median: mixed labels, so every scan keeps survivors.
+std::vector<std::vector<double>> UserLabels(const ExplorationModel& model) {
+  std::vector<std::vector<double>> labels(2);
+  for (int64_t s = 0; s < 2; ++s) {
+    const auto& tuples = *model.InitialTuples(s);
+    std::vector<double> firsts;
+    for (const auto& t : tuples) firsts.push_back(t[0]);
+    std::nth_element(firsts.begin(), firsts.begin() + firsts.size() / 2,
+                     firsts.end());
+    const double median = firsts[firsts.size() / 2];
+    for (const auto& t : tuples) {
+      labels[static_cast<size_t>(s)].push_back(t[0] < median ? 1.0 : 0.0);
+    }
+  }
+  return labels;
+}
+
 class ScanAllocTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -104,24 +124,6 @@ class ScanAllocTest : public ::testing::Test {
     delete large_;
   }
 
-  // Interesting iff the subspace point's first coordinate is below its
-  // initial tuples' median: mixed labels, so every scan keeps survivors.
-  static std::vector<std::vector<double>> UserLabels() {
-    std::vector<std::vector<double>> labels(2);
-    for (int64_t s = 0; s < 2; ++s) {
-      const auto& tuples = *model_->InitialTuples(s);
-      std::vector<double> firsts;
-      for (const auto& t : tuples) firsts.push_back(t[0]);
-      std::nth_element(firsts.begin(), firsts.begin() + firsts.size() / 2,
-                       firsts.end());
-      const double median = firsts[firsts.size() / 2];
-      for (const auto& t : tuples) {
-        labels[static_cast<size_t>(s)].push_back(t[0] < median ? 1.0 : 0.0);
-      }
-    }
-    return labels;
-  }
-
   static data::Table* large_;
   static data::Table* small_;
   static std::shared_ptr<ExplorationModel> model_;
@@ -135,7 +137,8 @@ TEST_F(ScanAllocTest, SessionScanAllocationsDoNotGrowWithBlocks) {
   ExplorationSession session(model_, /*num_threads=*/1);
   Rng rng(5);
   ASSERT_TRUE(
-      session.StartExploration(UserLabels(), Variant::kMetaStar, &rng).ok());
+      session.StartExploration(UserLabels(*model_), Variant::kMetaStar, &rng)
+          .ok());
   const auto allocations = [&](const data::Table& table) {
     const std::vector<int64_t> rows = AllRows(table);
     return SteadyStateAllocations(
@@ -153,7 +156,8 @@ TEST_F(ScanAllocTest, SchedulerScanAllocationsDoNotGrowWithBlocks) {
   ExplorationSession session(model_, /*num_threads=*/1);
   Rng rng(5);
   ASSERT_TRUE(
-      session.StartExploration(UserLabels(), Variant::kMetaStar, &rng).ok());
+      session.StartExploration(UserLabels(*model_), Variant::kMetaStar, &rng)
+          .ok());
   const auto allocations = [&](const data::Table& table) {
     const std::vector<int64_t> rows = AllRows(table);
     serving::CoalescedScanOptions options;
@@ -169,6 +173,53 @@ TEST_F(ScanAllocTest, SchedulerScanAllocationsDoNotGrowWithBlocks) {
   };
   const int64_t small_allocs = allocations(*small_);
   EXPECT_LE(allocations(*large_), small_allocs);
+}
+
+// Heap allocations of the second StartExploration and of the second
+// ContinueExploration on a session over a model whose online schedule runs
+// `steps` gradient steps per call (the first of each is the warm-up).
+void AdaptationAllocations(const data::Table& table, int64_t steps,
+                           int64_t* start_allocs, int64_t* continue_allocs) {
+  ExplorerOptions options = SmallExplorerOptions();
+  options.online_steps = steps;
+  auto model = std::make_shared<ExplorationModel>(options);
+  Rng pretrain_rng(23);
+  ASSERT_TRUE(model
+                  ->Pretrain(table, {data::Subspace{{0, 1}},
+                                     data::Subspace{{2, 3}}},
+                             /*train_meta=*/true, &pretrain_rng)
+                  .ok());
+  const std::vector<std::vector<double>> labels =
+      UserLabels(*model);
+  const std::vector<std::vector<double>>& initial = *model->InitialTuples(0);
+  const std::vector<std::vector<double>> points(initial.begin(),
+                                                initial.begin() + 5);
+  const std::vector<double> point_labels(labels[0].begin(),
+                                         labels[0].begin() + 5);
+
+  ExplorationSession session(model, /*num_threads=*/1);
+  Rng rng(5);
+  ASSERT_TRUE(session.StartExploration(labels, Variant::kMetaStar, &rng).ok());
+  int64_t before = g_allocations.load(std::memory_order_relaxed);
+  ASSERT_TRUE(session.StartExploration(labels, Variant::kMetaStar, &rng).ok());
+  *start_allocs = g_allocations.load(std::memory_order_relaxed) - before;
+
+  ASSERT_TRUE(session.ContinueExploration(0, points, point_labels, &rng).ok());
+  before = g_allocations.load(std::memory_order_relaxed);
+  ASSERT_TRUE(session.ContinueExploration(0, points, point_labels, &rng).ok());
+  *continue_allocs = g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST_F(ScanAllocTest, AdaptationAllocationsDoNotGrowWithSteps) {
+  int64_t start_few = 0;
+  int64_t continue_few = 0;
+  AdaptationAllocations(*small_, /*steps=*/4, &start_few, &continue_few);
+  int64_t start_many = 0;
+  int64_t continue_many = 0;
+  AdaptationAllocations(*small_, /*steps=*/40, &start_many, &continue_many);
+  EXPECT_GT(continue_few, 0);  // Non-vacuity: the counter sees the call.
+  EXPECT_LE(start_many, start_few);
+  EXPECT_LE(continue_many, continue_few);
 }
 
 }  // namespace

@@ -207,6 +207,81 @@ TEST_F(SessionFormatMigrationTest, V2RoundTripsByteIdenticallyPerPolicyKind) {
   }
 }
 
+// Options of the fixture recipe (the SmallExplorerOptions of
+// session_persistence_test.cc).
+ExplorerOptions RecipeOptions() {
+  ExplorerOptions opt;
+  opt.task_gen.k_u = 30;
+  opt.task_gen.k_s = 10;
+  opt.task_gen.k_q = 30;
+  opt.task_gen.delta = 5;
+  opt.task_gen.alpha = 2;
+  opt.task_gen.psi = 8;
+  opt.learner.embedding_size = 12;
+  opt.learner.clf_hidden = {12};
+  opt.learner.num_memory_modes = 3;
+  opt.num_meta_tasks = 25;
+  opt.trainer.epochs = 3;
+  opt.trainer.task_batch_size = 10;
+  opt.trainer.local_steps = 6;
+  opt.trainer.local_lr = 0.2;
+  opt.trainer.global_lr = 0.1;
+  opt.online_steps = 25;
+  opt.online_lr = 0.2;
+  opt.encoder.num_gmm_components = 3;
+  opt.encoder.num_jenks_intervals = 3;
+  return opt;
+}
+
+// Golden training pin: re-running the fixture recipe in this file's header
+// reproduces the committed artifacts bit for bit. Pretrain must land on the
+// golden fingerprint (meta-training arithmetic), and the recipe session
+// (online adaptation arithmetic) must save to exactly the bytes of the
+// migrated golden_v1.ltesession. The other golden tests only load saved
+// state, so this is the test that pins training itself.
+TEST_F(SessionFormatMigrationTest, FixtureRecipeReproducesGoldenBytes) {
+  auto trained = std::make_shared<ExplorationModel>(RecipeOptions());
+  Rng pretrain_rng(23);
+  ASSERT_TRUE(trained->Pretrain(table_, subspaces_, /*train_meta=*/true,
+                                &pretrain_rng)
+                  .ok());
+  ASSERT_EQ(trained->fingerprint(), kGoldenFingerprint)
+      << "Pretrain no longer reproduces the golden model";
+
+  ExplorationSession session(trained, /*num_threads=*/1);
+  session.SeedRng(777);
+  ASSERT_TRUE(session
+                  .StartExploration(UserLabels(), Variant::kMetaStar,
+                                    session.session_rng())
+                  .ok());
+  for (size_t s = 0; s < subspaces_.size(); ++s) {
+    const auto& initial = *trained->InitialTuples(static_cast<int64_t>(s));
+    const data::Column& col = table_.column(subspaces_[s].attribute_indices[0]);
+    const double threshold = col.min() + 0.35 * (col.max() - col.min());
+    std::vector<std::vector<double>> points;
+    std::vector<double> labels;
+    for (size_t j = 0; j < 3; ++j) {
+      const auto& p = initial[(s + 2 + j) % initial.size()];
+      points.push_back(p);
+      labels.push_back(p[0] < threshold ? 1.0 : 0.0);
+    }
+    ASSERT_TRUE(session
+                    .ContinueExploration(static_cast<int64_t>(s), points,
+                                         labels, session.session_rng())
+                    .ok());
+  }
+  std::ostringstream fresh(std::ios::binary);
+  ASSERT_TRUE(session.SaveToStream(&fresh).ok());
+
+  ExplorationSession golden(model_, 1);
+  ASSERT_TRUE(golden.Load(TestDataPath("golden_v1.ltesession")).ok());
+  std::ostringstream migrated(std::ios::binary);
+  ASSERT_TRUE(golden.SaveToStream(&migrated).ok());
+  ASSERT_EQ(fresh.str().size(), migrated.str().size());
+  EXPECT_TRUE(fresh.str() == migrated.str())
+      << "the recipe session no longer adapts to the golden bytes";
+}
+
 // The corruption battery holds for genuine v1 bytes too: truncation at
 // every byte boundary and bit flips across the header (magic, version,
 // fingerprint stamp) are error Statuses, never crashes or silent loads.
