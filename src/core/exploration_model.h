@@ -69,11 +69,11 @@ struct ExplorerOptions {
 /// synchronization. The build methods themselves are not thread-safe and
 /// must complete (on one thread) before the model is shared.
 ///
-/// `Explorer` wraps one model plus one default session for the single-user
-/// case; multi-user serving holds the model directly:
+/// Every program holds the model through a shared_ptr and attaches one
+/// `ExplorationSession` per user, a single-user program included:
 ///
-///   ExplorationModel model(options);
-///   model.Pretrain(table, subspaces, /*train_meta=*/true, &rng);
+///   auto model = std::make_shared<ExplorationModel>(options);
+///   model->Pretrain(table, subspaces, /*train_meta=*/true, &rng);
 ///   // ...one ExplorationSession per concurrent user, all reading `model`.
 class ExplorationModel {
  public:
@@ -94,20 +94,19 @@ class ExplorationModel {
   /// Model persistence: writes the full pre-trained state (options, tabular
   /// encoder, per-subspace clustering contexts, initial tuples, and trained
   /// meta-learners) to `path`. Offline training and online serving can then
-  /// live in separate processes. Requires Pretrain to have run. The format
-  /// is shared with the legacy `Explorer::Save`/`LoadModel` surface — files
-  /// round-trip freely between the two.
+  /// live in separate processes. Requires Pretrain to have run. A write
+  /// that fails, the final flush included, returns IoError.
   Status Save(const std::string& path) const;
 
   /// Stream counterpart of Save (same format, no file handling).
   Status SaveToStream(std::ostream* out) const;
 
-  /// Restores a pre-trained model saved by `Save` (or by the `Explorer`
-  /// facade), replacing this instance's state. Sessions can start exploring
-  /// immediately; no re-clustering or re-training happens. The threading
-  /// knob (`num_threads`) is a property of the serving host, not of the
-  /// model, so the constructed value survives the load. Build method: must
-  /// not race with any other use of this model.
+  /// Restores a pre-trained model saved by `Save`, replacing this instance's
+  /// state. Sessions can start exploring immediately; no re-clustering or
+  /// re-training happens. The threading knob (`num_threads`) is a property
+  /// of the serving host, not of the model, so the constructed value
+  /// survives the load. Build method: must not race with any other use of
+  /// this model.
   Status Load(const std::string& path);
 
   /// Stream counterpart of Load (same format, no file handling).

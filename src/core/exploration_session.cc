@@ -78,7 +78,14 @@ Status ExplorationSession::Save(const std::string& path) const {
   if (!out.is_open()) {
     return Status::IoError("cannot open " + path + " for writing");
   }
-  return SaveToStream(&out);
+  LTE_RETURN_IF_ERROR(SaveToStream(&out));
+  // close() flushes the buffered tail; a failure there (disk full, I/O
+  // error) must not be reported as a successful save.
+  out.close();
+  if (out.fail()) {
+    return Status::IoError("write failure on " + path);
+  }
+  return Status::OK();
 }
 
 Status ExplorationSession::SaveToStream(std::ostream* out) const {

@@ -18,14 +18,11 @@
 ///     fast-adapts the meta-learners and (for the Meta* variant) the FP/FN
 ///     optimizer, after which `PredictRow`/`RetrieveMatches` answer UIR
 ///     membership for arbitrary tuples.
-///   * `core::Explorer` bundles one model with one default session for the
-///     single-user case.
 ///
 /// See examples/quickstart.cc for a complete walkthrough.
 
 #include "core/exploration_model.h"    // IWYU pragma: export
 #include "core/exploration_session.h"  // IWYU pragma: export
-#include "core/explorer.h"       // IWYU pragma: export
 #include "core/meta_learner.h"   // IWYU pragma: export
 #include "core/meta_task.h"      // IWYU pragma: export
 #include "core/meta_trainer.h"   // IWYU pragma: export

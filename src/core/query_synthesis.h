@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/explorer.h"
+#include "core/exploration_session.h"
 #include "preprocess/normalizer.h"
 #include "tree/decision_tree.h"
 
@@ -64,11 +64,6 @@ struct SynthesizedQuery {
 /// adapted classifier, fits a CART to those labels, and reads the positive
 /// leaves off as boxes. Fails unless StartExploration has run.
 Status SynthesizeQuery(const ExplorationSession& session,
-                       const QuerySynthesisOptions& options,
-                       SynthesizedQuery* query);
-
-/// Facade convenience: synthesizes from `explorer`'s default session.
-Status SynthesizeQuery(const Explorer& explorer,
                        const QuerySynthesisOptions& options,
                        SynthesizedQuery* query);
 

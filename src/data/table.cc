@@ -1,6 +1,7 @@
 #include "data/table.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -58,12 +59,6 @@ Column* Table::mutable_column(int64_t i) {
   LTE_CHECK_MSG(SnapshotDirectory() == nullptr,
                 "mutable_column on a table with sealed segments");
   return &columns_[static_cast<size_t>(i)];
-}
-
-std::span<const double> Table::ColumnValues(int64_t i) const {
-  LTE_CHECK_MSG(SnapshotDirectory() == nullptr,
-                "ColumnValues cannot address appended segments; use View");
-  return column(i).AsSpan();
 }
 
 ColumnView Table::View(int64_t i) const {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -57,12 +56,6 @@ class Table {
 
   /// Base-segment mutation hook; programmer error once a segment is sealed.
   Column* mutable_column(int64_t i);
-
-  /// Contiguous view of the *base* segment of column `i`. Retained for
-  /// static tables; programmer error (LTE_CHECK) once `AppendRows` has
-  /// sealed a segment, because the span cannot address appended rows — the
-  /// scan paths use `View(i)` instead. Invalidated by AppendRow.
-  std::span<const double> ColumnValues(int64_t i) const;
 
   /// Segment-spanning snapshot view of column `i`: addresses every row
   /// `< num_rows()` at creation time by global row id, stays valid and

@@ -92,14 +92,6 @@ void Matrix::AddOuter(const std::vector<double>& a,
   }
 }
 
-void Matrix::Blend(const Matrix& other, double alpha) {
-  LTE_CHECK_EQ(rows_, other.rows_);
-  LTE_CHECK_EQ(cols_, other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] = alpha * other.data_[i] + (1.0 - alpha) * data_[i];
-  }
-}
-
 void Matrix::AddScaled(const Matrix& other, double scale) {
   LTE_CHECK_EQ(rows_, other.rows_);
   LTE_CHECK_EQ(cols_, other.cols_);

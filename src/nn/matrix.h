@@ -68,10 +68,6 @@ class Matrix {
   void AddOuter(const std::vector<double>& a, const std::vector<double>& b,
                 double scale = 1.0);
 
-  /// this = alpha * other + (1 - alpha) * this. Shapes must match. This is
-  /// the exponential write used by the memory update rules (Eq. 14-16).
-  void Blend(const Matrix& other, double alpha);
-
   /// this += scale * other (shapes must match).
   void AddScaled(const Matrix& other, double scale);
 

@@ -64,7 +64,7 @@ TEST(IntegrationTest, FullPipelineOnCarLikeData) {
   Rng rng(5);
   data::Table table = data::MakeCarLike(5000, &rng);
 
-  // Normalize (the Explorer consumes comparable scales).
+  // Normalize (the model consumes comparable scales).
   preprocess::MinMaxNormalizer norm;
   ASSERT_TRUE(norm.Fit(table).ok());
   data::Table normalized(table.AttributeNames());
@@ -75,10 +75,11 @@ TEST(IntegrationTest, FullPipelineOnCarLikeData) {
   std::vector<int64_t> attrs = {0, 1, 2, 3};
   std::vector<data::Subspace> subspaces = data::DecomposeSpace(attrs, 2, &rng);
 
-  core::ExplorerOptions opt = IntegrationOptions().explorer;
-  core::Explorer explorer(opt);
+  auto model =
+      std::make_shared<core::ExplorationModel>(IntegrationOptions().explorer);
   ASSERT_TRUE(
-      explorer.Pretrain(normalized, subspaces, /*train_meta=*/true, &rng).ok());
+      model->Pretrain(normalized, subspaces, /*train_meta=*/true, &rng).ok());
+  core::ExplorationSession session(model);
 
   // Ground truth: a box region per subspace around the data median.
   const auto in_region = [](const std::vector<double>& p) {
@@ -89,13 +90,12 @@ TEST(IntegrationTest, FullPipelineOnCarLikeData) {
   };
   std::vector<std::vector<double>> labels(subspaces.size());
   for (size_t s = 0; s < subspaces.size(); ++s) {
-    for (const auto& tuple :
-         *explorer.InitialTuples(static_cast<int64_t>(s))) {
+    for (const auto& tuple : *model->InitialTuples(static_cast<int64_t>(s))) {
       labels[s].push_back(in_region(tuple) ? 1.0 : 0.0);
     }
   }
   ASSERT_TRUE(
-      explorer.StartExploration(labels, core::Variant::kMetaStar, &rng).ok());
+      session.StartExploration(labels, core::Variant::kMetaStar, &rng).ok());
 
   // Evaluate F1 against the box ground truth on a row sample.
   eval::ConfusionCounts counts;
@@ -109,7 +109,7 @@ TEST(IntegrationTest, FullPipelineOnCarLikeData) {
       }
       truth = truth && in_region(p);
     }
-    counts.Add(truth ? 1.0 : 0.0, explorer.PredictRow(row).value_or(0.0));
+    counts.Add(truth ? 1.0 : 0.0, session.PredictRow(row).value_or(0.0));
   }
   // The adapted model must do clearly better than chance on this easy box.
   EXPECT_GT(eval::F1Score(counts), 0.3);

@@ -55,15 +55,6 @@ TEST(MatrixTest, AddOuter) {
   EXPECT_DOUBLE_EQ(m(1, 1), 16.0);
 }
 
-TEST(MatrixTest, Blend) {
-  Matrix a(1, 2);
-  Matrix b(1, 2);
-  a.Fill(10.0);
-  b.Fill(20.0);
-  a.Blend(b, 0.25);  // 0.25*20 + 0.75*10 = 12.5
-  EXPECT_DOUBLE_EQ(a(0, 0), 12.5);
-}
-
 TEST(MatrixTest, AddScaled) {
   Matrix a(1, 2);
   Matrix b(1, 2);

@@ -1,6 +1,6 @@
 // Robustness of model loading against damaged files: every truncation of a
 // valid model must produce a clean Status error, never a crash or a
-// half-initialized Explorer.
+// half-initialized model.
 
 #include <gtest/gtest.h>
 
@@ -32,15 +32,15 @@ class ModelRobustnessTest : public ::testing::Test {
     opt.num_meta_tasks = 10;
     opt.trainer.epochs = 1;
     opt.trainer.local_steps = 1;
-    core::Explorer explorer(opt);
-    ASSERT_TRUE(explorer
+    core::ExplorationModel model(opt);
+    ASSERT_TRUE(model
                     .Pretrain(table, {data::Subspace{{0, 1}}},
                               /*train_meta=*/true, &rng)
                     .ok());
     // Per-test file names: ctest runs the cases of this fixture as parallel
     // processes sharing one TempDir().
     path_ = TestPath("robustness");
-    ASSERT_TRUE(explorer.Save(path_).ok());
+    ASSERT_TRUE(model.Save(path_).ok());
 
     std::ifstream in(path_, std::ios::binary);
     std::ostringstream buf;
@@ -68,8 +68,8 @@ class ModelRobustnessTest : public ::testing::Test {
 };
 
 TEST_F(ModelRobustnessTest, FullFileLoads) {
-  core::Explorer ex(core::ExplorerOptions{});
-  EXPECT_TRUE(ex.LoadModel(path_).ok());
+  core::ExplorationModel model(core::ExplorerOptions{});
+  EXPECT_TRUE(model.Load(path_).ok());
 }
 
 TEST_F(ModelRobustnessTest, EveryTruncationFailsCleanly) {
@@ -82,8 +82,8 @@ TEST_F(ModelRobustnessTest, EveryTruncationFailsCleanly) {
   for (size_t cut : cuts) {
     if (cut >= bytes_.size()) continue;
     WriteTruncated(cut);
-    core::Explorer ex(core::ExplorerOptions{});
-    const Status s = ex.LoadModel(truncated_path());
+    core::ExplorationModel model(core::ExplorerOptions{});
+    const Status s = model.Load(truncated_path());
     EXPECT_FALSE(s.ok()) << "truncation at byte " << cut
                          << " unexpectedly loaded";
   }
@@ -95,30 +95,33 @@ TEST_F(ModelRobustnessTest, CorruptedMagicRejected) {
   std::ofstream out(truncated_path(), std::ios::binary);
   out.write(corrupted.data(), static_cast<std::streamsize>(corrupted.size()));
   out.close();
-  core::Explorer ex(core::ExplorerOptions{});
-  const Status s = ex.LoadModel(truncated_path());
+  core::ExplorationModel model(core::ExplorerOptions{});
+  const Status s = model.Load(truncated_path());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ModelRobustnessTest, FailedLoadLeavesExplorerUnusable) {
   WriteTruncated(bytes_.size() / 2);
-  core::Explorer ex(core::ExplorerOptions{});
-  ASSERT_FALSE(ex.LoadModel(truncated_path()).ok());
-  // The failed load must not report a pretrained explorer.
-  EXPECT_EQ(ex.StartExploration({{1.0}}, core::Variant::kBasic, nullptr).code(),
-            StatusCode::kFailedPrecondition);
+  auto model =
+      std::make_shared<core::ExplorationModel>(core::ExplorerOptions{});
+  ASSERT_FALSE(model->Load(truncated_path()).ok());
+  // The failed load must not report a pretrained model.
+  core::ExplorationSession session(model);
+  EXPECT_EQ(
+      session.StartExploration({{1.0}}, core::Variant::kBasic, nullptr).code(),
+      StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ModelRobustnessTest, FailedLoadPreservesPreviousModel) {
-  core::Explorer ex(core::ExplorerOptions{});
-  ASSERT_TRUE(ex.LoadModel(path_).ok());
-  ASSERT_NE(ex.InitialTuples(0), nullptr);
-  const std::vector<std::vector<double>> initial = *ex.InitialTuples(0);
+  core::ExplorationModel model(core::ExplorerOptions{});
+  ASSERT_TRUE(model.Load(path_).ok());
+  ASSERT_NE(model.InitialTuples(0), nullptr);
+  const std::vector<std::vector<double>> initial = *model.InitialTuples(0);
   WriteTruncated(bytes_.size() / 3);
-  ASSERT_FALSE(ex.LoadModel(truncated_path()).ok());
+  ASSERT_FALSE(model.Load(truncated_path()).ok());
   // A failed re-load must not clobber the previously loaded model.
-  ASSERT_NE(ex.InitialTuples(0), nullptr);
-  EXPECT_EQ(*ex.InitialTuples(0), initial);
+  ASSERT_NE(model.InitialTuples(0), nullptr);
+  EXPECT_EQ(*model.InitialTuples(0), initial);
 }
 
 // A model whose online schedule has no batch (or a negative step count, or
@@ -176,11 +179,11 @@ TEST(ModelScheduleTest, PretrainRejectsInvalidOnlineSchedule) {
   bad[3].online_lr = 0.0;
   bad[4].online_lr = -std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < bad.size(); ++i) {
-    core::Explorer explorer(bad[i]);
-    const Status st = explorer.Pretrain(table, {data::Subspace{{0, 1}}},
-                                        /*train_meta=*/false, &rng);
+    core::ExplorationModel model(bad[i]);
+    const Status st = model.Pretrain(table, {data::Subspace{{0, 1}}},
+                                     /*train_meta=*/false, &rng);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "case " << i;
-    EXPECT_EQ(explorer.InitialTuples(0), nullptr) << "case " << i;
+    EXPECT_EQ(model.InitialTuples(0), nullptr) << "case " << i;
   }
 }
 

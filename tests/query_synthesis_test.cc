@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/exploration_model.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 
@@ -33,35 +34,35 @@ class QuerySynthesisTest : public ::testing::Test {
     opt.num_meta_tasks = 25;
     opt.trainer.epochs = 3;
     opt.trainer.local_steps = 3;
-    explorer_ = std::make_unique<Explorer>(opt);
+    auto model = std::make_shared<ExplorationModel>(opt);
     subspaces_ = {data::Subspace{{0, 1}}, data::Subspace{{2, 3}}};
-    ASSERT_TRUE(explorer_
-                    ->Pretrain(table_, subspaces_, /*train_meta=*/false,
-                               rng_.get())
-                    .ok());
+    ASSERT_TRUE(
+        model->Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get())
+            .ok());
+    session_ = std::make_unique<ExplorationSession>(model);
   }
 
   void Explore(double threshold) {
     std::vector<std::vector<double>> labels(2);
     for (int s = 0; s < 2; ++s) {
-      for (const auto& t : *explorer_->InitialTuples(s)) {
+      for (const auto& t : *session_->model().InitialTuples(s)) {
         labels[static_cast<size_t>(s)].push_back(t[0] < threshold ? 1.0 : 0.0);
       }
     }
     ASSERT_TRUE(
-        explorer_->StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+        session_->StartExploration(labels, Variant::kBasic, rng_.get()).ok());
   }
 
   std::unique_ptr<Rng> rng_;
   data::Table table_;
   preprocess::MinMaxNormalizer normalizer_;
   std::vector<data::Subspace> subspaces_;
-  std::unique_ptr<Explorer> explorer_;
+  std::unique_ptr<ExplorationSession> session_;
 };
 
 TEST_F(QuerySynthesisTest, RequiresExploration) {
   SynthesizedQuery query;
-  EXPECT_EQ(SynthesizeQuery(*explorer_, QuerySynthesisOptions{}, &query).code(),
+  EXPECT_EQ(SynthesizeQuery(*session_, QuerySynthesisOptions{}, &query).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -69,7 +70,7 @@ TEST_F(QuerySynthesisTest, QueryAgreesWithClassifier) {
   Explore(0.5);
   SynthesizedQuery query;
   ASSERT_TRUE(
-      SynthesizeQuery(*explorer_, QuerySynthesisOptions{}, &query).ok());
+      SynthesizeQuery(*session_, QuerySynthesisOptions{}, &query).ok());
   ASSERT_EQ(query.clauses.size(), 2u);
 
   // The synthesized predicate should closely agree with the classifier it
@@ -77,7 +78,7 @@ TEST_F(QuerySynthesisTest, QueryAgreesWithClassifier) {
   eval::ConfusionCounts counts;
   for (int64_t r = 0; r < 1000; ++r) {
     const std::vector<double> row = table_.Row(r);
-    counts.Add(explorer_->PredictRow(row).value_or(0.0),
+    counts.Add(session_->PredictRow(row).value_or(0.0),
                query.Matches(row) ? 1.0 : 0.0);
   }
   EXPECT_GT(eval::F1Score(counts), 0.8);
@@ -87,7 +88,7 @@ TEST_F(QuerySynthesisTest, SqlRendering) {
   Explore(0.5);
   SynthesizedQuery query;
   ASSERT_TRUE(
-      SynthesizeQuery(*explorer_, QuerySynthesisOptions{}, &query).ok());
+      SynthesizeQuery(*session_, QuerySynthesisOptions{}, &query).ok());
   const std::string sql =
       query.ToSql("blobs", table_.AttributeNames(), nullptr);
   EXPECT_NE(sql.find("SELECT * FROM blobs"), std::string::npos);
@@ -99,7 +100,7 @@ TEST_F(QuerySynthesisTest, SqlDenormalizesBounds) {
   Explore(0.5);
   SynthesizedQuery query;
   ASSERT_TRUE(
-      SynthesizeQuery(*explorer_, QuerySynthesisOptions{}, &query).ok());
+      SynthesizeQuery(*session_, QuerySynthesisOptions{}, &query).ok());
   const std::string raw_sql =
       query.ToSql("blobs", table_.AttributeNames(), &normalizer_);
   // Denormalized bounds live on the raw blob scale (roughly [-5, 15]), so
@@ -114,19 +115,19 @@ TEST_F(QuerySynthesisTest, AllNegativeYieldsFalseClause) {
   std::vector<std::vector<double>> labels(2);
   for (int s = 0; s < 2; ++s) {
     labels[static_cast<size_t>(s)].assign(
-        explorer_->InitialTuples(s)->size(), 0.0);
+        session_->model().InitialTuples(s)->size(), 0.0);
   }
   ASSERT_TRUE(
-      explorer_->StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+      session_->StartExploration(labels, Variant::kBasic, rng_.get()).ok());
   SynthesizedQuery query;
   ASSERT_TRUE(
-      SynthesizeQuery(*explorer_, QuerySynthesisOptions{}, &query).ok());
+      SynthesizeQuery(*session_, QuerySynthesisOptions{}, &query).ok());
   int matches = 0;
   int classifier_positives = 0;
   for (int64_t r = 0; r < 500; ++r) {
     matches += query.Matches(table_.Row(r)) ? 1 : 0;
     classifier_positives +=
-        explorer_->PredictRow(table_.Row(r)).value_or(0.0) > 0.5;
+        session_->PredictRow(table_.Row(r)).value_or(0.0) > 0.5;
   }
   // The query may only match rows the classifier also accepts (both should
   // be near zero on all-negative labels).
@@ -138,7 +139,7 @@ TEST_F(QuerySynthesisTest, MaxBoxesRespected) {
   QuerySynthesisOptions opt;
   opt.max_boxes_per_subspace = 2;
   SynthesizedQuery query;
-  ASSERT_TRUE(SynthesizeQuery(*explorer_, opt, &query).ok());
+  ASSERT_TRUE(SynthesizeQuery(*session_, opt, &query).ok());
   for (const SubspaceClause& clause : query.clauses) {
     EXPECT_LE(clause.boxes.size(), 2u);
   }

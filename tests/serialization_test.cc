@@ -1,9 +1,11 @@
 // Round-trip tests of the model-persistence layer, from the binary I/O
-// primitives up to a full pre-trained Explorer.
+// primitives up to a full pre-trained ExplorationModel.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
 
 #include "common/binary_io.h"
@@ -153,78 +155,27 @@ TEST(SerializationTest, ExplorerRoundTripPreservesExploration) {
   opt.trainer.local_steps = 3;
   std::vector<data::Subspace> subspaces = {data::Subspace{{0, 1}},
                                            data::Subspace{{2, 3}}};
-  core::Explorer original(opt);
+  auto original = std::make_shared<core::ExplorationModel>(opt);
   ASSERT_TRUE(
-      original.Pretrain(table, subspaces, /*train_meta=*/true, &rng).ok());
+      original->Pretrain(table, subspaces, /*train_meta=*/true, &rng).ok());
 
   const std::string path = testing::TempDir() + "/explorer.ltemodel";
-  ASSERT_TRUE(original.Save(path).ok());
+  ASSERT_TRUE(original->Save(path).ok());
 
-  core::Explorer restored(core::ExplorerOptions{});
-  ASSERT_TRUE(restored.LoadModel(path).ok());
-  EXPECT_EQ(restored.num_subspaces(), 2);
-  EXPECT_TRUE(restored.meta_trained());
-  EXPECT_EQ(*restored.InitialTuples(0), *original.InitialTuples(0));
-  EXPECT_EQ(*restored.InitialTuples(1), *original.InitialTuples(1));
+  auto restored =
+      std::make_shared<core::ExplorationModel>(core::ExplorerOptions{});
+  ASSERT_TRUE(restored->Load(path).ok());
+  EXPECT_EQ(restored->num_subspaces(), 2);
+  EXPECT_TRUE(restored->meta_trained());
+  EXPECT_EQ(*restored->InitialTuples(0), *original->InitialTuples(0));
+  EXPECT_EQ(*restored->InitialTuples(1), *original->InitialTuples(1));
 
-  // Both adapt with identical labels and rngs and must agree exactly.
-  std::vector<std::vector<double>> labels(2);
-  for (int s = 0; s < 2; ++s) {
-    for (const auto& t : *original.InitialTuples(s)) {
-      labels[static_cast<size_t>(s)].push_back(t[0] < 5.0 ? 1.0 : 0.0);
-    }
-  }
-  Rng rng_a(99);
-  Rng rng_b(99);
-  ASSERT_TRUE(
-      original.StartExploration(labels, core::Variant::kMetaStar, &rng_a)
-          .ok());
-  ASSERT_TRUE(
-      restored.StartExploration(labels, core::Variant::kMetaStar, &rng_b)
-          .ok());
-  for (int64_t r = 0; r < 50; ++r) {
-    EXPECT_EQ(original.PredictRow(table.Row(r)).value_or(-1.0),
-              restored.PredictRow(table.Row(r)).value_or(-2.0));
-  }
-}
-
-// The legacy facade surface (Explorer::Save / LoadModel) and the bare
-// ExplorationModel::Save / Load share one on-disk format: files written by
-// either side load on the other with identical downstream behavior.
-TEST(SerializationTest, FacadeAndModelFormatsAreInterchangeable) {
-  Rng rng(6);
-  data::Table table = data::MakeBlobs(3000, 4, 4, &rng);
-  core::ExplorerOptions opt;
-  opt.task_gen.k_u = 30;
-  opt.task_gen.k_s = 10;
-  opt.task_gen.k_q = 30;
-  opt.learner.embedding_size = 12;
-  opt.learner.clf_hidden = {12};
-  opt.learner.num_memory_modes = 3;
-  opt.num_meta_tasks = 25;
-  opt.trainer.epochs = 3;
-  opt.trainer.local_steps = 3;
-  std::vector<data::Subspace> subspaces = {data::Subspace{{0, 1}},
-                                           data::Subspace{{2, 3}}};
-  core::Explorer facade(opt);
-  ASSERT_TRUE(
-      facade.Pretrain(table, subspaces, /*train_meta=*/true, &rng).ok());
-
-  // Facade-written file → bare model.
-  const std::string facade_path = testing::TempDir() + "/facade.ltemodel";
-  ASSERT_TRUE(facade.Save(facade_path).ok());
-  auto model = std::make_shared<core::ExplorationModel>(core::ExplorerOptions{});
-  ASSERT_TRUE(model->Load(facade_path).ok());
-  EXPECT_TRUE(model->meta_trained());
-  ASSERT_EQ(model->num_subspaces(), 2);
-  EXPECT_EQ(*model->InitialTuples(0), *facade.InitialTuples(0));
-
-  // Model-written file → facade. Saving the just-loaded model must
-  // reproduce the original bytes exactly (same format, no lossy fields).
-  const std::string model_path = testing::TempDir() + "/model.ltemodel";
-  ASSERT_TRUE(model->Save(model_path).ok());
-  std::ifstream in_a(facade_path, std::ios::binary);
-  std::ifstream in_b(model_path, std::ios::binary);
+  // Saving the just-loaded model must reproduce the original bytes exactly
+  // (no lossy fields).
+  const std::string resaved_path = testing::TempDir() + "/resaved.ltemodel";
+  ASSERT_TRUE(restored->Save(resaved_path).ok());
+  std::ifstream in_a(path, std::ios::binary);
+  std::ifstream in_b(resaved_path, std::ios::binary);
   const std::string bytes_a((std::istreambuf_iterator<char>(in_a)),
                             std::istreambuf_iterator<char>());
   const std::string bytes_b((std::istreambuf_iterator<char>(in_b)),
@@ -232,32 +183,26 @@ TEST(SerializationTest, FacadeAndModelFormatsAreInterchangeable) {
   ASSERT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, bytes_b);
 
-  core::Explorer restored(core::ExplorerOptions{});
-  ASSERT_TRUE(restored.LoadModel(model_path).ok());
-
-  // All three adapt with identical labels and rngs and must agree exactly.
+  // Both adapt with identical labels and rngs and must agree exactly.
   std::vector<std::vector<double>> labels(2);
   for (int s = 0; s < 2; ++s) {
-    for (const auto& t : *facade.InitialTuples(s)) {
+    for (const auto& t : *original->InitialTuples(s)) {
       labels[static_cast<size_t>(s)].push_back(t[0] < 5.0 ? 1.0 : 0.0);
     }
   }
+  core::ExplorationSession original_session(original);
+  core::ExplorationSession restored_session(restored);
   Rng rng_a(99);
   Rng rng_b(99);
-  Rng rng_c(99);
-  core::ExplorationSession session(model);
-  ASSERT_TRUE(
-      facade.StartExploration(labels, core::Variant::kMetaStar, &rng_a).ok());
-  ASSERT_TRUE(
-      session.StartExploration(labels, core::Variant::kMetaStar, &rng_b)
-          .ok());
-  ASSERT_TRUE(
-      restored.StartExploration(labels, core::Variant::kMetaStar, &rng_c)
-          .ok());
+  ASSERT_TRUE(original_session
+                  .StartExploration(labels, core::Variant::kMetaStar, &rng_a)
+                  .ok());
+  ASSERT_TRUE(restored_session
+                  .StartExploration(labels, core::Variant::kMetaStar, &rng_b)
+                  .ok());
   for (int64_t r = 0; r < 50; ++r) {
-    const double truth = facade.PredictRow(table.Row(r)).value_or(-1.0);
-    EXPECT_EQ(truth, session.PredictRow(table.Row(r)).value_or(-2.0));
-    EXPECT_EQ(truth, restored.PredictRow(table.Row(r)).value_or(-3.0));
+    EXPECT_EQ(original_session.PredictRow(table.Row(r)).value_or(-1.0),
+              restored_session.PredictRow(table.Row(r)).value_or(-2.0));
   }
 }
 
@@ -298,20 +243,20 @@ TEST(SerializationTest, LoadRejectsGarbage) {
   std::ofstream out(path, std::ios::binary);
   out << "this is not a model";
   out.close();
-  core::Explorer ex(core::ExplorerOptions{});
-  const Status s = ex.LoadModel(path);
+  core::ExplorationModel model(core::ExplorerOptions{});
+  const Status s = model.Load(path);
   EXPECT_FALSE(s.ok());
 }
 
 TEST(SerializationTest, LoadRejectsMissingFile) {
-  core::Explorer ex(core::ExplorerOptions{});
-  EXPECT_EQ(ex.LoadModel("/nonexistent/dir/model.bin").code(),
+  core::ExplorationModel model(core::ExplorerOptions{});
+  EXPECT_EQ(model.Load("/nonexistent/dir/model.bin").code(),
             StatusCode::kIoError);
 }
 
 TEST(SerializationTest, SaveBeforePretrainFails) {
-  core::Explorer ex(core::ExplorerOptions{});
-  EXPECT_EQ(ex.Save(testing::TempDir() + "/x.ltemodel").code(),
+  core::ExplorationModel model(core::ExplorerOptions{});
+  EXPECT_EQ(model.Save(testing::TempDir() + "/x.ltemodel").code(),
             StatusCode::kFailedPrecondition);
 }
 

@@ -6,8 +6,7 @@
 //    across the header + model stamp return an error Status — never a crash,
 //    never a silent load (runs under the ASan/UBSan CI job).
 //  * Model mismatch: a session saved against model A refuses to load against
-//    model B (FailedPrecondition, both fingerprints in the message),
-//    including through the legacy Explorer facade.
+//    model B (FailedPrecondition, both fingerprints in the message).
 //
 // Saved streams carry configured stateful exploration policies (tau-first +
 // bootstrap), so the round-trip and corruption batteries exercise the
@@ -17,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <numeric>
@@ -26,7 +26,6 @@
 
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
-#include "core/explorer.h"
 #include "data/synthetic.h"
 
 namespace lte::core {
@@ -378,46 +377,18 @@ TEST_F(SessionPersistenceTest, ModelMismatchRefusesLoad) {
   EXPECT_TRUE(on_reloaded.Load(path).ok());
 }
 
-// The legacy Explorer facade exposes the same persistence surface and the
-// same stale-session protection.
-TEST_F(SessionPersistenceTest, ExplorerFacadeSaveLoadAndMismatch) {
-  Explorer ex(SmallExplorerOptions());
-  Rng rng(23);
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/true, &rng).ok());
-  ex.mutable_session()->SeedRng(9);
-  ASSERT_TRUE(ex.StartExploration(UserLabels(0), Variant::kMetaStar,
-                                  ex.mutable_session()->session_rng())
-                  .ok());
-  const std::string path = ::testing::TempDir() + "/facade.ltesession";
-  ASSERT_TRUE(ex.SaveSession(path).ok());
-
-  // Same pretraining stream => same fingerprint => the session transfers.
-  Explorer same(SmallExplorerOptions());
-  Rng same_rng(23);
-  ASSERT_TRUE(
-      same.Pretrain(table_, subspaces_, /*train_meta=*/true, &same_rng).ok());
-  ASSERT_EQ(same.model().fingerprint(), ex.model().fingerprint());
-  ASSERT_TRUE(same.LoadSession(path).ok());
-  std::vector<int64_t> expected;
-  std::vector<int64_t> restored;
-  ASSERT_TRUE(ex.RetrieveMatches(table_, -1, &expected).ok());
-  ASSERT_TRUE(same.RetrieveMatches(table_, -1, &restored).ok());
-  EXPECT_EQ(expected, restored);
-
-  // Refreshed facade model => FailedPrecondition with both fingerprints.
-  Explorer refreshed(SmallExplorerOptions());
-  Rng refreshed_rng(24);
-  ASSERT_TRUE(refreshed
-                  .Pretrain(table_, subspaces_, /*train_meta=*/true,
-                            &refreshed_rng)
-                  .ok());
-  const Status st = refreshed.LoadSession(path);
-  ASSERT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(st.message().find(HexU64(ex.model().fingerprint())),
-            std::string::npos);
-  EXPECT_NE(st.message().find(HexU64(refreshed.model().fingerprint())),
-            std::string::npos);
+// A save whose bytes never reach the disk is an error, not OK. /dev/full
+// accepts the open and fails every write with ENOSPC; a small file sits
+// wholly in the stream's buffer until the final flush, which is the write
+// that must be checked.
+TEST_F(SessionPersistenceTest, SaveToFullDeviceReportsIoError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  ExplorationSession session(model_, 1);
+  session.SeedRng(9);
+  EXPECT_EQ(session.Save("/dev/full").code(), StatusCode::kIoError);
+  EXPECT_EQ(model_->Save("/dev/full").code(), StatusCode::kIoError);
 }
 
 // An unstarted session (rng only) round-trips, and the restored rng

@@ -26,7 +26,6 @@
 
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
-#include "core/explorer.h"
 #include "data/synthetic.h"
 #include "policy/suggest_policy.h"
 #include "serving/model_registry.h"
@@ -445,6 +444,8 @@ TEST_F(SuggestPolicySessionTest, StochasticPoliciesRequireSessionRng) {
   Rng external(5);
   ASSERT_TRUE(
       session.StartExploration(UserLabels(), Variant::kMeta, &external).ok());
+  ASSERT_NE(session.suggest_policy(0), nullptr);
+  EXPECT_EQ(session.suggest_policy(0)->kind(), PolicyKind::kUncertainty);
   std::vector<int64_t> suggested;
   EXPECT_TRUE(session.SuggestTuples(0, Candidates(0, 0), 5, &suggested).ok());
   EXPECT_EQ(suggested.size(), 5u);
@@ -483,29 +484,16 @@ TEST_F(SuggestPolicySessionTest, StochasticPoliciesRequireSessionRng) {
   const SuggestPolicy* p = with_rng.suggest_policy(0);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->kind(), PolicyKind::kSoftmax);
-}
 
-// The Explorer facade forwards ConfigureSuggestPolicy and the model-default
-// policy knob.
-TEST_F(SuggestPolicySessionTest, ExplorerFacadeConfiguresPolicies) {
-  core::Explorer ex(SmallExplorerOptions());
-  Rng rng(23);
-  ASSERT_TRUE(
-      ex.Pretrain(table_, subspaces_, /*train_meta=*/true, &rng).ok());
-  ex.mutable_session()->SeedRng(12);
-  ASSERT_TRUE(ex.StartExploration(UserLabels(), Variant::kMeta,
-                                  ex.mutable_session()->session_rng())
-                  .ok());
+  // Configuring one subspace replaces only that subspace's default.
   PolicyOptions tau = Opts(PolicyKind::kTauFirst);
   tau.tau = 2;
-  ASSERT_TRUE(ex.ConfigureSuggestPolicy(0, tau).ok());
-  std::vector<int64_t> suggested;
-  ASSERT_TRUE(ex.SuggestTuples(0, Candidates(0, 0), 4, &suggested).ok());
+  ASSERT_TRUE(with_rng.ConfigureSuggestPolicy(0, tau).ok());
+  ASSERT_TRUE(
+      with_rng.SuggestTuples(0, Candidates(0, 0), 4, &suggested).ok());
   EXPECT_EQ(suggested.size(), 4u);
-  const SuggestPolicy* p = ex.session().suggest_policy(0);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->kind(), PolicyKind::kTauFirst);
-  EXPECT_EQ(ex.session().suggest_policy(1)->kind(), PolicyKind::kUncertainty);
+  EXPECT_EQ(with_rng.suggest_policy(0)->kind(), PolicyKind::kTauFirst);
+  EXPECT_EQ(with_rng.suggest_policy(1)->kind(), PolicyKind::kSoftmax);
 }
 
 // An evict/restore cycle through the SessionManager preserves the policy
