@@ -208,38 +208,6 @@ TEST_F(ExplorationSessionTest, MisuseReturnsStatusNotAbort) {
   EXPECT_EQ(
       cold_session.StartExploration({{1.0}}, Variant::kBasic, &rng).code(),
       StatusCode::kFailedPrecondition);
-  EXPECT_EQ(cold_session.RetrieveMatches(table_, -1, &matches).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(cold_session.PredictRows(table_, rows, &preds).code(),
-            StatusCode::kFailedPrecondition);
-
-  // Bad arguments to an adapted session.
-  std::vector<std::vector<double>> labels(2);
-  for (int s = 0; s < 2; ++s) {
-    labels[static_cast<size_t>(s)].assign(model_->InitialTuples(s)->size(),
-                                          1.0);
-  }
-  ASSERT_TRUE(session.StartExploration(labels, Variant::kBasic, &rng).ok());
-  // Out-of-range row indices.
-  const std::vector<int64_t> negative = {-1};
-  const std::vector<int64_t> past_end = {table_.num_rows()};
-  EXPECT_EQ(session.PredictRows(table_, negative, &preds).code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(session.PredictRows(table_, past_end, &preds).code(),
-            StatusCode::kOutOfRange);
-  // A table narrower than the active subspaces' attributes.
-  const data::Table narrow = table_.Project({0, 1});
-  EXPECT_EQ(session.RetrieveMatches(narrow, -1, &matches).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(session.PredictRows(narrow, rows, &preds).code(),
-            StatusCode::kInvalidArgument);
-  // SuggestTuples misuse: un-adapted subspace, bad k, bad candidate width.
-  EXPECT_EQ(session.SuggestTuples(5, {{0.5, 0.5}}, 1, &suggested).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(session.SuggestTuples(0, {{0.5, 0.5}}, -1, &suggested).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(session.SuggestTuples(0, {{0.5, 0.5, 0.5}}, 1, &suggested).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST_F(ExplorationSessionTest, ContinueExplorationNullRngIsError) {
@@ -322,22 +290,8 @@ TEST_F(ExplorationSessionTest, ResetDropsAdaptedState) {
 }
 
 TEST_F(ExplorationSessionTest, ModelAccessorsRejectOutOfRange) {
-  // Before Pretrain every accessor reports "nothing there" instead of
-  // aborting, and so does a session's query surface.
-  auto cold = std::make_shared<ExplorationModel>(SmallExplorerOptions());
-  EXPECT_EQ(cold->subspace(0), nullptr);
-  EXPECT_EQ(cold->InitialTuples(0), nullptr);
-  EXPECT_EQ(cold->generator(0), nullptr);
-  ExplorationSession cold_session(cold);
-  EXPECT_FALSE(cold_session.PredictRow(table_.Row(0)).has_value());
-  EXPECT_FALSE(cold_session.PredictSubspace(0, {0.0, 0.0}).has_value());
-
-  EXPECT_NE(model_->subspace(0), nullptr);
-  EXPECT_NE(model_->InitialTuples(1), nullptr);
-  EXPECT_NE(model_->generator(1), nullptr);
   EXPECT_EQ(model_->subspace(-1), nullptr);
   EXPECT_EQ(model_->subspace(2), nullptr);
-  EXPECT_EQ(model_->InitialTuples(7), nullptr);
   EXPECT_EQ(model_->InitialTuples(99), nullptr);
   EXPECT_EQ(model_->generator(-3), nullptr);
   EXPECT_EQ(model_->meta_learner(2), nullptr);
@@ -688,6 +642,84 @@ TEST_F(ExplorationSessionEndToEndTest, PredictionMisuseYieldsNullopt) {
       session.PredictSubspace(0, {0.5}).has_value());  // Width mismatch.
   EXPECT_TRUE(session.PredictRow(table_.Row(0)).has_value());
   EXPECT_FALSE(session.PredictRow({0.5}).has_value());  // Row too narrow.
+}
+
+TEST_F(ExplorationSessionEndToEndTest, StartBeforePretrainFails) {
+  auto model = std::make_shared<ExplorationModel>(SmallExplorerOptions());
+  ExplorationSession session(model);
+  EXPECT_EQ(
+      session.StartExploration({{1.0}}, Variant::kBasic, rng_.get()).code(),
+      StatusCode::kFailedPrecondition);
+}
+
+TEST_F(ExplorationSessionEndToEndTest, QueryAccessorsReturnNullOnMisuse) {
+  auto model = std::make_shared<ExplorationModel>(SmallExplorerOptions());
+  ExplorationSession session(model);
+  // Before Pretrain every accessor reports "nothing there" instead of
+  // aborting.
+  EXPECT_EQ(model->subspace(0), nullptr);
+  EXPECT_EQ(model->InitialTuples(0), nullptr);
+  EXPECT_EQ(model->generator(0), nullptr);
+  EXPECT_FALSE(session.PredictRow(table_.Row(0)).has_value());
+  EXPECT_FALSE(session.PredictSubspace(0, {0.0, 0.0}).has_value());
+
+  ASSERT_TRUE(
+      model->Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get())
+          .ok());
+  EXPECT_NE(model->subspace(0), nullptr);
+  EXPECT_NE(model->InitialTuples(1), nullptr);
+  EXPECT_NE(model->generator(1), nullptr);
+  EXPECT_EQ(model->subspace(-1), nullptr);
+  EXPECT_EQ(model->subspace(2), nullptr);
+  EXPECT_EQ(model->InitialTuples(7), nullptr);
+  EXPECT_EQ(model->generator(-3), nullptr);
+}
+
+TEST_F(ExplorationSessionEndToEndTest, BatchQueryMisuseYieldsStatus) {
+  auto model = std::make_shared<ExplorationModel>(SmallExplorerOptions());
+  ExplorationSession session(model);
+  std::vector<int64_t> matches;
+  std::vector<double> preds;
+  const std::vector<int64_t> rows = {0, 1, 2};
+  // Before StartExploration both batch entry points fail cleanly.
+  EXPECT_EQ(session.RetrieveMatches(table_, -1, &matches).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.PredictRows(table_, rows, &preds).code(),
+            StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(
+      model->Pretrain(table_, subspaces_, /*train_meta=*/false, rng_.get())
+          .ok());
+  std::vector<std::vector<double>> labels(2);
+  for (int s = 0; s < 2; ++s) {
+    labels[static_cast<size_t>(s)].assign(model->InitialTuples(s)->size(),
+                                          1.0);
+  }
+  ASSERT_TRUE(
+      session.StartExploration(labels, Variant::kBasic, rng_.get()).ok());
+
+  // Out-of-range row indices.
+  const std::vector<int64_t> negative = {-1};
+  const std::vector<int64_t> past_end = {table_.num_rows()};
+  EXPECT_EQ(session.PredictRows(table_, negative, &preds).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(session.PredictRows(table_, past_end, &preds).code(),
+            StatusCode::kOutOfRange);
+  // A table narrower than the active subspaces' attributes.
+  const data::Table narrow = table_.Project({0, 1});
+  EXPECT_EQ(session.RetrieveMatches(narrow, -1, &matches).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.PredictRows(narrow, rows, &preds).code(),
+            StatusCode::kInvalidArgument);
+
+  // SuggestTuples misuse: un-adapted subspace, bad k, bad candidate width.
+  std::vector<int64_t> picked;
+  EXPECT_EQ(session.SuggestTuples(5, {{0.5, 0.5}}, 1, &picked).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.SuggestTuples(0, {{0.5, 0.5}}, -1, &picked).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.SuggestTuples(0, {{0.5, 0.5, 0.5}}, 1, &picked).code(),
+            StatusCode::kInvalidArgument);
 }
 
 class ExplorationSessionParallelTest : public ExplorationSessionEndToEndTest {
