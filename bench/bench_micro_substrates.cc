@@ -123,11 +123,15 @@ void BM_TaskModelAdaptation(benchmark::State& state) {
   std::vector<double> v_r(100);
   for (double& b : v_r) b = rng.Bernoulli(0.3) ? 1.0 : 0.0;
   const auto x = RandomPoints(state.range(0), 26, &rng);
+  std::vector<double> packed;
   std::vector<double> y;
-  for (const auto& p : x) y.push_back(p[0] > 0.5 ? 1.0 : 0.0);
+  for (const auto& p : x) {
+    packed.insert(packed.end(), p.begin(), p.end());
+    y.push_back(p[0] > 0.5 ? 1.0 : 0.0);
+  }
   for (auto _ : state) {
     lte::core::TaskModel tm = learner.CreateTaskModel(v_r);
-    lte::core::LocallyAdapt(&tm, x, y, /*steps=*/state.range(1),
+    lte::core::LocallyAdapt(&tm, packed, y, /*steps=*/state.range(1),
                             /*batch_size=*/10, /*lr=*/0.2, &rng);
     benchmark::DoNotOptimize(tm.Logit(x[0]));
   }

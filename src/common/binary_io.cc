@@ -1,13 +1,18 @@
 #include "common/binary_io.h"
 
+#include <algorithm>
 #include <cstring>
-#include <limits>
+#include <fstream>
+#include <utility>
 
 namespace lte {
 namespace {
 
 // Guards against absurd sizes from corrupted files before allocating.
 constexpr uint64_t kMaxReasonableCount = uint64_t{1} << 32;
+
+// Elements a reader allocates ahead of the bytes that fill them.
+constexpr uint64_t kReadChunk = uint64_t{1} << 16;
 
 }  // namespace
 
@@ -54,6 +59,29 @@ Status BinaryWriter::status() const {
   return out_->good() ? Status::OK() : Status::IoError("binary write failed");
 }
 
+Status WriteFile(const std::string& path,
+                 const std::function<Status(std::ostream*)>& write) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out.is_open()) {
+    return Status::IoError("cannot open " + path + " for writing");
+  }
+  LTE_RETURN_IF_ERROR(write(&out));
+  // close() flushes the buffered tail; a failure there must not be
+  // reported as a successful write.
+  out.close();
+  if (out.fail()) return Status::IoError("write failure on " + path);
+  return Status::OK();
+}
+
+Status ReadFile(const std::string& path,
+                const std::function<Status(std::istream*)>& read) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return Status::IoError("cannot open " + path);
+  const Status st = read(&in);
+  if (st.code() != StatusCode::kInvalidArgument) return st;
+  return Status::InvalidArgument(path + ": " + st.message());
+}
+
 uint64_t Fnv1a64(const void* data, size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint64_t h = 0xCBF29CE484222325ULL;  // FNV offset basis.
@@ -68,6 +96,29 @@ Status BinaryReader::ReadBytes(void* dst, size_t n) {
   in_->read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
   if (static_cast<size_t>(in_->gcount()) != n) {
     return Status::IoError("binary read: unexpected end of stream");
+  }
+  return Status::OK();
+}
+
+Status BinaryReader::ReadLength(uint64_t* n) {
+  LTE_RETURN_IF_ERROR(ReadU64(n));
+  if (*n > kMaxReasonableCount) {
+    return Status::IoError("binary read: implausible length");
+  }
+  return Status::OK();
+}
+
+template <typename Container>
+Status BinaryReader::ReadSized(Container* v) {
+  uint64_t n = 0;
+  LTE_RETURN_IF_ERROR(ReadLength(&n));
+  v->clear();
+  while (v->size() < n) {
+    const size_t done = v->size();
+    const auto take = static_cast<size_t>(std::min(n - done, kReadChunk));
+    v->resize(done + take);
+    LTE_RETURN_IF_ERROR(ReadBytes(
+        v->data() + done, take * sizeof(typename Container::value_type)));
   }
   return Status::OK();
 }
@@ -91,46 +142,27 @@ Status BinaryReader::ReadBool(bool* v) {
   return Status::OK();
 }
 
-Status BinaryReader::ReadString(std::string* s) {
-  uint64_t n = 0;
-  LTE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxReasonableCount) {
-    return Status::IoError("binary read: implausible string length");
-  }
-  s->resize(n);
-  return n == 0 ? Status::OK() : ReadBytes(s->data(), n);
-}
+Status BinaryReader::ReadString(std::string* s) { return ReadSized(s); }
 
 Status BinaryReader::ReadDoubleVector(std::vector<double>* v) {
-  uint64_t n = 0;
-  LTE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxReasonableCount) {
-    return Status::IoError("binary read: implausible vector length");
-  }
-  v->resize(n);
-  for (auto& x : *v) LTE_RETURN_IF_ERROR(ReadDouble(&x));
-  return Status::OK();
+  return ReadSized(v);
 }
 
 Status BinaryReader::ReadI64Vector(std::vector<int64_t>* v) {
-  uint64_t n = 0;
-  LTE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxReasonableCount) {
-    return Status::IoError("binary read: implausible vector length");
-  }
-  v->resize(n);
-  for (auto& x : *v) LTE_RETURN_IF_ERROR(ReadI64(&x));
-  return Status::OK();
+  return ReadSized(v);
 }
 
 Status BinaryReader::ReadPointSet(std::vector<std::vector<double>>* points) {
   uint64_t n = 0;
-  LTE_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kMaxReasonableCount) {
-    return Status::IoError("binary read: implausible point-set size");
+  LTE_RETURN_IF_ERROR(ReadLength(&n));
+  // Each point holds at least its own length word, so growing one point at
+  // a time keeps the set in proportion to the bytes read.
+  points->clear();
+  for (uint64_t i = 0; i < n; ++i) {
+    std::vector<double> p;
+    LTE_RETURN_IF_ERROR(ReadDoubleVector(&p));
+    points->push_back(std::move(p));
   }
-  points->resize(n);
-  for (auto& p : *points) LTE_RETURN_IF_ERROR(ReadDoubleVector(&p));
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define LTE_COMMON_BINARY_IO_H_
 
 #include <cstdint>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -15,7 +16,9 @@ namespace lte {
 /// layer (core/serialization.h). Writers are infallible until the final
 /// `status()` check (stream errors are sticky); readers return Status so a
 /// truncated or corrupted file surfaces as a clean error instead of garbage
-/// state.
+/// state. Readers grow their buffers a bounded chunk at a time as bytes
+/// arrive, so a corrupt length word costs memory in proportion to the bytes
+/// actually present, never to the length it claims.
 class BinaryWriter {
  public:
   explicit BinaryWriter(std::ostream* out) : out_(out) {}
@@ -36,6 +39,16 @@ class BinaryWriter {
  private:
   std::ostream* out_;
 };
+
+/// The file ends of the stream codecs. WriteFile opens `path` for binary
+/// writing, runs `write`, then closes the file and checks it: a write that
+/// fails, the final flush included (disk full, I/O error), returns IoError,
+/// never OK. ReadFile opens `path` for binary reading, runs `read`, and
+/// names the file in a format error (InvalidArgument).
+Status WriteFile(const std::string& path,
+                 const std::function<Status(std::ostream*)>& write);
+Status ReadFile(const std::string& path,
+                const std::function<Status(std::istream*)>& read);
 
 /// FNV-1a 64-bit hash of a byte buffer. Used as the model content
 /// fingerprint stamped into saved sessions (see exploration_model.h):
@@ -59,6 +72,12 @@ class BinaryReader {
 
  private:
   Status ReadBytes(void* dst, size_t n);
+  /// Reads a length word, refusing one no file of ours could hold.
+  Status ReadLength(uint64_t* n);
+  /// Reads a length word and that many fixed-width elements into `*v`
+  /// (replacing its contents), growing it one bounded chunk per read.
+  template <typename Container>
+  Status ReadSized(Container* v);
 
   std::istream* in_;
 };

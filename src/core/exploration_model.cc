@@ -1,7 +1,7 @@
 #include "core/exploration_model.h"
 
 #include <cmath>
-#include <fstream>
+#include <exception>
 #include <sstream>
 #include <utility>
 
@@ -113,14 +113,6 @@ const MetaLearner* ExplorationModel::meta_learner(int64_t s) const {
   return subspace_models_[static_cast<size_t>(s)].meta_learner.get();
 }
 
-TupleEncoder ExplorationModel::MakeEncoder(int64_t s) const {
-  const std::vector<int64_t>& attrs =
-      subspaces_[static_cast<size_t>(s)].attribute_indices;
-  return [this, attrs](const std::vector<double>& point) {
-    return encoder_.EncodeProjected(point, attrs);
-  };
-}
-
 std::optional<geom::Box> ExplorationModel::ValueBox(int64_t s) const {
   const std::vector<int64_t>& attrs =
       subspaces_[static_cast<size_t>(s)].attribute_indices;
@@ -191,7 +183,9 @@ Status ExplorationModel::Pretrain(const data::Table& table,
               model.generator.GenerateTaskSet(options_.num_meta_tasks,
                                               &sub_rng);
           const std::vector<EncodedMetaTask> encoded = EncodeTasks(
-              tasks, MakeEncoder(s), options_.trainer.num_threads);
+              tasks, encoder_,
+              subspaces_[static_cast<size_t>(s)].attribute_indices,
+              options_.trainer.num_threads);
           gen_seconds[static_cast<size_t>(s)] = sw.ElapsedSeconds();
 
           sw.Restart();
@@ -230,18 +224,7 @@ Status ExplorationModel::Save(const std::string& path) const {
   if (!pretrained_) {
     return Status::FailedPrecondition("explorer: Save before Pretrain");
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  LTE_RETURN_IF_ERROR(SaveToStream(&out));
-  // close() flushes the buffered tail; a failure there (disk full, I/O
-  // error) must not be reported as a successful save.
-  out.close();
-  if (out.fail()) {
-    return Status::IoError("write failure on " + path);
-  }
-  return Status::OK();
+  return WriteFile(path, [this](std::ostream* s) { return SaveToStream(s); });
 }
 
 Status ExplorationModel::SaveToStream(std::ostream* out) const {
@@ -271,18 +254,12 @@ Status ExplorationModel::SaveToStream(std::ostream* out) const {
 }
 
 Status ExplorationModel::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IoError("cannot open " + path);
-  }
-  Status st = LoadFromStream(&in);
-  if (!st.ok() && st.code() == StatusCode::kInvalidArgument) {
-    return Status::InvalidArgument(path + ": " + st.message());
-  }
-  return st;
+  return ReadFile(path, [this](std::istream* s) { return LoadFromStream(s); });
 }
 
-Status ExplorationModel::LoadFromStream(std::istream* in) {
+// As in the session decoder, an allocation failure escaping the decode
+// surfaces as a bad file, not as an exception.
+Status ExplorationModel::LoadFromStream(std::istream* in) try {
   BinaryReader r(in);
   uint64_t magic = 0;
   uint64_t version = 0;
@@ -295,17 +272,15 @@ Status ExplorationModel::LoadFromStream(std::istream* in) {
     return Status::InvalidArgument("unsupported LTE model version " +
                                    std::to_string(version));
   }
-  ExplorerOptions options;
+  // Decode over the constructed options: the file carries only the model's
+  // fields, and the host knobs (threads, trainer, suggest policy) keep the
+  // values this instance was built with.
+  ExplorerOptions options = options_;
   LTE_RETURN_IF_ERROR(LoadOptions(&r, &options));
   const Status schedule = CheckOnlineSchedule(options);
   if (!schedule.ok()) {
     return Status::IoError("model load: " + schedule.message());
   }
-  // Threading is a serving-host knob, not model state: keep the values this
-  // instance was constructed with (neither is serialized — LoadOptions
-  // leaves them at their defaults).
-  options.num_threads = options_.num_threads;
-  options.trainer.num_threads = options_.trainer.num_threads;
   preprocess::TabularEncoder encoder;
   LTE_RETURN_IF_ERROR(encoder.Load(&r));
   bool meta_trained = false;
@@ -353,6 +328,8 @@ Status ExplorationModel::LoadFromStream(std::istream* in) {
   meta_training_seconds_ = 0.0;
   RecomputeFingerprint();
   return Status::OK();
+} catch (const std::exception& e) {
+  return Status::IoError(std::string("model load: ") + e.what());
 }
 
 }  // namespace lte::core

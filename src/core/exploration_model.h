@@ -103,10 +103,11 @@ class ExplorationModel {
 
   /// Restores a pre-trained model saved by `Save`, replacing this instance's
   /// state. Sessions can start exploring immediately; no re-clustering or
-  /// re-training happens. The threading knob (`num_threads`) is a property
-  /// of the serving host, not of the model, so the constructed value
-  /// survives the load. Build method: must not race with any other use of
-  /// this model.
+  /// re-training happens. Only serialized option fields are replaced; host
+  /// knobs the file does not carry (`num_threads`, `trainer`, `encoder`,
+  /// `suggest_policy`) keep their constructed values. A corrupted stream
+  /// returns an error Status and changes nothing. Build method: must not
+  /// race with any other use of this model.
   Status Load(const std::string& path);
 
   /// Stream counterpart of Load (same format, no file handling).
@@ -158,10 +159,6 @@ class ExplorationModel {
   /// it. nullopt for a 1-D subspace. Requires `s` in range after
   /// Pretrain/Load.
   std::optional<geom::Box> ValueBox(int64_t s) const;
-
-  /// Closure encoding raw subspace-`s` points with the fitted encoder.
-  /// Requires `s` in range.
-  TupleEncoder MakeEncoder(int64_t s) const;
 
   /// Pre-training statistics (for the Figure 8(b) cost analysis). Summed
   /// over subspaces, i.e. total work; with num_threads > 1 the subspaces

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
-#include <fstream>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -41,6 +39,37 @@ std::string HexU64(uint64_t v) {
   return buf;
 }
 
+// Reads and checks the header every session file starts with: magic, a
+// loadable version, and the model fingerprint the session was saved
+// against.
+Status ReadSessionHeader(BinaryReader* r, uint64_t* version, uint64_t* stamp) {
+  uint64_t magic = 0;
+  LTE_RETURN_IF_ERROR(r->ReadU64(&magic));
+  if (magic != kSessionMagic) {
+    return Status::InvalidArgument("not an LTE session file");
+  }
+  LTE_RETURN_IF_ERROR(r->ReadU64(version));
+  if (*version < kOldestLoadableSessionVersion || *version > kSessionVersion) {
+    return Status::InvalidArgument("unsupported LTE session version " +
+                                   std::to_string(*version));
+  }
+  return r->ReadU64(stamp);
+}
+
+// Validates a suggest policy a session is about to install: stochastic
+// policies draw from (and persist with) the session-owned stream, so they
+// require SeedRng.
+Status CheckSuggestPolicy(const policy::PolicyOptions& options,
+                          bool has_session_rng) {
+  LTE_RETURN_IF_ERROR(policy::ValidatePolicyOptions(options));
+  if (options.kind != policy::PolicyKind::kUncertainty && !has_session_rng) {
+    return Status::FailedPrecondition(
+        "session: stochastic suggest policy requires SeedRng — policy draws "
+        "are served from (and persisted with) the session-owned stream");
+  }
+  return Status::OK();
+}
+
 // Labels are relevance scores in [0, 1]. NaN fails both bounds, so one
 // NaN label is refused before it can turn every adapted parameter into NaN.
 bool AllLabelsValid(const std::vector<double>& labels) {
@@ -74,18 +103,7 @@ Rng* ExplorationSession::session_rng() {
 }
 
 Status ExplorationSession::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  LTE_RETURN_IF_ERROR(SaveToStream(&out));
-  // close() flushes the buffered tail; a failure there (disk full, I/O
-  // error) must not be reported as a successful save.
-  out.close();
-  if (out.fail()) {
-    return Status::IoError("write failure on " + path);
-  }
-  return Status::OK();
+  return WriteFile(path, [this](std::ostream* s) { return SaveToStream(s); });
 }
 
 Status ExplorationSession::SaveToStream(std::ostream* out) const {
@@ -121,15 +139,7 @@ Status ExplorationSession::SaveToStream(std::ostream* out) const {
 }
 
 Status ExplorationSession::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IoError("cannot open " + path);
-  }
-  Status st = LoadFromStream(&in);
-  if (!st.ok() && st.code() == StatusCode::kInvalidArgument) {
-    return Status::InvalidArgument(path + ": " + st.message());
-  }
-  return st;
+  return ReadFile(path, [this](std::istream* s) { return LoadFromStream(s); });
 }
 
 Status ExplorationSession::PeekCheckpointFingerprint(const std::string& path,
@@ -138,60 +148,29 @@ Status ExplorationSession::PeekCheckpointFingerprint(const std::string& path,
     return Status::InvalidArgument(
         "session peek: fingerprint must not be null");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IoError("cannot open " + path);
-  }
-  BinaryReader r(&in);
-  uint64_t magic = 0;
-  uint64_t version = 0;
-  uint64_t stamped = 0;
-  LTE_RETURN_IF_ERROR(r.ReadU64(&magic));
-  if (magic != kSessionMagic) {
-    return Status::InvalidArgument(path + ": not an LTE session file");
-  }
-  LTE_RETURN_IF_ERROR(r.ReadU64(&version));
-  if (version < kOldestLoadableSessionVersion || version > kSessionVersion) {
-    return Status::InvalidArgument(path + ": unsupported LTE session version " +
-                                   std::to_string(version));
-  }
-  LTE_RETURN_IF_ERROR(r.ReadU64(&stamped));
-  *fingerprint = stamped;
-  return Status::OK();
+  return ReadFile(path, [fingerprint](std::istream* in) {
+    BinaryReader r(in);
+    uint64_t version = 0;
+    uint64_t stamp = 0;
+    LTE_RETURN_IF_ERROR(ReadSessionHeader(&r, &version, &stamp));
+    *fingerprint = stamp;
+    return Status::OK();
+  });
 }
 
-Status ExplorationSession::LoadFromStream(std::istream* in) {
-  try {
-    return LoadFromStreamImpl(in);
-  } catch (const std::exception& e) {
-    // The library's error model never throws across API boundaries. The
-    // plausibility guards stop corrupted length words before allocation,
-    // but a length that is plausible yet beyond this host's memory can
-    // still throw bad_alloc — map it to a Status like any other bad file.
-    return Status::IoError(std::string("session load: ") + e.what());
-  }
-}
-
-Status ExplorationSession::LoadFromStreamImpl(std::istream* in) {
+// The library's error model never throws across API boundaries: an
+// allocation failure escaping the decode (a plausible length beyond this
+// host's memory) is mapped to a Status like any other bad file.
+Status ExplorationSession::LoadFromStream(std::istream* in) try {
   if (!model_->pretrained()) {
     return Status::FailedPrecondition(
         "session load: model has not been trained");
   }
   BinaryReader r(in);
-  uint64_t magic = 0;
   uint64_t version = 0;
   uint64_t stamp = 0;
   uint64_t variant_u = 0;
-  LTE_RETURN_IF_ERROR(r.ReadU64(&magic));
-  if (magic != kSessionMagic) {
-    return Status::InvalidArgument("not an LTE session file");
-  }
-  LTE_RETURN_IF_ERROR(r.ReadU64(&version));
-  if (version < kOldestLoadableSessionVersion || version > kSessionVersion) {
-    return Status::InvalidArgument("unsupported LTE session version " +
-                                   std::to_string(version));
-  }
-  LTE_RETURN_IF_ERROR(r.ReadU64(&stamp));
+  LTE_RETURN_IF_ERROR(ReadSessionHeader(&r, &version, &stamp));
   if (stamp != model_->fingerprint()) {
     return Status::FailedPrecondition(
         "session load: saved against model fingerprint " + HexU64(stamp) +
@@ -241,8 +220,10 @@ Status ExplorationSession::LoadFromStreamImpl(std::istream* in) {
       return Status::IoError("session load: implausible history length");
     }
     const size_t width = model_->subspace(s)->attribute_indices.size();
-    state.history.resize(static_cast<size_t>(num_batches));
-    for (LabeledBatch& batch : state.history) {
+    // Grown batch by batch, so a corrupt count costs memory only in
+    // proportion to the batches actually present.
+    for (uint64_t b = 0; b < num_batches; ++b) {
+      LabeledBatch& batch = state.history.emplace_back();
       LTE_RETURN_IF_ERROR(r.ReadPointSet(&batch.points));
       LTE_RETURN_IF_ERROR(r.ReadDoubleVector(&batch.labels));
       if (batch.points.empty() || batch.points.size() != batch.labels.size()) {
@@ -322,6 +303,8 @@ Status ExplorationSession::LoadFromStreamImpl(std::istream* in) {
   variant_ = variant;
   rng_ = std::move(rng);
   return Status::OK();
+} catch (const std::exception& e) {
+  return Status::IoError(std::string("session load: ") + e.what());
 }
 
 Status ExplorationSession::StartExploration(
@@ -346,13 +329,7 @@ Status ExplorationSession::StartExploration(
   }
   const policy::PolicyOptions& policy_options =
       model_->options().suggest_policy;
-  LTE_RETURN_IF_ERROR(policy::ValidatePolicyOptions(policy_options));
-  if (policy_options.kind != policy::PolicyKind::kUncertainty &&
-      !rng_.has_value()) {
-    return Status::FailedPrecondition(
-        "session: stochastic suggest policy requires SeedRng — policy draws "
-        "are served from (and persisted with) the session-owned stream");
-  }
+  LTE_RETURN_IF_ERROR(CheckSuggestPolicy(policy_options, rng_.has_value()));
   // Validate every label set before mutating any online state, so a failed
   // call leaves the previous exploration intact.
   for (size_t s = 0; s < labels_per_subspace.size(); ++s) {
@@ -412,12 +389,10 @@ Status ExplorationSession::StartExploration(
         state.task_model =
             std::make_unique<TaskModel>(learner->CreateTaskModel(uis_feature));
 
-        const TupleEncoder encode = model_->MakeEncoder(si);
-        const std::vector<std::vector<double>>& initial =
-            *model_->InitialTuples(si);
-        std::vector<std::vector<double>> x;
-        x.reserve(initial.size());
-        for (const auto& p : initial) x.push_back(encode(p));
+        std::vector<double> x;
+        model_->encoder().EncodePointsInto(
+            model_->subspace(si)->attribute_indices, *model_->InitialTuples(si),
+            &x);
         LocallyAdapt(state.task_model.get(), x, labels, options.online_steps,
                      options.online_batch_size, options.online_lr, &sub_rng);
         // Adaptation is done: warm the cached UIS embedding so the serving
@@ -466,12 +441,7 @@ Status ExplorationSession::ConfigureSuggestPolicy(
         "session: ConfigureSuggestPolicy on subspace " + std::to_string(s) +
         " before StartExploration adapted it");
   }
-  LTE_RETURN_IF_ERROR(policy::ValidatePolicyOptions(options));
-  if (options.kind != policy::PolicyKind::kUncertainty && !rng_.has_value()) {
-    return Status::FailedPrecondition(
-        "session: stochastic suggest policy requires SeedRng — policy draws "
-        "are served from (and persisted with) the session-owned stream");
-  }
+  LTE_RETURN_IF_ERROR(CheckSuggestPolicy(options, rng_.has_value()));
   // Construction seed material (bootstrap bag seeds) comes from the session
   // rng: a sequential draw on the single-writer surface, persisted with the
   // session, so a reconfigure is reproducible run-to-run and the installed
@@ -511,9 +481,8 @@ Status ExplorationSession::SuggestTuples(
         "call SeedRng first");
   }
   const std::vector<int64_t>& attrs = model_->subspace(s)->attribute_indices;
-  const size_t width = attrs.size();
   for (const auto& point : candidates) {
-    if (point.size() != width) {
+    if (point.size() != attrs.size()) {
       return Status::InvalidArgument(
           "session: candidate width mismatch in subspace " +
           std::to_string(s));
@@ -522,33 +491,10 @@ Status ExplorationSession::SuggestTuples(
   const auto n = static_cast<int64_t>(candidates.size());
   if (n == 0) return Status::OK();
 
-  // Columnar scoring: transpose the candidates into per-attribute arrays so
-  // the same gather + batch-encode + batch-forward kernels as the scan path
-  // score the whole batch in one pass (bit-identical to the per-point
-  // encode/predict they replaced), into reused scratch — no per-call
-  // allocations once capacities reach steady state.
+  // One encode and one batch forward over reused scratch, so an
+  // active-learning loop allocates nothing per call at steady state.
   SuggestScratch& sc = suggest_scratch_;
-  sc.transposed.resize(width * candidates.size());
-  for (size_t j = 0; j < width; ++j) {
-    double* col = sc.transposed.data() + j * candidates.size();
-    for (size_t i = 0; i < candidates.size(); ++i) col[i] = candidates[i][j];
-  }
-  sc.columns.clear();
-  for (size_t j = 0; j < width; ++j) {
-    sc.columns.emplace_back(
-        std::span<const double>(sc.transposed.data() + j * candidates.size(),
-                                candidates.size()),
-        std::span<const data::ColumnSlice>{}, nullptr);
-  }
-  // The "table" is the candidate batch itself, so the gather selects every
-  // row — but the encode still wants real attribute ids for its per-column
-  // models, while our views are positional. EncodeGatheredInto indexes
-  // `columns` positionally and `attrs` by value, which is exactly this
-  // split: columns[j] holds the values of attribute attrs[j].
-  sc.rows.resize(candidates.size());
-  std::iota(sc.rows.begin(), sc.rows.end(), int64_t{0});
-  model_->encoder().EncodeGatheredInto(sc.columns, attrs, sc.rows,
-                                       &sc.encoded);
+  model_->encoder().EncodePointsInto(attrs, candidates, &sc.encoded);
   sc.probs.resize(candidates.size());
   state.task_model->PredictProbabilityBatch(sc.encoded, n, &sc.batch,
                                             sc.probs);
@@ -591,10 +537,9 @@ Status ExplorationSession::ContinueExploration(
         "session: ContinueExploration before StartExploration");
   }
   const ExplorerOptions& options = model_->options();
-  const TupleEncoder encode = model_->MakeEncoder(s);
-  std::vector<std::vector<double>> x;
-  x.reserve(points.size());
-  for (const auto& p : points) x.push_back(encode(p));
+  std::vector<double> x;
+  model_->encoder().EncodePointsInto(model_->subspace(s)->attribute_indices,
+                                     points, &x);
   LocallyAdapt(state.task_model.get(), x, labels, options.online_steps,
                options.online_batch_size, options.online_lr, rng);
   state.task_model->WarmUisEmbedding();
@@ -622,8 +567,8 @@ Status ExplorationSession::ValidateServing(const data::Table& table) const {
 double ExplorationSession::PredictSubspaceUnchecked(
     int64_t s, const std::vector<double>& point, Scratch* scratch) const {
   const SubspaceSession& state = states_[static_cast<size_t>(s)];
-  model_->encoder().EncodeProjectedInto(
-      point, model_->subspace(s)->attribute_indices, &scratch->encoded);
+  model_->encoder().EncodePointsInto(model_->subspace(s)->attribute_indices,
+                                     {&point, 1}, &scratch->encoded);
   double pred =
       state.task_model->PredictProbability(scratch->encoded) > 0.5 ? 1.0 : 0.0;
   if (state.fpfn.has_value()) pred = state.fpfn->Refine(point, pred);

@@ -353,23 +353,15 @@ class ExplorationSession {
     std::vector<double> encoded;
   };
 
-  /// Reusable buffers for SuggestTuples: the candidate transpose (so the
-  /// columnar batch encode can gather straight from contiguous per-attribute
-  /// arrays), the encoded matrix, and the shared probability vector the
-  /// policy selects from. Capacities reach a steady state after the first
-  /// call, so an active-learning loop allocates nothing per round.
+  /// Reusable buffers for SuggestTuples: the encoded candidates, and the
+  /// shared probability vector the policy selects from. Capacities reach a
+  /// steady state after the first call, so an active-learning loop
+  /// allocates nothing per round.
   struct SuggestScratch {
-    std::vector<double> transposed;  // width x n, one column per attribute.
-    std::vector<data::ColumnView> columns;
-    std::vector<int64_t> rows;       // iota(n): candidate i is "row" i.
-    std::vector<double> encoded;
+    std::vector<double> encoded;  // n x ProjectedWidth, row-major.
     std::vector<double> probs;
     TaskModel::BatchScratch batch;
   };
-
-  /// LoadFromStream body; the wrapper maps any escaping allocation failure
-  /// (e.g. a plausible-but-huge corrupted length) to an IoError Status.
-  Status LoadFromStreamImpl(std::istream* in);
 
   /// PredictSubspace body minus the misuse checks (callers validated).
   double PredictSubspaceUnchecked(int64_t s, const std::vector<double>& point,

@@ -249,9 +249,9 @@ Status MetaLearner::LoadFrom(BinaryReader* reader,
     if (static_cast<int64_t>(n) != opt.num_memory_modes) {
       return Status::IoError("meta-learner load: memory mode mismatch");
     }
-    learner->memory_cp_.assign(n, nn::Matrix());
-    for (nn::Matrix& m : learner->memory_cp_) {
-      LTE_RETURN_IF_ERROR(m.Load(reader));
+    learner->memory_cp_.clear();  // Grown as the matrices arrive.
+    for (uint64_t i = 0; i < n; ++i) {
+      LTE_RETURN_IF_ERROR(learner->memory_cp_.emplace_back().Load(reader));
     }
   }
   // Structural sanity: loaded block shapes must match the options.
@@ -571,15 +571,18 @@ void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
   }
 }
 
-double TaskModel::EvaluateLoss(const std::vector<std::vector<double>>& tuples,
-                               const std::vector<double>& labels) const {
-  LTE_CHECK_EQ(tuples.size(), labels.size());
-  if (tuples.empty()) return 0.0;
+double TaskModel::EvaluateLoss(std::span<const double> tuples,
+                               std::span<const double> labels) const {
+  const auto width = static_cast<size_t>(f_tau_.in_features());
+  LTE_CHECK_EQ(tuples.size(), labels.size() * width);
+  if (labels.empty()) return 0.0;
   double loss = 0.0;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    loss += nn::BceWithLogits(Logit(tuples[i]), labels[i]);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    const auto tuple = tuples.subspan(i * width, width);
+    loss += nn::BceWithLogits(
+        Logit(std::vector<double>(tuple.begin(), tuple.end())), labels[i]);
   }
-  return loss / static_cast<double>(tuples.size());
+  return loss / static_cast<double>(labels.size());
 }
 
 }  // namespace lte::core

@@ -131,9 +131,11 @@ class TaskModel {
   /// between adaptation (single-threaded) and serving (parallel scans).
   void WarmUisEmbedding();
 
-  /// Mean BCE loss over a labelled set (no gradient accumulation).
-  double EvaluateLoss(const std::vector<std::vector<double>>& tuples,
-                      const std::vector<double>& labels) const;
+  /// Mean BCE loss over a labelled set (no gradient accumulation): one
+  /// encoded tuple per label in `tuples`, row-major — the layout
+  /// AccumulateBatch reads.
+  double EvaluateLoss(std::span<const double> tuples,
+                      std::span<const double> labels) const;
 
   const std::vector<double>& attention() const { return attention_; }
   const std::vector<double>& uis_feature() const { return uis_feature_; }

@@ -8,9 +8,10 @@
 
 namespace lte::core {
 
-std::vector<EncodedMetaTask> EncodeTasks(const std::vector<MetaTask>& tasks,
-                                         const TupleEncoder& encoder,
-                                         int64_t num_threads) {
+std::vector<EncodedMetaTask> EncodeTasks(
+    const std::vector<MetaTask>& tasks,
+    const preprocess::TabularEncoder& encoder,
+    const std::vector<int64_t>& attrs, int64_t num_threads) {
   std::vector<EncodedMetaTask> out(tasks.size());
   ThreadPool::Shared().ParallelFor(
       0, static_cast<int64_t>(tasks.size()), ResolveThreadCount(num_threads),
@@ -20,40 +21,23 @@ std::vector<EncodedMetaTask> EncodeTasks(const std::vector<MetaTask>& tasks,
         e.uis_feature = t.uis_feature;
         e.support_y = t.support_labels;
         e.query_y = t.query_labels;
-        e.support_x.reserve(t.support_points.size());
-        for (const auto& p : t.support_points) e.support_x.push_back(encoder(p));
-        e.query_x.reserve(t.query_points.size());
-        for (const auto& p : t.query_points) e.query_x.push_back(encoder(p));
+        encoder.EncodePointsInto(attrs, t.support_points, &e.support_x);
+        encoder.EncodePointsInto(attrs, t.query_points, &e.query_x);
       });
   return out;
 }
 
-namespace {
-
-// Row-major copy of equal-width rows.
-std::vector<double> PackRows(const std::vector<std::vector<double>>& x) {
-  std::vector<double> packed;
-  packed.reserve(x.empty() ? 0 : x.size() * x.front().size());
-  for (const auto& row : x) {
-    LTE_CHECK_EQ(row.size(), x.front().size());
-    packed.insert(packed.end(), row.begin(), row.end());
-  }
-  return packed;
-}
-
-}  // namespace
-
-void LocallyAdapt(TaskModel* model, const std::vector<std::vector<double>>& x,
+void LocallyAdapt(TaskModel* model, std::span<const double> x,
                   const std::vector<double>& y, int64_t steps,
                   int64_t batch_size, double lr, Rng* rng,
                   double max_grad_norm) {
-  LTE_CHECK_EQ(x.size(), y.size());
-  LTE_CHECK(!x.empty());
+  LTE_CHECK(!y.empty());
+  LTE_CHECK_EQ(static_cast<int64_t>(x.size()),
+               static_cast<int64_t>(y.size()) * model->f_tau().in_features());
   LTE_CHECK_GT(batch_size, 0);
-  const auto n = static_cast<int64_t>(x.size());
-  // Packed once; each step names its minibatch by row index, and one
-  // scratch serves every step.
-  const std::vector<double> packed = PackRows(x);
+  const auto n = static_cast<int64_t>(y.size());
+  // Each step names its minibatch by row index, and one scratch serves
+  // every step.
   TaskModel::TrainScratch scratch;
   std::vector<int64_t> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), int64_t{0});
@@ -71,7 +55,7 @@ void LocallyAdapt(TaskModel* model, const std::vector<std::vector<double>>& x,
     // Every ApplyAccumulated ends by zeroing the accumulators, so only the
     // first step needs a fresh start.
     if (step == 0) model->ZeroGrad();
-    model->AccumulateBatch(packed, y, batch, &scratch);
+    model->AccumulateBatch(x, y, batch, &scratch);
     model->ApplyAccumulated(lr, max_grad_norm);
   }
 }
@@ -142,10 +126,9 @@ Status MetaTrain(const std::vector<EncodedMetaTask>& tasks,
         // the adapted parameters (first-order meta-gradient; the paper's
         // one-step update "like [54]").
         tm.ZeroGrad();
-        const std::vector<double> query_x = PackRows(task.query_x);
         TaskModel::TrainScratch scratch;
         results[static_cast<size_t>(i)].query_loss =
-            tm.AccumulateBatch(query_x, task.query_y, {}, &scratch);
+            tm.AccumulateBatch(task.query_x, task.query_y, {}, &scratch);
         results[static_cast<size_t>(i)].model = std::move(tm);
       };
 

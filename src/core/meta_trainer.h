@@ -2,39 +2,35 @@
 #define LTE_CORE_META_TRAINER_H_
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/meta_learner.h"
 #include "core/meta_task.h"
+#include "preprocess/tabular_encoder.h"
 
 namespace lte::core {
 
-/// Encodes one raw subspace tuple into the classifier's input representation
-/// v_tau (normally bound to TabularEncoder::EncodeProjected).
-using TupleEncoder =
-    std::function<std::vector<double>(const std::vector<double>&)>;
-
-/// A meta-task with pre-encoded support/query tuples, ready for training.
+/// A meta-task with pre-encoded support/query tuples, ready for training:
+/// `support_x`/`query_x` hold one encoded tuple per label, row-major.
 struct EncodedMetaTask {
   std::vector<double> uis_feature;
-  std::vector<std::vector<double>> support_x;
+  std::vector<double> support_x;
   std::vector<double> support_y;
-  std::vector<std::vector<double>> query_x;
+  std::vector<double> query_x;
   std::vector<double> query_y;
 };
 
-/// Encodes a generated task set once so every training epoch reuses it.
-/// Tasks are encoded across up to `num_threads` pool lanes (0 = auto, one
-/// lane per hardware thread; 1 = sequential). The output is identical for
-/// any thread count; `encoder` must be safe to invoke concurrently (the
-/// library's TabularEncoder::EncodeProjected binding is — it only reads the
-/// fitted state).
-std::vector<EncodedMetaTask> EncodeTasks(const std::vector<MetaTask>& tasks,
-                                         const TupleEncoder& encoder,
-                                         int64_t num_threads = 1);
+/// Encodes a generated task set (raw points over `attrs`) once so every
+/// training epoch reuses it. Tasks are encoded across up to `num_threads`
+/// pool lanes (0 = auto, one lane per hardware thread; 1 = sequential); the
+/// output is identical for any thread count.
+std::vector<EncodedMetaTask> EncodeTasks(
+    const std::vector<MetaTask>& tasks,
+    const preprocess::TabularEncoder& encoder,
+    const std::vector<int64_t>& attrs, int64_t num_threads = 1);
 
 /// The meta-gradient used by the global update. The paper's framework is
 /// "orthogonal to all existing MAML-based meta-learning algorithms"
@@ -93,10 +89,11 @@ struct MetaTrainStats {
 /// Runs one local adaptation (the underlined steps of Algorithm 2): `steps`
 /// SGD steps of minibatches drawn from the labelled set, with gradient
 /// clipping (`max_grad_norm`; <= 0 disables). This same routine fast-adapts
-/// the meta-learner online with user labels. `x` is packed once and every
-/// step reuses one TaskModel::TrainScratch, so the allocations of a call do
-/// not grow with `steps`. Requires a non-empty set and `batch_size` > 0.
-void LocallyAdapt(TaskModel* model, const std::vector<std::vector<double>>& x,
+/// the meta-learner online with user labels. `x` holds one encoded tuple per
+/// label in `y`, row-major; each step names its minibatch by row index and
+/// reuses one TaskModel::TrainScratch, so the allocations of a call do not
+/// grow with `steps`. Requires a non-empty set and `batch_size` > 0.
+void LocallyAdapt(TaskModel* model, std::span<const double> x,
                   const std::vector<double>& y, int64_t steps,
                   int64_t batch_size, double lr, Rng* rng,
                   double max_grad_norm = 1.0);

@@ -4,8 +4,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
+
+#include "common/binary_io.h"
 
 namespace lte::data {
 namespace {
@@ -93,27 +96,30 @@ Status ReadCsv(const std::string& path, Table* table) {
 }
 
 Status WriteCsv(const Table& table, const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  const std::vector<std::string> names = table.AttributeNames();
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) out << ',';
-    out << names[i];
-  }
-  out << '\n';
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    for (int64_t c = 0; c < table.num_columns(); ++c) {
-      if (c > 0) out << ',';
-      out << table.column(c).value(r);
+  return WriteFile(path, [&table](std::ostream* out) {
+    // Enough digits that ReadCsv parses back every value exactly.
+    out->precision(std::numeric_limits<double>::max_digits10);
+    const std::vector<std::string> names = table.AttributeNames();
+    for (size_t i = 0; i < names.size(); ++i) {
+      if (i > 0) *out << ',';
+      *out << names[i];
     }
-    out << '\n';
-  }
-  if (!out.good()) {
-    return Status::IoError("write failure on " + path);
-  }
-  return Status::OK();
+    *out << '\n';
+    // Segment-spanning views, so rows appended to a live table are written.
+    std::vector<ColumnView> columns;
+    for (int64_t c = 0; c < table.num_columns(); ++c) {
+      columns.push_back(table.View(c));
+    }
+    const int64_t rows = columns.empty() ? 0 : columns.front().size();
+    for (int64_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < columns.size(); ++c) {
+        if (c > 0) *out << ',';
+        *out << columns[c][r];
+      }
+      *out << '\n';
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace lte::data

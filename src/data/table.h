@@ -54,9 +54,6 @@ class Table {
   /// use `View(i)` for the full row space.
   const Column& column(int64_t i) const;
 
-  /// Base-segment mutation hook; programmer error once a segment is sealed.
-  Column* mutable_column(int64_t i);
-
   /// Segment-spanning snapshot view of column `i`: addresses every row
   /// `< num_rows()` at creation time by global row id, stays valid and
   /// stable while the table keeps appending (shared ownership of the sealed
@@ -97,12 +94,6 @@ class Table {
   /// Projection of the `row`-th tuple onto the given column indices.
   std::vector<double> RowProjected(int64_t row,
                                    const std::vector<int64_t>& cols) const;
-
-  /// Allocation-free variant of RowProjected for hot scan loops: clears and
-  /// refills `*out` (capacity is retained across calls, so a reused buffer
-  /// allocates only on its first use).
-  void RowProjectedInto(int64_t row, const std::vector<int64_t>& cols,
-                        std::vector<double>* out) const;
 
   /// A new table containing only the given columns (copied; appended
   /// segments are materialized into the copy's base).

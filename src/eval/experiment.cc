@@ -258,14 +258,20 @@ Status ExperimentRunner::RunSubspaceSvm(bool encoded,
   std::vector<svm::Svm> models(static_cast<size_t>(active));
   int64_t labels_used = 0;
   Stopwatch sw;
+  // SVM^r learns on the encoded tuple, SVM on the raw one.
+  const auto featurize = [&](int64_t s, const std::vector<double>& point) {
+    if (!encoded) return point;
+    std::vector<double> features;
+    model.encoder().EncodePointsInto(
+        uir.subspaces[static_cast<size_t>(s)].attribute_indices, {&point, 1},
+        &features);
+    return features;
+  };
   for (int64_t s = 0; s < active; ++s) {
     std::vector<std::vector<double>> x;
     std::vector<double> y;
     for (const auto& tuple : *model.InitialTuples(s)) {
-      x.push_back(encoded ? model.encoder().EncodeProjected(
-                                tuple, uir.subspaces[static_cast<size_t>(s)]
-                                           .attribute_indices)
-                          : tuple);
+      x.push_back(featurize(s, tuple));
       y.push_back(MaybeFlip(uir.ContainsSubspacePoint(s, tuple) ? 1.0 : 0.0,
                             options_.label_noise, &rng_));
       ++labels_used;
@@ -282,12 +288,9 @@ Status ExperimentRunner::RunSubspaceSvm(bool encoded,
       for (int64_t a : uir.subspaces[static_cast<size_t>(s)].attribute_indices) {
         point.push_back(row[static_cast<size_t>(a)]);
       }
-      const std::vector<double> features =
-          encoded ? model.encoder().EncodeProjected(
-                        point,
-                        uir.subspaces[static_cast<size_t>(s)].attribute_indices)
-                  : point;
-      if (models[static_cast<size_t>(s)].Predict(features) < 0.5) return 0.0;
+      if (models[static_cast<size_t>(s)].Predict(featurize(s, point)) < 0.5) {
+        return 0.0;
+      }
     }
     return 1.0;
   };

@@ -283,11 +283,21 @@ Status Mlp::Load(BinaryReader* reader) {
   }
   std::vector<double> params;
   LTE_RETURN_IF_ERROR(reader->ReadDoubleVector(&params));
-  Rng scratch(0);  // Parameters are overwritten below.
-  Mlp rebuilt(sizes, &scratch);
-  if (static_cast<int64_t>(params.size()) != rebuilt.ParameterCount()) {
+  // The sizes must imply exactly the parameters read (overflow-checked),
+  // before any layer is built, so corrupt sizes cannot allocate.
+  uint64_t count = 0;
+  bool overflow = false;
+  for (size_t i = 0; i + 1 < sizes.size(); ++i) {
+    uint64_t layer = 0;  // (in + 1) x out: weights plus biases.
+    overflow |= __builtin_mul_overflow(static_cast<uint64_t>(sizes[i]) + 1,
+                                       sizes[i + 1], &layer) ||
+                __builtin_add_overflow(count, layer, &count);
+  }
+  if (overflow || count != params.size()) {
     return Status::IoError("mlp load: parameter count mismatch");
   }
+  Rng scratch(0);  // Parameters are overwritten below.
+  Mlp rebuilt(sizes, &scratch);
   rebuilt.SetParameters(params);
   *this = std::move(rebuilt);
   return Status::OK();

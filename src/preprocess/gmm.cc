@@ -155,8 +155,9 @@ void GaussianMixture::Save(BinaryWriter* writer) const {
 Status GaussianMixture::Load(BinaryReader* reader) {
   uint64_t n = 0;
   LTE_RETURN_IF_ERROR(reader->ReadU64(&n));
-  components_.assign(n, GaussianComponent{});
-  for (GaussianComponent& g : components_) {
+  components_.clear();  // Grown as the components arrive.
+  for (uint64_t i = 0; i < n; ++i) {
+    GaussianComponent& g = components_.emplace_back();
     LTE_RETURN_IF_ERROR(reader->ReadDouble(&g.weight));
     LTE_RETURN_IF_ERROR(reader->ReadDouble(&g.mean));
     LTE_RETURN_IF_ERROR(reader->ReadDouble(&g.variance));

@@ -194,22 +194,17 @@ void TabularEncoder::EncodeValue(int64_t attr, double x,
   }
 }
 
-std::vector<double> TabularEncoder::EncodeProjected(
-    const std::vector<double>& values,
-    const std::vector<int64_t>& attrs) const {
-  std::vector<double> out;
-  EncodeProjectedInto(values, attrs, &out);
-  return out;
-}
-
-void TabularEncoder::EncodeProjectedInto(const std::vector<double>& values,
-                                         const std::vector<int64_t>& attrs,
-                                         std::vector<double>* out) const {
-  LTE_CHECK_EQ(values.size(), attrs.size());
+void TabularEncoder::EncodePointsInto(
+    const std::vector<int64_t>& attrs,
+    std::span<const std::vector<double>> points,
+    std::vector<double>* out) const {
   out->clear();
-  out->reserve(static_cast<size_t>(ProjectedWidth(attrs)));
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    EncodeValue(attrs[i], values[i], out);
+  out->reserve(points.size() * static_cast<size_t>(ProjectedWidth(attrs)));
+  for (const std::vector<double>& point : points) {
+    LTE_CHECK_EQ(point.size(), attrs.size());
+    for (size_t j = 0; j < attrs.size(); ++j) {
+      EncodeValue(attrs[j], point[j], out);
+    }
   }
 }
 
@@ -221,10 +216,9 @@ void TabularEncoder::EncodeGatheredInto(
   const auto width = static_cast<size_t>(ProjectedWidth(attrs));
   out->clear();
   out->reserve(rows.size() * width);
-  // Same EncodeValue sequence per tuple as EncodeProjectedInto, so each
-  // row-major slice of `*out` is bit-identical to the row-at-a-time encode;
-  // the values just arrive from contiguous column views instead of a
-  // materialized row.
+  // Same EncodeValue sequence per tuple as EncodePointsInto, so each
+  // row-major slice of `*out` is bit-identical to the point encode; the
+  // values just arrive from contiguous column views instead of points.
   for (const int64_t r : rows) {
     for (size_t j = 0; j < attrs.size(); ++j) {
       EncodeValue(attrs[j], columns[j][r], out);
@@ -278,6 +272,10 @@ Status TabularEncoder::Load(BinaryReader* reader) {
     return Status::IoError("encoder load: invalid attribute count");
   }
   LTE_RETURN_IF_ERROR(normalizer_.Load(reader));
+  // Also bounds the per-attribute tables below by the bytes actually read.
+  if (normalizer_.num_attributes() != num_attributes_) {
+    return Status::IoError("encoder load: normalizer width mismatch");
+  }
   gmms_.assign(static_cast<size_t>(num_attributes_), GaussianMixture{});
   jenks_.assign(static_cast<size_t>(num_attributes_), JenksBreaks{});
   attr_modes_.assign(static_cast<size_t>(num_attributes_), options_.mode);

@@ -84,17 +84,14 @@ class TabularEncoder {
   /// Encodes raw value x of attribute `attr`, appending to *out.
   void EncodeValue(int64_t attr, double x, std::vector<double>* out) const;
 
-  /// Encodes a tuple projection: `values[i]` is the raw value of attribute
-  /// `attrs[i]`.
-  std::vector<double> EncodeProjected(const std::vector<double>& values,
-                                      const std::vector<int64_t>& attrs) const;
-
-  /// Allocation-free variant of EncodeProjected for hot prediction loops:
-  /// clears and refills `*out` (capacity is retained across calls, so a
-  /// reused buffer reaches a steady state with zero allocations per call).
-  void EncodeProjectedInto(const std::vector<double>& values,
-                           const std::vector<int64_t>& attrs,
-                           std::vector<double>* out) const;
+  /// Encodes raw subspace points (`points[k][j]` is the value of attribute
+  /// `attrs[j]`) into the classifier's input layout: row k of `*out`,
+  /// row-major with ProjectedWidth(attrs) doubles per row, is point k's
+  /// encoding. Clears and refills `*out`, keeping its capacity, so a reused
+  /// buffer stops allocating. Point widths are LTE_CHECKed.
+  void EncodePointsInto(const std::vector<int64_t>& attrs,
+                        std::span<const std::vector<double>> points,
+                        std::vector<double>* out) const;
 
   /// Columnar block encode for the serving fast path: `columns[j]` is the
   /// segment-spanning value view of attribute `attrs[j]` over the whole
@@ -103,7 +100,7 @@ class TabularEncoder {
   /// matrix `*out` (resized to `rows.size() x ProjectedWidth(attrs)`;
   /// capacity is retained across calls, so a reused buffer reaches a steady
   /// state with zero allocations per block). Row k of `*out` is
-  /// bit-identical to EncodeProjectedInto of the k-th selected tuple — the
+  /// bit-identical to EncodePointsInto of the k-th selected tuple — the
   /// encode visits attributes in the same order with the same per-value
   /// models.
   void EncodeGatheredInto(const std::vector<data::ColumnView>& columns,

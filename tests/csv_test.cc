@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 namespace lte::data {
@@ -33,6 +34,53 @@ TEST_F(CsvTest, RoundTrip) {
   EXPECT_EQ(loaded.AttributeNames(), (std::vector<std::string>{"x", "y"}));
   EXPECT_DOUBLE_EQ(loaded.column(0).value(0), 1.5);
   EXPECT_DOUBLE_EQ(loaded.column(1).value(1), 4.0);
+}
+
+// Rows appended to a live table sit in sealed segments past the base
+// column; the writer must read them through the segment-spanning views.
+TEST_F(CsvTest, LiveTableRoundTripIncludesAppendedRows) {
+  Table t({"v"});
+  ASSERT_TRUE(t.AppendRow({1.0}).ok());
+  ASSERT_TRUE(t.AppendRow({2.0}).ok());
+  ASSERT_TRUE(t.AppendRows({{3.0}, {4.0}, {5.0}}).ok());
+  const std::string path = TempPath("live.csv");
+  ASSERT_TRUE(WriteCsv(t, path).ok());
+
+  Table loaded;
+  ASSERT_TRUE(ReadCsv(path, &loaded).ok());
+  ASSERT_EQ(loaded.num_rows(), 5);
+  for (int64_t r = 0; r < 5; ++r) {
+    EXPECT_EQ(loaded.column(0).value(r), static_cast<double>(r + 1));
+  }
+}
+
+// Values without a short decimal form come back bit for bit.
+TEST_F(CsvTest, RoundTripIsExact) {
+  const std::vector<double> values = {0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-300,
+                                      123456789.123456789};
+  Table t({"v"});
+  for (const double v : values) ASSERT_TRUE(t.AppendRow({v}).ok());
+  const std::string path = TempPath("exact.csv");
+  ASSERT_TRUE(WriteCsv(t, path).ok());
+
+  Table loaded;
+  ASSERT_TRUE(ReadCsv(path, &loaded).ok());
+  ASSERT_EQ(loaded.num_rows(), static_cast<int64_t>(values.size()));
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(loaded.column(0).value(static_cast<int64_t>(i)), values[i]);
+  }
+}
+
+// /dev/full accepts the open and fails every write with ENOSPC; a small
+// table sits wholly in the stream's buffer until the final flush, which is
+// the write that must be checked.
+TEST_F(CsvTest, WriteToFullDeviceIsIoError) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  Table t({"x", "y"});
+  for (int r = 0; r < 5; ++r) ASSERT_TRUE(t.AppendRow({1.0 * r, 2.0}).ok());
+  EXPECT_EQ(WriteCsv(t, "/dev/full").code(), StatusCode::kIoError);
 }
 
 TEST_F(CsvTest, MissingFileIsIoError) {

@@ -51,8 +51,7 @@ TEST(LiveTableTest, AppendRowsPublishesAtomicallyAndSpansSegments) {
               (std::vector<double>{static_cast<double>(r),
                                    static_cast<double>(10 + r)}));
   }
-  std::vector<double> projected;
-  table.RowProjectedInto(6, {1}, &projected);
+  const std::vector<double> projected = table.RowProjected(6, {1});
   EXPECT_EQ(projected, std::vector<double>{16.0});
 
   // An empty batch is a no-op that seals nothing.

@@ -122,15 +122,15 @@ TEST(MetaLearnerTest, TrainingReducesLossOnTinyTask) {
       y.push_back(t[0] > 0.5 ? 1.0 : 0.0);
       x.push_back(std::move(t));
     }
-    const double before = tm.EvaluateLoss(x, y);
     const std::vector<double> packed = Pack(x);
+    const double before = tm.EvaluateLoss(packed, y);
     TaskModel::TrainScratch scratch;
     for (int step = 0; step < 150; ++step) {
       tm.ZeroGrad();
       tm.AccumulateBatch(packed, y, {}, &scratch);
       tm.ApplyAccumulated(0.3);
     }
-    const double after = tm.EvaluateLoss(x, y);
+    const double after = tm.EvaluateLoss(packed, y);
     EXPECT_LT(after, before) << "memory=" << memory;
     EXPECT_LT(after, 0.4) << "memory=" << memory;
   }
@@ -161,7 +161,7 @@ TEST(MetaLearnerTest, ComposedGradientsMatchFiniteDifference) {
         p[i] += delta;
         TaskModel copy = tm;  // Identical blocks, perturbed f_tau.
         copy.mutable_f_tau()->SetParameters(p);
-        return copy.EvaluateLoss(x, y);
+        return copy.EvaluateLoss(Pack(x), y);
       };
       const double numeric = (loss_with(eps) - loss_with(-eps)) / (2 * eps);
       EXPECT_NEAR(g_tau[i], numeric, 1e-5)
@@ -527,8 +527,8 @@ TEST(MetaLearnerTest, LocallyAdaptMatchesPerTupleReference) {
           RefTaskModel ref(tm);
           Rng rng_lib(41);
           Rng rng_ref(41);
-          LocallyAdapt(&tm, x, y, /*steps=*/7, batch, /*lr=*/0.3, &rng_lib,
-                       max_norm);
+          LocallyAdapt(&tm, Pack(x), y, /*steps=*/7, batch, /*lr=*/0.3,
+                       &rng_lib, max_norm);
           RefLocallyAdapt(&ref, x, y, 7, batch, 0.3, &rng_ref, max_norm);
           ExpectModelMatchesReference(tm, ref, what);
           EXPECT_EQ(rng_lib.engine()(), rng_ref.engine()()) << what;

@@ -5,9 +5,18 @@
 #include <algorithm>
 
 #include "core/uis_feature.h"
+#include "data/table.h"
+#include "preprocess/tabular_encoder.h"
 
 namespace lte::core {
 namespace {
+
+// Raw points packed row-major: the identity encoding's training layout.
+std::vector<double> Pack(const std::vector<std::vector<double>>& points) {
+  std::vector<double> packed;
+  for (const auto& p : points) packed.insert(packed.end(), p.begin(), p.end());
+  return packed;
+}
 
 // A miniature meta-learning problem over a 2-D unit square. Encoding is the
 // identity (raw coordinates), so everything stays tiny and fast.
@@ -15,9 +24,8 @@ class MetaTrainerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     rng_ = std::make_unique<Rng>(17);
-    std::vector<std::vector<double>> points;
     for (int i = 0; i < 3000; ++i) {
-      points.push_back({rng_->Uniform(), rng_->Uniform()});
+      points_.push_back({rng_->Uniform(), rng_->Uniform()});
     }
     MetaTaskGenOptions gopt;
     gopt.k_u = 30;
@@ -27,7 +35,7 @@ class MetaTrainerTest : public ::testing::Test {
     gopt.alpha = 2;
     gopt.psi = 8;
     generator_ = std::make_unique<MetaTaskGenerator>(gopt);
-    ASSERT_TRUE(generator_->Init(points, rng_.get()).ok());
+    ASSERT_TRUE(generator_->Init(points_, rng_.get()).ok());
   }
 
   MetaLearnerOptions LearnerOptions(bool memory) const {
@@ -42,22 +50,51 @@ class MetaTrainerTest : public ::testing::Test {
   }
 
   std::vector<EncodedMetaTask> MakeTasks(int64_t n) {
-    const std::vector<MetaTask> raw =
-        generator_->GenerateTaskSet(n, rng_.get());
-    return EncodeTasks(raw, [](const std::vector<double>& p) { return p; });
+    std::vector<EncodedMetaTask> tasks;
+    for (const MetaTask& t : generator_->GenerateTaskSet(n, rng_.get())) {
+      tasks.push_back({t.uis_feature, Pack(t.support_points), t.support_labels,
+                       Pack(t.query_points), t.query_labels});
+    }
+    return tasks;
   }
 
+  std::vector<std::vector<double>> points_;
   std::unique_ptr<Rng> rng_;
   std::unique_ptr<MetaTaskGenerator> generator_;
 };
 
 TEST_F(MetaTrainerTest, EncodeTasksPreservesShapes) {
-  const std::vector<EncodedMetaTask> tasks = MakeTasks(3);
+  // A fitted min-max encoder writes one double per attribute, so every
+  // encoded row is 2 wide.
+  data::Table table({"x", "y"});
+  for (const auto& p : points_) ASSERT_TRUE(table.AppendRow(p).ok());
+  preprocess::EncoderOptions eopt;
+  eopt.mode = preprocess::EncodingMode::kMinMaxOnly;
+  preprocess::TabularEncoder encoder(eopt);
+  ASSERT_TRUE(encoder.Fit(table, rng_.get()).ok());
+  const std::vector<MetaTask> raw = generator_->GenerateTaskSet(3, rng_.get());
+  const std::vector<EncodedMetaTask> tasks =
+      EncodeTasks(raw, encoder, {0, 1}, /*num_threads=*/1);
   ASSERT_EQ(tasks.size(), 3u);
-  EXPECT_EQ(tasks[0].support_x.size(), 15u);
-  EXPECT_EQ(tasks[0].query_x.size(), 35u);
+  EXPECT_EQ(tasks[0].support_y.size(), 15u);
+  EXPECT_EQ(tasks[0].query_y.size(), 35u);
   EXPECT_EQ(tasks[0].uis_feature.size(), 30u);
-  EXPECT_EQ(tasks[0].support_x[0].size(), 2u);
+  EXPECT_EQ(tasks[0].support_x.size(), 15u * 2);
+  EXPECT_EQ(tasks[0].query_x.size(), 35u * 2);
+  // Row 0 is support point 0, encoded attribute by attribute.
+  std::vector<double> row0;
+  encoder.EncodeValue(0, raw[0].support_points[0][0], &row0);
+  encoder.EncodeValue(1, raw[0].support_points[0][1], &row0);
+  EXPECT_EQ(std::vector<double>(tasks[0].support_x.begin(),
+                                tasks[0].support_x.begin() + 2),
+            row0);
+  // The fan-out writes the same bytes at any lane count.
+  const std::vector<EncodedMetaTask> parallel =
+      EncodeTasks(raw, encoder, {0, 1}, /*num_threads=*/4);
+  for (size_t i = 0; i < raw.size(); ++i) {
+    EXPECT_EQ(parallel[i].support_x, tasks[i].support_x);
+    EXPECT_EQ(parallel[i].query_x, tasks[i].query_x);
+  }
 }
 
 TEST_F(MetaTrainerTest, LocallyAdaptFitsSupportSet) {

@@ -12,6 +12,7 @@
 #include "core/lte.h"
 #include "data/synthetic.h"
 #include "nn/mlp.h"
+#include "preprocess/gmm.h"
 #include "preprocess/tabular_encoder.h"
 
 namespace lte {
@@ -66,6 +67,36 @@ TEST(BinaryIoTest, TruncatedStreamFails) {
   EXPECT_EQ(r.ReadDoubleVector(&v).code(), StatusCode::kIoError);
 }
 
+// A corrupt length word just under the plausibility cap claims up to 32 GiB;
+// the readers allocate only as bytes arrive, so a short stream fails with
+// IoError instead of reserving what the word claims.
+TEST(BinaryIoTest, HugeLengthOverShortStreamFailsWithoutAllocating) {
+  constexpr uint64_t kHuge = (uint64_t{1} << 32) - 1;
+  const auto short_stream = [&] {
+    auto buf = std::make_unique<std::stringstream>();
+    BinaryWriter w(buf.get());
+    w.WriteU64(kHuge);
+    w.WriteU64(3);  // A few bytes of payload, nowhere near the claim.
+    w.WriteDouble(1.0);
+    return buf;
+  };
+  std::string s;
+  std::vector<double> dv;
+  std::vector<int64_t> iv;
+  std::vector<std::vector<double>> ps;
+  auto a = short_stream();
+  EXPECT_EQ(BinaryReader(a.get()).ReadString(&s).code(), StatusCode::kIoError);
+  auto b = short_stream();
+  EXPECT_EQ(BinaryReader(b.get()).ReadDoubleVector(&dv).code(),
+            StatusCode::kIoError);
+  auto c = short_stream();
+  EXPECT_EQ(BinaryReader(c.get()).ReadI64Vector(&iv).code(),
+            StatusCode::kIoError);
+  auto d = short_stream();
+  EXPECT_EQ(BinaryReader(d.get()).ReadPointSet(&ps).code(),
+            StatusCode::kIoError);
+}
+
 TEST(SerializationTest, MatrixRoundTrip) {
   Rng rng(1);
   nn::Matrix m(3, 4);
@@ -93,6 +124,32 @@ TEST(SerializationTest, MlpRoundTripPreservesOutputs) {
   const std::vector<double> x = {0.1, -0.2, 0.3, 0.4};
   EXPECT_EQ(loaded.Forward(x), mlp.Forward(x));
   EXPECT_EQ(loaded.LayerSizes(), mlp.LayerSizes());
+}
+
+// Layer sizes {2^31, 2^31} imply 2^62 + 2^31 parameters; the record holds
+// two. Load must refuse it before building a layer of that size.
+TEST(SerializationTest, MlpLoadRejectsSizesTheParametersCannotFill) {
+  std::stringstream buf;
+  BinaryWriter w(&buf);
+  w.WriteI64Vector({int64_t{1} << 31, int64_t{1} << 31});
+  w.WriteDoubleVector({0.5, -0.5});
+  nn::Mlp loaded;
+  BinaryReader r(&buf);
+  EXPECT_EQ(loaded.Load(&r).code(), StatusCode::kIoError);
+}
+
+// A component count of 2^32 - 1 over a stream holding one component: the
+// mixture grows per component read, so the short stream ends the decode.
+TEST(SerializationTest, GmmLoadRejectsCountTheStreamCannotFill) {
+  std::stringstream buf;
+  BinaryWriter w(&buf);
+  w.WriteU64((uint64_t{1} << 32) - 1);
+  w.WriteDouble(1.0);  // weight
+  w.WriteDouble(0.0);  // mean
+  w.WriteDouble(1.0);  // variance
+  preprocess::GaussianMixture loaded;
+  BinaryReader r(&buf);
+  EXPECT_EQ(loaded.Load(&r).code(), StatusCode::kIoError);
 }
 
 TEST(SerializationTest, EncoderRoundTripPreservesEncoding) {
@@ -235,6 +292,35 @@ TEST(SerializationTest, ModelLoadPreservesConstructedThreadKnob) {
   EXPECT_EQ(host.options().num_threads, 3);
   EXPECT_EQ(host.options().trainer.num_threads, 2);
   // The serialized hyper-parameters did come from the file.
+  EXPECT_EQ(host.options().task_gen.k_s, 8);
+}
+
+// The file carries the model's fields only; every other option of the
+// loading host (its suggest policy, its trainer schedule) survives Load, so
+// its sessions install the host's policy and a refresh retrains with the
+// host's trainer.
+TEST(SerializationTest, ModelLoadKeepsHostOptionsTheFileDoesNotCarry) {
+  Rng rng(8);
+  data::Table table = data::MakeBlobs(2000, 2, 3, &rng);
+  core::ExplorerOptions opt;
+  opt.task_gen.k_u = 20;
+  opt.task_gen.k_s = 8;
+  opt.task_gen.k_q = 20;
+  core::ExplorationModel trained(opt);
+  ASSERT_TRUE(trained
+                  .Pretrain(table, {data::Subspace{{0, 1}}},
+                            /*train_meta=*/false, &rng)
+                  .ok());
+  const std::string path = testing::TempDir() + "/host_options.ltemodel";
+  ASSERT_TRUE(trained.Save(path).ok());
+
+  core::ExplorerOptions host_opt;
+  host_opt.suggest_policy.kind = policy::PolicyKind::kSoftmax;
+  host_opt.trainer.epochs = 7;
+  core::ExplorationModel host(host_opt);
+  ASSERT_TRUE(host.Load(path).ok());
+  EXPECT_EQ(host.options().suggest_policy.kind, policy::PolicyKind::kSoftmax);
+  EXPECT_EQ(host.options().trainer.epochs, 7);
   EXPECT_EQ(host.options().task_gen.k_s, 8);
 }
 

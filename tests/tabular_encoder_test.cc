@@ -99,12 +99,14 @@ TEST(TabularEncoderTest, AutoPicksGmmForPeakyAndJenksForSmooth) {
   EXPECT_EQ(enc.AttributeMode(1), EncodingMode::kJenksOnly);
 }
 
-TEST(TabularEncoderTest, EncodeProjectedMatchesEncodeValueOrder) {
+TEST(TabularEncoderTest, EncodePointsMatchesEncodeValueOrder) {
   Rng rng(6);
   const data::Table t = TwoColumnTable(&rng);
   TabularEncoder enc;
   ASSERT_TRUE(enc.Fit(t, &rng).ok());
-  const std::vector<double> p = enc.EncodeProjected({50.0}, {1});
+  const std::vector<std::vector<double>> points = {{50.0}};
+  std::vector<double> p;
+  enc.EncodePointsInto({1}, points, &p);
   std::vector<double> direct;
   enc.EncodeValue(1, 50.0, &direct);
   EXPECT_EQ(p, direct);
