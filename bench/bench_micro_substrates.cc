@@ -3,7 +3,8 @@
 // forward/adaptation paths. These are not paper figures; they document the
 // per-component costs behind the end-to-end numbers (e.g. why Meta*'s online
 // phase in Figure 6 is flat: it is `steps x AccumulateBatch`, independent of
-// the budget-driven SVM retraining DSM pays).
+// the budget-driven SVM retraining DSM pays). Two block-scan layers, a block
+// encode and a batch forward, are timed in dense and code form side by side.
 
 #include <benchmark/benchmark.h>
 
@@ -94,6 +95,95 @@ void BM_TabularEncodeRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TabularEncodeRow);
+
+// One block-scan encode: 1024 rows of a 2-D kCombined subspace (24 inputs
+// per row), read from column views. Arg 0 = dense rows (EncodeGatheredInto),
+// 1 = codes (EncodeGatheredCodesInto, the block scan's). Counters are per
+// row.
+void BM_BlockEncode(benchmark::State& state) {
+  lte::Rng rng(9);
+  const lte::data::Table table = lte::data::MakeSdssLike(8192, &rng);
+  lte::preprocess::TabularEncoder enc;
+  if (!enc.Fit(table, &rng).ok()) {
+    state.SkipWithError("encoder fit failed");
+    return;
+  }
+  const std::vector<int64_t> attrs = {0, 1};
+  const std::vector<lte::data::ColumnView> columns = {table.View(0),
+                                                      table.View(1)};
+  std::vector<int64_t> rows(1024);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = static_cast<int64_t>(i * 7);
+  }
+  std::vector<double> dense;
+  std::vector<lte::Code> codes;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      enc.EncodeGatheredInto(columns, attrs, rows, &dense);
+      benchmark::DoNotOptimize(dense.data());
+    } else {
+      enc.EncodeGatheredCodesInto(columns, attrs, rows, &codes);
+      benchmark::DoNotOptimize(codes.data());
+    }
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(rows.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BlockEncode)->Arg(0)->Arg(1);
+
+// TaskModel::PredictProbabilityBatch at servebench's shapes (f_tau 24 -> 24,
+// N_e 24, clf_hidden {24}, memory on) over the 1024 encoded rows of
+// BM_BlockEncode. Arg 0 = dense rows, 1 = codes (f_tau's first layer as a
+// gather-add). Counters are per row.
+void BM_PredictBatch(benchmark::State& state) {
+  lte::Rng rng(10);
+  const lte::data::Table table = lte::data::MakeSdssLike(8192, &rng);
+  lte::preprocess::TabularEncoder enc;
+  if (!enc.Fit(table, &rng).ok()) {
+    state.SkipWithError("encoder fit failed");
+    return;
+  }
+  const std::vector<int64_t> attrs = {0, 1};
+  const std::vector<lte::data::ColumnView> columns = {table.View(0),
+                                                      table.View(1)};
+  std::vector<int64_t> rows(1024);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = static_cast<int64_t>(i * 7);
+  }
+  std::vector<double> dense;
+  std::vector<lte::Code> codes;
+  enc.EncodeGatheredInto(columns, attrs, rows, &dense);
+  enc.EncodeGatheredCodesInto(columns, attrs, rows, &codes);
+  lte::core::MetaLearnerOptions opt;
+  opt.uis_feature_dim = 50;
+  opt.tuple_feature_dim = enc.ProjectedWidth(attrs);
+  opt.embedding_size = 24;
+  opt.clf_hidden = {24};
+  lte::core::MetaLearner learner(opt, &rng);
+  std::vector<double> v_r(50);
+  for (double& b : v_r) b = rng.Bernoulli(0.3) ? 1.0 : 0.0;
+  lte::core::TaskModel tm = learner.CreateTaskModel(v_r);
+  tm.WarmUisEmbedding();
+  const auto count = static_cast<int64_t>(rows.size());
+  const lte::CodeRows code_rows{codes, enc.ProjectedCodeCount(attrs)};
+  lte::core::TaskModel::BatchScratch scratch;
+  std::vector<double> probs(rows.size());
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      tm.PredictProbabilityBatch(dense, count, &scratch, probs);
+    } else {
+      tm.PredictProbabilityBatch(code_rows, count, &scratch, probs);
+    }
+    benchmark::DoNotOptimize(probs.data());
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(count),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PredictBatch)->Arg(0)->Arg(1);
 
 void BM_SvmTrain(benchmark::State& state) {
   lte::Rng rng(6);

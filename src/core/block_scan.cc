@@ -31,7 +31,7 @@ struct LaneScratch {
   /// One subscriber's table rows (LocateRows), then its band rows' indices
   /// into `encoded` (ForwardEncoded).
   std::vector<int64_t> sub_rows;
-  std::vector<double> encoded;
+  std::vector<Code> encoded;  // The encoded set in code form.
   std::vector<double> probs;
   std::vector<double> verdicts;
   TaskModel::BatchScratch batch;
@@ -85,14 +85,16 @@ class BlockPass {
     num_blocks_ = (domain_rows_ + kServingBlockRows - 1) / kServingBlockRows;
 
     views_.resize(static_cast<size_t>(max_active));
-    int64_t max_width = 0;
+    codes_per_row_.resize(static_cast<size_t>(max_active));
+    int64_t max_codes = 0;
     for (int64_t s = 0; s < max_active; ++s) {
       const std::vector<int64_t>& attrs = model_.subspace(s)->attribute_indices;
       for (const int64_t a : attrs) {
         views_[static_cast<size_t>(s)].push_back(table.View(a));
       }
-      max_width =
-          std::max(max_width, model_.encoder().ProjectedWidth(attrs));
+      codes_per_row_[static_cast<size_t>(s)] =
+          model_.encoder().ProjectedCodeCount(attrs);
+      max_codes = std::max(max_codes, codes_per_row_[static_cast<size_t>(s)]);
     }
 
     const int64_t lanes = std::min(ResolveThreadCount(num_threads),
@@ -115,7 +117,7 @@ class BlockPass {
       sc.sub_rows.reserve(block);
       sc.probs.reserve(block);
       sc.verdicts.reserve(block);
-      sc.encoded.reserve(block * static_cast<size_t>(max_width));
+      sc.encoded.reserve(block * static_cast<size_t>(max_codes));
     }
   }
 
@@ -252,7 +254,7 @@ class BlockPass {
               static_cast<int64_t>(sc->gather.size());
           sc->gather.push_back(RowAt(lo + p));
         }
-        model_.encoder().EncodeGatheredInto(
+        model_.encoder().EncodeGatheredCodesInto(
             views_[su], model_.subspace(s)->attribute_indices, sc->gather,
             &sc->encoded);
         ++sc->encode_passes;
@@ -274,8 +276,9 @@ class BlockPass {
             sc->sub_rows.push_back(
                 sc->encoded_index[static_cast<size_t>(alive[i])]);
           }
-          subscribers_[q].session->ForwardEncoded(s, sc->encoded, sc->sub_rows,
-                                                  &sc->batch, sc->probs);
+          subscribers_[q].session->ForwardEncoded(
+              s, CodeRows{sc->encoded, codes_per_row_[su]}, sc->sub_rows,
+              &sc->batch, sc->probs);
           sc->rows_forwarded += static_cast<int64_t>(band);
         }
         sc->verdicts.resize(alive.size());
@@ -324,6 +327,7 @@ class BlockPass {
   bool can_cancel_ = false;
   std::vector<std::atomic<int64_t>> found_;  // Per subscriber match count.
   std::vector<std::vector<data::ColumnView>> views_;  // Per subspace.
+  std::vector<int64_t> codes_per_row_;                // Per subspace.
   std::vector<LaneScratch> lanes_;
 };
 

@@ -69,12 +69,14 @@ struct BlockScanStats {
 ///    no encode; a row in a proven grid cell takes the cell's membership
 ///    without a hull test); a row inside both or outside both takes that
 ///    verdict;
-///  * the union of the remaining band rows is gathered and encoded once;
+///  * the union of the remaining band rows is gathered and encoded once, in
+///    code form (`TabularEncoder::EncodeGatheredCodesInto`: each row's
+///    nonzero inputs only);
 ///  * each subscriber forwards its own band rows, passed as indices into
 ///    the shared encoded block and read in place
-///    (`ExplorationSession::ForwardEncoded`; nothing is copied out), every
-///    row gets `FpFnOptimizer::Decide`'s verdict, and the rows it rejects
-///    drop out.
+///    (`ExplorationSession::ForwardEncoded`, whose first layer gathers the
+///    codes' weights; nothing is copied out), every row gets
+///    `FpFnOptimizer::Decide`'s verdict, and the rows it rejects drop out.
 /// Subscribers without subregions send every alive row to the forward.
 /// When every subscriber is a limit-bounded retrieval whose matches cover
 /// its limit, lanes stop claiming blocks; executed blocks always form a

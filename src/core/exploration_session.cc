@@ -607,8 +607,7 @@ int64_t ExplorationSession::LocateRows(
   return band;
 }
 
-void ExplorationSession::ForwardEncoded(int64_t s,
-                                        std::span<const double> encoded,
+void ExplorationSession::ForwardEncoded(int64_t s, CodeRows encoded,
                                         std::span<const int64_t> rows,
                                         TaskModel::BatchScratch* batch_scratch,
                                         std::span<double> probs) const {
@@ -637,8 +636,11 @@ void ExplorationSession::ScoreEncodedBlock(
     const auto tuple = encoded.subspan(k * width, width);
     point_scratch->insert(point_scratch->end(), tuple.begin(), tuple.end());
   }
+  const SubspaceSession& state = states_[static_cast<size_t>(s)];
+  LTE_CHECK(state.task_model != nullptr);
   std::vector<double> probs(static_cast<size_t>(band));
-  ForwardEncoded(s, *point_scratch, /*rows=*/{}, batch_scratch, probs);
+  state.task_model->PredictProbabilityBatch(*point_scratch, band,
+                                            batch_scratch, probs);
   FpFnOptimizer::DecideAll(where, probs, out);
 }
 
@@ -697,9 +699,9 @@ Status ExplorationSession::PredictRows(const data::Table& table,
   return Status::OK();
 }
 
-Status ExplorationSession::RetrieveMatches(const data::Table& table,
-                                           int64_t limit,
-                                           std::vector<int64_t>* matches) const {
+Status ExplorationSession::RetrieveMatches(
+    const data::Table& table, int64_t limit,
+    std::vector<int64_t>* matches) const {
   if (matches == nullptr) {
     return Status::InvalidArgument("session: matches must not be null");
   }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codes.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/exploration_model.h"
@@ -289,33 +290,35 @@ class ExplorationSession {
                      std::span<FpFnOptimizer::Membership> where,
                      int64_t* located = nullptr) const;
 
-  /// Batch forward of pre-encoded subspace-`s` tuples — `encoded` is
-  /// row-major at the subspace's projected width, exactly what
-  /// `TabularEncoder::EncodeGatheredInto` produces — writing P(interesting)
-  /// for tuple k into `probs[k]`. Tuple k is row `rows[k]` of `encoded`,
-  /// read in place: the block scan passes each subscriber's band rows as
-  /// indices into the pass's shared encoded block. Empty `rows` = every
-  /// row, and `encoded` then holds exactly `probs.size()` tuples. Each
+  /// Batch forward of code-form subspace-`s` tuples — `encoded` holds
+  /// rows of the subspace's codes, exactly what
+  /// `TabularEncoder::EncodeGatheredCodesInto` produces — writing
+  /// P(interesting) for tuple k into `probs[k]`. Tuple k is row `rows[k]` of
+  /// `encoded`, read in place: the block scan passes each subscriber's band
+  /// rows as indices into the pass's shared encoded block. Empty `rows` =
+  /// every row, and `encoded` then holds exactly `probs.size()` tuples. Each
   /// probability depends on its own tuple only, never on which other rows —
   /// or which other sessions' rows — share the batch, and is bit-identical
-  /// to the per-row probability `PredictRow` thresholds. Same
-  /// preconditions as LocateRows.
-  void ForwardEncoded(int64_t s, std::span<const double> encoded,
+  /// to the per-row probability `PredictRow` thresholds on the dense
+  /// encoding. Same preconditions as LocateRows.
+  void ForwardEncoded(int64_t s, CodeRows encoded,
                       std::span<const int64_t> rows,
                       TaskModel::BatchScratch* batch_scratch,
                       std::span<double> probs) const;
 
-  /// Scores `rows.size()` pre-encoded subspace-`s` tuples (`encoded`, laid
-  /// out as for ForwardEncoded; `rows[k]` is tuple k's table row and
-  /// `columns` the subspace's attribute column views) and writes the final
-  /// 0.0/1.0 verdicts into `out`, by the block scan's own steps: LocateRows,
-  /// then ForwardEncoded on the band rows only (their encodings are copied
-  /// into `point_scratch`), then `FpFnOptimizer::DecideAll`. `out[k]` is
-  /// bit-identical to the block-scan verdict for that tuple and to
-  /// `PredictRow`'s. A tool hook (block-by-block replays time it); it
-  /// allocates its per-call membership and probability buffers, and the
-  /// block scan does not go through it. Same preconditions as LocateRows,
-  /// and `encoded` holds exactly `rows.size()` tuples.
+  /// Scores `rows.size()` densely pre-encoded subspace-`s` tuples
+  /// (`encoded`, row-major at the subspace's projected width, as
+  /// `TabularEncoder::EncodeGatheredInto` writes it; `rows[k]` is tuple k's
+  /// table row and `columns` the subspace's attribute column views) and
+  /// writes the final 0.0/1.0 verdicts into `out`, by the block scan's own
+  /// steps: LocateRows, then the dense batch forward of the band rows only
+  /// (their encodings are copied into `point_scratch`), then
+  /// `FpFnOptimizer::DecideAll`. `out[k]` is bit-identical to the
+  /// block-scan verdict for that tuple and to `PredictRow`'s. A tool hook
+  /// (block-by-block replays time it); it allocates its per-call membership
+  /// and probability buffers, and the block scan does not go through it.
+  /// Same preconditions as LocateRows, and `encoded` holds exactly
+  /// `rows.size()` tuples.
   void ScoreEncodedBlock(int64_t s, std::span<const double> encoded,
                          std::span<const int64_t> rows,
                          const std::vector<data::ColumnView>& columns,

@@ -1,7 +1,6 @@
 #include "core/meta_learner.h"
 
 #include <algorithm>
-
 #include <cmath>
 
 #include "common/check.h"
@@ -70,6 +69,14 @@ void ConvertBatch(const nn::Matrix& m_cp, const std::vector<double>& left,
   }
 }
 
+// TaskModel::PredictProbabilityBatch (both overloads) slices the batch so
+// the per-stage activations (emb_tau, clf_in, logits) stay cache-resident
+// while each weight matrix streams over them; a full 1024-row block's
+// activations otherwise evict the weights between stages. Rows are
+// independent and tile boundaries restart cleanly at every multiple of
+// kRowTile, so slicing cannot change any output bit.
+constexpr int64_t kSlice = 128;
+
 }  // namespace
 
 MetaLearner::MetaLearner(MetaLearnerOptions options, Rng* rng)
@@ -79,8 +86,8 @@ MetaLearner::MetaLearner(MetaLearnerOptions options, Rng* rng)
                 "tuple_feature_dim must be set to the encoded tuple width");
   LTE_CHECK_GT(options_.embedding_size, 0);
   const int64_t ne = options_.embedding_size;
-  phi_r_ = nn::Mlp(LayerSizes(options_.uis_feature_dim, options_.uis_hidden, ne),
-                   rng);
+  phi_r_ = nn::Mlp(
+      LayerSizes(options_.uis_feature_dim, options_.uis_hidden, ne), rng);
   phi_tau_ = nn::Mlp(
       LayerSizes(options_.tuple_feature_dim, options_.tuple_hidden, ne), rng);
   const int64_t clf_in = options_.use_memory ? ne : 2 * ne;
@@ -497,25 +504,11 @@ double TaskModel::PredictProbability(const std::vector<double>& tuple) const {
   return nn::Sigmoid(Logit(tuple));
 }
 
-void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
-                                        int64_t count, BatchScratch* scratch,
-                                        std::span<double> out,
-                                        std::span<const int64_t> rows) const {
-  LTE_CHECK_GE(count, 0);
-  LTE_CHECK_EQ(static_cast<int64_t>(out.size()), count);
-  const int64_t in_w = f_tau_.in_features();
-  if (rows.empty()) {
-    LTE_CHECK_EQ(static_cast<int64_t>(tuples.size()), count * in_w);
-  } else {
-    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
-  }
-  if (count == 0) return;
+void TaskModel::PrepareBatch(BatchScratch* scratch) const {
   if (!emb_r_valid_) {
     emb_r_cache_ = f_r_.Forward(uis_feature_);
     emb_r_valid_ = true;
   }
-  const auto ne = static_cast<int64_t>(emb_r_cache_.size());
-
   // The emb_R-dependent prefixes are the same for every row; evaluate them
   // once per call.
   if (use_memory_) {
@@ -531,13 +524,41 @@ void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
     // multiply-accumulates, with the accumulation order unchanged.
     f_clf_.ComputeFirstLayerPrefix(emb_r_cache_, &scratch->clf1_left);
   }
+}
 
-  // Slice the batch so the per-stage activations (emb_tau, clf_in, logits)
-  // stay cache-resident while each weight matrix streams over them; a full
-  // 1024-row block's activations otherwise evict the weights between stages.
-  // Rows are independent and tile boundaries restart cleanly at every
-  // multiple of kRowTile, so slicing cannot change any output bit.
-  constexpr int64_t kSlice = 128;
+void TaskModel::FinishSlice(int64_t s0, int64_t sc, BatchScratch* scratch,
+                            std::span<double> out) const {
+  if (use_memory_) {
+    const auto ne = static_cast<int64_t>(emb_r_cache_.size());
+    scratch->clf_in.resize(static_cast<size_t>(sc * ne));
+    ConvertBatch(m_cp_, scratch->mcp_left, scratch->emb_tau.data(), sc,
+                 scratch->clf_in.data());
+    f_clf_.ForwardBatchInto(scratch->clf_in, sc, &scratch->mlp,
+                            &scratch->logits);
+  } else {
+    f_clf_.ForwardBatchInto(scratch->emb_tau, sc, &scratch->mlp,
+                            &scratch->logits, scratch->clf1_left);
+  }
+  for (int64_t n = 0; n < sc; ++n) {
+    out[static_cast<size_t>(s0 + n)] =
+        nn::Sigmoid(scratch->logits[static_cast<size_t>(n)]);
+  }
+}
+
+void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
+                                        int64_t count, BatchScratch* scratch,
+                                        std::span<double> out,
+                                        std::span<const int64_t> rows) const {
+  LTE_CHECK_GE(count, 0);
+  LTE_CHECK_EQ(static_cast<int64_t>(out.size()), count);
+  const int64_t in_w = f_tau_.in_features();
+  if (rows.empty()) {
+    LTE_CHECK_EQ(static_cast<int64_t>(tuples.size()), count * in_w);
+  } else {
+    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
+  }
+  if (count == 0) return;
+  PrepareBatch(scratch);
   for (int64_t s0 = 0; s0 < count; s0 += kSlice) {
     const int64_t sc = std::min(kSlice, count - s0);
     // Dense input: this slice's tuples. Indexed input: this slice's
@@ -552,22 +573,56 @@ void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
                                     static_cast<size_t>(sc));
     f_tau_.ForwardBatchInto(slice, sc, &scratch->mlp, &scratch->emb_tau,
                             /*first_layer_prefix=*/{}, slice_rows);
+    FinishSlice(s0, sc, scratch, out);
+  }
+}
 
-    if (use_memory_) {
-      scratch->clf_in.resize(static_cast<size_t>(sc * ne));
-      ConvertBatch(m_cp_, scratch->mcp_left, scratch->emb_tau.data(), sc,
-                   scratch->clf_in.data());
-      f_clf_.ForwardBatchInto(scratch->clf_in, sc, &scratch->mlp,
-                              &scratch->logits);
-    } else {
-      f_clf_.ForwardBatchInto(scratch->emb_tau, sc, &scratch->mlp,
-                              &scratch->logits, scratch->clf1_left);
+void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
+                                        BatchScratch* scratch,
+                                        std::span<double> out,
+                                        std::span<const int64_t> rows) const {
+  LTE_CHECK_GE(count, 0);
+  LTE_CHECK_EQ(static_cast<int64_t>(out.size()), count);
+  LTE_CHECK_GT(tuples.per_row, 0);
+  if (rows.empty()) {
+    LTE_CHECK_EQ(static_cast<int64_t>(tuples.codes.size()),
+                 count * tuples.per_row);
+  } else {
+    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
+  }
+  if (count == 0) return;
+  if (!f_tau_.TransposeFirstLayer(&scratch->tau_first_t)) {
+    const int64_t in_w = f_tau_.in_features();
+    scratch->expanded.assign(static_cast<size_t>(count * in_w), 0.0);
+    for (int64_t n = 0; n < count; ++n) {
+      const int64_t r = rows.empty() ? n : rows[static_cast<size_t>(n)];
+      LTE_CHECK(r >= 0 && r < tuples.num_rows());
+      for (const Code& c : tuples.row(r)) {
+        LTE_CHECK(c.index >= 0 && c.index < in_w);
+        scratch->expanded[static_cast<size_t>(n * in_w + c.index)] = c.value;
+      }
     }
-
-    for (int64_t n = 0; n < sc; ++n) {
-      out[static_cast<size_t>(s0 + n)] =
-          nn::Sigmoid(scratch->logits[static_cast<size_t>(n)]);
-    }
+    PredictProbabilityBatch(scratch->expanded, count, scratch, out);
+    return;
+  }
+  PrepareBatch(scratch);
+  for (int64_t s0 = 0; s0 < count; s0 += kSlice) {
+    const int64_t sc = std::min(kSlice, count - s0);
+    // As in the dense overload: this slice's rows, or its indices.
+    const CodeRows slice =
+        rows.empty()
+            ? CodeRows{tuples.codes.subspan(
+                           static_cast<size_t>(s0 * tuples.per_row),
+                           static_cast<size_t>(sc * tuples.per_row)),
+                       tuples.per_row}
+            : tuples;
+    const std::span<const int64_t> slice_rows =
+        rows.empty() ? rows
+                     : rows.subspan(static_cast<size_t>(s0),
+                                    static_cast<size_t>(sc));
+    f_tau_.ForwardCodesInto(slice, sc, scratch->tau_first_t, &scratch->mlp,
+                            &scratch->emb_tau, slice_rows);
+    FinishSlice(s0, sc, scratch, out);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/codes.h"
 #include "common/rng.h"
 #include "nn/matrix.h"
 #include "nn/mlp.h"
@@ -108,6 +109,11 @@ class TaskModel {
     std::vector<double> logits;    // count x 1.
     std::vector<double> mcp_left;  // N_e: left half of M_cp applied to emb_R.
     std::vector<double> clf1_left; // f_clf layer-1 prefix over emb_R (kBasic).
+    /// Code-form input: f_tau's first-layer weights by input, once per call
+    /// (Mlp::TransposeFirstLayer), and the expanded dense rows when one of
+    /// those weights is not finite.
+    std::vector<double> tau_first_t;
+    std::vector<double> expanded;
   };
 
   /// Block counterpart of PredictProbability for the columnar serving path:
@@ -123,6 +129,18 @@ class TaskModel {
   /// accumulation prefix, so the sum is unchanged). Same thread-safety
   /// contract as Logit.
   void PredictProbabilityBatch(std::span<const double> tuples, int64_t count,
+                               BatchScratch* scratch, std::span<double> out,
+                               std::span<const int64_t> rows = {}) const;
+
+  /// The same for code-form tuples (the block scan's encoding): tuple n is
+  /// code row `rows[n]` of `tuples` (empty `rows` = row n, and `tuples`
+  /// then holds exactly `count` rows). f_tau's first layer is a gather-add
+  /// over the codes (Mlp::ForwardCodesInto); every later stage is the dense
+  /// overload's. Each probability is bit-identical to the dense overload on
+  /// the expanded tuple. When a first-layer weight of f_tau is not finite
+  /// the gather-add is not exact (0 · ∞ is NaN, not ±0), so the rows are
+  /// expanded and forwarded densely instead.
+  void PredictProbabilityBatch(CodeRows tuples, int64_t count,
                                BatchScratch* scratch, std::span<double> out,
                                std::span<const int64_t> rows = {}) const;
 
@@ -173,6 +191,14 @@ class TaskModel {
 
  private:
   friend class MetaLearner;
+
+  /// Per-call part of PredictProbabilityBatch: warms emb_R and evaluates
+  /// the emb_R-dependent prefixes every row shares.
+  void PrepareBatch(BatchScratch* scratch) const;
+  /// From the f_tau embeddings of rows [s0, s0 + sc) in `scratch->emb_tau`
+  /// to their probabilities in `out`.
+  void FinishSlice(int64_t s0, int64_t sc, BatchScratch* scratch,
+                   std::span<double> out) const;
 
   bool use_memory_ = false;
   std::vector<double> uis_feature_;

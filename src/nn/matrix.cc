@@ -75,7 +75,9 @@ std::vector<double> Matrix::TransposeMatVec(
     const double xr = x[static_cast<size_t>(r)];
     if (xr == 0.0) continue;
     const double* row = &data_[static_cast<size_t>(r * cols_)];
-    for (int64_t c = 0; c < cols_; ++c) y[static_cast<size_t>(c)] += row[c] * xr;
+    for (int64_t c = 0; c < cols_; ++c) {
+      y[static_cast<size_t>(c)] += row[c] * xr;
+    }
   }
   return y;
 }
@@ -88,7 +90,9 @@ void Matrix::AddOuter(const std::vector<double>& a,
     const double ar = scale * a[static_cast<size_t>(r)];
     if (ar == 0.0) continue;
     double* row = &data_[static_cast<size_t>(r * cols_)];
-    for (int64_t c = 0; c < cols_; ++c) row[c] += ar * b[static_cast<size_t>(c)];
+    for (int64_t c = 0; c < cols_; ++c) {
+      row[c] += ar * b[static_cast<size_t>(c)];
+    }
   }
 }
 
@@ -128,7 +132,11 @@ Status Matrix::Load(BinaryReader* reader) {
   }
   std::vector<double> data;
   LTE_RETURN_IF_ERROR(reader->ReadDoubleVector(&data));
-  if (static_cast<int64_t>(data.size()) != rows * cols) {
+  // Overflow-checked: corrupt dimensions must not wrap into a match.
+  uint64_t size = 0;
+  if (__builtin_mul_overflow(static_cast<uint64_t>(rows),
+                             static_cast<uint64_t>(cols), &size) ||
+      size != data.size()) {
     return Status::IoError("matrix load: size mismatch");
   }
   rows_ = rows;

@@ -1,6 +1,7 @@
 #include "nn/mlp.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "common/check.h"
@@ -112,6 +113,48 @@ void ForwardLayer(const Linear& layer, const double* in,
   }
 }
 
+// The first layer over code-form rows (see Mlp::ForwardCodesInto): output
+// o of row n starts at +0.0 and adds wt[index][o] · value over the row's
+// codes in ascending index; the bias and ReLU follow as in ForwardLayer.
+void GatherAddLayer(const Linear& layer, CodeRows x,
+                    std::span<const int64_t> rows, int64_t count,
+                    const double* wt, bool relu, double* dst) {
+  const int64_t in_w = layer.in_features();
+  const int64_t out_w = layer.out_features();
+  const double* bias = layer.bias().data();
+  for (int64_t n = 0; n < count; ++n) {
+    double* d = dst + n * out_w;
+    std::fill_n(d, out_w, 0.0);
+    const int64_t r = rows.empty() ? n : rows[static_cast<size_t>(n)];
+    for (const Code& c : x.row(r)) {
+      LTE_CHECK(c.index >= 0 && c.index < in_w);
+      const double* w = wt + c.index * out_w;
+      const double v = c.value;
+      for (int64_t o = 0; o < out_w; ++o) d[o] += w[o] * v;
+    }
+    for (int64_t o = 0; o < out_w; ++o) {
+      const double s = d[o] + bias[o];
+      d[o] = relu ? (s > 0.0 ? s : 0.0) : s;
+    }
+  }
+}
+
+// Forwards `count` dense rows at `in` through layers [from, end), ping-ponging
+// between the scratch buffers; the last layer writes `*out`.
+void ForwardLayersFrom(std::span<const Linear> layers, size_t from,
+                       const double* in, int64_t count,
+                       Mlp::BatchScratch* scratch, std::vector<double>* out) {
+  for (size_t i = from; i < layers.size(); ++i) {
+    const bool last = i + 1 == layers.size();
+    std::vector<double>* dst =
+        last ? out : (in == scratch->a.data() ? &scratch->b : &scratch->a);
+    dst->resize(static_cast<size_t>(count * layers[i].out_features()));
+    ForwardLayer(layers[i], in, /*rows=*/{}, /*skip=*/0, /*prefix=*/{}, count,
+                 /*relu=*/!last, dst->data());
+    in = dst->data();
+  }
+}
+
 }  // namespace
 
 Mlp::Mlp(const std::vector<int64_t>& layer_sizes, Rng* rng) {
@@ -151,20 +194,60 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
       CheckedBatchHeadWidth(x.size(), count, in_features(),
                             first_layer_prefix.size(),
                             layers_.front().out_features(), rows);
-  const double* in = x.data();
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const bool first = i == 0;
-    const bool last = i + 1 == layers_.size();
-    std::vector<double>* dst =
-        last ? out : (in == scratch->a.data() ? &scratch->b : &scratch->a);
-    dst->resize(static_cast<size_t>(count * layers_[i].out_features()));
-    // The first layer may skip the shared head: its rows are narrower and
-    // its accumulators start from the precomputed prefix.
-    ForwardLayer(layers_[i], in, first ? rows : std::span<const int64_t>{},
-                 first && !first_layer_prefix.empty() ? head_w : 0,
-                 first_layer_prefix, count, /*relu=*/!last, dst->data());
-    in = dst->data();
+  const bool last = layers_.size() == 1;
+  std::vector<double>* dst =
+      last ? out
+           : (x.data() == scratch->a.data() ? &scratch->b : &scratch->a);
+  dst->resize(static_cast<size_t>(count * layers_.front().out_features()));
+  // The first layer may skip the shared head: its rows are narrower and its
+  // accumulators start from the precomputed prefix.
+  ForwardLayer(layers_.front(), x.data(), rows,
+               first_layer_prefix.empty() ? 0 : head_w, first_layer_prefix,
+               count, /*relu=*/!last, dst->data());
+  ForwardLayersFrom(layers_, 1, dst->data(), count, scratch, out);
+}
+
+bool Mlp::TransposeFirstLayer(std::vector<double>* wt) const {
+  LTE_CHECK(!layers_.empty());
+  const Linear& layer = layers_.front();
+  const int64_t in_w = layer.in_features();
+  const int64_t out_w = layer.out_features();
+  const double* w = layer.weights().data().data();
+  wt->resize(static_cast<size_t>(in_w * out_w));
+  bool finite = true;
+  for (int64_t o = 0; o < out_w; ++o) {
+    for (int64_t c = 0; c < in_w; ++c) {
+      const double v = w[o * in_w + c];
+      (*wt)[static_cast<size_t>(c * out_w + o)] = v;
+      finite &= std::isfinite(v);
+    }
   }
+  return finite;
+}
+
+void Mlp::ForwardCodesInto(CodeRows x, int64_t count,
+                           std::span<const double> first_t,
+                           BatchScratch* scratch, std::vector<double>* out,
+                           std::span<const int64_t> rows) const {
+  LTE_CHECK(!layers_.empty());
+  LTE_CHECK_GE(count, 0);
+  const Linear& first = layers_.front();
+  LTE_CHECK_EQ(static_cast<int64_t>(first_t.size()),
+               first.in_features() * first.out_features());
+  LTE_CHECK_GT(x.per_row, 0);
+  LTE_CHECK_EQ(static_cast<int64_t>(x.codes.size()) % x.per_row, 0);
+  if (rows.empty()) {
+    LTE_CHECK_EQ(x.num_rows(), count);
+  } else {
+    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
+    for (const int64_t r : rows) LTE_CHECK(r >= 0 && r < x.num_rows());
+  }
+  const bool last = layers_.size() == 1;
+  std::vector<double>* dst = last ? out : &scratch->a;
+  dst->resize(static_cast<size_t>(count * first.out_features()));
+  GatherAddLayer(first, x, rows, count, first_t.data(), /*relu=*/!last,
+                 dst->data());
+  ForwardLayersFrom(layers_, 1, dst->data(), count, scratch, out);
 }
 
 std::span<const double> Mlp::ForwardTrain(std::span<const double> x,

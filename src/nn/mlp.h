@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/codes.h"
 #include "common/rng.h"
 #include "nn/linear.h"
 
@@ -70,6 +71,31 @@ class Mlp {
   void ForwardBatchInto(std::span<const double> x, int64_t count,
                         BatchScratch* scratch, std::vector<double>* out,
                         std::span<const double> first_layer_prefix = {},
+                        std::span<const int64_t> rows = {}) const;
+
+  /// Writes the first layer's weights by input into `*wt`: in_features()
+  /// rows of the first layer's out width, row c holding input c's weight to
+  /// every output — the layout ForwardCodesInto reads. Returns false when
+  /// some weight is not finite; ForwardCodesInto is then not exact, and
+  /// callers forward expanded dense rows instead.
+  bool TransposeFirstLayer(std::vector<double>* wt) const;
+
+  /// Code-form counterpart of ForwardBatchInto for inputs that are mostly
+  /// zeros: input n is code row `rows[n]` of `x` (empty `rows` = row n, and
+  /// `x` then holds exactly `count` rows), i.e. the dense row that is zero
+  /// except at its codes. The first layer is a gather-add over `first_t`
+  /// (TransposeFirstLayer's output): output o starts at +0.0 and adds
+  /// first_t[index][o] · value over the row's codes in ascending index, then
+  /// adds the bias and applies the ReLU as ForwardBatchInto does; every later
+  /// layer is ForwardBatchInto's. When the first layer's weights are finite
+  /// each output is bit-identical to ForwardBatchInto on the dense row: the
+  /// dense chain also starts at +0.0 and only adds w · (+0.0) = ±0 for the
+  /// inputs that have no code, and a sum that starts at +0.0 never becomes
+  /// −0.0 (x + (−x) is +0.0 under round-to-nearest), so adding ±0 to it
+  /// changes no bit. Code indices and `rows` are LTE_CHECKed.
+  void ForwardCodesInto(CodeRows x, int64_t count,
+                        std::span<const double> first_t,
+                        BatchScratch* scratch, std::vector<double>* out,
                         std::span<const int64_t> rows = {}) const;
 
   /// Partial first-layer dot products of a shared input head:

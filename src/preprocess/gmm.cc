@@ -73,7 +73,8 @@ Status GaussianMixture::Fit(const std::vector<double>& values,
       double msum = 0.0;
       for (int64_t i = 0; i < n; ++i) {
         rsum += resp[static_cast<size_t>(i)][c];
-        msum += resp[static_cast<size_t>(i)][c] * values[static_cast<size_t>(i)];
+        msum += resp[static_cast<size_t>(i)][c] *
+                values[static_cast<size_t>(i)];
       }
       if (rsum < 1e-10) {
         // Dead component: re-seed at a random sample point.
@@ -96,7 +97,25 @@ Status GaussianMixture::Fit(const std::vector<double>& values,
     if (std::abs(ll - prev_ll) < 1e-6 * std::abs(ll)) break;
     prev_ll = ll;
   }
+  CacheConstants();
   return Status::OK();
+}
+
+void GaussianMixture::CacheConstants() {
+  cached_.resize(components_.size());
+  for (size_t c = 0; c < components_.size(); ++c) {
+    const GaussianComponent& g = components_[c];
+    Cached& k = cached_[c];
+    // The subexpressions of LogGaussianPdf and of the normalization range,
+    // written as they are evaluated there.
+    k.mean = g.mean;
+    k.log_weight = std::log(std::max(g.weight, 1e-12));
+    k.variance = std::max(g.variance, 1e-12);
+    k.log_norm = std::log(2.0 * M_PI * k.variance);
+    const double sigma = std::sqrt(g.variance);
+    k.lo = g.mean - 3.0 * sigma;
+    k.hi = g.mean + 3.0 * sigma;
+  }
 }
 
 int64_t GaussianMixture::MostLikelyComponent(double x) const {
@@ -104,9 +123,7 @@ int64_t GaussianMixture::MostLikelyComponent(double x) const {
   int64_t best = 0;
   double best_lp = -std::numeric_limits<double>::max();
   for (int64_t c = 0; c < num_components(); ++c) {
-    const GaussianComponent& g = components_[static_cast<size_t>(c)];
-    const double lp = std::log(std::max(g.weight, 1e-12)) +
-                      LogGaussianPdf(x, g.mean, g.variance);
+    const double lp = LogJoint(cached_[static_cast<size_t>(c)], x);
     if (lp > best_lp) {
       best_lp = lp;
       best = c;
@@ -118,25 +135,19 @@ int64_t GaussianMixture::MostLikelyComponent(double x) const {
 double GaussianMixture::NormalizeWithin(int64_t c, double x) const {
   LTE_CHECK_GE(c, 0);
   LTE_CHECK_LT(c, num_components());
-  const GaussianComponent& g = components_[static_cast<size_t>(c)];
-  const double sigma = std::sqrt(g.variance);
-  const double lo = g.mean - 3.0 * sigma;
-  const double hi = g.mean + 3.0 * sigma;
-  if (hi <= lo) return 0.5;
-  return Clamp((x - lo) / (hi - lo), 0.0, 1.0);
+  const Cached& k = cached_[static_cast<size_t>(c)];
+  if (k.hi <= k.lo) return 0.5;
+  return Clamp((x - k.lo) / (k.hi - k.lo), 0.0, 1.0);
 }
 
 double GaussianMixture::MeanLogLikelihood(
     const std::vector<double>& values) const {
   if (values.empty()) return 0.0;
   double ll = 0.0;
+  std::vector<double> logp(cached_.size());
   for (double x : values) {
-    std::vector<double> logp(static_cast<size_t>(num_components()));
-    for (int64_t c = 0; c < num_components(); ++c) {
-      const GaussianComponent& g = components_[static_cast<size_t>(c)];
-      logp[static_cast<size_t>(c)] =
-          std::log(std::max(g.weight, 1e-12)) +
-          LogGaussianPdf(x, g.mean, g.variance);
+    for (size_t c = 0; c < cached_.size(); ++c) {
+      logp[c] = LogJoint(cached_[c], x);
     }
     ll += LogSumExp(logp);
   }
@@ -155,9 +166,9 @@ void GaussianMixture::Save(BinaryWriter* writer) const {
 Status GaussianMixture::Load(BinaryReader* reader) {
   uint64_t n = 0;
   LTE_RETURN_IF_ERROR(reader->ReadU64(&n));
-  components_.clear();  // Grown as the components arrive.
+  std::vector<GaussianComponent> components;  // Grown as they arrive.
   for (uint64_t i = 0; i < n; ++i) {
-    GaussianComponent& g = components_.emplace_back();
+    GaussianComponent& g = components.emplace_back();
     LTE_RETURN_IF_ERROR(reader->ReadDouble(&g.weight));
     LTE_RETURN_IF_ERROR(reader->ReadDouble(&g.mean));
     LTE_RETURN_IF_ERROR(reader->ReadDouble(&g.variance));
@@ -165,6 +176,8 @@ Status GaussianMixture::Load(BinaryReader* reader) {
       return Status::IoError("gmm load: non-positive variance");
     }
   }
+  components_ = std::move(components);
+  CacheConstants();
   return Status::OK();
 }
 

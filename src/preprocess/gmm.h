@@ -41,10 +41,13 @@ class GaussianMixture {
   }
 
   /// Index of the component maximizing the posterior responsibility of x.
+  /// Reads per-component constants cached by Fit and Load, so it makes no
+  /// `log` call; each is the expression `LogGaussianPdf` evaluates, so the
+  /// log-densities compared are the same bits.
   int64_t MostLikelyComponent(double x) const;
 
   /// x normalized to [0, 1] within component `c`'s effective range
-  /// [mean - 3σ, mean + 3σ] (clamped).
+  /// [mean - 3σ, mean + 3σ] (clamped; the range is cached by Fit and Load).
   double NormalizeWithin(int64_t c, double x) const;
 
   /// Mean per-point log-likelihood of `values` under the fitted mixture.
@@ -55,7 +58,27 @@ class GaussianMixture {
   Status Load(BinaryReader* reader);
 
  private:
+  /// What MostLikelyComponent and NormalizeWithin read per component.
+  struct Cached {
+    double mean = 0.0;
+    double log_weight = 0.0;  // log(max(weight, 1e-12)).
+    double log_norm = 0.0;    // log(2π · var), var as below.
+    double variance = 1.0;    // max(variance, 1e-12).
+    double lo = 0.0;          // mean - 3σ.
+    double hi = 0.0;          // mean + 3σ.
+  };
+
+  /// Rebuilds `cached_` from `components_`.
+  void CacheConstants();
+
+  /// log(weight_c · N(x; mean_c, var_c)), from the cached constants.
+  static double LogJoint(const Cached& k, double x) {
+    const double d = x - k.mean;
+    return k.log_weight + -0.5 * (k.log_norm + d * d / k.variance);
+  }
+
   std::vector<GaussianComponent> components_;
+  std::vector<Cached> cached_;  // One per component.
 };
 
 }  // namespace lte::preprocess

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <map>
 
 #include "common/check.h"
@@ -133,6 +134,18 @@ EncodingMode TabularEncoder::AttributeMode(int64_t attr) const {
   return attr_modes_[static_cast<size_t>(attr)];
 }
 
+const GaussianMixture& TabularEncoder::gmm(int64_t attr) const {
+  LTE_CHECK(fitted_);
+  LTE_CHECK(attr >= 0 && attr < num_attributes_);
+  return gmms_[static_cast<size_t>(attr)];
+}
+
+const JenksBreaks& TabularEncoder::jenks(int64_t attr) const {
+  LTE_CHECK(fitted_);
+  LTE_CHECK(attr >= 0 && attr < num_attributes_);
+  return jenks_[static_cast<size_t>(attr)];
+}
+
 int64_t TabularEncoder::AttributeWidth(int64_t attr) const {
   switch (AttributeMode(attr)) {
     case EncodingMode::kMinMaxOnly:
@@ -144,8 +157,10 @@ int64_t TabularEncoder::AttributeWidth(int64_t attr) const {
     case EncodingMode::kCombined:
       return options_.num_gmm_components + options_.num_jenks_intervals + 2;
     case EncodingMode::kCategorical:
-      return static_cast<int64_t>(categories_[static_cast<size_t>(attr)].size()) +
-             1;  // +1 for the "other" slot.
+      // +1 for the "other" slot.
+      return static_cast<int64_t>(
+                 categories_[static_cast<size_t>(attr)].size()) +
+             1;
     case EncodingMode::kAuto:
       break;  // Resolved at Fit time; unreachable.
   }
@@ -160,37 +175,74 @@ int64_t TabularEncoder::ProjectedWidth(
   return w;
 }
 
-void TabularEncoder::EncodeValue(int64_t attr, double x,
-                                 std::vector<double>* out) const {
+int64_t TabularEncoder::AttributeCodeCount(int64_t attr) const {
+  switch (AttributeMode(attr)) {
+    case EncodingMode::kMinMaxOnly:
+    case EncodingMode::kCategorical:
+      return 1;
+    case EncodingMode::kGmmOnly:
+    case EncodingMode::kJenksOnly:
+      return 2;
+    case EncodingMode::kCombined:
+      return 4;
+    case EncodingMode::kAuto:
+      break;  // Resolved at Fit time; unreachable.
+  }
+  LTE_CHECK_MSG(false, "unresolved encoding mode");
+  return 0;
+}
+
+int64_t TabularEncoder::ProjectedCodeCount(
+    const std::vector<int64_t>& attrs) const {
+  int64_t n = 0;
+  for (int64_t a : attrs) n += AttributeCodeCount(a);
+  return n;
+}
+
+Code* TabularEncoder::EncodeValueCodes(int64_t attr, double x, int64_t offset,
+                                       Code* out) const {
   const EncodingMode mode = AttributeMode(attr);
   if (mode == EncodingMode::kMinMaxOnly) {
-    out->push_back(normalizer_.Transform(attr, x));
-    return;
+    *out++ = {offset, normalizer_.Transform(attr, x)};
+    return out;
   }
   const auto a = static_cast<size_t>(attr);
   if (mode == EncodingMode::kCategorical) {
+    // The known value's slot, or "other" after the last category.
     const std::vector<double>& cats = categories_[a];
     const auto it = std::lower_bound(cats.begin(), cats.end(), x);
     const bool known = it != cats.end() && *it == x;
-    for (size_t i = 0; i < cats.size(); ++i) {
-      out->push_back(known && cats[i] == x ? 1.0 : 0.0);
-    }
-    out->push_back(known ? 0.0 : 1.0);  // "other".
-    return;
+    const auto slot = known ? it - cats.begin()
+                            : static_cast<std::ptrdiff_t>(cats.size());
+    *out++ = {offset + slot, 1.0};
+    return out;
   }
   if (mode == EncodingMode::kGmmOnly || mode == EncodingMode::kCombined) {
-    const int64_t c = gmms_[a].MostLikelyComponent(x);
-    for (int64_t i = 0; i < gmms_[a].num_components(); ++i) {
-      out->push_back(i == c ? 1.0 : 0.0);
-    }
-    out->push_back(gmms_[a].NormalizeWithin(c, x));
+    const GaussianMixture& gmm = gmms_[a];
+    const int64_t c = gmm.MostLikelyComponent(x);
+    *out++ = {offset + c, 1.0};
+    *out++ = {offset + gmm.num_components(), gmm.NormalizeWithin(c, x)};
+    offset += gmm.num_components() + 1;
   }
   if (mode == EncodingMode::kJenksOnly || mode == EncodingMode::kCombined) {
-    const int64_t b = jenks_[a].IntervalOf(x);
-    for (int64_t i = 0; i < jenks_[a].num_intervals(); ++i) {
-      out->push_back(i == b ? 1.0 : 0.0);
-    }
-    out->push_back(jenks_[a].NormalizeWithin(b, x));
+    const JenksBreaks& jenks = jenks_[a];
+    const int64_t b = jenks.IntervalOf(x);
+    *out++ = {offset + b, 1.0};
+    *out++ = {offset + jenks.num_intervals(), jenks.NormalizeWithin(b, x)};
+  }
+  return out;
+}
+
+void TabularEncoder::EncodeValue(int64_t attr, double x,
+                                 std::vector<double>* out) const {
+  Code codes[kMaxAttributeCodes];
+  const Code* end = EncodeValueCodes(attr, x, 0, codes);
+  const size_t base = out->size();
+  const int64_t width = AttributeWidth(attr);
+  out->resize(base + static_cast<size_t>(width), 0.0);
+  for (const Code* c = codes; c != end; ++c) {
+    LTE_CHECK_LT(c->index, width);
+    (*out)[base + static_cast<size_t>(c->index)] = c->value;
   }
 }
 
@@ -218,13 +270,37 @@ void TabularEncoder::EncodeGatheredInto(
   out->reserve(rows.size() * width);
   // Same EncodeValue sequence per tuple as EncodePointsInto, so each
   // row-major slice of `*out` is bit-identical to the point encode; the
-  // values just arrive from contiguous column views instead of points.
+  // values just arrive from column views instead of points.
   for (const int64_t r : rows) {
     for (size_t j = 0; j < attrs.size(); ++j) {
       EncodeValue(attrs[j], columns[j][r], out);
     }
   }
   LTE_CHECK_EQ(out->size(), rows.size() * width);
+}
+
+void TabularEncoder::EncodeGatheredCodesInto(
+    const std::vector<data::ColumnView>& columns,
+    const std::vector<int64_t>& attrs, std::span<const int64_t> rows,
+    std::vector<Code>* out) const {
+  LTE_CHECK_EQ(columns.size(), attrs.size());
+  const int64_t per_row = ProjectedCodeCount(attrs);
+  // Every slot is overwritten below; resizing only value-initializes growth.
+  out->resize(rows.size() * static_cast<size_t>(per_row));
+  // Attribute by attribute, each value's codes into its row's slots.
+  Code* codes = out->data();
+  int64_t offset = 0;  // Attribute j's first input in the tuple.
+  int64_t first = 0;   // Attribute j's first code in a row.
+  for (size_t j = 0; j < attrs.size(); ++j) {
+    const int64_t a = attrs[j];
+    const data::ColumnView& column = columns[j];
+    for (size_t k = 0; k < rows.size(); ++k) {
+      EncodeValueCodes(a, column[rows[k]], offset,
+                       codes + static_cast<int64_t>(k) * per_row + first);
+    }
+    offset += AttributeWidth(a);
+    first += AttributeCodeCount(a);
+  }
 }
 
 std::vector<double> TabularEncoder::EncodeRow(

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/codes.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "data/table.h"
@@ -66,8 +67,15 @@ struct EncoderOptions {
 /// where the model is a GMM (peaky distributions) and/or JKC (smooth
 /// distributions); a tuple's representation concatenates its attributes'
 /// encodings. Fit() learns all per-attribute models from a sample.
+///
+/// There is one encoding implementation, EncodeValueCodes, which writes an
+/// attribute's encoding in code form: its nonzeros as (input index, value)
+/// pairs. Every dense encode below expands those codes.
 class TabularEncoder {
  public:
+  /// Most codes one attribute's encoding has (kCombined).
+  static constexpr int64_t kMaxAttributeCodes = 4;
+
   TabularEncoder() = default;
   explicit TabularEncoder(EncoderOptions options) : options_(options) {}
 
@@ -81,7 +89,26 @@ class TabularEncoder {
   /// Width of a tuple projected on `attrs` (sum of attribute widths).
   int64_t ProjectedWidth(const std::vector<int64_t>& attrs) const;
 
-  /// Encodes raw value x of attribute `attr`, appending to *out.
+  /// Codes in one attribute's encoding, fixed by its mode: 4 under
+  /// kCombined (GMM bucket 1.0, GMM value, Jenks bucket 1.0, Jenks value),
+  /// 2 under kGmmOnly and kJenksOnly, 1 under kMinMaxOnly and kCategorical
+  /// (the known value's slot or "other", 1.0).
+  int64_t AttributeCodeCount(int64_t attr) const;
+
+  /// Codes per tuple projected on `attrs` (sum of AttributeCodeCount).
+  int64_t ProjectedCodeCount(const std::vector<int64_t>& attrs) const;
+
+  /// The per-value encoder: writes AttributeCodeCount(attr) codes of raw
+  /// value x of attribute `attr` to `out`, indices ascending from `offset`
+  /// (the attribute's first input in the tuple), and returns one past the
+  /// last. Every input of the attribute that no code names is a one-hot
+  /// slot holding exactly +0.0; within-bucket values are codes even when
+  /// they are zero or NaN.
+  Code* EncodeValueCodes(int64_t attr, double x, int64_t offset,
+                         Code* out) const;
+
+  /// Encodes raw value x of attribute `attr`, appending to *out: the
+  /// expansion of its codes.
   void EncodeValue(int64_t attr, double x, std::vector<double>* out) const;
 
   /// Encodes raw subspace points (`points[k][j]` is the value of attribute
@@ -108,6 +135,17 @@ class TabularEncoder {
                           std::span<const int64_t> rows,
                           std::vector<double>* out) const;
 
+  /// Code-form block encode, the block scan's: as EncodeGatheredInto, but
+  /// row k of `*out` is the k-th selected tuple's ProjectedCodeCount(attrs)
+  /// codes, indices ascending within the tuple's ProjectedWidth(attrs)
+  /// inputs. `*out` is resized and keeps its capacity, so a reused buffer
+  /// stops allocating. Expanding row k gives row k of EncodeGatheredInto,
+  /// bit for bit.
+  void EncodeGatheredCodesInto(const std::vector<data::ColumnView>& columns,
+                               const std::vector<int64_t>& attrs,
+                               std::span<const int64_t> rows,
+                               std::vector<Code>* out) const;
+
   /// Encodes a full-width row (all attributes in column order).
   std::vector<double> EncodeRow(const std::vector<double>& row) const;
 
@@ -115,6 +153,10 @@ class TabularEncoder {
   const EncoderOptions& options() const { return options_; }
   /// The min-max fallback, fitted on the whole table Fit was given.
   const MinMaxNormalizer& normalizer() const { return normalizer_; }
+  /// Attribute `attr`'s fitted GMM and Jenks breaks (empty where its mode
+  /// does not use them).
+  const GaussianMixture& gmm(int64_t attr) const;
+  const JenksBreaks& jenks(int64_t attr) const;
 
   /// The encoding mode actually used for `attr` (only differs from
   /// options().mode under kAuto).

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <string>
 
 #include "core/meta_trainer.h"
@@ -583,6 +586,84 @@ TEST(MetaLearnerTest, RequiresTupleFeatureDim) {
   MetaLearnerOptions opt = SmallOptions(false);
   opt.tuple_feature_dim = 0;
   EXPECT_DEATH(MetaLearner(opt, &rng), "tuple_feature_dim");
+}
+
+std::vector<uint64_t> Bits(std::span<const double> v) {
+  std::vector<uint64_t> bits(v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    std::memcpy(&bits[i], &v[i], sizeof(double));
+  }
+  return bits;
+}
+
+// Code-form tuples of SmallOptions' width 6, laid out like a GMM-only
+// attribute with two buckets (inputs 0-1 one-hot, 2 value) and one with two
+// (3-4 one-hot, 5 value): four codes per tuple, some values exactly zero.
+std::vector<Code> CodeTuples(Rng* rng, int64_t count) {
+  std::vector<Code> codes;
+  for (int64_t n = 0; n < count; ++n) {
+    codes.push_back({rng->UniformInt(2), 1.0});
+    codes.push_back({2, n % 4 == 0 ? 0.0 : rng->Uniform()});
+    codes.push_back({3 + rng->UniformInt(2), 1.0});
+    codes.push_back({5, rng->Uniform()});
+  }
+  return codes;
+}
+
+std::vector<double> Expand(const std::vector<Code>& codes) {
+  std::vector<double> dense(codes.size() / 4 * 6, 0.0);
+  for (size_t k = 0; k < codes.size(); ++k) {
+    dense[k / 4 * 6 + static_cast<size_t>(codes[k].index)] = codes[k].value;
+  }
+  return dense;
+}
+
+// The code-form batch forward equals the dense one bit for bit, with and
+// without memory, dense and indexed, past one 128-row slice — including
+// with a -0.0 and an exactly-zero weight in f_tau's first layer. With a
+// +inf or NaN first-layer weight the gather-add would not be exact (0 · inf
+// is NaN), and the fallback must still match the dense oracle bit for bit.
+TEST(MetaLearnerTest, CodeFormBatchMatchesDenseBatch) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool memory : {true, false}) {
+    for (const double odd : {-0.0, 0.0, inf, nan}) {
+      Rng rng(13);
+      MetaLearner learner(SmallOptions(memory), &rng);
+      TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
+      std::vector<double> params = tm.f_tau().GetParameters();
+      params[1] = odd;   // W[0][1]: a one-hot slot.
+      params[8] = -0.0;  // W[1][2]: the first value slot.
+      tm.mutable_f_tau()->SetParameters(params);
+      const int64_t n = 150;
+      const std::vector<Code> codes = CodeTuples(&rng, n);
+      const std::vector<double> dense = Expand(codes);
+      TaskModel::BatchScratch scratch;
+      std::vector<double> want(n);
+      std::vector<double> got(n);
+      tm.PredictProbabilityBatch(dense, n, &scratch, want);
+      tm.PredictProbabilityBatch(CodeRows{codes, 4}, n, &scratch, got);
+      EXPECT_EQ(Bits(got), Bits(want)) << memory << " " << odd;
+      if (std::isnan(odd) || std::isinf(odd)) {
+        // Non-vacuity: some tuple's dense f_tau met 0 · (non-finite), which
+        // a gather-add would have skipped.
+        nn::Mlp::BatchScratch mlp_scratch;
+        std::vector<double> emb;
+        tm.f_tau().ForwardBatchInto(dense, n, &mlp_scratch, &emb);
+        EXPECT_TRUE(std::any_of(emb.begin(), emb.end(),
+                                [](double e) { return std::isnan(e); }));
+      }
+      std::vector<int64_t> rows;
+      for (int64_t k = 0; k < 131; ++k) rows.push_back((k * 37 + 3) % n);
+      want.resize(rows.size());
+      got.resize(rows.size());
+      const auto count = static_cast<int64_t>(rows.size());
+      tm.PredictProbabilityBatch(dense, count, &scratch, want, rows);
+      tm.PredictProbabilityBatch(CodeRows{codes, 4}, count, &scratch, got,
+                                 rows);
+      EXPECT_EQ(Bits(got), Bits(want)) << memory << " " << odd;
+    }
+  }
 }
 
 // A tuple span shorter than count x f_tau's input width must die before the

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -155,6 +158,116 @@ TEST(MlpTest, IndexedBatchMatchesPerRowForward) {
       EXPECT_EQ(got[static_cast<size_t>(n)], dense[static_cast<size_t>(r)]);
     }
   }
+}
+
+std::vector<uint64_t> Bits(std::span<const double> v) {
+  std::vector<uint64_t> bits(v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    std::memcpy(&bits[i], &v[i], sizeof(double));
+  }
+  return bits;
+}
+
+// Code-form rows laid out like two kCombined attributes with three buckets
+// each: inputs [0, 3) one-hot, 3 value, [4, 7) one-hot, 7 value — four
+// codes per row. Row n's values cycle through +0.0 and -0.0 besides random
+// ones, so zero-valued codes are covered.
+constexpr int64_t kCodeWidth = 8;
+std::vector<Code> RandomCodeRows(Rng* rng, int64_t count) {
+  std::vector<Code> codes;
+  for (int64_t n = 0; n < count; ++n) {
+    const double v0 = n % 5 == 0 ? 0.0 : rng->Uniform();
+    const double v1 = n % 7 == 0 ? -0.0 : rng->Uniform();
+    codes.push_back({rng->UniformInt(3), 1.0});
+    codes.push_back({3, v0});
+    codes.push_back({4 + rng->UniformInt(3), 1.0});
+    codes.push_back({7, v1});
+  }
+  return codes;
+}
+
+std::vector<double> ExpandRows(const std::vector<Code>& codes) {
+  std::vector<double> dense(codes.size() / 4 * kCodeWidth, 0.0);
+  for (size_t k = 0; k < codes.size(); ++k) {
+    dense[k / 4 * kCodeWidth + static_cast<size_t>(codes[k].index)] =
+        codes[k].value;
+  }
+  return dense;
+}
+
+// The gather-add first layer is bit-identical to the dense batch forward
+// on the expanded rows, with a -0.0 and an exactly-zero first-layer weight
+// and zero-valued codes, for a ReLU first layer and for a lone linear layer
+// (whose outputs keep the sign of a zero sum) — dense and indexed, across
+// tile tails.
+TEST(MlpTest, CodeFormForwardMatchesDenseBitForBit) {
+  Rng rng(13);
+  for (const std::vector<int64_t>& sizes :
+       std::vector<std::vector<int64_t>>{{kCodeWidth, 6, 3}, {kCodeWidth, 4}}) {
+    Mlp mlp(sizes, &rng);
+    std::vector<double> params = mlp.GetParameters();
+    const int64_t out_w = sizes[1];
+    // Output 0: every term a zero (-0.0 times 1.0 on both one-hots, negative
+    // weights times the values), zero bias.
+    for (int64_t c = 0; c < kCodeWidth; ++c) {
+      params[static_cast<size_t>(c)] = c == 3 || c == 7 ? -1.0 : -0.0;
+    }
+    params[static_cast<size_t>(kCodeWidth * out_w)] = 0.0;  // Bias 0.
+    params[static_cast<size_t>(kCodeWidth + 1)] = 0.0;      // W[1][1].
+    mlp.SetParameters(params);
+    std::vector<double> wt;
+    ASSERT_TRUE(mlp.TransposeFirstLayer(&wt));
+
+    const int64_t x_rows = 40;
+    std::vector<Code> codes = RandomCodeRows(&rng, x_rows);
+    codes[1].value = 0.0;  // Row 0: output 0 sums zeros only.
+    codes[3].value = 0.0;
+    const std::vector<double> x = ExpandRows(codes);
+    const CodeRows block{codes, 4};
+    Mlp::BatchScratch scratch;
+    std::vector<double> dense;
+    std::vector<double> got;
+    mlp.ForwardBatchInto(x, x_rows, &scratch, &dense);
+    mlp.ForwardCodesInto(block, x_rows, wt, &scratch, &got);
+    EXPECT_EQ(Bits(got), Bits(dense));
+    if (sizes.size() == 2) {
+      EXPECT_EQ(Bits({&got[0], 1}), Bits(std::vector<double>{0.0}));
+    }
+    for (const int64_t count : {1, 7, 8, 9, 33}) {
+      std::vector<int64_t> rows;
+      for (int64_t n = 0; n < count; ++n) rows.push_back((n * 13 + 5) % x_rows);
+      mlp.ForwardBatchInto(x, count, &scratch, &dense, {}, rows);
+      mlp.ForwardCodesInto(block, count, wt, &scratch, &got, rows);
+      EXPECT_EQ(Bits(got), Bits(dense)) << "count=" << count;
+    }
+  }
+}
+
+TEST(MlpTest, TransposeFirstLayerFlagsNonFiniteWeights) {
+  Rng rng(14);
+  Mlp mlp({3, 2, 1}, &rng);
+  std::vector<double> wt;
+  ASSERT_TRUE(mlp.TransposeFirstLayer(&wt));
+  const std::vector<double> w = mlp.GetParameters();
+  ASSERT_EQ(wt.size(), 6u);
+  for (int64_t o = 0; o < 2; ++o) {
+    for (int64_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(wt[static_cast<size_t>(c * 2 + o)],
+                w[static_cast<size_t>(o * 3 + c)]);
+    }
+  }
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<double> params = w;
+    params[4] = bad;
+    mlp.SetParameters(params);
+    EXPECT_FALSE(mlp.TransposeFirstLayer(&wt));
+  }
+  // A non-finite weight past the first layer does not matter to it.
+  std::vector<double> params = w;
+  params.back() = std::numeric_limits<double>::infinity();
+  mlp.SetParameters(params);
+  EXPECT_TRUE(mlp.TransposeFirstLayer(&wt));
 }
 
 // Satellite bugfix: a ragged batch (x.size() not a multiple of count) used

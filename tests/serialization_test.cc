@@ -126,6 +126,21 @@ TEST(SerializationTest, MlpRoundTripPreservesOutputs) {
   EXPECT_EQ(loaded.LayerSizes(), mlp.LayerSizes());
 }
 
+// rows = 2^62, cols = 4: the element count 2^64 overflows 64 bits (and
+// wraps to the 0 elements the record holds). Load must see the mismatch
+// without the overflow, which UBSan would report.
+TEST(SerializationTest, MatrixLoadRejectsOverflowingDimensions) {
+  std::stringstream buf;
+  BinaryWriter w(&buf);
+  w.WriteI64(int64_t{1} << 62);
+  w.WriteI64(4);
+  w.WriteDoubleVector({});
+  nn::Matrix loaded;
+  BinaryReader r(&buf);
+  EXPECT_EQ(loaded.Load(&r).code(), StatusCode::kIoError);
+  EXPECT_EQ(loaded.rows(), 0);
+}
+
 // Layer sizes {2^31, 2^31} imply 2^62 + 2^31 parameters; the record holds
 // two. Load must refuse it before building a layer of that size.
 TEST(SerializationTest, MlpLoadRejectsSizesTheParametersCannotFill) {

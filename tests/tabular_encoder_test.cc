@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <sstream>
 
+#include "common/math_util.h"
 #include "data/synthetic.h"
 
 namespace lte::preprocess {
@@ -49,6 +55,177 @@ TEST_P(EncoderModeTest, EncodedValuesInUnitRange) {
     for (double v : enc.EncodeRow(t.Row(r))) {
       EXPECT_GE(v, 0.0);
       EXPECT_LE(v, 1.0);
+    }
+  }
+}
+
+// ---- Code form: every dense encode is an expansion of EncodeValueCodes.
+// The references below recompute the dense encoding the way EncodeValue did
+// before code form — per-component log calls, one-hot pushes — and the
+// comparisons are on bit patterns, so NaN and the sign of zero count.
+
+std::vector<uint64_t> Bits(std::span<const double> v) {
+  std::vector<uint64_t> bits(v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    std::memcpy(&bits[i], &v[i], sizeof(double));
+  }
+  return bits;
+}
+
+int64_t ReferenceComponent(const GaussianMixture& g, double x) {
+  int64_t best = 0;
+  double best_lp = -std::numeric_limits<double>::max();
+  for (int64_t c = 0; c < g.num_components(); ++c) {
+    const GaussianComponent& k = g.components()[static_cast<size_t>(c)];
+    const double lp = std::log(std::max(k.weight, 1e-12)) +
+                      LogGaussianPdf(x, k.mean, k.variance);
+    if (lp > best_lp) {
+      best_lp = lp;
+      best = c;
+    }
+  }
+  return best;
+}
+
+double ReferenceNormalize(const GaussianMixture& g, int64_t c, double x) {
+  const GaussianComponent& k = g.components()[static_cast<size_t>(c)];
+  const double sigma = std::sqrt(k.variance);
+  const double lo = k.mean - 3.0 * sigma;
+  const double hi = k.mean + 3.0 * sigma;
+  if (hi <= lo) return 0.5;
+  return Clamp((x - lo) / (hi - lo), 0.0, 1.0);
+}
+
+// Numeric modes only (kCategorical is checked against hand-built one-hots).
+std::vector<double> ReferenceEncode(const TabularEncoder& enc, int64_t attr,
+                                    double x) {
+  std::vector<double> out;
+  const EncodingMode mode = enc.AttributeMode(attr);
+  if (mode == EncodingMode::kMinMaxOnly) {
+    out.push_back(enc.normalizer().Transform(attr, x));
+    return out;
+  }
+  if (mode == EncodingMode::kGmmOnly || mode == EncodingMode::kCombined) {
+    const GaussianMixture& g = enc.gmm(attr);
+    const int64_t c = ReferenceComponent(g, x);
+    for (int64_t i = 0; i < g.num_components(); ++i) {
+      out.push_back(i == c ? 1.0 : 0.0);
+    }
+    out.push_back(ReferenceNormalize(g, c, x));
+  }
+  if (mode == EncodingMode::kJenksOnly || mode == EncodingMode::kCombined) {
+    const JenksBreaks& j = enc.jenks(attr);
+    const int64_t b = j.IntervalOf(x);
+    for (int64_t i = 0; i < j.num_intervals(); ++i) {
+      out.push_back(i == b ? 1.0 : 0.0);
+    }
+    out.push_back(j.NormalizeWithin(b, x));
+  }
+  return out;
+}
+
+// The dense row `width` wide that is +0.0 except at the codes, whose
+// indices count from `offset`. Checks the codes ascend inside the row.
+std::vector<double> Expand(std::span<const Code> codes, int64_t offset,
+                           int64_t width) {
+  std::vector<double> dense(static_cast<size_t>(width), 0.0);
+  int64_t prev = -1;
+  for (const Code& c : codes) {
+    EXPECT_GT(c.index - offset, prev);
+    EXPECT_LT(c.index - offset, width);
+    prev = c.index - offset;
+    dense[static_cast<size_t>(prev)] = c.value;
+  }
+  return dense;
+}
+
+// NaN, both zeros, both infinities, far outside the fitted range, the
+// column's extremes, and a dense sweep across and past them.
+std::vector<double> Probes(const data::Table& t, int64_t attr) {
+  const double inf = std::numeric_limits<double>::infinity();
+  double lo = inf;
+  double hi = -inf;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    lo = std::min(lo, t.column(attr).value(r));
+    hi = std::max(hi, t.column(attr).value(r));
+  }
+  std::vector<double> probes = {std::nan(""), 0.0, -0.0, inf, -inf};
+  probes.insert(probes.end(), {lo - 1e6, hi + 1e6, lo, hi});
+  const double span = hi - lo;
+  for (int k = 0; k <= 400; ++k) {
+    probes.push_back(lo - 0.1 * span + 1.2 * span * k / 400.0);
+  }
+  return probes;
+}
+
+TEST_P(EncoderModeTest, CodesExpandToTheReferenceEncoding) {
+  Rng rng(30);
+  const data::Table t = TwoColumnTable(&rng);
+  EncoderOptions opt;
+  opt.mode = GetParam();
+  TabularEncoder enc(opt);
+  ASSERT_TRUE(enc.Fit(t, &rng).ok());
+  for (int64_t attr = 0; attr < 2; ++attr) {
+    const int64_t width = enc.AttributeWidth(attr);
+    for (const double x : Probes(t, attr)) {
+      Code codes[TabularEncoder::kMaxAttributeCodes];
+      const Code* end = enc.EncodeValueCodes(attr, x, /*offset=*/7, codes);
+      ASSERT_EQ(end - codes, enc.AttributeCodeCount(attr));
+      const std::vector<double> ref = ReferenceEncode(enc, attr, x);
+      EXPECT_EQ(Bits(Expand({codes, end}, 7, width)), Bits(ref))
+          << "attr " << attr << " x " << x;
+      std::vector<double> dense = {42.0};  // EncodeValue appends.
+      enc.EncodeValue(attr, x, &dense);
+      EXPECT_EQ(Bits(std::span(dense).subspan(1)), Bits(ref))
+          << "attr " << attr << " x " << x;
+    }
+  }
+}
+
+TEST_P(EncoderModeTest, GatheredCodesExpandToGatheredDense) {
+  Rng rng(31);
+  const data::Table fit = TwoColumnTable(&rng);
+  EncoderOptions opt;
+  opt.mode = GetParam();
+  TabularEncoder enc(opt);
+  ASSERT_TRUE(enc.Fit(fit, &rng).ok());
+  // Encode a table holding every probe of both columns.
+  const std::vector<double> p0 = Probes(fit, 0);
+  const std::vector<double> p1 = Probes(fit, 1);
+  data::Table t({"bimodal", "ramp"});
+  for (size_t i = 0; i < p0.size(); ++i) {
+    ASSERT_TRUE(t.AppendRow({p0[i], p1[p1.size() - 1 - i]}).ok());
+  }
+  const std::vector<data::ColumnView> columns = {t.View(0), t.View(1)};
+  for (const std::vector<int64_t>& attrs :
+       std::vector<std::vector<int64_t>>{{0, 1}, {1, 0}, {1}}) {
+    std::vector<data::ColumnView> views;
+    for (const int64_t a : attrs) views.push_back(columns[a]);
+    std::vector<int64_t> rows(static_cast<size_t>(t.num_rows()));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows[i] = static_cast<int64_t>((i * 7) % rows.size());
+    }
+    rows.push_back(3);  // Duplicates are allowed.
+    std::vector<Code> codes;
+    enc.EncodeGatheredCodesInto(views, attrs, rows, &codes);
+    std::vector<double> dense;
+    enc.EncodeGatheredInto(views, attrs, rows, &dense);
+    const int64_t per_row = enc.ProjectedCodeCount(attrs);
+    const int64_t width = enc.ProjectedWidth(attrs);
+    ASSERT_EQ(static_cast<int64_t>(codes.size()),
+              per_row * static_cast<int64_t>(rows.size()));
+    const CodeRows block{codes, per_row};
+    for (size_t k = 0; k < rows.size(); ++k) {
+      const auto row = static_cast<int64_t>(k);
+      std::vector<double> ref;
+      for (size_t j = 0; j < attrs.size(); ++j) {
+        const std::vector<double> part =
+            ReferenceEncode(enc, attrs[j], t.column(attrs[j]).value(rows[k]));
+        ref.insert(ref.end(), part.begin(), part.end());
+      }
+      EXPECT_EQ(Bits(Expand(block.row(row), 0, width)), Bits(ref)) << k;
+      EXPECT_EQ(Bits(std::span(dense).subspan(k * width, width)), Bits(ref))
+          << k;
     }
   }
 }
@@ -246,6 +423,72 @@ TEST(CategoricalEncodingTest, SurvivesSerialization) {
   EXPECT_EQ(loaded.AttributeMode(5), EncodingMode::kCategorical);
   for (int64_t row = 0; row < 10; ++row) {
     EXPECT_EQ(loaded.EncodeRow(t.Row(row)), enc.EncodeRow(t.Row(row)));
+  }
+}
+
+TEST(CategoricalEncodingTest, CodesExpandToTheOneHot) {
+  Rng rng(32);
+  data::Table t({"cat"});
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(t.AppendRow({static_cast<double>(i % 3)}).ok());
+  }
+  EncoderOptions opt;
+  opt.categorical_attributes = {0};
+  TabularEncoder enc(opt);
+  ASSERT_TRUE(enc.Fit(t, &rng).ok());
+  ASSERT_EQ(enc.AttributeWidth(0), 4);
+  ASSERT_EQ(enc.AttributeCodeCount(0), 1);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  for (const double x : {0.0, -0.0, 1.0, 2.0, 0.5, -1.0, 99.0, nan, inf,
+                         -inf}) {
+    // The known categories 0, 1 and 2 (-0.0 equals 0.0) take their own
+    // slot; everything else, NaN and infinities included, slot 3 ("other").
+    const bool known = x == 0.0 || x == 1.0 || x == 2.0;
+    std::vector<double> expected(4, 0.0);
+    expected[known ? static_cast<size_t>(x) : 3] = 1.0;
+    Code code;
+    ASSERT_EQ(enc.EncodeValueCodes(0, x, /*offset=*/2, &code), &code + 1);
+    EXPECT_EQ(Bits(Expand({&code, 1}, 2, 4)), Bits(expected)) << x;
+    std::vector<double> dense;
+    enc.EncodeValue(0, x, &dense);
+    EXPECT_EQ(Bits(dense), Bits(expected)) << x;
+  }
+}
+
+// The cached per-component constants are rebuilt by Load: a reloaded
+// mixture picks the component the fitted one does, and the reference's,
+// across a dense sweep, and normalizes to the same bits.
+TEST(TabularEncoderTest, ReloadedGmmAgreesWithFittedOnDenseSweep) {
+  Rng rng(33);
+  const data::Table t = TwoColumnTable(&rng);
+  TabularEncoder enc;  // kCombined.
+  ASSERT_TRUE(enc.Fit(t, &rng).ok());
+  std::stringstream buf;
+  BinaryWriter w(&buf);
+  enc.Save(&w);
+  TabularEncoder loaded;
+  BinaryReader r(&buf);
+  ASSERT_TRUE(loaded.Load(&r).ok());
+  for (int64_t attr = 0; attr < 2; ++attr) {
+    const GaussianMixture& fitted = enc.gmm(attr);
+    const GaussianMixture& reloaded = loaded.gmm(attr);
+    ASSERT_EQ(reloaded.num_components(), fitted.num_components());
+    for (const double x : Probes(t, attr)) {
+      const int64_t c = fitted.MostLikelyComponent(x);
+      EXPECT_EQ(reloaded.MostLikelyComponent(x), c) << x;
+      EXPECT_EQ(ReferenceComponent(fitted, x), c) << x;
+      EXPECT_EQ(Bits(std::vector<double>{reloaded.NormalizeWithin(c, x)}),
+                Bits(std::vector<double>{ReferenceNormalize(fitted, c, x)}))
+          << x;
+      Code a[TabularEncoder::kMaxAttributeCodes];
+      Code b[TabularEncoder::kMaxAttributeCodes];
+      const Code* a_end = enc.EncodeValueCodes(attr, x, 0, a);
+      const Code* b_end = loaded.EncodeValueCodes(attr, x, 0, b);
+      EXPECT_EQ(Bits(Expand({a, a_end}, 0, enc.AttributeWidth(attr))),
+                Bits(Expand({b, b_end}, 0, loaded.AttributeWidth(attr))))
+          << x;
+    }
   }
 }
 
