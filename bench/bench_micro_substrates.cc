@@ -198,21 +198,16 @@ void BM_SvmTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_SvmTrain)->Arg(30)->Arg(105);
 
-// The meta-learner's online fast-adaptation: the per-user cost of LTE's
-// online phase (paper Figure 6's flat line). Args: {labels, steps}, batch
-// 10. {30, 30} is a start-shaped adaptation; {5, 40} is continue-shaped,
-// a few new labels over many steps, so each step's minibatch is all of them.
-void BM_TaskModelAdaptation(benchmark::State& state) {
+// One LocallyAdapt over `labels` random tuples at batch 10 for `steps`
+// steps, with a fresh task model per iteration.
+void RunAdaptation(benchmark::State& state,
+                   const lte::core::MetaLearnerOptions& opt, int64_t labels,
+                   int64_t steps) {
   lte::Rng rng(7);
-  lte::core::MetaLearnerOptions opt;
-  opt.uis_feature_dim = 100;
-  opt.tuple_feature_dim = 26;
-  opt.embedding_size = 32;
-  opt.clf_hidden = {32};
   lte::core::MetaLearner learner(opt, &rng);
-  std::vector<double> v_r(100);
+  std::vector<double> v_r(static_cast<size_t>(opt.uis_feature_dim));
   for (double& b : v_r) b = rng.Bernoulli(0.3) ? 1.0 : 0.0;
-  const auto x = RandomPoints(state.range(0), 26, &rng);
+  const auto x = RandomPoints(labels, opt.tuple_feature_dim, &rng);
   std::vector<double> packed;
   std::vector<double> y;
   for (const auto& p : x) {
@@ -221,12 +216,38 @@ void BM_TaskModelAdaptation(benchmark::State& state) {
   }
   for (auto _ : state) {
     lte::core::TaskModel tm = learner.CreateTaskModel(v_r);
-    lte::core::LocallyAdapt(&tm, packed, y, /*steps=*/state.range(1),
-                            /*batch_size=*/10, /*lr=*/0.2, &rng);
+    lte::core::LocallyAdapt(&tm, packed, y, steps, /*batch_size=*/10,
+                            /*lr=*/0.2, &rng);
     benchmark::DoNotOptimize(tm.Logit(x[0]));
   }
 }
+
+// The meta-learner's online fast-adaptation: the per-user cost of LTE's
+// online phase (paper Figure 6's flat line). Args: {labels, steps}, batch
+// 10. {30, 30} is a start-shaped adaptation; {5, 40} is continue-shaped,
+// a few new labels over many steps, so each step's minibatch is all of them.
+void BM_TaskModelAdaptation(benchmark::State& state) {
+  lte::core::MetaLearnerOptions opt;
+  opt.uis_feature_dim = 100;
+  opt.tuple_feature_dim = 26;
+  opt.embedding_size = 32;
+  opt.clf_hidden = {32};
+  RunAdaptation(state, opt, state.range(0), state.range(1));
+}
 BENCHMARK(BM_TaskModelAdaptation)->Args({30, 30})->Args({5, 40});
+
+// The same at servebench's shapes (k_u 50, tuple width 24, N_e 24,
+// clf_hidden {24}, 40 steps): {30, 40} is a start's adaptation, {5, 40} a
+// continue's.
+void BM_TaskModelAdaptationServing(benchmark::State& state) {
+  lte::core::MetaLearnerOptions opt;
+  opt.uis_feature_dim = 50;
+  opt.tuple_feature_dim = 24;
+  opt.embedding_size = 24;
+  opt.clf_hidden = {24};
+  RunAdaptation(state, opt, state.range(0), state.range(1));
+}
+BENCHMARK(BM_TaskModelAdaptationServing)->Args({30, 40})->Args({5, 40});
 
 void BM_TaskModelPredict(benchmark::State& state) {
   lte::Rng rng(8);

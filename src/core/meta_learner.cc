@@ -29,52 +29,29 @@ void ConversionPrefix(const nn::Matrix& m_cp, std::span<const double> emb_r,
   nn::DotRows(m_cp.data().data(), 2 * ne, ne, emb_r, nullptr, left->data());
 }
 
+// Packs M_cp's emb_tau half (its columns [N_e, 2N_e)) by input for
+// nn::ForwardBatchLayer. It has no bias: each output ends on its running
+// sum.
+void PackConversion(const nn::Matrix& m_cp, nn::PackedLayer* packed) {
+  const int64_t ne = m_cp.rows();
+  packed->Pack(m_cp.data().data() + ne, 2 * ne, ne, ne, /*bias=*/nullptr);
+}
+
 // out row n = M_cp · [emb_R; emb_tau row n] for `count` rows of `emb_tau`
-// (N_e wide each), continuing each output from ConversionPrefix's `left`.
-//
-// Row-tiled like Mlp::ForwardBatchInto: each M_cp row is streamed once per
-// tile rather than once per tuple, the inner loop runs kRowTile independent
-// scalar accumulator chains, and the tile rows are read in place at stride
-// N_e (a transposed pack measures slower on the deployment hosts — see the
-// note in Mlp::ForwardBatchInto). Accumulator t starts from the shared
-// prefix and adds row t's tau terms in ascending order — the per-row
-// operation sequence of the reference MatVec, so the product stays
-// bit-identical.
-void ConvertBatch(const nn::Matrix& m_cp, const std::vector<double>& left,
+// (N_e wide each), continuing each output from ConversionPrefix's `left`
+// over the row's tau terms in ascending order: the per-row operation
+// sequence of the reference MatVec, so the product stays bit-identical.
+void ConvertBatch(const nn::PackedLayer& mcp, const std::vector<double>& left,
                   const double* emb_tau, int64_t count, double* out) {
-  const auto ne = static_cast<int64_t>(left.size());
-  constexpr int64_t kRowTile = 8;
-  const int64_t full = count - count % kRowTile;
-  for (int64_t n0 = 0; n0 < full; n0 += kRowTile) {
-    const double* base = emb_tau + n0 * ne;
-    for (int64_t o = 0; o < ne; ++o) {
-      const double* w = m_cp.data().data() + o * 2 * ne + ne;
-      double acc[kRowTile];
-      for (int64_t t = 0; t < kRowTile; ++t) {
-        acc[t] = left[static_cast<size_t>(o)];
-      }
-      for (int64_t c = 0; c < ne; ++c) {
-        const double wc = w[c];
-        for (int64_t t = 0; t < kRowTile; ++t) acc[t] += wc * base[t * ne + c];
-      }
-      for (int64_t t = 0; t < kRowTile; ++t) out[(n0 + t) * ne + o] = acc[t];
-    }
-  }
-  // Ragged tail: one row at a time, identical per-row operation order.
-  for (int64_t n = full; n < count; ++n) {
-    nn::DotRows(m_cp.data().data() + ne, 2 * ne, ne,
-                std::span<const double>(emb_tau + n * ne,
-                                        static_cast<size_t>(ne)),
-                left.data(), out + n * ne);
-  }
+  nn::ForwardBatchLayer(mcp, nn::DenseRows{emb_tau, mcp.in()}, /*rows=*/{},
+                        count, left.data(), /*relu=*/false, out);
 }
 
 // TaskModel::PredictProbabilityBatch (both overloads) slices the batch so
 // the per-stage activations (emb_tau, clf_in, logits) stay cache-resident
 // while each weight matrix streams over them; a full 1024-row block's
 // activations otherwise evict the weights between stages. Rows are
-// independent and tile boundaries restart cleanly at every multiple of
-// kRowTile, so slicing cannot change any output bit.
+// independent, so slicing cannot change any output bit.
 constexpr int64_t kSlice = 128;
 
 }  // namespace
@@ -298,7 +275,8 @@ double TaskModel::AccumulateBatch(std::span<const double> tuples,
   if (use_memory_) {
     // c = M_cp · [emb_R; emb_tau], its emb_R half evaluated once per step.
     ConversionPrefix(m_cp_, emb_r, &scratch->mcp_left);
-    ConvertBatch(m_cp_, scratch->mcp_left, emb_tau.data(), count,
+    PackConversion(m_cp_, &scratch->mcp);
+    ConvertBatch(scratch->mcp, scratch->mcp_left, emb_tau.data(), count,
                  scratch->clf_in.data());
   } else {
     // Plain MAML: f_clf reads the concatenation [emb_R, emb_tau].
@@ -504,11 +482,14 @@ double TaskModel::PredictProbability(const std::vector<double>& tuple) const {
   return nn::Sigmoid(Logit(tuple));
 }
 
-void TaskModel::PrepareBatch(BatchScratch* scratch) const {
+bool TaskModel::PrepareBatch(BatchScratch* scratch) const {
   if (!emb_r_valid_) {
     emb_r_cache_ = f_r_.Forward(uis_feature_);
     emb_r_valid_ = true;
   }
+  // Every stage's weights by input, once per call.
+  const bool tau_first_finite = f_tau_.PackWeights(&scratch->tau);
+  f_clf_.PackWeights(&scratch->clf);
   // The emb_R-dependent prefixes are the same for every row; evaluate them
   // once per call.
   if (use_memory_) {
@@ -517,6 +498,7 @@ void TaskModel::PrepareBatch(BatchScratch* scratch) const {
     // continues the accumulation over its emb_tau half in the same order —
     // bit-identical to the per-row product.
     ConversionPrefix(m_cp_, emb_r_cache_, &scratch->mcp_left);
+    PackConversion(m_cp_, &scratch->mcp);
   } else {
     // Plain MAML: f_clf reads the concatenation [emb_R, emb_tau]. Fold the
     // constant emb_R head into a first-layer prefix so rows feed f_clf just
@@ -524,6 +506,7 @@ void TaskModel::PrepareBatch(BatchScratch* scratch) const {
     // multiply-accumulates, with the accumulation order unchanged.
     f_clf_.ComputeFirstLayerPrefix(emb_r_cache_, &scratch->clf1_left);
   }
+  return tau_first_finite;
 }
 
 void TaskModel::FinishSlice(int64_t s0, int64_t sc, BatchScratch* scratch,
@@ -531,12 +514,12 @@ void TaskModel::FinishSlice(int64_t s0, int64_t sc, BatchScratch* scratch,
   if (use_memory_) {
     const auto ne = static_cast<int64_t>(emb_r_cache_.size());
     scratch->clf_in.resize(static_cast<size_t>(sc * ne));
-    ConvertBatch(m_cp_, scratch->mcp_left, scratch->emb_tau.data(), sc,
+    ConvertBatch(scratch->mcp, scratch->mcp_left, scratch->emb_tau.data(), sc,
                  scratch->clf_in.data());
-    f_clf_.ForwardBatchInto(scratch->clf_in, sc, &scratch->mlp,
+    f_clf_.ForwardBatchInto(scratch->clf_in, sc, &scratch->clf,
                             &scratch->logits);
   } else {
-    f_clf_.ForwardBatchInto(scratch->emb_tau, sc, &scratch->mlp,
+    f_clf_.ForwardBatchInto(scratch->emb_tau, sc, &scratch->clf,
                             &scratch->logits, scratch->clf1_left);
   }
   for (int64_t n = 0; n < sc; ++n) {
@@ -571,7 +554,7 @@ void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
         rows.empty() ? rows
                      : rows.subspan(static_cast<size_t>(s0),
                                     static_cast<size_t>(sc));
-    f_tau_.ForwardBatchInto(slice, sc, &scratch->mlp, &scratch->emb_tau,
+    f_tau_.ForwardBatchInto(slice, sc, &scratch->tau, &scratch->emb_tau,
                             /*first_layer_prefix=*/{}, slice_rows);
     FinishSlice(s0, sc, scratch, out);
   }
@@ -591,7 +574,7 @@ void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
     LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
   }
   if (count == 0) return;
-  if (!f_tau_.TransposeFirstLayer(&scratch->tau_first_t)) {
+  if (!PrepareBatch(scratch)) {
     const int64_t in_w = f_tau_.in_features();
     scratch->expanded.assign(static_cast<size_t>(count * in_w), 0.0);
     for (int64_t n = 0; n < count; ++n) {
@@ -605,7 +588,6 @@ void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
     PredictProbabilityBatch(scratch->expanded, count, scratch, out);
     return;
   }
-  PrepareBatch(scratch);
   for (int64_t s0 = 0; s0 < count; s0 += kSlice) {
     const int64_t sc = std::min(kSlice, count - s0);
     // As in the dense overload: this slice's rows, or its indices.
@@ -620,8 +602,8 @@ void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
         rows.empty() ? rows
                      : rows.subspan(static_cast<size_t>(s0),
                                     static_cast<size_t>(sc));
-    f_tau_.ForwardCodesInto(slice, sc, scratch->tau_first_t, &scratch->mlp,
-                            &scratch->emb_tau, slice_rows);
+    f_tau_.ForwardCodesInto(slice, sc, &scratch->tau, &scratch->emb_tau,
+                            slice_rows);
     FinishSlice(s0, sc, scratch, out);
   }
 }

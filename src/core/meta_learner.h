@@ -54,6 +54,7 @@ class TaskModel {
     nn::Mlp::TrainScratch tau;
     nn::Mlp::TrainScratch clf;
     std::vector<double> mcp_left;      // N_e: M_cp's emb_R half, once per step.
+    nn::PackedLayer mcp;               // M_cp's emb_tau half by input.
     std::vector<double> clf_in;        // count x f_clf input width.
     std::vector<double> grad_logit;    // count.
     std::vector<double> grad_clf_in;   // count x f_clf input width.
@@ -103,16 +104,19 @@ class TaskModel {
   /// state after the first block, so batched scoring allocates nothing per
   /// call.
   struct BatchScratch {
-    nn::Mlp::BatchScratch mlp;
+    /// f_tau's and f_clf's weights packed by input (Mlp::PackWeights) with
+    /// their activations, and M_cp's emb_tau half by input; all packed once
+    /// per call.
+    nn::Mlp::BatchScratch tau;
+    nn::Mlp::BatchScratch clf;
+    nn::PackedLayer mcp;
     std::vector<double> emb_tau;   // count x N_e tuple embeddings.
     std::vector<double> clf_in;    // count x f_clf input width.
     std::vector<double> logits;    // count x 1.
     std::vector<double> mcp_left;  // N_e: left half of M_cp applied to emb_R.
     std::vector<double> clf1_left; // f_clf layer-1 prefix over emb_R (kBasic).
-    /// Code-form input: f_tau's first-layer weights by input, once per call
-    /// (Mlp::TransposeFirstLayer), and the expanded dense rows when one of
-    /// those weights is not finite.
-    std::vector<double> tau_first_t;
+    /// Code-form input: the expanded dense rows when a first-layer weight of
+    /// f_tau is not finite.
     std::vector<double> expanded;
   };
 
@@ -192,9 +196,11 @@ class TaskModel {
  private:
   friend class MetaLearner;
 
-  /// Per-call part of PredictProbabilityBatch: warms emb_R and evaluates
-  /// the emb_R-dependent prefixes every row shares.
-  void PrepareBatch(BatchScratch* scratch) const;
+  /// Per-call part of PredictProbabilityBatch: warms emb_R, packs every
+  /// stage's weights by input and evaluates the emb_R-dependent prefixes
+  /// every row shares. Returns whether f_tau's first-layer weights are all
+  /// finite (the code-form forward is exact only then).
+  bool PrepareBatch(BatchScratch* scratch) const;
   /// From the f_tau embeddings of rows [s0, s0 + sc) in `scratch->emb_tau`
   /// to their probabilities in `out`.
   void FinishSlice(int64_t s0, int64_t sc, BatchScratch* scratch,

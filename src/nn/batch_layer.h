@@ -1,0 +1,80 @@
+#ifndef LTE_NN_BATCH_LAYER_H_
+#define LTE_NN_BATCH_LAYER_H_
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "common/codes.h"
+
+namespace lte::nn {
+
+/// One dense layer's weights laid out by input for ForwardBatchLayer: row c
+/// holds input c's weight to every output, stride() doubles apart (the out
+/// width rounded up to even, zero padded), so the kernel reads two adjacent
+/// outputs' weights with one 16-byte load. The bias, if any, is padded the
+/// same way.
+class PackedLayer {
+ public:
+  /// Packs the `out` x `in` weights W[o][c] = w[o * w_stride + c] and, when
+  /// `bias` is non-null, `out` biases.
+  void Pack(const double* w, int64_t w_stride, int64_t in, int64_t out,
+            const double* bias);
+
+  int64_t in() const { return in_; }
+  int64_t out() const { return out_; }
+  int64_t stride() const { return stride_; }
+  /// in() rows of stride() weights: wt()[c * stride() + o] = W[o][c].
+  const std::vector<double>& wt() const { return wt_; }
+  /// stride() biases, or empty for a layer without one.
+  const std::vector<double>& bias() const { return bias_; }
+
+ private:
+  int64_t in_ = 0;
+  int64_t out_ = 0;
+  int64_t stride_ = 0;
+  std::vector<double> wt_;
+  std::vector<double> bias_;
+};
+
+/// Dense batch input of ForwardBatchLayer: input row r is the `width`
+/// doubles at x + r * width, and its value c feeds layer input `skip` + c
+/// (rows that lack a shared head of `skip` inputs).
+struct DenseRows {
+  const double* x = nullptr;
+  int64_t width = 0;
+  int64_t skip = 0;
+};
+
+/// The batch layer kernel: forwards `count` rows through `layer` into `dst`
+/// (count x layer.out(), row-major). Row n is input row `rows[n]`, or row n
+/// when `rows` is empty. Output o of a row starts at +0.0, or at init[o]
+/// when `init` is non-null (the running sum over inputs every row shares,
+/// e.g. the skipped head), adds W[o][c] * x[c] in ascending input order, then the bias (if the layer has
+/// one), then the ReLU s > 0 ? s : 0 when `relu` is set: the operation
+/// sequence of Linear::Forward on that row, so each output is bit-identical
+/// to it. `x` must hold every row `rows` names (callers check; the kernel
+/// sees only the pointer).
+///
+/// The kernel is output-major: a row keeps a chunk of 12 outputs in six
+/// two-double SSE2 accumulators (the x86-64 baseline; generic vectors
+/// elsewhere) and, per input, adds that input's 12 packed weights times its
+/// value. A layer narrower than a chunk keeps several rows in flight, so a
+/// 24 -> 1 logit layer still runs six independent chains.
+void ForwardBatchLayer(const PackedLayer& layer, DenseRows x,
+                       std::span<const int64_t> rows, int64_t count,
+                       const double* init, bool relu, double* dst);
+
+/// The same kernel over code-form rows: input row r is code row r of `x`,
+/// the dense row that is zero except at its codes, whose terms are
+/// W[o][index] * value over the codes in stored (ascending index) order,
+/// starting at +0.0. With finite weights this is bit-identical to the dense
+/// row's chain (Mlp::ForwardCodesInto). `rows` and code indices are
+/// LTE_CHECKed.
+void ForwardBatchLayer(const PackedLayer& layer, CodeRows x,
+                       std::span<const int64_t> rows, int64_t count, bool relu,
+                       double* dst);
+
+}  // namespace lte::nn
+
+#endif  // LTE_NN_BATCH_LAYER_H_

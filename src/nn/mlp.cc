@@ -1,6 +1,5 @@
 #include "nn/mlp.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -50,107 +49,34 @@ int64_t CheckedBatchHeadWidth(size_t x_size, int64_t count,
   return head_w;
 }
 
-// Forwards `count` rows through one layer into `dst` (count x out width).
-// Input row n is row n of `in`, or row `rows[n]` when `rows` is non-empty,
-// each in_width - `skip` doubles wide; with `skip` > 0 the row lacks the
-// first `skip` features and every accumulator starts from `prefix`.
-//
-// Tiled over rows: each weight row is streamed from cache once per kRowTile
-// rows instead of once per row, and the innermost loop runs kRowTile
-// independent scalar accumulator chains — breaking the single-accumulator
-// FP-add latency chain a per-row dot product is stuck with. The tile rows are
-// read in place rather than packed contiguously: a transposed pack invites
-// the autovectorizer in, and on the deployment hosts packed-double SSE
-// arithmetic measures slower per element than the scalar chains this shape
-// compiles to (see bench_columnar_scan). Each row's own accumulation is
-// untouched: accumulator t sums row t's terms in ascending input order with
-// the bias added after the full dot (same operation order as
-// Linear::Forward, ReLU fused), so every row is bit-identical to the
-// vector-at-a-time path.
-void ForwardLayer(const Linear& layer, const double* in,
-                  std::span<const int64_t> rows, int64_t skip,
-                  std::span<const double> prefix, int64_t count, bool relu,
-                  double* dst) {
-  const int64_t in_w = layer.in_features();
-  const int64_t out_w = layer.out_features();
-  const int64_t data_w = in_w - skip;
-  const auto row = [&](int64_t n) {
-    return in + (rows.empty() ? n : rows[static_cast<size_t>(n)]) * data_w;
-  };
-  const double* weights = layer.weights().data().data();
-  const std::vector<double>& bias = layer.bias();
-  constexpr int64_t kRowTile = 8;
-  const int64_t full = count - count % kRowTile;
-  for (int64_t n0 = 0; n0 < full; n0 += kRowTile) {
-    const double* tile[kRowTile];
-    for (int64_t t = 0; t < kRowTile; ++t) tile[t] = row(n0 + t);
-    for (int64_t o = 0; o < out_w; ++o) {
-      const double* w = weights + o * in_w + skip;
-      const double init = skip > 0 ? prefix[static_cast<size_t>(o)] : 0.0;
-      double acc[kRowTile];
-      for (int64_t t = 0; t < kRowTile; ++t) acc[t] = init;
-      for (int64_t c = 0; c < data_w; ++c) {
-        const double wc = w[c];
-        for (int64_t t = 0; t < kRowTile; ++t) acc[t] += wc * tile[t][c];
-      }
-      const double b = bias[static_cast<size_t>(o)];
-      for (int64_t t = 0; t < kRowTile; ++t) {
-        const double s = acc[t] + b;
-        dst[(n0 + t) * out_w + o] = relu ? (s > 0.0 ? s : 0.0) : s;
-      }
-    }
-  }
-  // Ragged tail: one row at a time, identical per-row operation order.
-  for (int64_t n = full; n < count; ++n) {
-    double* out = dst + n * out_w;
-    DotRows(weights + skip, in_w, out_w,
-            std::span<const double>(row(n), static_cast<size_t>(data_w)),
-            skip > 0 ? prefix.data() : nullptr, out);
-    for (int64_t o = 0; o < out_w; ++o) {
-      const double s = out[o] + bias[static_cast<size_t>(o)];
-      out[o] = relu ? (s > 0.0 ? s : 0.0) : s;
-    }
+void PackLayer(const Linear& l, PackedLayer* packed) {
+  packed->Pack(l.weights().data().data(), l.in_features(), l.in_features(),
+               l.out_features(), l.bias().data());
+}
+
+// The packed weights must be these layers' (PackWeights on this Mlp).
+void CheckPacked(std::span<const Linear> layers,
+                 std::span<const PackedLayer> packed) {
+  LTE_CHECK_MSG(packed.size() == layers.size(),
+                "batch forward: weights not packed (call PackWeights)");
+  for (size_t i = 0; i < layers.size(); ++i) {
+    LTE_CHECK_EQ(packed[i].in(), layers[i].in_features());
+    LTE_CHECK_EQ(packed[i].out(), layers[i].out_features());
   }
 }
 
-// The first layer over code-form rows (see Mlp::ForwardCodesInto): output
-// o of row n starts at +0.0 and adds wt[index][o] · value over the row's
-// codes in ascending index; the bias and ReLU follow as in ForwardLayer.
-void GatherAddLayer(const Linear& layer, CodeRows x,
-                    std::span<const int64_t> rows, int64_t count,
-                    const double* wt, bool relu, double* dst) {
-  const int64_t in_w = layer.in_features();
-  const int64_t out_w = layer.out_features();
-  const double* bias = layer.bias().data();
-  for (int64_t n = 0; n < count; ++n) {
-    double* d = dst + n * out_w;
-    std::fill_n(d, out_w, 0.0);
-    const int64_t r = rows.empty() ? n : rows[static_cast<size_t>(n)];
-    for (const Code& c : x.row(r)) {
-      LTE_CHECK(c.index >= 0 && c.index < in_w);
-      const double* w = wt + c.index * out_w;
-      const double v = c.value;
-      for (int64_t o = 0; o < out_w; ++o) d[o] += w[o] * v;
-    }
-    for (int64_t o = 0; o < out_w; ++o) {
-      const double s = d[o] + bias[o];
-      d[o] = relu ? (s > 0.0 ? s : 0.0) : s;
-    }
-  }
-}
-
-// Forwards `count` dense rows at `in` through layers [from, end), ping-ponging
-// between the scratch buffers; the last layer writes `*out`.
-void ForwardLayersFrom(std::span<const Linear> layers, size_t from,
-                       const double* in, int64_t count,
+// Forwards `count` dense rows at `in` through the packed layers [from, end),
+// ping-ponging between the scratch buffers; the last layer writes `*out`.
+void ForwardLayersFrom(size_t from, const double* in, int64_t count,
                        Mlp::BatchScratch* scratch, std::vector<double>* out) {
-  for (size_t i = from; i < layers.size(); ++i) {
-    const bool last = i + 1 == layers.size();
+  const std::vector<PackedLayer>& packed = scratch->packed;
+  for (size_t i = from; i < packed.size(); ++i) {
+    const bool last = i + 1 == packed.size();
     std::vector<double>* dst =
         last ? out : (in == scratch->a.data() ? &scratch->b : &scratch->a);
-    dst->resize(static_cast<size_t>(count * layers[i].out_features()));
-    ForwardLayer(layers[i], in, /*rows=*/{}, /*skip=*/0, /*prefix=*/{}, count,
-                 /*relu=*/!last, dst->data());
+    dst->resize(static_cast<size_t>(count * packed[i].out()));
+    ForwardBatchLayer(packed[i], DenseRows{in, packed[i].in()}, /*rows=*/{},
+                      count, /*init=*/nullptr, /*relu=*/!last, dst->data());
     in = dst->data();
   }
 }
@@ -185,6 +111,18 @@ std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
   return h;
 }
 
+bool Mlp::PackWeights(BatchScratch* scratch) const {
+  LTE_CHECK(!layers_.empty());
+  scratch->packed.resize(layers_.size());
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    PackLayer(layers_[i], &scratch->packed[i]);
+  }
+  for (const double w : layers_.front().weights().data()) {
+    if (!std::isfinite(w)) return false;
+  }
+  return true;
+}
+
 void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
                            BatchScratch* scratch, std::vector<double>* out,
                            std::span<const double> first_layer_prefix,
@@ -194,46 +132,28 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
       CheckedBatchHeadWidth(x.size(), count, in_features(),
                             first_layer_prefix.size(),
                             layers_.front().out_features(), rows);
+  CheckPacked(layers_, scratch->packed);
+  const PackedLayer& first = scratch->packed.front();
   const bool last = layers_.size() == 1;
   std::vector<double>* dst =
       last ? out
            : (x.data() == scratch->a.data() ? &scratch->b : &scratch->a);
-  dst->resize(static_cast<size_t>(count * layers_.front().out_features()));
+  dst->resize(static_cast<size_t>(count * first.out()));
   // The first layer may skip the shared head: its rows are narrower and its
   // accumulators start from the precomputed prefix.
-  ForwardLayer(layers_.front(), x.data(), rows,
-               first_layer_prefix.empty() ? 0 : head_w, first_layer_prefix,
-               count, /*relu=*/!last, dst->data());
-  ForwardLayersFrom(layers_, 1, dst->data(), count, scratch, out);
+  const int64_t skip = first_layer_prefix.empty() ? 0 : head_w;
+  ForwardBatchLayer(first, DenseRows{x.data(), in_features() - skip, skip},
+                    rows, count,
+                    skip > 0 ? first_layer_prefix.data() : nullptr,
+                    /*relu=*/!last, dst->data());
+  ForwardLayersFrom(1, dst->data(), count, scratch, out);
 }
 
-bool Mlp::TransposeFirstLayer(std::vector<double>* wt) const {
-  LTE_CHECK(!layers_.empty());
-  const Linear& layer = layers_.front();
-  const int64_t in_w = layer.in_features();
-  const int64_t out_w = layer.out_features();
-  const double* w = layer.weights().data().data();
-  wt->resize(static_cast<size_t>(in_w * out_w));
-  bool finite = true;
-  for (int64_t o = 0; o < out_w; ++o) {
-    for (int64_t c = 0; c < in_w; ++c) {
-      const double v = w[o * in_w + c];
-      (*wt)[static_cast<size_t>(c * out_w + o)] = v;
-      finite &= std::isfinite(v);
-    }
-  }
-  return finite;
-}
-
-void Mlp::ForwardCodesInto(CodeRows x, int64_t count,
-                           std::span<const double> first_t,
-                           BatchScratch* scratch, std::vector<double>* out,
+void Mlp::ForwardCodesInto(CodeRows x, int64_t count, BatchScratch* scratch,
+                           std::vector<double>* out,
                            std::span<const int64_t> rows) const {
   LTE_CHECK(!layers_.empty());
   LTE_CHECK_GE(count, 0);
-  const Linear& first = layers_.front();
-  LTE_CHECK_EQ(static_cast<int64_t>(first_t.size()),
-               first.in_features() * first.out_features());
   LTE_CHECK_GT(x.per_row, 0);
   LTE_CHECK_EQ(static_cast<int64_t>(x.codes.size()) % x.per_row, 0);
   if (rows.empty()) {
@@ -242,12 +162,13 @@ void Mlp::ForwardCodesInto(CodeRows x, int64_t count,
     LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
     for (const int64_t r : rows) LTE_CHECK(r >= 0 && r < x.num_rows());
   }
+  CheckPacked(layers_, scratch->packed);
+  const PackedLayer& first = scratch->packed.front();
   const bool last = layers_.size() == 1;
   std::vector<double>* dst = last ? out : &scratch->a;
-  dst->resize(static_cast<size_t>(count * first.out_features()));
-  GatherAddLayer(first, x, rows, count, first_t.data(), /*relu=*/!last,
-                 dst->data());
-  ForwardLayersFrom(layers_, 1, dst->data(), count, scratch, out);
+  dst->resize(static_cast<size_t>(count * first.out()));
+  ForwardBatchLayer(first, x, rows, count, /*relu=*/!last, dst->data());
+  ForwardLayersFrom(1, dst->data(), count, scratch, out);
 }
 
 std::span<const double> Mlp::ForwardTrain(std::span<const double> x,
@@ -260,11 +181,33 @@ std::span<const double> Mlp::ForwardTrain(std::span<const double> x,
   scratch->outputs.resize(layers_.size());
   const double* in = x.data();
   for (size_t i = 0; i < layers_.size(); ++i) {
+    const Linear& l = layers_[i];
+    const bool relu = i + 1 < layers_.size();
     std::vector<double>& dst = scratch->outputs[i];
-    dst.resize(static_cast<size_t>(count * layers_[i].out_features()));
-    ForwardLayer(layers_[i], in, i == 0 ? rows : std::span<const int64_t>{},
-                 /*skip=*/0, /*prefix=*/{}, count,
-                 /*relu=*/i + 1 < layers_.size(), dst.data());
+    dst.resize(static_cast<size_t>(count * l.out_features()));
+    if (count == 1) {
+      // A single row (f_R's, every step) runs Linear::Forward's own
+      // row-major product: packing the weights by input would cost as much
+      // as the row itself.
+      const double* row = in + (i == 0 && !rows.empty() ? rows[0] : 0) *
+                                   l.in_features();
+      DotRows(l.weights().data().data(), l.in_features(), l.out_features(),
+              std::span<const double>(row, static_cast<size_t>(
+                                               l.in_features())),
+              nullptr, dst.data());
+      for (int64_t o = 0; o < l.out_features(); ++o) {
+        const double v = dst[static_cast<size_t>(o)] +
+                         l.bias()[static_cast<size_t>(o)];
+        dst[static_cast<size_t>(o)] = relu ? (v > 0.0 ? v : 0.0) : v;
+      }
+    } else {
+      // One layer packed at a time: the backward reads the layers' own
+      // weights, so the packed copy is dead once the layer has run.
+      PackLayer(l, &scratch->packed);
+      ForwardBatchLayer(scratch->packed, DenseRows{in, l.in_features()},
+                        i == 0 ? rows : std::span<const int64_t>{}, count,
+                        /*init=*/nullptr, relu, dst.data());
+    }
     in = dst.data();
   }
   return scratch->outputs.back();

@@ -8,6 +8,7 @@
 #include "common/binary_io.h"
 #include "common/codes.h"
 #include "common/rng.h"
+#include "nn/batch_layer.h"
 #include "nn/linear.h"
 
 namespace lte::nn {
@@ -35,21 +36,31 @@ class Mlp {
   /// Forward pass for one input.
   std::vector<double> Forward(const std::vector<double>& x) const;
 
-  /// Reusable ping-pong activation buffers for ForwardBatchInto. Capacities
-  /// reach a steady state after the first block, so batched inference
-  /// allocates nothing per call.
+  /// Buffers of the batch forwards: every layer's weights packed by input
+  /// (PackWeights), which is what ForwardBatchInto and ForwardCodesInto read,
+  /// and ping-pong activations. Capacities reach a steady state after the
+  /// first block, so batched inference allocates nothing per call.
   struct BatchScratch {
+    std::vector<PackedLayer> packed;
     std::vector<double> a;
     std::vector<double> b;
   };
 
+  /// Packs every layer's weights by input into `scratch->packed`. Call it
+  /// once before a run of batch forwards, and again after the weights
+  /// change: the forwards read the packed copy. Returns false when some
+  /// first-layer weight is not finite; ForwardCodesInto is then not exact,
+  /// and callers forward expanded dense rows instead.
+  bool PackWeights(BatchScratch* scratch) const;
+
   /// Batch inference forward for the columnar serving path: `x` holds
   /// row-major inputs of in_features() doubles each; writes `count`
   /// row-major outputs of out_features() doubles into `*out` (resized).
-  /// Keeps no activations (inference only; see ForwardTrain). Each row's
-  /// output is bit-identical to Forward on that row — every output element
-  /// accumulates its dot product in the same order, adds the bias last, and
-  /// applies the same ReLU — so batching rows never changes results.
+  /// Reads the weights PackWeights left in `*scratch`. Keeps no activations
+  /// (inference only; see ForwardTrain). Each row's output is bit-identical
+  /// to Forward on that row — every output element accumulates its dot
+  /// product in the same order, adds the bias last, and applies the same
+  /// ReLU (ForwardBatchLayer) — so batching rows never changes results.
   ///
   /// `rows` selects the inputs by index: output n is the forward of row
   /// `rows[n]` of `x`, read in place by the first layer, so a caller can
@@ -73,29 +84,21 @@ class Mlp {
                         std::span<const double> first_layer_prefix = {},
                         std::span<const int64_t> rows = {}) const;
 
-  /// Writes the first layer's weights by input into `*wt`: in_features()
-  /// rows of the first layer's out width, row c holding input c's weight to
-  /// every output — the layout ForwardCodesInto reads. Returns false when
-  /// some weight is not finite; ForwardCodesInto is then not exact, and
-  /// callers forward expanded dense rows instead.
-  bool TransposeFirstLayer(std::vector<double>* wt) const;
-
   /// Code-form counterpart of ForwardBatchInto for inputs that are mostly
   /// zeros: input n is code row `rows[n]` of `x` (empty `rows` = row n, and
   /// `x` then holds exactly `count` rows), i.e. the dense row that is zero
-  /// except at its codes. The first layer is a gather-add over `first_t`
-  /// (TransposeFirstLayer's output): output o starts at +0.0 and adds
-  /// first_t[index][o] · value over the row's codes in ascending index, then
-  /// adds the bias and applies the ReLU as ForwardBatchInto does; every later
-  /// layer is ForwardBatchInto's. When the first layer's weights are finite
-  /// each output is bit-identical to ForwardBatchInto on the dense row: the
-  /// dense chain also starts at +0.0 and only adds w · (+0.0) = ±0 for the
-  /// inputs that have no code, and a sum that starts at +0.0 never becomes
-  /// −0.0 (x + (−x) is +0.0 under round-to-nearest), so adding ±0 to it
-  /// changes no bit. Code indices and `rows` are LTE_CHECKed.
-  void ForwardCodesInto(CodeRows x, int64_t count,
-                        std::span<const double> first_t,
-                        BatchScratch* scratch, std::vector<double>* out,
+  /// except at its codes. The first layer is a gather-add over the packed
+  /// weights: output o starts at +0.0 and adds W[o][index] · value over the
+  /// row's codes in ascending index, then adds the bias and applies the ReLU
+  /// as ForwardBatchInto does; every later layer is ForwardBatchInto's. When
+  /// the first layer's weights are finite (PackWeights returned true) each
+  /// output is bit-identical to ForwardBatchInto on the dense row: the dense
+  /// chain also starts at +0.0 and only adds w · (+0.0) = ±0 for the inputs
+  /// that have no code, and a sum that starts at +0.0 never becomes −0.0
+  /// (x + (−x) is +0.0 under round-to-nearest), so adding ±0 to it changes
+  /// no bit. Code indices and `rows` are LTE_CHECKed.
+  void ForwardCodesInto(CodeRows x, int64_t count, BatchScratch* scratch,
+                        std::vector<double>* out,
                         std::span<const int64_t> rows = {}) const;
 
   /// Partial first-layer dot products of a shared input head:
@@ -111,6 +114,8 @@ class Mlp {
   /// after the first step, so a training loop that reuses one scratch
   /// allocates nothing per step.
   struct TrainScratch {
+    /// The layer ForwardTrain is running, its weights packed by input.
+    PackedLayer packed;
     /// outputs[i]: count x out width of layer i, ReLU applied on every
     /// layer but the last.
     std::vector<std::vector<double>> outputs;
@@ -124,7 +129,10 @@ class Mlp {
 
   /// Training forward over a batch: `x`, `count` and `rows` as in
   /// ForwardBatchInto (no shared-head prefix), with every row bit-identical
-  /// to Forward. Keeps each layer's output in `*scratch` for BackwardBatch
+  /// to Forward. Runs each layer through ForwardBatchLayer on its current
+  /// weights, packed into `*scratch` as the layer runs; a single row runs
+  /// Forward's own row-major product instead, as packing would cost as much
+  /// as the row. Keeps each layer's output in `*scratch` for BackwardBatch
   /// and returns the final one (count x out_features()).
   std::span<const double> ForwardTrain(
       std::span<const double> x, int64_t count, TrainScratch* scratch,

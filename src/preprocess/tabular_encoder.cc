@@ -365,7 +365,20 @@ Status TabularEncoder::Load(BinaryReader* reader) {
         attr_mode > static_cast<int64_t>(EncodingMode::kCategorical)) {
       return Status::IoError("encoder load: invalid attribute mode");
     }
-    attr_modes_[static_cast<size_t>(a)] = static_cast<EncodingMode>(attr_mode);
+    const auto m = static_cast<EncodingMode>(attr_mode);
+    attr_modes_[static_cast<size_t>(a)] = m;
+    // AttributeWidth sizes an attribute by the options' bucket counts, so
+    // the models its mode encodes with must have exactly that many.
+    const bool uses_gmm =
+        m == EncodingMode::kGmmOnly || m == EncodingMode::kCombined;
+    const bool uses_jenks =
+        m == EncodingMode::kJenksOnly || m == EncodingMode::kCombined;
+    if ((uses_gmm && gmms_[static_cast<size_t>(a)].num_components() !=
+                         options_.num_gmm_components) ||
+        (uses_jenks && jenks_[static_cast<size_t>(a)].num_intervals() !=
+                           options_.num_jenks_intervals)) {
+      return Status::IoError("encoder load: bucket count mismatch");
+    }
     LTE_RETURN_IF_ERROR(
         reader->ReadDoubleVector(&categories_[static_cast<size_t>(a)]));
   }

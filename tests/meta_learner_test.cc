@@ -648,6 +648,7 @@ TEST(MetaLearnerTest, CodeFormBatchMatchesDenseBatch) {
         // Non-vacuity: some tuple's dense f_tau met 0 · (non-finite), which
         // a gather-add would have skipped.
         nn::Mlp::BatchScratch mlp_scratch;
+        EXPECT_FALSE(tm.f_tau().PackWeights(&mlp_scratch));
         std::vector<double> emb;
         tm.f_tau().ForwardBatchInto(dense, n, &mlp_scratch, &emb);
         EXPECT_TRUE(std::any_of(emb.begin(), emb.end(),

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "nn/activations.h"
+#include "nn/batch_layer.h"
 #include "nn/loss.h"
 
 namespace lte::nn {
@@ -140,6 +142,7 @@ TEST(MlpTest, IndexedBatchMatchesPerRowForward) {
   Rng rng(7);
   Mlp mlp({6, 16, 8, 1}, &rng);
   Mlp::BatchScratch scratch;
+  ASSERT_TRUE(mlp.PackWeights(&scratch));
   const int64_t x_rows = 40;
   const std::vector<double> x = RandomBatch(&rng, x_rows, 6);
   std::vector<double> dense;
@@ -215,8 +218,8 @@ TEST(MlpTest, CodeFormForwardMatchesDenseBitForBit) {
     params[static_cast<size_t>(kCodeWidth * out_w)] = 0.0;  // Bias 0.
     params[static_cast<size_t>(kCodeWidth + 1)] = 0.0;      // W[1][1].
     mlp.SetParameters(params);
-    std::vector<double> wt;
-    ASSERT_TRUE(mlp.TransposeFirstLayer(&wt));
+    Mlp::BatchScratch scratch;
+    ASSERT_TRUE(mlp.PackWeights(&scratch));
 
     const int64_t x_rows = 40;
     std::vector<Code> codes = RandomCodeRows(&rng, x_rows);
@@ -224,11 +227,10 @@ TEST(MlpTest, CodeFormForwardMatchesDenseBitForBit) {
     codes[3].value = 0.0;
     const std::vector<double> x = ExpandRows(codes);
     const CodeRows block{codes, 4};
-    Mlp::BatchScratch scratch;
     std::vector<double> dense;
     std::vector<double> got;
     mlp.ForwardBatchInto(x, x_rows, &scratch, &dense);
-    mlp.ForwardCodesInto(block, x_rows, wt, &scratch, &got);
+    mlp.ForwardCodesInto(block, x_rows, &scratch, &got);
     EXPECT_EQ(Bits(got), Bits(dense));
     if (sizes.size() == 2) {
       EXPECT_EQ(Bits({&got[0], 1}), Bits(std::vector<double>{0.0}));
@@ -237,17 +239,20 @@ TEST(MlpTest, CodeFormForwardMatchesDenseBitForBit) {
       std::vector<int64_t> rows;
       for (int64_t n = 0; n < count; ++n) rows.push_back((n * 13 + 5) % x_rows);
       mlp.ForwardBatchInto(x, count, &scratch, &dense, {}, rows);
-      mlp.ForwardCodesInto(block, count, wt, &scratch, &got, rows);
+      mlp.ForwardCodesInto(block, count, &scratch, &got, rows);
       EXPECT_EQ(Bits(got), Bits(dense)) << "count=" << count;
     }
   }
 }
 
+// PackWeights lays the first layer out by input (row c holds input c's
+// weight to every output) and flags a non-finite first-layer weight.
 TEST(MlpTest, TransposeFirstLayerFlagsNonFiniteWeights) {
   Rng rng(14);
   Mlp mlp({3, 2, 1}, &rng);
-  std::vector<double> wt;
-  ASSERT_TRUE(mlp.TransposeFirstLayer(&wt));
+  Mlp::BatchScratch scratch;
+  ASSERT_TRUE(mlp.PackWeights(&scratch));
+  const std::vector<double>& wt = scratch.packed.front().wt();
   const std::vector<double> w = mlp.GetParameters();
   ASSERT_EQ(wt.size(), 6u);
   for (int64_t o = 0; o < 2; ++o) {
@@ -261,13 +266,180 @@ TEST(MlpTest, TransposeFirstLayerFlagsNonFiniteWeights) {
     std::vector<double> params = w;
     params[4] = bad;
     mlp.SetParameters(params);
-    EXPECT_FALSE(mlp.TransposeFirstLayer(&wt));
+    EXPECT_FALSE(mlp.PackWeights(&scratch));
   }
   // A non-finite weight past the first layer does not matter to it.
   std::vector<double> params = w;
   params.back() = std::numeric_limits<double>::infinity();
   mlp.SetParameters(params);
-  EXPECT_TRUE(mlp.TransposeFirstLayer(&wt));
+  EXPECT_TRUE(mlp.PackWeights(&scratch));
+}
+
+// Bitwise equality, except that any two NaNs match: which NaN payload an
+// operation with two NaN operands returns depends on the operand order the
+// compiler picks, in the reference as in the kernel.
+bool SameBitsOrBothNan(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return Bits(std::vector<double>{a}) == Bits(std::vector<double>{b});
+}
+
+// A random value in [-2, 2], or one of the awkward ones: +-0.0, and with
+// `non_finite` also +-inf and NaN.
+double AwkwardValue(Rng* rng, bool non_finite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (rng->UniformInt(non_finite ? 12 : 8)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 8:
+      return inf;
+    case 9:
+      return -inf;
+    case 10:
+      return std::numeric_limits<double>::quiet_NaN();
+    default:
+      return rng->Uniform(-2.0, 2.0);
+  }
+}
+
+// One layer with awkward weights and biases, as an Mlp so its parameters
+// can be set.
+Mlp AwkwardLayer(int64_t in, int64_t out, bool non_finite, Rng* rng) {
+  Mlp mlp({in, out}, rng);
+  std::vector<double> params = mlp.GetParameters();
+  for (double& p : params) p = AwkwardValue(rng, non_finite);
+  mlp.SetParameters(params);
+  return mlp;
+}
+
+// Linear::Forward on one row, with or without the bias, then the ReLU.
+std::vector<double> ReferenceRow(const Linear& layer,
+                                 const std::vector<double>& x, bool bias,
+                                 bool relu) {
+  std::vector<double> y =
+      bias ? layer.Forward(x) : layer.weights().MatVec(x);
+  return relu ? Relu(y) : y;
+}
+
+// The batch layer kernel against per-row Linear::Forward, bit for bit: every
+// chunk shape (widths below, at and around the 12-output chunk and the
+// narrow multi-row tiles), row counts around the row tiles, indexed rows
+// with duplicates, a shared head resumed from its prefix, layers with and
+// without a bias, signed zeros, and +-inf and NaN in weights and inputs.
+TEST(BatchLayerTest, DenseRowsMatchPerRowLinearForward) {
+  Rng rng(21);
+  const std::vector<int64_t> widths = {1, 2, 5, 12, 13, 24, 25, 32};
+  for (const int64_t in : widths) {
+    for (const int64_t out : widths) {
+      for (const bool non_finite : {false, true}) {
+        const Mlp mlp = AwkwardLayer(in, out, non_finite, &rng);
+        const Linear& layer = mlp.layers().front();
+        for (const bool bias : {true, false}) {
+          PackedLayer packed;
+          packed.Pack(layer.weights().data().data(), in, in, out,
+                      bias ? layer.bias().data() : nullptr);
+          for (const int64_t count : {0, 1, 7, 8, 9, 130}) {
+            const bool relu = (in + out + count) % 2 == 0;
+            // Indexed rows name fewer distinct rows than `count`, so some
+            // repeat; a shared head covers the first half of the inputs.
+            const bool indexed = count % 3 == 1;
+            const int64_t skip = count % 2 == 1 ? in / 2 : 0;
+            const int64_t x_rows = indexed ? count / 2 + 1 : count;
+            std::vector<double> head(static_cast<size_t>(skip));
+            for (double& v : head) v = AwkwardValue(&rng, non_finite);
+            std::vector<double> prefix(static_cast<size_t>(out));
+            DotRows(layer.weights().data().data(), in, out, head, nullptr,
+                    prefix.data());
+            std::vector<double> x(static_cast<size_t>(x_rows * (in - skip)));
+            for (double& v : x) v = AwkwardValue(&rng, non_finite);
+            std::vector<int64_t> rows;
+            if (indexed) {
+              for (int64_t n = 0; n < count; ++n) {
+                rows.push_back((n * 7 + 3) % x_rows);
+              }
+            }
+            std::vector<double> got(static_cast<size_t>(count * out));
+            ForwardBatchLayer(packed, DenseRows{x.data(), in - skip, skip},
+                              rows, count, skip > 0 ? prefix.data() : nullptr,
+                              relu, got.data());
+            for (int64_t n = 0; n < count; ++n) {
+              const int64_t r = indexed ? rows[static_cast<size_t>(n)] : n;
+              std::vector<double> full = head;
+              full.insert(full.end(), x.begin() + r * (in - skip),
+                          x.begin() + (r + 1) * (in - skip));
+              const std::vector<double> want =
+                  ReferenceRow(layer, full, bias, relu);
+              for (int64_t o = 0; o < out; ++o) {
+                ASSERT_TRUE(SameBitsOrBothNan(
+                    got[static_cast<size_t>(n * out + o)],
+                    want[static_cast<size_t>(o)]))
+                    << "in=" << in << " out=" << out << " count=" << count
+                    << " n=" << n << " o=" << o << " bias=" << bias
+                    << " relu=" << relu << " skip=" << skip << ": "
+                    << got[static_cast<size_t>(n * out + o)] << " vs "
+                    << want[static_cast<size_t>(o)];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The kernel over code rows against Linear::Forward on the expanded rows:
+// exact for finite weights, with zero-valued, +-inf and NaN code values.
+TEST(BatchLayerTest, CodeRowsMatchPerRowLinearForward) {
+  Rng rng(22);
+  for (const int64_t in : {1, 5, 13, 24}) {
+    for (const int64_t out : {1, 2, 5, 12, 13, 24, 25, 32}) {
+      const Mlp mlp = AwkwardLayer(in, out, /*non_finite=*/false, &rng);
+      const Linear& layer = mlp.layers().front();
+      PackedLayer packed;
+      packed.Pack(layer.weights().data().data(), in, in, out,
+                  layer.bias().data());
+      const int64_t per_row = std::min<int64_t>(in, 3);
+      for (const int64_t count : {0, 1, 7, 8, 9, 130}) {
+        const bool relu = count % 2 == 0;
+        std::vector<Code> codes;
+        for (int64_t n = 0; n < count; ++n) {
+          // per_row distinct ascending indices: every in/per_row-th input
+          // from a random start.
+          const int64_t first = rng.UniformInt(in - (per_row - 1) *
+                                                      (in / per_row));
+          for (int64_t k = 0; k < per_row; ++k) {
+            codes.push_back({first + k * (in / per_row),
+                             AwkwardValue(&rng, /*non_finite=*/true)});
+          }
+        }
+        std::vector<int64_t> rows;
+        if (count % 3 == 1) {
+          for (int64_t n = 0; n < count; ++n) rows.push_back((n * 5) % count);
+        }
+        std::vector<double> got(static_cast<size_t>(count * out));
+        ForwardBatchLayer(packed, CodeRows{codes, per_row}, rows, count, relu,
+                          got.data());
+        for (int64_t n = 0; n < count; ++n) {
+          const int64_t r = rows.empty() ? n : rows[static_cast<size_t>(n)];
+          std::vector<double> full(static_cast<size_t>(in), 0.0);
+          for (int64_t k = 0; k < per_row; ++k) {
+            const Code& c = codes[static_cast<size_t>(r * per_row + k)];
+            full[static_cast<size_t>(c.index)] = c.value;
+          }
+          const std::vector<double> want =
+              ReferenceRow(layer, full, /*bias=*/true, relu);
+          for (int64_t o = 0; o < out; ++o) {
+            ASSERT_TRUE(SameBitsOrBothNan(
+                got[static_cast<size_t>(n * out + o)],
+                want[static_cast<size_t>(o)]))
+                << "in=" << in << " out=" << out << " count=" << count
+                << " n=" << n << " o=" << o;
+          }
+        }
+      }
+    }
+  }
 }
 
 // Satellite bugfix: a ragged batch (x.size() not a multiple of count) used

@@ -492,5 +492,41 @@ TEST(TabularEncoderTest, ReloadedGmmAgreesWithFittedOnDenseSweep) {
   }
 }
 
+// A record whose bucket counts disagree with its attributes' fitted models
+// (num_gmm_components or num_jenks_intervals patched from 5 to 4) is
+// rejected by Load: AttributeWidth sizes each attribute by those counts,
+// so accepting it would encode past the attribute's width.
+TEST(TabularEncoderTest, LoadRejectsBucketCountMismatch) {
+  Rng rng(34);
+  const data::Table t = TwoColumnTable(&rng);
+  TabularEncoder enc;  // kCombined: both models per attribute.
+  ASSERT_TRUE(enc.Fit(t, &rng).ok());
+  std::stringstream buf;
+  BinaryWriter w(&buf);
+  enc.Save(&w);
+  const std::string bytes = buf.str();
+  {
+    std::stringstream in(bytes);
+    BinaryReader r(&in);
+    TabularEncoder loaded;
+    ASSERT_TRUE(loaded.Load(&r).ok());
+  }
+  // The record starts with the mode, then num_gmm_components, then
+  // num_jenks_intervals, 8 bytes each.
+  for (const size_t offset : {size_t{8}, size_t{16}}) {
+    std::string patched = bytes;
+    int64_t count = 0;
+    std::memcpy(&count, patched.data() + offset, sizeof(count));
+    ASSERT_EQ(count, 5);
+    count = 4;
+    std::memcpy(patched.data() + offset, &count, sizeof(count));
+    std::stringstream in(patched);
+    BinaryReader r(&in);
+    TabularEncoder loaded;
+    const Status st = loaded.Load(&r);
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << "offset " << offset;
+  }
+}
+
 }  // namespace
 }  // namespace lte::preprocess
