@@ -134,9 +134,9 @@ void BM_BlockEncode(benchmark::State& state) {
 BENCHMARK(BM_BlockEncode)->Arg(0)->Arg(1);
 
 // TaskModel::PredictProbabilityBatch at servebench's shapes (f_tau 24 -> 24,
-// N_e 24, clf_hidden {24}, memory on) over the 1024 encoded rows of
-// BM_BlockEncode. Arg 0 = dense rows, 1 = codes (f_tau's first layer as a
-// gather-add). Counters are per row.
+// N_e 24, clf_hidden {24}, memory on) over the 1024 code rows of
+// BM_BlockEncode (f_tau's first layer as a gather-add). Counters are per
+// row.
 void BM_PredictBatch(benchmark::State& state) {
   lte::Rng rng(10);
   const lte::data::Table table = lte::data::MakeSdssLike(8192, &rng);
@@ -152,9 +152,7 @@ void BM_PredictBatch(benchmark::State& state) {
   for (size_t i = 0; i < rows.size(); ++i) {
     rows[i] = static_cast<int64_t>(i * 7);
   }
-  std::vector<double> dense;
   std::vector<lte::Code> codes;
-  enc.EncodeGatheredInto(columns, attrs, rows, &dense);
   enc.EncodeGatheredCodesInto(columns, attrs, rows, &codes);
   lte::core::MetaLearnerOptions opt;
   opt.uis_feature_dim = 50;
@@ -171,11 +169,7 @@ void BM_PredictBatch(benchmark::State& state) {
   lte::core::TaskModel::BatchScratch scratch;
   std::vector<double> probs(rows.size());
   for (auto _ : state) {
-    if (state.range(0) == 0) {
-      tm.PredictProbabilityBatch(dense, count, &scratch, probs);
-    } else {
-      tm.PredictProbabilityBatch(code_rows, count, &scratch, probs);
-    }
+    tm.PredictProbabilityBatch(code_rows, count, &scratch, probs);
     benchmark::DoNotOptimize(probs.data());
   }
   state.counters["ns_per_row"] = benchmark::Counter(
@@ -183,7 +177,7 @@ void BM_PredictBatch(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_PredictBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_PredictBatch);
 
 void BM_SvmTrain(benchmark::State& state) {
   lte::Rng rng(6);

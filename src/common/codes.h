@@ -6,9 +6,9 @@
 
 namespace lte {
 
-/// One nonzero input of an encoded tuple in code form: its input index and
-/// its value. A tuple's dense encoding is zero everywhere except at its
-/// codes' indices.
+/// One input of an encoded tuple in code form: its input index and its
+/// value, which may itself be zero. A tuple's dense encoding is +0.0 at
+/// every input no code names; a full-width code row names every input.
 struct Code {
   int64_t index = 0;
   double value = 0.0;

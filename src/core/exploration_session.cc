@@ -77,6 +77,11 @@ bool AllLabelsValid(const std::vector<double>& labels) {
                      [](double y) { return y >= 0.0 && y <= 1.0; });
 }
 
+bool AllFinite(const std::vector<double>& point) {
+  return std::all_of(point.begin(), point.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
 }  // namespace
 
 ExplorationSession::ExplorationSession(
@@ -487,18 +492,23 @@ Status ExplorationSession::SuggestTuples(
           "session: candidate width mismatch in subspace " +
           std::to_string(s));
     }
+    // A non-finite coordinate can encode to a NaN probability, which no
+    // policy's ranking orders.
+    if (!AllFinite(point)) {
+      return Status::InvalidArgument(
+          "session: non-finite candidate in subspace " + std::to_string(s));
+    }
   }
-  const auto n = static_cast<int64_t>(candidates.size());
-  if (n == 0) return Status::OK();
+  if (candidates.empty()) return Status::OK();
 
-  // One encode and one batch forward over reused scratch, so an
-  // active-learning loop allocates nothing per call at steady state.
-  SuggestScratch& sc = suggest_scratch_;
-  model_->encoder().EncodePointsInto(attrs, candidates, &sc.encoded);
-  sc.probs.resize(candidates.size());
-  state.task_model->PredictProbabilityBatch(sc.encoded, n, &sc.batch,
-                                            sc.probs);
-  state.policy->Select(sc.probs, k, rng_.has_value() ? &*rng_ : nullptr,
+  std::vector<Code> codes;
+  model_->encoder().EncodePointsCodesInto(attrs, candidates, &codes);
+  std::vector<double> probs(candidates.size());
+  TaskModel::BatchScratch batch;
+  ForwardEncoded(
+      s, CodeRows{codes, model_->encoder().ProjectedCodeCount(attrs)}, {},
+      &batch, probs);
+  state.policy->Select(probs, k, rng_.has_value() ? &*rng_ : nullptr,
                        suggested);
   return Status::OK();
 }
@@ -521,8 +531,7 @@ Status ExplorationSession::ContinueExploration(
       return Status::InvalidArgument(
           "session: point width mismatch in subspace " + std::to_string(s));
     }
-    if (!std::all_of(p.begin(), p.end(),
-                     [](double v) { return std::isfinite(v); })) {
+    if (!AllFinite(p)) {
       return Status::InvalidArgument(
           "session: non-finite point in subspace " + std::to_string(s));
     }
@@ -565,12 +574,12 @@ Status ExplorationSession::ValidateServing(const data::Table& table) const {
 }
 
 double ExplorationSession::PredictSubspaceUnchecked(
-    int64_t s, const std::vector<double>& point, Scratch* scratch) const {
+    int64_t s, const std::vector<double>& point) const {
   const SubspaceSession& state = states_[static_cast<size_t>(s)];
+  std::vector<double> encoded;
   model_->encoder().EncodePointsInto(model_->subspace(s)->attribute_indices,
-                                     {&point, 1}, &scratch->encoded);
-  double pred =
-      state.task_model->PredictProbability(scratch->encoded) > 0.5 ? 1.0 : 0.0;
+                                     {&point, 1}, &encoded);
+  double pred = state.task_model->PredictProbability(encoded) > 0.5 ? 1.0 : 0.0;
   if (state.fpfn.has_value()) pred = state.fpfn->Refine(point, pred);
   return pred;
 }
@@ -621,26 +630,26 @@ void ExplorationSession::ForwardEncoded(int64_t s, CodeRows encoded,
 void ExplorationSession::ScoreEncodedBlock(
     int64_t s, std::span<const double> encoded, std::span<const int64_t> rows,
     const std::vector<data::ColumnView>& columns,
-    TaskModel::BatchScratch* batch_scratch, std::vector<double>* point_scratch,
-    std::span<double> out) const {
+    TaskModel::BatchScratch* batch_scratch,
+    std::vector<double>* /*point_scratch*/, std::span<double> out) const {
   const size_t count = rows.size();
   LTE_CHECK(out.size() == count);
   std::vector<FpFnOptimizer::Membership> where(count);
   const int64_t band = LocateRows(s, columns, rows, where);
-  const auto width = static_cast<size_t>(model_->encoder().ProjectedWidth(
-      model_->subspace(s)->attribute_indices));
-  LTE_CHECK(encoded.size() == count * width);
-  point_scratch->clear();
+  const int64_t width = model_->encoder().ProjectedWidth(
+      model_->subspace(s)->attribute_indices);
+  LTE_CHECK(static_cast<int64_t>(encoded.size()) ==
+            static_cast<int64_t>(count) * width);
+  // Band rows as full-width code rows: every input, +0.0 ones included.
+  std::vector<Code> wide;
+  wide.reserve(static_cast<size_t>(band * width));
   for (size_t k = 0; k < count; ++k) {
     if (where[k].decided()) continue;
-    const auto tuple = encoded.subspan(k * width, width);
-    point_scratch->insert(point_scratch->end(), tuple.begin(), tuple.end());
+    const double* x = encoded.data() + k * static_cast<size_t>(width);
+    for (int64_t c = 0; c < width; ++c) wide.push_back({c, x[c]});
   }
-  const SubspaceSession& state = states_[static_cast<size_t>(s)];
-  LTE_CHECK(state.task_model != nullptr);
   std::vector<double> probs(static_cast<size_t>(band));
-  state.task_model->PredictProbabilityBatch(*point_scratch, band,
-                                            batch_scratch, probs);
+  ForwardEncoded(s, CodeRows{wide, width}, {}, batch_scratch, probs);
   FpFnOptimizer::DecideAll(where, probs, out);
 }
 
@@ -654,23 +663,20 @@ std::optional<double> ExplorationSession::PredictSubspace(
   if (point.size() != model_->subspace(s)->attribute_indices.size()) {
     return std::nullopt;
   }
-  Scratch scratch;
-  return PredictSubspaceUnchecked(s, point, &scratch);
+  return PredictSubspaceUnchecked(s, point);
 }
 
 std::optional<double> ExplorationSession::PredictRow(
     const std::vector<double>& row) const {
   if (active_count_ <= 0) return std::nullopt;
-  Scratch scratch;
+  std::vector<double> point;
   for (int64_t s = 0; s < active_count_; ++s) {
-    scratch.point.clear();
+    point.clear();
     for (int64_t a : model_->subspace(s)->attribute_indices) {
       if (static_cast<size_t>(a) >= row.size()) return std::nullopt;
-      scratch.point.push_back(row[static_cast<size_t>(a)]);
+      point.push_back(row[static_cast<size_t>(a)]);
     }
-    if (PredictSubspaceUnchecked(s, scratch.point, &scratch) < 0.5) {
-      return 0.0;
-    }
+    if (PredictSubspaceUnchecked(s, point) < 0.5) return 0.0;
   }
   return 1.0;
 }

@@ -125,17 +125,18 @@ class ExplorationSession {
   int64_t active_subspaces() const { return active_count_; }
 
   /// Active-learning hook (paper Section III-B "Iterative exploration"):
-  /// scores `candidates` (raw subspace-`s` points) through the columnar
-  /// batch encode + batch forward, then lets the subspace's exploration
-  /// policy (default: uncertainty sampling — probability closest to 0.5)
-  /// pick the `k` tuples most worth asking the user about next; their
-  /// indices land in `*suggested` in selection order (fewer when
-  /// `candidates` is smaller than `k`). Stochastic policies draw from the
-  /// session-owned rng (SeedRng), advancing it — which is why this is a
-  /// mutating call under the single-writer contract, like
-  /// ContinueExploration. Fails if StartExploration has not adapted subspace
-  /// `s`, `k` is negative, a candidate's width differs from the subspace's,
-  /// or the policy is stochastic and the session has no rng.
+  /// encodes `candidates` (raw subspace-`s` points) in code form and scores
+  /// them through ForwardEncoded, on buffers local to the call, then lets
+  /// the subspace's exploration policy (default: uncertainty sampling —
+  /// probability closest to 0.5) pick the `k` tuples most worth asking the
+  /// user about next; their indices land in `*suggested` in selection order
+  /// (fewer when `candidates` is smaller than `k`). Stochastic policies draw
+  /// from the session-owned rng (SeedRng), advancing it — which is why this
+  /// is a mutating call under the single-writer contract, like
+  /// ContinueExploration. Fails, before any draw, if StartExploration has
+  /// not adapted subspace `s`, `k` is negative, a candidate's width differs
+  /// from the subspace's, a candidate coordinate is not finite, or the
+  /// policy is stochastic and the session has no rng.
   Status SuggestTuples(int64_t s,
                        const std::vector<std::vector<double>>& candidates,
                        int64_t k, std::vector<int64_t>* suggested);
@@ -290,17 +291,18 @@ class ExplorationSession {
                      std::span<FpFnOptimizer::Membership> where,
                      int64_t* located = nullptr) const;
 
-  /// Batch forward of code-form subspace-`s` tuples — `encoded` holds
-  /// rows of the subspace's codes, exactly what
-  /// `TabularEncoder::EncodeGatheredCodesInto` produces — writing
-  /// P(interesting) for tuple k into `probs[k]`. Tuple k is row `rows[k]` of
-  /// `encoded`, read in place: the block scan passes each subscriber's band
-  /// rows as indices into the pass's shared encoded block. Empty `rows` =
-  /// every row, and `encoded` then holds exactly `probs.size()` tuples. Each
-  /// probability depends on its own tuple only, never on which other rows —
-  /// or which other sessions' rows — share the batch, and is bit-identical
-  /// to the per-row probability `PredictRow` thresholds on the dense
-  /// encoding. Same preconditions as LocateRows.
+  /// The session's one batch inference path: the batch forward of code-form
+  /// subspace-`s` tuples — `encoded` holds rows of the subspace's codes, as
+  /// `TabularEncoder::EncodeGatheredCodesInto` and `EncodePointsCodesInto`
+  /// write them, or full-width code rows — writing P(interesting) for
+  /// tuple k into `probs[k]`. Tuple k is row `rows[k]` of `encoded`, read in
+  /// place: the block scan passes each subscriber's band rows as indices
+  /// into the pass's shared encoded block. Empty `rows` = every row, and
+  /// `encoded` then holds exactly `probs.size()` tuples. Each probability
+  /// depends on its own tuple only, never on which other rows — or which
+  /// other sessions' rows — share the batch, and is bit-identical to the
+  /// per-row probability `PredictRow` thresholds on the dense encoding.
+  /// Same preconditions as LocateRows.
   void ForwardEncoded(int64_t s, CodeRows encoded,
                       std::span<const int64_t> rows,
                       TaskModel::BatchScratch* batch_scratch,
@@ -311,19 +313,19 @@ class ExplorationSession {
   /// `TabularEncoder::EncodeGatheredInto` writes it; `rows[k]` is tuple k's
   /// table row and `columns` the subspace's attribute column views) and
   /// writes the final 0.0/1.0 verdicts into `out`, by the block scan's own
-  /// steps: LocateRows, then the dense batch forward of the band rows only
-  /// (their encodings are copied into `point_scratch`), then
-  /// `FpFnOptimizer::DecideAll`. `out[k]` is bit-identical to the
-  /// block-scan verdict for that tuple and to `PredictRow`'s. A tool hook
-  /// (block-by-block replays time it); it allocates its per-call membership
-  /// and probability buffers, and the block scan does not go through it.
-  /// Same preconditions as LocateRows, and `encoded` holds exactly
-  /// `rows.size()` tuples.
+  /// steps: LocateRows, then ForwardEncoded over the band rows only, each
+  /// widened to a full-width code row, then `FpFnOptimizer::DecideAll`.
+  /// `out[k]` is bit-identical to the block-scan verdict for that tuple and
+  /// to `PredictRow`'s. A tool hook (block-by-block replays time it); it
+  /// allocates its per-call buffers, and the block scan does not go through
+  /// it. Same preconditions as LocateRows, and `encoded` holds exactly
+  /// `rows.size()` tuples. The point-scratch parameter is unused and kept
+  /// only for the replay's call: ROADMAP item 2 deletes this hook.
   void ScoreEncodedBlock(int64_t s, std::span<const double> encoded,
                          std::span<const int64_t> rows,
                          const std::vector<data::ColumnView>& columns,
                          TaskModel::BatchScratch* batch_scratch,
-                         std::vector<double>* point_scratch,
+                         std::vector<double>* /*point_scratch*/,
                          std::span<double> out) const;
 
  private:
@@ -349,26 +351,9 @@ class ExplorationSession {
     std::vector<LabeledBatch> history;
   };
 
-  /// Buffers for the per-row prediction path (PredictRow, PredictSubspace):
-  /// the raw projected point and its encoding.
-  struct Scratch {
-    std::vector<double> point;
-    std::vector<double> encoded;
-  };
-
-  /// Reusable buffers for SuggestTuples: the encoded candidates, and the
-  /// shared probability vector the policy selects from. Capacities reach a
-  /// steady state after the first call, so an active-learning loop
-  /// allocates nothing per round.
-  struct SuggestScratch {
-    std::vector<double> encoded;  // n x ProjectedWidth, row-major.
-    std::vector<double> probs;
-    TaskModel::BatchScratch batch;
-  };
-
   /// PredictSubspace body minus the misuse checks (callers validated).
-  double PredictSubspaceUnchecked(int64_t s, const std::vector<double>& point,
-                                  Scratch* scratch) const;
+  double PredictSubspaceUnchecked(int64_t s,
+                                  const std::vector<double>& point) const;
 
   std::shared_ptr<const ExplorationModel> model_;
   int64_t num_threads_override_;
@@ -376,7 +361,6 @@ class ExplorationSession {
   int64_t active_count_ = 0;
   Variant variant_ = Variant::kBasic;
   std::optional<Rng> rng_;  // Session-owned stream; persisted when present.
-  SuggestScratch suggest_scratch_;  // Mutating-call scratch (single-writer).
 };
 
 }  // namespace lte::core

@@ -47,11 +47,11 @@ void ConvertBatch(const nn::PackedLayer& mcp, const std::vector<double>& left,
                         count, left.data(), /*relu=*/false, out);
 }
 
-// TaskModel::PredictProbabilityBatch (both overloads) slices the batch so
-// the per-stage activations (emb_tau, clf_in, logits) stay cache-resident
-// while each weight matrix streams over them; a full 1024-row block's
-// activations otherwise evict the weights between stages. Rows are
-// independent, so slicing cannot change any output bit.
+// TaskModel::PredictProbabilityBatch slices the batch so the per-stage
+// activations (emb_tau, clf_in, logits) stay cache-resident while each
+// weight matrix streams over them; a full 1024-row block's activations
+// otherwise evict the weights between stages. Rows are independent, so
+// slicing cannot change any output bit.
 constexpr int64_t kSlice = 128;
 
 }  // namespace
@@ -528,38 +528,6 @@ void TaskModel::FinishSlice(int64_t s0, int64_t sc, BatchScratch* scratch,
   }
 }
 
-void TaskModel::PredictProbabilityBatch(std::span<const double> tuples,
-                                        int64_t count, BatchScratch* scratch,
-                                        std::span<double> out,
-                                        std::span<const int64_t> rows) const {
-  LTE_CHECK_GE(count, 0);
-  LTE_CHECK_EQ(static_cast<int64_t>(out.size()), count);
-  const int64_t in_w = f_tau_.in_features();
-  if (rows.empty()) {
-    LTE_CHECK_EQ(static_cast<int64_t>(tuples.size()), count * in_w);
-  } else {
-    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
-  }
-  if (count == 0) return;
-  PrepareBatch(scratch);
-  for (int64_t s0 = 0; s0 < count; s0 += kSlice) {
-    const int64_t sc = std::min(kSlice, count - s0);
-    // Dense input: this slice's tuples. Indexed input: this slice's
-    // indices into the whole of `tuples`.
-    const std::span<const double> slice =
-        rows.empty() ? tuples.subspan(static_cast<size_t>(s0 * in_w),
-                                      static_cast<size_t>(sc * in_w))
-                     : tuples;
-    const std::span<const int64_t> slice_rows =
-        rows.empty() ? rows
-                     : rows.subspan(static_cast<size_t>(s0),
-                                    static_cast<size_t>(sc));
-    f_tau_.ForwardBatchInto(slice, sc, &scratch->tau, &scratch->emb_tau,
-                            /*first_layer_prefix=*/{}, slice_rows);
-    FinishSlice(s0, sc, scratch, out);
-  }
-}
-
 void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
                                         BatchScratch* scratch,
                                         std::span<double> out,
@@ -575,22 +543,26 @@ void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
   }
   if (count == 0) return;
   if (!PrepareBatch(scratch)) {
+    // Full-width code rows run exactly the dense chain's terms.
     const int64_t in_w = f_tau_.in_features();
-    scratch->expanded.assign(static_cast<size_t>(count * in_w), 0.0);
+    std::vector<Code>& wide = scratch->expanded;
+    wide.resize(static_cast<size_t>(count * in_w));
     for (int64_t n = 0; n < count; ++n) {
       const int64_t r = rows.empty() ? n : rows[static_cast<size_t>(n)];
       LTE_CHECK(r >= 0 && r < tuples.num_rows());
+      Code* row = wide.data() + n * in_w;
+      for (int64_t c = 0; c < in_w; ++c) row[c] = {c, 0.0};
       for (const Code& c : tuples.row(r)) {
         LTE_CHECK(c.index >= 0 && c.index < in_w);
-        scratch->expanded[static_cast<size_t>(n * in_w + c.index)] = c.value;
+        row[c.index].value = c.value;
       }
     }
-    PredictProbabilityBatch(scratch->expanded, count, scratch, out);
-    return;
+    tuples = CodeRows{wide, in_w};
+    rows = {};
   }
   for (int64_t s0 = 0; s0 < count; s0 += kSlice) {
     const int64_t sc = std::min(kSlice, count - s0);
-    // As in the dense overload: this slice's rows, or its indices.
+    // This slice's rows, or its indices into the whole of `tuples`.
     const CodeRows slice =
         rows.empty()
             ? CodeRows{tuples.codes.subspan(

@@ -115,35 +115,27 @@ class TaskModel {
     std::vector<double> logits;    // count x 1.
     std::vector<double> mcp_left;  // N_e: left half of M_cp applied to emb_R.
     std::vector<double> clf1_left; // f_clf layer-1 prefix over emb_R (kBasic).
-    /// Code-form input: the expanded dense rows when a first-layer weight of
-    /// f_tau is not finite.
-    std::vector<double> expanded;
+    /// The input rows widened to full-width code rows, when a first-layer
+    /// weight of f_tau is not finite.
+    std::vector<Code> expanded;
   };
 
-  /// Block counterpart of PredictProbability for the columnar serving path:
-  /// writes P(interesting) for tuple n into `out[n]`, for `count` encoded
-  /// tuples of f_tau's input width. With `rows` empty (default), `tuples`
-  /// holds exactly those `count` tuples row-major; otherwise tuple n is row
-  /// `rows[n]` of `tuples`, read in place, so a caller forwards any subset
-  /// of a shared encoded block without copying it out. Sizes and indices
-  /// are LTE_CHECKed. Each probability is bit-identical to
-  /// PredictProbability on that tuple — the batch runs the same operation
-  /// sequence per row (the constant left half of the M_cp · [emb_R; emb_tau]
-  /// product is evaluated once per call, which is exactly the per-row
-  /// accumulation prefix, so the sum is unchanged). Same thread-safety
-  /// contract as Logit.
-  void PredictProbabilityBatch(std::span<const double> tuples, int64_t count,
-                               BatchScratch* scratch, std::span<double> out,
-                               std::span<const int64_t> rows = {}) const;
-
-  /// The same for code-form tuples (the block scan's encoding): tuple n is
-  /// code row `rows[n]` of `tuples` (empty `rows` = row n, and `tuples`
-  /// then holds exactly `count` rows). f_tau's first layer is a gather-add
-  /// over the codes (Mlp::ForwardCodesInto); every later stage is the dense
-  /// overload's. Each probability is bit-identical to the dense overload on
-  /// the expanded tuple. When a first-layer weight of f_tau is not finite
-  /// the gather-add is not exact (0 · ∞ is NaN, not ±0), so the rows are
-  /// expanded and forwarded densely instead.
+  /// Block counterpart of PredictProbability, the one batch inference entry:
+  /// writes P(interesting) for tuple n into `out[n]`, for `count` code-form
+  /// tuples of f_tau's input width. Tuple n is code row `rows[n]` of
+  /// `tuples`, read in place, so a caller forwards any subset of a shared
+  /// encoded block without copying it out; empty `rows` = row n, and
+  /// `tuples` then holds exactly `count` rows. Sizes and indices are
+  /// LTE_CHECKed. f_tau's first layer is a gather-add over the codes
+  /// (Mlp::ForwardCodesInto). Each probability is bit-identical to
+  /// PredictProbability on the expanded tuple — the batch runs the same
+  /// operation sequence per row (the constant left half of the
+  /// M_cp · [emb_R; emb_tau] product is evaluated once per call, which is
+  /// exactly the per-row accumulation prefix, so the sum is unchanged).
+  /// When a first-layer weight of f_tau is not finite the gather-add is not
+  /// exact (0 · ∞ is NaN, not ±0), so every row is first widened to a
+  /// full-width code row: each input in ascending order, +0.0 where the row
+  /// has no code. Same thread-safety contract as Logit.
   void PredictProbabilityBatch(CodeRows tuples, int64_t count,
                                BatchScratch* scratch, std::span<double> out,
                                std::span<const int64_t> rows = {}) const;
@@ -199,7 +191,7 @@ class TaskModel {
   /// Per-call part of PredictProbabilityBatch: warms emb_R, packs every
   /// stage's weights by input and evaluates the emb_R-dependent prefixes
   /// every row shares. Returns whether f_tau's first-layer weights are all
-  /// finite (the code-form forward is exact only then).
+  /// finite (a gather-add over short code rows is exact only then).
   bool PrepareBatch(BatchScratch* scratch) const;
   /// From the f_tau embeddings of rows [s0, s0 + sc) in `scratch->emb_tau`
   /// to their probabilities in `out`.

@@ -125,13 +125,13 @@ bool Mlp::PackWeights(BatchScratch* scratch) const {
 
 void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
                            BatchScratch* scratch, std::vector<double>* out,
-                           std::span<const double> first_layer_prefix,
-                           std::span<const int64_t> rows) const {
+                           std::span<const double> first_layer_prefix)
+    const {
   LTE_CHECK(!layers_.empty());
   const int64_t head_w =
       CheckedBatchHeadWidth(x.size(), count, in_features(),
                             first_layer_prefix.size(),
-                            layers_.front().out_features(), rows);
+                            layers_.front().out_features(), /*rows=*/{});
   CheckPacked(layers_, scratch->packed);
   const PackedLayer& first = scratch->packed.front();
   const bool last = layers_.size() == 1;
@@ -143,7 +143,7 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
   // accumulators start from the precomputed prefix.
   const int64_t skip = first_layer_prefix.empty() ? 0 : head_w;
   ForwardBatchLayer(first, DenseRows{x.data(), in_features() - skip, skip},
-                    rows, count,
+                    /*rows=*/{}, count,
                     skip > 0 ? first_layer_prefix.data() : nullptr,
                     /*relu=*/!last, dst->data());
   ForwardLayersFrom(1, dst->data(), count, scratch, out);

@@ -49,8 +49,8 @@ class Mlp {
   /// Packs every layer's weights by input into `scratch->packed`. Call it
   /// once before a run of batch forwards, and again after the weights
   /// change: the forwards read the packed copy. Returns false when some
-  /// first-layer weight is not finite; ForwardCodesInto is then not exact,
-  /// and callers forward expanded dense rows instead.
+  /// first-layer weight is not finite; ForwardCodesInto is then exact only
+  /// on full-width code rows, which callers widen their rows to.
   bool PackWeights(BatchScratch* scratch) const;
 
   /// Batch inference forward for the columnar serving path: `x` holds
@@ -62,12 +62,6 @@ class Mlp {
   /// product in the same order, adds the bias last, and applies the same
   /// ReLU (ForwardBatchLayer) — so batching rows never changes results.
   ///
-  /// `rows` selects the inputs by index: output n is the forward of row
-  /// `rows[n]` of `x`, read in place by the first layer, so a caller can
-  /// forward any subset of a shared encoded block without copying it out.
-  /// Empty (default) = the first `count` rows of `x`, which then holds
-  /// exactly `count` rows.
-  ///
   /// `first_layer_prefix` supports inputs whose leading features are the
   /// same for every row in the batch (e.g. a per-user embedding
   /// concatenated before per-tuple features): pass the shared head's
@@ -77,12 +71,10 @@ class Mlp {
   /// — the exact running sum Forward reaches after the head's terms — so
   /// outputs stay bit-identical while the head is neither copied per row
   /// nor re-multiplied per row. Empty (default) = rows carry all features.
-  /// Not combinable with `rows` (the head width is implied by `x.size()`
-  /// over `count`).
+  /// The head width is implied by `x.size()` over `count`.
   void ForwardBatchInto(std::span<const double> x, int64_t count,
                         BatchScratch* scratch, std::vector<double>* out,
-                        std::span<const double> first_layer_prefix = {},
-                        std::span<const int64_t> rows = {}) const;
+                        std::span<const double> first_layer_prefix = {}) const;
 
   /// Code-form counterpart of ForwardBatchInto for inputs that are mostly
   /// zeros: input n is code row `rows[n]` of `x` (empty `rows` = row n, and
@@ -96,7 +88,9 @@ class Mlp {
   /// chain also starts at +0.0 and only adds w · (+0.0) = ±0 for the inputs
   /// that have no code, and a sum that starts at +0.0 never becomes −0.0
   /// (x + (−x) is +0.0 under round-to-nearest), so adding ±0 to it changes
-  /// no bit. Code indices and `rows` are LTE_CHECKed.
+  /// no bit. A full-width code row (every input, ascending) runs exactly the
+  /// dense chain's terms, so it is bit-identical for any weights. Code
+  /// indices and `rows` are LTE_CHECKed.
   void ForwardCodesInto(CodeRows x, int64_t count, BatchScratch* scratch,
                         std::vector<double>* out,
                         std::span<const int64_t> rows = {}) const;
@@ -127,9 +121,11 @@ class Mlp {
     std::span<const int64_t> rows;
   };
 
-  /// Training forward over a batch: `x`, `count` and `rows` as in
-  /// ForwardBatchInto (no shared-head prefix), with every row bit-identical
-  /// to Forward. Runs each layer through ForwardBatchLayer on its current
+  /// Training forward over a batch, with every row bit-identical to
+  /// Forward: output n is the forward of row `rows[n]` of `x` (row-major,
+  /// in_features() doubles per row), read in place by the first layer;
+  /// empty `rows` = the first `count` rows, and `x` then holds exactly
+  /// `count` rows. Runs each layer through ForwardBatchLayer on its current
   /// weights, packed into `*scratch` as the layer runs; a single row runs
   /// Forward's own row-major product instead, as packing would cost as much
   /// as the row. Keeps each layer's output in `*scratch` for BackwardBatch

@@ -260,6 +260,22 @@ void TabularEncoder::EncodePointsInto(
   }
 }
 
+void TabularEncoder::EncodePointsCodesInto(
+    const std::vector<int64_t>& attrs,
+    std::span<const std::vector<double>> points,
+    std::vector<Code>* out) const {
+  out->resize(points.size() * static_cast<size_t>(ProjectedCodeCount(attrs)));
+  Code* codes = out->data();
+  for (const std::vector<double>& point : points) {
+    LTE_CHECK_EQ(point.size(), attrs.size());
+    int64_t offset = 0;  // Attribute j's first input in the tuple.
+    for (size_t j = 0; j < attrs.size(); ++j) {
+      codes = EncodeValueCodes(attrs[j], point[j], offset, codes);
+      offset += AttributeWidth(attrs[j]);
+    }
+  }
+}
+
 void TabularEncoder::EncodeGatheredInto(
     const std::vector<data::ColumnView>& columns,
     const std::vector<int64_t>& attrs, std::span<const int64_t> rows,

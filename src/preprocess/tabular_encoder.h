@@ -120,6 +120,16 @@ class TabularEncoder {
                         std::span<const std::vector<double>> points,
                         std::vector<double>* out) const;
 
+  /// Code-form counterpart of EncodePointsInto, with the per-row layout of
+  /// EncodeGatheredCodesInto: row k of `*out` is point k's
+  /// ProjectedCodeCount(attrs) codes, indices ascending within its
+  /// ProjectedWidth(attrs) inputs. `*out` is resized and keeps its
+  /// capacity. Expanding row k gives row k of EncodePointsInto, bit for
+  /// bit. Point widths are LTE_CHECKed.
+  void EncodePointsCodesInto(const std::vector<int64_t>& attrs,
+                             std::span<const std::vector<double>> points,
+                             std::vector<Code>* out) const;
+
   /// Columnar block encode for the serving fast path: `columns[j]` is the
   /// segment-spanning value view of attribute `attrs[j]` over the whole
   /// table (`Table::View`), and `rows` selects the tuples to encode by

@@ -712,7 +712,9 @@ TEST_F(ExplorationSessionEndToEndTest, BatchQueryMisuseYieldsStatus) {
   EXPECT_EQ(session.PredictRows(narrow, rows, &preds).code(),
             StatusCode::kInvalidArgument);
 
-  // SuggestTuples misuse: un-adapted subspace, bad k, bad candidate width.
+  // SuggestTuples misuse: un-adapted subspace, bad k, bad candidate width,
+  // a non-finite candidate coordinate. The last is refused before any draw:
+  // under a stochastic policy the session rng's next draw is unchanged.
   std::vector<int64_t> picked;
   EXPECT_EQ(session.SuggestTuples(5, {{0.5, 0.5}}, 1, &picked).code(),
             StatusCode::kFailedPrecondition);
@@ -720,6 +722,20 @@ TEST_F(ExplorationSessionEndToEndTest, BatchQueryMisuseYieldsStatus) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(session.SuggestTuples(0, {{0.5, 0.5, 0.5}}, 1, &picked).code(),
             StatusCode::kInvalidArgument);
+  session.SeedRng(17);
+  policy::PolicyOptions softmax;
+  softmax.kind = policy::PolicyKind::kSoftmax;
+  ASSERT_TRUE(session.ConfigureSuggestPolicy(0, softmax).ok());
+  Rng unchanged = *session.session_rng();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    EXPECT_EQ(
+        session.SuggestTuples(0, {{0.5, 0.5}, {bad, 0.5}}, 1, &picked).code(),
+        StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(session.session_rng()->Uniform(), unchanged.Uniform());
 }
 
 class ExplorationSessionParallelTest : public ExplorationSessionEndToEndTest {

@@ -618,11 +618,12 @@ std::vector<double> Expand(const std::vector<Code>& codes) {
   return dense;
 }
 
-// The code-form batch forward equals the dense one bit for bit, with and
-// without memory, dense and indexed, past one 128-row slice — including
-// with a -0.0 and an exactly-zero weight in f_tau's first layer. With a
+// Every code-form batch probability equals PredictProbability on the
+// expanded tuple bit for bit, with and without memory, for all rows in
+// order and indexed, past one 128-row slice — including with a -0.0 and an
+// exactly-zero weight in f_tau's first layer and zero-valued inputs. With a
 // +inf or NaN first-layer weight the gather-add would not be exact (0 · inf
-// is NaN), and the fallback must still match the dense oracle bit for bit.
+// is NaN), and the widened fallback must still match bit for bit.
 TEST(MetaLearnerTest, CodeFormBatchMatchesDenseBatch) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -638,10 +639,14 @@ TEST(MetaLearnerTest, CodeFormBatchMatchesDenseBatch) {
       const int64_t n = 150;
       const std::vector<Code> codes = CodeTuples(&rng, n);
       const std::vector<double> dense = Expand(codes);
-      TaskModel::BatchScratch scratch;
       std::vector<double> want(n);
+      for (int64_t k = 0; k < n; ++k) {
+        want[static_cast<size_t>(k)] = tm.PredictProbability(
+            std::vector<double>(dense.begin() + k * 6,
+                                dense.begin() + (k + 1) * 6));
+      }
+      TaskModel::BatchScratch scratch;
       std::vector<double> got(n);
-      tm.PredictProbabilityBatch(dense, n, &scratch, want);
       tm.PredictProbabilityBatch(CodeRows{codes, 4}, n, &scratch, got);
       EXPECT_EQ(Bits(got), Bits(want)) << memory << " " << odd;
       if (std::isnan(odd) || std::isinf(odd)) {
@@ -655,19 +660,21 @@ TEST(MetaLearnerTest, CodeFormBatchMatchesDenseBatch) {
                                 [](double e) { return std::isnan(e); }));
       }
       std::vector<int64_t> rows;
-      for (int64_t k = 0; k < 131; ++k) rows.push_back((k * 37 + 3) % n);
-      want.resize(rows.size());
+      std::vector<double> want_rows;
+      for (int64_t k = 0; k < 131; ++k) {
+        rows.push_back((k * 37 + 3) % n);
+        want_rows.push_back(want[static_cast<size_t>(rows.back())]);
+      }
       got.resize(rows.size());
-      const auto count = static_cast<int64_t>(rows.size());
-      tm.PredictProbabilityBatch(dense, count, &scratch, want, rows);
-      tm.PredictProbabilityBatch(CodeRows{codes, 4}, count, &scratch, got,
-                                 rows);
-      EXPECT_EQ(Bits(got), Bits(want)) << memory << " " << odd;
+      tm.PredictProbabilityBatch(CodeRows{codes, 4},
+                                 static_cast<int64_t>(rows.size()), &scratch,
+                                 got, rows);
+      EXPECT_EQ(Bits(got), Bits(want_rows)) << memory << " " << odd;
     }
   }
 }
 
-// A tuple span shorter than count x f_tau's input width must die before the
+// A code span shorter than count x codes per row must die before the
 // batch forward slices past its end.
 TEST(MetaLearnerTest, PredictProbabilityBatchRejectsShortInput) {
   Rng rng(12);
@@ -675,9 +682,10 @@ TEST(MetaLearnerTest, PredictProbabilityBatchRejectsShortInput) {
   const TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
   TaskModel::BatchScratch scratch;
   std::vector<double> out(3);
-  const std::vector<double> two_tuples(2 * 6, 0.5);
-  EXPECT_DEATH(tm.PredictProbabilityBatch(two_tuples, 3, &scratch, out),
-               "tuples\\.size\\(\\)");
+  const std::vector<Code> two_tuples = CodeTuples(&rng, 2);
+  EXPECT_DEATH(
+      tm.PredictProbabilityBatch(CodeRows{two_tuples, 4}, 3, &scratch, out),
+      "tuples\\.codes\\.size\\(\\)");
 }
 
 }  // namespace

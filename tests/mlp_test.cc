@@ -135,23 +135,23 @@ std::vector<double> RandomBatch(Rng* rng, int64_t count, int64_t width) {
   return x;
 }
 
-// Row-index input: each indexed row's output is bit-identical to Forward
-// on that row, whatever the order, repeats and count of the indices —
-// including ragged tile tails.
+// Row-index input of the training forward: each indexed row's output is
+// bit-identical to Forward on that row, whatever the order, repeats and
+// count of the indices — including ragged tile tails and the single-row
+// product.
 TEST(MlpTest, IndexedBatchMatchesPerRowForward) {
   Rng rng(7);
   Mlp mlp({6, 16, 8, 1}, &rng);
-  Mlp::BatchScratch scratch;
-  ASSERT_TRUE(mlp.PackWeights(&scratch));
+  Mlp::TrainScratch scratch;
   const int64_t x_rows = 40;
   const std::vector<double> x = RandomBatch(&rng, x_rows, 6);
-  std::vector<double> dense;
-  mlp.ForwardBatchInto(x, x_rows, &scratch, &dense);
+  const std::span<const double> all = mlp.ForwardTrain(x, x_rows, &scratch);
+  const std::vector<double> dense(all.begin(), all.end());
   for (const int64_t count : {1, 7, 8, 9, 33}) {
     std::vector<int64_t> rows;
     for (int64_t n = 0; n < count; ++n) rows.push_back((n * 13 + 5) % x_rows);
-    std::vector<double> got;
-    mlp.ForwardBatchInto(x, count, &scratch, &got, {}, rows);
+    const std::span<const double> got =
+        mlp.ForwardTrain(x, count, &scratch, rows);
     ASSERT_EQ(got.size(), static_cast<size_t>(count));
     for (int64_t n = 0; n < count; ++n) {
       const int64_t r = rows[static_cast<size_t>(n)];
@@ -201,8 +201,8 @@ std::vector<double> ExpandRows(const std::vector<Code>& codes) {
 // The gather-add first layer is bit-identical to the dense batch forward
 // on the expanded rows, with a -0.0 and an exactly-zero first-layer weight
 // and zero-valued codes, for a ReLU first layer and for a lone linear layer
-// (whose outputs keep the sign of a zero sum) — dense and indexed, across
-// tile tails.
+// (whose outputs keep the sign of a zero sum) — for all rows in order and
+// for indexed rows against the dense rows they name, across tile tails.
 TEST(MlpTest, CodeFormForwardMatchesDenseBitForBit) {
   Rng rng(13);
   for (const std::vector<int64_t>& sizes :
@@ -235,12 +235,17 @@ TEST(MlpTest, CodeFormForwardMatchesDenseBitForBit) {
     if (sizes.size() == 2) {
       EXPECT_EQ(Bits({&got[0], 1}), Bits(std::vector<double>{0.0}));
     }
+    const int64_t out = sizes.back();
     for (const int64_t count : {1, 7, 8, 9, 33}) {
       std::vector<int64_t> rows;
-      for (int64_t n = 0; n < count; ++n) rows.push_back((n * 13 + 5) % x_rows);
-      mlp.ForwardBatchInto(x, count, &scratch, &dense, {}, rows);
+      std::vector<double> want;
+      for (int64_t n = 0; n < count; ++n) {
+        rows.push_back((n * 13 + 5) % x_rows);
+        want.insert(want.end(), dense.begin() + rows.back() * out,
+                    dense.begin() + (rows.back() + 1) * out);
+      }
       mlp.ForwardCodesInto(block, count, &scratch, &got, rows);
-      EXPECT_EQ(Bits(got), Bits(dense)) << "count=" << count;
+      EXPECT_EQ(Bits(got), Bits(want)) << "count=" << count;
     }
   }
 }
@@ -458,12 +463,10 @@ TEST(MlpDeathTest, BatchForwardRejectsRaggedInput) {
 TEST(MlpDeathTest, IndexedBatchRejectsOutOfRangeRow) {
   Rng rng(12);
   Mlp mlp({4, 6, 1}, &rng);
-  Mlp::BatchScratch scratch;
-  std::vector<double> out;
+  Mlp::TrainScratch scratch;
   const std::vector<double> x(2 * 4, 0.5);  // Two rows.
   const std::vector<int64_t> rows = {1, 2};
-  EXPECT_DEATH(mlp.ForwardBatchInto(x, 2, &scratch, &out, {}, rows),
-               "r < x_rows");
+  EXPECT_DEATH(mlp.ForwardTrain(x, 2, &scratch, rows), "r < x_rows");
 }
 
 }  // namespace

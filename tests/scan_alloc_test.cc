@@ -1,10 +1,12 @@
-// Allocation tests for the block scan and for adaptation. A counting global
-// operator new tallies every heap allocation in the process. After a
-// warm-up, a full-table scan must not allocate per block: the same calls on
-// an 8-block table may allocate no more than on a 2-block table — directly
-// on a session and through the coalesced scheduler. Likewise adaptation must
-// not allocate per gradient step: StartExploration and ContinueExploration
-// at 40 online steps may allocate no more than at 4.
+// Allocation tests for the block scan, adaptation and suggestions. Counting
+// global operator new and delete tally every heap allocation and free in
+// the process. After a warm-up, a full-table scan must not allocate per
+// block: the same calls on an 8-block table may allocate no more than on a
+// 2-block table — directly on a session and through the coalesced
+// scheduler. Likewise adaptation must not allocate per gradient step:
+// StartExploration and ContinueExploration at 40 online steps may allocate
+// no more than at 4. And a SuggestTuples call frees everything it
+// allocates, so a session keeps no scratch between calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,12 @@
 
 namespace {
 std::atomic<int64_t> g_allocations{0};
+std::atomic<int64_t> g_frees{0};
+
+void CountFree(void* p) {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 // Out of line, so the compiler never sees malloc() inside one call and
@@ -32,9 +40,9 @@ std::atomic<int64_t> g_allocations{0};
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { CountFree(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  CountFree(p);
 }
 
 namespace lte::core {
@@ -208,6 +216,33 @@ void AdaptationAllocations(const data::Table& table, int64_t steps,
   before = g_allocations.load(std::memory_order_relaxed);
   ASSERT_TRUE(session.ContinueExploration(0, points, point_labels, &rng).ok());
   *continue_allocs = g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+// Allocations not yet freed.
+int64_t LiveAllocations() {
+  return g_allocations.load(std::memory_order_relaxed) -
+         g_frees.load(std::memory_order_relaxed);
+}
+
+// The encoded candidates, their probabilities and the batch buffers belong
+// to the call: one SuggestTuples leaves nothing allocated behind.
+TEST_F(ScanAllocTest, SuggestTuplesLeavesNothingResident) {
+  ExplorationSession session(model_, /*num_threads=*/1);
+  Rng rng(5);
+  ASSERT_TRUE(
+      session.StartExploration(UserLabels(*model_), Variant::kMetaStar, &rng)
+          .ok());
+  std::vector<std::vector<double>> candidates;
+  for (int64_t r = 0; r < 200; ++r) {
+    candidates.push_back(large_->RowProjected(r, {0, 1}));
+  }
+  const int64_t k = 5;
+  std::vector<int64_t> suggested;
+  suggested.reserve(k);
+  const int64_t before = LiveAllocations();
+  ASSERT_TRUE(session.SuggestTuples(0, candidates, k, &suggested).ok());
+  EXPECT_EQ(LiveAllocations(), before);
+  EXPECT_EQ(static_cast<int64_t>(suggested.size()), k);
 }
 
 TEST_F(ScanAllocTest, AdaptationAllocationsDoNotGrowWithSteps) {

@@ -210,11 +210,26 @@ TEST_P(EncoderModeTest, GatheredCodesExpandToGatheredDense) {
     enc.EncodeGatheredCodesInto(views, attrs, rows, &codes);
     std::vector<double> dense;
     enc.EncodeGatheredInto(views, attrs, rows, &dense);
+    // The same tuples as raw points, through the points encoders.
+    std::vector<std::vector<double>> points;
+    for (const int64_t r : rows) {
+      std::vector<double>& point = points.emplace_back();
+      for (const int64_t a : attrs) point.push_back(t.column(a).value(r));
+    }
+    std::vector<Code> point_codes;
+    enc.EncodePointsCodesInto(attrs, points, &point_codes);
+    std::vector<double> point_dense;
+    enc.EncodePointsInto(attrs, points, &point_dense);
     const int64_t per_row = enc.ProjectedCodeCount(attrs);
     const int64_t width = enc.ProjectedWidth(attrs);
     ASSERT_EQ(static_cast<int64_t>(codes.size()),
               per_row * static_cast<int64_t>(rows.size()));
+    ASSERT_EQ(point_codes.size(), codes.size());
+    for (size_t i = 0; i < codes.size(); ++i) {
+      EXPECT_EQ(point_codes[i].index, codes[i].index) << i;  // One layout.
+    }
     const CodeRows block{codes, per_row};
+    const CodeRows point_block{point_codes, per_row};
     for (size_t k = 0; k < rows.size(); ++k) {
       const auto row = static_cast<int64_t>(k);
       std::vector<double> ref;
@@ -225,6 +240,11 @@ TEST_P(EncoderModeTest, GatheredCodesExpandToGatheredDense) {
       }
       EXPECT_EQ(Bits(Expand(block.row(row), 0, width)), Bits(ref)) << k;
       EXPECT_EQ(Bits(std::span(dense).subspan(k * width, width)), Bits(ref))
+          << k;
+      EXPECT_EQ(Bits(Expand(point_block.row(row), 0, width)), Bits(ref))
+          << k;
+      EXPECT_EQ(
+          Bits(std::span(point_dense).subspan(k * width, width)), Bits(ref))
           << k;
     }
   }
