@@ -89,9 +89,14 @@ void BM_TabularEncodeRow(benchmark::State& state) {
     state.SkipWithError("encoder fit failed");
     return;
   }
-  const std::vector<double> row = table.Row(0);
+  // One full row (all 8 attributes) through the points encoder, as a
+  // one-tuple SuggestTuples or ContinueExploration call encodes it.
+  const std::vector<std::vector<double>> row = {table.Row(0)};
+  const std::vector<int64_t> attrs = {0, 1, 2, 3, 4, 5, 6, 7};
+  std::vector<lte::Code> codes;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.EncodeRow(row));
+    enc.EncodePointsCodesInto(attrs, row, &codes);
+    benchmark::DoNotOptimize(codes.data());
   }
 }
 BENCHMARK(BM_TabularEncodeRow);
@@ -192,27 +197,39 @@ void BM_SvmTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_SvmTrain)->Arg(30)->Arg(105);
 
-// One LocallyAdapt over `labels` random tuples at batch 10 for `steps`
-// steps, with a fresh task model per iteration.
+// One LocallyAdapt over `labels` tuples at batch 10 for `steps` steps, with
+// a fresh task model per iteration. The tuples are shaped like the
+// encoder's output at servebench's shapes: SDSS-like rows encoded on a 2-D
+// kCombined subspace, 8 codes in a 24-wide row.
 void RunAdaptation(benchmark::State& state,
-                   const lte::core::MetaLearnerOptions& opt, int64_t labels,
+                   lte::core::MetaLearnerOptions opt, int64_t labels,
                    int64_t steps) {
   lte::Rng rng(7);
+  const lte::data::Table table = lte::data::MakeSdssLike(2000, &rng);
+  lte::preprocess::TabularEncoder enc;
+  if (!enc.Fit(table, &rng).ok()) {
+    state.SkipWithError("encoder fit failed");
+    return;
+  }
+  const std::vector<int64_t> attrs = {0, 1};
+  std::vector<std::vector<double>> points;
+  std::vector<double> y;
+  for (int64_t i = 0; i < labels; ++i) {
+    const std::vector<double> row = table.Row(rng.UniformInt(2000));
+    points.push_back({row[0], row[1]});
+    y.push_back(rng.Bernoulli(0.5) ? 1.0 : 0.0);
+  }
+  std::vector<lte::Code> codes;
+  const lte::CodeRows x = enc.EncodePointsCodesInto(attrs, points, &codes);
+  opt.tuple_feature_dim = enc.ProjectedWidth(attrs);
   lte::core::MetaLearner learner(opt, &rng);
   std::vector<double> v_r(static_cast<size_t>(opt.uis_feature_dim));
   for (double& b : v_r) b = rng.Bernoulli(0.3) ? 1.0 : 0.0;
-  const auto x = RandomPoints(labels, opt.tuple_feature_dim, &rng);
-  std::vector<double> packed;
-  std::vector<double> y;
-  for (const auto& p : x) {
-    packed.insert(packed.end(), p.begin(), p.end());
-    y.push_back(p[0] > 0.5 ? 1.0 : 0.0);
-  }
   for (auto _ : state) {
     lte::core::TaskModel tm = learner.CreateTaskModel(v_r);
-    lte::core::LocallyAdapt(&tm, packed, y, steps, /*batch_size=*/10,
+    lte::core::LocallyAdapt(&tm, x, y, steps, /*batch_size=*/10,
                             /*lr=*/0.2, &rng);
-    benchmark::DoNotOptimize(tm.Logit(x[0]));
+    benchmark::DoNotOptimize(tm.support_grad_r().data());
   }
 }
 
@@ -223,7 +240,6 @@ void RunAdaptation(benchmark::State& state,
 void BM_TaskModelAdaptation(benchmark::State& state) {
   lte::core::MetaLearnerOptions opt;
   opt.uis_feature_dim = 100;
-  opt.tuple_feature_dim = 26;
   opt.embedding_size = 32;
   opt.clf_hidden = {32};
   RunAdaptation(state, opt, state.range(0), state.range(1));
@@ -236,7 +252,6 @@ BENCHMARK(BM_TaskModelAdaptation)->Args({30, 30})->Args({5, 40});
 void BM_TaskModelAdaptationServing(benchmark::State& state) {
   lte::core::MetaLearnerOptions opt;
   opt.uis_feature_dim = 50;
-  opt.tuple_feature_dim = 24;
   opt.embedding_size = 24;
   opt.clf_hidden = {24};
   RunAdaptation(state, opt, state.range(0), state.range(1));

@@ -12,6 +12,8 @@ namespace lte {
 struct Code {
   int64_t index = 0;
   double value = 0.0;
+
+  bool operator==(const Code&) const = default;
 };
 
 /// A block of code-form tuples: row k is `codes[k * per_row, (k + 1) *

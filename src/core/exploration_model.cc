@@ -132,23 +132,19 @@ Status ExplorationModel::Pretrain(const data::Table& table,
   if (!schedule.ok()) {
     return Status::InvalidArgument("explorer: " + schedule.message());
   }
-  subspaces_ = subspaces;
-  encoder_ = preprocess::TabularEncoder(options_.encoder);
-  LTE_RETURN_IF_ERROR(encoder_.Fit(table, rng));
-
-  subspace_models_.clear();
-  subspace_models_.resize(subspaces_.size());
-  task_generation_seconds_ = 0.0;
-  meta_training_seconds_ = 0.0;
+  // Built into locals and committed at the end, as Load does.
+  preprocess::TabularEncoder encoder(options_.encoder);
+  LTE_RETURN_IF_ERROR(encoder.Fit(table, rng));
+  std::vector<SubspaceModel> models(subspaces.size());
 
   // Phase 1 — clustering contexts and initial tuples, sequential on the
   // caller's stream (draw-for-draw the pre-parallel path, so the Basic
   // variant is unaffected by the offline parallelization).
-  for (size_t s = 0; s < subspaces_.size(); ++s) {
-    SubspaceModel& model = subspace_models_[s];
+  for (size_t s = 0; s < subspaces.size(); ++s) {
+    SubspaceModel& model = models[s];
     model.generator = MetaTaskGenerator(options_.task_gen);
     const std::vector<std::vector<double>> points =
-        data::ProjectRows(table, subspaces_[s]);
+        data::ProjectRows(table, subspaces[s]);
     LTE_RETURN_IF_ERROR(model.generator.Init(points, rng));
 
     // Initial tuples: the k_s centers of C^s plus Δ random sample tuples —
@@ -168,31 +164,32 @@ Status ExplorationModel::Pretrain(const data::Table& table,
   // on the shared pool. Subspace s trains on the key-split stream
   // fork_base.Fork(s): no lane ever touches another lane's RNG, which makes
   // the trained model bit-identical for any num_threads, including 1.
+  double task_generation_seconds = 0.0;
+  double meta_training_seconds = 0.0;
   if (train_meta) {
     Rng fork_base = rng->Fork();
-    const auto n = static_cast<int64_t>(subspaces_.size());
+    const auto n = static_cast<int64_t>(subspaces.size());
     std::vector<Status> statuses(static_cast<size_t>(n));
     std::vector<double> gen_seconds(static_cast<size_t>(n), 0.0);
     std::vector<double> train_seconds(static_cast<size_t>(n), 0.0);
     ThreadPool::Shared().ParallelFor(
         0, n, ResolveThreadCount(options_.num_threads), [&](int64_t s) {
-          SubspaceModel& model = subspace_models_[static_cast<size_t>(s)];
+          SubspaceModel& model = models[static_cast<size_t>(s)];
+          const std::vector<int64_t>& attrs =
+              subspaces[static_cast<size_t>(s)].attribute_indices;
           Rng sub_rng = fork_base.Fork(static_cast<uint64_t>(s));
           Stopwatch sw;
           const std::vector<MetaTask> tasks =
               model.generator.GenerateTaskSet(options_.num_meta_tasks,
                                               &sub_rng);
           const std::vector<EncodedMetaTask> encoded = EncodeTasks(
-              tasks, encoder_,
-              subspaces_[static_cast<size_t>(s)].attribute_indices,
-              options_.trainer.num_threads);
+              tasks, encoder, attrs, options_.trainer.num_threads);
           gen_seconds[static_cast<size_t>(s)] = sw.ElapsedSeconds();
 
           sw.Restart();
           MetaLearnerOptions lopt = options_.learner;
           lopt.uis_feature_dim = options_.task_gen.k_u;
-          lopt.tuple_feature_dim = encoder_.ProjectedWidth(
-              subspaces_[static_cast<size_t>(s)].attribute_indices);
+          lopt.tuple_feature_dim = encoder.ProjectedWidth(attrs);
           model.meta_learner = std::make_unique<MetaLearner>(lopt, &sub_rng);
           MetaTrainStats stats;
           statuses[static_cast<size_t>(s)] =
@@ -202,10 +199,15 @@ Status ExplorationModel::Pretrain(const data::Table& table,
         });
     for (int64_t s = 0; s < n; ++s) {
       LTE_RETURN_IF_ERROR(statuses[static_cast<size_t>(s)]);
-      task_generation_seconds_ += gen_seconds[static_cast<size_t>(s)];
-      meta_training_seconds_ += train_seconds[static_cast<size_t>(s)];
+      task_generation_seconds += gen_seconds[static_cast<size_t>(s)];
+      meta_training_seconds += train_seconds[static_cast<size_t>(s)];
     }
   }
+  encoder_ = std::move(encoder);
+  subspaces_ = subspaces;
+  subspace_models_ = std::move(models);
+  task_generation_seconds_ = task_generation_seconds;
+  meta_training_seconds_ = meta_training_seconds;
   pretrained_ = true;
   meta_trained_ = train_meta;
   RecomputeFingerprint();

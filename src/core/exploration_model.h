@@ -86,7 +86,9 @@ class ExplorationModel {
   /// subspace, selects the initial tuples, and — when `train_meta` is set —
   /// generates meta-tasks and meta-trains one meta-learner per subspace.
   /// `train_meta=false` prepares the Basic variant (no pre-training cost).
-  /// Build method: must not race with any other use of this model.
+  /// All or nothing: on an error Status the model keeps its previous state,
+  /// as after a failed Load; only `rng` has advanced. Build method: must not
+  /// race with any other use of this model.
   Status Pretrain(const data::Table& table,
                   const std::vector<data::Subspace>& subspaces,
                   bool train_meta, Rng* rng);

@@ -394,10 +394,10 @@ Status ExplorationSession::StartExploration(
         state.task_model =
             std::make_unique<TaskModel>(learner->CreateTaskModel(uis_feature));
 
-        std::vector<double> x;
-        model_->encoder().EncodePointsInto(
+        std::vector<Code> codes;
+        const CodeRows x = model_->encoder().EncodePointsCodesInto(
             model_->subspace(si)->attribute_indices, *model_->InitialTuples(si),
-            &x);
+            &codes);
         LocallyAdapt(state.task_model.get(), x, labels, options.online_steps,
                      options.online_batch_size, options.online_lr, &sub_rng);
         // Adaptation is done: warm the cached UIS embedding so the serving
@@ -502,12 +502,11 @@ Status ExplorationSession::SuggestTuples(
   if (candidates.empty()) return Status::OK();
 
   std::vector<Code> codes;
-  model_->encoder().EncodePointsCodesInto(attrs, candidates, &codes);
+  const CodeRows x =
+      model_->encoder().EncodePointsCodesInto(attrs, candidates, &codes);
   std::vector<double> probs(candidates.size());
   TaskModel::BatchScratch batch;
-  ForwardEncoded(
-      s, CodeRows{codes, model_->encoder().ProjectedCodeCount(attrs)}, {},
-      &batch, probs);
+  ForwardEncoded(s, x, {}, &batch, probs);
   state.policy->Select(probs, k, rng_.has_value() ? &*rng_ : nullptr,
                        suggested);
   return Status::OK();
@@ -546,9 +545,9 @@ Status ExplorationSession::ContinueExploration(
         "session: ContinueExploration before StartExploration");
   }
   const ExplorerOptions& options = model_->options();
-  std::vector<double> x;
-  model_->encoder().EncodePointsInto(model_->subspace(s)->attribute_indices,
-                                     points, &x);
+  std::vector<Code> codes;
+  const CodeRows x = model_->encoder().EncodePointsCodesInto(
+      model_->subspace(s)->attribute_indices, points, &codes);
   LocallyAdapt(state.task_model.get(), x, labels, options.online_steps,
                options.online_batch_size, options.online_lr, rng);
   state.task_model->WarmUisEmbedding();
@@ -576,9 +575,12 @@ Status ExplorationSession::ValidateServing(const data::Table& table) const {
 double ExplorationSession::PredictSubspaceUnchecked(
     int64_t s, const std::vector<double>& point) const {
   const SubspaceSession& state = states_[static_cast<size_t>(s)];
-  std::vector<double> encoded;
-  model_->encoder().EncodePointsInto(model_->subspace(s)->attribute_indices,
-                                     {&point, 1}, &encoded);
+  const std::vector<int64_t>& attrs = model_->subspace(s)->attribute_indices;
+  std::vector<Code> codes;
+  model_->encoder().EncodePointsCodesInto(attrs, {&point, 1}, &codes);
+  std::vector<double> encoded(
+      static_cast<size_t>(model_->encoder().ProjectedWidth(attrs)), 0.0);
+  for (const Code& c : codes) encoded[static_cast<size_t>(c.index)] = c.value;
   double pred = state.task_model->PredictProbability(encoded) > 0.5 ? 1.0 : 0.0;
   if (state.fpfn.has_value()) pred = state.fpfn->Refine(point, pred);
   return pred;

@@ -43,8 +43,8 @@ void PackConversion(const nn::Matrix& m_cp, nn::PackedLayer* packed) {
 // sequence of the reference MatVec, so the product stays bit-identical.
 void ConvertBatch(const nn::PackedLayer& mcp, const std::vector<double>& left,
                   const double* emb_tau, int64_t count, double* out) {
-  nn::ForwardBatchLayer(mcp, nn::DenseRows{emb_tau, mcp.in()}, /*rows=*/{},
-                        count, left.data(), /*relu=*/false, out);
+  nn::ForwardBatchLayer(mcp, nn::DenseRows{emb_tau, mcp.in()}, count,
+                        left.data(), /*relu=*/false, out);
 }
 
 // TaskModel::PredictProbabilityBatch slices the batch so the per-stage
@@ -248,13 +248,13 @@ Status MetaLearner::LoadFrom(BinaryReader* reader,
   return Status::OK();
 }
 
-double TaskModel::AccumulateBatch(std::span<const double> tuples,
+double TaskModel::AccumulateBatch(CodeRows tuples,
                                   std::span<const double> labels,
                                   std::span<const int64_t> rows,
                                   TrainScratch* scratch) {
-  const int64_t in_w = f_tau_.in_features();
-  LTE_CHECK_EQ(static_cast<int64_t>(tuples.size()),
-               static_cast<int64_t>(labels.size()) * in_w);
+  LTE_CHECK_GT(tuples.per_row, 0);
+  LTE_CHECK_EQ(static_cast<int64_t>(tuples.codes.size()),
+               static_cast<int64_t>(labels.size()) * tuples.per_row);
   const auto count = static_cast<int64_t>(rows.empty() ? labels.size()
                                                        : rows.size());
   LTE_CHECK_GT(count, 0);
@@ -543,21 +543,8 @@ void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
   }
   if (count == 0) return;
   if (!PrepareBatch(scratch)) {
-    // Full-width code rows run exactly the dense chain's terms.
-    const int64_t in_w = f_tau_.in_features();
-    std::vector<Code>& wide = scratch->expanded;
-    wide.resize(static_cast<size_t>(count * in_w));
-    for (int64_t n = 0; n < count; ++n) {
-      const int64_t r = rows.empty() ? n : rows[static_cast<size_t>(n)];
-      LTE_CHECK(r >= 0 && r < tuples.num_rows());
-      Code* row = wide.data() + n * in_w;
-      for (int64_t c = 0; c < in_w; ++c) row[c] = {c, 0.0};
-      for (const Code& c : tuples.row(r)) {
-        LTE_CHECK(c.index >= 0 && c.index < in_w);
-        row[c.index].value = c.value;
-      }
-    }
-    tuples = CodeRows{wide, in_w};
+    tuples = nn::WidenCodeRows(tuples, rows, count, f_tau_.in_features(),
+                               &scratch->expanded);
     rows = {};
   }
   for (int64_t s0 = 0; s0 < count; s0 += kSlice) {
@@ -580,16 +567,19 @@ void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
   }
 }
 
-double TaskModel::EvaluateLoss(std::span<const double> tuples,
+double TaskModel::EvaluateLoss(CodeRows tuples,
                                std::span<const double> labels) const {
-  const auto width = static_cast<size_t>(f_tau_.in_features());
-  LTE_CHECK_EQ(tuples.size(), labels.size() * width);
-  if (labels.empty()) return 0.0;
+  const auto count = static_cast<int64_t>(labels.size());
+  if (count == 0) return 0.0;
+  nn::CheckCodeRows(tuples, {}, count, f_tau_.in_features());
   double loss = 0.0;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    const auto tuple = tuples.subspan(i * width, width);
-    loss += nn::BceWithLogits(
-        Logit(std::vector<double>(tuple.begin(), tuple.end())), labels[i]);
+  std::vector<double> tuple;
+  for (int64_t i = 0; i < count; ++i) {
+    tuple.assign(static_cast<size_t>(f_tau_.in_features()), 0.0);
+    for (const Code& c : tuples.row(i)) {
+      tuple[static_cast<size_t>(c.index)] = c.value;
+    }
+    loss += nn::BceWithLogits(Logit(tuple), labels[static_cast<size_t>(i)]);
   }
   return loss / static_cast<double>(labels.size());
 }

@@ -66,14 +66,13 @@ class TaskModel {
   /// One SGD micro-step's worth of accumulated gradients over a minibatch:
   /// runs a batch forward and backward, adds gradients into the block
   /// accumulators, and returns the mean BCE loss. Call ApplyAccumulated() to
-  /// step. Tuple n of the minibatch is row `rows[n]` of `tuples` (row-major,
-  /// f_tau's input width per row) with label `labels[rows[n]]`; empty
-  /// `rows` = every row in order. Every accumulator receives exactly the
-  /// addition sequence of backpropagating the tuples one at a time in
-  /// minibatch order, so the step is bit-identical to the per-tuple
-  /// reference (tests/meta_learner_test.cc).
-  double AccumulateBatch(std::span<const double> tuples,
-                         std::span<const double> labels,
+  /// step. Tuple n of the minibatch is code row `rows[n]` of `tuples` (one
+  /// row per label) with label `labels[rows[n]]`; empty `rows` = every row
+  /// in order. Every accumulator receives exactly the addition sequence of
+  /// backpropagating the expanded tuples one at a time in minibatch order,
+  /// so the step is bit-identical to the per-tuple reference
+  /// (tests/meta_learner_test.cc).
+  double AccumulateBatch(CodeRows tuples, std::span<const double> labels,
                          std::span<const int64_t> rows,
                          TrainScratch* scratch);
 
@@ -115,27 +114,19 @@ class TaskModel {
     std::vector<double> logits;    // count x 1.
     std::vector<double> mcp_left;  // N_e: left half of M_cp applied to emb_R.
     std::vector<double> clf1_left; // f_clf layer-1 prefix over emb_R (kBasic).
-    /// The input rows widened to full-width code rows, when a first-layer
-    /// weight of f_tau is not finite.
-    std::vector<Code> expanded;
+    std::vector<Code> expanded;    // Widened rows, if need be.
   };
 
   /// Block counterpart of PredictProbability, the one batch inference entry:
-  /// writes P(interesting) for tuple n into `out[n]`, for `count` code-form
-  /// tuples of f_tau's input width. Tuple n is code row `rows[n]` of
-  /// `tuples`, read in place, so a caller forwards any subset of a shared
-  /// encoded block without copying it out; empty `rows` = row n, and
-  /// `tuples` then holds exactly `count` rows. Sizes and indices are
-  /// LTE_CHECKed. f_tau's first layer is a gather-add over the codes
-  /// (Mlp::ForwardCodesInto). Each probability is bit-identical to
-  /// PredictProbability on the expanded tuple — the batch runs the same
-  /// operation sequence per row (the constant left half of the
-  /// M_cp · [emb_R; emb_tau] product is evaluated once per call, which is
-  /// exactly the per-row accumulation prefix, so the sum is unchanged).
-  /// When a first-layer weight of f_tau is not finite the gather-add is not
-  /// exact (0 · ∞ is NaN, not ±0), so every row is first widened to a
-  /// full-width code row: each input in ascending order, +0.0 where the row
-  /// has no code. Same thread-safety contract as Logit.
+  /// writes P(interesting) for tuple n into `out[n]`, for `count` code rows
+  /// of f_tau's input width: row `rows[n]` of `tuples`, read in place, or
+  /// row n when `rows` is empty. Sizes and indices are LTE_CHECKed. Each
+  /// probability is bit-identical to PredictProbability on the expanded
+  /// tuple: f_tau's first layer is a gather-add over the codes
+  /// (Mlp::ForwardCodesInto), on rows widened first (nn::WidenCodeRows)
+  /// when one of its weights is not finite, and M_cp's emb_R half is the
+  /// per-row sum's prefix, evaluated once per call. Same thread-safety
+  /// contract as Logit.
   void PredictProbabilityBatch(CodeRows tuples, int64_t count,
                                BatchScratch* scratch, std::span<double> out,
                                std::span<const int64_t> rows = {}) const;
@@ -145,11 +136,9 @@ class TaskModel {
   /// between adaptation (single-threaded) and serving (parallel scans).
   void WarmUisEmbedding();
 
-  /// Mean BCE loss over a labelled set (no gradient accumulation): one
-  /// encoded tuple per label in `tuples`, row-major — the layout
-  /// AccumulateBatch reads.
-  double EvaluateLoss(std::span<const double> tuples,
-                      std::span<const double> labels) const;
+  /// Mean BCE loss over a labelled set (no gradient accumulation), one code
+  /// row per label: the layout AccumulateBatch reads.
+  double EvaluateLoss(CodeRows tuples, std::span<const double> labels) const;
 
   const std::vector<double>& attention() const { return attention_; }
   const std::vector<double>& uis_feature() const { return uis_feature_; }

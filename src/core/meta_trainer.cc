@@ -21,19 +21,18 @@ std::vector<EncodedMetaTask> EncodeTasks(
         e.uis_feature = t.uis_feature;
         e.support_y = t.support_labels;
         e.query_y = t.query_labels;
-        encoder.EncodePointsInto(attrs, t.support_points, &e.support_x);
-        encoder.EncodePointsInto(attrs, t.query_points, &e.query_x);
+        e.codes_per_row = encoder.ProjectedCodeCount(attrs);
+        encoder.EncodePointsCodesInto(attrs, t.support_points, &e.support_x);
+        encoder.EncodePointsCodesInto(attrs, t.query_points, &e.query_x);
       });
   return out;
 }
 
-void LocallyAdapt(TaskModel* model, std::span<const double> x,
-                  const std::vector<double>& y, int64_t steps,
-                  int64_t batch_size, double lr, Rng* rng,
+void LocallyAdapt(TaskModel* model, CodeRows x, const std::vector<double>& y,
+                  int64_t steps, int64_t batch_size, double lr, Rng* rng,
                   double max_grad_norm) {
   LTE_CHECK(!y.empty());
-  LTE_CHECK_EQ(static_cast<int64_t>(x.size()),
-               static_cast<int64_t>(y.size()) * model->f_tau().in_features());
+  LTE_CHECK_EQ(x.num_rows(), static_cast<int64_t>(y.size()));
   LTE_CHECK_GT(batch_size, 0);
   const auto n = static_cast<int64_t>(y.size());
   // Each step names its minibatch by row index, and one scratch serves
@@ -119,7 +118,7 @@ Status MetaTrain(const std::vector<EncodedMetaTask>& tasks,
         const EncodedMetaTask& task =
             tasks[static_cast<size_t>(order[start + static_cast<size_t>(i)])];
         TaskModel tm = learner->CreateTaskModel(task.uis_feature);
-        LocallyAdapt(&tm, task.support_x, task.support_y, options.local_steps,
+        LocallyAdapt(&tm, task.support(), task.support_y, options.local_steps,
                      options.local_batch_size, options.local_lr,
                      &task_rngs[static_cast<size_t>(i)]);
         // Global phase contribution (lines 12-13): query-set gradients at
@@ -128,7 +127,7 @@ Status MetaTrain(const std::vector<EncodedMetaTask>& tasks,
         tm.ZeroGrad();
         TaskModel::TrainScratch scratch;
         results[static_cast<size_t>(i)].query_loss =
-            tm.AccumulateBatch(task.query_x, task.query_y, {}, &scratch);
+            tm.AccumulateBatch(task.query(), task.query_y, {}, &scratch);
         results[static_cast<size_t>(i)].model = std::move(tm);
       };
 

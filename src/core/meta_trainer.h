@@ -2,9 +2,9 @@
 #define LTE_CORE_META_TRAINER_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
+#include "common/codes.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/meta_learner.h"
@@ -14,13 +14,18 @@
 namespace lte::core {
 
 /// A meta-task with pre-encoded support/query tuples, ready for training:
-/// `support_x`/`query_x` hold one encoded tuple per label, row-major.
+/// `support_x`/`query_x` hold one code row of `codes_per_row` codes per
+/// label (TabularEncoder::EncodePointsCodesInto).
 struct EncodedMetaTask {
   std::vector<double> uis_feature;
-  std::vector<double> support_x;
+  std::vector<Code> support_x;
   std::vector<double> support_y;
-  std::vector<double> query_x;
+  std::vector<Code> query_x;
   std::vector<double> query_y;
+  int64_t codes_per_row = 0;
+
+  CodeRows support() const { return {support_x, codes_per_row}; }
+  CodeRows query() const { return {query_x, codes_per_row}; }
 };
 
 /// Encodes a generated task set (raw points over `attrs`) once so every
@@ -90,12 +95,11 @@ struct MetaTrainStats {
 /// SGD steps of minibatches drawn from the labelled set, with gradient
 /// clipping (`max_grad_norm`; <= 0 disables). This same routine fast-adapts
 /// the meta-learner online with user labels. `x` holds one encoded tuple per
-/// label in `y`, row-major; each step names its minibatch by row index and
-/// reuses one TaskModel::TrainScratch, so the allocations of a call do not
-/// grow with `steps`. Requires a non-empty set and `batch_size` > 0.
-void LocallyAdapt(TaskModel* model, std::span<const double> x,
-                  const std::vector<double>& y, int64_t steps,
-                  int64_t batch_size, double lr, Rng* rng,
+/// label in `y`, as code rows; each step names its minibatch by row index
+/// and reuses one TaskModel::TrainScratch, so the allocations of a call do
+/// not grow with `steps`. Requires a non-empty set and `batch_size` > 0.
+void LocallyAdapt(TaskModel* model, CodeRows x, const std::vector<double>& y,
+                  int64_t steps, int64_t batch_size, double lr, Rng* rng,
                   double max_grad_norm = 1.0);
 
 /// Meta-trains `learner` over `tasks` (paper Algorithm 2): per task, a local

@@ -51,8 +51,8 @@ Status ExperimentRunner::Init() {
   LTE_RETURN_IF_ERROR(normalizer_.Fit(raw_table_));
   normalized_table_ = data::Table(raw_table_.AttributeNames());
   for (int64_t r = 0; r < raw_table_.num_rows(); ++r) {
-    LTE_RETURN_IF_ERROR(
-        normalized_table_.AppendRow(normalizer_.TransformRow(raw_table_.Row(r))));
+    LTE_RETURN_IF_ERROR(normalized_table_.AppendRow(
+        normalizer_.TransformRow(raw_table_.Row(r))));
   }
 
   eval_rows_ = data::SampleRowIndices(normalized_table_,
@@ -258,14 +258,17 @@ Status ExperimentRunner::RunSubspaceSvm(bool encoded,
   std::vector<svm::Svm> models(static_cast<size_t>(active));
   int64_t labels_used = 0;
   Stopwatch sw;
-  // SVM^r learns on the encoded tuple, SVM on the raw one.
+  // SVM^r learns on the dense encoded tuple, SVM on the raw one.
   const auto featurize = [&](int64_t s, const std::vector<double>& point) {
     if (!encoded) return point;
-    std::vector<double> features;
-    model.encoder().EncodePointsInto(
-        uir.subspaces[static_cast<size_t>(s)].attribute_indices, {&point, 1},
-        &features);
-    return features;
+    const std::vector<int64_t>& attrs =
+        uir.subspaces[static_cast<size_t>(s)].attribute_indices;
+    std::vector<Code> codes;
+    model.encoder().EncodePointsCodesInto(attrs, {&point, 1}, &codes);
+    std::vector<double> dense(
+        static_cast<size_t>(model.encoder().ProjectedWidth(attrs)), 0.0);
+    for (const Code& c : codes) dense[static_cast<size_t>(c.index)] = c.value;
+    return dense;
   };
   for (int64_t s = 0; s < active; ++s) {
     std::vector<std::vector<double>> x;
@@ -285,7 +288,8 @@ Status ExperimentRunner::RunSubspaceSvm(bool encoded,
   const auto predict = [&](const std::vector<double>& row) -> double {
     for (int64_t s = 0; s < active; ++s) {
       std::vector<double> point;
-      for (int64_t a : uir.subspaces[static_cast<size_t>(s)].attribute_indices) {
+      const data::Subspace& subspace = uir.subspaces[static_cast<size_t>(s)];
+      for (int64_t a : subspace.attribute_indices) {
         point.push_back(row[static_cast<size_t>(a)]);
       }
       if (models[static_cast<size_t>(s)].Predict(featurize(s, point)) < 0.5) {

@@ -29,12 +29,9 @@ constexpr int kChunkVecs = 6;
 // Terms of dense rows: term k of a row is (input skip + k, x[k]).
 struct DenseTerms {
   DenseRows x;
-  std::span<const int64_t> rows;
 
   int64_t per_row() const { return x.width; }
-  const double* row(int64_t n) const {
-    return x.x + (rows.empty() ? n : rows[static_cast<size_t>(n)]) * x.width;
-  }
+  const double* row(int64_t n) const { return x.x + n * x.width; }
   int64_t index(const double* /*row*/, int64_t k) const { return x.skip + k; }
   double value(const double* row, int64_t k) const { return row[k]; }
 };
@@ -216,26 +213,46 @@ void PackedLayer::Pack(const double* w, int64_t w_stride, int64_t in,
   }
 }
 
-void ForwardBatchLayer(const PackedLayer& layer, DenseRows x,
-                       std::span<const int64_t> rows, int64_t count,
+void ForwardBatchLayer(const PackedLayer& layer, DenseRows x, int64_t count,
                        const double* init, bool relu, double* dst) {
   LTE_CHECK_EQ(x.skip + x.width, layer.in());
   LTE_CHECK(x.skip == 0 || init != nullptr);
-  Forward(layer, DenseTerms{x, rows}, count, init, relu, dst);
+  Forward(layer, DenseTerms{x}, count, init, relu, dst);
 }
 
 void ForwardBatchLayer(const PackedLayer& layer, CodeRows x,
                        std::span<const int64_t> rows, int64_t count, bool relu,
                        double* dst) {
+  CheckCodeRows(x, rows, count, layer.in());
+  Forward(layer, CodeTerms{x, rows}, count, /*init=*/nullptr, relu, dst);
+}
+
+void CheckCodeRows(CodeRows x, std::span<const int64_t> rows, int64_t count,
+                   int64_t width) {
   LTE_CHECK_GT(x.per_row, 0);
+  LTE_CHECK_EQ(static_cast<int64_t>(x.codes.size()) % x.per_row, 0);
+  LTE_CHECK_EQ(rows.empty() ? x.num_rows() : static_cast<int64_t>(rows.size()),
+               count);
   for (int64_t n = 0; n < count; ++n) {
     const int64_t r = rows.empty() ? n : rows[static_cast<size_t>(n)];
     LTE_CHECK(r >= 0 && r < x.num_rows());
-    for (const Code& c : x.row(r)) {
-      LTE_CHECK(c.index >= 0 && c.index < layer.in());
+    for (const Code& c : x.row(r)) LTE_CHECK(c.index >= 0 && c.index < width);
+  }
+}
+
+CodeRows WidenCodeRows(CodeRows x, std::span<const int64_t> rows,
+                       int64_t count, int64_t width, std::vector<Code>* wide) {
+  CheckCodeRows(x, rows, count, width);
+  wide->resize(static_cast<size_t>(count * width));
+  for (int64_t n = 0; n < count; ++n) {
+    Code* row = wide->data() + n * width;
+    for (int64_t c = 0; c < width; ++c) row[c] = {c, 0.0};
+    for (const Code& c :
+         x.row(rows.empty() ? n : rows[static_cast<size_t>(n)])) {
+      row[c.index].value = c.value;
     }
   }
-  Forward(layer, CodeTerms{x, rows}, count, /*init=*/nullptr, relu, dst);
+  return CodeRows{*wide, width};
 }
 
 }  // namespace lte::nn

@@ -46,34 +46,43 @@ struct DenseRows {
   int64_t skip = 0;
 };
 
-/// The batch layer kernel: forwards `count` rows through `layer` into `dst`
-/// (count x layer.out(), row-major). Row n is input row `rows[n]`, or row n
-/// when `rows` is empty. Output o of a row starts at +0.0, or at init[o]
-/// when `init` is non-null (the running sum over inputs every row shares,
-/// e.g. the skipped head), adds W[o][c] * x[c] in ascending input order, then the bias (if the layer has
-/// one), then the ReLU s > 0 ? s : 0 when `relu` is set: the operation
-/// sequence of Linear::Forward on that row, so each output is bit-identical
-/// to it. `x` must hold every row `rows` names (callers check; the kernel
-/// sees only the pointer).
+/// The batch layer kernel: forwards `count` rows of `x` through `layer` into
+/// `dst` (count x layer.out(), row-major). Output o of a row starts at +0.0,
+/// or at init[o] when `init` is non-null (the running sum over inputs every
+/// row shares, e.g. the skipped head), adds W[o][c] * x[c] in ascending
+/// input order, then the bias (if the layer has one), then the ReLU
+/// s > 0 ? s : 0 when `relu` is set: the operation sequence of
+/// Linear::Forward on that row, so each output is bit-identical to it. `x`
+/// must hold `count` rows (callers check; the kernel sees only the pointer).
 ///
 /// The kernel is output-major: a row keeps a chunk of 12 outputs in six
 /// two-double SSE2 accumulators (the x86-64 baseline; generic vectors
 /// elsewhere) and, per input, adds that input's 12 packed weights times its
 /// value. A layer narrower than a chunk keeps several rows in flight, so a
 /// 24 -> 1 logit layer still runs six independent chains.
-void ForwardBatchLayer(const PackedLayer& layer, DenseRows x,
-                       std::span<const int64_t> rows, int64_t count,
+void ForwardBatchLayer(const PackedLayer& layer, DenseRows x, int64_t count,
                        const double* init, bool relu, double* dst);
 
-/// The same kernel over code-form rows: input row r is code row r of `x`,
-/// the dense row that is zero except at its codes, whose terms are
-/// W[o][index] * value over the codes in stored (ascending index) order,
-/// starting at +0.0. With finite weights this is bit-identical to the dense
-/// row's chain (Mlp::ForwardCodesInto). `rows` and code indices are
-/// LTE_CHECKed.
+/// The same kernel over code-form rows: row n is code row `rows[n]` of `x`
+/// (row n when `rows` is empty), the dense row that is zero except at its
+/// codes, whose terms are W[o][index] * value over the codes in stored
+/// (ascending index) order, starting at +0.0. With finite weights this is
+/// bit-identical to the dense row's chain (Mlp::ForwardCodesInto).
 void ForwardBatchLayer(const PackedLayer& layer, CodeRows x,
                        std::span<const int64_t> rows, int64_t count, bool relu,
                        double* dst);
+
+/// LTE_CHECKs a code-form batch of `count` rows, all of `x` or the rows
+/// `rows` names: each row in range, each code index in [0, width).
+void CheckCodeRows(CodeRows x, std::span<const int64_t> rows, int64_t count,
+                   int64_t width);
+
+/// The exact fallback of the code-form kernels for non-finite weights or
+/// gradients: writes the batch's rows to `*wide` as full-width code rows
+/// (input c of `width` holds the row's value or +0.0) and returns them.
+/// Their terms are exactly the dense rows', 0 * inf = NaN included.
+CodeRows WidenCodeRows(CodeRows x, std::span<const int64_t> rows,
+                       int64_t count, int64_t width, std::vector<Code>* wide);
 
 }  // namespace lte::nn
 

@@ -3,8 +3,41 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "nn/batch_layer.h"
 
 namespace lte::nn {
+namespace {
+
+int64_t BatchCount(std::span<const double> grad_out, int64_t out_w) {
+  LTE_CHECK_EQ(static_cast<int64_t>(grad_out.size()) % out_w, 0);
+  return static_cast<int64_t>(grad_out.size()) / out_w;
+}
+
+// dW += g_n x_n^T and db += g_n for each row n of `g`. dW's output row o is
+// outer and the batch rows inner, so each dW[o][c] still sums its per-row
+// terms in batch order while dW's row o stays in L1 across the batch. A zero
+// g_n[o] adds nothing, as Matrix::AddOuter skips it. `add_row(n, go, dst)`
+// adds go times row n's inputs into dW's row `dst`.
+template <typename AddRow>
+void Accumulate(std::span<const double> g, Matrix* gw, std::vector<double>* gb,
+                AddRow add_row) {
+  const auto out_w = static_cast<int64_t>(gb->size());
+  const int64_t count = static_cast<int64_t>(g.size()) / out_w;
+  for (int64_t o = 0; o < out_w; ++o) {
+    double* dst = gw->mutable_data()->data() + o * gw->cols();
+    for (int64_t n = 0; n < count; ++n) {
+      const double go = g[static_cast<size_t>(n * out_w + o)];
+      if (go != 0.0) add_row(n, go, dst);
+    }
+  }
+  for (int64_t n = 0; n < count; ++n) {
+    for (int64_t o = 0; o < out_w; ++o) {
+      (*gb)[static_cast<size_t>(o)] += g[static_cast<size_t>(n * out_w + o)];
+    }
+  }
+}
+
+}  // namespace
 
 Linear::Linear(int64_t in_features, int64_t out_features, Rng* rng)
     : weights_(out_features, in_features),
@@ -21,45 +54,20 @@ std::vector<double> Linear::Forward(const std::vector<double>& x) const {
 }
 
 void Linear::BackwardBatch(std::span<const double> x,
-                           std::span<const int64_t> rows,
                            std::span<const double> grad_out,
                            std::span<double> grad_in) {
   const int64_t in_w = in_features();
   const int64_t out_w = out_features();
-  LTE_CHECK_EQ(static_cast<int64_t>(grad_out.size()) % out_w, 0);
-  const int64_t count = static_cast<int64_t>(grad_out.size()) / out_w;
-  LTE_CHECK_EQ(static_cast<int64_t>(x.size()) % in_w, 0);
-  const int64_t x_rows = static_cast<int64_t>(x.size()) / in_w;
-  if (rows.empty()) {
-    LTE_CHECK_EQ(x_rows, count);
-  } else {
-    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
-    for (const int64_t r : rows) LTE_CHECK(r >= 0 && r < x_rows);
-  }
-  const auto row = [&](int64_t n) {
-    return x.data() + (rows.empty() ? n : rows[static_cast<size_t>(n)]) * in_w;
-  };
-  const double* g = grad_out.data();
-  // dW: output row o outer, batch rows inner. Each dW[o][c] still sums its
-  // per-row terms in batch order, while dW's row o stays in L1 across the
-  // batch.
-  double* gw = grad_weights_.mutable_data()->data();
-  for (int64_t o = 0; o < out_w; ++o) {
-    double* dst = gw + o * in_w;
-    for (int64_t n = 0; n < count; ++n) {
-      const double go = g[n * out_w + o];
-      if (go == 0.0) continue;
-      const double* xn = row(n);
-      for (int64_t c = 0; c < in_w; ++c) dst[c] += go * xn[c];
-    }
-  }
-  for (int64_t n = 0; n < count; ++n) {
-    for (int64_t o = 0; o < out_w; ++o) {
-      grad_bias_[static_cast<size_t>(o)] += g[n * out_w + o];
-    }
-  }
+  const int64_t count = BatchCount(grad_out, out_w);
+  LTE_CHECK_EQ(static_cast<int64_t>(x.size()), count * in_w);
+  Accumulate(grad_out, &grad_weights_, &grad_bias_,
+             [&](int64_t n, double go, double* dst) {
+               const double* xn = x.data() + n * in_w;
+               for (int64_t c = 0; c < in_w; ++c) dst[c] += go * xn[c];
+             });
   if (grad_in.empty()) return;
   LTE_CHECK_EQ(static_cast<int64_t>(grad_in.size()), count * in_w);
+  const double* g = grad_out.data();
   const double* w = weights_.data().data();
   for (int64_t n = 0; n < count; ++n) {
     double* gi = grad_in.data() + n * in_w;
@@ -71,6 +79,18 @@ void Linear::BackwardBatch(std::span<const double> x,
       for (int64_t c = 0; c < in_w; ++c) gi[c] += wo[c] * go;
     }
   }
+}
+
+void Linear::BackwardCodes(CodeRows x, std::span<const int64_t> rows,
+                           std::span<const double> grad_out) {
+  CheckCodeRows(x, rows, BatchCount(grad_out, out_features()), in_features());
+  Accumulate(grad_out, &grad_weights_, &grad_bias_,
+             [&](int64_t n, double go, double* dst) {
+               for (const Code& c :
+                    x.row(rows.empty() ? n : rows[static_cast<size_t>(n)])) {
+                 dst[c.index] += go * c.value;
+               }
+             });
 }
 
 void Linear::ZeroGrad() {

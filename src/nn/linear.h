@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "common/codes.h"
 #include "common/rng.h"
 #include "nn/matrix.h"
 
@@ -26,18 +27,23 @@ class Linear {
   /// y = W x + b.
   std::vector<double> Forward(const std::vector<double>& x) const;
 
-  /// Batch backward over the rows of `grad_out` (count x out_features()
-  /// gradients w.r.t. the layer output). Row n's input is row n of `x`, or
-  /// row `rows[n]` of `x` when `rows` is non-empty (x row-major,
-  /// in_features() doubles per row). For each row in order, accumulates
-  /// dW += g_n x_n^T, skipping the zero entries of g_n as Matrix::AddOuter
-  /// does, and db += g_n; so every accumulator receives exactly the addition
-  /// sequence of backpropagating the rows one at a time. When `grad_in` is
-  /// non-empty it receives count x in_features() input gradients
-  /// W^T g_n, accumulated like Matrix::TransposeMatVec; empty skips them.
-  void BackwardBatch(std::span<const double> x, std::span<const int64_t> rows,
+  /// Batch backward over the rows of `grad_out` (gradients w.r.t. the layer
+  /// output) and of `x` (the inputs, row-major). For each row in order,
+  /// accumulates dW += g_n x_n^T, skipping the zero entries of g_n as
+  /// Matrix::AddOuter does, and db += g_n: the addition sequence of
+  /// backpropagating the rows one at a time. A non-empty `grad_in` receives
+  /// the input gradients W^T g_n, accumulated like Matrix::TransposeMatVec.
+  void BackwardBatch(std::span<const double> x,
                      std::span<const double> grad_out,
                      std::span<double> grad_in);
+
+  /// BackwardBatch over code rows (row n is code row `rows[n]` of `x`, or
+  /// row n) without the input gradient: dW gains g_n[o] * value over row
+  /// n's codes only. The skipped terms g_n[o] * (+0.0) change no bit for a
+  /// finite g_n[o] (DESIGN.md §2g); callers widen the rows (WidenCodeRows)
+  /// when a gradient is not finite.
+  void BackwardCodes(CodeRows x, std::span<const int64_t> rows,
+                     std::span<const double> grad_out);
 
   void ZeroGrad();
 

@@ -10,24 +10,12 @@ namespace lte::nn {
 namespace {
 
 /// Validates a batch input's shape and returns the implied shared-head
-/// width. The modulo check runs before the width division: a ragged `x`
-/// whose size is not a multiple of `count` used to silently floor-divide
-/// into a garbage head width — now it aborts naming both sizes. Indexed
-/// rows carry every feature, so `x` holds whole rows and every index must
-/// name one of them.
+/// width. A ragged `x`, whose size is not a multiple of `count`, aborts
+/// naming both sizes before the width division.
 int64_t CheckedBatchHeadWidth(size_t x_size, int64_t count,
                               int64_t in_features, size_t prefix_size,
-                              int64_t first_layer_out,
-                              std::span<const int64_t> rows) {
+                              int64_t first_layer_out) {
   LTE_CHECK_GE(count, 0);
-  if (!rows.empty()) {
-    LTE_CHECK_EQ(prefix_size, 0u);
-    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
-    LTE_CHECK_EQ(static_cast<int64_t>(x_size) % in_features, 0);
-    const int64_t x_rows = static_cast<int64_t>(x_size) / in_features;
-    for (const int64_t r : rows) LTE_CHECK(r >= 0 && r < x_rows);
-    return 0;
-  }
   LTE_CHECK_MSG(
       count == 0 || x_size % static_cast<size_t>(count) == 0,
       ("batch forward: x.size()=" + std::to_string(x_size) +
@@ -47,6 +35,13 @@ int64_t CheckedBatchHeadWidth(size_t x_size, int64_t count,
                  count * (in_features - head_w));
   }
   return head_w;
+}
+
+bool AllFinite(std::span<const double> v) {
+  for (const double x : v) {
+    if (!std::isfinite(x)) return false;
+  }
+  return true;
 }
 
 void PackLayer(const Linear& l, PackedLayer* packed) {
@@ -75,10 +70,51 @@ void ForwardLayersFrom(size_t from, const double* in, int64_t count,
     std::vector<double>* dst =
         last ? out : (in == scratch->a.data() ? &scratch->b : &scratch->a);
     dst->resize(static_cast<size_t>(count * packed[i].out()));
-    ForwardBatchLayer(packed[i], DenseRows{in, packed[i].in()}, /*rows=*/{},
-                      count, /*init=*/nullptr, /*relu=*/!last, dst->data());
+    ForwardBatchLayer(packed[i], DenseRows{in, packed[i].in()}, count,
+                      /*init=*/nullptr, /*relu=*/!last, dst->data());
     in = dst->data();
   }
+}
+
+// The training forward over the input `*scratch` records (dense `x`, or
+// `codes` named by `rows`), keeping each layer's output; returns the last.
+std::span<const double> TrainForward(std::span<const Linear> layers,
+                                     int64_t count,
+                                     Mlp::TrainScratch* scratch) {
+  scratch->outputs.resize(layers.size());
+  const double* in = scratch->x.data();
+  for (size_t i = 0; i < layers.size(); ++i) {
+    const Linear& l = layers[i];
+    const bool relu = i + 1 < layers.size();
+    std::vector<double>& dst = scratch->outputs[i];
+    dst.resize(static_cast<size_t>(count * l.out_features()));
+    if (i == 0 && scratch->codes.per_row > 0) {
+      PackLayer(l, &scratch->packed);
+      ForwardBatchLayer(scratch->packed, scratch->codes, scratch->rows, count,
+                        relu, dst.data());
+    } else if (count == 1) {
+      // A single row (f_R's, every step) runs Linear::Forward's own
+      // row-major product: packing the weights by input would cost as much
+      // as the row itself.
+      DotRows(l.weights().data().data(), l.in_features(), l.out_features(),
+              std::span<const double>(in, static_cast<size_t>(
+                                              l.in_features())),
+              nullptr, dst.data());
+      for (int64_t o = 0; o < l.out_features(); ++o) {
+        const double v = dst[static_cast<size_t>(o)] +
+                         l.bias()[static_cast<size_t>(o)];
+        dst[static_cast<size_t>(o)] = relu ? (v > 0.0 ? v : 0.0) : v;
+      }
+    } else {
+      // One layer packed at a time: the backward reads the layers' own
+      // weights, so the packed copy is dead once the layer has run.
+      PackLayer(l, &scratch->packed);
+      ForwardBatchLayer(scratch->packed, DenseRows{in, l.in_features()},
+                        count, /*init=*/nullptr, relu, dst.data());
+    }
+    in = dst.data();
+  }
+  return scratch->outputs.back();
 }
 
 }  // namespace
@@ -117,10 +153,7 @@ bool Mlp::PackWeights(BatchScratch* scratch) const {
   for (size_t i = 0; i < layers_.size(); ++i) {
     PackLayer(layers_[i], &scratch->packed[i]);
   }
-  for (const double w : layers_.front().weights().data()) {
-    if (!std::isfinite(w)) return false;
-  }
-  return true;
+  return AllFinite(layers_.front().weights().data());
 }
 
 void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
@@ -131,7 +164,7 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
   const int64_t head_w =
       CheckedBatchHeadWidth(x.size(), count, in_features(),
                             first_layer_prefix.size(),
-                            layers_.front().out_features(), /*rows=*/{});
+                            layers_.front().out_features());
   CheckPacked(layers_, scratch->packed);
   const PackedLayer& first = scratch->packed.front();
   const bool last = layers_.size() == 1;
@@ -143,8 +176,7 @@ void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
   // accumulators start from the precomputed prefix.
   const int64_t skip = first_layer_prefix.empty() ? 0 : head_w;
   ForwardBatchLayer(first, DenseRows{x.data(), in_features() - skip, skip},
-                    /*rows=*/{}, count,
-                    skip > 0 ? first_layer_prefix.data() : nullptr,
+                    count, skip > 0 ? first_layer_prefix.data() : nullptr,
                     /*relu=*/!last, dst->data());
   ForwardLayersFrom(1, dst->data(), count, scratch, out);
 }
@@ -153,15 +185,7 @@ void Mlp::ForwardCodesInto(CodeRows x, int64_t count, BatchScratch* scratch,
                            std::vector<double>* out,
                            std::span<const int64_t> rows) const {
   LTE_CHECK(!layers_.empty());
-  LTE_CHECK_GE(count, 0);
-  LTE_CHECK_GT(x.per_row, 0);
-  LTE_CHECK_EQ(static_cast<int64_t>(x.codes.size()) % x.per_row, 0);
-  if (rows.empty()) {
-    LTE_CHECK_EQ(x.num_rows(), count);
-  } else {
-    LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
-    for (const int64_t r : rows) LTE_CHECK(r >= 0 && r < x.num_rows());
-  }
+  LTE_CHECK_GE(count, 0);  // The kernel checks the rows and codes.
   CheckPacked(layers_, scratch->packed);
   const PackedLayer& first = scratch->packed.front();
   const bool last = layers_.size() == 1;
@@ -172,56 +196,58 @@ void Mlp::ForwardCodesInto(CodeRows x, int64_t count, BatchScratch* scratch,
 }
 
 std::span<const double> Mlp::ForwardTrain(std::span<const double> x,
-                                          int64_t count, TrainScratch* scratch,
+                                          int64_t count,
+                                          TrainScratch* scratch) const {
+  LTE_CHECK(!layers_.empty());
+  LTE_CHECK_GE(count, 0);
+  LTE_CHECK_EQ(static_cast<int64_t>(x.size()), count * in_features());
+  scratch->x = x;
+  scratch->codes = {};
+  scratch->rows = {};
+  return TrainForward(layers_, count, scratch);
+}
+
+std::span<const double> Mlp::ForwardTrain(CodeRows x, int64_t count,
+                                          TrainScratch* scratch,
                                           std::span<const int64_t> rows) const {
   LTE_CHECK(!layers_.empty());
-  CheckedBatchHeadWidth(x.size(), count, in_features(), 0, 0, rows);
-  scratch->x = x;
-  scratch->rows = rows;
-  scratch->outputs.resize(layers_.size());
-  const double* in = x.data();
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const Linear& l = layers_[i];
-    const bool relu = i + 1 < layers_.size();
-    std::vector<double>& dst = scratch->outputs[i];
-    dst.resize(static_cast<size_t>(count * l.out_features()));
-    if (count == 1) {
-      // A single row (f_R's, every step) runs Linear::Forward's own
-      // row-major product: packing the weights by input would cost as much
-      // as the row itself.
-      const double* row = in + (i == 0 && !rows.empty() ? rows[0] : 0) *
-                                   l.in_features();
-      DotRows(l.weights().data().data(), l.in_features(), l.out_features(),
-              std::span<const double>(row, static_cast<size_t>(
-                                               l.in_features())),
-              nullptr, dst.data());
-      for (int64_t o = 0; o < l.out_features(); ++o) {
-        const double v = dst[static_cast<size_t>(o)] +
-                         l.bias()[static_cast<size_t>(o)];
-        dst[static_cast<size_t>(o)] = relu ? (v > 0.0 ? v : 0.0) : v;
-      }
-    } else {
-      // One layer packed at a time: the backward reads the layers' own
-      // weights, so the packed copy is dead once the layer has run.
-      PackLayer(l, &scratch->packed);
-      ForwardBatchLayer(scratch->packed, DenseRows{in, l.in_features()},
-                        i == 0 ? rows : std::span<const int64_t>{}, count,
-                        /*init=*/nullptr, relu, dst.data());
-    }
-    in = dst.data();
+  LTE_CHECK(count >= 0 && x.per_row > 0);  // The kernel checks the rest.
+  if (!AllFinite(layers_.front().weights().data())) {
+    x = WidenCodeRows(x, rows, count, in_features(), &scratch->wide);
+    rows = {};
   }
-  return scratch->outputs.back();
+  scratch->x = {};
+  scratch->codes = x;
+  scratch->rows = rows;
+  return TrainForward(layers_, count, scratch);
 }
 
 void Mlp::BackwardBatch(std::span<const double> grad_out,
                         TrainScratch* scratch, std::vector<double>* grad_in) {
   LTE_CHECK_EQ(scratch->outputs.size(), layers_.size());
   LTE_CHECK_EQ(grad_out.size(), scratch->outputs.back().size());
+  const bool codes = scratch->codes.per_row > 0;
+  LTE_CHECK_MSG(!codes || grad_in == nullptr,
+                "code rows have no input gradient");
   std::span<const double> g = grad_out;
   for (size_t i = layers_.size(); i-- > 0;) {
     Linear& layer = layers_[i];
     const int64_t count =
         static_cast<int64_t>(g.size()) / layer.out_features();
+    if (i == 0 && codes) {
+      CodeRows x = scratch->codes;
+      std::span<const int64_t> rows = scratch->rows;
+      // Short rows skip the inputs without a code, whose terms 0 * g are
+      // exact zeros only for a finite g. Full-width rows (ForwardTrain
+      // widened them, or every input has a code) are exact already.
+      if (x.per_row < layer.in_features() && !AllFinite(g)) {
+        x = WidenCodeRows(x, rows, count, layer.in_features(),
+                          &scratch->wide);
+        rows = {};
+      }
+      layer.BackwardCodes(x, rows, g);
+      break;
+    }
     // Layer i's input gradient feeds layer i - 1; the first layer's goes to
     // the caller, or is skipped.
     std::vector<double>* dst =
@@ -234,11 +260,11 @@ void Mlp::BackwardBatch(std::span<const double> grad_out,
       gin = *dst;
     }
     if (i == 0) {
-      layer.BackwardBatch(scratch->x, scratch->rows, g, gin);
+      layer.BackwardBatch(scratch->x, g, gin);
       break;
     }
     const std::vector<double>& below = scratch->outputs[i - 1];
-    layer.BackwardBatch(below, {}, g, gin);
+    layer.BackwardBatch(below, g, gin);
     // ReLU backward through layer i - 1's output: its mask (output > 0) is
     // the mask of the pre-activation (pre-activation > 0).
     for (size_t k = 0; k < gin.size(); ++k) {

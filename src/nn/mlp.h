@@ -53,44 +53,25 @@ class Mlp {
   /// on full-width code rows, which callers widen their rows to.
   bool PackWeights(BatchScratch* scratch) const;
 
-  /// Batch inference forward for the columnar serving path: `x` holds
-  /// row-major inputs of in_features() doubles each; writes `count`
-  /// row-major outputs of out_features() doubles into `*out` (resized).
-  /// Reads the weights PackWeights left in `*scratch`. Keeps no activations
-  /// (inference only; see ForwardTrain). Each row's output is bit-identical
-  /// to Forward on that row — every output element accumulates its dot
-  /// product in the same order, adds the bias last, and applies the same
-  /// ReLU (ForwardBatchLayer) — so batching rows never changes results.
-  ///
-  /// `first_layer_prefix` supports inputs whose leading features are the
-  /// same for every row in the batch (e.g. a per-user embedding
-  /// concatenated before per-tuple features): pass the shared head's
-  /// partial dot products from ComputeFirstLayerPrefix and rows of `x` that
-  /// carry only the remaining in_features() - head_width per-row features.
-  /// The first layer then resumes each accumulation from the shared prefix
-  /// — the exact running sum Forward reaches after the head's terms — so
-  /// outputs stay bit-identical while the head is neither copied per row
-  /// nor re-multiplied per row. Empty (default) = rows carry all features.
-  /// The head width is implied by `x.size()` over `count`.
+  /// Batch inference forward over dense rows (f_clf's, whose inputs are
+  /// activations): `x` holds row-major inputs; writes `count` row-major
+  /// outputs into `*out` (resized) from the weights PackWeights left in
+  /// `*scratch`. Each row's output is bit-identical to Forward on that row
+  /// (ForwardBatchLayer). With `first_layer_prefix` (ComputeFirstLayerPrefix
+  /// of a head every row shares), rows of `x` carry only the features after
+  /// the head, whose width `x.size()` over `count` implies, and the first
+  /// layer resumes each sum from the prefix: the running sum Forward
+  /// reaches after the head's terms.
   void ForwardBatchInto(std::span<const double> x, int64_t count,
                         BatchScratch* scratch, std::vector<double>* out,
                         std::span<const double> first_layer_prefix = {}) const;
 
-  /// Code-form counterpart of ForwardBatchInto for inputs that are mostly
-  /// zeros: input n is code row `rows[n]` of `x` (empty `rows` = row n, and
-  /// `x` then holds exactly `count` rows), i.e. the dense row that is zero
-  /// except at its codes. The first layer is a gather-add over the packed
-  /// weights: output o starts at +0.0 and adds W[o][index] · value over the
-  /// row's codes in ascending index, then adds the bias and applies the ReLU
-  /// as ForwardBatchInto does; every later layer is ForwardBatchInto's. When
-  /// the first layer's weights are finite (PackWeights returned true) each
-  /// output is bit-identical to ForwardBatchInto on the dense row: the dense
-  /// chain also starts at +0.0 and only adds w · (+0.0) = ±0 for the inputs
-  /// that have no code, and a sum that starts at +0.0 never becomes −0.0
-  /// (x + (−x) is +0.0 under round-to-nearest), so adding ±0 to it changes
-  /// no bit. A full-width code row (every input, ascending) runs exactly the
-  /// dense chain's terms, so it is bit-identical for any weights. Code
-  /// indices and `rows` are LTE_CHECKed.
+  /// The same over code rows (f_tau's encoded tuples): input n is code row
+  /// `rows[n]` of `x`, or row n when `rows` is empty. The first layer is a
+  /// gather-add over each row's codes; with finite first-layer weights
+  /// (PackWeights returned true), or on full-width code rows, each output
+  /// is bit-identical to ForwardBatchInto on the dense row, by the
+  /// signed-zero argument of DESIGN.md §2b.
   void ForwardCodesInto(CodeRows x, int64_t count, BatchScratch* scratch,
                         std::vector<double>* out,
                         std::span<const int64_t> rows = {}) const;
@@ -115,32 +96,40 @@ class Mlp {
     std::vector<std::vector<double>> outputs;
     std::vector<double> grad;
     std::vector<double> grad_next;
-    /// The batch input of the last ForwardTrain; BackwardBatch reads it
-    /// again, so it must outlive the step.
+    /// The batch input of the last ForwardTrain, dense `x` or `codes` named
+    /// by `rows`; BackwardBatch reads it again, so it must outlive the step.
     std::span<const double> x;
+    CodeRows codes;
     std::span<const int64_t> rows;
+    std::vector<Code> wide;  // `codes` widened (WidenCodeRows), if need be.
   };
 
-  /// Training forward over a batch, with every row bit-identical to
-  /// Forward: output n is the forward of row `rows[n]` of `x` (row-major,
-  /// in_features() doubles per row), read in place by the first layer;
-  /// empty `rows` = the first `count` rows, and `x` then holds exactly
-  /// `count` rows. Runs each layer through ForwardBatchLayer on its current
-  /// weights, packed into `*scratch` as the layer runs; a single row runs
-  /// Forward's own row-major product instead, as packing would cost as much
-  /// as the row. Keeps each layer's output in `*scratch` for BackwardBatch
-  /// and returns the final one (count x out_features()).
+  /// Training forward over `count` dense rows (`x` row-major), each output
+  /// bit-identical to Forward: every layer runs ForwardBatchLayer on its
+  /// current weights, packed as it runs (a single row runs Forward's own
+  /// product). Keeps each layer's output in `*scratch` for BackwardBatch and
+  /// returns the final one (count x out_features()).
+  std::span<const double> ForwardTrain(std::span<const double> x,
+                                       int64_t count,
+                                       TrainScratch* scratch) const;
+
+  /// The same over code rows (f_tau's encoded tuples): output n is the
+  /// forward of code row `rows[n]` of `x`, or of row n when `rows` is empty.
+  /// The first layer is ForwardCodesInto's gather-add, on rows widened
+  /// first (WidenCodeRows) when a first-layer weight is not finite, so each
+  /// output is bit-identical to Forward on the dense row.
   std::span<const double> ForwardTrain(
-      std::span<const double> x, int64_t count, TrainScratch* scratch,
+      CodeRows x, int64_t count, TrainScratch* scratch,
       std::span<const int64_t> rows = {}) const;
 
   /// Backpropagates the batch of the last ForwardTrain on `*scratch`.
   /// `grad_out` holds count x out_features() gradients w.r.t. the final
   /// linear output. Accumulates every layer's gradients row by row in batch
-  /// order (Linear::BackwardBatch), so each accumulator receives exactly the
-  /// addition sequence of backpropagating the rows one at a time. When
-  /// `grad_in` is non-null it receives count x in_features() input
-  /// gradients; null skips the first layer's input gradient altogether.
+  /// order (Linear::BackwardBatch, or BackwardCodes after a code-row forward,
+  /// on widened rows when a gradient reaching it is not finite), so each
+  /// accumulator receives exactly the addition sequence of backpropagating
+  /// the rows one at a time. A non-null `grad_in` (dense rows only) receives
+  /// count x in_features() input gradients.
   void BackwardBatch(std::span<const double> grad_out, TrainScratch* scratch,
                      std::vector<double>* grad_in = nullptr);
 

@@ -233,38 +233,12 @@ Code* TabularEncoder::EncodeValueCodes(int64_t attr, double x, int64_t offset,
   return out;
 }
 
-void TabularEncoder::EncodeValue(int64_t attr, double x,
-                                 std::vector<double>* out) const {
-  Code codes[kMaxAttributeCodes];
-  const Code* end = EncodeValueCodes(attr, x, 0, codes);
-  const size_t base = out->size();
-  const int64_t width = AttributeWidth(attr);
-  out->resize(base + static_cast<size_t>(width), 0.0);
-  for (const Code* c = codes; c != end; ++c) {
-    LTE_CHECK_LT(c->index, width);
-    (*out)[base + static_cast<size_t>(c->index)] = c->value;
-  }
-}
-
-void TabularEncoder::EncodePointsInto(
-    const std::vector<int64_t>& attrs,
-    std::span<const std::vector<double>> points,
-    std::vector<double>* out) const {
-  out->clear();
-  out->reserve(points.size() * static_cast<size_t>(ProjectedWidth(attrs)));
-  for (const std::vector<double>& point : points) {
-    LTE_CHECK_EQ(point.size(), attrs.size());
-    for (size_t j = 0; j < attrs.size(); ++j) {
-      EncodeValue(attrs[j], point[j], out);
-    }
-  }
-}
-
-void TabularEncoder::EncodePointsCodesInto(
+CodeRows TabularEncoder::EncodePointsCodesInto(
     const std::vector<int64_t>& attrs,
     std::span<const std::vector<double>> points,
     std::vector<Code>* out) const {
-  out->resize(points.size() * static_cast<size_t>(ProjectedCodeCount(attrs)));
+  const int64_t per_row = ProjectedCodeCount(attrs);
+  out->resize(points.size() * static_cast<size_t>(per_row));
   Code* codes = out->data();
   for (const std::vector<double>& point : points) {
     LTE_CHECK_EQ(point.size(), attrs.size());
@@ -274,28 +248,25 @@ void TabularEncoder::EncodePointsCodesInto(
       offset += AttributeWidth(attrs[j]);
     }
   }
+  return CodeRows{*out, per_row};
 }
 
 void TabularEncoder::EncodeGatheredInto(
     const std::vector<data::ColumnView>& columns,
     const std::vector<int64_t>& attrs, std::span<const int64_t> rows,
     std::vector<double>* out) const {
-  LTE_CHECK_EQ(columns.size(), attrs.size());
+  std::vector<Code> codes;
+  const CodeRows block = EncodeGatheredCodesInto(columns, attrs, rows, &codes);
   const auto width = static_cast<size_t>(ProjectedWidth(attrs));
-  out->clear();
-  out->reserve(rows.size() * width);
-  // Same EncodeValue sequence per tuple as EncodePointsInto, so each
-  // row-major slice of `*out` is bit-identical to the point encode; the
-  // values just arrive from column views instead of points.
-  for (const int64_t r : rows) {
-    for (size_t j = 0; j < attrs.size(); ++j) {
-      EncodeValue(attrs[j], columns[j][r], out);
+  out->assign(rows.size() * width, 0.0);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    for (const Code& c : block.row(static_cast<int64_t>(k))) {
+      (*out)[k * width + static_cast<size_t>(c.index)] = c.value;
     }
   }
-  LTE_CHECK_EQ(out->size(), rows.size() * width);
 }
 
-void TabularEncoder::EncodeGatheredCodesInto(
+CodeRows TabularEncoder::EncodeGatheredCodesInto(
     const std::vector<data::ColumnView>& columns,
     const std::vector<int64_t>& attrs, std::span<const int64_t> rows,
     std::vector<Code>* out) const {
@@ -317,16 +288,7 @@ void TabularEncoder::EncodeGatheredCodesInto(
     offset += AttributeWidth(a);
     first += AttributeCodeCount(a);
   }
-}
-
-std::vector<double> TabularEncoder::EncodeRow(
-    const std::vector<double>& row) const {
-  LTE_CHECK_EQ(static_cast<int64_t>(row.size()), num_attributes_);
-  std::vector<double> out;
-  for (size_t i = 0; i < row.size(); ++i) {
-    EncodeValue(static_cast<int64_t>(i), row[i], &out);
-  }
-  return out;
+  return CodeRows{*out, per_row};
 }
 
 void TabularEncoder::Save(BinaryWriter* writer) const {

@@ -70,7 +70,7 @@ struct EncoderOptions {
 ///
 /// There is one encoding implementation, EncodeValueCodes, which writes an
 /// attribute's encoding in code form: its nonzeros as (input index, value)
-/// pairs. Every dense encode below expands those codes.
+/// pairs, the one form the classifier trains and predicts on.
 class TabularEncoder {
  public:
   /// Most codes one attribute's encoding has (kCombined).
@@ -107,57 +107,31 @@ class TabularEncoder {
   Code* EncodeValueCodes(int64_t attr, double x, int64_t offset,
                          Code* out) const;
 
-  /// Encodes raw value x of attribute `attr`, appending to *out: the
-  /// expansion of its codes.
-  void EncodeValue(int64_t attr, double x, std::vector<double>* out) const;
-
   /// Encodes raw subspace points (`points[k][j]` is the value of attribute
-  /// `attrs[j]`) into the classifier's input layout: row k of `*out`,
-  /// row-major with ProjectedWidth(attrs) doubles per row, is point k's
-  /// encoding. Clears and refills `*out`, keeping its capacity, so a reused
-  /// buffer stops allocating. Point widths are LTE_CHECKed.
-  void EncodePointsInto(const std::vector<int64_t>& attrs,
-                        std::span<const std::vector<double>> points,
-                        std::vector<double>* out) const;
-
-  /// Code-form counterpart of EncodePointsInto, with the per-row layout of
-  /// EncodeGatheredCodesInto: row k of `*out` is point k's
+  /// `attrs[j]`) into code rows: row k of `*out` is point k's
   /// ProjectedCodeCount(attrs) codes, indices ascending within its
   /// ProjectedWidth(attrs) inputs. `*out` is resized and keeps its
-  /// capacity. Expanding row k gives row k of EncodePointsInto, bit for
-  /// bit. Point widths are LTE_CHECKed.
-  void EncodePointsCodesInto(const std::vector<int64_t>& attrs,
-                             std::span<const std::vector<double>> points,
-                             std::vector<Code>* out) const;
+  /// capacity, so a reused buffer stops allocating. Returns the rows as a
+  /// view of `*out`. Point widths are LTE_CHECKed.
+  CodeRows EncodePointsCodesInto(const std::vector<int64_t>& attrs,
+                                 std::span<const std::vector<double>> points,
+                                 std::vector<Code>* out) const;
 
-  /// Columnar block encode for the serving fast path: `columns[j]` is the
-  /// segment-spanning value view of attribute `attrs[j]` over the whole
-  /// table (`Table::View`), and `rows` selects the tuples to encode by
-  /// global row id. Writes the encodings row-major into the reusable scratch
-  /// matrix `*out` (resized to `rows.size() x ProjectedWidth(attrs)`;
-  /// capacity is retained across calls, so a reused buffer reaches a steady
-  /// state with zero allocations per block). Row k of `*out` is
-  /// bit-identical to EncodePointsInto of the k-th selected tuple — the
-  /// encode visits attributes in the same order with the same per-value
-  /// models.
+  /// The one dense encoder left, kept only for block-by-block replays
+  /// (ExplorationSession::ScoreEncodedBlock): EncodeGatheredCodesInto's
+  /// rows expanded into `*out`, row-major, +0.0 where a row has no code.
   void EncodeGatheredInto(const std::vector<data::ColumnView>& columns,
                           const std::vector<int64_t>& attrs,
                           std::span<const int64_t> rows,
                           std::vector<double>* out) const;
 
-  /// Code-form block encode, the block scan's: as EncodeGatheredInto, but
-  /// row k of `*out` is the k-th selected tuple's ProjectedCodeCount(attrs)
-  /// codes, indices ascending within the tuple's ProjectedWidth(attrs)
-  /// inputs. `*out` is resized and keeps its capacity, so a reused buffer
-  /// stops allocating. Expanding row k gives row k of EncodeGatheredInto,
-  /// bit for bit.
-  void EncodeGatheredCodesInto(const std::vector<data::ColumnView>& columns,
-                               const std::vector<int64_t>& attrs,
-                               std::span<const int64_t> rows,
-                               std::vector<Code>* out) const;
-
-  /// Encodes a full-width row (all attributes in column order).
-  std::vector<double> EncodeRow(const std::vector<double>& row) const;
+  /// Block encode, the block scan's: as EncodePointsCodesInto, but the
+  /// values of tuple k are row `rows[k]` of the segment-spanning views
+  /// `columns[j]` of attributes `attrs[j]` (`Table::View`).
+  CodeRows EncodeGatheredCodesInto(const std::vector<data::ColumnView>& columns,
+                                   const std::vector<int64_t>& attrs,
+                                   std::span<const int64_t> rows,
+                                   std::vector<Code>* out) const;
 
   bool fitted() const { return fitted_; }
   const EncoderOptions& options() const { return options_; }

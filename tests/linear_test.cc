@@ -45,7 +45,7 @@ TEST(LinearTest, BackwardGradInIsWTransposeG) {
   const std::vector<double> x = {1.0, 1.0};
   const std::vector<double> g = {1.0, 1.0};
   std::vector<double> gin(2);
-  layer.BackwardBatch(x, {}, g, gin);
+  layer.BackwardBatch(x, g, gin);
   // W^T g = [1+3, 2+4].
   EXPECT_DOUBLE_EQ(gin[0], 4.0);
   EXPECT_DOUBLE_EQ(gin[1], 6.0);
@@ -62,7 +62,7 @@ TEST(LinearTest, GradientsMatchFiniteDifference) {
   };
   layer.ZeroGrad();
   const std::vector<double> g = {1.0, 1.0};
-  layer.BackwardBatch(x, {}, g, {});
+  layer.BackwardBatch(x, g, {});
   std::vector<double> analytic;
   layer.AppendGradients(&analytic);
 
@@ -92,8 +92,8 @@ TEST(LinearTest, GradientsAccumulateAcrossBackwardCalls) {
   layer.ZeroGrad();
   const std::vector<double> x = {2.0};
   const std::vector<double> g = {1.0};
-  layer.BackwardBatch(x, {}, g, {});
-  layer.BackwardBatch(x, {}, g, {});
+  layer.BackwardBatch(x, g, {});
+  layer.BackwardBatch(x, g, {});
   std::vector<double> grads;
   layer.AppendGradients(&grads);
   EXPECT_DOUBLE_EQ(grads[0], 4.0);  // dW accumulated twice.
@@ -108,7 +108,7 @@ TEST(LinearTest, ApplyGradientsIsSgdStep) {
   layer.LoadParameters(params, &off);
   layer.ZeroGrad();
   const std::vector<double> one = {1.0};
-  layer.BackwardBatch(one, {}, one, {});  // dW = 1, db = 1.
+  layer.BackwardBatch(one, one, {});  // dW = 1, db = 1.
   layer.ApplyGradients(0.1);
   std::vector<double> updated;
   layer.AppendParameters(&updated);
@@ -116,36 +116,53 @@ TEST(LinearTest, ApplyGradientsIsSgdStep) {
   EXPECT_DOUBLE_EQ(updated[1], 0.9);
 }
 
-// A batch accumulates its rows in order, reads indexed rows in place, and
-// writes one input gradient per row.
+// A batch accumulates its rows in order and writes one input gradient per
+// row. The code-form backward, over indexed code rows with a repeat and a
+// zero-valued code, accumulates the same bits as the dense rows they expand
+// to, one at a time.
 TEST(LinearTest, BackwardBatchMatchesRowByRow) {
   Rng rng(7);
   Linear batch(3, 2, &rng);
+  Linear codes = batch;
   Linear single = batch;
-  const std::vector<double> x = {0.5, -1.0, 2.0,   // row 0
-                                 1.5, 0.25, -0.5,  // row 1
+  const std::vector<double> x = {0.5, -1.0, 2.0,    // row 0
+                                 1.5, 0.25, -0.5,   // row 1
                                  -2.0, 1.0, 0.75};  // row 2
-  const std::vector<int64_t> rows = {2, 0};
-  const std::vector<double> g = {1.0, 0.0, -0.5, 2.0};
-  std::vector<double> gin(2 * 3);
+  const std::vector<double> g = {1.0, 0.0, -0.5, 2.0, 0.25, -1.5};
+  // Code rows of inputs {0, 2}: row 0 (0.5, +0.0), row 1 (-2.0, 0.75).
+  const std::vector<Code> code_x = {{0, 0.5}, {2, 0.0}, {0, -2.0}, {2, 0.75}};
+  const std::vector<int64_t> rows = {1, 0, 1};
+  std::vector<double> gin(3 * 3);
   batch.ZeroGrad();
-  batch.BackwardBatch(x, rows, g, gin);
+  batch.BackwardBatch(x, g, gin);
+  codes.ZeroGrad();
+  codes.BackwardCodes(CodeRows{code_x, 2}, rows, g);
   single.ZeroGrad();
-  for (size_t n = 0; n < rows.size(); ++n) {
-    const auto r = static_cast<size_t>(rows[n]);
-    const std::vector<double> xn(x.begin() + r * 3, x.begin() + r * 3 + 3);
+  Linear code_single = single;
+  for (size_t n = 0; n < 3; ++n) {
+    const std::vector<double> xn(x.begin() + n * 3, x.begin() + n * 3 + 3);
     const std::vector<double> gn(g.begin() + n * 2, g.begin() + n * 2 + 2);
     std::vector<double> gin_n(3);
-    single.BackwardBatch(xn, {}, gn, gin_n);
+    single.BackwardBatch(xn, gn, gin_n);
     EXPECT_EQ(gin_n, single.weights().TransposeMatVec(gn));
     EXPECT_EQ(gin_n, std::vector<double>(gin.begin() + n * 3,
                                          gin.begin() + n * 3 + 3));
+    std::vector<double> dense(3, 0.0);
+    for (const Code& c : CodeRows{code_x, 2}.row(rows[n])) {
+      dense[static_cast<size_t>(c.index)] = c.value;
+    }
+    code_single.BackwardBatch(dense, gn, {});
   }
   std::vector<double> a;
   std::vector<double> b;
   batch.AppendGradients(&a);
   single.AppendGradients(&b);
   EXPECT_EQ(a, b);
+  std::vector<double> c;
+  std::vector<double> d;
+  codes.AppendGradients(&c);
+  code_single.AppendGradients(&d);
+  EXPECT_EQ(c, d);
 }
 
 }  // namespace

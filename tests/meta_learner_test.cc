@@ -11,8 +11,10 @@
 #include <string>
 
 #include "core/meta_trainer.h"
+#include "data/table.h"
 #include "nn/activations.h"
 #include "nn/loss.h"
+#include "preprocess/tabular_encoder.h"
 
 namespace lte::core {
 namespace {
@@ -37,18 +39,25 @@ std::vector<double> RandomVec(Rng* rng, int64_t n, bool binary = false) {
   return v;
 }
 
-// Row-major copy of equal-width tuples, the input layout of AccumulateBatch.
-std::vector<double> Pack(const std::vector<std::vector<double>>& x) {
-  std::vector<double> packed;
-  for (const auto& row : x) packed.insert(packed.end(), row.begin(), row.end());
-  return packed;
+// Equal-width dense tuples as full-width code rows (every input a code, in
+// ascending order), the input layout of AccumulateBatch.
+std::vector<Code> FullWidthCodes(const std::vector<std::vector<double>>& x) {
+  std::vector<Code> codes;
+  for (const auto& row : x) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      codes.push_back({static_cast<int64_t>(c), row[c]});
+    }
+  }
+  return codes;
 }
 
 // One full-batch training step over `x`, `y` in order.
 double AccumulateAll(TaskModel* tm, const std::vector<std::vector<double>>& x,
                      const std::vector<double>& y) {
   TaskModel::TrainScratch scratch;
-  return tm->AccumulateBatch(Pack(x), y, {}, &scratch);
+  const std::vector<Code> codes = FullWidthCodes(x);
+  const auto width = static_cast<int64_t>(x.front().size());
+  return tm->AccumulateBatch(CodeRows{codes, width}, y, {}, &scratch);
 }
 
 TEST(MetaLearnerTest, AttentionIsDistribution) {
@@ -125,7 +134,8 @@ TEST(MetaLearnerTest, TrainingReducesLossOnTinyTask) {
       y.push_back(t[0] > 0.5 ? 1.0 : 0.0);
       x.push_back(std::move(t));
     }
-    const std::vector<double> packed = Pack(x);
+    const std::vector<Code> codes = FullWidthCodes(x);
+    const CodeRows packed{codes, 6};
     const double before = tm.EvaluateLoss(packed, y);
     TaskModel::TrainScratch scratch;
     for (int step = 0; step < 150; ++step) {
@@ -164,7 +174,8 @@ TEST(MetaLearnerTest, ComposedGradientsMatchFiniteDifference) {
         p[i] += delta;
         TaskModel copy = tm;  // Identical blocks, perturbed f_tau.
         copy.mutable_f_tau()->SetParameters(p);
-        return copy.EvaluateLoss(Pack(x), y);
+        const std::vector<Code> codes = FullWidthCodes(x);
+        return copy.EvaluateLoss(CodeRows{codes, 6}, y);
       };
       const double numeric = (loss_with(eps) - loss_with(-eps)) / (2 * eps);
       EXPECT_NEAR(g_tau[i], numeric, 1e-5)
@@ -183,6 +194,16 @@ TEST(MetaLearnerTest, ComposedGradientsMatchFiniteDifference) {
 // Zero gradient entries skipped by the reference's AddOuter calls; lets the
 // dead-row case assert that it exercises the skips.
 int64_t g_ref_zero_skips = 0;
+// Non-finite values the reference met where the library must widen its code
+// rows: f_tau first-layer outputs (0 * inf or a NaN weight), and gradients
+// reaching f_tau's output from above.
+int64_t g_ref_tau_nonfinite_outputs = 0;
+int64_t g_ref_tau_nonfinite_grads = 0;
+
+int64_t CountNonFinite(const std::vector<double>& v) {
+  return std::count_if(v.begin(), v.end(),
+                       [](double x) { return !std::isfinite(x); });
+}
 
 struct RefLinear {
   nn::Matrix w;
@@ -326,8 +347,10 @@ struct RefTaskModel {
       for (int64_t j = 0; j < ne; ++j) {
         g_emb_r_sum[static_cast<size_t>(j)] += g_concat[static_cast<size_t>(j)];
       }
-      tau.Backward(tau_cache, std::vector<double>(g_concat.begin() + ne,
-                                                  g_concat.end()));
+      const std::vector<double> g_tau(g_concat.begin() + ne, g_concat.end());
+      g_ref_tau_nonfinite_outputs += CountNonFinite(tau_cache.pre.front());
+      g_ref_tau_nonfinite_grads += CountNonFinite(g_tau);
+      tau.Backward(tau_cache, g_tau);
     }
     r.Backward(r_cache, g_emb_r_sum);
     return loss;
@@ -424,28 +447,157 @@ std::vector<OracleShape> OracleShapes() {
           {"plain-deep", false, {10}, {9, 7}, {8, 6}}};
 }
 
-MetaLearnerOptions OracleOptions(const OracleShape& shape) {
+MetaLearnerOptions OracleOptions(const OracleShape& shape, int64_t width) {
   MetaLearnerOptions opt = SmallOptions(shape.use_memory);
+  opt.tuple_feature_dim = width;
   opt.uis_hidden = shape.uis_hidden;
   opt.tuple_hidden = shape.tuple_hidden;
   opt.clf_hidden = shape.clf_hidden;
   return opt;
 }
 
-// 60 labelled tuples (k_q, MetaTrain's query batch). With `dead_rows`, every
-// third tuple is all-zero and every fifth far negative, so their hidden
-// ReLUs are dead (biases start at zero) and backward meets zero gradients.
-void OracleData(Rng* rng, bool dead_rows,
-                std::vector<std::vector<double>>* x, std::vector<double>* y) {
-  x->clear();
-  y->clear();
-  for (int i = 0; i < 60; ++i) {
-    std::vector<double> t = RandomVec(rng, 6);
-    if (dead_rows && i % 3 == 0) t.assign(6, 0.0);
-    if (dead_rows && i % 5 == 0) t.assign(6, -50.0);
-    y->push_back(t[0] > 0.5 ? 1.0 : 0.0);
-    x->push_back(std::move(t));
+// A labelled set of 60 tuples (k_q, MetaTrain's query batch): code rows for
+// the library, and the dense rows they expand to for the reference.
+struct OracleSet {
+  std::string name;
+  int64_t width = 0;
+  int64_t per_row = 0;
+  std::vector<Code> codes;
+  std::vector<std::vector<double>> dense;
+  std::vector<double> y;
+
+  CodeRows rows() const { return {codes, per_row}; }
+};
+
+void ExpandInto(OracleSet* set) {
+  for (int64_t r = 0; r < set->rows().num_rows(); ++r) {
+    std::vector<double>& dense =
+        set->dense.emplace_back(static_cast<size_t>(set->width), 0.0);
+    for (const Code& c : set->rows().row(r)) {
+      dense[static_cast<size_t>(c.index)] = c.value;
+    }
   }
+}
+
+// Width-6 code rows laid out like two GMM-only attributes of two buckets:
+// inputs 0-1 one-hot, 2 value, 3-4 one-hot, 5 value. Some values are +0.0
+// or -0.0. With `dead_rows`, every third tuple's codes are all zero and
+// every fifth's far negative, so their hidden ReLUs are dead (biases start
+// at zero) and backward meets zero gradients.
+OracleSet SyntheticSet(bool dead_rows) {
+  Rng rng(29);
+  OracleSet set;
+  set.name = dead_rows ? "synthetic-dead" : "synthetic";
+  set.width = 6;
+  set.per_row = 4;
+  for (int i = 0; i < 60; ++i) {
+    const double zero = i % 2 == 0 ? 0.0 : -0.0;
+    double v[4] = {1.0, i % 4 == 1 ? zero : rng.Uniform(), 1.0, rng.Uniform()};
+    if (dead_rows && i % 3 == 0) std::fill(v, v + 4, zero);
+    if (dead_rows && i % 5 == 0) std::fill(v, v + 4, -50.0);
+    set.codes.push_back({rng.UniformInt(2), v[0]});
+    set.codes.push_back({2, v[1]});
+    set.codes.push_back({3 + rng.UniformInt(2), v[2]});
+    set.codes.push_back({5, v[3]});
+    set.y.push_back(v[3] > 0.5 ? 1.0 : 0.0);
+  }
+  ExpandInto(&set);
+  return set;
+}
+
+// Tuples encoded by an encoder fitted in `mode` on a bimodal and a ramp
+// column (under kCategorical the first column holds four categories and
+// the ramp is kCombined), so rows carry the encoder's own code counts — 2
+// (kMinMaxOnly, already full width), 4, 8 or 5 — and zero-valued codes.
+OracleSet EncodedSet(preprocess::EncodingMode mode, const char* name) {
+  Rng rng(30);
+  const bool categorical = mode == preprocess::EncodingMode::kCategorical;
+  data::Table table({"a", "b"});
+  for (int i = 0; i < 400; ++i) {
+    const double a = categorical    ? static_cast<double>(i % 4)
+                     : i % 2 == 0 ? rng.Normal(0.0, 0.5)
+                                  : rng.Normal(10.0, 0.5);
+    EXPECT_TRUE(table.AppendRow({a, i / 4.0}).ok());
+  }
+  preprocess::EncoderOptions opt;
+  if (categorical) {
+    opt.categorical_attributes = {0};
+  } else {
+    opt.mode = mode;
+  }
+  preprocess::TabularEncoder encoder(opt);
+  EXPECT_TRUE(encoder.Fit(table, &rng).ok());
+  // The ramp's range ends, and a value far below it, which clamps to the
+  // bottom of its bucket.
+  std::vector<std::vector<double>> points = {table.Row(0), table.Row(399),
+                                             {table.Row(1)[0], -1000.0}};
+  while (points.size() < 60) points.push_back(table.Row(rng.UniformInt(400)));
+  OracleSet set;
+  set.name = name;
+  set.width = encoder.ProjectedWidth({0, 1});
+  set.per_row = encoder.ProjectedCodeCount({0, 1});
+  encoder.EncodePointsCodesInto({0, 1}, points, &set.codes);
+  EXPECT_TRUE(std::any_of(set.codes.begin(), set.codes.end(),
+                          [](const Code& c) { return c.value == 0.0; }))
+      << name;
+  for (const auto& p : points) set.y.push_back(p[1] > 50.0 ? 1.0 : 0.0);
+  ExpandInto(&set);
+  return set;
+}
+
+const std::vector<OracleSet>& OracleSets() {
+  using preprocess::EncodingMode;
+  static const std::vector<OracleSet> sets = {
+      SyntheticSet(false),
+      SyntheticSet(true),
+      EncodedSet(EncodingMode::kCombined, "combined"),
+      EncodedSet(EncodingMode::kGmmOnly, "gmm"),
+      EncodedSet(EncodingMode::kJenksOnly, "jenks"),
+      EncodedSet(EncodingMode::kMinMaxOnly, "minmax"),
+      EncodedSet(EncodingMode::kCategorical, "categorical")};
+  return sets;
+}
+
+// Weights a fresh task model starts from: as created; with exact-zero and
+// -0.0 weights in f_tau's first layer; with a +inf or a NaN one there (the
+// library widens its rows for the forward); or with a +inf weight in
+// f_clf's last layer, which sends non-finite gradients down to f_tau (the
+// library widens its rows for the backward).
+enum class OddWeights { kNone, kZeros, kTauInf, kTauNan, kClfInf };
+constexpr OddWeights kOddWeights[] = {OddWeights::kNone, OddWeights::kZeros,
+                                      OddWeights::kTauInf, OddWeights::kTauNan,
+                                      OddWeights::kClfInf};
+
+std::string OddName(OddWeights odd) {
+  const char* names[] = {"finite", "zeros", "tau-inf", "tau-nan", "clf-inf"};
+  return names[static_cast<int>(odd)];
+}
+
+void ApplyOddWeights(OddWeights odd, int64_t width, TaskModel* tm) {
+  if (odd == OddWeights::kClfInf) {
+    std::vector<double> clf = tm->f_clf().GetParameters();
+    clf[clf.size() - 2] = std::numeric_limits<double>::infinity();
+    tm->mutable_f_clf()->SetParameters(clf);
+    return;
+  }
+  std::vector<double> tau = tm->f_tau().GetParameters();
+  const auto w = static_cast<size_t>(width);
+  switch (odd) {
+    case OddWeights::kZeros:  // W[0][0], W[0][2] and W[1][1].
+      tau[0] = -0.0;
+      tau[2] = -0.0;
+      tau[w + 1] = 0.0;
+      break;
+    case OddWeights::kTauInf:
+      tau[1] = std::numeric_limits<double>::infinity();
+      break;
+    case OddWeights::kTauNan:
+      tau[1] = std::numeric_limits<double>::quiet_NaN();
+      break;
+    default:
+      break;
+  }
+  tm->mutable_f_tau()->SetParameters(tau);
 }
 
 void ExpectModelMatchesReference(const TaskModel& tm, const RefTaskModel& ref,
@@ -460,81 +612,104 @@ void ExpectModelMatchesReference(const TaskModel& tm, const RefTaskModel& ref,
                  what + " support_grad_r");
 }
 
-// One minibatch step, indexed out of order from a packed set: the loss and
-// every accumulated gradient equal the per-tuple reference bit for bit.
+// The non-finite cases must meet what the widened rows exist for: over the
+// whole set, the reference's f_tau met 0 * (non-finite) in its first layer,
+// or non-finite gradients from above (a small batch may have ReLUs that
+// mask them).
+void ExpectNonVacuous(OddWeights odd, const std::string& what) {
+  if (odd == OddWeights::kTauInf || odd == OddWeights::kTauNan) {
+    EXPECT_GT(g_ref_tau_nonfinite_outputs, 0) << what;
+  }
+  if (odd == OddWeights::kClfInf) {
+    EXPECT_GT(g_ref_tau_nonfinite_grads, 0) << what;
+  }
+}
+
+// One minibatch step on code rows, indexed out of order with a repeat: the
+// loss and every accumulated gradient equal the per-tuple reference on the
+// expanded rows bit for bit.
 TEST(MetaLearnerTest, BatchStepMatchesPerTupleReference) {
   for (const OracleShape& shape : OracleShapes()) {
-    for (const bool dead_rows : {false, true}) {
-      for (const int64_t batch : {1, 5, 10, 60}) {
-        const std::string what = std::string(shape.name) + " batch=" +
-                                 std::to_string(batch) +
-                                 (dead_rows ? " dead" : "");
-        Rng rng(31);
-        MetaLearner learner(OracleOptions(shape), &rng);
-        TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
-        std::vector<std::vector<double>> x;
-        std::vector<double> y;
-        OracleData(&rng, dead_rows, &x, &y);
-        std::vector<int64_t> rows(60);
-        std::iota(rows.begin(), rows.end(), int64_t{0});
-        rng.Shuffle(&rows);
-        rows.resize(static_cast<size_t>(batch));
+    for (const OracleSet& set : OracleSets()) {
+      for (const OddWeights odd : kOddWeights) {
+        for (const int64_t batch : {1, 5, 10, 60}) {
+          const std::string what = std::string(shape.name) + " " + set.name +
+                                   " " + OddName(odd) +
+                                   " batch=" + std::to_string(batch);
+          Rng rng(31);
+          MetaLearner learner(OracleOptions(shape, set.width), &rng);
+          TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
+          ApplyOddWeights(odd, set.width, &tm);
+          std::vector<int64_t> rows(60);
+          std::iota(rows.begin(), rows.end(), int64_t{0});
+          rng.Shuffle(&rows);
+          rows.resize(static_cast<size_t>(batch));
+          if (batch > 1) rows.back() = rows.front();
 
-        RefTaskModel ref(tm);
-        std::vector<std::vector<double>> bx;
-        std::vector<double> by;
-        for (const int64_t r : rows) {
-          bx.push_back(x[static_cast<size_t>(r)]);
-          by.push_back(y[static_cast<size_t>(r)]);
-        }
-        g_ref_zero_skips = 0;
-        const double want = ref.AccumulateBatch(bx, by);
-        if (dead_rows && batch >= 5) {
-          EXPECT_GT(g_ref_zero_skips, 0) << what;
-        }
+          RefTaskModel ref(tm);
+          std::vector<std::vector<double>> bx;
+          std::vector<double> by;
+          for (const int64_t r : rows) {
+            bx.push_back(set.dense[static_cast<size_t>(r)]);
+            by.push_back(set.y[static_cast<size_t>(r)]);
+          }
+          g_ref_zero_skips = 0;
+          g_ref_tau_nonfinite_outputs = 0;
+          g_ref_tau_nonfinite_grads = 0;
+          const double want = ref.AccumulateBatch(bx, by);
+          if (set.name == "synthetic-dead" && odd == OddWeights::kNone &&
+              batch >= 5) {
+            EXPECT_GT(g_ref_zero_skips, 0) << what;
+          }
+          if (batch == 60) ExpectNonVacuous(odd, what);
 
-        TaskModel::TrainScratch scratch;
-        tm.ZeroGrad();
-        const double got = tm.AccumulateBatch(Pack(x), y, rows, &scratch);
-        ExpectBitEqual({got}, {want}, what + " loss");
-        ExpectBitEqual(tm.f_r().GetGradients(), ref.r.Gradients(),
-                       what + " grad f_r");
-        ExpectBitEqual(tm.f_tau().GetGradients(), ref.tau.Gradients(),
-                       what + " grad f_tau");
-        ExpectBitEqual(tm.f_clf().GetGradients(), ref.clf.Gradients(),
-                       what + " grad f_clf");
-        ExpectBitEqual(tm.grad_m_cp().data(), ref.g_m_cp.data(),
-                       what + " grad m_cp");
+          TaskModel::TrainScratch scratch;
+          tm.ZeroGrad();
+          const double got =
+              tm.AccumulateBatch(set.rows(), set.y, rows, &scratch);
+          ExpectBitEqual({got}, {want}, what + " loss");
+          ExpectBitEqual(tm.f_r().GetGradients(), ref.r.Gradients(),
+                         what + " grad f_r");
+          ExpectBitEqual(tm.f_tau().GetGradients(), ref.tau.Gradients(),
+                         what + " grad f_tau");
+          ExpectBitEqual(tm.f_clf().GetGradients(), ref.clf.Gradients(),
+                         what + " grad f_clf");
+          ExpectBitEqual(tm.grad_m_cp().data(), ref.g_m_cp.data(),
+                         what + " grad m_cp");
+        }
       }
     }
   }
 }
 
-// Whole adaptations: after LocallyAdapt, with and without clipping, every
-// parameter, M_cp and the accumulated θ_R support gradient equal the
-// per-tuple reference bit for bit.
+// Whole adaptations on code rows: after LocallyAdapt, with and without
+// clipping, every parameter, M_cp and the accumulated θ_R support gradient
+// equal the per-tuple reference on the expanded rows bit for bit.
 TEST(MetaLearnerTest, LocallyAdaptMatchesPerTupleReference) {
   for (const OracleShape& shape : OracleShapes()) {
-    for (const bool dead_rows : {false, true}) {
-      for (const int64_t batch : {1, 5, 10, 60}) {
-        for (const double max_norm : {1.0, 0.0}) {
-          const std::string what =
-              std::string(shape.name) + " batch=" + std::to_string(batch) +
-              (dead_rows ? " dead" : "") + " clip=" + std::to_string(max_norm);
-          Rng rng(37);
-          MetaLearner learner(OracleOptions(shape), &rng);
-          TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
-          std::vector<std::vector<double>> x;
-          std::vector<double> y;
-          OracleData(&rng, dead_rows, &x, &y);
-          RefTaskModel ref(tm);
-          Rng rng_lib(41);
-          Rng rng_ref(41);
-          LocallyAdapt(&tm, Pack(x), y, /*steps=*/7, batch, /*lr=*/0.3,
-                       &rng_lib, max_norm);
-          RefLocallyAdapt(&ref, x, y, 7, batch, 0.3, &rng_ref, max_norm);
-          ExpectModelMatchesReference(tm, ref, what);
-          EXPECT_EQ(rng_lib.engine()(), rng_ref.engine()()) << what;
+    for (const OracleSet& set : OracleSets()) {
+      for (const OddWeights odd : kOddWeights) {
+        for (const int64_t batch : {1, 5, 10, 60}) {
+          for (const double max_norm : {1.0, 0.0}) {
+            const std::string what =
+                std::string(shape.name) + " " + set.name + " " +
+                OddName(odd) + " batch=" + std::to_string(batch) +
+                " clip=" + std::to_string(max_norm);
+            Rng rng(37);
+            MetaLearner learner(OracleOptions(shape, set.width), &rng);
+            TaskModel tm =
+                learner.CreateTaskModel(RandomVec(&rng, 12, true));
+            ApplyOddWeights(odd, set.width, &tm);
+            RefTaskModel ref(tm);
+            Rng rng_lib(41);
+            Rng rng_ref(41);
+            LocallyAdapt(&tm, set.rows(), set.y, /*steps=*/7, batch,
+                         /*lr=*/0.3, &rng_lib, max_norm);
+            RefLocallyAdapt(&ref, set.dense, set.y, 7, batch, 0.3, &rng_ref,
+                            max_norm);
+            ExpectModelMatchesReference(tm, ref, what);
+            EXPECT_EQ(rng_lib.engine()(), rng_ref.engine()()) << what;
+          }
         }
       }
     }

@@ -11,10 +11,15 @@
 namespace lte::core {
 namespace {
 
-// Raw points packed row-major: the identity encoding's training layout.
-std::vector<double> Pack(const std::vector<std::vector<double>>& points) {
-  std::vector<double> packed;
-  for (const auto& p : points) packed.insert(packed.end(), p.begin(), p.end());
+// Raw points as full-width code rows: the identity encoding's training
+// layout.
+std::vector<Code> Pack(const std::vector<std::vector<double>>& points) {
+  std::vector<Code> packed;
+  for (const auto& p : points) {
+    for (size_t c = 0; c < p.size(); ++c) {
+      packed.push_back({static_cast<int64_t>(c), p[c]});
+    }
+  }
   return packed;
 }
 
@@ -53,7 +58,8 @@ class MetaTrainerTest : public ::testing::Test {
     std::vector<EncodedMetaTask> tasks;
     for (const MetaTask& t : generator_->GenerateTaskSet(n, rng_.get())) {
       tasks.push_back({t.uis_feature, Pack(t.support_points), t.support_labels,
-                       Pack(t.query_points), t.query_labels});
+                       Pack(t.query_points), t.query_labels,
+                       /*codes_per_row=*/2});
     }
     return tasks;
   }
@@ -64,8 +70,8 @@ class MetaTrainerTest : public ::testing::Test {
 };
 
 TEST_F(MetaTrainerTest, EncodeTasksPreservesShapes) {
-  // A fitted min-max encoder writes one double per attribute, so every
-  // encoded row is 2 wide.
+  // A fitted min-max encoder writes one code per attribute, so every
+  // encoded row has 2 codes.
   data::Table table({"x", "y"});
   for (const auto& p : points_) ASSERT_TRUE(table.AppendRow(p).ok());
   preprocess::EncoderOptions eopt;
@@ -79,14 +85,15 @@ TEST_F(MetaTrainerTest, EncodeTasksPreservesShapes) {
   EXPECT_EQ(tasks[0].support_y.size(), 15u);
   EXPECT_EQ(tasks[0].query_y.size(), 35u);
   EXPECT_EQ(tasks[0].uis_feature.size(), 30u);
+  EXPECT_EQ(tasks[0].codes_per_row, 2);
   EXPECT_EQ(tasks[0].support_x.size(), 15u * 2);
   EXPECT_EQ(tasks[0].query_x.size(), 35u * 2);
   // Row 0 is support point 0, encoded attribute by attribute.
-  std::vector<double> row0;
-  encoder.EncodeValue(0, raw[0].support_points[0][0], &row0);
-  encoder.EncodeValue(1, raw[0].support_points[0][1], &row0);
-  EXPECT_EQ(std::vector<double>(tasks[0].support_x.begin(),
-                                tasks[0].support_x.begin() + 2),
+  std::vector<Code> row0(2);
+  encoder.EncodeValueCodes(0, raw[0].support_points[0][0], 0, &row0[0]);
+  encoder.EncodeValueCodes(1, raw[0].support_points[0][1], 1, &row0[1]);
+  EXPECT_EQ(std::vector<Code>(tasks[0].support_x.begin(),
+                              tasks[0].support_x.begin() + 2),
             row0);
   // The fan-out writes the same bytes at any lane count.
   const std::vector<EncodedMetaTask> parallel =
@@ -101,10 +108,12 @@ TEST_F(MetaTrainerTest, LocallyAdaptFitsSupportSet) {
   const std::vector<EncodedMetaTask> tasks = MakeTasks(1);
   MetaLearner learner(LearnerOptions(false), rng_.get());
   TaskModel tm = learner.CreateTaskModel(tasks[0].uis_feature);
-  const double before = tm.EvaluateLoss(tasks[0].support_x, tasks[0].support_y);
-  LocallyAdapt(&tm, tasks[0].support_x, tasks[0].support_y, /*steps=*/120,
+  const double before =
+      tm.EvaluateLoss(tasks[0].support(), tasks[0].support_y);
+  LocallyAdapt(&tm, tasks[0].support(), tasks[0].support_y, /*steps=*/120,
                /*batch_size=*/8, /*lr=*/0.3, rng_.get());
-  const double after = tm.EvaluateLoss(tasks[0].support_x, tasks[0].support_y);
+  const double after =
+      tm.EvaluateLoss(tasks[0].support(), tasks[0].support_y);
   EXPECT_LT(after, before);
 }
 
@@ -158,10 +167,10 @@ TEST_F(MetaTrainerTest, MetaInitializationAdaptsFasterThanRandom) {
     // Paired adaptation randomness so the comparison is apples-to-apples.
     Rng rng_a(1234);
     Rng rng_b(1234);
-    LocallyAdapt(&tm_meta, task.support_x, task.support_y, 8, 8, 0.2, &rng_a);
-    LocallyAdapt(&tm_rand, task.support_x, task.support_y, 8, 8, 0.2, &rng_b);
-    meta_loss += tm_meta.EvaluateLoss(task.query_x, task.query_y);
-    random_loss += tm_rand.EvaluateLoss(task.query_x, task.query_y);
+    LocallyAdapt(&tm_meta, task.support(), task.support_y, 8, 8, 0.2, &rng_a);
+    LocallyAdapt(&tm_rand, task.support(), task.support_y, 8, 8, 0.2, &rng_b);
+    meta_loss += tm_meta.EvaluateLoss(task.query(), task.query_y);
+    random_loss += tm_rand.EvaluateLoss(task.query(), task.query_y);
   }
   EXPECT_LT(meta_loss, random_loss);
 }
@@ -191,10 +200,10 @@ TEST_F(MetaTrainerTest, ReptileAlsoBeatsRandomInitialization) {
     TaskModel tm_rand = random.CreateTaskModel(task.uis_feature);
     Rng rng_a(77);
     Rng rng_b(77);
-    LocallyAdapt(&tm_meta, task.support_x, task.support_y, 8, 8, 0.2, &rng_a);
-    LocallyAdapt(&tm_rand, task.support_x, task.support_y, 8, 8, 0.2, &rng_b);
-    meta_loss += tm_meta.EvaluateLoss(task.query_x, task.query_y);
-    random_loss += tm_rand.EvaluateLoss(task.query_x, task.query_y);
+    LocallyAdapt(&tm_meta, task.support(), task.support_y, 8, 8, 0.2, &rng_a);
+    LocallyAdapt(&tm_rand, task.support(), task.support_y, 8, 8, 0.2, &rng_b);
+    meta_loss += tm_meta.EvaluateLoss(task.query(), task.query_y);
+    random_loss += tm_rand.EvaluateLoss(task.query(), task.query_y);
   }
   EXPECT_LT(meta_loss, random_loss);
 }

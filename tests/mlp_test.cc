@@ -129,40 +129,6 @@ TEST(MlpTest, TrainsToFitXor) {
   }
 }
 
-std::vector<double> RandomBatch(Rng* rng, int64_t count, int64_t width) {
-  std::vector<double> x(static_cast<size_t>(count * width));
-  for (double& v : x) v = rng->Uniform(-2.0, 2.0);
-  return x;
-}
-
-// Row-index input of the training forward: each indexed row's output is
-// bit-identical to Forward on that row, whatever the order, repeats and
-// count of the indices — including ragged tile tails and the single-row
-// product.
-TEST(MlpTest, IndexedBatchMatchesPerRowForward) {
-  Rng rng(7);
-  Mlp mlp({6, 16, 8, 1}, &rng);
-  Mlp::TrainScratch scratch;
-  const int64_t x_rows = 40;
-  const std::vector<double> x = RandomBatch(&rng, x_rows, 6);
-  const std::span<const double> all = mlp.ForwardTrain(x, x_rows, &scratch);
-  const std::vector<double> dense(all.begin(), all.end());
-  for (const int64_t count : {1, 7, 8, 9, 33}) {
-    std::vector<int64_t> rows;
-    for (int64_t n = 0; n < count; ++n) rows.push_back((n * 13 + 5) % x_rows);
-    const std::span<const double> got =
-        mlp.ForwardTrain(x, count, &scratch, rows);
-    ASSERT_EQ(got.size(), static_cast<size_t>(count));
-    for (int64_t n = 0; n < count; ++n) {
-      const int64_t r = rows[static_cast<size_t>(n)];
-      const std::vector<double> row(x.begin() + r * 6, x.begin() + r * 6 + 6);
-      EXPECT_EQ(got[static_cast<size_t>(n)], mlp.Forward(row)[0])
-          << "count=" << count << " n=" << n;
-      EXPECT_EQ(got[static_cast<size_t>(n)], dense[static_cast<size_t>(r)]);
-    }
-  }
-}
-
 std::vector<uint64_t> Bits(std::span<const double> v) {
   std::vector<uint64_t> bits(v.size());
   for (size_t i = 0; i < v.size(); ++i) {
@@ -196,6 +162,48 @@ std::vector<double> ExpandRows(const std::vector<Code>& codes) {
         codes[k].value;
   }
   return dense;
+}
+
+// Code-row input of the training forward: each indexed row's output is
+// bit-identical to Forward on the dense row it expands to, whatever the
+// order, repeats and count of the indices — including ragged tile tails, a
+// single row, and a first-layer weight of -0.0 and one of +inf (which widens
+// the rows).
+TEST(MlpTest, IndexedBatchMatchesPerRowForward) {
+  Rng rng(7);
+  for (const double odd : {-0.0, std::numeric_limits<double>::infinity()}) {
+    Mlp mlp({kCodeWidth, 16, 8, 1}, &rng);
+    std::vector<double> params = mlp.GetParameters();
+    params[1] = odd;  // W[0][1]: a one-hot slot.
+    mlp.SetParameters(params);
+    Mlp::TrainScratch scratch;
+    const int64_t x_rows = 40;
+    const std::vector<Code> codes = RandomCodeRows(&rng, x_rows);
+    const std::vector<double> x = ExpandRows(codes);
+    const CodeRows block{codes, 4};
+    const std::span<const double> all =
+        mlp.ForwardTrain(block, x_rows, &scratch);
+    const std::vector<double> in_order(all.begin(), all.end());
+    for (const int64_t count : {1, 7, 8, 9, 33}) {
+      std::vector<int64_t> rows;
+      for (int64_t n = 0; n < count; ++n) {
+        rows.push_back((n * 13 + 5) % 29);  // Count 33 repeats rows.
+      }
+      const std::span<const double> got =
+          mlp.ForwardTrain(block, count, &scratch, rows);
+      ASSERT_EQ(got.size(), static_cast<size_t>(count));
+      for (int64_t n = 0; n < count; ++n) {
+        const int64_t r = rows[static_cast<size_t>(n)];
+        const std::vector<double> row(x.begin() + r * kCodeWidth,
+                                      x.begin() + (r + 1) * kCodeWidth);
+        const double want = mlp.Forward(row)[0];
+        EXPECT_EQ(Bits({&got[static_cast<size_t>(n)], 1}), Bits({&want, 1}))
+            << "odd=" << odd << " count=" << count << " n=" << n;
+        EXPECT_EQ(Bits({&got[static_cast<size_t>(n)], 1}),
+                  Bits({&in_order[static_cast<size_t>(r)], 1}));
+      }
+    }
+  }
 }
 
 // The gather-add first layer is bit-identical to the dense batch forward
@@ -329,9 +337,9 @@ std::vector<double> ReferenceRow(const Linear& layer,
 
 // The batch layer kernel against per-row Linear::Forward, bit for bit: every
 // chunk shape (widths below, at and around the 12-output chunk and the
-// narrow multi-row tiles), row counts around the row tiles, indexed rows
-// with duplicates, a shared head resumed from its prefix, layers with and
-// without a bias, signed zeros, and +-inf and NaN in weights and inputs.
+// narrow multi-row tiles), row counts around the row tiles, a shared head
+// resumed from its prefix, layers with and without a bias, signed zeros,
+// and +-inf and NaN in weights and inputs.
 TEST(BatchLayerTest, DenseRowsMatchPerRowLinearForward) {
   Rng rng(21);
   const std::vector<int64_t> widths = {1, 2, 5, 12, 13, 24, 25, 32};
@@ -346,33 +354,23 @@ TEST(BatchLayerTest, DenseRowsMatchPerRowLinearForward) {
                       bias ? layer.bias().data() : nullptr);
           for (const int64_t count : {0, 1, 7, 8, 9, 130}) {
             const bool relu = (in + out + count) % 2 == 0;
-            // Indexed rows name fewer distinct rows than `count`, so some
-            // repeat; a shared head covers the first half of the inputs.
-            const bool indexed = count % 3 == 1;
+            // A shared head covers the first half of the inputs.
             const int64_t skip = count % 2 == 1 ? in / 2 : 0;
-            const int64_t x_rows = indexed ? count / 2 + 1 : count;
             std::vector<double> head(static_cast<size_t>(skip));
             for (double& v : head) v = AwkwardValue(&rng, non_finite);
             std::vector<double> prefix(static_cast<size_t>(out));
             DotRows(layer.weights().data().data(), in, out, head, nullptr,
                     prefix.data());
-            std::vector<double> x(static_cast<size_t>(x_rows * (in - skip)));
+            std::vector<double> x(static_cast<size_t>(count * (in - skip)));
             for (double& v : x) v = AwkwardValue(&rng, non_finite);
-            std::vector<int64_t> rows;
-            if (indexed) {
-              for (int64_t n = 0; n < count; ++n) {
-                rows.push_back((n * 7 + 3) % x_rows);
-              }
-            }
             std::vector<double> got(static_cast<size_t>(count * out));
             ForwardBatchLayer(packed, DenseRows{x.data(), in - skip, skip},
-                              rows, count, skip > 0 ? prefix.data() : nullptr,
-                              relu, got.data());
+                              count, skip > 0 ? prefix.data() : nullptr, relu,
+                              got.data());
             for (int64_t n = 0; n < count; ++n) {
-              const int64_t r = indexed ? rows[static_cast<size_t>(n)] : n;
               std::vector<double> full = head;
-              full.insert(full.end(), x.begin() + r * (in - skip),
-                          x.begin() + (r + 1) * (in - skip));
+              full.insert(full.end(), x.begin() + n * (in - skip),
+                          x.begin() + (n + 1) * (in - skip));
               const std::vector<double> want =
                   ReferenceRow(layer, full, bias, relu);
               for (int64_t o = 0; o < out; ++o) {
@@ -464,9 +462,13 @@ TEST(MlpDeathTest, IndexedBatchRejectsOutOfRangeRow) {
   Rng rng(12);
   Mlp mlp({4, 6, 1}, &rng);
   Mlp::TrainScratch scratch;
-  const std::vector<double> x(2 * 4, 0.5);  // Two rows.
+  const std::vector<Code> x = {{0, 0.5}, {3, 1.0}};  // Two rows.
   const std::vector<int64_t> rows = {1, 2};
-  EXPECT_DEATH(mlp.ForwardTrain(x, 2, &scratch, rows), "r < x_rows");
+  EXPECT_DEATH(mlp.ForwardTrain(CodeRows{x, 1}, 2, &scratch, rows),
+               "r < x\\.num_rows\\(\\)");
+  const std::vector<Code> wide_index = {{0, 0.5}, {4, 1.0}};
+  EXPECT_DEATH(mlp.ForwardTrain(CodeRows{wide_index, 1}, 2, &scratch),
+               "c\\.index < width");
 }
 
 }  // namespace

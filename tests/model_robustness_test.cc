@@ -19,9 +19,7 @@ namespace {
 
 class ModelRobustnessTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    Rng rng(5);
-    data::Table table = data::MakeBlobs(2500, 2, 3, &rng);
+  static core::ExplorerOptions SmallOptions() {
     core::ExplorerOptions opt;
     opt.task_gen.k_u = 20;
     opt.task_gen.k_s = 8;
@@ -32,7 +30,13 @@ class ModelRobustnessTest : public ::testing::Test {
     opt.num_meta_tasks = 10;
     opt.trainer.epochs = 1;
     opt.trainer.local_steps = 1;
-    core::ExplorationModel model(opt);
+    return opt;
+  }
+
+  void SetUp() override {
+    Rng rng(5);
+    data::Table table = data::MakeBlobs(2500, 2, 3, &rng);
+    core::ExplorationModel model(SmallOptions());
     ASSERT_TRUE(model
                     .Pretrain(table, {data::Subspace{{0, 1}}},
                               /*train_meta=*/true, &rng)
@@ -122,6 +126,41 @@ TEST_F(ModelRobustnessTest, FailedLoadPreservesPreviousModel) {
   // A failed re-load must not clobber the previously loaded model.
   ASSERT_NE(model.InitialTuples(0), nullptr);
   EXPECT_EQ(*model.InitialTuples(0), initial);
+}
+
+// A Pretrain that fails leaves the model as its last successful build left
+// it, as a failed Load does: still pretrained, with the same fingerprint and
+// a fitted encoder, and Save then Load round-trips it byte for byte. Fails
+// on the empty table (the encoder's fit) and on one too small to cluster.
+TEST_F(ModelRobustnessTest, FailedPretrainPreservesPreviousModel) {
+  Rng rng(6);
+  const data::Table table = data::MakeBlobs(2000, 2, 3, &rng);
+  const std::vector<data::Subspace> subspaces = {data::Subspace{{0, 1}}};
+  core::ExplorationModel model(SmallOptions());
+  ASSERT_TRUE(model.Pretrain(table, subspaces, /*train_meta=*/true, &rng).ok());
+  const uint64_t fingerprint = model.fingerprint();
+  ASSERT_NE(model.InitialTuples(0), nullptr);
+  const std::vector<std::vector<double>> initial = *model.InitialTuples(0);
+
+  data::Table empty({"x", "y"});
+  data::Table tiny({"x", "y"});
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(tiny.AppendRow({0.1 * i, 0.2 * i}).ok());
+  }
+  for (const data::Table* bad : {&empty, &tiny}) {
+    EXPECT_FALSE(model.Pretrain(*bad, subspaces, true, &rng).ok());
+    EXPECT_TRUE(model.pretrained());
+    EXPECT_TRUE(model.meta_trained());
+    EXPECT_TRUE(model.encoder().fitted());
+    EXPECT_EQ(model.fingerprint(), fingerprint);
+    ASSERT_NE(model.InitialTuples(0), nullptr);
+    EXPECT_EQ(*model.InitialTuples(0), initial);
+  }
+  const std::string path = TestPath("repretrain");
+  ASSERT_TRUE(model.Save(path).ok());
+  core::ExplorationModel loaded(SmallOptions());
+  ASSERT_TRUE(loaded.Load(path).ok());
+  EXPECT_EQ(loaded.fingerprint(), fingerprint);
 }
 
 // A model whose online schedule has no batch (or a negative step count, or

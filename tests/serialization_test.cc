@@ -179,8 +179,15 @@ TEST(SerializationTest, EncoderRoundTripPreservesEncoding) {
   BinaryReader r(&buf);
   ASSERT_TRUE(loaded.Load(&r).ok());
   EXPECT_TRUE(loaded.fitted());
+  std::vector<int64_t> attrs;
+  for (int64_t a = 0; a < table.num_columns(); ++a) attrs.push_back(a);
   for (int64_t row = 0; row < 20; ++row) {
-    EXPECT_EQ(loaded.EncodeRow(table.Row(row)), enc.EncodeRow(table.Row(row)));
+    const std::vector<double> point = table.Row(row);
+    std::vector<Code> want;
+    std::vector<Code> got;
+    enc.EncodePointsCodesInto(attrs, {&point, 1}, &want);
+    loaded.EncodePointsCodesInto(attrs, {&point, 1}, &got);
+    EXPECT_EQ(got, want);
   }
 }
 

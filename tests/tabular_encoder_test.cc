@@ -27,6 +27,32 @@ data::Table TwoColumnTable(Rng* rng, int n = 600) {
   return t;
 }
 
+// The dense row `width` wide that is +0.0 except at `codes`.
+std::vector<double> Dense(std::span<const Code> codes, int64_t width) {
+  std::vector<double> dense(static_cast<size_t>(width), 0.0);
+  for (const Code& c : codes) dense[static_cast<size_t>(c.index)] = c.value;
+  return dense;
+}
+
+// The dense encoding of raw value x of attribute `attr`: the expansion of
+// its codes.
+std::vector<double> DenseValue(const TabularEncoder& enc, int64_t attr,
+                               double x) {
+  Code codes[TabularEncoder::kMaxAttributeCodes];
+  const Code* end = enc.EncodeValueCodes(attr, x, /*offset=*/0, codes);
+  return Dense({codes, end}, enc.AttributeWidth(attr));
+}
+
+// The dense encoding of a full-width row (all attributes in column order).
+std::vector<double> DenseRow(const TabularEncoder& enc,
+                             const std::vector<double>& row) {
+  std::vector<int64_t> attrs(row.size());
+  for (size_t a = 0; a < attrs.size(); ++a) attrs[a] = static_cast<int64_t>(a);
+  std::vector<Code> codes;
+  enc.EncodePointsCodesInto(attrs, {&row, 1}, &codes);
+  return Dense(codes, enc.ProjectedWidth(attrs));
+}
+
 class EncoderModeTest : public ::testing::TestWithParam<EncodingMode> {};
 
 TEST_P(EncoderModeTest, EncodedWidthMatchesDeclaredWidth) {
@@ -37,7 +63,7 @@ TEST_P(EncoderModeTest, EncodedWidthMatchesDeclaredWidth) {
   TabularEncoder enc(opt);
   ASSERT_TRUE(enc.Fit(t, &rng).ok());
   const std::vector<double> row = t.Row(0);
-  const std::vector<double> encoded = enc.EncodeRow(row);
+  const std::vector<double> encoded = DenseRow(enc, row);
   EXPECT_EQ(static_cast<int64_t>(encoded.size()),
             enc.AttributeWidth(0) + enc.AttributeWidth(1));
   EXPECT_EQ(enc.ProjectedWidth({0, 1}),
@@ -52,14 +78,14 @@ TEST_P(EncoderModeTest, EncodedValuesInUnitRange) {
   TabularEncoder enc(opt);
   ASSERT_TRUE(enc.Fit(t, &rng).ok());
   for (int64_t r = 0; r < 20; ++r) {
-    for (double v : enc.EncodeRow(t.Row(r))) {
+    for (double v : DenseRow(enc, t.Row(r))) {
       EXPECT_GE(v, 0.0);
       EXPECT_LE(v, 1.0);
     }
   }
 }
 
-// ---- Code form: every dense encode is an expansion of EncodeValueCodes.
+// ---- Code form: EncodeValueCodes is the one encoder.
 // The references below recompute the dense encoding the way EncodeValue did
 // before code form — per-component log calls, one-hot pushes — and the
 // comparisons are on bit patterns, so NaN and the sign of zero count.
@@ -174,10 +200,6 @@ TEST_P(EncoderModeTest, CodesExpandToTheReferenceEncoding) {
       const std::vector<double> ref = ReferenceEncode(enc, attr, x);
       EXPECT_EQ(Bits(Expand({codes, end}, 7, width)), Bits(ref))
           << "attr " << attr << " x " << x;
-      std::vector<double> dense = {42.0};  // EncodeValue appends.
-      enc.EncodeValue(attr, x, &dense);
-      EXPECT_EQ(Bits(std::span(dense).subspan(1)), Bits(ref))
-          << "attr " << attr << " x " << x;
     }
   }
 }
@@ -218,8 +240,6 @@ TEST_P(EncoderModeTest, GatheredCodesExpandToGatheredDense) {
     }
     std::vector<Code> point_codes;
     enc.EncodePointsCodesInto(attrs, points, &point_codes);
-    std::vector<double> point_dense;
-    enc.EncodePointsInto(attrs, points, &point_dense);
     const int64_t per_row = enc.ProjectedCodeCount(attrs);
     const int64_t width = enc.ProjectedWidth(attrs);
     ASSERT_EQ(static_cast<int64_t>(codes.size()),
@@ -242,9 +262,6 @@ TEST_P(EncoderModeTest, GatheredCodesExpandToGatheredDense) {
       EXPECT_EQ(Bits(std::span(dense).subspan(k * width, width)), Bits(ref))
           << k;
       EXPECT_EQ(Bits(Expand(point_block.row(row), 0, width)), Bits(ref))
-          << k;
-      EXPECT_EQ(
-          Bits(std::span(point_dense).subspan(k * width, width)), Bits(ref))
           << k;
     }
   }
@@ -277,8 +294,7 @@ TEST(TabularEncoderTest, OneHotIsExactlyOnePerModel) {
   opt.num_gmm_components = 5;
   TabularEncoder enc(opt);
   ASSERT_TRUE(enc.Fit(t, &rng).ok());
-  std::vector<double> out;
-  enc.EncodeValue(0, 0.0, &out);
+  const std::vector<double> out = DenseValue(enc, 0, 0.0);
   ASSERT_EQ(out.size(), 6u);
   double ones = 0.0;
   for (size_t i = 0; i < 5; ++i) ones += out[i];
@@ -302,11 +318,15 @@ TEST(TabularEncoderTest, EncodePointsMatchesEncodeValueOrder) {
   TabularEncoder enc;
   ASSERT_TRUE(enc.Fit(t, &rng).ok());
   const std::vector<std::vector<double>> points = {{50.0}};
-  std::vector<double> p;
-  enc.EncodePointsInto({1}, points, &p);
-  std::vector<double> direct;
-  enc.EncodeValue(1, 50.0, &direct);
-  EXPECT_EQ(p, direct);
+  std::vector<Code> p;
+  enc.EncodePointsCodesInto({1}, points, &p);
+  Code direct[TabularEncoder::kMaxAttributeCodes];
+  const Code* end = enc.EncodeValueCodes(1, 50.0, /*offset=*/0, direct);
+  ASSERT_EQ(p.size(), static_cast<size_t>(end - direct));
+  for (size_t k = 0; k < p.size(); ++k) {
+    EXPECT_EQ(p[k].index, direct[k].index);
+    EXPECT_EQ(p[k].value, direct[k].value);
+  }
 }
 
 TEST(TabularEncoderTest, NearbyValuesShareBucket) {
@@ -320,10 +340,8 @@ TEST(TabularEncoderTest, NearbyValuesShareBucket) {
   TabularEncoder enc(opt);
   ASSERT_TRUE(enc.Fit(t, &rng).ok());
   // Two values in the same mode of the bimodal column: identical one-hot.
-  std::vector<double> a;
-  std::vector<double> b;
-  enc.EncodeValue(0, 0.0, &a);
-  enc.EncodeValue(0, 0.1, &b);
+  const std::vector<double> a = DenseValue(enc, 0, 0.0);
+  const std::vector<double> b = DenseValue(enc, 0, 0.1);
   for (int64_t i = 0; i < 2; ++i) {
     EXPECT_DOUBLE_EQ(a[static_cast<size_t>(i)], b[static_cast<size_t>(i)]);
   }
@@ -341,7 +359,7 @@ TEST(TabularEncoderTest, WorksOnSyntheticDatasets) {
   const data::Table sdss = data::MakeSdssLike(800, &rng);
   TabularEncoder enc;
   ASSERT_TRUE(enc.Fit(sdss, &rng).ok());
-  EXPECT_EQ(static_cast<int64_t>(enc.EncodeRow(sdss.Row(0)).size()),
+  EXPECT_EQ(static_cast<int64_t>(DenseRow(enc, sdss.Row(0)).size()),
             enc.ProjectedWidth({0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
@@ -359,8 +377,7 @@ TEST(CategoricalEncodingTest, OneHotOverDistinctValues) {
   EXPECT_EQ(enc.AttributeMode(0), EncodingMode::kCategorical);
   EXPECT_EQ(enc.AttributeWidth(0), 4);  // 3 categories + "other".
 
-  std::vector<double> out;
-  enc.EncodeValue(0, 1.0, &out);
+  const std::vector<double> out = DenseValue(enc, 0, 1.0);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_DOUBLE_EQ(out[0], 0.0);
   EXPECT_DOUBLE_EQ(out[1], 1.0);
@@ -382,8 +399,7 @@ TEST(CategoricalEncodingTest, UnseenValueMapsToOther) {
   opt.categorical_attributes = {0};
   TabularEncoder enc(opt);
   ASSERT_TRUE(enc.Fit(t, &rng).ok());
-  std::vector<double> out;
-  enc.EncodeValue(0, 99.0, &out);
+  const std::vector<double> out = DenseValue(enc, 0, 99.0);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_DOUBLE_EQ(out[0], 0.0);
   EXPECT_DOUBLE_EQ(out[1], 0.0);
@@ -405,8 +421,7 @@ TEST(CategoricalEncodingTest, MaxCategoriesKeepsMostFrequent) {
   TabularEncoder enc(opt);
   ASSERT_TRUE(enc.Fit(t, &rng).ok());
   EXPECT_LE(enc.AttributeWidth(0), 3);  // <= 2 categories + other.
-  std::vector<double> dominant;
-  enc.EncodeValue(0, 0.0, &dominant);
+  const std::vector<double> dominant = DenseValue(enc, 0, 0.0);
   EXPECT_DOUBLE_EQ(dominant.back(), 0.0);  // Dominant value is kept.
 }
 
@@ -421,7 +436,7 @@ TEST(CategoricalEncodingTest, CarListingsEndToEnd) {
   EXPECT_EQ(enc.AttributeMode(5), EncodingMode::kCategorical);
   EXPECT_EQ(enc.AttributeMode(6), EncodingMode::kCategorical);
   EXPECT_EQ(enc.AttributeMode(0), EncodingMode::kCombined);
-  const std::vector<double> encoded = enc.EncodeRow(t.Row(0));
+  const std::vector<double> encoded = DenseRow(enc, t.Row(0));
   EXPECT_EQ(static_cast<int64_t>(encoded.size()),
             enc.ProjectedWidth({0, 1, 2, 3, 4, 5, 6}));
 }
@@ -442,7 +457,7 @@ TEST(CategoricalEncodingTest, SurvivesSerialization) {
   ASSERT_TRUE(loaded.Load(&r).ok());
   EXPECT_EQ(loaded.AttributeMode(5), EncodingMode::kCategorical);
   for (int64_t row = 0; row < 10; ++row) {
-    EXPECT_EQ(loaded.EncodeRow(t.Row(row)), enc.EncodeRow(t.Row(row)));
+    EXPECT_EQ(DenseRow(loaded, t.Row(row)), DenseRow(enc, t.Row(row)));
   }
 }
 
@@ -470,9 +485,6 @@ TEST(CategoricalEncodingTest, CodesExpandToTheOneHot) {
     Code code;
     ASSERT_EQ(enc.EncodeValueCodes(0, x, /*offset=*/2, &code), &code + 1);
     EXPECT_EQ(Bits(Expand({&code, 1}, 2, 4)), Bits(expected)) << x;
-    std::vector<double> dense;
-    enc.EncodeValue(0, x, &dense);
-    EXPECT_EQ(Bits(dense), Bits(expected)) << x;
   }
 }
 
