@@ -28,6 +28,7 @@
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
 #include "eval/report.h"
+#include "nn/dispatch.h"
 
 namespace lte::bench {
 namespace {
@@ -101,6 +102,8 @@ void Run() {
   PrintHeader("Block scan vs per-row oracle: variant x threads sweep");
   std::printf("hardware threads available: %lld\n",
               static_cast<long long>(DefaultThreadCount()));
+  // Which kernel body ran: 4 = AVX2, 2 = SSE2 or generic vectors.
+  std::printf("kernel width: %d\n", nn::KernelWidth());
 
   const int64_t rows = SmokeMode() ? 6000 : (FullScale() ? 100000 : 30000);
   const int64_t reps = SmokeMode() ? 2 : (FullScale() ? 5 : 3);
@@ -246,6 +249,7 @@ void Run() {
     std::fprintf(f, "  \"reps\": %lld,\n", static_cast<long long>(reps));
     std::fprintf(f, "  \"hardware_threads\": %lld,\n",
                  static_cast<long long>(DefaultThreadCount()));
+    std::fprintf(f, "  \"kernel_width\": %d,\n", nn::KernelWidth());
     std::fprintf(f,
                  "  \"speedup_reference\": \"per-row PredictRow oracle\",\n");
     std::fprintf(f, "  \"bit_identical\": %s,\n",

@@ -8,10 +8,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "cluster/kmeans.h"
 #include "core/lte.h"
 #include "data/synthetic.h"
 #include "geom/convex_hull.h"
+#include "nn/dispatch.h"
 #include "preprocess/tabular_encoder.h"
 #include "svm/svm.h"
 
@@ -278,4 +281,14 @@ BENCHMARK(BM_TaskModelPredict);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN, plus the dispatched kernel width (4 = AVX2, 2 = SSE2 or
+// generic vectors) in the context every report carries, JSON included.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("kernel_width",
+                              std::to_string(lte::nn::KernelWidth()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

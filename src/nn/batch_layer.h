@@ -11,14 +11,15 @@ namespace lte::nn {
 
 /// One dense layer's weights laid out by input for ForwardBatchLayer: row c
 /// holds input c's weight to every output, stride() doubles apart (the out
-/// width rounded up to even, zero padded), so the kernel reads two adjacent
-/// outputs' weights with one 16-byte load. The bias, if any, is padded the
-/// same way.
+/// width rounded up to a multiple of 4, zero padded), so the kernel reads
+/// two or four adjacent outputs' weights with one 16- or 32-byte load. The
+/// bias, if any, is padded the same way.
 class PackedLayer {
  public:
   /// Packs the `out` x `in` weights W[o][c] = w[o * w_stride + c] and, when
-  /// `bias` is non-null, `out` biases.
-  void Pack(const double* w, int64_t w_stride, int64_t in, int64_t out,
+  /// `bias` is non-null, `out` biases. Returns whether every weight is
+  /// finite (the bias is not checked), read in the same pass.
+  bool Pack(const double* w, int64_t w_stride, int64_t in, int64_t out,
             const double* bias);
 
   int64_t in() const { return in_; }
@@ -55,11 +56,14 @@ struct DenseRows {
 /// Linear::Forward on that row, so each output is bit-identical to it. `x`
 /// must hold `count` rows (callers check; the kernel sees only the pointer).
 ///
-/// The kernel is output-major: a row keeps a chunk of 12 outputs in six
-/// two-double SSE2 accumulators (the x86-64 baseline; generic vectors
-/// elsewhere) and, per input, adds that input's 12 packed weights times its
-/// value. A layer narrower than a chunk keeps several rows in flight, so a
-/// 24 -> 1 logit layer still runs six independent chains.
+/// The kernel is output-major: a row keeps a chunk of outputs in six vector
+/// accumulators and, per input, adds that input's packed weights for the
+/// chunk times its value. The vector width is KernelWidth() (nn/dispatch.h),
+/// picked once per call: 4 doubles with AVX2 (24 outputs per chunk), else 2
+/// (SSE2, the x86-64 baseline, or generic vectors elsewhere; 12 outputs).
+/// Both widths give the same bits. A layer narrower than a chunk keeps
+/// several rows in flight, so a 24 -> 1 logit layer still runs six
+/// independent chains.
 void ForwardBatchLayer(const PackedLayer& layer, DenseRows x, int64_t count,
                        const double* init, bool relu, double* dst);
 

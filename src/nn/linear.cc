@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "nn/batch_layer.h"
+#include "nn/dispatch.h"
 
 namespace lte::nn {
 namespace {
@@ -13,27 +14,90 @@ int64_t BatchCount(std::span<const double> grad_out, int64_t out_w) {
   return static_cast<int64_t>(grad_out.size()) / out_w;
 }
 
-// dW += g_n x_n^T and db += g_n for each row n of `g`. dW's output row o is
-// outer and the batch rows inner, so each dW[o][c] still sums its per-row
-// terms in batch order while dW's row o stays in L1 across the batch. A zero
-// g_n[o] adds nothing, as Matrix::AddOuter skips it. `add_row(n, go, dst)`
-// adds go times row n's inputs into dW's row `dst`.
-template <typename AddRow>
-void Accumulate(std::span<const double> g, Matrix* gw, std::vector<double>* gb,
-                AddRow add_row) {
-  const auto out_w = static_cast<int64_t>(gb->size());
-  const int64_t count = static_cast<int64_t>(g.size()) / out_w;
-  for (int64_t o = 0; o < out_w; ++o) {
-    double* dst = gw->mutable_data()->data() + o * gw->cols();
-    for (int64_t n = 0; n < count; ++n) {
-      const double go = g[static_cast<size_t>(n * out_w + o)];
-      if (go != 0.0) add_row(n, go, dst);
+// Adds go times dense row n into dW's row `dst`.
+struct DenseInputs {
+  const double* x;
+  int64_t in_w;
+
+  LTE_ALWAYS_INLINE void AddRow(int64_t n, double go, double* dst) const {
+    const double* xn = x + n * in_w;
+    for (int64_t c = 0; c < in_w; ++c) dst[c] += go * xn[c];
+  }
+};
+
+// Adds go times code row n (row rows[n] when `rows` is not empty) into dW's
+// row `dst`, at its codes only.
+struct CodeInputs {
+  CodeRows x;
+  std::span<const int64_t> rows;
+
+  LTE_ALWAYS_INLINE void AddRow(int64_t n, double go, double* dst) const {
+    const Code* row =
+        x.codes.data() +
+        (rows.empty() ? n : rows[static_cast<size_t>(n)]) * x.per_row;
+    for (int64_t k = 0; k < x.per_row; ++k) {
+      dst[row[k].index] += go * row[k].value;
     }
   }
-  for (int64_t n = 0; n < count; ++n) {
-    for (int64_t o = 0; o < out_w; ++o) {
-      (*gb)[static_cast<size_t>(o)] += g[static_cast<size_t>(n * out_w + o)];
+};
+
+// One batch backward: `count` rows of output gradients `g`, the layer's
+// out_w x in_w weights `w` and accumulators, and the input gradients `gin`
+// (count x in_w), or null.
+struct Step {
+  const double* g;
+  int64_t count;
+  int64_t in_w;
+  int64_t out_w;
+  const double* w;
+  double* gw;
+  double* gb;
+  double* gin;
+};
+
+// The backward body (nn/dispatch.h). dW += g_n x_n^T and db += g_n for each
+// row n: dW's output row o is outer and the batch rows inner, so each
+// dW[o][c] still sums its per-row terms in batch order while dW's row o
+// stays in L1 across the batch. A zero g_n[o] adds nothing, as
+// Matrix::AddOuter skips it. Then, when `gin` is set, gin_n = W^T g_n in
+// TransposeMatVec's order and zero skips.
+template <typename Inputs>
+LTE_ALWAYS_INLINE void Backward(const Inputs& inputs, const Step& s) {
+  for (int64_t o = 0; o < s.out_w; ++o) {
+    double* dst = s.gw + o * s.in_w;
+    for (int64_t n = 0; n < s.count; ++n) {
+      const double go = s.g[n * s.out_w + o];
+      if (go != 0.0) inputs.AddRow(n, go, dst);
     }
+  }
+  for (int64_t n = 0; n < s.count; ++n) {
+    for (int64_t o = 0; o < s.out_w; ++o) s.gb[o] += s.g[n * s.out_w + o];
+  }
+  if (s.gin == nullptr) return;
+  for (int64_t n = 0; n < s.count; ++n) {
+    double* gi = s.gin + n * s.in_w;
+    std::fill(gi, gi + s.in_w, 0.0);
+    for (int64_t o = 0; o < s.out_w; ++o) {
+      const double go = s.g[n * s.out_w + o];
+      if (go == 0.0) continue;
+      const double* wo = s.w + o * s.in_w;
+      for (int64_t c = 0; c < s.in_w; ++c) gi[c] += wo[c] * go;
+    }
+  }
+}
+
+template <typename Inputs>
+LTE_TARGET_AVX2 void BackwardAvx2(const Inputs& inputs, const Step& s) {
+  Backward(inputs, s);
+}
+
+// One dispatch per layer call.
+template <typename Inputs>
+void Dispatch(const Inputs& inputs, const Step& s) {
+  if (UseAvx2Bodies()) {
+    BackwardAvx2(inputs, s);
+  } else {
+    Backward(inputs, s);
   }
 }
 
@@ -60,37 +124,25 @@ void Linear::BackwardBatch(std::span<const double> x,
   const int64_t out_w = out_features();
   const int64_t count = BatchCount(grad_out, out_w);
   LTE_CHECK_EQ(static_cast<int64_t>(x.size()), count * in_w);
-  Accumulate(grad_out, &grad_weights_, &grad_bias_,
-             [&](int64_t n, double go, double* dst) {
-               const double* xn = x.data() + n * in_w;
-               for (int64_t c = 0; c < in_w; ++c) dst[c] += go * xn[c];
-             });
-  if (grad_in.empty()) return;
-  LTE_CHECK_EQ(static_cast<int64_t>(grad_in.size()), count * in_w);
-  const double* g = grad_out.data();
-  const double* w = weights_.data().data();
-  for (int64_t n = 0; n < count; ++n) {
-    double* gi = grad_in.data() + n * in_w;
-    std::fill(gi, gi + in_w, 0.0);
-    for (int64_t o = 0; o < out_w; ++o) {
-      const double go = g[n * out_w + o];
-      if (go == 0.0) continue;
-      const double* wo = w + o * in_w;
-      for (int64_t c = 0; c < in_w; ++c) gi[c] += wo[c] * go;
-    }
+  if (!grad_in.empty()) {
+    LTE_CHECK_EQ(static_cast<int64_t>(grad_in.size()), count * in_w);
   }
+  const Step step{grad_out.data(), count, in_w, out_w, weights_.data().data(),
+                  grad_weights_.mutable_data()->data(), grad_bias_.data(),
+                  grad_in.empty() ? nullptr : grad_in.data()};
+  Dispatch(DenseInputs{x.data(), in_w}, step);
 }
 
 void Linear::BackwardCodes(CodeRows x, std::span<const int64_t> rows,
                            std::span<const double> grad_out) {
-  CheckCodeRows(x, rows, BatchCount(grad_out, out_features()), in_features());
-  Accumulate(grad_out, &grad_weights_, &grad_bias_,
-             [&](int64_t n, double go, double* dst) {
-               for (const Code& c :
-                    x.row(rows.empty() ? n : rows[static_cast<size_t>(n)])) {
-                 dst[c.index] += go * c.value;
-               }
-             });
+  const int64_t in_w = in_features();
+  const int64_t out_w = out_features();
+  const int64_t count = BatchCount(grad_out, out_w);
+  CheckCodeRows(x, rows, count, in_w);
+  const Step step{grad_out.data(), count, in_w, out_w, weights_.data().data(),
+                  grad_weights_.mutable_data()->data(), grad_bias_.data(),
+                  /*gin=*/nullptr};
+  Dispatch(CodeInputs{x, rows}, step);
 }
 
 void Linear::ZeroGrad() {

@@ -3,8 +3,23 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "nn/dispatch.h"
 
 namespace lte::nn {
+namespace {
+
+// Matrix::AddScaled's body (nn/dispatch.h).
+LTE_ALWAYS_INLINE void AddScaledBody(double* dst, const double* src,
+                                     size_t size, double scale) {
+  for (size_t i = 0; i < size; ++i) dst[i] += scale * src[i];
+}
+
+LTE_TARGET_AVX2 void AddScaledAvx2(double* dst, const double* src,
+                                   size_t size, double scale) {
+  AddScaledBody(dst, src, size, scale);
+}
+
+}  // namespace
 
 void DotRows(const double* w, int64_t stride, int64_t rows,
              std::span<const double> x, const double* init, double* out) {
@@ -99,7 +114,11 @@ void Matrix::AddOuter(const std::vector<double>& a,
 void Matrix::AddScaled(const Matrix& other, double scale) {
   LTE_CHECK_EQ(rows_, other.rows_);
   LTE_CHECK_EQ(cols_, other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += scale * other.data_[i];
+  if (UseAvx2Bodies()) {
+    AddScaledAvx2(data_.data(), other.data_.data(), data_.size(), scale);
+  } else {
+    AddScaledBody(data_.data(), other.data_.data(), data_.size(), scale);
+  }
 }
 
 std::vector<double> Matrix::Row(int64_t r) const {

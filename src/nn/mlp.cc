@@ -44,9 +44,10 @@ bool AllFinite(std::span<const double> v) {
   return true;
 }
 
-void PackLayer(const Linear& l, PackedLayer* packed) {
-  packed->Pack(l.weights().data().data(), l.in_features(), l.in_features(),
-               l.out_features(), l.bias().data());
+// Returns whether every weight of `l` is finite.
+bool PackLayer(const Linear& l, PackedLayer* packed) {
+  return packed->Pack(l.weights().data().data(), l.in_features(),
+                      l.in_features(), l.out_features(), l.bias().data());
 }
 
 // The packed weights must be these layers' (PackWeights on this Mlp).
@@ -89,7 +90,7 @@ std::span<const double> TrainForward(std::span<const Linear> layers,
     std::vector<double>& dst = scratch->outputs[i];
     dst.resize(static_cast<size_t>(count * l.out_features()));
     if (i == 0 && scratch->codes.per_row > 0) {
-      PackLayer(l, &scratch->packed);
+      // ForwardTrain packed the first layer already.
       ForwardBatchLayer(scratch->packed, scratch->codes, scratch->rows, count,
                         relu, dst.data());
     } else if (count == 1) {
@@ -150,10 +151,11 @@ std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
 bool Mlp::PackWeights(BatchScratch* scratch) const {
   LTE_CHECK(!layers_.empty());
   scratch->packed.resize(layers_.size());
-  for (size_t i = 0; i < layers_.size(); ++i) {
+  const bool finite = PackLayer(layers_.front(), &scratch->packed.front());
+  for (size_t i = 1; i < layers_.size(); ++i) {
     PackLayer(layers_[i], &scratch->packed[i]);
   }
-  return AllFinite(layers_.front().weights().data());
+  return finite;
 }
 
 void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
@@ -212,7 +214,9 @@ std::span<const double> Mlp::ForwardTrain(CodeRows x, int64_t count,
                                           std::span<const int64_t> rows) const {
   LTE_CHECK(!layers_.empty());
   LTE_CHECK(count >= 0 && x.per_row > 0);  // The kernel checks the rest.
-  if (!AllFinite(layers_.front().weights().data())) {
+  // The first layer is packed here, before the rows are fixed: its pack
+  // reports whether the skipped inputs' terms are exact zeros.
+  if (!PackLayer(layers_.front(), &scratch->packed)) {
     x = WidenCodeRows(x, rows, count, in_features(), &scratch->wide);
     rows = {};
   }

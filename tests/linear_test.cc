@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "nn/dispatch.h"
+
 namespace lte::nn {
 namespace {
 
@@ -119,50 +123,55 @@ TEST(LinearTest, ApplyGradientsIsSgdStep) {
 // A batch accumulates its rows in order and writes one input gradient per
 // row. The code-form backward, over indexed code rows with a repeat and a
 // zero-valued code, accumulates the same bits as the dense rows they expand
-// to, one at a time.
+// to, one at a time. Both dispatched bodies the host runs are checked.
 TEST(LinearTest, BackwardBatchMatchesRowByRow) {
-  Rng rng(7);
-  Linear batch(3, 2, &rng);
-  Linear codes = batch;
-  Linear single = batch;
-  const std::vector<double> x = {0.5, -1.0, 2.0,    // row 0
-                                 1.5, 0.25, -0.5,   // row 1
-                                 -2.0, 1.0, 0.75};  // row 2
-  const std::vector<double> g = {1.0, 0.0, -0.5, 2.0, 0.25, -1.5};
-  // Code rows of inputs {0, 2}: row 0 (0.5, +0.0), row 1 (-2.0, 0.75).
-  const std::vector<Code> code_x = {{0, 0.5}, {2, 0.0}, {0, -2.0}, {2, 0.75}};
-  const std::vector<int64_t> rows = {1, 0, 1};
-  std::vector<double> gin(3 * 3);
-  batch.ZeroGrad();
-  batch.BackwardBatch(x, g, gin);
-  codes.ZeroGrad();
-  codes.BackwardCodes(CodeRows{code_x, 2}, rows, g);
-  single.ZeroGrad();
-  Linear code_single = single;
-  for (size_t n = 0; n < 3; ++n) {
-    const std::vector<double> xn(x.begin() + n * 3, x.begin() + n * 3 + 3);
-    const std::vector<double> gn(g.begin() + n * 2, g.begin() + n * 2 + 2);
-    std::vector<double> gin_n(3);
-    single.BackwardBatch(xn, gn, gin_n);
-    EXPECT_EQ(gin_n, single.weights().TransposeMatVec(gn));
-    EXPECT_EQ(gin_n, std::vector<double>(gin.begin() + n * 3,
-                                         gin.begin() + n * 3 + 3));
-    std::vector<double> dense(3, 0.0);
-    for (const Code& c : CodeRows{code_x, 2}.row(rows[n])) {
-      dense[static_cast<size_t>(c.index)] = c.value;
+  for (const int width : {2, 4}) {
+    if (width > KernelWidth()) continue;  // No AVX2 body here.
+    ScopedKernelWidth scope(width);
+    SCOPED_TRACE("kernel width " + std::to_string(width));
+    Rng rng(7);
+    Linear batch(3, 2, &rng);
+    Linear codes = batch;
+    Linear single = batch;
+    const std::vector<double> x = {0.5, -1.0, 2.0,    // row 0
+                                   1.5, 0.25, -0.5,   // row 1
+                                   -2.0, 1.0, 0.75};  // row 2
+    const std::vector<double> g = {1.0, 0.0, -0.5, 2.0, 0.25, -1.5};
+    // Code rows of inputs {0, 2}: row 0 (0.5, +0.0), row 1 (-2.0, 0.75).
+    const std::vector<Code> code_x = {{0, 0.5}, {2, 0.0}, {0, -2.0}, {2, 0.75}};
+    const std::vector<int64_t> rows = {1, 0, 1};
+    std::vector<double> gin(3 * 3);
+    batch.ZeroGrad();
+    batch.BackwardBatch(x, g, gin);
+    codes.ZeroGrad();
+    codes.BackwardCodes(CodeRows{code_x, 2}, rows, g);
+    single.ZeroGrad();
+    Linear code_single = single;
+    for (size_t n = 0; n < 3; ++n) {
+      const std::vector<double> xn(x.begin() + n * 3, x.begin() + n * 3 + 3);
+      const std::vector<double> gn(g.begin() + n * 2, g.begin() + n * 2 + 2);
+      std::vector<double> gin_n(3);
+      single.BackwardBatch(xn, gn, gin_n);
+      EXPECT_EQ(gin_n, single.weights().TransposeMatVec(gn));
+      EXPECT_EQ(gin_n, std::vector<double>(gin.begin() + n * 3,
+                                           gin.begin() + n * 3 + 3));
+      std::vector<double> dense(3, 0.0);
+      for (const Code& c : CodeRows{code_x, 2}.row(rows[n])) {
+        dense[static_cast<size_t>(c.index)] = c.value;
+      }
+      code_single.BackwardBatch(dense, gn, {});
     }
-    code_single.BackwardBatch(dense, gn, {});
+    std::vector<double> a;
+    std::vector<double> b;
+    batch.AppendGradients(&a);
+    single.AppendGradients(&b);
+    EXPECT_EQ(a, b);
+    std::vector<double> c;
+    std::vector<double> d;
+    codes.AppendGradients(&c);
+    code_single.AppendGradients(&d);
+    EXPECT_EQ(c, d);
   }
-  std::vector<double> a;
-  std::vector<double> b;
-  batch.AppendGradients(&a);
-  single.AppendGradients(&b);
-  EXPECT_EQ(a, b);
-  std::vector<double> c;
-  std::vector<double> d;
-  codes.AppendGradients(&c);
-  code_single.AppendGradients(&d);
-  EXPECT_EQ(c, d);
 }
 
 }  // namespace

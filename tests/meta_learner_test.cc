@@ -13,6 +13,7 @@
 #include "core/meta_trainer.h"
 #include "data/table.h"
 #include "nn/activations.h"
+#include "nn/dispatch.h"
 #include "nn/loss.h"
 #include "preprocess/tabular_encoder.h"
 
@@ -684,31 +685,37 @@ TEST(MetaLearnerTest, BatchStepMatchesPerTupleReference) {
 
 // Whole adaptations on code rows: after LocallyAdapt, with and without
 // clipping, every parameter, M_cp and the accumulated θ_R support gradient
-// equal the per-tuple reference on the expanded rows bit for bit.
+// equal the per-tuple reference on the expanded rows bit for bit, with the
+// training step's SSE2 bodies and, where the host has AVX2, its AVX2 ones.
 TEST(MetaLearnerTest, LocallyAdaptMatchesPerTupleReference) {
-  for (const OracleShape& shape : OracleShapes()) {
-    for (const OracleSet& set : OracleSets()) {
-      for (const OddWeights odd : kOddWeights) {
-        for (const int64_t batch : {1, 5, 10, 60}) {
-          for (const double max_norm : {1.0, 0.0}) {
-            const std::string what =
-                std::string(shape.name) + " " + set.name + " " +
-                OddName(odd) + " batch=" + std::to_string(batch) +
-                " clip=" + std::to_string(max_norm);
-            Rng rng(37);
-            MetaLearner learner(OracleOptions(shape, set.width), &rng);
-            TaskModel tm =
-                learner.CreateTaskModel(RandomVec(&rng, 12, true));
-            ApplyOddWeights(odd, set.width, &tm);
-            RefTaskModel ref(tm);
-            Rng rng_lib(41);
-            Rng rng_ref(41);
-            LocallyAdapt(&tm, set.rows(), set.y, /*steps=*/7, batch,
-                         /*lr=*/0.3, &rng_lib, max_norm);
-            RefLocallyAdapt(&ref, set.dense, set.y, 7, batch, 0.3, &rng_ref,
-                            max_norm);
-            ExpectModelMatchesReference(tm, ref, what);
-            EXPECT_EQ(rng_lib.engine()(), rng_ref.engine()()) << what;
+  for (const int width : {2, 4}) {
+    if (width > nn::KernelWidth()) continue;  // No AVX2 body here.
+    nn::ScopedKernelWidth scope(width);
+    SCOPED_TRACE("kernel width " + std::to_string(width));
+    for (const OracleShape& shape : OracleShapes()) {
+      for (const OracleSet& set : OracleSets()) {
+        for (const OddWeights odd : kOddWeights) {
+          for (const int64_t batch : {1, 5, 10, 60}) {
+            for (const double max_norm : {1.0, 0.0}) {
+              const std::string what =
+                  std::string(shape.name) + " " + set.name + " " +
+                  OddName(odd) + " batch=" + std::to_string(batch) +
+                  " clip=" + std::to_string(max_norm);
+              Rng rng(37);
+              MetaLearner learner(OracleOptions(shape, set.width), &rng);
+              TaskModel tm =
+                  learner.CreateTaskModel(RandomVec(&rng, 12, true));
+              ApplyOddWeights(odd, set.width, &tm);
+              RefTaskModel ref(tm);
+              Rng rng_lib(41);
+              Rng rng_ref(41);
+              LocallyAdapt(&tm, set.rows(), set.y, /*steps=*/7, batch,
+                           /*lr=*/0.3, &rng_lib, max_norm);
+              RefLocallyAdapt(&ref, set.dense, set.y, 7, batch, 0.3, &rng_ref,
+                              max_norm);
+              ExpectModelMatchesReference(tm, ref, what);
+              EXPECT_EQ(rng_lib.engine()(), rng_ref.engine()()) << what;
+            }
           }
         }
       }

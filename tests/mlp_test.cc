@@ -8,10 +8,12 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "nn/activations.h"
 #include "nn/batch_layer.h"
+#include "nn/dispatch.h"
 #include "nn/loss.h"
 
 namespace lte::nn {
@@ -267,10 +269,10 @@ TEST(MlpTest, TransposeFirstLayerFlagsNonFiniteWeights) {
   ASSERT_TRUE(mlp.PackWeights(&scratch));
   const std::vector<double>& wt = scratch.packed.front().wt();
   const std::vector<double> w = mlp.GetParameters();
-  ASSERT_EQ(wt.size(), 6u);
+  ASSERT_EQ(wt.size(), 12u);
   for (int64_t o = 0; o < 2; ++o) {
     for (int64_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(wt[static_cast<size_t>(c * 2 + o)],
+      EXPECT_EQ(wt[static_cast<size_t>(c * 4 + o)],
                 w[static_cast<size_t>(o * 3 + c)]);
     }
   }
@@ -335,53 +337,59 @@ std::vector<double> ReferenceRow(const Linear& layer,
   return relu ? Relu(y) : y;
 }
 
-// The batch layer kernel against per-row Linear::Forward, bit for bit: every
-// chunk shape (widths below, at and around the 12-output chunk and the
-// narrow multi-row tiles), row counts around the row tiles, a shared head
-// resumed from its prefix, layers with and without a bias, signed zeros,
-// and +-inf and NaN in weights and inputs.
+// The batch layer kernel against per-row Linear::Forward, bit for bit, at
+// both vector widths the host runs: every chunk shape (widths below, at and
+// around the 12- and 24-output chunks, every tail of 1-3 outputs past a
+// multiple of 4, and the narrow multi-row tiles), row counts around the row
+// tiles, a shared head resumed from its prefix, layers with and without a
+// bias, signed zeros, and +-inf and NaN in weights and inputs.
 TEST(BatchLayerTest, DenseRowsMatchPerRowLinearForward) {
-  Rng rng(21);
-  const std::vector<int64_t> widths = {1, 2, 5, 12, 13, 24, 25, 32};
-  for (const int64_t in : widths) {
-    for (const int64_t out : widths) {
-      for (const bool non_finite : {false, true}) {
-        const Mlp mlp = AwkwardLayer(in, out, non_finite, &rng);
-        const Linear& layer = mlp.layers().front();
-        for (const bool bias : {true, false}) {
-          PackedLayer packed;
-          packed.Pack(layer.weights().data().data(), in, in, out,
-                      bias ? layer.bias().data() : nullptr);
-          for (const int64_t count : {0, 1, 7, 8, 9, 130}) {
-            const bool relu = (in + out + count) % 2 == 0;
-            // A shared head covers the first half of the inputs.
-            const int64_t skip = count % 2 == 1 ? in / 2 : 0;
-            std::vector<double> head(static_cast<size_t>(skip));
-            for (double& v : head) v = AwkwardValue(&rng, non_finite);
-            std::vector<double> prefix(static_cast<size_t>(out));
-            DotRows(layer.weights().data().data(), in, out, head, nullptr,
-                    prefix.data());
-            std::vector<double> x(static_cast<size_t>(count * (in - skip)));
-            for (double& v : x) v = AwkwardValue(&rng, non_finite);
-            std::vector<double> got(static_cast<size_t>(count * out));
-            ForwardBatchLayer(packed, DenseRows{x.data(), in - skip, skip},
-                              count, skip > 0 ? prefix.data() : nullptr, relu,
-                              got.data());
-            for (int64_t n = 0; n < count; ++n) {
-              std::vector<double> full = head;
-              full.insert(full.end(), x.begin() + n * (in - skip),
-                          x.begin() + (n + 1) * (in - skip));
-              const std::vector<double> want =
-                  ReferenceRow(layer, full, bias, relu);
-              for (int64_t o = 0; o < out; ++o) {
-                ASSERT_TRUE(SameBitsOrBothNan(
-                    got[static_cast<size_t>(n * out + o)],
-                    want[static_cast<size_t>(o)]))
-                    << "in=" << in << " out=" << out << " count=" << count
-                    << " n=" << n << " o=" << o << " bias=" << bias
-                    << " relu=" << relu << " skip=" << skip << ": "
-                    << got[static_cast<size_t>(n * out + o)] << " vs "
-                    << want[static_cast<size_t>(o)];
+  for (const int width : {2, 4}) {
+    if (width > KernelWidth()) continue;  // No AVX2 body here.
+    ScopedKernelWidth scope(width);
+    SCOPED_TRACE("kernel width " + std::to_string(width));
+    Rng rng(21);
+    const int64_t widths[] = {1, 2, 3, 4, 5, 12, 13, 23, 24, 25, 32};
+    for (const int64_t in : widths) {
+      for (const int64_t out : widths) {
+        for (const bool non_finite : {false, true}) {
+          const Mlp mlp = AwkwardLayer(in, out, non_finite, &rng);
+          const Linear& layer = mlp.layers().front();
+          for (const bool bias : {true, false}) {
+            PackedLayer packed;
+            packed.Pack(layer.weights().data().data(), in, in, out,
+                        bias ? layer.bias().data() : nullptr);
+            for (const int64_t count : {0, 1, 7, 8, 9, 130}) {
+              const bool relu = (in + out + count) % 2 == 0;
+              // A shared head covers the first half of the inputs.
+              const int64_t skip = count % 2 == 1 ? in / 2 : 0;
+              std::vector<double> head(static_cast<size_t>(skip));
+              for (double& v : head) v = AwkwardValue(&rng, non_finite);
+              std::vector<double> prefix(static_cast<size_t>(out));
+              DotRows(layer.weights().data().data(), in, out, head, nullptr,
+                      prefix.data());
+              std::vector<double> x(static_cast<size_t>(count * (in - skip)));
+              for (double& v : x) v = AwkwardValue(&rng, non_finite);
+              std::vector<double> got(static_cast<size_t>(count * out));
+              ForwardBatchLayer(packed, DenseRows{x.data(), in - skip, skip},
+                                count, skip > 0 ? prefix.data() : nullptr, relu,
+                                got.data());
+              for (int64_t n = 0; n < count; ++n) {
+                std::vector<double> full = head;
+                full.insert(full.end(), x.begin() + n * (in - skip),
+                            x.begin() + (n + 1) * (in - skip));
+                const std::vector<double> want =
+                    ReferenceRow(layer, full, bias, relu);
+                for (int64_t o = 0; o < out; ++o) {
+                  ASSERT_TRUE(SameBitsOrBothNan(
+                      got[static_cast<size_t>(n * out + o)],
+                      want[static_cast<size_t>(o)]))
+                      << "in=" << in << " out=" << out << " count=" << count
+                      << " n=" << n << " o=" << o << " bias=" << bias
+                      << " relu=" << relu << " skip=" << skip << ": "
+                      << got[static_cast<size_t>(n * out + o)] << " vs "
+                      << want[static_cast<size_t>(o)];
+                }
               }
             }
           }
@@ -391,58 +399,72 @@ TEST(BatchLayerTest, DenseRowsMatchPerRowLinearForward) {
   }
 }
 
-// The kernel over code rows against Linear::Forward on the expanded rows:
-// exact for finite weights, with zero-valued, +-inf and NaN code values.
+// The kernel over code rows against Linear::Forward on the expanded rows, at
+// both widths: exact for finite weights, with zero-valued, +-inf and NaN
+// code values.
 TEST(BatchLayerTest, CodeRowsMatchPerRowLinearForward) {
-  Rng rng(22);
-  for (const int64_t in : {1, 5, 13, 24}) {
-    for (const int64_t out : {1, 2, 5, 12, 13, 24, 25, 32}) {
-      const Mlp mlp = AwkwardLayer(in, out, /*non_finite=*/false, &rng);
-      const Linear& layer = mlp.layers().front();
-      PackedLayer packed;
-      packed.Pack(layer.weights().data().data(), in, in, out,
-                  layer.bias().data());
-      const int64_t per_row = std::min<int64_t>(in, 3);
-      for (const int64_t count : {0, 1, 7, 8, 9, 130}) {
-        const bool relu = count % 2 == 0;
-        std::vector<Code> codes;
-        for (int64_t n = 0; n < count; ++n) {
-          // per_row distinct ascending indices: every in/per_row-th input
-          // from a random start.
-          const int64_t first = rng.UniformInt(in - (per_row - 1) *
-                                                      (in / per_row));
-          for (int64_t k = 0; k < per_row; ++k) {
-            codes.push_back({first + k * (in / per_row),
-                             AwkwardValue(&rng, /*non_finite=*/true)});
+  for (const int width : {2, 4}) {
+    if (width > KernelWidth()) continue;  // No AVX2 body here.
+    ScopedKernelWidth scope(width);
+    SCOPED_TRACE("kernel width " + std::to_string(width));
+    Rng rng(22);
+    for (const int64_t in : {1, 5, 13, 24}) {
+      for (const int64_t out : {1, 2, 3, 4, 5, 12, 13, 23, 24, 25, 32}) {
+        const Mlp mlp = AwkwardLayer(in, out, /*non_finite=*/false, &rng);
+        const Linear& layer = mlp.layers().front();
+        PackedLayer packed;
+        packed.Pack(layer.weights().data().data(), in, in, out,
+                    layer.bias().data());
+        const int64_t per_row = std::min<int64_t>(in, 3);
+        for (const int64_t count : {0, 1, 7, 8, 9, 130}) {
+          const bool relu = count % 2 == 0;
+          std::vector<Code> codes;
+          for (int64_t n = 0; n < count; ++n) {
+            // per_row distinct ascending indices: every in/per_row-th input
+            // from a random start.
+            const int64_t first = rng.UniformInt(in - (per_row - 1) *
+                                                        (in / per_row));
+            for (int64_t k = 0; k < per_row; ++k) {
+              codes.push_back({first + k * (in / per_row),
+                               AwkwardValue(&rng, /*non_finite=*/true)});
+            }
           }
-        }
-        std::vector<int64_t> rows;
-        if (count % 3 == 1) {
-          for (int64_t n = 0; n < count; ++n) rows.push_back((n * 5) % count);
-        }
-        std::vector<double> got(static_cast<size_t>(count * out));
-        ForwardBatchLayer(packed, CodeRows{codes, per_row}, rows, count, relu,
-                          got.data());
-        for (int64_t n = 0; n < count; ++n) {
-          const int64_t r = rows.empty() ? n : rows[static_cast<size_t>(n)];
-          std::vector<double> full(static_cast<size_t>(in), 0.0);
-          for (int64_t k = 0; k < per_row; ++k) {
-            const Code& c = codes[static_cast<size_t>(r * per_row + k)];
-            full[static_cast<size_t>(c.index)] = c.value;
+          std::vector<int64_t> rows;
+          if (count % 3 == 1) {
+            for (int64_t n = 0; n < count; ++n) rows.push_back((n * 5) % count);
           }
-          const std::vector<double> want =
-              ReferenceRow(layer, full, /*bias=*/true, relu);
-          for (int64_t o = 0; o < out; ++o) {
-            ASSERT_TRUE(SameBitsOrBothNan(
-                got[static_cast<size_t>(n * out + o)],
-                want[static_cast<size_t>(o)]))
-                << "in=" << in << " out=" << out << " count=" << count
-                << " n=" << n << " o=" << o;
+          std::vector<double> got(static_cast<size_t>(count * out));
+          ForwardBatchLayer(packed, CodeRows{codes, per_row}, rows, count, relu,
+                            got.data());
+          for (int64_t n = 0; n < count; ++n) {
+            const int64_t r = rows.empty() ? n : rows[static_cast<size_t>(n)];
+            std::vector<double> full(static_cast<size_t>(in), 0.0);
+            for (int64_t k = 0; k < per_row; ++k) {
+              const Code& c = codes[static_cast<size_t>(r * per_row + k)];
+              full[static_cast<size_t>(c.index)] = c.value;
+            }
+            const std::vector<double> want =
+                ReferenceRow(layer, full, /*bias=*/true, relu);
+            for (int64_t o = 0; o < out; ++o) {
+              ASSERT_TRUE(SameBitsOrBothNan(
+                  got[static_cast<size_t>(n * out + o)],
+                  want[static_cast<size_t>(o)]))
+                  << "in=" << in << " out=" << out << " count=" << count
+                  << " n=" << n << " o=" << o;
+            }
           }
         }
       }
     }
   }
+}
+
+// The dispatched width is the CPU's: 4 exactly when it has AVX2.
+TEST(BatchLayerTest, KernelWidthIsFourExactlyWithAvx2) {
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(KernelWidth() == 4, __builtin_cpu_supports("avx2") != 0);
+#endif
+  EXPECT_TRUE(KernelWidth() == 2 || KernelWidth() == 4);
 }
 
 // Satellite bugfix: a ragged batch (x.size() not a multiple of count) used
