@@ -200,38 +200,60 @@ void BM_SvmTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_SvmTrain)->Arg(30)->Arg(105);
 
+// `labels` tuples shaped like the encoder's output at servebench's shapes:
+// SDSS-like rows encoded on a 2-D kCombined subspace, 8 codes in a 24-wide
+// row, each with a random label.
+struct ServingTuples {
+  std::vector<lte::Code> codes;
+  lte::CodeRows x;
+  std::vector<double> y;
+  int64_t width = 0;
+};
+
+bool MakeServingTuples(int64_t labels, lte::Rng* rng, ServingTuples* out) {
+  const lte::data::Table table = lte::data::MakeSdssLike(2000, rng);
+  lte::preprocess::TabularEncoder enc;
+  if (!enc.Fit(table, rng).ok()) return false;
+  const std::vector<int64_t> attrs = {0, 1};
+  std::vector<std::vector<double>> points;
+  for (int64_t i = 0; i < labels; ++i) {
+    const std::vector<double> row = table.Row(rng->UniformInt(2000));
+    points.push_back({row[0], row[1]});
+    out->y.push_back(rng->Bernoulli(0.5) ? 1.0 : 0.0);
+  }
+  out->x = enc.EncodePointsCodesInto(attrs, points, &out->codes);
+  out->width = enc.ProjectedWidth(attrs);
+  return true;
+}
+
+// A fresh meta-learner at `opt` for `tuples`, and a UIS feature.
+lte::core::MetaLearner MakeLearner(lte::core::MetaLearnerOptions opt,
+                                   const ServingTuples& tuples, lte::Rng* rng,
+                                   std::vector<double>* v_r) {
+  opt.tuple_feature_dim = tuples.width;
+  lte::core::MetaLearner learner(opt, rng);
+  v_r->resize(static_cast<size_t>(opt.uis_feature_dim));
+  for (double& b : *v_r) b = rng->Bernoulli(0.3) ? 1.0 : 0.0;
+  return learner;
+}
+
 // One LocallyAdapt over `labels` tuples at batch 10 for `steps` steps, with
-// a fresh task model per iteration. The tuples are shaped like the
-// encoder's output at servebench's shapes: SDSS-like rows encoded on a 2-D
-// kCombined subspace, 8 codes in a 24-wide row.
+// a fresh task model per iteration.
 void RunAdaptation(benchmark::State& state,
                    lte::core::MetaLearnerOptions opt, int64_t labels,
                    int64_t steps) {
   lte::Rng rng(7);
-  const lte::data::Table table = lte::data::MakeSdssLike(2000, &rng);
-  lte::preprocess::TabularEncoder enc;
-  if (!enc.Fit(table, &rng).ok()) {
+  ServingTuples tuples;
+  if (!MakeServingTuples(labels, &rng, &tuples)) {
     state.SkipWithError("encoder fit failed");
     return;
   }
-  const std::vector<int64_t> attrs = {0, 1};
-  std::vector<std::vector<double>> points;
-  std::vector<double> y;
-  for (int64_t i = 0; i < labels; ++i) {
-    const std::vector<double> row = table.Row(rng.UniformInt(2000));
-    points.push_back({row[0], row[1]});
-    y.push_back(rng.Bernoulli(0.5) ? 1.0 : 0.0);
-  }
-  std::vector<lte::Code> codes;
-  const lte::CodeRows x = enc.EncodePointsCodesInto(attrs, points, &codes);
-  opt.tuple_feature_dim = enc.ProjectedWidth(attrs);
-  lte::core::MetaLearner learner(opt, &rng);
-  std::vector<double> v_r(static_cast<size_t>(opt.uis_feature_dim));
-  for (double& b : v_r) b = rng.Bernoulli(0.3) ? 1.0 : 0.0;
+  std::vector<double> v_r;
+  const lte::core::MetaLearner learner = MakeLearner(opt, tuples, &rng, &v_r);
   for (auto _ : state) {
     lte::core::TaskModel tm = learner.CreateTaskModel(v_r);
-    lte::core::LocallyAdapt(&tm, x, y, steps, /*batch_size=*/10,
-                            /*lr=*/0.2, &rng);
+    lte::core::LocallyAdapt(&tm, tuples.x, tuples.y, steps,
+                            /*batch_size=*/10, /*lr=*/0.2, &rng);
     benchmark::DoNotOptimize(tm.support_grad_r().data());
   }
 }
@@ -260,6 +282,40 @@ void BM_TaskModelAdaptationServing(benchmark::State& state) {
   RunAdaptation(state, opt, state.range(0), state.range(1));
 }
 BENCHMARK(BM_TaskModelAdaptationServing)->Args({30, 40})->Args({5, 40});
+
+// One training step at servebench's shapes (k_u 50, tuple width 24, N_e 24,
+// clf_hidden {24}): TaskModel::AccumulateBatch over a minibatch of
+// `count` tuples, then ApplyAccumulated with LocallyAdapt's clipping. A
+// continue's minibatch is at most 10 tuples; 60 is a meta-training query
+// set. Every 40 steps (servebench's online_steps) the task model is reset
+// to its start, so the parameters stay in an adaptation's range; the reset
+// is a copy into the model's own buffers and is timed with the steps.
+void BM_TaskModelStep(benchmark::State& state) {
+  const int64_t count = state.range(0);
+  lte::Rng rng(11);
+  ServingTuples tuples;
+  if (!MakeServingTuples(count, &rng, &tuples)) {
+    state.SkipWithError("encoder fit failed");
+    return;
+  }
+  lte::core::MetaLearnerOptions opt;
+  opt.uis_feature_dim = 50;
+  opt.embedding_size = 24;
+  opt.clf_hidden = {24};
+  std::vector<double> v_r;
+  const lte::core::TaskModel start =
+      MakeLearner(opt, tuples, &rng, &v_r).CreateTaskModel(v_r);
+  lte::core::TaskModel tm = start;
+  lte::core::TaskModel::TrainScratch scratch;
+  int64_t step = 0;
+  for (auto _ : state) {
+    if (++step % 40 == 0) tm = start;
+    benchmark::DoNotOptimize(
+        tm.AccumulateBatch(tuples.x, tuples.y, {}, &scratch));
+    tm.ApplyAccumulated(/*lr=*/0.2, /*max_grad_norm=*/1.0);
+  }
+}
+BENCHMARK(BM_TaskModelStep)->Arg(5)->Arg(10)->Arg(60);
 
 void BM_TaskModelPredict(benchmark::State& state) {
   lte::Rng rng(8);

@@ -132,6 +132,11 @@ Status ExplorationModel::Pretrain(const data::Table& table,
   if (!schedule.ok()) {
     return Status::InvalidArgument("explorer: " + schedule.message());
   }
+  // MetaTrain would refuse them too, but only after the encoder, the
+  // clustering and the task generation have run on the caller's stream.
+  if (train_meta) {
+    LTE_RETURN_IF_ERROR(CheckMetaTrainerOptions(options_.trainer));
+  }
   // Built into locals and committed at the end, as Load does.
   preprocess::TabularEncoder encoder(options_.encoder);
   LTE_RETURN_IF_ERROR(encoder.Fit(table, rng));

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "nn/activations.h"
-#include "nn/dispatch.h"
 #include "nn/loss.h"
 
 namespace lte::core {
@@ -46,60 +45,6 @@ void ConvertBatch(const nn::PackedLayer& mcp, const std::vector<double>& left,
                   const double* emb_tau, int64_t count, double* out) {
   nn::ForwardBatchLayer(mcp, nn::DenseRows{emb_tau, mcp.in()}, count,
                         left.data(), /*relu=*/false, out);
-}
-
-// The conversion's backward over one batch: M_cp (N_e x 2N_e), the
-// gradients `g_conv` w.r.t. its `count` outputs, the inputs emb_R and
-// emb_tau (count x N_e), its accumulator `gm`, a scratch row `left`, and the
-// input gradients g_emb_R (summed over the batch) and g_emb_tau.
-struct ConversionStep {
-  const double* m;
-  const double* g_conv;
-  const double* emb_r;
-  const double* emb_tau;
-  int64_t count;
-  int64_t ne;
-  double* gm;
-  double* left;
-  double* g_emb_r;
-  double* g_emb_tau;
-};
-
-// The body (nn/dispatch.h). dM_cp += g_conv [emb_R; emb_tau]^T per tuple
-// (Matrix::AddOuter's sequence and zero skips), row o outer so it stays in
-// L1. Then [g_emb_R; g_emb_tau] = M_cp^T g_conv per tuple
-// (TransposeMatVec's sequence and zero skips), g_emb_R summed in tuple
-// order.
-LTE_ALWAYS_INLINE void ConversionBackward(const ConversionStep& s) {
-  const int64_t ne = s.ne;
-  for (int64_t o = 0; o < ne; ++o) {
-    double* dst = s.gm + o * 2 * ne;
-    for (int64_t n = 0; n < s.count; ++n) {
-      const double g = s.g_conv[n * ne + o];
-      if (g == 0.0) continue;
-      const double* tau = s.emb_tau + n * ne;
-      for (int64_t c = 0; c < ne; ++c) dst[c] += g * s.emb_r[c];
-      for (int64_t c = 0; c < ne; ++c) dst[ne + c] += g * tau[c];
-    }
-  }
-  for (int64_t n = 0; n < s.count; ++n) {
-    double* left = s.left;
-    double* right = s.g_emb_tau + n * ne;
-    std::fill(left, left + ne, 0.0);
-    std::fill(right, right + ne, 0.0);
-    for (int64_t o = 0; o < ne; ++o) {
-      const double g = s.g_conv[n * ne + o];
-      if (g == 0.0) continue;
-      const double* w = s.m + o * 2 * ne;
-      for (int64_t c = 0; c < ne; ++c) left[c] += w[c] * g;
-      for (int64_t c = 0; c < ne; ++c) right[c] += w[ne + c] * g;
-    }
-    for (int64_t j = 0; j < ne; ++j) s.g_emb_r[j] += left[j];
-  }
-}
-
-LTE_TARGET_AVX2 void ConversionBackwardAvx2(const ConversionStep& s) {
-  ConversionBackward(s);
 }
 
 // TaskModel::PredictProbabilityBatch slices the batch so the per-stage
@@ -363,17 +308,16 @@ double TaskModel::AccumulateBatch(CodeRows tuples,
   double* g_emb_r = scratch->grad_emb_r.data();
   scratch->grad_emb_tau.resize(static_cast<size_t>(count * ne));
   if (use_memory_) {
-    scratch->grad_left.resize(static_cast<size_t>(ne));
-    const ConversionStep step{m_cp_.data().data(), g_conv, emb_r.data(),
-                              emb_tau.data(), count, ne,
-                              grad_m_cp_.mutable_data()->data(),
-                              scratch->grad_left.data(), g_emb_r,
-                              scratch->grad_emb_tau.data()};
-    if (nn::UseAvx2Bodies()) {
-      ConversionBackwardAvx2(step);
-    } else {
-      ConversionBackward(step);
-    }
+    // The conversion is a bias-free layer over [emb_R; emb_tau_n], whose
+    // emb_R head every tuple shares: dM_cp gains each tuple's terms in
+    // tuple order, g_emb_tau_n is the right half of M_cp^T g_n, and the
+    // left halves add into g_emb_R in tuple order.
+    nn::BackwardBatchLayer(
+        m_cp_.data().data(), ne,
+        nn::PrefixedRows{emb_r.data(), ne, emb_tau.data(), ne}, g_conv,
+        count,
+        nn::LayerGradients{grad_m_cp_.mutable_data()->data(), nullptr,
+                           scratch->grad_emb_tau.data(), g_emb_r});
   } else {
     for (int64_t n = 0; n < count; ++n) {
       const double* g = g_conv + n * clf_w;

@@ -60,7 +60,6 @@ class TaskModel {
     std::vector<double> grad_clf_in;   // count x f_clf input width.
     std::vector<double> grad_emb_tau;  // count x N_e.
     std::vector<double> grad_emb_r;    // N_e, summed over the batch.
-    std::vector<double> grad_left;     // N_e: one tuple's emb_R gradient.
   };
 
   /// One SGD micro-step's worth of accumulated gradients over a minibatch:

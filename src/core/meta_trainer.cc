@@ -1,7 +1,10 @@
 #include "core/meta_trainer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -73,16 +76,39 @@ void ApplyGlobal(nn::Mlp* phi, const std::vector<double>& grad_sum,
 
 }  // namespace
 
+Status CheckMetaTrainerOptions(const MetaTrainerOptions& options) {
+  if (options.epochs <= 0 || options.task_batch_size <= 0 ||
+      options.local_steps < 0 || options.local_batch_size <= 0) {
+    return Status::InvalidArgument("meta-train: invalid options");
+  }
+  // A NaN or negative rate would train to NaN or ascend the loss, and
+  // still report OK.
+  const std::pair<const char*, double> lrs[] = {
+      {"local_lr", options.local_lr}, {"global_lr", options.global_lr}};
+  for (const auto& [name, lr] : lrs) {
+    if (!std::isfinite(lr) || lr <= 0.0) {
+      return Status::InvalidArgument(std::string("meta-train: ") + name +
+                                     " must be finite and > 0");
+    }
+  }
+  const std::pair<const char*, double> rates[] = {
+      {"eta", options.eta}, {"beta", options.beta}, {"gamma", options.gamma}};
+  for (const auto& [name, rate] : rates) {
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+      return Status::InvalidArgument(std::string("meta-train: ") + name +
+                                     " must be in [0, 1]");
+    }
+  }
+  return Status::OK();
+}
+
 Status MetaTrain(const std::vector<EncodedMetaTask>& tasks,
                  const MetaTrainerOptions& options, Rng* rng,
                  MetaLearner* learner, MetaTrainStats* stats) {
   if (tasks.empty()) {
     return Status::InvalidArgument("meta-train: empty task set");
   }
-  if (options.epochs <= 0 || options.task_batch_size <= 0 ||
-      options.local_steps < 0 || options.local_batch_size <= 0) {
-    return Status::InvalidArgument("meta-train: invalid options");
-  }
+  LTE_RETURN_IF_ERROR(CheckMetaTrainerOptions(options));
   MetaTrainStats local_stats;
 
   std::vector<int64_t> order(tasks.size());

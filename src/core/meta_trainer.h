@@ -102,10 +102,18 @@ void LocallyAdapt(TaskModel* model, CodeRows x, const std::vector<double>& y,
                   int64_t steps, int64_t batch_size, double lr, Rng* rng,
                   double max_grad_norm = 1.0);
 
+/// OK when `options` describe a schedule MetaTrain can run: epochs, task
+/// batch and local batch > 0, local steps >= 0, finite learning rates
+/// ρ (local_lr) and λ (global_lr) > 0, and finite memory rates η, β, γ in
+/// [0, 1]. Otherwise InvalidArgument naming the first bad field.
+Status CheckMetaTrainerOptions(const MetaTrainerOptions& options);
+
 /// Meta-trains `learner` over `tasks` (paper Algorithm 2): per task, a local
 /// adaptation on the support set, then a first-order one-step global update
 /// aggregating the query-set gradients of the adapted models across the task
-/// batch, plus the attentive memory writes. Fails on an empty task set.
+/// batch, plus the attentive memory writes. Fails, before any work and
+/// leaving `learner` and `rng` untouched, on an empty task set or options
+/// CheckMetaTrainerOptions rejects.
 Status MetaTrain(const std::vector<EncodedMetaTask>& tasks,
                  const MetaTrainerOptions& options, Rng* rng,
                  MetaLearner* learner, MetaTrainStats* stats);

@@ -29,16 +29,22 @@ void Store(double* p, V2 v) { std::memcpy(p, &v, sizeof(v)); }
 // a lane runs exactly the scalar chain at either width.
 template <int W>
 struct Lanes;
+// U is the same vector at any address (as GCC's own __m256d_u): loads and
+// stores through it move a register straight to or from memory.
 template <>
 struct Lanes<2> {
   typedef double V __attribute__((vector_size(16)));
+  typedef double U __attribute__((vector_size(16), may_alias, aligned(8)));
 };
 template <>
 struct Lanes<4> {
   typedef double V __attribute__((vector_size(32)));
+  typedef double U __attribute__((vector_size(32), may_alias, aligned(8)));
 };
 template <int W>
 using Vec = typename Lanes<W>::V;
+template <int W>
+using Unaligned = typename Lanes<W>::U;
 
 // Accumulators per output chunk: six vectors, which leaves room for the six
 // weight vectors and the broadcast input in the sixteen SSE2 or AVX2
@@ -237,6 +243,190 @@ void Dispatch(const PackedLayer& layer, const Terms& terms, int64_t count,
   }
 }
 
+// Lanes [0, lanes) of *v from p, the rest +0.0: the last vector of a
+// chunk may cover fewer than W columns, and the memory after them is
+// another row's, or past the buffer. Two lanes move as one 16-byte access
+// both ways, so that a partial store forwards to the next partial load of
+// the same lanes. Through Unaligned, never memcpy: a memcpy out of an
+// accumulator array lets the compiler keep the array on the stack.
+template <int W>
+LTE_ALWAYS_INLINE void LoadLanes(const double* p, int64_t lanes, Vec<W>* v) {
+  if (lanes >= W) {
+    *v = *reinterpret_cast<const Unaligned<W>*>(p);
+  } else if constexpr (W == 2) {
+    *v = Vec<W>{p[0], 0.0};
+  } else if (lanes == 1) {
+    *v = Vec<W>{p[0], 0.0, 0.0, 0.0};
+  } else {
+    const Vec<2> low = *reinterpret_cast<const Unaligned<2>*>(p);
+    *v = Vec<W>{low[0], low[1], lanes == 3 ? p[2] : 0.0, 0.0};
+  }
+}
+
+template <int W>
+LTE_ALWAYS_INLINE void StoreLanes(double* p, int64_t lanes, const Vec<W>& v) {
+  if (lanes >= W) {
+    *reinterpret_cast<Unaligned<W>*>(p) = v;
+  } else if constexpr (W == 2) {
+    p[0] = v[0];
+  } else if (lanes == 1) {
+    p[0] = v[0];
+  } else {
+    *reinterpret_cast<Unaligned<2>*>(p) = Vec<2>{v[0], v[1]};
+    if (lanes == 3) p[2] = v[2];
+  }
+}
+
+// One side of the backward over a segment of columns: accumulator row r
+// holds, per column c, a chain over the steps k in ascending order that
+// adds src(k)[c] * coef(r, k) and skips a zero coefficient.
+//   dW:  rows o, steps n, coef g_n[o], src(n) input row n's segment (the
+//        same head for every n), starting from dW's values.
+//   gin: rows n, steps o, coef g_n[o], src(o) W's row o's segment,
+//        starting from +0.0; the rows' segment is stored, the head's is
+//        added into one shared row, row after row (`sum`).
+struct Side {
+  const double* coef;  // coef(r, k) = coef[r * coef_r + k * coef_k].
+  int64_t coef_r;
+  int64_t coef_k;
+  int64_t steps;
+  const double* src;   // src(k) = src + k * src_k.
+  int64_t src_k;
+  double* dst;         // Row r at dst + r * dst_r, or at dst with `sum`.
+  int64_t dst_r;
+  bool from_zero;
+  bool sum;
+};
+
+// Rows [r0, r0 + R) of the columns [c0, c0 + W * V), the last vector
+// `last` lanes wide: R * V accumulators that stay in registers for all the
+// steps.
+template <int W, int V, int R>
+LTE_ALWAYS_INLINE void BackTile(const Side& s, int64_t r0, int64_t c0,
+                                int64_t last) {
+  Vec<W> acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = Vec<W>{};
+      if (!s.from_zero) {
+        LoadLanes<W>(s.dst + (r0 + r) * s.dst_r + c0 + W * v,
+                     v + 1 < V ? W : last, &acc[r][v]);
+      }
+    }
+  }
+  for (int64_t k = 0; k < s.steps; ++k) {
+    const double* src = s.src + k * s.src_k + c0;
+    for (int r = 0; r < R; ++r) {
+      const double c = s.coef[(r0 + r) * s.coef_r + k * s.coef_k];
+      if (c == 0.0) continue;
+      for (int v = 0; v < V; ++v) {
+        Vec<W> x;
+        LoadLanes<W>(src + W * v, v + 1 < V ? W : last, &x);
+        acc[r][v] += x * c;
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    double* d = s.dst + (s.sum ? 0 : (r0 + r) * s.dst_r) + c0;
+    for (int v = 0; v < V; ++v) {
+      const int64_t lanes = v + 1 < V ? W : last;
+      if (s.sum) {
+        Vec<W> t;
+        LoadLanes<W>(d + W * v, lanes, &t);
+        t += acc[r][v];
+        StoreLanes<W>(d + W * v, lanes, t);
+      } else {
+        StoreLanes<W>(d + W * v, lanes, acc[r][v]);
+      }
+    }
+  }
+}
+
+// Every row of one column chunk: R rows at a time, then the rest one by
+// one.
+template <int W, int V, int R>
+LTE_ALWAYS_INLINE void BackRows(const Side& s, int64_t rows, int64_t c0,
+                                int64_t last) {
+  int64_t r = 0;
+  for (; r + R <= rows; r += R) BackTile<W, V, R>(s, r, c0, last);
+  for (; r < rows; ++r) BackTile<W, V, 1>(s, r, c0, last);
+}
+
+// A side over `width` columns: full chunks of W * kChunkVecs columns, then
+// the last, narrower chunk with several rows in flight, as Forward takes
+// them.
+template <int W>
+LTE_ALWAYS_INLINE void BackSide(const Side& s, int64_t rows, int64_t width) {
+  const int64_t chunk = W * kChunkVecs;
+  const int64_t full = width - width % chunk;
+  for (int64_t c0 = 0; c0 < full; c0 += chunk) {
+    BackRows<W, kChunkVecs, 1>(s, rows, c0, W);
+  }
+  const int64_t vecs = (width - full + W - 1) / W;
+  const int64_t last = width - full - W * (vecs - 1);
+  switch (vecs) {
+    case 0:
+      break;
+    case 1:
+      BackRows<W, 1, 6>(s, rows, full, last);
+      break;
+    case 2:
+      BackRows<W, 2, 3>(s, rows, full, last);
+      break;
+    case 3:
+      BackRows<W, 3, 2>(s, rows, full, last);
+      break;
+    case 4:
+      BackRows<W, 4, 1>(s, rows, full, last);
+      break;
+    case 5:
+      BackRows<W, 5, 1>(s, rows, full, last);
+      break;
+    default:
+      BackRows<W, 6, 1>(s, rows, full, last);
+      break;
+  }
+}
+
+// The backward body at width W (nn/dispatch.h): dW over the head's and the
+// rows' columns, db, then the input gradients of the head and the rows.
+template <int W>
+LTE_ALWAYS_INLINE void Backward(const double* w, int64_t out,
+                                const PrefixedRows& x, const double* g,
+                                int64_t count, const LayerGradients& grads) {
+  const int64_t in = x.head_width + x.width;
+  Side dw{.coef = g, .coef_r = 1, .coef_k = out, .steps = count,
+          .src = x.head, .src_k = 0, .dst = grads.weights, .dst_r = in,
+          .from_zero = false, .sum = false};
+  BackSide<W>(dw, out, x.head_width);
+  dw.src = x.x;
+  dw.src_k = x.width;
+  dw.dst = grads.weights + x.head_width;
+  BackSide<W>(dw, out, x.width);
+  if (grads.bias != nullptr) {
+    for (int64_t n = 0; n < count; ++n) {
+      for (int64_t o = 0; o < out; ++o) grads.bias[o] += g[n * out + o];
+    }
+  }
+  Side gin{.coef = g, .coef_r = out, .coef_k = 1, .steps = out, .src = w,
+           .src_k = in, .dst = grads.head, .dst_r = 0, .from_zero = true,
+           .sum = true};
+  if (grads.head != nullptr) BackSide<W>(gin, count, x.head_width);
+  if (grads.rows != nullptr) {
+    gin.src = w + x.head_width;
+    gin.dst = grads.rows;
+    gin.dst_r = x.width;
+    gin.sum = false;
+    BackSide<W>(gin, count, x.width);
+  }
+}
+
+LTE_TARGET_AVX2 void BackwardAvx2(const double* w, int64_t out,
+                                  const PrefixedRows& x, const double* g,
+                                  int64_t count, const LayerGradients& grads) {
+  Backward<4>(w, out, x, g, count, grads);
+}
+
 }  // namespace
 
 bool PackedLayer::Pack(const double* w, int64_t w_stride, int64_t in,
@@ -304,6 +494,21 @@ void ForwardBatchLayer(const PackedLayer& layer, CodeRows x,
                        double* dst) {
   CheckCodeRows(x, rows, count, layer.in());
   Dispatch(layer, CodeTerms{x, rows}, count, /*init=*/nullptr, relu, dst);
+}
+
+void BackwardBatchLayer(const double* w, int64_t out, PrefixedRows x,
+                        const double* g, int64_t count,
+                        const LayerGradients& grads) {
+  LTE_CHECK_GT(out, 0);
+  LTE_CHECK_GE(count, 0);
+  LTE_CHECK(x.head_width >= 0 && x.width >= 0);
+  LTE_CHECK(x.head_width == 0 || x.head != nullptr);
+  // One dispatch per layer call.
+  if (UseAvx2Bodies()) {
+    BackwardAvx2(w, out, x, g, count, grads);
+  } else {
+    Backward<2>(w, out, x, g, count, grads);
+  }
 }
 
 void CheckCodeRows(CodeRows x, std::span<const int64_t> rows, int64_t count,

@@ -76,13 +76,58 @@ void ForwardBatchLayer(const PackedLayer& layer, CodeRows x,
                        std::span<const int64_t> rows, int64_t count, bool relu,
                        double* dst);
 
+/// Dense batch input of BackwardBatchLayer: input row n is the `head_width`
+/// values at `head`, which every row shares (none when head_width is 0),
+/// then the `width` values at x + n * width.
+struct PrefixedRows {
+  const double* head = nullptr;
+  int64_t head_width = 0;
+  const double* x = nullptr;
+  int64_t width = 0;
+};
+
+/// What BackwardBatchLayer accumulates into or writes.
+struct LayerGradients {
+  /// out x in, row-major: dW, added to.
+  double* weights = nullptr;
+  /// out: db, added to; null for a layer without a bias.
+  double* bias = nullptr;
+  /// count x width: the input gradients of the rows' own inputs, written;
+  /// or null.
+  double* rows = nullptr;
+  /// head_width: the head's input gradient, to which each row's is added
+  /// in row order; or null.
+  double* head = nullptr;
+};
+
+/// The batch backward kernel of one dense layer y = W x (+ b): the `out` x
+/// in weights `w` (row-major, in = x.head_width + x.width), `count` rows of
+/// output gradients `g` (count x out, row-major) and the rows' inputs `x`.
+/// For each row n in order, dW[o][c] += g_n[o] * x_n[c] for every o with
+/// g_n[o] != 0 (Matrix::AddOuter's order and zero skip) and db[o] +=
+/// g_n[o]; each input gradient c of row n starts at +0.0 and adds
+/// W[o][c] * g_n[o] in ascending o over the nonzero g_n[o]
+/// (TransposeMatVec's order and zero skip). Every accumulator thus
+/// receives the addition sequence of backpropagating the rows one at a
+/// time.
+///
+/// Register-blocked like ForwardBatchLayer, with the same chunks and
+/// widths: a chunk of a dW row stays in six vector accumulators across
+/// the whole batch, and a chunk of an input-gradient row across all
+/// outputs; a narrower last chunk keeps several rows in flight. The zero
+/// skip stays a scalar branch per (o, n), so a skipped term never enters a
+/// sum (inf * 0 would be NaN). Both widths give the same bits.
+void BackwardBatchLayer(const double* w, int64_t out, PrefixedRows x,
+                        const double* g, int64_t count,
+                        const LayerGradients& grads);
+
 /// LTE_CHECKs a code-form batch of `count` rows, all of `x` or the rows
 /// `rows` names: each row in range, each code index in [0, width).
 void CheckCodeRows(CodeRows x, std::span<const int64_t> rows, int64_t count,
                    int64_t width);
 
-/// The exact fallback of the code-form kernels for non-finite weights or
-/// gradients: writes the batch's rows to `*wide` as full-width code rows
+/// The exact fallback of the code-form forward for non-finite weights:
+/// writes the batch's rows to `*wide` as full-width code rows
 /// (input c of `width` holds the row's value or +0.0) and returns them.
 /// Their terms are exactly the dense rows', 0 * inf = NaN included.
 CodeRows WidenCodeRows(CodeRows x, std::span<const int64_t> rows,

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "nn/batch_layer.h"
-#include "nn/dispatch.h"
 
 namespace lte::nn {
 namespace {
@@ -12,93 +11,6 @@ namespace {
 int64_t BatchCount(std::span<const double> grad_out, int64_t out_w) {
   LTE_CHECK_EQ(static_cast<int64_t>(grad_out.size()) % out_w, 0);
   return static_cast<int64_t>(grad_out.size()) / out_w;
-}
-
-// Adds go times dense row n into dW's row `dst`.
-struct DenseInputs {
-  const double* x;
-  int64_t in_w;
-
-  LTE_ALWAYS_INLINE void AddRow(int64_t n, double go, double* dst) const {
-    const double* xn = x + n * in_w;
-    for (int64_t c = 0; c < in_w; ++c) dst[c] += go * xn[c];
-  }
-};
-
-// Adds go times code row n (row rows[n] when `rows` is not empty) into dW's
-// row `dst`, at its codes only.
-struct CodeInputs {
-  CodeRows x;
-  std::span<const int64_t> rows;
-
-  LTE_ALWAYS_INLINE void AddRow(int64_t n, double go, double* dst) const {
-    const Code* row =
-        x.codes.data() +
-        (rows.empty() ? n : rows[static_cast<size_t>(n)]) * x.per_row;
-    for (int64_t k = 0; k < x.per_row; ++k) {
-      dst[row[k].index] += go * row[k].value;
-    }
-  }
-};
-
-// One batch backward: `count` rows of output gradients `g`, the layer's
-// out_w x in_w weights `w` and accumulators, and the input gradients `gin`
-// (count x in_w), or null.
-struct Step {
-  const double* g;
-  int64_t count;
-  int64_t in_w;
-  int64_t out_w;
-  const double* w;
-  double* gw;
-  double* gb;
-  double* gin;
-};
-
-// The backward body (nn/dispatch.h). dW += g_n x_n^T and db += g_n for each
-// row n: dW's output row o is outer and the batch rows inner, so each
-// dW[o][c] still sums its per-row terms in batch order while dW's row o
-// stays in L1 across the batch. A zero g_n[o] adds nothing, as
-// Matrix::AddOuter skips it. Then, when `gin` is set, gin_n = W^T g_n in
-// TransposeMatVec's order and zero skips.
-template <typename Inputs>
-LTE_ALWAYS_INLINE void Backward(const Inputs& inputs, const Step& s) {
-  for (int64_t o = 0; o < s.out_w; ++o) {
-    double* dst = s.gw + o * s.in_w;
-    for (int64_t n = 0; n < s.count; ++n) {
-      const double go = s.g[n * s.out_w + o];
-      if (go != 0.0) inputs.AddRow(n, go, dst);
-    }
-  }
-  for (int64_t n = 0; n < s.count; ++n) {
-    for (int64_t o = 0; o < s.out_w; ++o) s.gb[o] += s.g[n * s.out_w + o];
-  }
-  if (s.gin == nullptr) return;
-  for (int64_t n = 0; n < s.count; ++n) {
-    double* gi = s.gin + n * s.in_w;
-    std::fill(gi, gi + s.in_w, 0.0);
-    for (int64_t o = 0; o < s.out_w; ++o) {
-      const double go = s.g[n * s.out_w + o];
-      if (go == 0.0) continue;
-      const double* wo = s.w + o * s.in_w;
-      for (int64_t c = 0; c < s.in_w; ++c) gi[c] += wo[c] * go;
-    }
-  }
-}
-
-template <typename Inputs>
-LTE_TARGET_AVX2 void BackwardAvx2(const Inputs& inputs, const Step& s) {
-  Backward(inputs, s);
-}
-
-// One dispatch per layer call.
-template <typename Inputs>
-void Dispatch(const Inputs& inputs, const Step& s) {
-  if (UseAvx2Bodies()) {
-    BackwardAvx2(inputs, s);
-  } else {
-    Backward(inputs, s);
-  }
 }
 
 }  // namespace
@@ -127,22 +39,30 @@ void Linear::BackwardBatch(std::span<const double> x,
   if (!grad_in.empty()) {
     LTE_CHECK_EQ(static_cast<int64_t>(grad_in.size()), count * in_w);
   }
-  const Step step{grad_out.data(), count, in_w, out_w, weights_.data().data(),
-                  grad_weights_.mutable_data()->data(), grad_bias_.data(),
-                  grad_in.empty() ? nullptr : grad_in.data()};
-  Dispatch(DenseInputs{x.data(), in_w}, step);
+  BackwardBatchLayer(weights_.data().data(), out_w,
+                     PrefixedRows{nullptr, 0, x.data(), in_w},
+                     grad_out.data(), count,
+                     LayerGradients{grad_weights_.mutable_data()->data(),
+                                    grad_bias_.data(),
+                                    grad_in.empty() ? nullptr : grad_in.data(),
+                                    nullptr});
 }
 
 void Linear::BackwardCodes(CodeRows x, std::span<const int64_t> rows,
-                           std::span<const double> grad_out) {
+                           std::span<const double> grad_out,
+                           std::vector<double>* dense) {
   const int64_t in_w = in_features();
-  const int64_t out_w = out_features();
-  const int64_t count = BatchCount(grad_out, out_w);
+  const int64_t count = BatchCount(grad_out, out_features());
   CheckCodeRows(x, rows, count, in_w);
-  const Step step{grad_out.data(), count, in_w, out_w, weights_.data().data(),
-                  grad_weights_.mutable_data()->data(), grad_bias_.data(),
-                  /*gin=*/nullptr};
-  Dispatch(CodeInputs{x, rows}, step);
+  dense->assign(static_cast<size_t>(count * in_w), 0.0);
+  for (int64_t n = 0; n < count; ++n) {
+    double* row = dense->data() + n * in_w;
+    for (const Code& c :
+         x.row(rows.empty() ? n : rows[static_cast<size_t>(n)])) {
+      row[c.index] = c.value;
+    }
+  }
+  BackwardBatch(*dense, grad_out, {});
 }
 
 void Linear::ZeroGrad() {

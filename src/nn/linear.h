@@ -28,22 +28,24 @@ class Linear {
   std::vector<double> Forward(const std::vector<double>& x) const;
 
   /// Batch backward over the rows of `grad_out` (gradients w.r.t. the layer
-  /// output) and of `x` (the inputs, row-major). For each row in order,
-  /// accumulates dW += g_n x_n^T, skipping the zero entries of g_n as
-  /// Matrix::AddOuter does, and db += g_n: the addition sequence of
-  /// backpropagating the rows one at a time. A non-empty `grad_in` receives
-  /// the input gradients W^T g_n, accumulated like Matrix::TransposeMatVec.
+  /// output) and of `x` (the inputs, row-major), on the batch backward
+  /// kernel (BackwardBatchLayer): for each row in order, dW += g_n x_n^T,
+  /// skipping the zero entries of g_n as Matrix::AddOuter does, and db +=
+  /// g_n, the addition sequence of backpropagating the rows one at a time.
+  /// A non-empty `grad_in` receives the input gradients W^T g_n, in
+  /// Matrix::TransposeMatVec's order and zero skips.
   void BackwardBatch(std::span<const double> x,
                      std::span<const double> grad_out,
                      std::span<double> grad_in);
 
   /// BackwardBatch over code rows (row n is code row `rows[n]` of `x`, or
-  /// row n) without the input gradient: dW gains g_n[o] * value over row
-  /// n's codes only. The skipped terms g_n[o] * (+0.0) change no bit for a
-  /// finite g_n[o] (DESIGN.md §2g); callers widen the rows (WidenCodeRows)
-  /// when a gradient is not finite.
+  /// row n) without the input gradient: the rows are expanded into
+  /// `*dense` (a scratch, count x in_features()) as the dense rows they
+  /// encode, +0.0 at every input without a code, and backpropagated as
+  /// those, so the result is the dense rows' for any gradient.
   void BackwardCodes(CodeRows x, std::span<const int64_t> rows,
-                     std::span<const double> grad_out);
+                     std::span<const double> grad_out,
+                     std::vector<double>* dense);
 
   void ZeroGrad();
 

@@ -1,6 +1,5 @@
 #include "nn/mlp.h"
 
-#include <cmath>
 #include <string>
 
 #include "common/check.h"
@@ -35,13 +34,6 @@ int64_t CheckedBatchHeadWidth(size_t x_size, int64_t count,
                  count * (in_features - head_w));
   }
   return head_w;
-}
-
-bool AllFinite(std::span<const double> v) {
-  for (const double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
 }
 
 // Returns whether every weight of `l` is finite.
@@ -239,17 +231,7 @@ void Mlp::BackwardBatch(std::span<const double> grad_out,
     const int64_t count =
         static_cast<int64_t>(g.size()) / layer.out_features();
     if (i == 0 && codes) {
-      CodeRows x = scratch->codes;
-      std::span<const int64_t> rows = scratch->rows;
-      // Short rows skip the inputs without a code, whose terms 0 * g are
-      // exact zeros only for a finite g. Full-width rows (ForwardTrain
-      // widened them, or every input has a code) are exact already.
-      if (x.per_row < layer.in_features() && !AllFinite(g)) {
-        x = WidenCodeRows(x, rows, count, layer.in_features(),
-                          &scratch->wide);
-        rows = {};
-      }
-      layer.BackwardCodes(x, rows, g);
+      layer.BackwardCodes(scratch->codes, scratch->rows, g, &scratch->dense);
       break;
     }
     // Layer i's input gradient feeds layer i - 1; the first layer's goes to

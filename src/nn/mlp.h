@@ -102,6 +102,7 @@ class Mlp {
     CodeRows codes;
     std::span<const int64_t> rows;
     std::vector<Code> wide;  // `codes` widened (WidenCodeRows), if need be.
+    std::vector<double> dense;  // The code rows as dense rows (backward).
   };
 
   /// Training forward over `count` dense rows (`x` row-major), each output
@@ -125,11 +126,11 @@ class Mlp {
   /// Backpropagates the batch of the last ForwardTrain on `*scratch`.
   /// `grad_out` holds count x out_features() gradients w.r.t. the final
   /// linear output. Accumulates every layer's gradients row by row in batch
-  /// order (Linear::BackwardBatch, or BackwardCodes after a code-row forward,
-  /// on widened rows when a gradient reaching it is not finite), so each
-  /// accumulator receives exactly the addition sequence of backpropagating
-  /// the rows one at a time. A non-null `grad_in` (dense rows only) receives
-  /// count x in_features() input gradients.
+  /// order (Linear::BackwardBatch, or BackwardCodes on the dense rows after
+  /// a code-row forward), so each accumulator receives exactly the addition
+  /// sequence of backpropagating the rows one at a time. A non-null
+  /// `grad_in` (dense rows only) receives count x in_features() input
+  /// gradients.
   void BackwardBatch(std::span<const double> grad_out, TrainScratch* scratch,
                      std::vector<double>* grad_in = nullptr);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 
 #include "nn/dispatch.h"
@@ -144,7 +147,8 @@ TEST(LinearTest, BackwardBatchMatchesRowByRow) {
     batch.ZeroGrad();
     batch.BackwardBatch(x, g, gin);
     codes.ZeroGrad();
-    codes.BackwardCodes(CodeRows{code_x, 2}, rows, g);
+    std::vector<double> dense;
+    codes.BackwardCodes(CodeRows{code_x, 2}, rows, g, &dense);
     single.ZeroGrad();
     Linear code_single = single;
     for (size_t n = 0; n < 3; ++n) {
@@ -171,6 +175,104 @@ TEST(LinearTest, BackwardBatchMatchesRowByRow) {
     codes.AppendGradients(&c);
     code_single.AppendGradients(&d);
     EXPECT_EQ(c, d);
+  }
+}
+
+// Bitwise equality, except that any two NaNs match: which payload an
+// operation on two NaNs returns depends on the operand order the compiler
+// picks, in the reference as in the kernel.
+bool SameBitsOrBothNan(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  uint64_t x = 0;
+  uint64_t y = 0;
+  std::memcpy(&x, &a, sizeof(x));
+  std::memcpy(&y, &b, sizeof(y));
+  return x == y;
+}
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(SameBitsOrBothNan(got[i], want[i]))
+        << what << "[" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+// The batch backward kernel against the per-row reference (AddOuter,
+// TransposeMatVec) at both widths, over in and out widths below, at and
+// around the 12- and 24-column chunks and their doubles, batches of 1 to
+// 60, gradients with +-0.0 entries (skipped), and inputs of +-0.0, +-inf
+// and NaN, which a skipped gradient must keep out of dW (0 * inf is NaN).
+// Two batches accumulate, so dW and db also start from nonzero values.
+TEST(LinearTest, BackwardBatchMatchesRowByRowAtEveryWidth) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int width : {2, 4}) {
+    if (width > KernelWidth()) continue;  // No AVX2 body here.
+    ScopedKernelWidth scope(width);
+    Rng rng(8);
+    const int64_t widths[] = {1, 3, 4, 5, 23, 24, 25, 48, 50};
+    for (const int64_t in : widths) {
+      for (const int64_t out : widths) {
+        for (const int64_t count : {1, 5, 10, 60}) {
+          const std::string what =
+              "kernel width " + std::to_string(width) + " in=" +
+              std::to_string(in) + " out=" + std::to_string(out) +
+              " count=" + std::to_string(count);
+          Linear layer(in, out, &rng);
+          Matrix ref_gw(out, in);
+          std::vector<double> ref_gb(static_cast<size_t>(out), 0.0);
+          layer.ZeroGrad();
+          for (int pass = 0; pass < 2; ++pass) {
+            std::vector<double> x(static_cast<size_t>(count * in));
+            for (double& v : x) {
+              switch (rng.UniformInt(10)) {
+                case 0:
+                  v = 0.0;
+                  break;
+                case 1:
+                  v = -0.0;
+                  break;
+                case 2:
+                  v = rng.Bernoulli(0.5) ? inf : -inf;
+                  break;
+                case 3:
+                  v = std::numeric_limits<double>::quiet_NaN();
+                  break;
+                default:
+                  v = rng.Uniform(-2.0, 2.0);
+              }
+            }
+            std::vector<double> g(static_cast<size_t>(count * out));
+            for (double& v : g) {
+              const int64_t k = rng.UniformInt(4);
+              v = k == 0 ? 0.0 : k == 1 ? -0.0 : rng.Uniform(-1.0, 1.0);
+            }
+            std::vector<double> gin(static_cast<size_t>(count * in), -1.0);
+            layer.BackwardBatch(x, g, gin);
+            for (int64_t n = 0; n < count; ++n) {
+              const std::vector<double> xn(x.begin() + n * in,
+                                           x.begin() + (n + 1) * in);
+              const std::vector<double> gn(g.begin() + n * out,
+                                           g.begin() + (n + 1) * out);
+              ref_gw.AddOuter(gn, xn);
+              for (int64_t o = 0; o < out; ++o) {
+                ref_gb[static_cast<size_t>(o)] += gn[static_cast<size_t>(o)];
+              }
+              ExpectSameBits(
+                  std::vector<double>(gin.begin() + n * in,
+                                      gin.begin() + (n + 1) * in),
+                  layer.weights().TransposeMatVec(gn),
+                  what + " pass " + std::to_string(pass) + " gin row " +
+                      std::to_string(n));
+            }
+            ExpectSameBits(layer.grad_weights().data(), ref_gw.data(),
+                           what + " dW");
+            ExpectSameBits(layer.grad_bias(), ref_gb, what + " db");
+          }
+        }
+      }
+    }
   }
 }
 

@@ -195,9 +195,10 @@ TEST(MetaLearnerTest, ComposedGradientsMatchFiniteDifference) {
 // Zero gradient entries skipped by the reference's AddOuter calls; lets the
 // dead-row case assert that it exercises the skips.
 int64_t g_ref_zero_skips = 0;
-// Non-finite values the reference met where the library must widen its code
-// rows: f_tau first-layer outputs (0 * inf or a NaN weight), and gradients
-// reaching f_tau's output from above.
+// Non-finite values the reference met where a code row's skipped inputs
+// count: f_tau first-layer outputs (0 * inf or a NaN weight), where the
+// library widens its rows for the forward, and gradients reaching f_tau's
+// output from above, whose 0 * inf terms the backward's dense rows keep.
 int64_t g_ref_tau_nonfinite_outputs = 0;
 int64_t g_ref_tau_nonfinite_grads = 0;
 
@@ -439,17 +440,26 @@ struct OracleShape {
   std::vector<int64_t> uis_hidden;
   std::vector<int64_t> tuple_hidden;
   std::vector<int64_t> clf_hidden;
+  int64_t embedding_size = 8;
 };
 
+// Besides the small shapes: servebench's (N_e 24, clf_hidden {24}), whose
+// layers fill whole vector chunks, and N_e 13, which is no multiple of 4,
+// so every kernel runs a full chunk and a narrower tail (M_cp's halves are
+// 13 wide, plain f_clf reads 26 inputs).
 std::vector<OracleShape> OracleShapes() {
   return {{"memory", true, {}, {}, {8}},
           {"plain", false, {}, {}, {8}},
           {"memory-deep", true, {10}, {9, 7}, {8, 6}},
-          {"plain-deep", false, {10}, {9, 7}, {8, 6}}};
+          {"plain-deep", false, {10}, {9, 7}, {8, 6}},
+          {"memory-serving", true, {}, {}, {24}, 24},
+          {"memory-13", true, {}, {}, {13}, 13},
+          {"plain-13", false, {}, {}, {13}, 13}};
 }
 
 MetaLearnerOptions OracleOptions(const OracleShape& shape, int64_t width) {
   MetaLearnerOptions opt = SmallOptions(shape.use_memory);
+  opt.embedding_size = shape.embedding_size;
   opt.tuple_feature_dim = width;
   opt.uis_hidden = shape.uis_hidden;
   opt.tuple_hidden = shape.tuple_hidden;
@@ -563,7 +573,7 @@ const std::vector<OracleSet>& OracleSets() {
 // -0.0 weights in f_tau's first layer; with a +inf or a NaN one there (the
 // library widens its rows for the forward); or with a +inf weight in
 // f_clf's last layer, which sends non-finite gradients down to f_tau (the
-// library widens its rows for the backward).
+// backward runs on dense rows, so their 0 * inf terms enter dW).
 enum class OddWeights { kNone, kZeros, kTauInf, kTauNan, kClfInf };
 constexpr OddWeights kOddWeights[] = {OddWeights::kNone, OddWeights::kZeros,
                                       OddWeights::kTauInf, OddWeights::kTauNan,
@@ -613,10 +623,10 @@ void ExpectModelMatchesReference(const TaskModel& tm, const RefTaskModel& ref,
                  what + " support_grad_r");
 }
 
-// The non-finite cases must meet what the widened rows exist for: over the
-// whole set, the reference's f_tau met 0 * (non-finite) in its first layer,
-// or non-finite gradients from above (a small batch may have ReLUs that
-// mask them).
+// The non-finite cases must meet what the wide or dense rows exist for:
+// over the whole set, the reference's f_tau met 0 * (non-finite) in its
+// first layer, or non-finite gradients from above (a small batch may have
+// ReLUs that mask them).
 void ExpectNonVacuous(OddWeights odd, const std::string& what) {
   if (odd == OddWeights::kTauInf || odd == OddWeights::kTauNan) {
     EXPECT_GT(g_ref_tau_nonfinite_outputs, 0) << what;
@@ -628,55 +638,62 @@ void ExpectNonVacuous(OddWeights odd, const std::string& what) {
 
 // One minibatch step on code rows, indexed out of order with a repeat: the
 // loss and every accumulated gradient equal the per-tuple reference on the
-// expanded rows bit for bit.
+// expanded rows bit for bit, with the SSE2 bodies and, where the host has
+// AVX2, the AVX2 ones.
 TEST(MetaLearnerTest, BatchStepMatchesPerTupleReference) {
-  for (const OracleShape& shape : OracleShapes()) {
-    for (const OracleSet& set : OracleSets()) {
-      for (const OddWeights odd : kOddWeights) {
-        for (const int64_t batch : {1, 5, 10, 60}) {
-          const std::string what = std::string(shape.name) + " " + set.name +
-                                   " " + OddName(odd) +
-                                   " batch=" + std::to_string(batch);
-          Rng rng(31);
-          MetaLearner learner(OracleOptions(shape, set.width), &rng);
-          TaskModel tm = learner.CreateTaskModel(RandomVec(&rng, 12, true));
-          ApplyOddWeights(odd, set.width, &tm);
-          std::vector<int64_t> rows(60);
-          std::iota(rows.begin(), rows.end(), int64_t{0});
-          rng.Shuffle(&rows);
-          rows.resize(static_cast<size_t>(batch));
-          if (batch > 1) rows.back() = rows.front();
+  for (const int width : {2, 4}) {
+    if (width > nn::KernelWidth()) continue;  // No AVX2 body here.
+    nn::ScopedKernelWidth scope(width);
+    SCOPED_TRACE("kernel width " + std::to_string(width));
+    for (const OracleShape& shape : OracleShapes()) {
+      for (const OracleSet& set : OracleSets()) {
+        for (const OddWeights odd : kOddWeights) {
+          for (const int64_t batch : {1, 5, 10, 60}) {
+            const std::string what = std::string(shape.name) + " " +
+                                     set.name + " " + OddName(odd) +
+                                     " batch=" + std::to_string(batch);
+            Rng rng(31);
+            MetaLearner learner(OracleOptions(shape, set.width), &rng);
+            TaskModel tm =
+                learner.CreateTaskModel(RandomVec(&rng, 12, true));
+            ApplyOddWeights(odd, set.width, &tm);
+            std::vector<int64_t> rows(60);
+            std::iota(rows.begin(), rows.end(), int64_t{0});
+            rng.Shuffle(&rows);
+            rows.resize(static_cast<size_t>(batch));
+            if (batch > 1) rows.back() = rows.front();
 
-          RefTaskModel ref(tm);
-          std::vector<std::vector<double>> bx;
-          std::vector<double> by;
-          for (const int64_t r : rows) {
-            bx.push_back(set.dense[static_cast<size_t>(r)]);
-            by.push_back(set.y[static_cast<size_t>(r)]);
-          }
-          g_ref_zero_skips = 0;
-          g_ref_tau_nonfinite_outputs = 0;
-          g_ref_tau_nonfinite_grads = 0;
-          const double want = ref.AccumulateBatch(bx, by);
-          if (set.name == "synthetic-dead" && odd == OddWeights::kNone &&
-              batch >= 5) {
-            EXPECT_GT(g_ref_zero_skips, 0) << what;
-          }
-          if (batch == 60) ExpectNonVacuous(odd, what);
+            RefTaskModel ref(tm);
+            std::vector<std::vector<double>> bx;
+            std::vector<double> by;
+            for (const int64_t r : rows) {
+              bx.push_back(set.dense[static_cast<size_t>(r)]);
+              by.push_back(set.y[static_cast<size_t>(r)]);
+            }
+            g_ref_zero_skips = 0;
+            g_ref_tau_nonfinite_outputs = 0;
+            g_ref_tau_nonfinite_grads = 0;
+            const double want = ref.AccumulateBatch(bx, by);
+            if (set.name == "synthetic-dead" && odd == OddWeights::kNone &&
+                batch >= 5) {
+              EXPECT_GT(g_ref_zero_skips, 0) << what;
+            }
+            if (batch == 60) ExpectNonVacuous(odd, what);
 
-          TaskModel::TrainScratch scratch;
-          tm.ZeroGrad();
-          const double got =
-              tm.AccumulateBatch(set.rows(), set.y, rows, &scratch);
-          ExpectBitEqual({got}, {want}, what + " loss");
-          ExpectBitEqual(tm.f_r().GetGradients(), ref.r.Gradients(),
-                         what + " grad f_r");
-          ExpectBitEqual(tm.f_tau().GetGradients(), ref.tau.Gradients(),
-                         what + " grad f_tau");
-          ExpectBitEqual(tm.f_clf().GetGradients(), ref.clf.Gradients(),
-                         what + " grad f_clf");
-          ExpectBitEqual(tm.grad_m_cp().data(), ref.g_m_cp.data(),
-                         what + " grad m_cp");
+            TaskModel::TrainScratch scratch;
+            tm.ZeroGrad();
+            const double got =
+                tm.AccumulateBatch(set.rows(), set.y, rows, &scratch);
+            ExpectBitEqual({got}, {want}, what + " loss");
+            ExpectBitEqual(tm.f_r().GetGradients(), ref.r.Gradients(),
+                           what + " grad f_r");
+            ExpectBitEqual(tm.f_tau().GetGradients(), ref.tau.Gradients(),
+                           what + " grad f_tau");
+            ExpectBitEqual(tm.f_clf().GetGradients(), ref.clf.Gradients(),
+                           what + " grad f_clf");
+            ExpectBitEqual(tm.grad_m_cp().data(), ref.g_m_cp.data(),
+                           what + " grad m_cp");
+          }
         }
       }
     }

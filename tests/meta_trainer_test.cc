@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/uis_feature.h"
 #include "data/table.h"
@@ -248,6 +252,54 @@ TEST_F(MetaTrainerTest, InvalidOptionsRejected) {
   EXPECT_FALSE(MetaTrain(tasks, topt, rng_.get(), &learner, nullptr).ok());
   topt = MetaTrainerOptions{};
   EXPECT_FALSE(MetaTrain({}, topt, rng_.get(), &learner, nullptr).ok());
+}
+
+// Learning rates that are NaN, infinite or not positive, and memory rates
+// outside [0, 1], are refused before any work: the learner and the caller's
+// stream are untouched. A NaN global_lr used to train every parameter of
+// phi_clf to NaN and return OK.
+TEST_F(MetaTrainerTest, InvalidRatesRejectedBeforeAnyWork) {
+  const std::vector<EncodedMetaTask> tasks = MakeTasks(4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, MetaTrainerOptions>> bad;
+  for (const double lr : {nan, inf, 0.0, -1.0}) {
+    MetaTrainerOptions topt;
+    topt.local_lr = lr;
+    bad.emplace_back("local_lr=" + std::to_string(lr), topt);
+    topt = MetaTrainerOptions{};
+    topt.global_lr = lr;
+    bad.emplace_back("global_lr=" + std::to_string(lr), topt);
+  }
+  for (const double rate : {nan, -0.1, 1.5, inf}) {
+    for (double MetaTrainerOptions::*field :
+         {&MetaTrainerOptions::eta, &MetaTrainerOptions::beta,
+          &MetaTrainerOptions::gamma}) {
+      MetaTrainerOptions topt;
+      topt.*field = rate;
+      bad.emplace_back("memory rate=" + std::to_string(rate), topt);
+    }
+  }
+  for (auto& [what, topt] : bad) {
+    topt.epochs = 1;
+    MetaLearner learner(LearnerOptions(true), rng_.get());
+    const std::vector<double> clf = learner.phi_clf().GetParameters();
+    const std::vector<double> cp = learner.memory_cp().front().data();
+    Rng rng(3);
+    const Status st = MetaTrain(tasks, topt, &rng, &learner, nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_EQ(learner.phi_clf().GetParameters(), clf) << what;
+    EXPECT_EQ(learner.memory_cp().front().data(), cp) << what;
+    EXPECT_EQ(rng.engine()(), Rng(3).engine()()) << what;
+  }
+  // The ends of the memory rates' range are valid.
+  MetaTrainerOptions edges;
+  edges.epochs = 1;
+  edges.eta = 0.0;
+  edges.beta = 1.0;
+  edges.gamma = 1.0;
+  MetaLearner learner(LearnerOptions(true), rng_.get());
+  EXPECT_TRUE(MetaTrain(tasks, edges, rng_.get(), &learner, nullptr).ok());
 }
 
 }  // namespace

@@ -459,6 +459,82 @@ TEST(BatchLayerTest, CodeRowsMatchPerRowLinearForward) {
   }
 }
 
+// The backward kernel over prefixed rows [head; x_n] (M_cp's layout)
+// against the per-row reference at both widths: dW from AddOuter on the
+// full rows, the rows' input gradients from TransposeMatVec, and the head's
+// added into its accumulator row by row. Head and row widths put the
+// boundary between them inside and at the edge of a vector and cross the
+// chunks; inputs hold +-0.0, +-inf and NaN, gradients +-0.0.
+TEST(BatchLayerTest, BackwardPrefixedRowsMatchPerRowReference) {
+  for (const int width : {2, 4}) {
+    if (width > KernelWidth()) continue;  // No AVX2 body here.
+    ScopedKernelWidth scope(width);
+    SCOPED_TRACE("kernel width " + std::to_string(width));
+    Rng rng(23);
+    for (const int64_t head_w : {1, 4, 13, 24, 25}) {
+      for (const int64_t row_w : {1, 5, 24, 26}) {
+        for (const int64_t out : {1, 4, 13, 24}) {
+          for (const int64_t count : {1, 5, 60}) {
+            const int64_t in = head_w + row_w;
+            const Mlp mlp = AwkwardLayer(in, out, /*non_finite=*/false, &rng);
+            const Linear& layer = mlp.layers().front();
+            std::vector<double> head(static_cast<size_t>(head_w));
+            for (double& v : head) v = AwkwardValue(&rng, true);
+            std::vector<double> x(static_cast<size_t>(count * row_w));
+            for (double& v : x) v = AwkwardValue(&rng, true);
+            std::vector<double> g(static_cast<size_t>(count * out));
+            for (double& v : g) v = AwkwardValue(&rng, false);
+            Matrix gw(out, in);
+            gw.Fill(0.5);
+            Matrix ref_gw = gw;
+            std::vector<double> g_head(static_cast<size_t>(head_w), 0.25);
+            std::vector<double> ref_head = g_head;
+            std::vector<double> gin(static_cast<size_t>(count * row_w));
+            BackwardBatchLayer(
+                layer.weights().data().data(), out,
+                PrefixedRows{head.data(), head_w, x.data(), row_w}, g.data(),
+                count,
+                LayerGradients{gw.mutable_data()->data(), nullptr, gin.data(),
+                               g_head.data()});
+            std::vector<double> ref_gin;
+            for (int64_t n = 0; n < count; ++n) {
+              std::vector<double> full = head;
+              full.insert(full.end(), x.begin() + n * row_w,
+                          x.begin() + (n + 1) * row_w);
+              const std::vector<double> gn(g.begin() + n * out,
+                                           g.begin() + (n + 1) * out);
+              ref_gw.AddOuter(gn, full);
+              const std::vector<double> gin_n =
+                  layer.weights().TransposeMatVec(gn);
+              for (int64_t c = 0; c < head_w; ++c) {
+                ref_head[static_cast<size_t>(c)] +=
+                    gin_n[static_cast<size_t>(c)];
+              }
+              ref_gin.insert(ref_gin.end(), gin_n.begin() + head_w,
+                             gin_n.end());
+            }
+            const auto expect_same = [&](std::span<const double> got,
+                                         std::span<const double> want,
+                                         const char* what) {
+              ASSERT_EQ(got.size(), want.size());
+              for (size_t i = 0; i < got.size(); ++i) {
+                ASSERT_TRUE(SameBitsOrBothNan(got[i], want[i]))
+                    << what << "[" << i << "] head=" << head_w
+                    << " row=" << row_w << " out=" << out
+                    << " count=" << count << ": " << got[i] << " vs "
+                    << want[i];
+              }
+            };
+            expect_same(gw.data(), ref_gw.data(), "dW");
+            expect_same(gin, ref_gin, "gin");
+            expect_same(g_head, ref_head, "head gradient");
+          }
+        }
+      }
+    }
+  }
+}
+
 // The dispatched width is the CPU's: 4 exactly when it has AVX2.
 TEST(BatchLayerTest, KernelWidthIsFourExactlyWithAvx2) {
 #if defined(__x86_64__) || defined(__i386__)

@@ -226,5 +226,26 @@ TEST(ModelScheduleTest, PretrainRejectsInvalidOnlineSchedule) {
   }
 }
 
+// Pretrain with meta-training refuses a trainer whose learning or memory
+// rate MetaTrain would refuse, before any work: the model stays unbuilt and
+// the caller's stream is not advanced.
+TEST(ModelScheduleTest, PretrainRejectsInvalidTrainerRates) {
+  Rng table_rng(6);
+  const data::Table table = data::MakeBlobs(300, 2, 3, &table_rng);
+  std::vector<core::ExplorerOptions> bad(3);
+  bad[0].trainer.global_lr = std::numeric_limits<double>::quiet_NaN();
+  bad[1].trainer.local_lr = -1.0;
+  bad[2].trainer.gamma = 2.0;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    core::ExplorationModel model(bad[i]);
+    Rng rng(7);
+    const Status st = model.Pretrain(table, {data::Subspace{{0, 1}}},
+                                     /*train_meta=*/true, &rng);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "case " << i;
+    EXPECT_EQ(model.InitialTuples(0), nullptr) << "case " << i;
+    EXPECT_EQ(rng.engine()(), Rng(7).engine()()) << "case " << i;
+  }
+}
+
 }  // namespace
 }  // namespace lte
