@@ -5,9 +5,13 @@
 // phase in Figure 6 is flat: it is `steps x AccumulateBatch`, independent of
 // the budget-driven SVM retraining DSM pays). Two block-scan layers, a block
 // encode and a batch forward, are timed in dense and code form side by side.
+// Two session-lifecycle layers, the FP/FN optimizer's assembly and a
+// checkpoint's save and load, sit beside them.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <sstream>
 #include <string>
 
 #include "cluster/kmeans.h"
@@ -334,6 +338,116 @@ void BM_TaskModelPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TaskModelPredict);
+
+// The FP/FN optimizer a Meta* session start or restore builds, at
+// servebench's shapes: k_u 50, k_s 25, a 2-D subspace of SDSS-like rows with
+// its value box, 12 of the 25 centers labelled positive. Arg 0 assembles it
+// from the subspace's prebuilt parts (what a session pays); 1 builds the
+// parts too, every hull and every part's settling table (what the model
+// pays once per subspace).
+void BM_FpFnAssemble(benchmark::State& state) {
+  lte::Rng rng(13);
+  const lte::data::Table table = lte::data::MakeSdssLike(4000, &rng);
+  const std::vector<int64_t> attrs = {0, 1};
+  std::vector<std::vector<double>> points;
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    points.push_back(table.RowProjected(r, attrs));
+  }
+  lte::core::MetaTaskGenOptions gen;
+  gen.k_u = 50;
+  gen.k_s = 25;
+  gen.k_q = 60;
+  lte::core::MetaTaskGenerator generator(gen);
+  if (!generator.Init(points, &rng).ok()) {
+    state.SkipWithError("clustering failed");
+    return;
+  }
+  const lte::geom::Box box{table.column(0).min(), table.column(0).max(),
+                           table.column(1).min(), table.column(1).max()};
+  std::vector<double> labels(25, 0.0);
+  for (size_t s = 0; s < 25; s += 2) labels[s] = 1.0;
+  labels[24] = 0.0;  // 12 positive.
+  const lte::core::FpFnOptions options;
+  const lte::core::FpFnParts parts(generator.context(), options, box);
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      const lte::core::FpFnOptimizer opt(parts, labels);
+      benchmark::DoNotOptimize(opt.cells().data());
+    } else {
+      const lte::core::FpFnOptimizer opt(generator.context(), labels, options,
+                                         box);
+      benchmark::DoNotOptimize(opt.cells().data());
+    }
+  }
+}
+BENCHMARK(BM_FpFnAssemble)->Arg(0)->Arg(1);
+
+// A Meta* session's checkpoint in memory at servebench's model shapes
+// (4 subspaces of SDSS-like rows, k_u 50, k_s 25, k_q 60, N_e 24,
+// clf_hidden {24}; a short meta-training, which sizes nothing): started
+// with about half the labels positive, then one 5-tuple continue per
+// subspace. Arg 0 times SaveToStream into a string stream, 1 times
+// LoadFromStream of those bytes into a fresh session, the FP/FN assembly
+// included.
+void BM_SessionSaveLoad(benchmark::State& state) {
+  lte::Rng rng(17);
+  const lte::data::Table table = lte::data::MakeSdssLike(4000, &rng);
+  lte::core::ExplorerOptions o;
+  o.task_gen.k_u = 50;
+  o.task_gen.k_s = 25;
+  o.task_gen.k_q = 60;
+  o.task_gen.delta = 5;
+  o.learner.embedding_size = 24;
+  o.learner.clf_hidden = {24};
+  o.num_meta_tasks = 10;
+  o.trainer.epochs = 1;
+  o.num_threads = 1;
+  auto model = std::make_shared<lte::core::ExplorationModel>(o);
+  const std::vector<lte::data::Subspace> subspaces = {
+      {{0, 1}}, {{2, 3}}, {{4, 5}}, {{6, 7}}};
+  if (!model->Pretrain(table, subspaces, /*train_meta=*/true, &rng).ok()) {
+    state.SkipWithError("pretrain failed");
+    return;
+  }
+  std::vector<std::vector<double>> labels(subspaces.size());
+  for (size_t s = 0; s < subspaces.size(); ++s) {
+    const auto tuples = model->InitialTuples(static_cast<int64_t>(s));
+    for (size_t i = 0; i < tuples->size(); ++i) {
+      labels[s].push_back(rng.Bernoulli(0.5) ? 1.0 : 0.0);
+    }
+  }
+  lte::core::ExplorationSession session(model);
+  session.SeedRng(5);
+  bool ok = session
+                .StartExploration(labels, lte::core::Variant::kMetaStar,
+                                  session.session_rng())
+                .ok();
+  for (int64_t s = 0; ok && s < 4; ++s) {
+    const std::vector<std::vector<double>> points(
+        model->InitialTuples(s)->begin(), model->InitialTuples(s)->begin() + 5);
+    const std::vector<double> y(labels[static_cast<size_t>(s)].begin(),
+                                labels[static_cast<size_t>(s)].begin() + 5);
+    ok = session.ContinueExploration(s, points, y, session.session_rng()).ok();
+  }
+  std::ostringstream saved(std::ios::binary);
+  if (!ok || !session.SaveToStream(&saved).ok()) {
+    state.SkipWithError("session setup failed");
+    return;
+  }
+  const std::string bytes = saved.str();
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      std::ostringstream out(std::ios::binary);
+      benchmark::DoNotOptimize(session.SaveToStream(&out));
+    } else {
+      lte::core::ExplorationSession restored(model);
+      std::istringstream in(bytes, std::ios::binary);
+      benchmark::DoNotOptimize(restored.LoadFromStream(&in));
+    }
+  }
+  state.counters["checkpoint_bytes"] = static_cast<double>(bytes.size());
+}
+BENCHMARK(BM_SessionSaveLoad)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

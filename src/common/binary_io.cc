@@ -39,14 +39,22 @@ void BinaryWriter::WriteString(const std::string& s) {
   out_->write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-void BinaryWriter::WriteDoubleVector(const std::vector<double>& v) {
+// The elements' bytes, as the per-element writers would emit them one by
+// one, in a single stream write.
+template <typename T>
+void BinaryWriter::WriteSized(const std::vector<T>& v) {
+  static_assert(sizeof(T) == 8, "vectors are written as 8-byte words");
   WriteU64(v.size());
-  for (double x : v) WriteDouble(x);
+  out_->write(reinterpret_cast<const char*>(v.data()),
+              static_cast<std::streamsize>(v.size() * sizeof(T)));
+}
+
+void BinaryWriter::WriteDoubleVector(const std::vector<double>& v) {
+  WriteSized(v);
 }
 
 void BinaryWriter::WriteI64Vector(const std::vector<int64_t>& v) {
-  WriteU64(v.size());
-  for (int64_t x : v) WriteI64(x);
+  WriteSized(v);
 }
 
 void BinaryWriter::WritePointSet(

@@ -37,6 +37,10 @@ class BinaryWriter {
   Status status() const;
 
  private:
+  /// Writes a length word and then every element's bytes in one write.
+  template <typename T>
+  void WriteSized(const std::vector<T>& v);
+
   std::ostream* out_;
 };
 

@@ -90,6 +90,29 @@ Status CheckOnlineSchedule(const ExplorerOptions& opt) {
   return Status::OK();
 }
 
+// The value box of a 2-D subspace under `encoder` (ExplorationModel::
+// ValueBox), nullopt for a 1-D one.
+std::optional<geom::Box> ValueBoxOf(const preprocess::TabularEncoder& encoder,
+                                    const data::Subspace& subspace) {
+  const std::vector<int64_t>& attrs = subspace.attribute_indices;
+  if (attrs.size() != 2) return std::nullopt;
+  const preprocess::MinMaxNormalizer& range = encoder.normalizer();
+  return geom::Box{range.min(attrs[0]), range.max(attrs[0]),
+                   range.min(attrs[1]), range.max(attrs[1])};
+}
+
+// The FP/FN parts of one subspace over its context; Pretrain and Load share
+// it. Subregions exist only over 1-D and 2-D subspaces (geom::ConvexRegion):
+// a wider one keeps no parts, and a Meta* session cannot start on it.
+FpFnParts BuildFpFnParts(const preprocess::TabularEncoder& encoder,
+                         const data::Subspace& subspace,
+                         const SubspaceContext& context,
+                         const FpFnOptions& options) {
+  const size_t width = subspace.attribute_indices.size();
+  if (width != 1 && width != 2) return FpFnParts();
+  return FpFnParts(context, options, ValueBoxOf(encoder, subspace));
+}
+
 }  // namespace
 
 const data::Subspace* ExplorationModel::subspace(int64_t s) const {
@@ -113,13 +136,13 @@ const MetaLearner* ExplorationModel::meta_learner(int64_t s) const {
   return subspace_models_[static_cast<size_t>(s)].meta_learner.get();
 }
 
+const FpFnParts* ExplorationModel::fpfn_parts(int64_t s) const {
+  if (!pretrained_ || s < 0 || s >= num_subspaces()) return nullptr;
+  return &subspace_models_[static_cast<size_t>(s)].fpfn_parts;
+}
+
 std::optional<geom::Box> ExplorationModel::ValueBox(int64_t s) const {
-  const std::vector<int64_t>& attrs =
-      subspaces_[static_cast<size_t>(s)].attribute_indices;
-  if (attrs.size() != 2) return std::nullopt;
-  const preprocess::MinMaxNormalizer& range = encoder_.normalizer();
-  return geom::Box{range.min(attrs[0]), range.max(attrs[0]),
-                   range.min(attrs[1]), range.max(attrs[1])};
+  return ValueBoxOf(encoder_, subspaces_[static_cast<size_t>(s)]);
 }
 
 Status ExplorationModel::Pretrain(const data::Table& table,
@@ -164,49 +187,54 @@ Status ExplorationModel::Pretrain(const data::Table& table,
     }
   }
 
-  // Phase 2 — task generation + encoding + meta-training. Meta-subspaces
-  // are independent (Algorithm 2 runs once per subspace), so they fan out
-  // on the shared pool. Subspace s trains on the key-split stream
-  // fork_base.Fork(s): no lane ever touches another lane's RNG, which makes
-  // the trained model bit-identical for any num_threads, including 1.
+  // Phase 2 — the FP/FN parts, then (with train_meta) task generation +
+  // encoding + meta-training. Meta-subspaces are independent (Algorithm 2
+  // runs once per subspace), so they fan out on the shared pool. Subspace s
+  // trains on the key-split stream fork_base.Fork(s): no lane ever touches
+  // another lane's RNG, which makes the trained model bit-identical for any
+  // num_threads, including 1. The parts draw nothing, and the Basic variant
+  // forks no stream, so its caller's stream ends where it did before.
   double task_generation_seconds = 0.0;
   double meta_training_seconds = 0.0;
-  if (train_meta) {
-    Rng fork_base = rng->Fork();
-    const auto n = static_cast<int64_t>(subspaces.size());
-    std::vector<Status> statuses(static_cast<size_t>(n));
-    std::vector<double> gen_seconds(static_cast<size_t>(n), 0.0);
-    std::vector<double> train_seconds(static_cast<size_t>(n), 0.0);
-    ThreadPool::Shared().ParallelFor(
-        0, n, ResolveThreadCount(options_.num_threads), [&](int64_t s) {
-          SubspaceModel& model = models[static_cast<size_t>(s)];
-          const std::vector<int64_t>& attrs =
-              subspaces[static_cast<size_t>(s)].attribute_indices;
-          Rng sub_rng = fork_base.Fork(static_cast<uint64_t>(s));
-          Stopwatch sw;
-          const std::vector<MetaTask> tasks =
-              model.generator.GenerateTaskSet(options_.num_meta_tasks,
-                                              &sub_rng);
-          const std::vector<EncodedMetaTask> encoded = EncodeTasks(
-              tasks, encoder, attrs, options_.trainer.num_threads);
-          gen_seconds[static_cast<size_t>(s)] = sw.ElapsedSeconds();
+  std::optional<Rng> fork_base;
+  if (train_meta) fork_base.emplace(rng->Fork());
+  const auto n = static_cast<int64_t>(subspaces.size());
+  std::vector<Status> statuses(static_cast<size_t>(n));
+  std::vector<double> gen_seconds(static_cast<size_t>(n), 0.0);
+  std::vector<double> train_seconds(static_cast<size_t>(n), 0.0);
+  ThreadPool::Shared().ParallelFor(
+      0, n, ResolveThreadCount(options_.num_threads), [&](int64_t s) {
+        SubspaceModel& model = models[static_cast<size_t>(s)];
+        const data::Subspace& subspace = subspaces[static_cast<size_t>(s)];
+        model.fpfn_parts = BuildFpFnParts(encoder, subspace,
+                                          model.generator.context(),
+                                          options_.fpfn);
+        if (!train_meta) return;
+        const std::vector<int64_t>& attrs = subspace.attribute_indices;
+        Rng sub_rng = fork_base->Fork(static_cast<uint64_t>(s));
+        Stopwatch sw;
+        const std::vector<MetaTask> tasks =
+            model.generator.GenerateTaskSet(options_.num_meta_tasks,
+                                            &sub_rng);
+        const std::vector<EncodedMetaTask> encoded = EncodeTasks(
+            tasks, encoder, attrs, options_.trainer.num_threads);
+        gen_seconds[static_cast<size_t>(s)] = sw.ElapsedSeconds();
 
-          sw.Restart();
-          MetaLearnerOptions lopt = options_.learner;
-          lopt.uis_feature_dim = options_.task_gen.k_u;
-          lopt.tuple_feature_dim = encoder.ProjectedWidth(attrs);
-          model.meta_learner = std::make_unique<MetaLearner>(lopt, &sub_rng);
-          MetaTrainStats stats;
-          statuses[static_cast<size_t>(s)] =
-              MetaTrain(encoded, options_.trainer, &sub_rng,
-                        model.meta_learner.get(), &stats);
-          train_seconds[static_cast<size_t>(s)] = sw.ElapsedSeconds();
-        });
-    for (int64_t s = 0; s < n; ++s) {
-      LTE_RETURN_IF_ERROR(statuses[static_cast<size_t>(s)]);
-      task_generation_seconds += gen_seconds[static_cast<size_t>(s)];
-      meta_training_seconds += train_seconds[static_cast<size_t>(s)];
-    }
+        sw.Restart();
+        MetaLearnerOptions lopt = options_.learner;
+        lopt.uis_feature_dim = options_.task_gen.k_u;
+        lopt.tuple_feature_dim = encoder.ProjectedWidth(attrs);
+        model.meta_learner = std::make_unique<MetaLearner>(lopt, &sub_rng);
+        MetaTrainStats stats;
+        statuses[static_cast<size_t>(s)] =
+            MetaTrain(encoded, options_.trainer, &sub_rng,
+                      model.meta_learner.get(), &stats);
+        train_seconds[static_cast<size_t>(s)] = sw.ElapsedSeconds();
+      });
+  for (int64_t s = 0; s < n; ++s) {
+    LTE_RETURN_IF_ERROR(statuses[static_cast<size_t>(s)]);
+    task_generation_seconds += gen_seconds[static_cast<size_t>(s)];
+    meta_training_seconds += train_seconds[static_cast<size_t>(s)];
   }
   encoder_ = std::move(encoder);
   subspaces_ = subspaces;
@@ -312,6 +340,21 @@ Status ExplorationModel::LoadFromStream(std::istream* in) try {
         static_cast<int64_t>(ctx.centers_q.size()) != options.task_gen.k_q) {
       return Status::IoError("model load: context shape mismatch");
     }
+    // The FP/FN parts below read the value box at these attributes and
+    // take hulls over these centers.
+    const std::vector<int64_t>& attrs = subspaces[s].attribute_indices;
+    for (int64_t a : attrs) {
+      if (a < 0 || a >= encoder.normalizer().num_attributes()) {
+        return Status::IoError("model load: subspace attribute out of range");
+      }
+    }
+    for (const auto* centers : {&ctx.centers_u, &ctx.centers_s}) {
+      for (const std::vector<double>& c : *centers) {
+        if (c.size() != attrs.size()) {
+          return Status::IoError("model load: center width mismatch");
+        }
+      }
+    }
     models[s].generator = MetaTaskGenerator(options.task_gen);
     models[s].generator.RestoreContext(std::move(ctx));
     LTE_RETURN_IF_ERROR(r.ReadPointSet(&models[s].initial_tuples));
@@ -324,6 +367,16 @@ Status ExplorationModel::LoadFromStream(std::istream* in) try {
       return Status::IoError("model load: missing meta-learner");
     }
   }
+  // The FP/FN parts are a pure function of what was just restored, so they
+  // are rebuilt, as Pretrain built them, rather than serialized.
+  ThreadPool::Shared().ParallelFor(
+      0, static_cast<int64_t>(num_subspaces),
+      ResolveThreadCount(options.num_threads), [&](int64_t s) {
+        SubspaceModel& model = models[static_cast<size_t>(s)];
+        model.fpfn_parts = BuildFpFnParts(
+            encoder, subspaces[static_cast<size_t>(s)],
+            model.generator.context(), options.fpfn);
+      });
 
   options_ = options;
   encoder_ = std::move(encoder);

@@ -152,14 +152,19 @@ class ExplorationModel {
   /// `train_meta=false`.
   const MetaLearner* meta_learner(int64_t s) const;
 
+  /// The FP/FN parts of subspace `s` (every C^s center's outer and inner
+  /// hull with its settling table over `ValueBox(s)`), from which sessions
+  /// assemble their Meta* optimizers. Built in Pretrain and Load, never
+  /// serialized. nullptr before Pretrain or when `s` is out of range.
+  const FpFnParts* fpfn_parts(int64_t s) const;
+
   const preprocess::TabularEncoder& encoder() const { return encoder_; }
   const ExplorerOptions& options() const { return options_; }
 
   /// The raw value box of 2-D subspace `s`: each attribute's [min, max]
   /// over the whole Pretrain table, as the encoder's min-max normalizer
-  /// recorded (and persists) it. The FP/FN optimizer's settling cells span
-  /// it. nullopt for a 1-D subspace. Requires `s` in range after
-  /// Pretrain/Load.
+  /// recorded (and persists) it. The FP/FN parts' settling cells span it.
+  /// nullopt for a 1-D subspace. Requires `s` in range after Pretrain/Load.
   std::optional<geom::Box> ValueBox(int64_t s) const;
 
   /// Pre-training statistics (for the Figure 8(b) cost analysis). Summed
@@ -173,6 +178,7 @@ class ExplorationModel {
     MetaTaskGenerator generator{MetaTaskGenOptions{}};
     std::vector<std::vector<double>> initial_tuples;
     std::unique_ptr<MetaLearner> meta_learner;
+    FpFnParts fpfn_parts;
   };
 
   /// Serializes to a string and hashes it; called once at the end of

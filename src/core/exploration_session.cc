@@ -219,6 +219,12 @@ Status ExplorationSession::LoadFromStream(std::istream* in) try {
       return Status::IoError("session load: label count mismatch in subspace " +
                              std::to_string(s));
     }
+    // What StartExploration and ContinueExploration refuse, a restore
+    // refuses too: the center labels select the FP/FN parts below.
+    if (!AllLabelsValid(state.start_labels)) {
+      return Status::IoError("session load: label outside [0, 1] in subspace " +
+                             std::to_string(s));
+    }
     uint64_t num_batches = 0;
     LTE_RETURN_IF_ERROR(r.ReadU64(&num_batches));
     if (num_batches > (uint64_t{1} << 32)) {
@@ -242,6 +248,16 @@ Status ExplorationSession::LoadFromStream(std::istream* in) try {
               "session load: history point width mismatch in subspace " +
               std::to_string(s));
         }
+        if (!AllFinite(p)) {
+          return Status::IoError(
+              "session load: non-finite history point in subspace " +
+              std::to_string(s));
+        }
+      }
+      if (!AllLabelsValid(batch.labels)) {
+        return Status::IoError(
+            "session load: history label outside [0, 1] in subspace " +
+            std::to_string(s));
       }
     }
     state.task_model = std::make_unique<TaskModel>();
@@ -257,11 +273,11 @@ Status ExplorationSession::LoadFromStream(std::istream* in) try {
     // the serving surface is write-free under concurrent scans.
     state.task_model->WarmUisEmbedding();
     if (variant == Variant::kMetaStar) {
-      // The FP/FN optimizer is a pure function of the clustering context
-      // and the center labels (the first k_s start labels), so it is
-      // rebuilt rather than serialized.
-      const MetaTaskGenerator& generator = *model_->generator(s);
-      const auto k_s = static_cast<size_t>(generator.options().k_s);
+      // The FP/FN optimizer is a pure function of the model's parts and the
+      // center labels (the first k_s start labels), so it is assembled
+      // rather than serialized.
+      const auto k_s =
+          static_cast<size_t>(model_->generator(s)->options().k_s);
       if (state.start_labels.size() < k_s) {
         return Status::IoError(
             "session load: too few center labels in subspace " +
@@ -270,8 +286,7 @@ Status ExplorationSession::LoadFromStream(std::istream* in) try {
       const std::vector<double> center_labels(
           state.start_labels.begin(),
           state.start_labels.begin() + static_cast<int64_t>(k_s));
-      state.fpfn.emplace(generator.context(), center_labels,
-                         model_->options().fpfn, model_->ValueBox(s));
+      state.fpfn.emplace(*model_->fpfn_parts(s), center_labels);
     }
     if (version >= 2) {
       bool has_policy = false;
@@ -405,8 +420,7 @@ Status ExplorationSession::StartExploration(
         state.task_model->WarmUisEmbedding();
 
         if (variant == Variant::kMetaStar) {
-          state.fpfn.emplace(ctx, center_labels, options.fpfn,
-                             model_->ValueBox(si));
+          state.fpfn.emplace(*model_->fpfn_parts(si), center_labels);
         } else {
           state.fpfn.reset();
         }
@@ -422,7 +436,7 @@ Status ExplorationSession::StartExploration(
         LTE_CHECK_MSG(policy_status.ok(),
                       "policy construction failed after validation");
         // Persistence/audit record: the labels that produced this adapted
-        // state (Save serializes them; Load rebuilds the FP/FN optimizer
+        // state (Save serializes them; Load reassembles the FP/FN optimizer
         // from the center prefix).
         state.start_labels = labels;
         state.history.clear();

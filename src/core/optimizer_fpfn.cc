@@ -1,31 +1,28 @@
 #include "core/optimizer_fpfn.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
-#include <numeric>
-#include <utility>
 
 #include "common/check.h"
 
 namespace lte::core {
 namespace {
 
-// Union of convex hulls over each positive center's `n_expand`-NN group.
-geom::Region BuildSubregion(const SubspaceContext& context,
-                            const std::vector<double>& center_labels,
-                            int64_t n_expand) {
-  geom::Region region;
-  for (int64_t s = 0; s < context.proximity_s.num_rows(); ++s) {
-    if (center_labels[static_cast<size_t>(s)] <= 0.5) continue;
-    std::vector<std::vector<double>> group;
-    group.push_back(context.centers_s[static_cast<size_t>(s)]);
-    for (int64_t u : context.proximity_s.NearestCols(s, n_expand)) {
-      group.push_back(context.centers_u[static_cast<size_t>(u)]);
-    }
-    region.AddPart(geom::ConvexRegion::HullOf(group));
+constexpr int64_t kGrid = FpFnOptimizer::kSettleGrid;
+constexpr size_t kNumCells = static_cast<size_t>(kGrid * kGrid);
+static_assert((kGrid & (kGrid - 1)) == 0, "the quadtree halves the grid");
+
+// The convex hull of C^s center `s` and its `n_expand` nearest C^u centers.
+geom::ConvexRegion CenterHull(const SubspaceContext& context, int64_t s,
+                              int64_t n_expand) {
+  std::vector<std::vector<double>> group;
+  group.push_back(context.centers_s[static_cast<size_t>(s)]);
+  for (int64_t u : context.proximity_s.NearestCols(s, n_expand)) {
+    group.push_back(context.centers_u[static_cast<size_t>(u)]);
   }
-  return region;
+  return geom::ConvexRegion::HullOf(group);
 }
 
 // Widening of a cell rectangle, relative to the box's coordinate magnitude.
@@ -35,132 +32,102 @@ geom::Region BuildSubregion(const SubspaceContext& context,
 // 1e-12 covers that many times over and is still far below any cell width.
 constexpr double kCellMargin = 1e-12;
 
-// Certifies one region over the settling grid with a culling quadtree. A
-// node keeps only the parts it has not yet proven to exclude it; the first
-// part that contains the node settles the whole node inside, and a node with
-// no parts left is outside. A one-cell node with parts left is open. The
-// surviving part lists live in one stack, a slice per quadtree level, so the
-// walk allocates nothing per node.
-class CellCertifier {
+// Certifies one convex part over the settling grid of a box with a
+// quadtree: a node the part contains is inside, a node it excludes is
+// outside, and only a node it leaves open is split; a one-cell node left
+// open stays open.
+class PartCertifier {
  public:
-  /// Sets `inside` in the code of every cell `region` contains and `open`
-  /// in that of every cell it leaves unproven, over the kSettleGrid grid of
-  /// `box`.
-  CellCertifier(const geom::Region& region, const geom::Box& box,
-                uint8_t inside, uint8_t open, std::vector<uint8_t>* cells)
-      : parts_(region.parts()),
-        box_(box),
+  explicit PartCertifier(const geom::Box& box)
+      : box_(box),
         step_x_((box.xhi - box.xlo) / static_cast<double>(kGrid)),
         step_y_((box.yhi - box.ylo) / static_cast<double>(kGrid)),
         margin_x_(kCellMargin * (std::abs(box.xlo) + std::abs(box.xhi))),
-        margin_y_(kCellMargin * (std::abs(box.ylo) + std::abs(box.yhi))),
-        inside_(inside),
-        open_(open),
-        cells_(cells) {}
+        margin_y_(kCellMargin * (std::abs(box.ylo) + std::abs(box.yhi))) {}
 
-  void Run() {
-    const size_t n = parts_.size();
-    if (n == 0) return;  // An empty region excludes every cell.
-    // A node at depth d reads its parts from slice d and writes the ones it
-    // keeps to slice d + 1; the one-cell leaves sit at depth log2(G).
-    size_t depth = 0;
-    for (int64_t size = kGrid; size > 1; size /= 2) ++depth;
-    stack_.resize(n * (depth + 2));
-    std::iota(stack_.begin(), stack_.begin() + static_cast<std::ptrdiff_t>(n),
-              int32_t{0});
-    Visit(0, 0, kGrid, 0, n);
+  /// Returns the part's verdict over every cell.
+  std::vector<uint8_t> Run(const geom::ConvexRegion& part) const {
+    std::vector<uint8_t> cells(kNumCells, 0);
+    Visit(part, 0, 0, kGrid, &cells);
+    return cells;
   }
 
  private:
-  static constexpr int64_t kGrid = FpFnOptimizer::kSettleGrid;
-  static_assert((kGrid & (kGrid - 1)) == 0, "the quadtree halves the grid");
-
-  void Visit(int64_t cx, int64_t cy, int64_t size, size_t level,
-             size_t count) {
-    const size_t n = parts_.size();
-    int32_t* candidates = stack_.data() + level * n;
-    int32_t* kept = stack_.data() + (level + 1) * n;
-    const geom::Box cell{
+  void Visit(const geom::ConvexRegion& part, int64_t cx, int64_t cy,
+             int64_t size, std::vector<uint8_t>* cells) const {
+    const geom::Box node{
         box_.xlo + static_cast<double>(cx) * step_x_ - margin_x_,
         box_.xlo + static_cast<double>(cx + size) * step_x_ + margin_x_,
         box_.ylo + static_cast<double>(cy) * step_y_ - margin_y_,
         box_.ylo + static_cast<double>(cy + size) * step_y_ + margin_y_};
-    size_t left = 0;
-    for (size_t i = 0; i < count; ++i) {
-      switch (parts_[static_cast<size_t>(candidates[i])].Relate(cell)) {
-        case geom::BoxRelation::kInside:
-          // Siblings share this list and likely lie in the same part:
-          // let them try it first.
-          std::swap(candidates[0], candidates[i]);
-          Fill(cx, cy, size, inside_);
-          return;
-        case geom::BoxRelation::kOpen:
-          kept[left++] = candidates[i];
-          break;
-        case geom::BoxRelation::kOutside:
-          break;
-      }
+    switch (part.Relate(node)) {
+      case geom::BoxRelation::kInside:
+        for (int64_t y = cy; y < cy + size; ++y) {
+          std::fill_n(cells->begin() + y * kGrid + cx, size,
+                      FpFnParts::kPartInside);
+        }
+        return;
+      case geom::BoxRelation::kOutside:
+        return;
+      case geom::BoxRelation::kOpen:
+        break;
     }
-    if (left == 0) return;  // Outside: the region's bit stays clear.
     if (size == 1) {
-      Fill(cx, cy, 1, open_);
+      (*cells)[static_cast<size_t>(cy * kGrid + cx)] = FpFnParts::kPartOpen;
       return;
     }
     const int64_t half = size / 2;
-    Visit(cx, cy, half, level + 1, left);
-    Visit(cx + half, cy, half, level + 1, left);
-    Visit(cx, cy + half, half, level + 1, left);
-    Visit(cx + half, cy + half, half, level + 1, left);
+    Visit(part, cx, cy, half, cells);
+    Visit(part, cx + half, cy, half, cells);
+    Visit(part, cx, cy + half, half, cells);
+    Visit(part, cx + half, cy + half, half, cells);
   }
 
-  void Fill(int64_t cx, int64_t cy, int64_t size, uint8_t code) {
-    for (int64_t y = cy; y < cy + size; ++y) {
-      for (int64_t x = cx; x < cx + size; ++x) {
-        (*cells_)[static_cast<size_t>(y * kGrid + x)] |= code;
-      }
-    }
-  }
-
-  const std::vector<geom::ConvexRegion>& parts_;
   const geom::Box box_;
   const double step_x_;
   const double step_y_;
   const double margin_x_;
   const double margin_y_;
-  const uint8_t inside_;
-  const uint8_t open_;
-  std::vector<uint8_t>* cells_;
-  std::vector<int32_t> stack_;
 };
+
+// Adds one region's verdicts to the cell codes: `bit` where some of its
+// parts' `tables` contains the cell, else kOpenCell where some leaves it
+// open.
+void CombineTables(const std::vector<const uint8_t*>& tables, uint8_t bit,
+                   std::vector<uint8_t>* cells) {
+  std::array<uint8_t, kNumCells> any{};
+  for (const uint8_t* table : tables) {
+    for (size_t c = 0; c < kNumCells; ++c) any[c] |= table[c];
+  }
+  for (size_t c = 0; c < kNumCells; ++c) {
+    if ((any[c] & FpFnParts::kPartInside) != 0) {
+      (*cells)[c] |= bit;
+    } else if (any[c] != 0) {
+      (*cells)[c] |= FpFnOptimizer::kOpenCell;
+    }
+  }
+}
 
 }  // namespace
 
-FpFnOptimizer::FpFnOptimizer(const SubspaceContext& context,
-                             const std::vector<double>& center_labels,
-                             const FpFnOptions& options,
-                             std::optional<geom::Box> value_box) {
-  LTE_CHECK_EQ(static_cast<int64_t>(center_labels.size()),
-               context.proximity_s.num_rows());
+FpFnParts::FpFnParts(const SubspaceContext& context,
+                     const FpFnOptions& options,
+                     std::optional<geom::Box> value_box) {
   const auto k_u = static_cast<double>(context.proximity_u.num_rows());
   const int64_t n_sup =
       std::max<int64_t>(1, static_cast<int64_t>(options.outer_fraction * k_u));
   const int64_t n_sub =
       std::max<int64_t>(1, static_cast<int64_t>(options.inner_fraction * k_u));
-  for (double label : center_labels) {
-    if (label > 0.5) {
-      has_positive_ = true;
-      break;
-    }
+  const int64_t k_s = context.proximity_s.num_rows();
+  for (int64_t s = 0; s < k_s; ++s) {
+    outer_.push_back({CenterHull(context, s, n_sup), {}});
+    inner_.push_back({CenterHull(context, s, n_sub), {}});
   }
-  outer_ = BuildSubregion(context, center_labels, n_sup);
-  inner_ = BuildSubregion(context, center_labels, n_sub);
-  if (has_positive_ && value_box.has_value() &&
-      outer_.parts().front().dimension() == 2) {
-    BuildCells(*value_box);
+  if (outer_.empty() || outer_.front().hull.dimension() != 2 ||
+      !value_box.has_value()) {
+    return;
   }
-}
-
-void FpFnOptimizer::BuildCells(const geom::Box& box) {
+  const geom::Box& box = *value_box;
   const double width_x = box.xhi - box.xlo;
   const double width_y = box.yhi - box.ylo;
   if (!std::isfinite(width_x) || !std::isfinite(width_y) || width_x < 0.0 ||
@@ -168,17 +135,53 @@ void FpFnOptimizer::BuildCells(const geom::Box& box) {
     return;
   }
   // A zero-width side maps every in-box value to cell 0 (its only value).
-  const auto grid = static_cast<double>(kSettleGrid);
+  const auto grid = static_cast<double>(kGrid);
   const double scale_x = width_x > 0.0 ? grid / width_x : 0.0;
   const double scale_y = width_y > 0.0 ? grid / width_y : 0.0;
   if (!std::isfinite(scale_x) || !std::isfinite(scale_y)) return;
+  has_cells_ = true;
   box_ = box;
   scale_x_ = scale_x;
   scale_y_ = scale_y;
-  cells_.assign(static_cast<size_t>(kSettleGrid * kSettleGrid), 0);
-  CellCertifier(outer_, box, kOuterBit, kOpenCell, &cells_).Run();
-  CellCertifier(inner_, box, kInnerBit, kOpenCell, &cells_).Run();
+  const PartCertifier certifier(box);
+  for (size_t s = 0; s < outer_.size(); ++s) {
+    outer_[s].cells = certifier.Run(outer_[s].hull);
+    inner_[s].cells = certifier.Run(inner_[s].hull);
+  }
 }
+
+// Exact against certifying each region's union directly: a union's walk
+// tests a part at a node only while that part was open at every ancestor,
+// so a cell is inside the union iff some part's own walk finds it inside,
+// and open iff none does and some part's walk reaches it open.
+FpFnOptimizer::FpFnOptimizer(const FpFnParts& parts,
+                             const std::vector<double>& center_labels) {
+  LTE_CHECK_EQ(static_cast<int64_t>(center_labels.size()),
+               parts.num_centers());
+  std::vector<const uint8_t*> outer_tables;
+  std::vector<const uint8_t*> inner_tables;
+  for (int64_t s = 0; s < parts.num_centers(); ++s) {
+    if (center_labels[static_cast<size_t>(s)] <= 0.5) continue;
+    has_positive_ = true;
+    outer_.AddPart(parts.outer(s).hull);
+    inner_.AddPart(parts.inner(s).hull);
+    outer_tables.push_back(parts.outer(s).cells.data());
+    inner_tables.push_back(parts.inner(s).cells.data());
+  }
+  if (!has_positive_ || !parts.has_cells()) return;
+  box_ = parts.box();
+  scale_x_ = parts.scale_x();
+  scale_y_ = parts.scale_y();
+  cells_.assign(kNumCells, 0);
+  CombineTables(outer_tables, kOuterBit, &cells_);
+  CombineTables(inner_tables, kInnerBit, &cells_);
+}
+
+FpFnOptimizer::FpFnOptimizer(const SubspaceContext& context,
+                             const std::vector<double>& center_labels,
+                             const FpFnOptions& options,
+                             std::optional<geom::Box> value_box)
+    : FpFnOptimizer(FpFnParts(context, options, value_box), center_labels) {}
 
 void FpFnOptimizer::DecideAll(std::span<const Membership> where,
                               std::span<const double> band_probs,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -12,7 +13,7 @@ namespace {
 
 constexpr double kVarianceFloor = 1e-8;
 
-double LogSumExp(const std::vector<double>& v) {
+double LogSumExp(std::span<const double> v) {
   const double mx = *std::max_element(v.begin(), v.end());
   if (!std::isfinite(mx)) return mx;
   double s = 0.0;
@@ -48,33 +49,32 @@ Status GaussianMixture::Fit(const std::vector<double>& values,
     components_[c].variance = total_var / static_cast<double>(kk);
   }
 
-  std::vector<std::vector<double>> resp(
-      static_cast<size_t>(n), std::vector<double>(kk, 0.0));
+  // Responsibilities, row-major: value i's row is resp[i * kk, (i + 1) * kk).
+  std::vector<double> resp(static_cast<size_t>(n) * kk, 0.0);
   double prev_ll = -std::numeric_limits<double>::max();
   for (int64_t iter = 0; iter < max_iterations; ++iter) {
-    // E-step.
+    // E-step. Each row first holds the log-joints, the very bits
+    // log(weight) + LogGaussianPdf gives, and then the responsibilities.
+    CacheConstants();
     double ll = 0.0;
     for (int64_t i = 0; i < n; ++i) {
-      std::vector<double> logp(kk);
+      const std::span<double> row(resp.data() + static_cast<size_t>(i) * kk,
+                                  kk);
       for (size_t c = 0; c < kk; ++c) {
-        logp[c] = std::log(std::max(components_[c].weight, 1e-12)) +
-                  LogGaussianPdf(values[static_cast<size_t>(i)],
-                                 components_[c].mean, components_[c].variance);
+        row[c] = LogJoint(cached_[c], values[static_cast<size_t>(i)]);
       }
-      const double lse = LogSumExp(logp);
+      const double lse = LogSumExp(row);
       ll += lse;
-      for (size_t c = 0; c < kk; ++c) {
-        resp[static_cast<size_t>(i)][c] = std::exp(logp[c] - lse);
-      }
+      for (size_t c = 0; c < kk; ++c) row[c] = std::exp(row[c] - lse);
     }
     // M-step.
     for (size_t c = 0; c < kk; ++c) {
       double rsum = 0.0;
       double msum = 0.0;
       for (int64_t i = 0; i < n; ++i) {
-        rsum += resp[static_cast<size_t>(i)][c];
-        msum += resp[static_cast<size_t>(i)][c] *
-                values[static_cast<size_t>(i)];
+        const double r = resp[static_cast<size_t>(i) * kk + c];
+        rsum += r;
+        msum += r * values[static_cast<size_t>(i)];
       }
       if (rsum < 1e-10) {
         // Dead component: re-seed at a random sample point.
@@ -88,7 +88,7 @@ Status GaussianMixture::Fit(const std::vector<double>& values,
       double vsum = 0.0;
       for (int64_t i = 0; i < n; ++i) {
         const double d = values[static_cast<size_t>(i)] - mean;
-        vsum += resp[static_cast<size_t>(i)][c] * d * d;
+        vsum += resp[static_cast<size_t>(i) * kk + c] * d * d;
       }
       components_[c].mean = mean;
       components_[c].variance = std::max(vsum / rsum, kVarianceFloor);

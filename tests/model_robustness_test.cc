@@ -207,6 +207,29 @@ TEST_F(ModelRobustnessTest, InvalidOnlineScheduleRejectedOnLoad) {
   EXPECT_TRUE(model.LoadFromStream(&in).ok());
 }
 
+// Load builds the FP/FN parts over each subspace's value box, read at the
+// subspace's attribute indices. An index outside the encoder's attributes
+// is refused like any other undecodable field, before any state changes.
+TEST_F(ModelRobustnessTest, SubspaceAttributeOutOfRangeRejectedOnLoad) {
+  // The subspace's attribute list {0, 1} and the count of its C^u centers
+  // (k_u = 20) that follows it.
+  std::string attrs(32, '\0');
+  const uint64_t words[4] = {2, 0, 1, 20};
+  std::memcpy(attrs.data(), words, sizeof(words));
+  const size_t at = bytes_.find(attrs);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes_.find(attrs, at + 1), std::string::npos);
+  for (const int64_t bad : {int64_t{2}, int64_t{-1}, int64_t{1} << 40}) {
+    std::string corrupt = bytes_;
+    std::memcpy(corrupt.data() + at + 16, &bad, 8);
+    core::ExplorationModel model(core::ExplorerOptions{});
+    std::istringstream in(corrupt, std::ios::binary);
+    const Status st = model.LoadFromStream(&in);
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << "attribute " << bad;
+    EXPECT_FALSE(model.pretrained()) << "attribute " << bad;
+  }
+}
+
 // Pretrain refuses the same schedules before doing any work.
 TEST(ModelScheduleTest, PretrainRejectsInvalidOnlineSchedule) {
   Rng rng(5);

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/binary_io.h"
 #include "core/lte.h"
@@ -282,6 +283,71 @@ TEST(SerializationTest, ExplorerRoundTripPreservesExploration) {
   for (int64_t r = 0; r < 50; ++r) {
     EXPECT_EQ(original_session.PredictRow(table.Row(r)).value_or(-1.0),
               restored_session.PredictRow(table.Row(r)).value_or(-2.0));
+  }
+}
+
+// Two FP/FN parts sets are equal: same hulls (vertices or interval bounds)
+// and the same settling tables over the same box.
+void ExpectPartsEqual(const core::FpFnParts& a, const core::FpFnParts& b) {
+  ASSERT_EQ(a.num_centers(), b.num_centers());
+  ASSERT_EQ(a.has_cells(), b.has_cells());
+  EXPECT_EQ(a.box().xlo, b.box().xlo);
+  EXPECT_EQ(a.box().xhi, b.box().xhi);
+  EXPECT_EQ(a.box().ylo, b.box().ylo);
+  EXPECT_EQ(a.box().yhi, b.box().yhi);
+  EXPECT_EQ(a.scale_x(), b.scale_x());
+  EXPECT_EQ(a.scale_y(), b.scale_y());
+  for (int64_t s = 0; s < a.num_centers(); ++s) {
+    for (const auto& [pa, pb] : {std::pair(&a.outer(s), &b.outer(s)),
+                                 std::pair(&a.inner(s), &b.inner(s))}) {
+      ASSERT_EQ(pa->hull.dimension(), pb->hull.dimension());
+      EXPECT_EQ(pa->hull.lo(), pb->hull.lo());
+      EXPECT_EQ(pa->hull.hi(), pb->hull.hi());
+      ASSERT_EQ(pa->hull.hull().size(), pb->hull.hull().size());
+      for (size_t v = 0; v < pa->hull.hull().size(); ++v) {
+        EXPECT_EQ(pa->hull.hull()[v].x, pb->hull.hull()[v].x);
+        EXPECT_EQ(pa->hull.hull()[v].y, pb->hull.hull()[v].y);
+      }
+      EXPECT_EQ(pa->cells, pb->cells);
+    }
+  }
+}
+
+// Load rebuilds the FP/FN parts Pretrain built, for a 2-D subspace (with
+// tables) and a 1-D one (hulls only), meta-trained or not.
+TEST(SerializationTest, ModelLoadRebuildsPretrainFpFnParts) {
+  Rng rng(12);
+  data::Table table = data::MakeBlobs(1500, 3, 4, &rng);
+  core::ExplorerOptions opt;
+  opt.task_gen.k_u = 20;
+  opt.task_gen.k_s = 8;
+  opt.task_gen.k_q = 20;
+  opt.learner.embedding_size = 8;
+  opt.learner.clf_hidden = {8};
+  opt.learner.num_memory_modes = 2;
+  opt.num_meta_tasks = 10;
+  opt.trainer.epochs = 1;
+  opt.trainer.local_steps = 2;
+  const std::vector<data::Subspace> subspaces = {data::Subspace{{0, 1}},
+                                                 data::Subspace{{2}}};
+  for (const bool train_meta : {true, false}) {
+    core::ExplorationModel original(opt);
+    Rng pretrain_rng(3);
+    ASSERT_TRUE(
+        original.Pretrain(table, subspaces, train_meta, &pretrain_rng).ok());
+    std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(original.SaveToStream(&bytes).ok());
+    core::ExplorationModel restored(core::ExplorerOptions{});
+    ASSERT_TRUE(restored.LoadFromStream(&bytes).ok());
+    ASSERT_EQ(restored.fingerprint(), original.fingerprint());
+    for (int64_t s = 0; s < 2; ++s) {
+      ASSERT_NE(original.fpfn_parts(s), nullptr);
+      ASSERT_NE(restored.fpfn_parts(s), nullptr);
+      EXPECT_EQ(original.fpfn_parts(s)->num_centers(), 8);
+      EXPECT_EQ(original.fpfn_parts(s)->has_cells(), s == 0);
+      ExpectPartsEqual(*original.fpfn_parts(s), *restored.fpfn_parts(s));
+    }
+    EXPECT_EQ(restored.fpfn_parts(2), nullptr);
   }
 }
 

@@ -16,14 +16,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
 #include "data/synthetic.h"
@@ -331,6 +334,86 @@ TEST_F(SessionPersistenceTest, GarbageAndWrongFormatFilesAreRejected) {
   ASSERT_TRUE(donor.Save(session_path).ok());
   ExplorationModel fresh(SmallExplorerOptions());
   EXPECT_FALSE(fresh.Load(session_path).ok());
+}
+
+// The bytes BinaryWriter emits for `write`, to find a field in a save.
+template <typename Write>
+std::string Bytes(Write write) {
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter w(&out);
+  write(&w);
+  return out.str();
+}
+
+// A restore refuses what StartExploration and ContinueExploration refuse: a
+// start or history label outside [0, 1] (NaN included) and a non-finite
+// history point. Each edit of a valid save fails with IoError and leaves
+// the destination session's previous state intact.
+TEST_F(SessionPersistenceTest, InvalidLabelsAndPointsRejectedOnLoad) {
+  const std::string saved = SavedMidExploration(Variant::kMetaStar, 1);
+  // Byte offsets of the fields to edit: subspace 1's start labels, and its
+  // history batch (points, then labels).
+  const std::vector<double> start = UserLabels(0)[1];
+  const std::string start_bytes =
+      Bytes([&](BinaryWriter* w) { w->WriteDoubleVector(start); });
+  std::vector<std::vector<double>> points;
+  std::vector<double> labels;
+  MakeBatch(0, 1, 1, &points, &labels);
+  const std::string batch_bytes = Bytes([&](BinaryWriter* w) {
+    w->WritePointSet(points);
+    w->WriteDoubleVector(labels);
+  });
+  const size_t start_at = saved.find(start_bytes);
+  const size_t batch_at = saved.find(batch_bytes);
+  ASSERT_NE(start_at, std::string::npos);
+  ASSERT_NE(batch_at, std::string::npos);
+  ASSERT_EQ(saved.rfind(start_bytes), start_at);
+  ASSERT_EQ(saved.rfind(batch_bytes), batch_at);
+  // Each field's first value sits after its length word; the batch's first
+  // point follows the set's count and the point's own length word.
+  const size_t first_start_label = start_at + 8;
+  const size_t first_point = batch_at + 16;
+  const size_t first_batch_label = batch_at + batch_bytes.size() -
+                                   8 * labels.size();
+
+  ExplorationSession victim(model_, 1);
+  victim.SeedRng(11);
+  ASSERT_TRUE(victim
+                  .StartExploration(UserLabels(1), Variant::kMeta,
+                                    victim.session_rng())
+                  .ok());
+  const Outcome before = Serve(victim);
+  const auto load_with = [&](size_t offset, double value) {
+    std::string corrupt = saved;
+    std::memcpy(corrupt.data() + offset, &value, sizeof(value));
+    std::istringstream in(corrupt, std::ios::binary);
+    return victim.LoadFromStream(&in);
+  };
+  // The offsets point at the fields: rewriting them as they are loads.
+  ASSERT_TRUE(load_with(first_start_label, start[0]).ok());
+  ASSERT_TRUE(load_with(first_point, points[0][0]).ok());
+  ASSERT_TRUE(load_with(first_batch_label, labels[0]).ok());
+  ASSERT_TRUE(victim
+                  .StartExploration(UserLabels(1), Variant::kMeta,
+                                    victim.session_rng())
+                  .ok());
+  ASSERT_TRUE(Serve(victim) == before);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const size_t offset : {first_start_label, first_batch_label}) {
+    for (const double bad : {-0.5, 1.5, nan, inf}) {
+      const Status st = load_with(offset, bad);
+      EXPECT_EQ(st.code(), StatusCode::kIoError)
+          << "label " << bad << " at byte " << offset;
+    }
+  }
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_EQ(load_with(first_point, bad).code(), StatusCode::kIoError)
+        << "point coordinate " << bad;
+  }
+  EXPECT_EQ(victim.active_subspaces(), 2);
+  EXPECT_TRUE(Serve(victim) == before);
 }
 
 // A session saved against model A refuses to attach to a refreshed model B:
