@@ -8,8 +8,13 @@ Regression coverage for two gate bugs:
   * resolve()'s list filters compared str(field) == selector, so the
     selector [threads=1] never matched an element whose field was the
     JSON number 1.0 ("1.0" != "1").
+It also checks the committed baseline against the tree: every gated
+artifact must come from a bench that still exists and is still built.
 """
 
+import json
+import os
+import re
 import unittest
 
 import check_bench_regression as cbr
@@ -129,6 +134,30 @@ class RunCheckTest(unittest.TestCase):
         }
         status, _, _, _ = cbr.run_check(check, self.ARTIFACTS)
         self.assertEqual(status, "info")
+
+
+class BaselineFilesTest(unittest.TestCase):
+    """A bench deleted while its gates stay in bench_baseline.json fails
+    here, under ctest, instead of at the CI gate step."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def test_every_gated_artifact_has_a_built_bench(self):
+        baseline = os.path.join(self.ROOT, "scripts", "bench_baseline.json")
+        with open(baseline) as f:
+            checks = json.load(f)["checks"]
+        with open(os.path.join(self.ROOT, "bench", "CMakeLists.txt")) as f:
+            built = set(
+                re.findall(r"^lte_add_bench\((\w+)\)", f.read(), re.M))
+        self.assertTrue(checks)
+        for check in checks:
+            with self.subTest(file=check["file"], metric=check["metric"]):
+                match = re.fullmatch(r"BENCH_(\w+)\.json", check["file"])
+                self.assertIsNotNone(match)
+                bench = "bench_" + match.group(1)
+                source = os.path.join(self.ROOT, "bench", bench + ".cc")
+                self.assertTrue(os.path.isfile(source), source)
+                self.assertIn(bench, built)
 
 
 if __name__ == "__main__":

@@ -108,11 +108,6 @@ void DriftRefreshController::RunRefresh(int64_t watermark,
   idle_cv_.notify_all();
 }
 
-bool DriftRefreshController::refresh_in_flight() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return refresh_in_flight_;
-}
-
 void DriftRefreshController::WaitForRefresh() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return !refresh_in_flight_; });

@@ -24,7 +24,7 @@ struct DriftRefreshOptions {
   /// pretrains with `Rng(rebuild_seed + e)`. Together with the row-count
   /// watermark this makes every published model a pure function of
   /// (prefix rows, options, seed, epoch) — the determinism argument in
-  /// DESIGN.md §2e, enforced by the `refresh_bit_identical` bench invariant.
+  /// DESIGN.md §2e, enforced by `LiveRefreshTest.RebuildIsDeterministic`.
   uint64_t rebuild_seed = 17;
 };
 
@@ -96,9 +96,6 @@ class DriftRefreshController {
   /// error unchanged when sealing fails (nothing is observed); detector and
   /// trigger bookkeeping cannot fail.
   Status AppendAndObserve(const std::vector<std::vector<double>>& rows);
-
-  /// True while a background rebuild is running.
-  bool refresh_in_flight() const;
 
   /// Blocks until no rebuild is in flight (returns immediately when idle).
   void WaitForRefresh();

@@ -91,8 +91,8 @@ struct SessionManagerStats {
 /// Determinism: evict/restore round-trips are byte-exact
 /// (`ExplorationSession::Save/Load`), so any interleaving of evictions with
 /// a user's requests returns byte-identical results to that user's session
-/// staying resident throughout — enforced by the churn tests under TSan and
-/// the `bench_session_churn` invariant.
+/// staying resident throughout — enforced under TSan by
+/// `SessionManagerTest.ChurnByteIdenticalUnderEviction`.
 ///
 /// Thread-safety: all manager methods may be called concurrently from any
 /// threads; internal state (including evict/restore I/O) is guarded by one

@@ -4,11 +4,15 @@
 // the registry; the rebuild is a deterministic function of (watermark rows,
 // options, seed, epoch); and — the end-to-end property — sessions pinned to
 // the pre-swap epoch keep answering byte-identically to a static run while
-// the swap happens under them. The serve-across-swap test runs real reader
-// threads against the ingest thread and is part of the TSan CI job.
+// the swap happens under them; and the refreshed model beats the stale one
+// on a user interest inside the drifted region. The serve-across-swap test
+// runs real reader threads against the ingest thread and is part of the
+// TSan CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -45,6 +49,24 @@ core::ExplorerOptions SmallExplorerOptions() {
   opt.online_lr = 0.2;
   opt.encoder.num_gmm_components = 3;
   opt.encoder.num_jenks_intervals = 3;
+  return opt;
+}
+
+// The explorer options of the benches' convex-UIR runs at their default
+// scale (k_u = 50, psi = k_u / 2), for the drifted-workload quality test.
+// Every field not set here has the same value there.
+core::ExplorerOptions SdssExplorerOptions() {
+  core::ExplorerOptions opt;
+  opt.task_gen.k_u = 50;
+  opt.task_gen.k_q = 60;
+  opt.task_gen.alpha = 1;
+  opt.task_gen.psi = 25;
+  opt.learner.embedding_size = 24;
+  opt.learner.clf_hidden = {24};
+  opt.num_meta_tasks = 150;
+  opt.online_steps = 40;
+  opt.online_batch_size = 10;
+  opt.online_lr = 0.2;
   return opt;
 }
 
@@ -182,8 +204,8 @@ TEST_F(LiveRefreshTest, RebuildIsDeterministic) {
   ASSERT_EQ(watermarks[0], watermarks[1]);
 
   // And the published model is exactly what a foreground pretrain of the
-  // watermark prefix with the epoch-derived seed produces — the
-  // `refresh_bit_identical` invariant bench_live_refresh re-checks at scale.
+  // watermark prefix with the epoch-derived seed produces: the background
+  // rebuild is a pure function of (prefix rows, options, seed, epoch).
   data::Table table = base_table_;
   ASSERT_TRUE(table.AppendRows(SameDistributionRows(kBatchRows)).ok());
   ASSERT_TRUE(table.AppendRows(ShiftedRows(kBatchRows)).ok());
@@ -322,6 +344,158 @@ TEST_F(LiveRefreshTest, ServeAcrossSwapIsByteIdenticalToStaticRun) {
                   .ok());
   EXPECT_EQ(stamped, pinned.fingerprint);
   EXPECT_NE(stamped, refreshed.fingerprint);
+}
+
+// The quality gap a refresh closes (paper §V-E). Drifted rows arrive in a
+// new region far outside the base table's range, and the user's interest
+// is structure inside that region: rows there whose attribute 1 falls below
+// the appended rows' median. The stale encoder, fit before the region
+// existed, collapses it to one saturated code point; the refreshed model is
+// fit on it. Both models get the same start labels (ground truth on their
+// own initial tuples) and the same 20 feedback rounds, and the refreshed one
+// must score the higher F1 on the appended rows plus an equal-size base
+// sample.
+TEST_F(LiveRefreshTest, RefreshedModelBeatsStaleOnDriftedWorkload) {
+  constexpr int64_t kRows = 6000;
+  constexpr int64_t kDriftBatchRows = 256;
+  Rng data_rng(11);
+  const data::Table base = data::MakeSdssLike(kRows, &data_rng);
+  const std::vector<data::Subspace> subspaces = {
+      data::Subspace{{0, 1}}, data::Subspace{{2, 3}}, data::Subspace{{4, 5}},
+      data::Subspace{{6, 7}}};
+  auto stale = std::make_shared<core::ExplorationModel>(SdssExplorerOptions());
+  Rng pretrain_rng(42);
+  ASSERT_TRUE(
+      stale->Pretrain(base, subspaces, /*train_meta=*/false, &pretrain_rng)
+          .ok());
+
+  data::Table live = base;
+  ModelRegistry registry(stale);
+  DriftRefreshOptions options;
+  options.drift.window_size = kDriftBatchRows;
+  DriftRefreshController controller(&registry, &live, subspaces, options);
+
+  // One same-distribution batch, then four batches shifted 1.75 ranges past
+  // every column: the first of them completes a detector window and
+  // triggers the rebuild.
+  std::vector<double> shifts;
+  for (int64_t c = 0; c < base.num_columns(); ++c) {
+    const data::Column& col = base.column(c);
+    shifts.push_back(1.75 * (col.max() - col.min() + 1.0));
+  }
+  const auto batch = [&](int64_t salt, bool shifted) {
+    std::vector<std::vector<double>> rows;
+    for (int64_t i = 0; i < kDriftBatchRows; ++i) {
+      rows.push_back(base.Row((salt * 131 + i * 7) % kRows));
+      if (!shifted) continue;
+      for (size_t c = 0; c < shifts.size(); ++c) rows.back()[c] += shifts[c];
+    }
+    return rows;
+  };
+  ASSERT_TRUE(controller.AppendAndObserve(batch(0, false)).ok());
+  for (int64_t b = 0; b < 4; ++b) {
+    ASSERT_TRUE(controller.AppendAndObserve(batch(b, true)).ok());
+  }
+  controller.WaitForRefresh();
+  const DriftRefreshStats stats = controller.stats();
+  ASSERT_GE(stats.refreshes_completed, 1);
+  EXPECT_EQ(stats.refresh_failures, 0);
+  const ModelSnapshot refreshed = registry.Current();
+
+  const double region_lo = base.column(0).max() +
+                           0.25 * (base.column(0).max() - base.column(0).min());
+  std::vector<double> appended_attr1;
+  for (int64_t r = kRows; r < live.num_rows(); ++r) {
+    appended_attr1.push_back(live.Row(r)[1]);
+  }
+  std::sort(appended_attr1.begin(), appended_attr1.end());
+  const double attr1_median = appended_attr1[appended_attr1.size() / 2];
+  const auto truth_of = [&](const std::vector<double>& row) {
+    return row[0] > region_lo && row[1] < attr1_median;
+  };
+
+  // Eval rows: every appended row plus an equal-size base sample, so the new
+  // region carries real weight in the score.
+  const int64_t appended = live.num_rows() - kRows;
+  std::vector<int64_t> eval_rows;
+  for (int64_t r = kRows; r < live.num_rows(); ++r) eval_rows.push_back(r);
+  const int64_t stride = std::max<int64_t>(1, kRows / appended);
+  for (int64_t r = 0;
+       r < kRows && static_cast<int64_t>(eval_rows.size()) < 2 * appended;
+       r += stride) {
+    eval_rows.push_back(r);
+  }
+  std::vector<bool> truth;
+  for (const int64_t r : eval_rows) truth.push_back(truth_of(live.Row(r)));
+
+  std::vector<int64_t> positive_rows;
+  std::vector<int64_t> negative_rows;
+  for (int64_t r = kRows; r < live.num_rows(); ++r) {
+    (truth_of(live.Row(r)) ? positive_rows : negative_rows).push_back(r);
+  }
+  ASSERT_FALSE(positive_rows.empty());
+  ASSERT_FALSE(negative_rows.empty());
+
+  // Subspace-0 exploration: start labels from the ground truth, then 20
+  // rounds of 25 new-region positives, 20 new-region negatives and 5 base
+  // negatives; F1 of the session's predictions over the eval rows.
+  const auto explore_f1 =
+      [&](const std::shared_ptr<const core::ExplorationModel>& model) {
+        core::ExplorationSession user(model, /*num_threads=*/1);
+        std::vector<std::vector<double>> labels(1);
+        for (const auto& t : *model->InitialTuples(0)) {
+          labels[0].push_back(truth_of(t) ? 1.0 : 0.0);
+        }
+        Rng rng(2000);
+        EXPECT_TRUE(
+            user.StartExploration(labels, core::Variant::kBasic, &rng).ok());
+        for (int64_t round = 0; round < 20; ++round) {
+          std::vector<std::vector<double>> points;
+          std::vector<double> point_labels;
+          const auto add = [&](const std::vector<double>& row, double label) {
+            points.push_back({row[0], row[1]});
+            point_labels.push_back(label);
+          };
+          for (int64_t i = 0; i < 25; ++i) {
+            add(live.Row(positive_rows[(round * 25 + i * 13) %
+                                       positive_rows.size()]),
+                1.0);
+          }
+          for (int64_t i = 0; i < 20; ++i) {
+            add(live.Row(negative_rows[(round * 20 + i * 17) %
+                                       negative_rows.size()]),
+                0.0);
+          }
+          for (int64_t i = 0; i < 5; ++i) {
+            add(base.Row((round * 977 + i * 101) % kRows), 0.0);
+          }
+          EXPECT_TRUE(
+              user.ContinueExploration(0, points, point_labels, &rng).ok());
+        }
+        std::vector<double> predictions;
+        EXPECT_TRUE(user.PredictRows(live, eval_rows, &predictions).ok());
+        int64_t tp = 0;
+        int64_t fp = 0;
+        int64_t fn = 0;
+        for (size_t i = 0; i < predictions.size(); ++i) {
+          const bool predicted = predictions[i] > 0.5;
+          if (predicted && truth[i]) ++tp;
+          if (predicted && !truth[i]) ++fp;
+          if (!predicted && truth[i]) ++fn;
+        }
+        const int64_t denom = 2 * tp + fp + fn;
+        return denom > 0 ? 2.0 * static_cast<double>(tp) /
+                               static_cast<double>(denom)
+                         : 0.0;
+      };
+
+  const double stale_f1 = explore_f1(stale);
+  const double refreshed_f1 = explore_f1(refreshed.model);
+  std::printf("drifted-workload F1: stale %.3f -> refreshed %.3f "
+              "(epoch %llu)\n",
+              stale_f1, refreshed_f1,
+              static_cast<unsigned long long>(refreshed.epoch));
+  EXPECT_GT(refreshed_f1, stale_f1);
 }
 
 }  // namespace

@@ -38,6 +38,7 @@
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
 #include "core/optimizer_fpfn.h"
+#include "fpfn_reference_cells.h"
 #include "geom/convex_hull.h"
 #include "geom/region.h"
 #include "serving/coalesced_scan_scheduler.h"
@@ -630,11 +631,16 @@ TEST_F(RegionBoundaryTest, DirectScansMatchOracle) {
     // reaches forwards it unless its subregions decide it. Without
     // subregions that is every (row, reached subspace) pair. rows_located
     // is exact too: the reached pairs whose grid cell proves nothing, with
-    // subregions, and none without.
+    // subregions, and none without. The cells come from the union
+    // certifier (fpfn_reference_cells.h), not from the optimizer under
+    // test, so a cell left open that should be proven shows here.
     const auto session = Session(u, 1);
     std::vector<FpFnOptimizer> optimizers;
+    std::vector<std::vector<uint8_t>> cells;
     for (int64_t s = 0; s < num_subspaces(); ++s) {
-      optimizers.push_back(Optimizer(LabelsOf(u), s, /*cells=*/true));
+      optimizers.push_back(Optimizer(LabelsOf(u), s));
+      cells.push_back(
+          reference::ReferenceCells(optimizers.back(), model().ValueBox(s)));
     }
     int64_t reached = 0;
     int64_t band = 0;
@@ -644,10 +650,13 @@ TEST_F(RegionBoundaryTest, DirectScansMatchOracle) {
         const Point p = table_->RowProjected(
             r, (*subspaces_)[static_cast<size_t>(s)].attribute_indices);
         const FpFnOptimizer& opt = optimizers[static_cast<size_t>(s)];
-        FpFnOptimizer::Membership m;
         ++reached;
         if (!HasSubregions(u) || !opt.Locate(p).decided()) ++band;
-        if (HasSubregions(u) && !opt.Settle(p, &m)) ++located;
+        if (HasSubregions(u) &&
+            !reference::ReferenceSettles(cells[static_cast<size_t>(s)],
+                                         *model().ValueBox(s), p)) {
+          ++located;
+        }
         if (session->PredictSubspace(s, p) != 1.0) break;
       }
     }
