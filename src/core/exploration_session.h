@@ -320,7 +320,8 @@ class ExplorationSession {
   /// allocates its per-call buffers, and the block scan does not go through
   /// it. Same preconditions as LocateRows, and `encoded` holds exactly
   /// `rows.size()` tuples. The point-scratch parameter is unused and kept
-  /// only for the replay's call: ROADMAP item 2 deletes this hook.
+  /// only for the replay's call. Its callers are servebench's `BlockReplay`
+  /// and tests/scan_differential_test.cc; ROADMAP item 5 deletes this hook.
   void ScoreEncodedBlock(int64_t s, std::span<const double> encoded,
                          std::span<const int64_t> rows,
                          const std::vector<data::ColumnView>& columns,

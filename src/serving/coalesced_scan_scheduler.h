@@ -91,7 +91,7 @@ struct CoalescedScanStats {
 /// Determinism contract: every (session, row) verdict is byte-identical to
 /// that session scanning alone — batch composition, block boundaries, lane
 /// count, and flush timing change scheduling only, never bytes (argument in
-/// DESIGN.md §2b; enforced by tests/coalesced_scheduler_test.cc, including
+/// DESIGN.md §2b; enforced by tests/scan_differential_test.cc, including
 /// under the TSan CI job). Per-session result order is preserved:
 /// `PredictRows` demultiplexes verdicts back to the caller's input order
 /// (duplicates included), `RetrieveMatches` returns ascending row ids

@@ -1,13 +1,11 @@
-// Byte-identity and queue-discipline tests for the coalesced scan scheduler
-// (src/serving/): N sessions submitting through one scheduler — from real
-// std::thread submitters — must each receive exactly the bytes they would
-// have computed scanning alone, for ragged per-session row sets, mixed
-// variants, mixed request kinds, and at scheduler thread counts {1, 4}. The
-// determinism argument is in DESIGN.md §2c; this file is the enforcement
-// (and runs under the TSan CI job).
+// Queue-discipline tests for the coalesced scan scheduler (src/serving/):
+// the encode amortization it exists for, submission validation, Flush and
+// backpressure, with real std::thread submitters. That every request gets
+// the bytes its session would compute scanning alone is checked by
+// tests/scan_differential_test.cc; the determinism argument is in DESIGN.md
+// §2c. Runs under the TSan CI job.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -18,33 +16,12 @@
 #include "core/exploration_session.h"
 #include "data/synthetic.h"
 #include "serving/coalesced_scan_scheduler.h"
+#include "small_explorer_options.h"
 
 namespace lte::serving {
 namespace {
 
-core::ExplorerOptions SmallExplorerOptions() {
-  core::ExplorerOptions opt;
-  opt.task_gen.k_u = 30;
-  opt.task_gen.k_s = 10;
-  opt.task_gen.k_q = 30;
-  opt.task_gen.delta = 5;
-  opt.task_gen.alpha = 2;
-  opt.task_gen.psi = 8;
-  opt.learner.embedding_size = 12;
-  opt.learner.clf_hidden = {12};
-  opt.learner.num_memory_modes = 3;
-  opt.num_meta_tasks = 25;
-  opt.trainer.epochs = 3;
-  opt.trainer.task_batch_size = 10;
-  opt.trainer.local_steps = 6;
-  opt.trainer.local_lr = 0.2;
-  opt.trainer.global_lr = 0.1;
-  opt.online_steps = 25;
-  opt.online_lr = 0.2;
-  opt.encoder.num_gmm_components = 3;
-  opt.encoder.num_jenks_intervals = 3;
-  return opt;
-}
+using core::SmallExplorerOptions;
 
 class CoalescedScanSchedulerTest : public ::testing::Test {
  protected:
@@ -137,151 +114,6 @@ class CoalescedScanSchedulerTest : public ::testing::Test {
 data::Table* CoalescedScanSchedulerTest::table_ = nullptr;
 std::vector<data::Subspace>* CoalescedScanSchedulerTest::subspaces_ = nullptr;
 std::shared_ptr<core::ExplorationModel> CoalescedScanSchedulerTest::model_;
-
-// The core property: concurrent PredictRows through the scheduler is
-// byte-identical per session to that session scanning independently — for
-// ragged row sets, all variants, and scheduler thread counts {1, 4}.
-TEST_F(CoalescedScanSchedulerTest, ConcurrentPredictRowsByteIdentical) {
-  constexpr int64_t kSessions = 6;
-  std::vector<std::unique_ptr<core::ExplorationSession>> sessions;
-  std::vector<std::vector<int64_t>> row_sets;
-  std::vector<std::vector<double>> independent(kSessions);
-  for (int64_t u = 0; u < kSessions; ++u) {
-    sessions.push_back(MakeSession(u));
-    row_sets.push_back(RowSet(u));
-    ASSERT_TRUE(sessions.back()
-                    ->PredictRows(*table_, row_sets.back(),
-                                  &independent[static_cast<size_t>(u)])
-                    .ok());
-  }
-
-  for (const int64_t threads : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << "scheduler threads=" << threads);
-    CoalescedScanOptions options;
-    options.num_threads = threads;
-    options.max_batch_requests = kSessions;
-    options.flush_deadline_micros = 2000;
-    CoalescedScanScheduler scheduler(model_, table_, options);
-
-    std::vector<std::vector<double>> coalesced(kSessions);
-    std::vector<Status> statuses(kSessions);
-    {
-      std::vector<std::thread> submitters;
-      for (int64_t u = 0; u < kSessions; ++u) {
-        submitters.emplace_back([&, u] {
-          statuses[static_cast<size_t>(u)] = scheduler.PredictRows(
-              *sessions[static_cast<size_t>(u)], row_sets[static_cast<size_t>(u)],
-              &coalesced[static_cast<size_t>(u)]);
-        });
-      }
-      for (std::thread& t : submitters) t.join();
-    }
-    for (int64_t u = 0; u < kSessions; ++u) {
-      SCOPED_TRACE(testing::Message() << "session=" << u);
-      ASSERT_TRUE(statuses[static_cast<size_t>(u)].ok());
-      // Exact 0.0/1.0 equality — no tolerance.
-      EXPECT_EQ(coalesced[static_cast<size_t>(u)],
-                independent[static_cast<size_t>(u)]);
-    }
-    const CoalescedScanStats stats = scheduler.stats();
-    EXPECT_EQ(stats.requests, kSessions);
-    EXPECT_GE(stats.batches, 1);
-  }
-
-  // Sanity: the full-table session found both classes, so the identity
-  // checks above are not vacuous.
-  const std::vector<double>& full = independent[0];
-  const double ones = std::accumulate(full.begin(), full.end(), 0.0);
-  EXPECT_GT(ones, 0.0);
-  EXPECT_LT(ones, static_cast<double>(full.size()));
-}
-
-// Same property for RetrieveMatches across limits, including the early-exit
-// truncation semantics: the coalesced result equals the prefix of that
-// session's own unlimited scan.
-TEST_F(CoalescedScanSchedulerTest, ConcurrentRetrieveMatchesByteIdentical) {
-  const std::vector<int64_t> limits = {-1, 1, 7, 100, 5000};
-  const auto kSessions = static_cast<int64_t>(limits.size());
-  std::vector<std::unique_ptr<core::ExplorationSession>> sessions;
-  std::vector<std::vector<int64_t>> independent(kSessions);
-  for (int64_t u = 0; u < kSessions; ++u) {
-    sessions.push_back(MakeSession(u));
-    ASSERT_TRUE(sessions.back()
-                    ->RetrieveMatches(*table_, limits[static_cast<size_t>(u)],
-                                      &independent[static_cast<size_t>(u)])
-                    .ok());
-  }
-
-  for (const int64_t threads : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << "scheduler threads=" << threads);
-    CoalescedScanOptions options;
-    options.num_threads = threads;
-    options.max_batch_requests = kSessions;
-    options.flush_deadline_micros = 2000;
-    CoalescedScanScheduler scheduler(model_, table_, options);
-
-    std::vector<std::vector<int64_t>> coalesced(kSessions);
-    std::vector<Status> statuses(kSessions);
-    {
-      std::vector<std::thread> submitters;
-      for (int64_t u = 0; u < kSessions; ++u) {
-        submitters.emplace_back([&, u] {
-          statuses[static_cast<size_t>(u)] = scheduler.RetrieveMatches(
-              *sessions[static_cast<size_t>(u)], limits[static_cast<size_t>(u)],
-              &coalesced[static_cast<size_t>(u)]);
-        });
-      }
-      for (std::thread& t : submitters) t.join();
-    }
-    for (int64_t u = 0; u < kSessions; ++u) {
-      SCOPED_TRACE(testing::Message() << "session=" << u << " limit="
-                                      << limits[static_cast<size_t>(u)]);
-      ASSERT_TRUE(statuses[static_cast<size_t>(u)].ok());
-      EXPECT_EQ(coalesced[static_cast<size_t>(u)],
-                independent[static_cast<size_t>(u)]);
-      EXPECT_TRUE(std::is_sorted(coalesced[static_cast<size_t>(u)].begin(),
-                                 coalesced[static_cast<size_t>(u)].end()));
-    }
-  }
-}
-
-// A mixed batch — predictions and retrievals coalesced together — still
-// demultiplexes every request to its own independent bytes.
-TEST_F(CoalescedScanSchedulerTest, MixedBatchDemultiplexes) {
-  auto predictor = MakeSession(0);
-  auto retriever = MakeSession(1);
-  const std::vector<int64_t> rows = RowSet(2);
-  std::vector<double> independent_preds;
-  std::vector<int64_t> independent_matches;
-  ASSERT_TRUE(predictor->PredictRows(*table_, rows, &independent_preds).ok());
-  ASSERT_TRUE(
-      retriever->RetrieveMatches(*table_, 50, &independent_matches).ok());
-
-  CoalescedScanOptions options;
-  options.max_batch_requests = 2;
-  options.flush_deadline_micros = 5000000;  // Full-batch trigger only.
-  CoalescedScanScheduler scheduler(model_, table_, options);
-  std::vector<double> preds;
-  std::vector<int64_t> matches;
-  Status predict_status;
-  Status retrieve_status;
-  {
-    std::thread a([&] {
-      predict_status = scheduler.PredictRows(*predictor, rows, &preds);
-    });
-    std::thread b([&] {
-      retrieve_status = scheduler.RetrieveMatches(*retriever, 50, &matches);
-    });
-    a.join();
-    b.join();
-  }
-  ASSERT_TRUE(predict_status.ok());
-  ASSERT_TRUE(retrieve_status.ok());
-  EXPECT_EQ(preds, independent_preds);
-  EXPECT_EQ(matches, independent_matches);
-  EXPECT_EQ(scheduler.stats().batches, 1);
-  EXPECT_EQ(scheduler.stats().largest_batch, 2);
-}
 
 // The amortization the subsystem exists for: S sessions coalesced into one
 // shared pass cost ONE gather+encode per (block, subspace) — not S.

@@ -17,33 +17,10 @@
 
 #include "core/exploration_model.h"
 #include "data/synthetic.h"
+#include "small_explorer_options.h"
 
 namespace lte::core {
 namespace {
-
-ExplorerOptions SmallExplorerOptions() {
-  ExplorerOptions opt;
-  opt.task_gen.k_u = 30;
-  opt.task_gen.k_s = 10;
-  opt.task_gen.k_q = 30;
-  opt.task_gen.delta = 5;
-  opt.task_gen.alpha = 2;
-  opt.task_gen.psi = 8;
-  opt.learner.embedding_size = 12;
-  opt.learner.clf_hidden = {12};
-  opt.learner.num_memory_modes = 3;
-  opt.num_meta_tasks = 25;
-  opt.trainer.epochs = 3;
-  opt.trainer.task_batch_size = 10;
-  opt.trainer.local_steps = 6;
-  opt.trainer.local_lr = 0.2;
-  opt.trainer.global_lr = 0.1;
-  opt.online_steps = 25;
-  opt.online_lr = 0.2;
-  opt.encoder.num_gmm_components = 3;
-  opt.encoder.num_jenks_intervals = 3;
-  return opt;
-}
 
 class ExplorationSessionTest : public ::testing::Test {
  protected:
@@ -784,41 +761,6 @@ TEST_F(ExplorationSessionParallelTest, StartExplorationThreadCountInvariant) {
     std::vector<double> p;
     ASSERT_TRUE(session->PredictRows(table_, rows, &p).ok());
     EXPECT_EQ(p, p1) << "threads=" << threads;
-  }
-}
-
-TEST_F(ExplorationSessionParallelTest, RetrieveMatchesThreadCountInvariant) {
-  const std::unique_ptr<ExplorationSession> s1 = AdaptedSession(1);
-  std::vector<int64_t> sequential;
-  ASSERT_TRUE(s1->RetrieveMatches(table_, -1, &sequential).ok());
-  ASSERT_GT(sequential.size(), 3u);  // The labelling rule matches many rows.
-  EXPECT_TRUE(std::is_sorted(sequential.begin(), sequential.end()));
-  const int64_t limit = static_cast<int64_t>(sequential.size()) / 2;
-  for (int64_t threads : {int64_t{2}, int64_t{4}}) {
-    const std::unique_ptr<ExplorationSession> session = AdaptedSession(threads);
-    std::vector<int64_t> parallel;
-    ASSERT_TRUE(session->RetrieveMatches(table_, -1, &parallel).ok());
-    EXPECT_EQ(parallel, sequential) << "threads=" << threads;
-    // Exact-limit truncation: byte-identical prefix of the full scan.
-    std::vector<int64_t> limited;
-    ASSERT_TRUE(session->RetrieveMatches(table_, limit, &limited).ok());
-    const std::vector<int64_t> prefix(
-        sequential.begin(), sequential.begin() + limit);
-    EXPECT_EQ(limited, prefix) << "threads=" << threads;
-  }
-}
-
-TEST_F(ExplorationSessionParallelTest, PredictRowsMatchesRowWisePredictRow) {
-  const std::unique_ptr<ExplorationSession> session = AdaptedSession(4);
-  // Unordered, repeating row list: output must follow the input order.
-  const std::vector<int64_t> rows = {17, 3, 3999, 0, 17, 1024, 512};
-  std::vector<double> preds;
-  ASSERT_TRUE(session->PredictRows(table_, rows, &preds).ok());
-  ASSERT_EQ(preds.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(preds[i],
-              session->PredictRow(table_.Row(rows[i])).value_or(-1.0))
-        << "row " << rows[i];
   }
 }
 

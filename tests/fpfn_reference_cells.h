@@ -2,7 +2,7 @@
 #define LTE_TESTS_FPFN_REFERENCE_CELLS_H_
 
 // Test oracle for the FP/FN optimizer's settling cells, shared by
-// optimizer_fpfn_test (cell codes) and region_boundary_test (located-row
+// optimizer_fpfn_test (cell codes) and scan_differential_test (located-row
 // counts). It certifies each subregion's union of parts directly, as every
 // optimizer did before the per-center parts existed, so it reads neither the
 // parts' tables nor the optimizer's assembled cells.

@@ -14,30 +14,15 @@
 #include "core/exploration_session.h"
 #include "data/synthetic.h"
 #include "serving/model_registry.h"
+#include "small_explorer_options.h"
 
 namespace lte::serving {
 namespace {
 
+// This suite pretrains at the trainer's default global rate.
 core::ExplorerOptions SmallExplorerOptions() {
-  core::ExplorerOptions opt;
-  opt.task_gen.k_u = 30;
-  opt.task_gen.k_s = 10;
-  opt.task_gen.k_q = 30;
-  opt.task_gen.delta = 5;
-  opt.task_gen.alpha = 2;
-  opt.task_gen.psi = 8;
-  opt.learner.embedding_size = 12;
-  opt.learner.clf_hidden = {12};
-  opt.learner.num_memory_modes = 3;
-  opt.num_meta_tasks = 25;
-  opt.trainer.epochs = 3;
-  opt.trainer.task_batch_size = 10;
-  opt.trainer.local_steps = 6;
-  opt.trainer.local_lr = 0.2;
-  opt.online_steps = 25;
-  opt.online_lr = 0.2;
-  opt.encoder.num_gmm_components = 3;
-  opt.encoder.num_jenks_intervals = 3;
+  core::ExplorerOptions opt = core::SmallExplorerOptions();
+  opt.trainer.global_lr = core::MetaTrainerOptions{}.global_lr;
   return opt;
 }
 

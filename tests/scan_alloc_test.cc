@@ -22,6 +22,7 @@
 #include "core/exploration_session.h"
 #include "data/synthetic.h"
 #include "serving/coalesced_scan_scheduler.h"
+#include "small_explorer_options.h"
 
 namespace {
 std::atomic<int64_t> g_allocations{0};
@@ -47,30 +48,6 @@ void CountFree(void* p) {
 
 namespace lte::core {
 namespace {
-
-ExplorerOptions SmallExplorerOptions() {
-  ExplorerOptions opt;
-  opt.task_gen.k_u = 30;
-  opt.task_gen.k_s = 10;
-  opt.task_gen.k_q = 30;
-  opt.task_gen.delta = 5;
-  opt.task_gen.alpha = 2;
-  opt.task_gen.psi = 8;
-  opt.learner.embedding_size = 12;
-  opt.learner.clf_hidden = {12};
-  opt.learner.num_memory_modes = 3;
-  opt.num_meta_tasks = 25;
-  opt.trainer.epochs = 3;
-  opt.trainer.task_batch_size = 10;
-  opt.trainer.local_steps = 6;
-  opt.trainer.local_lr = 0.2;
-  opt.trainer.global_lr = 0.1;
-  opt.online_steps = 25;
-  opt.online_lr = 0.2;
-  opt.encoder.num_gmm_components = 3;
-  opt.encoder.num_jenks_intervals = 3;
-  return opt;
-}
 
 /// Heap allocations of `scan(&matches, &predictions)` — a full-table
 /// RetrieveMatches(-1) plus PredictRows over every row — after one warm-up

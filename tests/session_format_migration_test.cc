@@ -19,7 +19,7 @@
 // but note it must be BUILT against a pre-v2 tree to emit genuine v1 bytes):
 //   table     = data::MakeBlobs(1200, 4, 5, &Rng(23))
 //   subspaces = {{0, 1}, {2, 3}}
-//   options   = the SmallExplorerOptions of session_persistence_test.cc
+//   options   = SmallExplorerOptions() (tests/small_explorer_options.h)
 //   pretrain  with Rng(23)  -> fingerprint 0x896816A5A8EC51FB
 //   session: threads=1, SeedRng(777), StartExploration(kMetaStar) on labels
 //     "tuple[0] < min + 0.35 * range" over the initial tuples, then one
@@ -41,6 +41,7 @@
 #include "core/exploration_session.h"
 #include "data/synthetic.h"
 #include "policy/suggest_policy.h"
+#include "small_explorer_options.h"
 
 namespace lte::core {
 namespace {
@@ -207,32 +208,6 @@ TEST_F(SessionFormatMigrationTest, V2RoundTripsByteIdenticallyPerPolicyKind) {
   }
 }
 
-// Options of the fixture recipe (the SmallExplorerOptions of
-// session_persistence_test.cc).
-ExplorerOptions RecipeOptions() {
-  ExplorerOptions opt;
-  opt.task_gen.k_u = 30;
-  opt.task_gen.k_s = 10;
-  opt.task_gen.k_q = 30;
-  opt.task_gen.delta = 5;
-  opt.task_gen.alpha = 2;
-  opt.task_gen.psi = 8;
-  opt.learner.embedding_size = 12;
-  opt.learner.clf_hidden = {12};
-  opt.learner.num_memory_modes = 3;
-  opt.num_meta_tasks = 25;
-  opt.trainer.epochs = 3;
-  opt.trainer.task_batch_size = 10;
-  opt.trainer.local_steps = 6;
-  opt.trainer.local_lr = 0.2;
-  opt.trainer.global_lr = 0.1;
-  opt.online_steps = 25;
-  opt.online_lr = 0.2;
-  opt.encoder.num_gmm_components = 3;
-  opt.encoder.num_jenks_intervals = 3;
-  return opt;
-}
-
 // Golden training pin: re-running the fixture recipe in this file's header
 // reproduces the committed artifacts bit for bit. Pretrain must land on the
 // golden fingerprint (meta-training arithmetic), and the recipe session
@@ -240,7 +215,7 @@ ExplorerOptions RecipeOptions() {
 // migrated golden_v1.ltesession. The other golden tests only load saved
 // state, so this is the test that pins training itself.
 TEST_F(SessionFormatMigrationTest, FixtureRecipeReproducesGoldenBytes) {
-  auto trained = std::make_shared<ExplorationModel>(RecipeOptions());
+  auto trained = std::make_shared<ExplorationModel>(SmallExplorerOptions());
   Rng pretrain_rng(23);
   ASSERT_TRUE(trained->Pretrain(table_, subspaces_, /*train_meta=*/true,
                                 &pretrain_rng)

@@ -27,6 +27,7 @@
 #include "serving/coalesced_scan_scheduler.h"
 #include "serving/model_registry.h"
 #include "serving/session_manager.h"
+#include "small_explorer_options.h"
 
 namespace lte::serving {
 namespace {
@@ -35,30 +36,7 @@ using core::ExplorationModel;
 using core::ExplorationSession;
 using core::ExplorerOptions;
 using core::Variant;
-
-ExplorerOptions SmallExplorerOptions() {
-  ExplorerOptions opt;
-  opt.task_gen.k_u = 30;
-  opt.task_gen.k_s = 10;
-  opt.task_gen.k_q = 30;
-  opt.task_gen.delta = 5;
-  opt.task_gen.alpha = 2;
-  opt.task_gen.psi = 8;
-  opt.learner.embedding_size = 12;
-  opt.learner.clf_hidden = {12};
-  opt.learner.num_memory_modes = 3;
-  opt.num_meta_tasks = 25;
-  opt.trainer.epochs = 3;
-  opt.trainer.task_batch_size = 10;
-  opt.trainer.local_steps = 6;
-  opt.trainer.local_lr = 0.2;
-  opt.trainer.global_lr = 0.1;
-  opt.online_steps = 25;
-  opt.online_lr = 0.2;
-  opt.encoder.num_gmm_components = 3;
-  opt.encoder.num_jenks_intervals = 3;
-  return opt;
-}
+using core::SmallExplorerOptions;
 
 SessionManagerOptions ManagerOptions(const std::string& dir, int64_t k) {
   SessionManagerOptions options;
