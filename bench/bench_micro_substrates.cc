@@ -310,7 +310,7 @@ void BM_TaskModelStep(benchmark::State& state) {
   const lte::core::TaskModel start =
       MakeLearner(opt, tuples, &rng, &v_r).CreateTaskModel(v_r);
   lte::core::TaskModel tm = start;
-  lte::core::TaskModel::TrainScratch scratch;
+  lte::core::TaskModel::BatchScratch scratch;
   int64_t step = 0;
   for (auto _ : state) {
     if (++step % 40 == 0) tm = start;

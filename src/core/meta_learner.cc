@@ -19,34 +19,6 @@ std::vector<int64_t> LayerSizes(int64_t in, const std::vector<int64_t>& hidden,
   return sizes;
 }
 
-// (*left)[o] = Σ_{c < N_e} M_cp[o][c] · emb_R[c] in ascending c: the exact
-// running sum M_cp.MatVec([emb_R; emb_tau]) reaches after its emb_R half.
-// Shared by every tuple of a batch.
-void ConversionPrefix(const nn::Matrix& m_cp, std::span<const double> emb_r,
-                      std::vector<double>* left) {
-  const auto ne = static_cast<int64_t>(emb_r.size());
-  left->resize(static_cast<size_t>(ne));
-  nn::DotRows(m_cp.data().data(), 2 * ne, ne, emb_r, nullptr, left->data());
-}
-
-// Packs M_cp's emb_tau half (its columns [N_e, 2N_e)) by input for
-// nn::ForwardBatchLayer. It has no bias: each output ends on its running
-// sum.
-void PackConversion(const nn::Matrix& m_cp, nn::PackedLayer* packed) {
-  const int64_t ne = m_cp.rows();
-  packed->Pack(m_cp.data().data() + ne, 2 * ne, ne, ne, /*bias=*/nullptr);
-}
-
-// out row n = M_cp · [emb_R; emb_tau row n] for `count` rows of `emb_tau`
-// (N_e wide each), continuing each output from ConversionPrefix's `left`
-// over the row's tau terms in ascending order: the per-row operation
-// sequence of the reference MatVec, so the product stays bit-identical.
-void ConvertBatch(const nn::PackedLayer& mcp, const std::vector<double>& left,
-                  const double* emb_tau, int64_t count, double* out) {
-  nn::ForwardBatchLayer(mcp, nn::DenseRows{emb_tau, mcp.in()}, count,
-                        left.data(), /*relu=*/false, out);
-}
-
 // TaskModel::PredictProbabilityBatch slices the batch so the per-stage
 // activations (emb_tau, clf_in, logits) stay cache-resident while each
 // weight matrix streams over them; a full 1024-row block's activations
@@ -251,7 +223,7 @@ Status MetaLearner::LoadFrom(BinaryReader* reader,
 double TaskModel::AccumulateBatch(CodeRows tuples,
                                   std::span<const double> labels,
                                   std::span<const int64_t> rows,
-                                  TrainScratch* scratch) {
+                                  BatchScratch* scratch) {
   LTE_CHECK_GT(tuples.per_row, 0);
   LTE_CHECK_EQ(static_cast<int64_t>(tuples.codes.size()),
                static_cast<int64_t>(labels.size()) * tuples.per_row);
@@ -266,29 +238,11 @@ double TaskModel::AccumulateBatch(CodeRows tuples,
 
   // Forward. emb_R is shared by the whole batch: one row through f_R.
   const std::span<const double> emb_r =
-      f_r_.ForwardTrain(uis_feature_, 1, &scratch->r);
+      f_r_.ForwardBatch(uis_feature_, 1, &scratch->r);
   const auto ne = static_cast<int64_t>(emb_r.size());
-  const std::span<const double> emb_tau =
-      f_tau_.ForwardTrain(tuples, count, &scratch->tau, rows);
-  const int64_t clf_w = f_clf_.in_features();
-  scratch->clf_in.resize(static_cast<size_t>(count * clf_w));
-  if (use_memory_) {
-    // c = M_cp · [emb_R; emb_tau], its emb_R half evaluated once per step.
-    ConversionPrefix(m_cp_, emb_r, &scratch->mcp_left);
-    PackConversion(m_cp_, &scratch->mcp);
-    ConvertBatch(scratch->mcp, scratch->mcp_left, emb_tau.data(), count,
-                 scratch->clf_in.data());
-  } else {
-    // Plain MAML: f_clf reads the concatenation [emb_R, emb_tau].
-    for (int64_t n = 0; n < count; ++n) {
-      double* dst = scratch->clf_in.data() + n * clf_w;
-      std::copy(emb_r.begin(), emb_r.end(), dst);
-      std::copy(emb_tau.begin() + n * ne, emb_tau.begin() + (n + 1) * ne,
-                dst + ne);
-    }
-  }
+  PackBatch(emb_r, scratch);
   const std::span<const double> logits =
-      f_clf_.ForwardTrain(scratch->clf_in, count, &scratch->clf);
+      ForwardLogits(tuples, count, rows, scratch);
 
   double loss = 0.0;
   scratch->grad_logit.resize(static_cast<size_t>(count));
@@ -300,30 +254,26 @@ double TaskModel::AccumulateBatch(CodeRows tuples,
   }
 
   // Backward: f_clf, then the conversion, then f_tau, then f_R with the
-  // embedding gradient summed over the batch in tuple order.
-  f_clf_.BackwardBatch(scratch->grad_logit, &scratch->clf,
-                       &scratch->grad_clf_in);
-  const double* g_conv = scratch->grad_clf_in.data();
+  // embedding gradient summed over the batch in tuple order. emb_R is a
+  // head every tuple shares, of M_cp or of f_clf's first layer: dW gains
+  // each tuple's terms in tuple order, and the tuples' emb_R gradients add
+  // into g_emb_R in tuple order.
   scratch->grad_emb_r.assign(static_cast<size_t>(ne), 0.0);
-  double* g_emb_r = scratch->grad_emb_r.data();
-  scratch->grad_emb_tau.resize(static_cast<size_t>(count * ne));
   if (use_memory_) {
-    // The conversion is a bias-free layer over [emb_R; emb_tau_n], whose
-    // emb_R head every tuple shares: dM_cp gains each tuple's terms in
-    // tuple order, g_emb_tau_n is the right half of M_cp^T g_n, and the
-    // left halves add into g_emb_R in tuple order.
+    f_clf_.BackwardBatch(scratch->grad_logit, &scratch->clf,
+                         &scratch->grad_clf_in);
+    scratch->grad_emb_tau.resize(static_cast<size_t>(count * ne));
     nn::BackwardBatchLayer(
         m_cp_.data().data(), ne,
-        nn::PrefixedRows{emb_r.data(), ne, emb_tau.data(), ne}, g_conv,
-        count,
+        nn::PrefixedRows{emb_r.data(), ne,
+                         scratch->tau.outputs.back().data(), ne},
+        scratch->grad_clf_in.data(), count,
         nn::LayerGradients{grad_m_cp_.mutable_data()->data(), nullptr,
-                           scratch->grad_emb_tau.data(), g_emb_r});
+                           scratch->grad_emb_tau.data(),
+                           scratch->grad_emb_r.data()});
   } else {
-    for (int64_t n = 0; n < count; ++n) {
-      const double* g = g_conv + n * clf_w;
-      for (int64_t j = 0; j < ne; ++j) g_emb_r[j] += g[j];
-      std::copy(g + ne, g + 2 * ne, scratch->grad_emb_tau.data() + n * ne);
-    }
+    f_clf_.BackwardBatch(scratch->grad_logit, &scratch->clf,
+                         &scratch->grad_emb_tau, scratch->grad_emb_r);
   }
   f_tau_.BackwardBatch(scratch->grad_emb_tau, &scratch->tau);
   f_r_.BackwardBatch(scratch->grad_emb_r, &scratch->r);
@@ -439,20 +389,19 @@ void TaskModel::ZeroGrad() {
   if (use_memory_) grad_m_cp_.Fill(0.0);
 }
 
-void TaskModel::WarmUisEmbedding() {
+const std::vector<double>& TaskModel::UisEmbedding() const {
   if (!emb_r_valid_) {
     emb_r_cache_ = f_r_.Forward(uis_feature_);
     emb_r_valid_ = true;
   }
+  return emb_r_cache_;
 }
 
+void TaskModel::WarmUisEmbedding() { UisEmbedding(); }
+
 double TaskModel::Logit(const std::vector<double>& tuple) const {
-  if (!emb_r_valid_) {
-    emb_r_cache_ = f_r_.Forward(uis_feature_);
-    emb_r_valid_ = true;
-  }
   const std::vector<double> emb_tau = f_tau_.Forward(tuple);
-  std::vector<double> z = emb_r_cache_;
+  std::vector<double> z = UisEmbedding();
   z.insert(z.end(), emb_tau.begin(), emb_tau.end());
   return f_clf_.Forward(use_memory_ ? m_cp_.MatVec(z) : z)[0];
 }
@@ -461,50 +410,43 @@ double TaskModel::PredictProbability(const std::vector<double>& tuple) const {
   return nn::Sigmoid(Logit(tuple));
 }
 
-bool TaskModel::PrepareBatch(BatchScratch* scratch) const {
-  if (!emb_r_valid_) {
-    emb_r_cache_ = f_r_.Forward(uis_feature_);
-    emb_r_valid_ = true;
-  }
-  // Every stage's weights by input, once per call.
-  const bool tau_first_finite = f_tau_.PackWeights(&scratch->tau);
-  f_clf_.PackWeights(&scratch->clf);
-  // The emb_R-dependent prefixes are the same for every row; evaluate them
-  // once per call.
+void TaskModel::PackBatch(std::span<const double> emb_r,
+                          BatchScratch* scratch) const {
+  f_tau_.Pack(&scratch->tau);
   if (use_memory_) {
     // c = M_cp · [emb_R; emb_tau]. `mcp_left[o]` is the exact running-sum
     // prefix that MatVec reaches after the first N_e terms, and each row
-    // continues the accumulation over its emb_tau half in the same order —
+    // continues the accumulation over its emb_tau half (M_cp's columns
+    // [N_e, 2N_e), packed by input; no bias) in the same order —
     // bit-identical to the per-row product.
-    ConversionPrefix(m_cp_, emb_r_cache_, &scratch->mcp_left);
-    PackConversion(m_cp_, &scratch->mcp);
+    f_clf_.Pack(&scratch->clf);
+    const int64_t ne = m_cp_.rows();
+    scratch->mcp_left.resize(static_cast<size_t>(ne));
+    nn::DotRows(m_cp_.data().data(), 2 * ne, ne, emb_r, nullptr,
+                scratch->mcp_left.data());
+    scratch->mcp.Pack(m_cp_.data().data() + ne, 2 * ne, ne, ne,
+                      /*bias=*/nullptr);
   } else {
-    // Plain MAML: f_clf reads the concatenation [emb_R, emb_tau]. Fold the
-    // constant emb_R head into a first-layer prefix so rows feed f_clf just
-    // their emb_tau half — no per-row copy of emb_R and half the layer-1
-    // multiply-accumulates, with the accumulation order unchanged.
-    f_clf_.ComputeFirstLayerPrefix(emb_r_cache_, &scratch->clf1_left);
+    // Plain MAML: f_clf reads the concatenation [emb_R, emb_tau]. Its
+    // first layer takes the constant emb_R head once, so rows feed f_clf
+    // just their emb_tau half — no per-row copy of emb_R and half the
+    // layer-1 multiply-accumulates, with the accumulation order unchanged.
+    f_clf_.Pack(&scratch->clf, emb_r);
   }
-  return tau_first_finite;
 }
 
-void TaskModel::FinishSlice(int64_t s0, int64_t sc, BatchScratch* scratch,
-                            std::span<double> out) const {
-  if (use_memory_) {
-    const auto ne = static_cast<int64_t>(emb_r_cache_.size());
-    scratch->clf_in.resize(static_cast<size_t>(sc * ne));
-    ConvertBatch(scratch->mcp, scratch->mcp_left, scratch->emb_tau.data(), sc,
-                 scratch->clf_in.data());
-    f_clf_.ForwardBatchInto(scratch->clf_in, sc, &scratch->clf,
-                            &scratch->logits);
-  } else {
-    f_clf_.ForwardBatchInto(scratch->emb_tau, sc, &scratch->clf,
-                            &scratch->logits, scratch->clf1_left);
-  }
-  for (int64_t n = 0; n < sc; ++n) {
-    out[static_cast<size_t>(s0 + n)] =
-        nn::Sigmoid(scratch->logits[static_cast<size_t>(n)]);
-  }
+std::span<const double> TaskModel::ForwardLogits(
+    CodeRows tuples, int64_t count, std::span<const int64_t> rows,
+    BatchScratch* scratch) const {
+  const std::span<const double> emb_tau =
+      f_tau_.ForwardBatch(tuples, count, &scratch->tau, rows);
+  if (!use_memory_) return f_clf_.ForwardBatch(emb_tau, count, &scratch->clf);
+  scratch->clf_in.resize(emb_tau.size());
+  nn::ForwardBatchLayer(scratch->mcp,
+                        nn::DenseRows{emb_tau.data(), scratch->mcp.in()},
+                        count, scratch->mcp_left.data(), /*relu=*/false,
+                        scratch->clf_in.data());
+  return f_clf_.ForwardBatch(scratch->clf_in, count, &scratch->clf);
 }
 
 void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
@@ -521,11 +463,7 @@ void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
     LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
   }
   if (count == 0) return;
-  if (!PrepareBatch(scratch)) {
-    tuples = nn::WidenCodeRows(tuples, rows, count, f_tau_.in_features(),
-                               &scratch->expanded);
-    rows = {};
-  }
+  PackBatch(UisEmbedding(), scratch);
   for (int64_t s0 = 0; s0 < count; s0 += kSlice) {
     const int64_t sc = std::min(kSlice, count - s0);
     // This slice's rows, or its indices into the whole of `tuples`.
@@ -540,9 +478,12 @@ void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
         rows.empty() ? rows
                      : rows.subspan(static_cast<size_t>(s0),
                                     static_cast<size_t>(sc));
-    f_tau_.ForwardCodesInto(slice, sc, &scratch->tau, &scratch->emb_tau,
-                            slice_rows);
-    FinishSlice(s0, sc, scratch, out);
+    const std::span<const double> logits =
+        ForwardLogits(slice, sc, slice_rows, scratch);
+    for (int64_t n = 0; n < sc; ++n) {
+      out[static_cast<size_t>(s0 + n)] =
+          nn::Sigmoid(logits[static_cast<size_t>(n)]);
+    }
   }
 }
 

@@ -45,19 +45,20 @@ class MetaLearner;
 /// task (Eq. 6, 10, 11) and then trained on the task's support set.
 class TaskModel {
  public:
-  /// Reusable buffers of one training step (AccumulateBatch). The caller
-  /// owns it — LocallyAdapt keeps one for all of its steps — so a task model
-  /// carries no training state at rest. Capacities reach a steady state after
-  /// the first step, so later steps allocate nothing.
-  struct TrainScratch {
-    nn::Mlp::TrainScratch r;
-    nn::Mlp::TrainScratch tau;
-    nn::Mlp::TrainScratch clf;
-    std::vector<double> mcp_left;      // N_e: M_cp's emb_R half, once per step.
-    nn::PackedLayer mcp;               // M_cp's emb_tau half by input.
-    std::vector<double> clf_in;        // count x f_clf input width.
+  /// Reusable buffers of the batch forward, for scoring
+  /// (PredictProbabilityBatch) and for a training step (AccumulateBatch).
+  /// The caller owns it — LocallyAdapt keeps one for all of its steps — so
+  /// a task model carries no batch state at rest. Capacities reach a steady
+  /// state after the first batch, so later calls allocate nothing.
+  struct BatchScratch {
+    nn::Mlp::Scratch r;    // f_R's one row (training).
+    nn::Mlp::Scratch tau;  // f_tau: the rows' embeddings emb_tau.
+    nn::Mlp::Scratch clf;  // f_clf, with the emb_R head without memory.
+    nn::PackedLayer mcp;   // M_cp's emb_tau half by input.
+    std::vector<double> mcp_left;      // N_e: M_cp's emb_R half.
+    std::vector<double> clf_in;        // count x N_e: M_cp's output.
     std::vector<double> grad_logit;    // count.
-    std::vector<double> grad_clf_in;   // count x f_clf input width.
+    std::vector<double> grad_clf_in;   // count x N_e.
     std::vector<double> grad_emb_tau;  // count x N_e.
     std::vector<double> grad_emb_r;    // N_e, summed over the batch.
   };
@@ -73,7 +74,7 @@ class TaskModel {
   /// (tests/meta_learner_test.cc).
   double AccumulateBatch(CodeRows tuples, std::span<const double> labels,
                          std::span<const int64_t> rows,
-                         TrainScratch* scratch);
+                         BatchScratch* scratch);
 
   /// Applies the accumulated gradients with learning rate `lr` (Eq. 12) and
   /// clears them. When `max_grad_norm` > 0 the joint gradient (all blocks
@@ -98,34 +99,14 @@ class TaskModel {
   /// Logit.
   double PredictProbability(const std::vector<double>& tuple) const;
 
-  /// Reusable buffers for PredictProbabilityBatch. Capacities reach a steady
-  /// state after the first block, so batched scoring allocates nothing per
-  /// call.
-  struct BatchScratch {
-    /// f_tau's and f_clf's weights packed by input (Mlp::PackWeights) with
-    /// their activations, and M_cp's emb_tau half by input; all packed once
-    /// per call.
-    nn::Mlp::BatchScratch tau;
-    nn::Mlp::BatchScratch clf;
-    nn::PackedLayer mcp;
-    std::vector<double> emb_tau;   // count x N_e tuple embeddings.
-    std::vector<double> clf_in;    // count x f_clf input width.
-    std::vector<double> logits;    // count x 1.
-    std::vector<double> mcp_left;  // N_e: left half of M_cp applied to emb_R.
-    std::vector<double> clf1_left; // f_clf layer-1 prefix over emb_R (kBasic).
-    std::vector<Code> expanded;    // Widened rows, if need be.
-  };
-
   /// Block counterpart of PredictProbability, the one batch inference entry:
   /// writes P(interesting) for tuple n into `out[n]`, for `count` code rows
   /// of f_tau's input width: row `rows[n]` of `tuples`, read in place, or
-  /// row n when `rows` is empty. Sizes and indices are LTE_CHECKed. Each
-  /// probability is bit-identical to PredictProbability on the expanded
-  /// tuple: f_tau's first layer is a gather-add over the codes
-  /// (Mlp::ForwardCodesInto), on rows widened first (nn::WidenCodeRows)
-  /// when one of its weights is not finite, and M_cp's emb_R half is the
-  /// per-row sum's prefix, evaluated once per call. Same thread-safety
-  /// contract as Logit.
+  /// row n when `rows` is empty. Sizes and indices are LTE_CHECKed. Packs
+  /// once per call and runs AccumulateBatch's forward over 128-row slices,
+  /// so each probability is bit-identical to PredictProbability on the
+  /// expanded tuple (Mlp::ForwardBatch). Same thread-safety contract as
+  /// Logit.
   void PredictProbabilityBatch(CodeRows tuples, int64_t count,
                                BatchScratch* scratch, std::span<double> out,
                                std::span<const int64_t> rows = {}) const;
@@ -145,12 +126,7 @@ class TaskModel {
   const nn::Mlp& f_tau() const { return f_tau_; }
   const nn::Mlp& f_clf() const { return f_clf_; }
 
-  /// Mutable block access for custom adaptation schemes (invalidates the
-  /// cached UIS embedding where needed).
-  nn::Mlp* mutable_f_r() {
-    emb_r_valid_ = false;
-    return &f_r_;
-  }
+  /// Mutable f_tau and f_clf; the cached emb_R depends on neither.
   nn::Mlp* mutable_f_tau() { return &f_tau_; }
   nn::Mlp* mutable_f_clf() { return &f_clf_; }
   const nn::Matrix& m_cp() const { return m_cp_; }
@@ -176,15 +152,19 @@ class TaskModel {
  private:
   friend class MetaLearner;
 
-  /// Per-call part of PredictProbabilityBatch: warms emb_R, packs every
-  /// stage's weights by input and evaluates the emb_R-dependent prefixes
-  /// every row shares. Returns whether f_tau's first-layer weights are all
-  /// finite (a gather-add over short code rows is exact only then).
-  bool PrepareBatch(BatchScratch* scratch) const;
-  /// From the f_tau embeddings of rows [s0, s0 + sc) in `scratch->emb_tau`
-  /// to their probabilities in `out`.
-  void FinishSlice(int64_t s0, int64_t sc, BatchScratch* scratch,
-                   std::span<double> out) const;
+  /// emb_R, refreshed first if a parameter update made it stale.
+  const std::vector<double>& UisEmbedding() const;
+  /// Packs f_tau, f_clf and M_cp's emb_tau half by input, and evaluates
+  /// the terms over `emb_r` that every row shares: M_cp's emb_R half, or
+  /// f_clf's first-layer head without memory.
+  void PackBatch(std::span<const double> emb_r, BatchScratch* scratch) const;
+  /// The batch forward of AccumulateBatch and PredictProbabilityBatch, on
+  /// PackBatch's weights: from `count` code rows (row `rows[n]` of
+  /// `tuples`, or row n) to their logits, each bit-identical to Logit on
+  /// the expanded tuple. Keeps what the backward reads in `*scratch`.
+  std::span<const double> ForwardLogits(CodeRows tuples, int64_t count,
+                                        std::span<const int64_t> rows,
+                                        BatchScratch* scratch) const;
 
   bool use_memory_ = false;
   std::vector<double> uis_feature_;

@@ -40,7 +40,7 @@ void LocallyAdapt(TaskModel* model, CodeRows x, const std::vector<double>& y,
   const auto n = static_cast<int64_t>(y.size());
   // Each step names its minibatch by row index, and one scratch serves
   // every step.
-  TaskModel::TrainScratch scratch;
+  TaskModel::BatchScratch scratch;
   std::vector<int64_t> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), int64_t{0});
   int64_t cursor = n;  // Forces an initial shuffle.
@@ -151,7 +151,7 @@ Status MetaTrain(const std::vector<EncodedMetaTask>& tasks,
         // the adapted parameters (first-order meta-gradient; the paper's
         // one-step update "like [54]").
         tm.ZeroGrad();
-        TaskModel::TrainScratch scratch;
+        TaskModel::BatchScratch scratch;
         results[static_cast<size_t>(i)].query_loss =
             tm.AccumulateBatch(task.query(), task.query_y, {}, &scratch);
         results[static_cast<size_t>(i)].model = std::move(tm);

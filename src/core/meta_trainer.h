@@ -96,8 +96,9 @@ struct MetaTrainStats {
 /// clipping (`max_grad_norm`; <= 0 disables). This same routine fast-adapts
 /// the meta-learner online with user labels. `x` holds one encoded tuple per
 /// label in `y`, as code rows; each step names its minibatch by row index
-/// and reuses one TaskModel::TrainScratch, so the allocations of a call do
-/// not grow with `steps`. Requires a non-empty set and `batch_size` > 0.
+/// and runs AccumulateBatch on one TaskModel::BatchScratch, the buffers of
+/// the batch forward that scoring uses too, so the allocations of a call
+/// do not grow with `steps`. Requires a non-empty set and `batch_size` > 0.
 void LocallyAdapt(TaskModel* model, CodeRows x, const std::vector<double>& y,
                   int64_t steps, int64_t batch_size, double lr, Rng* rng,
                   double max_grad_norm = 1.0);

@@ -71,7 +71,8 @@ void ForwardBatchLayer(const PackedLayer& layer, DenseRows x, int64_t count,
 /// (row n when `rows` is empty), the dense row that is zero except at its
 /// codes, whose terms are W[o][index] * value over the codes in stored
 /// (ascending index) order, starting at +0.0. With finite weights this is
-/// bit-identical to the dense row's chain (Mlp::ForwardCodesInto).
+/// bit-identical to the dense row's chain; Mlp::ForwardBatch widens its
+/// code rows first (WidenCodeRows) when a weight is not.
 void ForwardBatchLayer(const PackedLayer& layer, CodeRows x,
                        std::span<const int64_t> rows, int64_t count, bool relu,
                        double* dst);

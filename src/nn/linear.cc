@@ -31,21 +31,29 @@ std::vector<double> Linear::Forward(const std::vector<double>& x) const {
 
 void Linear::BackwardBatch(std::span<const double> x,
                            std::span<const double> grad_out,
-                           std::span<double> grad_in) {
-  const int64_t in_w = in_features();
+                           std::span<double> grad_in,
+                           std::span<const double> head,
+                           std::span<double> grad_head) {
+  const auto head_w = static_cast<int64_t>(head.size());
+  const int64_t in_w = in_features() - head_w;
   const int64_t out_w = out_features();
   const int64_t count = BatchCount(grad_out, out_w);
+  LTE_CHECK_GE(in_w, 0);
   LTE_CHECK_EQ(static_cast<int64_t>(x.size()), count * in_w);
   if (!grad_in.empty()) {
     LTE_CHECK_EQ(static_cast<int64_t>(grad_in.size()), count * in_w);
   }
+  if (!grad_head.empty()) {
+    LTE_CHECK_EQ(static_cast<int64_t>(grad_head.size()), head_w);
+  }
   BackwardBatchLayer(weights_.data().data(), out_w,
-                     PrefixedRows{nullptr, 0, x.data(), in_w},
+                     PrefixedRows{head.data(), head_w, x.data(), in_w},
                      grad_out.data(), count,
                      LayerGradients{grad_weights_.mutable_data()->data(),
                                     grad_bias_.data(),
                                     grad_in.empty() ? nullptr : grad_in.data(),
-                                    nullptr});
+                                    grad_head.empty() ? nullptr
+                                                      : grad_head.data()});
 }
 
 void Linear::BackwardCodes(CodeRows x, std::span<const int64_t> rows,

@@ -33,10 +33,15 @@ class Linear {
   /// skipping the zero entries of g_n as Matrix::AddOuter does, and db +=
   /// g_n, the addition sequence of backpropagating the rows one at a time.
   /// A non-empty `grad_in` receives the input gradients W^T g_n, in
-  /// Matrix::TransposeMatVec's order and zero skips.
+  /// Matrix::TransposeMatVec's order and zero skips. With a `head`, row n's
+  /// input is [head; x_n]: `x` holds only the inputs after the shared head,
+  /// `grad_in` only their gradients, and a non-empty `grad_head` has each
+  /// row's head gradient added to it in row order.
   void BackwardBatch(std::span<const double> x,
                      std::span<const double> grad_out,
-                     std::span<double> grad_in);
+                     std::span<double> grad_in,
+                     std::span<const double> head = {},
+                     std::span<double> grad_head = {});
 
   /// BackwardBatch over code rows (row n is code row `rows[n]` of `x`, or
   /// row n) without the input gradient: the rows are expanded into

@@ -8,72 +8,28 @@
 namespace lte::nn {
 namespace {
 
-/// Validates a batch input's shape and returns the implied shared-head
-/// width. A ragged `x`, whose size is not a multiple of `count`, aborts
-/// naming both sizes before the width division.
-int64_t CheckedBatchHeadWidth(size_t x_size, int64_t count,
-                              int64_t in_features, size_t prefix_size,
-                              int64_t first_layer_out) {
-  LTE_CHECK_GE(count, 0);
-  LTE_CHECK_MSG(
-      count == 0 || x_size % static_cast<size_t>(count) == 0,
-      ("batch forward: x.size()=" + std::to_string(x_size) +
-       " is not a multiple of count=" + std::to_string(count) +
-       " — ragged batch input")
-          .c_str());
-  // With a first-layer prefix, rows of x carry only the features after the
-  // shared head; the head's width is implied by the row width.
-  const int64_t head_w =
-      count > 0 ? in_features - static_cast<int64_t>(x_size) / count : 0;
-  if (prefix_size == 0) {
-    LTE_CHECK_EQ(static_cast<int64_t>(x_size), count * in_features);
-  } else {
-    LTE_CHECK_EQ(static_cast<int64_t>(prefix_size), first_layer_out);
-    LTE_CHECK_GE(head_w, 0);
-    LTE_CHECK_EQ(static_cast<int64_t>(x_size),
-                 count * (in_features - head_w));
-  }
-  return head_w;
-}
-
 // Returns whether every weight of `l` is finite.
 bool PackLayer(const Linear& l, PackedLayer* packed) {
   return packed->Pack(l.weights().data().data(), l.in_features(),
                       l.in_features(), l.out_features(), l.bias().data());
 }
 
-// The packed weights must be these layers' (PackWeights on this Mlp).
+// The packed weights must be these layers' (Pack on this Mlp).
 void CheckPacked(std::span<const Linear> layers,
                  std::span<const PackedLayer> packed) {
   LTE_CHECK_MSG(packed.size() == layers.size(),
-                "batch forward: weights not packed (call PackWeights)");
+                "batch forward: weights not packed (call Pack)");
   for (size_t i = 0; i < layers.size(); ++i) {
     LTE_CHECK_EQ(packed[i].in(), layers[i].in_features());
     LTE_CHECK_EQ(packed[i].out(), layers[i].out_features());
   }
 }
 
-// Forwards `count` dense rows at `in` through the packed layers [from, end),
-// ping-ponging between the scratch buffers; the last layer writes `*out`.
-void ForwardLayersFrom(size_t from, const double* in, int64_t count,
-                       Mlp::BatchScratch* scratch, std::vector<double>* out) {
-  const std::vector<PackedLayer>& packed = scratch->packed;
-  for (size_t i = from; i < packed.size(); ++i) {
-    const bool last = i + 1 == packed.size();
-    std::vector<double>* dst =
-        last ? out : (in == scratch->a.data() ? &scratch->b : &scratch->a);
-    dst->resize(static_cast<size_t>(count * packed[i].out()));
-    ForwardBatchLayer(packed[i], DenseRows{in, packed[i].in()}, count,
-                      /*init=*/nullptr, /*relu=*/!last, dst->data());
-    in = dst->data();
-  }
-}
-
-// The training forward over the input `*scratch` records (dense `x`, or
-// `codes` named by `rows`), keeping each layer's output; returns the last.
-std::span<const double> TrainForward(std::span<const Linear> layers,
-                                     int64_t count,
-                                     Mlp::TrainScratch* scratch) {
+// The batch forward over the input `*scratch` records (dense `x` after the
+// packed head, or `codes` named by `rows`), keeping each layer's output;
+// returns the last.
+std::span<const double> ForwardLayers(std::span<const Linear> layers,
+                                      int64_t count, Mlp::Scratch* scratch) {
   scratch->outputs.resize(layers.size());
   const double* in = scratch->x.data();
   for (size_t i = 0; i < layers.size(); ++i) {
@@ -81,29 +37,32 @@ std::span<const double> TrainForward(std::span<const Linear> layers,
     const bool relu = i + 1 < layers.size();
     std::vector<double>& dst = scratch->outputs[i];
     dst.resize(static_cast<size_t>(count * l.out_features()));
+    // Dense rows skip the shared head in the first layer, whose sums start
+    // from the prefix Pack took over it.
+    const auto skip =
+        i == 0 ? static_cast<int64_t>(scratch->head.size()) : int64_t{0};
+    const double* init = skip > 0 ? scratch->prefix.data() : nullptr;
     if (i == 0 && scratch->codes.per_row > 0) {
-      // ForwardTrain packed the first layer already.
-      ForwardBatchLayer(scratch->packed, scratch->codes, scratch->rows, count,
-                        relu, dst.data());
+      ForwardBatchLayer(scratch->packed.front(), scratch->codes,
+                        scratch->rows, count, relu, dst.data());
     } else if (count == 1) {
       // A single row (f_R's, every step) runs Linear::Forward's own
       // row-major product: packing the weights by input would cost as much
       // as the row itself.
-      DotRows(l.weights().data().data(), l.in_features(), l.out_features(),
-              std::span<const double>(in, static_cast<size_t>(
-                                              l.in_features())),
-              nullptr, dst.data());
+      DotRows(l.weights().data().data() + skip, l.in_features(),
+              l.out_features(),
+              std::span<const double>(
+                  in, static_cast<size_t>(l.in_features() - skip)),
+              init, dst.data());
       for (int64_t o = 0; o < l.out_features(); ++o) {
         const double v = dst[static_cast<size_t>(o)] +
                          l.bias()[static_cast<size_t>(o)];
         dst[static_cast<size_t>(o)] = relu ? (v > 0.0 ? v : 0.0) : v;
       }
     } else {
-      // One layer packed at a time: the backward reads the layers' own
-      // weights, so the packed copy is dead once the layer has run.
-      PackLayer(l, &scratch->packed);
-      ForwardBatchLayer(scratch->packed, DenseRows{in, l.in_features()},
-                        count, /*init=*/nullptr, relu, dst.data());
+      ForwardBatchLayer(scratch->packed[i],
+                        DenseRows{in, l.in_features() - skip, skip}, count,
+                        init, relu, dst.data());
     }
     in = dst.data();
   }
@@ -140,86 +99,65 @@ std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
   return h;
 }
 
-bool Mlp::PackWeights(BatchScratch* scratch) const {
+bool Mlp::Pack(Scratch* scratch, std::span<const double> head) const {
   LTE_CHECK(!layers_.empty());
+  const Linear& first = layers_.front();
+  LTE_CHECK_LT(static_cast<int64_t>(head.size()), first.in_features());
   scratch->packed.resize(layers_.size());
-  const bool finite = PackLayer(layers_.front(), &scratch->packed.front());
+  scratch->first_finite = PackLayer(first, &scratch->packed.front());
   for (size_t i = 1; i < layers_.size(); ++i) {
     PackLayer(layers_[i], &scratch->packed[i]);
   }
-  return finite;
+  scratch->head = head;
+  if (!head.empty()) {
+    scratch->prefix.resize(static_cast<size_t>(first.out_features()));
+    DotRows(first.weights().data().data(), first.in_features(),
+            first.out_features(), head, nullptr, scratch->prefix.data());
+  }
+  return scratch->first_finite;
 }
 
-void Mlp::ForwardBatchInto(std::span<const double> x, int64_t count,
-                           BatchScratch* scratch, std::vector<double>* out,
-                           std::span<const double> first_layer_prefix)
-    const {
-  LTE_CHECK(!layers_.empty());
-  const int64_t head_w =
-      CheckedBatchHeadWidth(x.size(), count, in_features(),
-                            first_layer_prefix.size(),
-                            layers_.front().out_features());
-  CheckPacked(layers_, scratch->packed);
-  const PackedLayer& first = scratch->packed.front();
-  const bool last = layers_.size() == 1;
-  std::vector<double>* dst =
-      last ? out
-           : (x.data() == scratch->a.data() ? &scratch->b : &scratch->a);
-  dst->resize(static_cast<size_t>(count * first.out()));
-  // The first layer may skip the shared head: its rows are narrower and its
-  // accumulators start from the precomputed prefix.
-  const int64_t skip = first_layer_prefix.empty() ? 0 : head_w;
-  ForwardBatchLayer(first, DenseRows{x.data(), in_features() - skip, skip},
-                    count, skip > 0 ? first_layer_prefix.data() : nullptr,
-                    /*relu=*/!last, dst->data());
-  ForwardLayersFrom(1, dst->data(), count, scratch, out);
-}
-
-void Mlp::ForwardCodesInto(CodeRows x, int64_t count, BatchScratch* scratch,
-                           std::vector<double>* out,
-                           std::span<const int64_t> rows) const {
-  LTE_CHECK(!layers_.empty());
-  LTE_CHECK_GE(count, 0);  // The kernel checks the rows and codes.
-  CheckPacked(layers_, scratch->packed);
-  const PackedLayer& first = scratch->packed.front();
-  const bool last = layers_.size() == 1;
-  std::vector<double>* dst = last ? out : &scratch->a;
-  dst->resize(static_cast<size_t>(count * first.out()));
-  ForwardBatchLayer(first, x, rows, count, /*relu=*/!last, dst->data());
-  ForwardLayersFrom(1, dst->data(), count, scratch, out);
-}
-
-std::span<const double> Mlp::ForwardTrain(std::span<const double> x,
+std::span<const double> Mlp::ForwardBatch(std::span<const double> x,
                                           int64_t count,
-                                          TrainScratch* scratch) const {
+                                          Scratch* scratch) const {
   LTE_CHECK(!layers_.empty());
   LTE_CHECK_GE(count, 0);
-  LTE_CHECK_EQ(static_cast<int64_t>(x.size()), count * in_features());
+  LTE_CHECK_MSG(
+      count == 0 || x.size() % static_cast<size_t>(count) == 0,
+      ("batch forward: x.size()=" + std::to_string(x.size()) +
+       " is not a multiple of count=" + std::to_string(count) +
+       " — ragged batch input")
+          .c_str());
+  LTE_CHECK_EQ(static_cast<int64_t>(x.size()),
+               count * (in_features() -
+                        static_cast<int64_t>(scratch->head.size())));
+  if (count > 1) CheckPacked(layers_, scratch->packed);
   scratch->x = x;
   scratch->codes = {};
   scratch->rows = {};
-  return TrainForward(layers_, count, scratch);
+  return ForwardLayers(layers_, count, scratch);
 }
 
-std::span<const double> Mlp::ForwardTrain(CodeRows x, int64_t count,
-                                          TrainScratch* scratch,
+std::span<const double> Mlp::ForwardBatch(CodeRows x, int64_t count,
+                                          Scratch* scratch,
                                           std::span<const int64_t> rows) const {
   LTE_CHECK(!layers_.empty());
   LTE_CHECK(count >= 0 && x.per_row > 0);  // The kernel checks the rest.
-  // The first layer is packed here, before the rows are fixed: its pack
-  // reports whether the skipped inputs' terms are exact zeros.
-  if (!PackLayer(layers_.front(), &scratch->packed)) {
+  LTE_CHECK(scratch->head.empty());
+  CheckPacked(layers_, scratch->packed);
+  if (!scratch->first_finite) {
     x = WidenCodeRows(x, rows, count, in_features(), &scratch->wide);
     rows = {};
   }
   scratch->x = {};
   scratch->codes = x;
   scratch->rows = rows;
-  return TrainForward(layers_, count, scratch);
+  return ForwardLayers(layers_, count, scratch);
 }
 
-void Mlp::BackwardBatch(std::span<const double> grad_out,
-                        TrainScratch* scratch, std::vector<double>* grad_in) {
+void Mlp::BackwardBatch(std::span<const double> grad_out, Scratch* scratch,
+                        std::vector<double>* grad_in,
+                        std::span<double> grad_head) {
   LTE_CHECK_EQ(scratch->outputs.size(), layers_.size());
   LTE_CHECK_EQ(grad_out.size(), scratch->outputs.back().size());
   const bool codes = scratch->codes.per_row > 0;
@@ -240,13 +178,15 @@ void Mlp::BackwardBatch(std::span<const double> grad_out,
         i > 0 ? (g.data() == scratch->grad.data() ? &scratch->grad_next
                                                   : &scratch->grad)
               : grad_in;
+    const auto skip =
+        i == 0 ? static_cast<int64_t>(scratch->head.size()) : int64_t{0};
     std::span<double> gin;
     if (dst != nullptr) {
-      dst->resize(static_cast<size_t>(count * layer.in_features()));
+      dst->resize(static_cast<size_t>(count * (layer.in_features() - skip)));
       gin = *dst;
     }
     if (i == 0) {
-      layer.BackwardBatch(scratch->x, g, gin);
+      layer.BackwardBatch(scratch->x, g, gin, scratch->head, grad_head);
       break;
     }
     const std::vector<double>& below = scratch->outputs[i - 1];
@@ -258,18 +198,6 @@ void Mlp::BackwardBatch(std::span<const double> grad_out,
     }
     g = gin;
   }
-}
-
-void Mlp::ComputeFirstLayerPrefix(std::span<const double> head,
-                                  std::vector<double>* prefix) const {
-  LTE_CHECK(!layers_.empty());
-  const Linear& layer = layers_.front();
-  LTE_CHECK_LE(static_cast<int64_t>(head.size()), layer.in_features());
-  const int64_t in_w = layer.in_features();
-  const int64_t out_w = layer.out_features();
-  prefix->resize(static_cast<size_t>(out_w));
-  DotRows(layer.weights().data().data(), in_w, out_w, head, nullptr,
-          prefix->data());
 }
 
 void Mlp::ZeroGrad() {

@@ -55,7 +55,7 @@ std::vector<Code> FullWidthCodes(const std::vector<std::vector<double>>& x) {
 // One full-batch training step over `x`, `y` in order.
 double AccumulateAll(TaskModel* tm, const std::vector<std::vector<double>>& x,
                      const std::vector<double>& y) {
-  TaskModel::TrainScratch scratch;
+  TaskModel::BatchScratch scratch;
   const std::vector<Code> codes = FullWidthCodes(x);
   const auto width = static_cast<int64_t>(x.front().size());
   return tm->AccumulateBatch(CodeRows{codes, width}, y, {}, &scratch);
@@ -138,7 +138,7 @@ TEST(MetaLearnerTest, TrainingReducesLossOnTinyTask) {
     const std::vector<Code> codes = FullWidthCodes(x);
     const CodeRows packed{codes, 6};
     const double before = tm.EvaluateLoss(packed, y);
-    TaskModel::TrainScratch scratch;
+    TaskModel::BatchScratch scratch;
     for (int step = 0; step < 150; ++step) {
       tm.ZeroGrad();
       tm.AccumulateBatch(packed, y, {}, &scratch);
@@ -680,7 +680,7 @@ TEST(MetaLearnerTest, BatchStepMatchesPerTupleReference) {
             }
             if (batch == 60) ExpectNonVacuous(odd, what);
 
-            TaskModel::TrainScratch scratch;
+            TaskModel::BatchScratch scratch;
             tm.ZeroGrad();
             const double got =
                 tm.AccumulateBatch(set.rows(), set.y, rows, &scratch);
@@ -851,10 +851,10 @@ TEST(MetaLearnerTest, CodeFormBatchMatchesDenseBatch) {
       if (std::isnan(odd) || std::isinf(odd)) {
         // Non-vacuity: some tuple's dense f_tau met 0 · (non-finite), which
         // a gather-add would have skipped.
-        nn::Mlp::BatchScratch mlp_scratch;
-        EXPECT_FALSE(tm.f_tau().PackWeights(&mlp_scratch));
-        std::vector<double> emb;
-        tm.f_tau().ForwardBatchInto(dense, n, &mlp_scratch, &emb);
+        nn::Mlp::Scratch mlp_scratch;
+        EXPECT_FALSE(tm.f_tau().Pack(&mlp_scratch));
+        const std::span<const double> emb =
+            tm.f_tau().ForwardBatch(dense, n, &mlp_scratch);
         EXPECT_TRUE(std::any_of(emb.begin(), emb.end(),
                                 [](double e) { return std::isnan(e); }));
       }

@@ -63,8 +63,8 @@ TEST(MlpTest, GradientsMatchFiniteDifference) {
   };
 
   const std::vector<double> params = mlp.GetParameters();
-  Mlp::TrainScratch scratch;
-  const double logit = mlp.ForwardTrain(x, 1, &scratch)[0];
+  Mlp::Scratch scratch;
+  const double logit = mlp.ForwardBatch(x, 1, &scratch)[0];
   mlp.ZeroGrad();
   const std::vector<double> grad_out = {BceWithLogitsGrad(logit, label)};
   mlp.BackwardBatch(grad_out, &scratch);
@@ -86,8 +86,8 @@ TEST(MlpTest, BackwardReturnsInputGradient) {
   Rng rng(5);
   Mlp mlp({2, 3, 1}, &rng);
   const std::vector<double> x = {0.4, -0.6};
-  Mlp::TrainScratch scratch;
-  mlp.ForwardTrain(x, 1, &scratch);
+  Mlp::Scratch scratch;
+  mlp.ForwardBatch(x, 1, &scratch);
   mlp.ZeroGrad();
   const std::vector<double> grad_out = {1.0};
   std::vector<double> gin;
@@ -113,12 +113,13 @@ TEST(MlpTest, TrainsToFitXor) {
       {0, 0}, {0, 1}, {1, 0}, {1, 1}};
   const std::vector<double> ys = {0, 1, 1, 0};
   const std::vector<double> packed = {0, 0, 0, 1, 1, 0, 1, 1};
-  Mlp::TrainScratch scratch;
+  Mlp::Scratch scratch;
   std::vector<double> grad_out(4);
   for (int epoch = 0; epoch < 3000; ++epoch) {
     mlp.ZeroGrad();
+    mlp.Pack(&scratch);
     const std::span<const double> logits =
-        mlp.ForwardTrain(packed, 4, &scratch);
+        mlp.ForwardBatch(packed, 4, &scratch);
     for (size_t i = 0; i < xs.size(); ++i) {
       grad_out[i] = BceWithLogitsGrad(logits[i], ys[i]) / 4.0;
     }
@@ -166,7 +167,7 @@ std::vector<double> ExpandRows(const std::vector<Code>& codes) {
   return dense;
 }
 
-// Code-row input of the training forward: each indexed row's output is
+// Code-row input of the batch forward: each indexed row's output is
 // bit-identical to Forward on the dense row it expands to, whatever the
 // order, repeats and count of the indices — including ragged tile tails, a
 // single row, and a first-layer weight of -0.0 and one of +inf (which widens
@@ -178,13 +179,14 @@ TEST(MlpTest, IndexedBatchMatchesPerRowForward) {
     std::vector<double> params = mlp.GetParameters();
     params[1] = odd;  // W[0][1]: a one-hot slot.
     mlp.SetParameters(params);
-    Mlp::TrainScratch scratch;
+    Mlp::Scratch scratch;
+    mlp.Pack(&scratch);
     const int64_t x_rows = 40;
     const std::vector<Code> codes = RandomCodeRows(&rng, x_rows);
     const std::vector<double> x = ExpandRows(codes);
     const CodeRows block{codes, 4};
     const std::span<const double> all =
-        mlp.ForwardTrain(block, x_rows, &scratch);
+        mlp.ForwardBatch(block, x_rows, &scratch);
     const std::vector<double> in_order(all.begin(), all.end());
     for (const int64_t count : {1, 7, 8, 9, 33}) {
       std::vector<int64_t> rows;
@@ -192,7 +194,7 @@ TEST(MlpTest, IndexedBatchMatchesPerRowForward) {
         rows.push_back((n * 13 + 5) % 29);  // Count 33 repeats rows.
       }
       const std::span<const double> got =
-          mlp.ForwardTrain(block, count, &scratch, rows);
+          mlp.ForwardBatch(block, count, &scratch, rows);
       ASSERT_EQ(got.size(), static_cast<size_t>(count));
       for (int64_t n = 0; n < count; ++n) {
         const int64_t r = rows[static_cast<size_t>(n)];
@@ -228,8 +230,8 @@ TEST(MlpTest, CodeFormForwardMatchesDenseBitForBit) {
     params[static_cast<size_t>(kCodeWidth * out_w)] = 0.0;  // Bias 0.
     params[static_cast<size_t>(kCodeWidth + 1)] = 0.0;      // W[1][1].
     mlp.SetParameters(params);
-    Mlp::BatchScratch scratch;
-    ASSERT_TRUE(mlp.PackWeights(&scratch));
+    Mlp::Scratch scratch;
+    ASSERT_TRUE(mlp.Pack(&scratch));
 
     const int64_t x_rows = 40;
     std::vector<Code> codes = RandomCodeRows(&rng, x_rows);
@@ -237,10 +239,10 @@ TEST(MlpTest, CodeFormForwardMatchesDenseBitForBit) {
     codes[3].value = 0.0;
     const std::vector<double> x = ExpandRows(codes);
     const CodeRows block{codes, 4};
-    std::vector<double> dense;
-    std::vector<double> got;
-    mlp.ForwardBatchInto(x, x_rows, &scratch, &dense);
-    mlp.ForwardCodesInto(block, x_rows, &scratch, &got);
+    const std::span<const double> dense_out =
+        mlp.ForwardBatch(x, x_rows, &scratch);
+    const std::vector<double> dense(dense_out.begin(), dense_out.end());
+    std::span<const double> got = mlp.ForwardBatch(block, x_rows, &scratch);
     EXPECT_EQ(Bits(got), Bits(dense));
     if (sizes.size() == 2) {
       EXPECT_EQ(Bits({&got[0], 1}), Bits(std::vector<double>{0.0}));
@@ -254,19 +256,19 @@ TEST(MlpTest, CodeFormForwardMatchesDenseBitForBit) {
         want.insert(want.end(), dense.begin() + rows.back() * out,
                     dense.begin() + (rows.back() + 1) * out);
       }
-      mlp.ForwardCodesInto(block, count, &scratch, &got, rows);
+      got = mlp.ForwardBatch(block, count, &scratch, rows);
       EXPECT_EQ(Bits(got), Bits(want)) << "count=" << count;
     }
   }
 }
 
-// PackWeights lays the first layer out by input (row c holds input c's
+// Pack lays the first layer out by input (row c holds input c's
 // weight to every output) and flags a non-finite first-layer weight.
 TEST(MlpTest, TransposeFirstLayerFlagsNonFiniteWeights) {
   Rng rng(14);
   Mlp mlp({3, 2, 1}, &rng);
-  Mlp::BatchScratch scratch;
-  ASSERT_TRUE(mlp.PackWeights(&scratch));
+  Mlp::Scratch scratch;
+  ASSERT_TRUE(mlp.Pack(&scratch));
   const std::vector<double>& wt = scratch.packed.front().wt();
   const std::vector<double> w = mlp.GetParameters();
   ASSERT_EQ(wt.size(), 12u);
@@ -281,13 +283,13 @@ TEST(MlpTest, TransposeFirstLayerFlagsNonFiniteWeights) {
     std::vector<double> params = w;
     params[4] = bad;
     mlp.SetParameters(params);
-    EXPECT_FALSE(mlp.PackWeights(&scratch));
+    EXPECT_FALSE(mlp.Pack(&scratch));
   }
   // A non-finite weight past the first layer does not matter to it.
   std::vector<double> params = w;
   params.back() = std::numeric_limits<double>::infinity();
   mlp.SetParameters(params);
-  EXPECT_TRUE(mlp.PackWeights(&scratch));
+  EXPECT_TRUE(mlp.Pack(&scratch));
 }
 
 // Bitwise equality, except that any two NaNs match: which NaN payload an
@@ -549,23 +551,23 @@ TEST(BatchLayerTest, KernelWidthIsFourExactlyWithAvx2) {
 TEST(MlpDeathTest, BatchForwardRejectsRaggedInput) {
   Rng rng(11);
   Mlp mlp({4, 6, 1}, &rng);
-  Mlp::BatchScratch scratch;
-  std::vector<double> out;
+  Mlp::Scratch scratch;
   const std::vector<double> ragged(11, 0.5);  // 11 % 3 != 0.
-  EXPECT_DEATH(mlp.ForwardBatchInto(ragged, 3, &scratch, &out),
+  EXPECT_DEATH(mlp.ForwardBatch(ragged, 3, &scratch),
                "x\\.size\\(\\)=11.*count=3");
 }
 
 TEST(MlpDeathTest, IndexedBatchRejectsOutOfRangeRow) {
   Rng rng(12);
   Mlp mlp({4, 6, 1}, &rng);
-  Mlp::TrainScratch scratch;
+  Mlp::Scratch scratch;
+  mlp.Pack(&scratch);
   const std::vector<Code> x = {{0, 0.5}, {3, 1.0}};  // Two rows.
   const std::vector<int64_t> rows = {1, 2};
-  EXPECT_DEATH(mlp.ForwardTrain(CodeRows{x, 1}, 2, &scratch, rows),
+  EXPECT_DEATH(mlp.ForwardBatch(CodeRows{x, 1}, 2, &scratch, rows),
                "r < x\\.num_rows\\(\\)");
   const std::vector<Code> wide_index = {{0, 0.5}, {4, 1.0}};
-  EXPECT_DEATH(mlp.ForwardTrain(CodeRows{wide_index, 1}, 2, &scratch),
+  EXPECT_DEATH(mlp.ForwardBatch(CodeRows{wide_index, 1}, 2, &scratch),
                "c\\.index < width");
 }
 

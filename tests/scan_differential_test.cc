@@ -16,7 +16,9 @@
 // Dimensions: three tables (4000 blob rows; the same rows as a segmented
 // live table; a boundary-adversarial table), the five users of `kUsers`, 1
 // and 4 lanes, both kernel widths the host runs (nn::ScopedKernelWidth), and
-// the row sets of `RowSets` and retrieval limits of `kLimits`.
+// the row sets of `RowSets` and retrieval limits of `kLimits`. Two more
+// models of the blob rows bring their own users: one whose f_tau holds
+// non-finite weights, and one with a 1-D subspace.
 //
 // ctest runs every case in its own process, which builds its table, model
 // and oracles once; so each case is one table and one subject family (or a
@@ -30,26 +32,33 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "core/block_scan.h"
 #include "core/exploration_model.h"
 #include "core/exploration_session.h"
+#include "core/meta_learner.h"
 #include "core/optimizer_fpfn.h"
 #include "data/synthetic.h"
 #include "fpfn_reference_cells.h"
 #include "geom/convex_hull.h"
 #include "geom/region.h"
+#include "nn/batch_layer.h"
 #include "nn/dispatch.h"
+#include "nn/mlp.h"
 #include "serving/coalesced_scan_scheduler.h"
 #include "small_explorer_options.h"
 
@@ -76,7 +85,6 @@ constexpr User kUsers[] = {{Labeling::kThreshold, Variant::kBasic},
                            {Labeling::kThreshold, Variant::kMetaStar},
                            {Labeling::kAlternate, Variant::kMetaStar},
                            {Labeling::kNoPositiveCenters, Variant::kMetaStar}};
-constexpr size_t kNumUsers = std::size(kUsers);
 
 constexpr int64_t kLanes[] = {1, 4};
 constexpr int64_t kLimits[] = {-1, 0, 1, 7, 20, 100, 5000};
@@ -89,6 +97,7 @@ std::vector<int> Widths() {
 // One scanned table and the model pretrained for it; the scan cases add its
 // points, its users' sessions (one per lane count) and their oracles.
 struct World {
+  std::vector<User> users{std::begin(kUsers), std::end(kUsers)};
   std::vector<data::Subspace> subspaces;
   std::shared_ptr<ExplorationModel> model;
   data::Table table;
@@ -110,7 +119,7 @@ struct World {
     return subspaces[static_cast<size_t>(s)].attribute_indices;
   }
   const Labels& LabelsOf(size_t u) const {
-    return labels[static_cast<size_t>(kUsers[u].labeling)];
+    return labels[static_cast<size_t>(users[u].labeling)];
   }
 };
 
@@ -186,13 +195,14 @@ void AddPoints(World* w) {
 // PredictRow oracle and its PredictSubspace oracle, which must agree. Runs
 // at the host's own kernel width, before any scope narrows it.
 void AddUsers(World* w) {
-  for (size_t u = 0; u < kNumUsers; ++u) {
+  for (size_t u = 0; u < w->users.size(); ++u) {
     std::array<std::unique_ptr<ExplorationSession>, 2> sessions;
     for (size_t l = 0; l < std::size(kLanes); ++l) {
       sessions[l] = std::make_unique<ExplorationSession>(w->model, kLanes[l]);
       Rng rng(41 + u);
       EXPECT_TRUE(
-          sessions[l]->StartExploration(w->LabelsOf(u), kUsers[u].variant, &rng)
+          sessions[l]->StartExploration(w->LabelsOf(u), w->users[u].variant,
+                                        &rng)
               .ok());
     }
     std::vector<double> oracle(static_cast<size_t>(w->num_rows()));
@@ -216,7 +226,7 @@ void AddUsers(World* w) {
     // positive center may find nothing; it is here for the no-subregion
     // path, which the forward counts pin.
     const double ones = std::accumulate(oracle.begin(), oracle.end(), 0.0);
-    if (kUsers[u].labeling != Labeling::kNoPositiveCenters) {
+    if (w->users[u].labeling != Labeling::kNoPositiveCenters) {
       EXPECT_GT(ones, 100.0) << "user=" << u;
     }
     EXPECT_LT(ones, static_cast<double>(oracle.size())) << "user=" << u;
@@ -233,12 +243,15 @@ void AddUsers(World* w) {
 // holds the same rows, but rows [2500, 4000) arrive as ragged appends: 37
 // rows (mid-block), 1024 (one block, offset so its edges straddle two serving
 // blocks), then 439.
-World MakeBlobsWorld(bool segmented) {
+World MakeBlobsWorld(bool segmented,
+                     std::vector<data::Subspace> subspaces = {{{0, 1}},
+                                                              {{2, 3}}},
+                     const ExplorerOptions& options = SmallExplorerOptions()) {
   World w;
   Rng rng(23);
   const data::Table blobs = data::MakeBlobs(4000, 4, 5, &rng);
-  w.subspaces = {data::Subspace{{0, 1}}, data::Subspace{{2, 3}}};
-  w.model = std::make_shared<ExplorationModel>(SmallExplorerOptions());
+  w.subspaces = std::move(subspaces);
+  w.model = std::make_shared<ExplorationModel>(options);
   Rng pretrain_rng(23);
   EXPECT_TRUE(
       w.model->Pretrain(blobs, w.subspaces, /*train_meta=*/true,
@@ -269,6 +282,51 @@ World MakeBlobsWorld(bool segmented) {
     w.table = blobs;
   }
   AddLabels(&w);
+  return w;
+}
+
+std::string Serialized(const MetaLearner& learner) {
+  std::ostringstream out;
+  BinaryWriter writer(&out);
+  learner.Save(&writer);
+  return out.str();
+}
+
+// The blobs table's first subspace for Meta* users whose adapted f_tau
+// holds a +inf and a NaN first-layer weight. The pretrained model is saved,
+// its φ_τ gets the two weights, at GMM one-hot inputs, and the model is
+// loaded back; with online_steps = 0 a session adapts no weight, so its
+// f_tau is that φ_τ. A dense row meets 0 · inf or 0 · NaN wherever it lacks
+// those codes, terms the gather-add over its codes would skip, so every
+// batch forward must widen its code rows to match PredictRow
+// (Mlp::ForwardBatch).
+World MakeNonFiniteWorld() {
+  ExplorerOptions options = SmallExplorerOptions();
+  options.online_steps = 0;
+  World w = MakeBlobsWorld(false, {{{0, 1}}}, options);
+  std::ostringstream file;
+  EXPECT_TRUE(w.model->SaveToStream(&file).ok());
+  std::string bytes = file.str();
+  const std::string before = Serialized(*w.model->meta_learner(0));
+  std::istringstream copy(before);
+  BinaryReader reader(&copy);
+  std::unique_ptr<MetaLearner> learner;
+  EXPECT_TRUE(MetaLearner::LoadFrom(&reader, &learner).ok());
+  std::vector<double> params = learner->phi_tau().GetParameters();
+  const auto in = static_cast<size_t>(learner->phi_tau().in_features());
+  params[1] = std::numeric_limits<double>::infinity();   // W[0][1].
+  params[in + 2] = std::numeric_limits<double>::quiet_NaN();  // W[1][2].
+  learner->mutable_phi_tau()->SetParameters(params);
+  const size_t at = bytes.find(before);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(bytes.find(before, at + 1), std::string::npos);
+  bytes.replace(at, before.size(), Serialized(*learner));
+  auto patched = std::make_shared<ExplorationModel>(options);
+  std::istringstream patched_file(bytes);
+  EXPECT_TRUE(patched->LoadFromStream(&patched_file).ok());
+  w.model = std::move(patched);
+  w.users = {{Labeling::kThreshold, Variant::kMetaStar},
+             {Labeling::kAlternate, Variant::kMetaStar}};
   return w;
 }
 
@@ -633,7 +691,7 @@ RowCosts ReferenceCosts(const World& w, size_t u) {
     optimizers.push_back(Optimizer(*w.model, w.LabelsOf(u), s));
     cells.push_back(reference::ReferenceCells(optimizers.back(),
                                               w.model->ValueBox(s)));
-    subregions.push_back(kUsers[u].variant == Variant::kMetaStar &&
+    subregions.push_back(w.users[u].variant == Variant::kMetaStar &&
                          optimizers.back().has_positive_centers());
   }
   RowCosts costs(static_cast<size_t>(w.num_rows()));
@@ -648,7 +706,8 @@ RowCosts ReferenceCosts(const World& w, size_t u) {
         ++c.forwarded;
       }
       if (subregions[su] &&
-          !reference::ReferenceSettles(cells[su], *w.model->ValueBox(s), p)) {
+          !reference::ReferenceSettles(
+              cells[su], w.model->ValueBox(s).value_or(geom::Box{}), p)) {
         ++c.located;
       }
       if (w.subspace_oracle[u][su][rr] != 1.0) break;
@@ -663,9 +722,9 @@ Counts Sum(const RowCosts& costs, std::span<const int64_t> rows) {
   return c;
 }
 
-bool HasSubregions(size_t u) {
-  return kUsers[u].variant == Variant::kMetaStar &&
-         kUsers[u].labeling != Labeling::kNoPositiveCenters;
+bool HasSubregions(const User& user) {
+  return user.variant == Variant::kMetaStar &&
+         user.labeling != Labeling::kNoPositiveCenters;
 }
 
 // ---------------------------------------------------------------------------
@@ -680,7 +739,7 @@ void CheckSessions(const World& w, std::span<const RowSet> sets,
   for (size_t l = 0; l < std::size(kLanes); ++l) {
     for (const int width : Widths()) {
       nn::ScopedKernelWidth scope(width);
-      ForEach(kNumUsers, [&](int64_t u) {
+      ForEach(w.users.size(), [&](int64_t u) {
         SCOPED_TRACE(testing::Message() << "user=" << u << " lanes="
                                         << kLanes[l] << " width=" << width);
         const std::vector<double>& oracle = w.oracle[static_cast<size_t>(u)];
@@ -720,7 +779,7 @@ void CheckHook(const World& w) {
                                           &encoded[1]);
     for (const int width : Widths()) {
       nn::ScopedKernelWidth scope(width);
-      ForEach(kNumUsers, [&](int64_t u) {
+      ForEach(w.users.size(), [&](int64_t u) {
         SCOPED_TRACE(testing::Message() << "user=" << u << " s=" << s
                                         << " width=" << width);
         const auto uu = static_cast<size_t>(u);
@@ -779,7 +838,7 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
       SCOPED_TRACE(testing::Message() << "lanes=" << lanes
                                       << " width=" << width);
       nn::ScopedKernelWidth scope(width);
-      ForEach(alone ? kNumUsers : 0, [&](int64_t u) {
+      ForEach(alone ? w.users.size() : 0, [&](int64_t u) {
         SCOPED_TRACE(testing::Message() << "user=" << u << " lanes=" << lanes
                                         << " width=" << width);
         const auto uu = static_cast<size_t>(u);
@@ -800,11 +859,12 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
       std::vector<ScanSubscriber> subs;
       std::vector<size_t> users;
       std::vector<size_t> kinds;
-      const size_t most = kNumUsers * (row_sets.size() + limits.size());
+      const size_t most =
+          w.users.size() * (row_sets.size() + limits.size());
       std::vector<std::vector<double>> predictions(most);
       std::vector<std::vector<int64_t>> matches(most);
       Counts expected;
-      for (size_t u = 0; u < kNumUsers; ++u) {
+      for (size_t u = 0; u < w.users.size(); ++u) {
         for (size_t k = 0; k < row_sets.size() + limits.size(); ++k) {
           if (!Sends(u, k, l, wi)) continue;
           ScanSubscriber sub;
@@ -839,8 +899,8 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
           EXPECT_EQ(matches[q], Matches(oracle, limits[k - row_sets.size()]));
         }
       }
-      for (size_t u = 0; u < kNumUsers; ++u) {
-        if (HasSubregions(u)) {
+      for (size_t u = 0; u < w.users.size(); ++u) {
+        if (HasSubregions(w.users[u])) {
           EXPECT_LT(Sum(costs[u], all).forwarded, pass.rows_encoded)
               << "user=" << u;
         }
@@ -877,7 +937,7 @@ void CheckScheduler(const World& w, const std::vector<RowCosts>& costs,
         std::vector<size_t> kinds;
         int64_t in_passes = 0;
         Counts expected;
-        for (size_t u = 0; u < kNumUsers; ++u) {
+        for (size_t u = 0; u < w.users.size(); ++u) {
           for (size_t k = 0; k < row_sets.size() + std::size(kLimits); ++k) {
             const bool retrieval = k >= row_sets.size();
             const int64_t limit = retrieval ? kLimits[k - row_sets.size()] : 0;
@@ -959,11 +1019,13 @@ World Ready(World world) {
 // subregions every reached pair forwards and none is hull-tested.
 std::vector<RowCosts> CheckedCosts(const World& w) {
   std::vector<RowCosts> costs;
-  for (size_t u = 0; u < kNumUsers; ++u) costs.push_back(ReferenceCosts(w, u));
-  for (size_t u = 0; u < kNumUsers; ++u) {
+  for (size_t u = 0; u < w.users.size(); ++u) {
+    costs.push_back(ReferenceCosts(w, u));
+  }
+  for (size_t u = 0; u < w.users.size(); ++u) {
     SCOPED_TRACE(testing::Message() << "user=" << u);
     const Counts whole = Sum(costs[u], RowSets(w)[kAllRows]);
-    if (HasSubregions(u)) {
+    if (HasSubregions(w.users[u])) {
       EXPECT_LT(whole.forwarded, whole.reached);
       EXPECT_GT(whole.located, 0);
       EXPECT_LT(whole.located, whole.reached);
@@ -973,6 +1035,15 @@ std::vector<RowCosts> CheckedCosts(const World& w) {
     }
   }
   return costs;
+}
+
+// Every subject over every row set, limit and round.
+void CheckEverySubject(const World& w) {
+  CheckSessions(w, kEveryRowSet, /*retrievals=*/true);
+  CheckHook(w);
+  const std::vector<RowCosts> costs = CheckedCosts(w);
+  CheckPasses(w, costs, /*alone=*/true, /*mixed=*/true);
+  CheckScheduler(w, costs, {0, 1}, {false, true});
 }
 
 // The cases: one table and one subject family each, so every case process
@@ -1024,12 +1095,50 @@ TEST(CoalescedScanSchedulerTest, ConcurrentRetrieveMatchesByteIdentical) {
 
 // The segmented twin: every subject in one case.
 TEST(ScanDifferentialTest, Segmented) {
-  const World w = Ready(MakeBlobsWorld(true));
-  CheckSessions(w, kEveryRowSet, /*retrievals=*/true);
-  CheckHook(w);
-  const std::vector<RowCosts> costs = CheckedCosts(w);
-  CheckPasses(w, costs, /*alone=*/true, /*mixed=*/true);
-  CheckScheduler(w, costs, {0, 1}, {false, true});
+  CheckEverySubject(Ready(MakeBlobsWorld(true)));
+}
+
+// Meta* users whose f_tau holds a +inf and a NaN weight (MakeNonFiniteWorld).
+// The widening fallback runs and matters: Pack flags the patched f_tau, and
+// on some rows of the table the gather-add over the unwidened code rows
+// gives other bits than the widened forward. Both verdicts occur (AddUsers
+// checks that).
+TEST(ScanDifferentialTest, NonFiniteWeights) {
+  const World w = Ready(MakeNonFiniteWorld());
+  const nn::Mlp& f_tau = w.model->meta_learner(0)->phi_tau();
+  nn::Mlp::Scratch scratch;
+  EXPECT_FALSE(f_tau.Pack(&scratch));
+  std::vector<data::ColumnView> columns;
+  for (const int64_t a : w.attrs(0)) columns.push_back(w.table.View(a));
+  const std::vector<int64_t> all = RowSets(w)[kAllRows];
+  std::vector<Code> codes;
+  const CodeRows rows = w.model->encoder().EncodeGatheredCodesInto(
+      columns, w.attrs(0), all, &codes);
+  const int64_t n = w.num_rows();
+  f_tau.ForwardBatch(rows, n, &scratch);
+  const std::vector<double>& widened = scratch.outputs.front();
+  std::vector<double> narrow(widened.size());
+  nn::ForwardBatchLayer(scratch.packed.front(), rows, {}, n,
+                        /*relu=*/f_tau.num_layers() > 1, narrow.data());
+  const size_t out = widened.size() / static_cast<size_t>(n);
+  int64_t differing = 0;
+  for (size_t r = 0; r < static_cast<size_t>(n); ++r) {
+    differing += std::memcmp(widened.data() + r * out,
+                             narrow.data() + r * out,
+                             out * sizeof(double)) != 0;
+  }
+  EXPECT_GT(differing, 0);
+  CheckEverySubject(w);
+}
+
+// Every user over the blobs table with a 1-D subspace first. Its FP/FN
+// subregions are intervals and it has no settling cells, so a Meta* user
+// hull-tests every row the conjunction reaches there, and each scan's
+// `rows_located` must equal the reference count (CheckPasses).
+TEST(ScanDifferentialTest, OneDimensionalSubspace) {
+  const World w = Ready(MakeBlobsWorld(false, {{{0}}, {{2, 3}}}));
+  EXPECT_FALSE(w.model->ValueBox(0).has_value());
+  CheckEverySubject(w);
 }
 
 // The boundary-adversarial table.
@@ -1073,8 +1182,8 @@ TEST(RegionBoundaryTest, FixtureCoversDegenerateHullsAndAllMemberships) {
   const World w = MakeAdversarialWorld();
   int64_t hull_sizes[3] = {0, 0, 0};  // 1 vertex, 2 vertices, >= 3.
   int64_t memberships[2][2] = {{0, 0}, {0, 0}};
-  for (size_t u = 0; u < kNumUsers; ++u) {
-    if (!HasSubregions(u)) continue;
+  for (size_t u = 0; u < w.users.size(); ++u) {
+    if (!HasSubregions(w.users[u])) continue;
     for (int64_t s = 0; s < w.num_subspaces(); ++s) {
       const FpFnOptimizer opt = Optimizer(*w.model, w.LabelsOf(u), s);
       ASSERT_TRUE(opt.has_positive_centers());
@@ -1111,8 +1220,8 @@ TEST(RegionBoundaryTest, FixtureCoversDegenerateHullsAndAllMemberships) {
 TEST(RegionBoundaryTest, FixtureCoversSettlingGridShapes) {
   const World w = MakeAdversarialWorld();
   int64_t polygons_in_one_cell = 0;
-  for (size_t u = 0; u < kNumUsers; ++u) {
-    if (!HasSubregions(u)) continue;
+  for (size_t u = 0; u < w.users.size(); ++u) {
+    if (!HasSubregions(w.users[u])) continue;
     for (int64_t s = 0; s < w.num_subspaces(); ++s) {
       const geom::Box box = *w.model->ValueBox(s);
       const std::vector<double> xs = GridLines(box.xlo, box.xhi);
@@ -1176,8 +1285,8 @@ TEST(RegionBoundaryTest, SettledCellsAgreeWithLocate) {
   for (int64_t s = 0; s < w.num_subspaces(); ++s) {
     int64_t settled = 0;
     int64_t located = 0;
-    for (size_t u = 0; u < kNumUsers; ++u) {
-      if (!HasSubregions(u)) continue;
+    for (size_t u = 0; u < w.users.size(); ++u) {
+      if (!HasSubregions(w.users[u])) continue;
       SCOPED_TRACE(testing::Message() << "user=" << u << " s=" << s);
       const FpFnOptimizer opt =
           Optimizer(*w.model, w.LabelsOf(u), s, /*cells=*/true);
