@@ -180,10 +180,9 @@ void Run() {
       std::vector<double> counted(all_rows.size(), 0.0);
       core::ScanSubscriber counter;
       counter.session = &session;
-      counter.rows = all_rows;
       counter.predictions = counted;
       const core::BlockScanStats counts =
-          core::RunBlockScan(sdss, {&counter, 1}, threads);
+          core::RunBlockScan(sdss, all_rows, {&counter, 1}, threads);
       row.rows_forwarded = counts.rows_forwarded;
       row.rows_located = counts.rows_located;
 

@@ -43,12 +43,16 @@ struct LaneScratch {
 
 class BlockPass {
  public:
-  BlockPass(const data::Table& table,
+  BlockPass(const data::Table& table, std::span<const int64_t> rows,
             std::span<const ScanSubscriber> subscribers, int64_t num_threads)
       : subscribers_(subscribers),
         model_(subscribers.front().session->model()),
+        domain_(rows),
+        // The row count is read before any view is taken, so every view
+        // covers the domain even while the table keeps appending.
+        domain_size_(rows.empty() ? table.num_rows()
+                                  : static_cast<int64_t>(rows.size())),
         found_(subscribers.size()) {
-    bool any_retrieve = false;
     can_cancel_ = true;
     int64_t max_active = 0;
     for (const ScanSubscriber& sub : subscribers_) {
@@ -56,33 +60,15 @@ class BlockPass {
       const bool retrieve = sub.matches != nullptr;
       if (retrieve) {
         LTE_CHECK_NE(sub.limit, 0);
+        LTE_CHECK(domain_.empty());
       } else {
-        LTE_CHECK(!sub.rows.empty());
-        LTE_CHECK_EQ(sub.predictions.size(), sub.rows.size());
+        LTE_CHECK_EQ(static_cast<int64_t>(sub.predictions.size()),
+                     domain_size_);
       }
-      any_retrieve |= retrieve;
       can_cancel_ &= retrieve && sub.limit > 0;
       max_active = std::max(max_active, sub.session->active_subspaces());
     }
-    // The row domain. Its row count is read before any view is taken, so
-    // every view covers it even while the table keeps appending.
-    if (any_retrieve) {
-      implicit_ = true;
-      domain_rows_ = table.num_rows();
-    } else if (subscribers_.size() == 1) {
-      domain_ = subscribers_.front().rows;
-    } else {
-      for (const ScanSubscriber& sub : subscribers_) {
-        union_rows_.insert(union_rows_.end(), sub.rows.begin(),
-                           sub.rows.end());
-      }
-      std::sort(union_rows_.begin(), union_rows_.end());
-      union_rows_.erase(std::unique(union_rows_.begin(), union_rows_.end()),
-                        union_rows_.end());
-      domain_ = union_rows_;
-    }
-    if (!implicit_) domain_rows_ = static_cast<int64_t>(domain_.size());
-    num_blocks_ = (domain_rows_ + kServingBlockRows - 1) / kServingBlockRows;
+    num_blocks_ = (domain_size_ + kServingBlockRows - 1) / kServingBlockRows;
 
     views_.resize(static_cast<size_t>(max_active));
     codes_per_row_.resize(static_cast<size_t>(max_active));
@@ -100,7 +86,7 @@ class BlockPass {
     const int64_t lanes = std::min(ResolveThreadCount(num_threads),
                                    std::max<int64_t>(num_blocks_, 1));
     const auto block = static_cast<size_t>(
-        std::min<int64_t>(kServingBlockRows, domain_rows_));
+        std::min<int64_t>(kServingBlockRows, domain_size_));
     const size_t q_count = subscribers_.size();
     lanes_.resize(static_cast<size_t>(lanes));
     for (LaneScratch& sc : lanes_) {
@@ -130,7 +116,6 @@ class BlockPass {
         [this] { return Satisfied(); });
 
     BlockScanStats stats;
-    stats.domain_rows = domain_rows_;
     for (const LaneScratch& sc : lanes_) {
       stats.encode_passes += sc.encode_passes;
       stats.rows_encoded += sc.rows_encoded;
@@ -163,13 +148,7 @@ class BlockPass {
 
  private:
   int64_t RowAt(int64_t position) const {
-    return implicit_ ? position : domain_[static_cast<size_t>(position)];
-  }
-
-  /// A retrieval subscribes to every row of the (implicit) domain, and a
-  /// lone prediction's rows are the domain; others intersect it.
-  bool OwnsDomain(const ScanSubscriber& sub) const {
-    return sub.matches != nullptr || subscribers_.size() == 1;
+    return domain_.empty() ? position : domain_[static_cast<size_t>(position)];
   }
 
   /// True once every subscriber is a limit-bounded retrieval whose matches
@@ -186,38 +165,20 @@ class BlockPass {
 
   void ScanBlock(LaneScratch* sc, bool lane_zero, int64_t block) {
     const int64_t lo = block * kServingBlockRows;
-    const int64_t n = std::min(kServingBlockRows, domain_rows_ - lo);
+    const int64_t n = std::min(kServingBlockRows, domain_size_ - lo);
     const size_t q_count = subscribers_.size();
 
-    // Each subscriber's alive positions: the whole block for the domain
-    // owner, else the block's rows that appear in its ascending row set.
-    int64_t max_active = 0;
-    for (size_t q = 0; q < q_count; ++q) {
-      const ScanSubscriber& sub = subscribers_[q];
-      std::vector<int64_t>& alive = sc->alive[q];
-      alive.clear();
-      if (OwnsDomain(sub)) {
-        alive.resize(static_cast<size_t>(n));
-        std::iota(alive.begin(), alive.end(), int64_t{0});
-      } else {
-        int64_t p = 0;
-        auto it = std::lower_bound(sub.rows.begin(), sub.rows.end(), RowAt(lo));
-        for (; it != sub.rows.end(); ++it) {
-          while (p < n && RowAt(lo + p) < *it) ++p;
-          if (p == n) break;
-          if (RowAt(lo + p) == *it) alive.push_back(p++);
-        }
-      }
-      if (!alive.empty()) {
-        max_active = std::max(max_active, sub.session->active_subspaces());
-      }
+    // Every subscriber starts on the whole block.
+    for (std::vector<int64_t>& alive : sc->alive) {
+      alive.resize(static_cast<size_t>(n));
+      std::iota(alive.begin(), alive.end(), int64_t{0});
     }
 
     // Per subspace: each live subscriber first settles the rows its FP/FN
     // subregions decide, from the raw column values alone. One gather+encode
     // covers the union of the remaining band rows; each subscriber forwards
     // its own band rows and drops every row it rejects.
-    for (int64_t s = 0; s < max_active; ++s) {
+    for (int64_t s = 0; s < static_cast<int64_t>(views_.size()); ++s) {
       const auto su = static_cast<size_t>(s);
       const auto live = [&](size_t q) {
         return !sc->alive[q].empty() &&
@@ -303,15 +264,9 @@ class BlockPass {
           found_[q].fetch_add(static_cast<int64_t>(alive.size()),
                               std::memory_order_relaxed);
         }
-      } else if (OwnsDomain(sub)) {
+      } else {
         for (const int64_t p : alive) {
           sub.predictions[static_cast<size_t>(lo + p)] = 1.0;
-        }
-      } else {
-        auto it = sub.rows.begin();
-        for (const int64_t p : alive) {
-          it = std::lower_bound(it, sub.rows.end(), RowAt(lo + p));
-          sub.predictions[static_cast<size_t>(it - sub.rows.begin())] = 1.0;
         }
       }
     }
@@ -319,25 +274,25 @@ class BlockPass {
 
   std::span<const ScanSubscriber> subscribers_;
   const ExplorationModel& model_;
-  bool implicit_ = false;              // Domain is [0, domain_rows_).
-  std::span<const int64_t> domain_;    // Explicit domain rows otherwise.
-  std::vector<int64_t> union_rows_;    // Storage for a merged domain.
-  int64_t domain_rows_ = 0;
+  std::span<const int64_t> domain_;  // Empty: the domain is [0, domain_size_).
+  int64_t domain_size_ = 0;
   int64_t num_blocks_ = 0;
   bool can_cancel_ = false;
   std::vector<std::atomic<int64_t>> found_;  // Per subscriber match count.
-  std::vector<std::vector<data::ColumnView>> views_;  // Per subspace.
-  std::vector<int64_t> codes_per_row_;                // Per subspace.
+  // Per subspace that some subscriber reaches.
+  std::vector<std::vector<data::ColumnView>> views_;
+  std::vector<int64_t> codes_per_row_;
   std::vector<LaneScratch> lanes_;
 };
 
 }  // namespace
 
 BlockScanStats RunBlockScan(const data::Table& table,
+                            std::span<const int64_t> rows,
                             std::span<const ScanSubscriber> subscribers,
                             int64_t num_threads) {
   if (subscribers.empty()) return {};
-  return BlockPass(table, subscribers, num_threads).Run();
+  return BlockPass(table, rows, subscribers, num_threads).Run();
 }
 
 }  // namespace lte::core

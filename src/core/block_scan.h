@@ -11,16 +11,13 @@ namespace lte::core {
 
 class ExplorationSession;
 
-/// One session's share of a block-scan pass: either a row-set prediction
-/// (`predictions` non-empty) or a whole-table retrieval (`matches` non-null).
+/// One session's share of a block-scan pass: a whole-table retrieval when
+/// `matches` is non-null, else a prediction over the pass's row domain.
 struct ScanSubscriber {
   const ExplorationSession* session = nullptr;
-  /// Prediction: the table rows to score, ascending and deduplicated. The one
-  /// exception is a prediction that is alone in its pass: its rows are the
-  /// pass's row domain as given, so any order and duplicates are allowed.
-  std::span<const int64_t> rows;
-  /// Prediction output, one slot per `rows` entry, zero-filled by the caller;
-  /// the pass sets the slots of interesting rows to 1.0.
+  /// Prediction output, one slot per position of the pass's row domain,
+  /// zero-filled by the caller; the pass sets the slots of interesting rows
+  /// to 1.0.
   std::span<double> predictions;
   /// Retrieval output: receives the first `limit` matching row ids in
   /// ascending order (`limit < 0` = all). Cleared by the caller.
@@ -29,7 +26,7 @@ struct ScanSubscriber {
   int64_t limit = -1;
 };
 
-/// What one pass did, for the serving stats ledger. All five are pure
+/// What one pass did, for the serving stats ledger. All four are pure
 /// functions of the table, the sessions and the pass composition.
 struct BlockScanStats {
   /// Gather+encode rounds: one per (block, subspace) in which some live
@@ -48,9 +45,6 @@ struct BlockScanStats {
   /// grid cell does not prove their membership (open cells, rows outside
   /// the Pretrain value box, every row of a 1-D subspace).
   int64_t rows_located = 0;
-  /// Rows in the pass's row domain (the table's row count when any
-  /// subscriber retrieves).
-  int64_t domain_rows = 0;
 };
 
 /// The one block scan behind every table evaluation of the conjunctive UIR
@@ -58,12 +52,11 @@ struct BlockScanStats {
 /// `RetrieveMatches` run it with one subscriber, `serving::
 /// CoalescedScanScheduler` with every request of a shared pass.
 ///
-/// The row domain is `[0, table.num_rows())` when any subscriber retrieves,
-/// the lone prediction's rows when there is one subscriber, and otherwise the
-/// union of the subscribers' row sets. The domain is split into
-/// `kServingBlockRows`-row blocks that up to `num_threads` lanes claim in
-/// increasing order (0 = auto). Per block and active subspace in conjunction
-/// order, region first:
+/// The pass's row domain is `rows` as given (any order, duplicates allowed),
+/// or `[0, table.num_rows())` when `rows` is empty, and every subscriber owns
+/// all of it. The domain is split into `kServingBlockRows`-row blocks that up
+/// to `num_threads` lanes claim in increasing order (0 = auto). Per block
+/// and active subspace in conjunction order, region first:
 ///  * each subscriber locates the rows still alive for it in its Meta*
 ///    FP/FN subregions (`ExplorationSession::LocateRows`, raw column values,
 ///    no encode; a row in a proven grid cell takes the cell's membership
@@ -90,9 +83,12 @@ struct BlockScanStats {
 /// (other lanes' match lists grow with the matches they find).
 ///
 /// Preconditions (LTE_CHECKed where cheap): every session passed
-/// `ValidateServing(table)` and shares one model; predictions are non-empty
-/// and in range; retrievals have a nonzero limit.
+/// `ValidateServing(table)` and shares one model; `rows` are in range; each
+/// prediction has one slot per domain position (over the implicit domain,
+/// the table's row count when the pass starts); a retrieval has a nonzero
+/// limit and the implicit domain.
 BlockScanStats RunBlockScan(const data::Table& table,
+                            std::span<const int64_t> rows,
                             std::span<const ScanSubscriber> subscribers,
                             int64_t num_threads);
 

@@ -715,9 +715,8 @@ Status ExplorationSession::PredictRows(const data::Table& table,
   if (rows.empty()) return Status::OK();
   ScanSubscriber subscriber;
   subscriber.session = this;
-  subscriber.rows = rows;
   subscriber.predictions = *predictions;
-  RunBlockScan(table, {&subscriber, 1}, num_threads());
+  RunBlockScan(table, rows, {&subscriber, 1}, num_threads());
   return Status::OK();
 }
 
@@ -734,7 +733,7 @@ Status ExplorationSession::RetrieveMatches(
   subscriber.session = this;
   subscriber.matches = matches;
   subscriber.limit = limit;
-  RunBlockScan(table, {&subscriber, 1}, num_threads());
+  RunBlockScan(table, {}, {&subscriber, 1}, num_threads());
   return Status::OK();
 }
 

@@ -177,15 +177,14 @@ class ExplorationSession {
   /// StartExploration or when `row` is too narrow for an active subspace.
   std::optional<double> PredictRow(const std::vector<double>& row) const;
 
-  /// Batch counterpart of PredictRow and the primitive RetrieveMatches and
-  /// the bench harness build on: evaluates the conjunctive membership of the
-  /// given `rows` of `table` and stores one 0.0/1.0 per index (in input
-  /// order) in `*predictions`. Runs a one-subscriber block scan
-  /// (core/block_scan.h) on the calling thread with `num_threads()` lanes,
-  /// each writing disjoint per-index slots, so the output is bit-identical
-  /// at any thread count. Fails before
-  /// StartExploration, when `table` is narrower than an active subspace's
-  /// attributes, or on an out-of-range row index.
+  /// Batch counterpart of PredictRow: evaluates the conjunctive membership
+  /// of the given `rows` of `table` (any order, duplicates allowed) and
+  /// stores one 0.0/1.0 per index (in input order) in `*predictions`. Runs a
+  /// one-subscriber block scan (core/block_scan.h) whose row domain is
+  /// `rows`, on the calling thread with `num_threads()` lanes, each writing
+  /// disjoint per-index slots, so the output is bit-identical at any thread
+  /// count. Fails before StartExploration, when `table` is narrower than an
+  /// active subspace's attributes, or on an out-of-range row index.
   Status PredictRows(const data::Table& table, std::span<const int64_t> rows,
                      std::vector<double>* predictions) const;
 
@@ -261,9 +260,10 @@ class ExplorationSession {
 
   /// FailedPrecondition before StartExploration; InvalidArgument when
   /// `table` is narrower than an active subspace's attribute indices. The
-  /// scan entry points call this internally; the coalesced serving front-end
-  /// (src/serving/) calls it at submission time so a misuse error surfaces
-  /// on the submitting thread instead of inside a shared batch pass.
+  /// scan entry points call this internally; the coalesced scheduler's
+  /// `RetrieveMatches` (src/serving/) calls it at submission time so a
+  /// misuse error surfaces on the submitting thread instead of inside a
+  /// shared pass.
   Status ValidateServing(const data::Table& table) const;
 
   /// Region-first step of scoring subspace `s` (DESIGN.md §2b): writes each

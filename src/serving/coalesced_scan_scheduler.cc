@@ -1,7 +1,6 @@
 #include "serving/coalesced_scan_scheduler.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -14,7 +13,8 @@ CoalescedScanScheduler::CoalescedScanScheduler(
     : model_(std::move(model)), table_(table), options_(options) {
   LTE_CHECK(model_ != nullptr);
   LTE_CHECK(table != nullptr);
-  options_.max_batch_requests = std::max<int64_t>(options_.max_batch_requests, 1);
+  options_.max_batch_requests =
+      std::max<int64_t>(options_.max_batch_requests, 1);
   options_.max_pending_requests = std::max<int64_t>(
       options_.max_pending_requests, options_.max_batch_requests);
   options_.flush_deadline_micros =
@@ -32,63 +32,9 @@ CoalescedScanScheduler::~CoalescedScanScheduler() {
   scheduler_.join();
 }
 
-void CoalescedScanScheduler::Flush() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return;  // Nothing queued; nothing to trigger.
-    flush_requested_ = true;
-  }
-  scheduler_cv_.notify_all();
-}
-
 CoalescedScanStats CoalescedScanScheduler::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-Status CoalescedScanScheduler::ValidateSubmission(
-    const core::ExplorationSession& session) const {
-  if (&session.model() != model_.get()) {
-    return Status::InvalidArgument(
-        "scheduler: session is bound to a different model");
-  }
-  return session.ValidateServing(*table_);
-}
-
-Status CoalescedScanScheduler::PredictRows(
-    const core::ExplorationSession& session, std::span<const int64_t> rows,
-    std::vector<double>* predictions) {
-  if (predictions == nullptr) {
-    return Status::InvalidArgument("scheduler: predictions must not be null");
-  }
-  LTE_RETURN_IF_ERROR(ValidateSubmission(session));
-  for (const int64_t r : rows) {
-    if (r < 0 || r >= table_->num_rows()) {
-      return Status::OutOfRange("scheduler: row index " + std::to_string(r) +
-                                " outside [0, " +
-                                std::to_string(table_->num_rows()) + ")");
-    }
-  }
-  predictions->assign(rows.size(), 0.0);
-  if (rows.empty()) return Status::OK();
-
-  // A shared pass takes ascending deduplicated row sets; the verdicts are
-  // mapped back to the caller's order (duplicates included) afterwards.
-  std::vector<int64_t> sorted(rows.begin(), rows.end());
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  std::vector<double> verdicts(sorted.size(), 0.0);
-  Request request;
-  request.subscriber.session = &session;
-  request.subscriber.rows = sorted;
-  request.subscriber.predictions = verdicts;
-  request.prediction_rows = static_cast<int64_t>(rows.size());
-  LTE_RETURN_IF_ERROR(Submit(&request));
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto it = std::lower_bound(sorted.begin(), sorted.end(), rows[i]);
-    (*predictions)[i] = verdicts[static_cast<size_t>(it - sorted.begin())];
-  }
-  return Status::OK();
 }
 
 Status CoalescedScanScheduler::RetrieveMatches(
@@ -98,7 +44,11 @@ Status CoalescedScanScheduler::RetrieveMatches(
     return Status::InvalidArgument("scheduler: matches must not be null");
   }
   matches->clear();
-  LTE_RETURN_IF_ERROR(ValidateSubmission(session));
+  if (&session.model() != model_.get()) {
+    return Status::InvalidArgument(
+        "scheduler: session is bound to a different model");
+  }
+  LTE_RETURN_IF_ERROR(session.ValidateServing(*table_));
   if (limit == 0) return Status::OK();  // Only limit < 0 means "unlimited".
   if (table_->num_rows() == 0) return Status::OK();
 
@@ -140,11 +90,10 @@ void CoalescedScanScheduler::SchedulerLoop() {
       for (;;) {
         if (queue_.empty()) {
           if (stopping_) return;
-          flush_requested_ = false;  // Nothing left to flush.
           scheduler_cv_.wait(lock);
           continue;
         }
-        if (stopping_ || flush_requested_ ||
+        if (stopping_ ||
             static_cast<int64_t>(queue_.size()) >=
                 options_.max_batch_requests) {
           break;
@@ -159,7 +108,6 @@ void CoalescedScanScheduler::SchedulerLoop() {
           static_cast<int64_t>(queue_.size()), options_.max_batch_requests);
       batch.assign(queue_.begin(), queue_.begin() + take);
       queue_.erase(queue_.begin(), queue_.begin() + take);
-      if (queue_.empty()) flush_requested_ = false;
     }
 
     subscribers.clear();
@@ -167,7 +115,7 @@ void CoalescedScanScheduler::SchedulerLoop() {
       subscribers.push_back(request->subscriber);
     }
     const core::BlockScanStats pass =
-        core::RunBlockScan(*table_, subscribers, options_.num_threads);
+        core::RunBlockScan(*table_, {}, subscribers, options_.num_threads);
 
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -179,12 +127,7 @@ void CoalescedScanScheduler::SchedulerLoop() {
       stats_.encode_passes += pass.encode_passes;
       stats_.rows_forwarded += pass.rows_forwarded;
       stats_.rows_located += pass.rows_located;
-      for (Request* request : batch) {
-        stats_.rows_served += request->subscriber.matches != nullptr
-                                  ? pass.domain_rows
-                                  : request->prediction_rows;
-        request->done = true;
-      }
+      for (Request* request : batch) request->done = true;
     }
     submit_cv_.notify_all();
   }

@@ -7,7 +7,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -49,9 +48,6 @@ struct CoalescedScanStats {
   int64_t requests = 0;
   /// Most requests coalesced into one shared pass.
   int64_t largest_batch = 0;
-  /// Result rows delivered across all requests (a full-table PredictRows
-  /// for S sessions counts S * num_rows).
-  int64_t rows_served = 0;
   /// Gather+encode rounds executed, one per (block, subspace) in which some
   /// subscriber has band rows (core::BlockScanStats) — the quantity
   /// coalescing amortizes: independent sessions would pay one round per
@@ -72,9 +68,9 @@ struct CoalescedScanStats {
 /// N concurrent `ExplorationSession`s scanning one table independently make
 /// N full passes over the same columns, re-gathering and re-encoding every
 /// subspace block N times even though the encoding is user-independent. This
-/// scheduler accepts `PredictRows` / `RetrieveMatches` requests from many
-/// sessions, groups whatever is queued when a flush trigger fires into one
-/// shared pass — one `core::RunBlockScan` with every request as a
+/// scheduler accepts `RetrieveMatches` requests from many sessions, groups
+/// whatever is queued when a flush trigger fires into one shared pass — one
+/// `core::RunBlockScan` over every table row with every request as a
 /// subscriber — which for each subspace x `core::kServingBlockRows`-row
 /// block gathers + encodes **once**, then runs each subscribed session's
 /// batch forward over its own band rows of the shared encoded block. The
@@ -92,9 +88,7 @@ struct CoalescedScanStats {
 /// that session scanning alone — batch composition, block boundaries, lane
 /// count, and flush timing change scheduling only, never bytes (argument in
 /// DESIGN.md §2b; enforced by tests/scan_differential_test.cc, including
-/// under the TSan CI job). Per-session result order is preserved:
-/// `PredictRows` demultiplexes verdicts back to the caller's input order
-/// (duplicates included), `RetrieveMatches` returns ascending row ids
+/// under the TSan CI job). `RetrieveMatches` returns ascending row ids
 /// truncated at `limit` — the exact prefix of that session's unlimited scan.
 ///
 /// Thread-safety: submission calls may race freely with each other; each
@@ -110,7 +104,7 @@ class CoalescedScanScheduler {
   /// a registry refresh, host a second scheduler for the new epoch and
   /// retire this one when its sessions drain). `table` is not owned and must
   /// outlive the scheduler; it may keep appending live — a pass scans the
-  /// row domain its requests name, and views span segments transparently.
+  /// rows present when it starts, and views span segments transparently.
   CoalescedScanScheduler(std::shared_ptr<const core::ExplorationModel> model,
                          const data::Table* table,
                          CoalescedScanOptions options = {});
@@ -119,23 +113,13 @@ class CoalescedScanScheduler {
   CoalescedScanScheduler(const CoalescedScanScheduler&) = delete;
   CoalescedScanScheduler& operator=(const CoalescedScanScheduler&) = delete;
 
-  /// Coalesced counterpart of `ExplorationSession::PredictRows`: same
-  /// validation, same output (one 0.0/1.0 per index, in input order), but
-  /// the scan itself runs inside a shared pass. Blocks until served.
-  Status PredictRows(const core::ExplorationSession& session,
-                     std::span<const int64_t> rows,
-                     std::vector<double>* predictions);
-
   /// Coalesced counterpart of `ExplorationSession::RetrieveMatches`: stores
   /// the first `limit` matching row ids in ascending order (`limit < 0` =
-  /// all, `limit == 0` = empty). Blocks until served.
+  /// all, `limit == 0` = empty). Blocks until served. Fails without queueing
+  /// on a null `matches`, a session bound to another model, or a session
+  /// `ValidateServing` refuses.
   Status RetrieveMatches(const core::ExplorationSession& session,
                          int64_t limit, std::vector<int64_t>* matches);
-
-  /// Explicit drain trigger: flushes everything queued right now without
-  /// waiting for a full batch or the deadline. Non-blocking — submitters are
-  /// already waiting on their own requests.
-  void Flush();
 
   CoalescedScanStats stats() const;
 
@@ -145,18 +129,12 @@ class CoalescedScanScheduler {
 
  private:
   /// One queued scan, owned by the stack frame of the submission call that
-  /// is blocked on it (so spans and output pointers stay valid for free).
+  /// is blocked on it (so its output pointer stays valid for free).
   struct Request {
     core::ScanSubscriber subscriber;
-    /// PredictRows: the caller's row count, duplicates included, charged to
-    /// `rows_served`. A retrieval is charged its pass's row domain instead.
-    int64_t prediction_rows = 0;
     std::chrono::steady_clock::time_point enqueue_time;
     bool done = false;  // Guarded by the scheduler mutex.
   };
-
-  /// Validates what both entry points share; never enqueues on failure.
-  Status ValidateSubmission(const core::ExplorationSession& session) const;
 
   /// Enqueues (honoring backpressure) and blocks until the request is done.
   Status Submit(Request* request);
@@ -169,10 +147,9 @@ class CoalescedScanScheduler {
 
   mutable std::mutex mu_;
   std::condition_variable scheduler_cv_;  // Wakes the scheduler thread.
-  std::condition_variable submit_cv_;     // Wakes submitters (done/backpressure).
+  std::condition_variable submit_cv_;     // Wakes submitters: done, capacity.
   std::deque<Request*> queue_;            // Guarded by mu_.
   int64_t pending_ = 0;                   // Queued + in flight; guarded by mu_.
-  bool flush_requested_ = false;          // Guarded by mu_.
   bool stopping_ = false;                 // Guarded by mu_.
   CoalescedScanStats stats_;              // Guarded by mu_.
   std::thread scheduler_;                 // Last member: joins before the rest.

@@ -1,14 +1,13 @@
 // Queue-discipline tests for the coalesced scan scheduler (src/serving/):
-// the encode amortization it exists for, submission validation, Flush and
-// backpressure, with real std::thread submitters. That every request gets
-// the bytes its session would compute scanning alone is checked by
-// tests/scan_differential_test.cc; the determinism argument is in DESIGN.md
-// §2c. Runs under the TSan CI job.
+// the encode amortization it exists for, submission validation, the
+// zero-deadline flush and backpressure, with real std::thread submitters.
+// That every request gets the bytes its session would compute scanning
+// alone is checked by tests/scan_differential_test.cc; the determinism
+// argument is in DESIGN.md §2c. Runs under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -80,32 +79,6 @@ class CoalescedScanSchedulerTest : public ::testing::Test {
     return session;
   }
 
-  // Ragged per-session row selections: full table, a prime-sized offset
-  // prefix, a strided selection, duplicates, and a single row.
-  static std::vector<int64_t> RowSet(int64_t u) {
-    std::vector<int64_t> rows;
-    switch (u % 5) {
-      case 0:
-        rows.resize(static_cast<size_t>(table_->num_rows()));
-        std::iota(rows.begin(), rows.end(), 0);
-        break;
-      case 1:
-        rows.resize(1531);
-        std::iota(rows.begin(), rows.end(), 37);
-        break;
-      case 2:
-        for (int64_t r = 1; r < table_->num_rows(); r += 7) rows.push_back(r);
-        break;
-      case 3:
-        rows = {5, 5, 2047, 5, 1024, 2047, 3999};
-        break;
-      default:
-        rows = {1023};
-        break;
-    }
-    return rows;
-  }
-
   static data::Table* table_;
   static std::vector<data::Subspace>* subspaces_;
   static std::shared_ptr<core::ExplorationModel> model_;
@@ -115,49 +88,55 @@ data::Table* CoalescedScanSchedulerTest::table_ = nullptr;
 std::vector<data::Subspace>* CoalescedScanSchedulerTest::subspaces_ = nullptr;
 std::shared_ptr<core::ExplorationModel> CoalescedScanSchedulerTest::model_;
 
+// Each session's retrieval at its limit when it scans alone.
+std::vector<std::vector<int64_t>> AloneMatches(
+    const std::vector<std::unique_ptr<core::ExplorationSession>>& sessions,
+    const data::Table& table, const std::vector<int64_t>& limits) {
+  std::vector<std::vector<int64_t>> matches(sessions.size());
+  for (size_t u = 0; u < sessions.size(); ++u) {
+    EXPECT_TRUE(
+        sessions[u]->RetrieveMatches(table, limits[u], &matches[u]).ok());
+  }
+  return matches;
+}
+
+// Every session's retrieval at its limit through `scheduler`, one
+// std::thread per session.
+std::vector<std::vector<int64_t>> ScheduledMatches(
+    CoalescedScanScheduler* scheduler,
+    const std::vector<std::unique_ptr<core::ExplorationSession>>& sessions,
+    const std::vector<int64_t>& limits) {
+  std::vector<std::vector<int64_t>> matches(sessions.size());
+  std::vector<std::thread> submitters;
+  for (size_t u = 0; u < sessions.size(); ++u) {
+    submitters.emplace_back([&, u] {
+      EXPECT_TRUE(
+          scheduler->RetrieveMatches(*sessions[u], limits[u], &matches[u])
+              .ok());
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  return matches;
+}
+
 // The amortization the subsystem exists for: S sessions coalesced into one
 // shared pass cost ONE gather+encode per (block, subspace) — not S.
 TEST_F(CoalescedScanSchedulerTest, EncodeCostAmortizedAcrossSessions) {
   constexpr int64_t kSessions = 8;
   std::vector<std::unique_ptr<core::ExplorationSession>> sessions;
-  std::vector<std::vector<double>> independent(kSessions);
-  std::vector<int64_t> all_rows(static_cast<size_t>(table_->num_rows()));
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-  for (int64_t u = 0; u < kSessions; ++u) {
-    sessions.push_back(MakeSession(u));
-    ASSERT_TRUE(sessions.back()
-                    ->PredictRows(*table_, all_rows,
-                                  &independent[static_cast<size_t>(u)])
-                    .ok());
-  }
+  for (int64_t u = 0; u < kSessions; ++u) sessions.push_back(MakeSession(u));
+  const std::vector<int64_t> limits(kSessions, -1);
 
   CoalescedScanOptions options;
   options.max_batch_requests = kSessions;  // Deterministic single batch:
   options.flush_deadline_micros = 5000000;  // flush fires at the S-th submit.
   CoalescedScanScheduler scheduler(model_, table_, options);
-  std::vector<std::vector<double>> coalesced(kSessions);
-  std::vector<Status> statuses(kSessions);
-  {
-    std::vector<std::thread> submitters;
-    for (int64_t u = 0; u < kSessions; ++u) {
-      submitters.emplace_back([&, u] {
-        statuses[static_cast<size_t>(u)] = scheduler.PredictRows(
-            *sessions[static_cast<size_t>(u)], all_rows,
-            &coalesced[static_cast<size_t>(u)]);
-      });
-    }
-    for (std::thread& t : submitters) t.join();
-  }
-  for (int64_t u = 0; u < kSessions; ++u) {
-    ASSERT_TRUE(statuses[static_cast<size_t>(u)].ok());
-    EXPECT_EQ(coalesced[static_cast<size_t>(u)],
-              independent[static_cast<size_t>(u)]);
-  }
+  EXPECT_EQ(ScheduledMatches(&scheduler, sessions, limits),
+            AloneMatches(sessions, *table_, limits));
 
   const CoalescedScanStats stats = scheduler.stats();
   EXPECT_EQ(stats.batches, 1);
   EXPECT_EQ(stats.largest_batch, kSessions);
-  EXPECT_EQ(stats.rows_served, kSessions * table_->num_rows());
   // One shared pass: at most blocks x subspaces encode rounds, independent
   // of the session count. S independent scans would pay up to S times this.
   const int64_t num_blocks =
@@ -172,59 +151,41 @@ TEST_F(CoalescedScanSchedulerTest, EncodeCostAmortizedAcrossSessions) {
 TEST_F(CoalescedScanSchedulerTest, SubmissionValidation) {
   CoalescedScanScheduler scheduler(model_, table_);
   auto session = MakeSession(0);
-  std::vector<double> preds;
   std::vector<int64_t> matches;
 
-  // Null outputs.
-  EXPECT_FALSE(scheduler.PredictRows(*session, {}, nullptr).ok());
+  // Null output.
   EXPECT_FALSE(scheduler.RetrieveMatches(*session, 1, nullptr).ok());
 
   // Session not adapted yet.
   core::ExplorationSession unadapted(model_);
-  EXPECT_FALSE(scheduler.PredictRows(unadapted, {}, &preds).ok());
   EXPECT_FALSE(scheduler.RetrieveMatches(unadapted, 1, &matches).ok());
 
   // Session bound to a different model.
   auto other = std::make_shared<core::ExplorationModel>(SmallExplorerOptions());
   core::ExplorationSession foreign(other);
-  EXPECT_FALSE(scheduler.PredictRows(foreign, {}, &preds).ok());
+  EXPECT_EQ(scheduler.RetrieveMatches(foreign, 1, &matches).code(),
+            StatusCode::kInvalidArgument);
 
-  // Out-of-range row index.
-  const std::vector<int64_t> bad = {0, table_->num_rows()};
-  EXPECT_FALSE(scheduler.PredictRows(*session, bad, &preds).ok());
-
-  // Degenerate-but-valid requests complete without a shared pass.
-  EXPECT_TRUE(scheduler.PredictRows(*session, {}, &preds).ok());
-  EXPECT_TRUE(preds.empty());
+  // A degenerate-but-valid request completes without a shared pass.
   EXPECT_TRUE(scheduler.RetrieveMatches(*session, 0, &matches).ok());
   EXPECT_TRUE(matches.empty());
   EXPECT_EQ(scheduler.stats().batches, 0);
 }
 
-// Flush() releases a parked request without waiting out the deadline.
-TEST_F(CoalescedScanSchedulerTest, FlushDrainsAParkedRequest) {
-  auto session = MakeSession(0);
-  std::vector<double> independent;
-  const std::vector<int64_t> rows = RowSet(3);
-  ASSERT_TRUE(session->PredictRows(*table_, rows, &independent).ok());
+// A non-positive deadline flushes at once: a lone request is served though
+// the batch never fills.
+TEST_F(CoalescedScanSchedulerTest, ZeroDeadlineServesALoneRequest) {
+  std::vector<std::unique_ptr<core::ExplorationSession>> sessions;
+  sessions.push_back(MakeSession(0));
+  const std::vector<int64_t> limits = {-1};
 
   CoalescedScanOptions options;
-  options.max_batch_requests = 64;           // Never fills...
-  options.flush_deadline_micros = 60000000;  // ...and the deadline is far out.
+  options.max_batch_requests = 64;  // Never fills.
+  options.flush_deadline_micros = 0;
   CoalescedScanScheduler scheduler(model_, table_, options);
-  std::vector<double> preds;
-  Status status;
-  std::thread submitter(
-      [&] { status = scheduler.PredictRows(*session, rows, &preds); });
-  // Keep triggering until the submitter is through (a Flush that raced ahead
-  // of the enqueue is a no-op, so one call is not guaranteed to be enough).
-  while (scheduler.stats().batches == 0) {
-    scheduler.Flush();
-    std::this_thread::yield();
-  }
-  submitter.join();
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(preds, independent);
+  EXPECT_EQ(ScheduledMatches(&scheduler, sessions, limits),
+            AloneMatches(sessions, *table_, limits));
+  EXPECT_EQ(scheduler.stats().batches, 1);
 }
 
 // Backpressure: a pending bound far below the offered load still serves
@@ -232,15 +193,10 @@ TEST_F(CoalescedScanSchedulerTest, FlushDrainsAParkedRequest) {
 TEST_F(CoalescedScanSchedulerTest, BackpressureStillServesEveryRequest) {
   constexpr int64_t kSessions = 8;
   std::vector<std::unique_ptr<core::ExplorationSession>> sessions;
-  std::vector<std::vector<double>> independent(kSessions);
-  std::vector<std::vector<int64_t>> row_sets;
+  std::vector<int64_t> limits;
   for (int64_t u = 0; u < kSessions; ++u) {
     sessions.push_back(MakeSession(u));
-    row_sets.push_back(RowSet(u));
-    ASSERT_TRUE(sessions.back()
-                    ->PredictRows(*table_, row_sets.back(),
-                                  &independent[static_cast<size_t>(u)])
-                    .ok());
+    limits.push_back(u % 4 == 0 ? -1 : 7 * u);  // Unlimited or 7..49.
   }
 
   CoalescedScanOptions options;
@@ -248,24 +204,8 @@ TEST_F(CoalescedScanSchedulerTest, BackpressureStillServesEveryRequest) {
   options.max_pending_requests = 2;
   options.flush_deadline_micros = 100;
   CoalescedScanScheduler scheduler(model_, table_, options);
-  std::vector<std::vector<double>> coalesced(kSessions);
-  std::vector<Status> statuses(kSessions);
-  {
-    std::vector<std::thread> submitters;
-    for (int64_t u = 0; u < kSessions; ++u) {
-      submitters.emplace_back([&, u] {
-        statuses[static_cast<size_t>(u)] = scheduler.PredictRows(
-            *sessions[static_cast<size_t>(u)], row_sets[static_cast<size_t>(u)],
-            &coalesced[static_cast<size_t>(u)]);
-      });
-    }
-    for (std::thread& t : submitters) t.join();
-  }
-  for (int64_t u = 0; u < kSessions; ++u) {
-    ASSERT_TRUE(statuses[static_cast<size_t>(u)].ok());
-    EXPECT_EQ(coalesced[static_cast<size_t>(u)],
-              independent[static_cast<size_t>(u)]);
-  }
+  EXPECT_EQ(ScheduledMatches(&scheduler, sessions, limits),
+            AloneMatches(sessions, *table_, limits));
   const CoalescedScanStats stats = scheduler.stats();
   EXPECT_EQ(stats.requests, kSessions);
   EXPECT_LE(stats.largest_batch, 2);

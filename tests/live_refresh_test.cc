@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -221,6 +222,73 @@ TEST_F(LiveRefreshTest, DriftDuringRebuildNeverQueuesASecondRebuild) {
   EXPECT_EQ(stats.refreshes_completed, stats.refreshes_triggered);
   EXPECT_EQ(stats.refresh_failures, 0);
   EXPECT_GE(registry.current_epoch(), 2u);
+}
+
+// A rebuild whose Pretrain fails publishes nothing: the registry keeps the
+// old epoch, sessions on it keep their answers, and the next drifting batch
+// tries again. The failure needs no seam: `Load` keeps the host knobs the
+// file does not carry, so a saved model loaded into one built with encoder
+// options `Fit` refuses serves normally, and every rebuild from its options
+// fails before any work.
+TEST_F(LiveRefreshTest, FailedRebuildKeepsServingTheOldEpoch) {
+  core::ExplorerOptions refused = SmallExplorerOptions();
+  refused.encoder.categorical_attributes = {0};
+  refused.encoder.max_categories = 0;
+  std::stringstream file;
+  ASSERT_TRUE(model_->SaveToStream(&file).ok());
+  auto loaded = std::make_shared<core::ExplorationModel>(refused);
+  ASSERT_TRUE(loaded->LoadFromStream(&file).ok());
+  {
+    core::ExplorationModel rebuild(loaded->options());
+    Rng rng(1);
+    EXPECT_EQ(
+        rebuild.Pretrain(base_table_, subspaces_, /*train_meta=*/false, &rng)
+            .code(),
+        StatusCode::kInvalidArgument);
+  }
+
+  data::Table table = base_table_;
+  ModelRegistry registry(loaded);
+  DriftRefreshController controller(&registry, &table, subspaces_,
+                                    RefreshOptions());
+  const ModelSnapshot before = registry.Current();
+  // A session on the current model: its matches over the base rows.
+  const auto current_matches = [&] {
+    const ModelSnapshot current = registry.Current();
+    core::ExplorationSession session(current.model, /*num_threads=*/1);
+    Rng rng(1000);
+    EXPECT_TRUE(session
+                    .StartExploration(UserLabels(*current.model),
+                                      core::Variant::kBasic, &rng)
+                    .ok());
+    std::vector<int64_t> matches;
+    EXPECT_TRUE(session.RetrieveMatches(base_table_, -1, &matches).ok());
+    return matches;
+  };
+  const std::vector<int64_t> served = current_matches();
+  EXPECT_FALSE(served.empty());
+
+  ASSERT_TRUE(controller.AppendAndObserve(ShiftedRows(kBatchRows)).ok());
+  controller.WaitForRefresh();
+  DriftRefreshStats stats = controller.stats();
+  EXPECT_EQ(stats.refreshes_triggered, 1);
+  EXPECT_EQ(stats.refreshes_completed, 0);
+  EXPECT_EQ(stats.refresh_failures, 1);
+  EXPECT_EQ(stats.last_published_epoch, 0u);
+  const ModelSnapshot after = registry.Current();
+  EXPECT_EQ(after.epoch, 1u);
+  EXPECT_EQ(after.fingerprint, before.fingerprint);
+  EXPECT_EQ(after.model, before.model);
+  EXPECT_EQ(current_matches(), served);
+
+  // The detectors kept their state, so the next drifting batch retries.
+  EXPECT_TRUE(controller.AnySubspaceDrifted());
+  ASSERT_TRUE(controller.AppendAndObserve(ShiftedRows(kBatchRows)).ok());
+  controller.WaitForRefresh();
+  stats = controller.stats();
+  EXPECT_EQ(stats.refreshes_triggered, 2);
+  EXPECT_EQ(stats.refresh_failures, 2);
+  EXPECT_EQ(registry.current_epoch(), 1u);
 }
 
 // The end-to-end hot-swap property (ISSUE acceptance): reader threads serve

@@ -49,19 +49,16 @@ void CountFree(void* p) {
 namespace lte::core {
 namespace {
 
-/// Heap allocations of `scan(&matches, &predictions)` — a full-table
-/// RetrieveMatches(-1) plus PredictRows over every row — after one warm-up
-/// call has sized the outputs, started the shared pool and touched every
-/// lazily built cache.
+/// Heap allocations of `scan(&matches)` — full-table scans, among them a
+/// RetrieveMatches(-1) into `matches` — after one warm-up call has sized the
+/// outputs, started the shared pool and touched every lazily built cache.
 template <typename Scan>
-int64_t SteadyStateAllocations(const Scan& scan, int64_t num_rows) {
+int64_t SteadyStateAllocations(const Scan& scan) {
   std::vector<int64_t> matches;
-  std::vector<double> predictions;
-  scan(&matches, &predictions);
+  scan(&matches);
   const int64_t before = g_allocations.load(std::memory_order_relaxed);
-  scan(&matches, &predictions);
+  scan(&matches);
   const int64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(static_cast<int64_t>(predictions.size()), num_rows);
   EXPECT_FALSE(matches.empty());  // Non-vacuity: the scan kept survivors.
   return after - before;
 }
@@ -126,12 +123,12 @@ TEST_F(ScanAllocTest, SessionScanAllocationsDoNotGrowWithBlocks) {
           .ok());
   const auto allocations = [&](const data::Table& table) {
     const std::vector<int64_t> rows = AllRows(table);
-    return SteadyStateAllocations(
-        [&](std::vector<int64_t>* matches, std::vector<double>* predictions) {
-          EXPECT_TRUE(session.RetrieveMatches(table, -1, matches).ok());
-          EXPECT_TRUE(session.PredictRows(table, rows, predictions).ok());
-        },
-        table.num_rows());
+    std::vector<double> predictions;
+    return SteadyStateAllocations([&](std::vector<int64_t>* matches) {
+      EXPECT_TRUE(session.RetrieveMatches(table, -1, matches).ok());
+      EXPECT_TRUE(session.PredictRows(table, rows, &predictions).ok());
+      EXPECT_EQ(predictions.size(), rows.size());
+    });
   };
   const int64_t small_allocs = allocations(*small_);
   EXPECT_LE(allocations(*large_), small_allocs);
@@ -144,17 +141,13 @@ TEST_F(ScanAllocTest, SchedulerScanAllocationsDoNotGrowWithBlocks) {
       session.StartExploration(UserLabels(*model_), Variant::kMetaStar, &rng)
           .ok());
   const auto allocations = [&](const data::Table& table) {
-    const std::vector<int64_t> rows = AllRows(table);
     serving::CoalescedScanOptions options;
     options.num_threads = 1;
     options.flush_deadline_micros = 0;
     serving::CoalescedScanScheduler scheduler(model_, &table, options);
-    return SteadyStateAllocations(
-        [&](std::vector<int64_t>* matches, std::vector<double>* predictions) {
-          EXPECT_TRUE(scheduler.RetrieveMatches(session, -1, matches).ok());
-          EXPECT_TRUE(scheduler.PredictRows(session, rows, predictions).ok());
-        },
-        table.num_rows());
+    return SteadyStateAllocations([&](std::vector<int64_t>* matches) {
+      EXPECT_TRUE(scheduler.RetrieveMatches(session, -1, matches).ok());
+    });
   };
   const int64_t small_allocs = allocations(*small_);
   EXPECT_LE(allocations(*large_), small_allocs);

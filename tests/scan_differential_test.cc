@@ -6,12 +6,13 @@
 //
 // Subjects:
 //  * a session's PredictRows and RetrieveMatches (one-subscriber scans);
-//  * multi-subscriber `RunBlockScan` passes mixing predictions and
-//    retrievals, whose `rows_forwarded` and `rows_located` must equal an
-//    independent count: the FP/FN hull tests, and the union certifier's
-//    cells of fpfn_reference_cells.h;
-//  * the `serving::CoalescedScanScheduler`, fed by concurrent std::thread
-//    submitters;
+//  * multi-subscriber `RunBlockScan` passes, mixing predictions and
+//    retrievals over the whole table or sharing an explicit row domain,
+//    whose `rows_forwarded` and `rows_located` must equal an independent
+//    count: the FP/FN hull tests, and the union certifier's cells of
+//    fpfn_reference_cells.h;
+//  * the `serving::CoalescedScanScheduler`, fed retrievals by concurrent
+//    std::thread submitters;
 //  * the `ScoreEncodedBlock` tool hook, against `PredictSubspace`.
 // Dimensions: three tables (4000 blob rows; the same rows as a segmented
 // live table; a boundary-adversarial table), the five users of `kUsers`, 1
@@ -599,7 +600,7 @@ World MakeAdversarialWorld() {
 
 // Every row; a prime-sized offset prefix (ragged everywhere); a strided
 // selection (gathers from non-contiguous rows); a scrambled selection with
-// duplicates (a lone prediction's rows may come in any order); single rows
+// duplicates (an explicit row domain may come in any order); single rows
 // at the table's ends and a block's last row; the seam rows; no rows.
 enum RowSet : size_t {
   kAllRows,
@@ -632,14 +633,6 @@ std::vector<std::vector<int64_t>> RowSets(const World& w) {
   sets.push_back(w.seam_rows);
   sets.emplace_back();
   return sets;
-}
-
-// `rows` ascending and deduplicated, as a subscriber of a shared pass takes
-// them.
-std::vector<int64_t> Ascending(std::vector<int64_t> rows) {
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return rows;
 }
 
 std::vector<double> Select(const std::vector<double>& verdicts,
@@ -799,13 +792,13 @@ void CheckHook(const World& w) {
   }
 }
 
-// Which requests a shared subject sends in its round for lane-count index
-// `l` and kernel width index `wi`: user u sends its k-th request kind when
-// u + k is the round's index modulo the number of rounds. Over the rounds
-// every (user, request kind) pair is sent exactly once, and each round
-// still mixes every user and every kind. Shared passes only merge and
-// demultiplex subscribers, so one round per pair suffices; the sessions
-// check every pair at every lane count and width.
+// Which retrievals a mixed pass holds in its round for lane-count index `l`
+// and kernel width index `wi`: user u sends its k-th limit when u + k is the
+// round's index modulo the number of rounds. Over the rounds every (user,
+// limit) pair is sent exactly once, and each round still mixes users and
+// limits. Shared passes only merge and demultiplex subscribers, so one
+// round per pair suffices; the sessions check every pair at every lane
+// count and width.
 bool Sends(size_t u, size_t k, size_t l, size_t wi) {
   const size_t widths = Widths().size();
   return (u + k) % (std::size(kLanes) * widths) == l * widths + wi;
@@ -813,23 +806,22 @@ bool Sends(size_t u, size_t k, size_t l, size_t wi) {
 
 // RunBlockScan directly, per lane count and kernel width: with `alone`,
 // each user's unlimited retrieval alone, whose forward and hull-test counts
-// equal the reference's; with `mixed`, one pass of the round's predictions
-// over the row sets and retrievals at the limits (see Sends). That pass
-// cannot stop early (it holds predictions), so its counts are the sums of
-// its subscribers' reference counts whatever the composition, and each
-// subregion subscriber forwards a strict subset of the rows the pass
-// encodes.
+// equal the reference's; with `mixed`, two shared passes. The first mixes
+// every user's prediction over the whole table with the round's retrievals
+// at the limits (see Sends). It cannot stop early (it holds predictions), so
+// its counts are the sums of its subscribers' reference counts whatever the
+// composition, and each subregion subscriber forwards a strict subset of
+// the rows the pass encodes. The second has every user predict over one
+// explicit domain, the scrambled rows with their duplicates.
 void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
                  bool alone, bool mixed) {
-  std::vector<std::vector<int64_t>> row_sets;
-  for (const std::vector<int64_t>& rows : RowSets(w)) {
-    if (!rows.empty()) row_sets.push_back(Ascending(rows));
-  }
   std::vector<int64_t> limits;
   for (const int64_t limit : kLimits) {
     if (limit != 0) limits.push_back(limit);  // 0 is answered without a pass.
   }
-  const std::vector<int64_t>& all = row_sets[0];
+  const std::vector<std::vector<int64_t>> row_sets = RowSets(w);
+  const std::vector<int64_t>& all = row_sets[kAllRows];
+  const std::vector<int64_t>& scrambled = row_sets[kScrambled];
   const std::vector<int> widths = Widths();
   for (size_t l = 0; l < std::size(kLanes); ++l) {
     const int64_t lanes = kLanes[l];
@@ -846,7 +838,8 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
         ScanSubscriber sub;
         sub.session = w.sessions[uu][0].get();
         sub.matches = &matches;
-        const BlockScanStats alone = RunBlockScan(w.table, {&sub, 1}, lanes);
+        const BlockScanStats alone =
+            RunBlockScan(w.table, {}, {&sub, 1}, lanes);
         const Counts expected = Sum(costs[uu], all);
         EXPECT_EQ(matches, Matches(w.oracle[uu], -1));
         EXPECT_EQ(alone.rows_forwarded, expected.forwarded);
@@ -854,38 +847,35 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
       });
       if (!mixed) continue;
 
-      // Subscriber q predicts row set kinds[q] when it is below the number
-      // of row sets, else retrieves at the limit after them.
+      // Subscriber q predicts when kinds[q] is 0, else retrieves at
+      // limits[kinds[q] - 1].
       std::vector<ScanSubscriber> subs;
       std::vector<size_t> users;
       std::vector<size_t> kinds;
-      const size_t most =
-          w.users.size() * (row_sets.size() + limits.size());
+      const size_t most = w.users.size() * (1 + limits.size());
       std::vector<std::vector<double>> predictions(most);
       std::vector<std::vector<int64_t>> matches(most);
       Counts expected;
       for (size_t u = 0; u < w.users.size(); ++u) {
-        for (size_t k = 0; k < row_sets.size() + limits.size(); ++k) {
-          if (!Sends(u, k, l, wi)) continue;
+        for (size_t k = 0; k <= limits.size(); ++k) {
+          if (k > 0 && !Sends(u, k - 1, l, wi)) continue;
           ScanSubscriber sub;
           sub.session = w.sessions[u][0].get();
-          if (k < row_sets.size()) {
+          if (k == 0) {
             std::vector<double>& out = predictions[subs.size()];
-            out.assign(row_sets[k].size(), 0.0);
-            sub.rows = row_sets[k];
+            out.assign(all.size(), 0.0);
             sub.predictions = out;
-            expected.Add(Sum(costs[u], row_sets[k]));
           } else {
             sub.matches = &matches[subs.size()];
-            sub.limit = limits[k - row_sets.size()];
-            expected.Add(Sum(costs[u], all));
+            sub.limit = limits[k - 1];
           }
+          expected.Add(Sum(costs[u], all));
           subs.push_back(sub);
           users.push_back(u);
           kinds.push_back(k);
         }
       }
-      const BlockScanStats pass = RunBlockScan(w.table, subs, lanes);
+      const BlockScanStats pass = RunBlockScan(w.table, {}, subs, lanes);
       EXPECT_EQ(pass.rows_forwarded, expected.forwarded);
       EXPECT_EQ(pass.rows_located, expected.located);
       for (size_t q = 0; q < subs.size(); ++q) {
@@ -893,10 +883,10 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
         const size_t k = kinds[q];
         SCOPED_TRACE(testing::Message() << "user=" << users[q]
                                         << " kind=" << k);
-        if (k < row_sets.size()) {
-          EXPECT_EQ(predictions[q], Select(oracle, row_sets[k]));
+        if (k == 0) {
+          EXPECT_EQ(predictions[q], oracle);
         } else {
-          EXPECT_EQ(matches[q], Matches(oracle, limits[k - row_sets.size()]));
+          EXPECT_EQ(matches[q], Matches(oracle, limits[k - 1]));
         }
       }
       for (size_t u = 0; u < w.users.size(); ++u) {
@@ -905,23 +895,38 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
               << "user=" << u;
         }
       }
+
+      std::vector<ScanSubscriber> shared(w.users.size());
+      std::vector<std::vector<double>> verdicts(
+          w.users.size(), std::vector<double>(scrambled.size(), 0.0));
+      Counts shared_expected;
+      for (size_t u = 0; u < w.users.size(); ++u) {
+        shared[u].session = w.sessions[u][0].get();
+        shared[u].predictions = verdicts[u];
+        shared_expected.Add(Sum(costs[u], scrambled));
+      }
+      const BlockScanStats shared_pass =
+          RunBlockScan(w.table, scrambled, shared, lanes);
+      EXPECT_EQ(shared_pass.rows_forwarded, shared_expected.forwarded);
+      EXPECT_EQ(shared_pass.rows_located, shared_expected.located);
+      for (size_t u = 0; u < w.users.size(); ++u) {
+        EXPECT_EQ(verdicts[u], Select(w.oracle[u], scrambled))
+            << "user=" << u;
+      }
     }
   }
 }
 
 // The coalesced scheduler, per lane count of `lane_indices` (into kLanes)
-// and kernel width, with one std::thread per request of the round (see
-// Sends). A `limited` round sends the limited retrievals; the other sends
-// the predictions over the row sets and the unlimited retrievals, whose
-// passes cannot stop early, so the scheduler's counts are the reference
-// sums. At 1 lane each batch holds the whole round; at 4 lanes batches of
-// at most 4 flush on a short deadline. Empty predictions and limit 0 never
-// reach a pass.
+// and kernel width, with one std::thread per request. Every user sends the
+// round's retrievals: the unlimited round one at limit -1, whose passes
+// cannot stop early, so the scheduler's counts are the reference sums; the
+// limited round one at every other limit. At 1 lane each batch holds the
+// whole round; at 4 lanes batches of at most 4 flush on a short deadline.
+// Limit 0 never reaches a pass.
 void CheckScheduler(const World& w, const std::vector<RowCosts>& costs,
-                    std::initializer_list<size_t> lane_indices,
-                    std::initializer_list<bool> rounds) {
-  const std::vector<std::vector<int64_t>> row_sets = RowSets(w);
-  const std::vector<int64_t>& all = row_sets[0];
+                    std::initializer_list<size_t> lane_indices) {
+  const std::vector<int64_t> all = RowSets(w)[kAllRows];
   const std::vector<int> widths = Widths();
   for (const size_t l : lane_indices) {
     const int64_t lanes = kLanes[l];
@@ -929,27 +934,19 @@ void CheckScheduler(const World& w, const std::vector<RowCosts>& costs,
       SCOPED_TRACE(testing::Message() << "lanes=" << lanes
                                       << " width=" << widths[wi]);
       nn::ScopedKernelWidth scope(widths[wi]);
-      for (const bool limited : rounds) {
-        SCOPED_TRACE(limited ? "limited retrievals" : "predictions");
-        // Request kind k < |row sets| predicts row set k, else retrieves at
-        // the limit after them.
+      for (const bool unlimited : {true, false}) {
+        SCOPED_TRACE(unlimited ? "unlimited retrievals" : "limited retrievals");
         std::vector<size_t> users;
-        std::vector<size_t> kinds;
+        std::vector<int64_t> limits;
         int64_t in_passes = 0;
         Counts expected;
         for (size_t u = 0; u < w.users.size(); ++u) {
-          for (size_t k = 0; k < row_sets.size() + std::size(kLimits); ++k) {
-            const bool retrieval = k >= row_sets.size();
-            const int64_t limit = retrieval ? kLimits[k - row_sets.size()] : 0;
-            if (!Sends(u, k, l, wi) ||
-                limited != (retrieval && limit >= 0)) {
-              continue;
-            }
+          for (const int64_t limit : kLimits) {
+            if (unlimited != (limit < 0)) continue;
             users.push_back(u);
-            kinds.push_back(k);
-            const std::vector<int64_t>& rows = retrieval ? all : row_sets[k];
-            in_passes += retrieval ? limit != 0 : !rows.empty();
-            if (!limited) expected.Add(Sum(costs[u], Ascending(rows)));
+            limits.push_back(limit);
+            in_passes += limit != 0;
+            expected.Add(Sum(costs[u], all));
           }
         }
 
@@ -958,36 +955,23 @@ void CheckScheduler(const World& w, const std::vector<RowCosts>& costs,
         options.max_batch_requests = lanes == 1 ? in_passes : 4;
         options.flush_deadline_micros = lanes == 1 ? 60000000 : 2000;
         serving::CoalescedScanScheduler scheduler(w.model, &w.table, options);
-        std::vector<std::vector<double>> predictions(users.size());
         std::vector<std::vector<int64_t>> matches(users.size());
         std::vector<std::thread> submitters;
         for (size_t i = 0; i < users.size(); ++i) {
           submitters.emplace_back([&, i] {
-            const ExplorationSession& session = *w.sessions[users[i]][0];
-            const size_t k = kinds[i];
-            const Status status =
-                k < row_sets.size()
-                    ? scheduler.PredictRows(session, row_sets[k],
-                                            &predictions[i])
-                    : scheduler.RetrieveMatches(
-                          session, kLimits[k - row_sets.size()], &matches[i]);
-            EXPECT_TRUE(status.ok());
+            EXPECT_TRUE(scheduler
+                            .RetrieveMatches(*w.sessions[users[i]][0],
+                                             limits[i], &matches[i])
+                            .ok());
           });
         }
         for (std::thread& t : submitters) t.join();
 
         for (size_t i = 0; i < users.size(); ++i) {
-          const std::vector<double>& oracle = w.oracle[users[i]];
-          const size_t k = kinds[i];
           SCOPED_TRACE(testing::Message() << "user=" << users[i]
-                                          << " kind=" << k);
-          if (k < row_sets.size()) {
-            EXPECT_EQ(predictions[i], Select(oracle, row_sets[k]));
-          } else {
-            const int64_t limit = kLimits[k - row_sets.size()];
-            EXPECT_EQ(matches[i], Matches(oracle, limit));
-            EXPECT_TRUE(std::is_sorted(matches[i].begin(), matches[i].end()));
-          }
+                                          << " limit=" << limits[i]);
+          EXPECT_EQ(matches[i], Matches(w.oracle[users[i]], limits[i]));
+          EXPECT_TRUE(std::is_sorted(matches[i].begin(), matches[i].end()));
         }
         const serving::CoalescedScanStats stats = scheduler.stats();
         EXPECT_EQ(stats.requests, in_passes);
@@ -998,7 +982,7 @@ void CheckScheduler(const World& w, const std::vector<RowCosts>& costs,
           EXPECT_GE(stats.batches, (in_passes + 3) / 4);
           EXPECT_LE(stats.largest_batch, 4);
         }
-        if (!limited) {
+        if (unlimited) {
           EXPECT_EQ(stats.rows_forwarded, expected.forwarded);
           EXPECT_EQ(stats.rows_located, expected.located);
         }
@@ -1043,7 +1027,7 @@ void CheckEverySubject(const World& w) {
   CheckHook(w);
   const std::vector<RowCosts> costs = CheckedCosts(w);
   CheckPasses(w, costs, /*alone=*/true, /*mixed=*/true);
-  CheckScheduler(w, costs, {0, 1}, {false, true});
+  CheckScheduler(w, costs, {0, 1});
 }
 
 // The cases: one table and one subject family each, so every case process
@@ -1079,18 +1063,14 @@ TEST(ColumnarScanTest, BlockScanAgreesWithScalarPredictRow) {
   CheckHook(w);
   CheckPasses(w, CheckedCosts(w), /*alone=*/true, /*mixed=*/true);
 }
-// At 1 lane one batch mixes every prediction and retrieval of its round.
+// At 1 lane one batch mixes every user's retrievals of its round.
 TEST(CoalescedScanSchedulerTest, MixedBatchDemultiplexes) {
   const World w = Ready(MakeBlobsWorld(false));
-  CheckScheduler(w, CheckedCosts(w), {0}, {false, true});
-}
-TEST(CoalescedScanSchedulerTest, ConcurrentPredictRowsByteIdentical) {
-  const World w = Ready(MakeBlobsWorld(false));
-  CheckScheduler(w, CheckedCosts(w), {1}, {/*limited=*/false});
+  CheckScheduler(w, CheckedCosts(w), {0});
 }
 TEST(CoalescedScanSchedulerTest, ConcurrentRetrieveMatchesByteIdentical) {
   const World w = Ready(MakeBlobsWorld(false));
-  CheckScheduler(w, CheckedCosts(w), {1}, {/*limited=*/true});
+  CheckScheduler(w, CheckedCosts(w), {1});
 }
 
 // The segmented twin: every subject in one case.
@@ -1154,7 +1134,7 @@ TEST(RegionBoundaryTest, CoalescedScansMatchOracle) {
   const World w = Ready(MakeAdversarialWorld());
   const std::vector<RowCosts> costs = CheckedCosts(w);
   CheckPasses(w, costs, /*alone=*/false, /*mixed=*/true);
-  CheckScheduler(w, costs, {0, 1}, {false, true});
+  CheckScheduler(w, costs, {0, 1});
 }
 
 // The refresh worker's rebuild input: pretraining on a full-table

@@ -411,9 +411,7 @@ TEST_F(SessionManagerTest, LeasesRouteThroughCoalescedScheduler) {
   }
 
   CoalescedScanScheduler scheduler(model_, &table_);
-  std::vector<int64_t> rows(400);
-  std::iota(rows.begin(), rows.end(), 0);
-  std::vector<std::vector<double>> coalesced(kUsers);
+  std::vector<std::vector<int64_t>> coalesced(kUsers);
   std::vector<std::thread> threads;
   for (int64_t u = 0; u < kUsers; ++u) {
     threads.emplace_back([&, u] {
@@ -422,7 +420,7 @@ TEST_F(SessionManagerTest, LeasesRouteThroughCoalescedScheduler) {
       EXPECT_TRUE(st.ok()) << st.message();
       if (!st.ok()) return;
       EXPECT_TRUE(
-          scheduler.PredictRows(*lease.session(), rows, &coalesced[u]).ok());
+          scheduler.RetrieveMatches(*lease.session(), -1, &coalesced[u]).ok());
     });
   }
   for (auto& thread : threads) thread.join();
@@ -430,8 +428,8 @@ TEST_F(SessionManagerTest, LeasesRouteThroughCoalescedScheduler) {
   for (int64_t u = 0; u < kUsers; ++u) {
     SessionManager::Lease lease;
     ASSERT_TRUE(manager.Acquire(UserId(u), &lease).ok());
-    std::vector<double> direct;
-    ASSERT_TRUE(lease.session()->PredictRows(table_, rows, &direct).ok());
+    std::vector<int64_t> direct;
+    ASSERT_TRUE(lease.session()->RetrieveMatches(table_, -1, &direct).ok());
     EXPECT_EQ(coalesced[u], direct) << "user " << u;
   }
   EXPECT_GT(manager.stats().evictions, 0);
