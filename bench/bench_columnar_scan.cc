@@ -8,7 +8,8 @@
 // sweeps variant x threads over a full-table PredictRows scan plus a bounded
 // RetrieveMatches, reports throughput for the oracle and the block scan and
 // their ratio, and verifies the contract as it goes: the scan must match the
-// oracle byte for byte.
+// oracle byte for byte. It also counts the work of a session's 20-match
+// preview, a limited retrieval whose blocks double from 128 rows.
 //
 // The oracle materializes every row and allocates per call, so the
 // `speedup` ratios (oracle / scan) are not comparable with figures recorded
@@ -50,6 +51,11 @@ struct SweepRow {
   // their grid cell's proven membership); deterministic, 0 without
   // subregions.
   int64_t rows_located = 0;
+  // The same counts for a limit-20 retrieval run as a bare pass on
+  // `threads` lanes; deterministic on 1 lane, where no block past the one
+  // that fills the limit runs.
+  int64_t preview_rows_forwarded = 0;
+  int64_t preview_rows_located = 0;
 };
 
 const char* VariantName(core::Variant v) {
@@ -141,7 +147,8 @@ void Run() {
   std::vector<SweepRow> results;
   eval::TextTable table({"variant x threads", "oracle (s)", "columnar (s)",
                          "col rows/s", "col speedup", "identical",
-                         "forwarded", "located"});
+                         "forwarded", "located", "preview fwd",
+                         "preview loc"});
   for (const core::Variant variant : variants) {
     for (const int64_t threads : thread_sweep) {
       core::ExplorationSession session(model, threads);
@@ -185,6 +192,18 @@ void Run() {
           core::RunBlockScan(sdss, all_rows, {&counter, 1}, threads);
       row.rows_forwarded = counts.rows_forwarded;
       row.rows_located = counts.rows_located;
+      // The session's preview, its first 20 matches, as a bare pass.
+      std::vector<int64_t> preview_matches;
+      core::ScanSubscriber preview;
+      preview.session = &session;
+      preview.matches = &preview_matches;
+      preview.limit = 20;
+      const core::BlockScanStats preview_counts =
+          core::RunBlockScan(sdss, {}, {&preview, 1}, threads);
+      row.preview_rows_forwarded = preview_counts.rows_forwarded;
+      row.preview_rows_located = preview_counts.rows_located;
+      std::vector<int64_t> first_matches = row_matches;
+      first_matches.resize(std::min<size_t>(20, first_matches.size()));
 
       // Interleave single full-table passes and keep the minimum wall per
       // path. Back-to-back rep blocks attribute any machine-state drift
@@ -206,7 +225,9 @@ void Run() {
       }
 
       row.bit_identical = row_preds == col_preds &&
-                          row_matches == col_matches && counted == col_preds;
+                          row_matches == col_matches &&
+                          counted == col_preds &&
+                          preview_matches == first_matches;
       all_identical = all_identical && row.bit_identical;
       const double scanned = static_cast<double>(rows);
       row.row_rows_per_s =
@@ -222,7 +243,9 @@ void Run() {
                    {row.row_wall_s, row.col_wall_s, row.col_rows_per_s,
                     row.speedup, row.bit_identical ? 1.0 : 0.0,
                     static_cast<double>(row.rows_forwarded),
-                    static_cast<double>(row.rows_located)},
+                    static_cast<double>(row.rows_located),
+                    static_cast<double>(row.preview_rows_forwarded),
+                    static_cast<double>(row.preview_rows_located)},
                    2);
       results.push_back(row);
     }
@@ -264,12 +287,16 @@ void Run() {
           "\"row_wall_s\": %.6f, \"columnar_wall_s\": %.6f, "
           "\"row_rows_per_s\": %.1f, \"columnar_rows_per_s\": %.1f, "
           "\"speedup\": %.3f, \"bit_identical\": %s, "
-          "\"rows_forwarded\": %lld, \"rows_located\": %lld}%s\n",
+          "\"rows_forwarded\": %lld, \"rows_located\": %lld, "
+          "\"preview_rows_forwarded\": %lld, "
+          "\"preview_rows_located\": %lld}%s\n",
           r.variant.c_str(), static_cast<long long>(r.threads), r.row_wall_s,
           r.col_wall_s, r.row_rows_per_s, r.col_rows_per_s, r.speedup,
           r.bit_identical ? "true" : "false",
           static_cast<long long>(r.rows_forwarded),
           static_cast<long long>(r.rows_located),
+          static_cast<long long>(r.preview_rows_forwarded),
+          static_cast<long long>(r.preview_rows_located),
           i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -12,6 +12,13 @@
 namespace lte::core {
 namespace {
 
+/// The first block of a pass that can stop early. Later blocks double until
+/// they reach kServingBlockRows, so a limit that the first rows fill stops
+/// near the row that fills it. 128 rows is the batch forward's slice
+/// (`kSlice`, meta_learner.cc), and measured faster than 64 or 256 for a
+/// 20-match preview (EXPERIMENTS.md "Doubling block schedule").
+constexpr int64_t kFirstLimitedBlockRows = 128;
+
 /// One lane's buffers, reserved for a full block when the pass starts and
 /// reused for every block the lane claims.
 struct LaneScratch {
@@ -68,7 +75,8 @@ class BlockPass {
       can_cancel_ &= retrieve && sub.limit > 0;
       max_active = std::max(max_active, sub.session->active_subspaces());
     }
-    num_blocks_ = (domain_size_ + kServingBlockRows - 1) / kServingBlockRows;
+    first_block_ = can_cancel_ ? kFirstLimitedBlockRows : kServingBlockRows;
+    while (BlockStart(num_blocks_) < domain_size_) ++num_blocks_;
 
     views_.resize(static_cast<size_t>(max_active));
     codes_per_row_.resize(static_cast<size_t>(max_active));
@@ -147,6 +155,17 @@ class BlockPass {
   }
 
  private:
+  /// The first domain position of block `block`: blocks of first_block_
+  /// rows, doubling up to kServingBlockRows, then kServingBlockRows each.
+  int64_t BlockStart(int64_t block) const {
+    int64_t start = 0;
+    int64_t size = first_block_;
+    for (; block > 0 && size < kServingBlockRows; --block, size *= 2) {
+      start += size;
+    }
+    return start + block * kServingBlockRows;
+  }
+
   int64_t RowAt(int64_t position) const {
     return domain_.empty() ? position : domain_[static_cast<size_t>(position)];
   }
@@ -164,8 +183,8 @@ class BlockPass {
   }
 
   void ScanBlock(LaneScratch* sc, bool lane_zero, int64_t block) {
-    const int64_t lo = block * kServingBlockRows;
-    const int64_t n = std::min(kServingBlockRows, domain_size_ - lo);
+    const int64_t lo = BlockStart(block);
+    const int64_t n = std::min(BlockStart(block + 1), domain_size_) - lo;
     const size_t q_count = subscribers_.size();
 
     // Every subscriber starts on the whole block.
@@ -278,6 +297,9 @@ class BlockPass {
   int64_t domain_size_ = 0;
   int64_t num_blocks_ = 0;
   bool can_cancel_ = false;
+  // kFirstLimitedBlockRows for a pass that can stop early, else
+  // kServingBlockRows (no doubling).
+  int64_t first_block_ = kServingBlockRows;
   std::vector<std::atomic<int64_t>> found_;  // Per subscriber match count.
   // Per subspace that some subscriber reaches.
   std::vector<std::vector<data::ColumnView>> views_;

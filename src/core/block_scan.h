@@ -55,8 +55,10 @@ struct BlockScanStats {
 /// The pass's row domain is `rows` as given (any order, duplicates allowed),
 /// or `[0, table.num_rows())` when `rows` is empty, and every subscriber owns
 /// all of it. The domain is split into `kServingBlockRows`-row blocks that up
-/// to `num_threads` lanes claim in increasing order (0 = auto). Per block
-/// and active subspace in conjunction order, region first:
+/// to `num_threads` lanes claim in increasing order (0 = auto); a pass that
+/// can stop early (below) starts on a 128-row block and doubles it up to
+/// `kServingBlockRows` (128, 256, 512, then 1024 rows each). Per block and
+/// active subspace in conjunction order, region first:
 ///  * each subscriber locates the rows still alive for it in its Meta*
 ///    FP/FN subregions (`ExplorationSession::LocateRows`, raw column values,
 ///    no encode; a row in a proven grid cell takes the cell's membership
@@ -72,9 +74,11 @@ struct BlockScanStats {
 ///    `FpFnOptimizer::Decide`'s verdict, and the rows it rejects drop out.
 /// Subscribers without subregions send every alive row to the forward.
 /// When every subscriber is a limit-bounded retrieval whose matches cover
-/// its limit, lanes stop claiming blocks; executed blocks always form a
-/// prefix, so truncating the ascending matches reproduces the unlimited
-/// scan's prefix.
+/// its limit, lanes stop claiming blocks, so on one lane a limit that the
+/// first rows cover stops within a block of about as many rows as precede
+/// it; executed blocks always form a prefix, so truncating the ascending
+/// matches reproduces the unlimited scan's prefix. Block boundaries change
+/// no verdict.
 ///
 /// Every verdict is bit-identical to that session scanning alone, at any
 /// lane count and in any pass composition, and to the per-row `PredictRow`

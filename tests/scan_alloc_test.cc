@@ -3,10 +3,12 @@
 // the process. After a warm-up, a full-table scan must not allocate per
 // block: the same calls on an 8-block table may allocate no more than on a
 // 2-block table — directly on a session and through the coalesced
-// scheduler. Likewise adaptation must not allocate per gradient step:
-// StartExploration and ContinueExploration at 40 online steps may allocate
-// no more than at 4. And a SuggestTuples call frees everything it
-// allocates, so a session keeps no scratch between calls.
+// scheduler — and a limited retrieval that runs four blocks of its doubling
+// schedule no more than one that stops after the first. Likewise
+// adaptation must not allocate per gradient step: StartExploration and
+// ContinueExploration at 40 online steps may allocate no more than at 4.
+// And a SuggestTuples call frees everything it allocates, so a session
+// keeps no scratch between calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -151,6 +153,36 @@ TEST_F(ScanAllocTest, SchedulerScanAllocationsDoNotGrowWithBlocks) {
   };
   const int64_t small_allocs = allocations(*small_);
   EXPECT_LE(allocations(*large_), small_allocs);
+}
+
+// A limited retrieval's blocks double from 128 rows (128, 256, 512, then
+// 1024 rows each), and it stops after the block whose end holds its limit's
+// matches. One whose last match lies past row 896, in the fourth block, may
+// allocate no more than one that the first 128 rows fill.
+TEST_F(ScanAllocTest, LimitedScanAllocationsDoNotGrowWithBlocks) {
+  ExplorationSession session(model_, /*num_threads=*/1);
+  Rng rng(5);
+  ASSERT_TRUE(
+      session.StartExploration(UserLabels(*model_), Variant::kMetaStar, &rng)
+          .ok());
+  std::vector<int64_t> all;
+  ASSERT_TRUE(session.RetrieveMatches(*large_, -1, &all).ok());
+  const auto before = [&](int64_t row) {
+    return static_cast<int64_t>(
+        std::lower_bound(all.begin(), all.end(), row) - all.begin());
+  };
+  const int64_t first_block = before(128);
+  const int64_t fourth_block = before(896) + 1;
+  ASSERT_GT(first_block, 0);
+  ASSERT_LE(fourth_block, static_cast<int64_t>(all.size()));
+  const auto allocations = [&](int64_t limit) {
+    return SteadyStateAllocations([&](std::vector<int64_t>* matches) {
+      EXPECT_TRUE(session.RetrieveMatches(*large_, limit, matches).ok());
+      EXPECT_EQ(static_cast<int64_t>(matches->size()), limit);
+    });
+  };
+  const int64_t small_allocs = allocations(first_block);
+  EXPECT_LE(allocations(fourth_block), small_allocs);
 }
 
 // Heap allocations of the second StartExploration and of the second

@@ -8,18 +8,21 @@
 //  * a session's PredictRows and RetrieveMatches (one-subscriber scans);
 //  * multi-subscriber `RunBlockScan` passes, mixing predictions and
 //    retrievals over the whole table or sharing an explicit row domain,
-//    whose `rows_forwarded` and `rows_located` must equal an independent
-//    count: the FP/FN hull tests, and the union certifier's cells of
-//    fpfn_reference_cells.h;
+//    and one-subscriber passes, whose `rows_forwarded` and `rows_located`
+//    must equal an independent count: the FP/FN hull tests, and the union
+//    certifier's cells of fpfn_reference_cells.h, over the rows the block
+//    schedule runs;
 //  * the `serving::CoalescedScanScheduler`, fed retrievals by concurrent
 //    std::thread submitters;
 //  * the `ScoreEncodedBlock` tool hook, against `PredictSubspace`.
 // Dimensions: three tables (4000 blob rows; the same rows as a segmented
 // live table; a boundary-adversarial table), the five users of `kUsers`, 1
 // and 4 lanes, both kernel widths the host runs (nn::ScopedKernelWidth), and
-// the row sets of `RowSets` and retrieval limits of `kLimits`. Two more
-// models of the blob rows bring their own users: one whose f_tau holds
-// non-finite weights, and one with a 1-D subspace.
+// the row sets of `RowSets` and retrieval limits of `kLimits` plus each
+// user's seam limits (`SeamLimits`: the match counts at a limited pass's
+// block ends, and one more). Two more models of the blob rows bring their
+// own users: one whose f_tau holds non-finite weights, and one with a 1-D
+// subspace.
 //
 // ctest runs every case in its own process, which builds its table, model
 // and oracles once; so each case is one table and one subject family (or a
@@ -90,6 +93,39 @@ constexpr User kUsers[] = {{Labeling::kThreshold, Variant::kBasic},
 constexpr int64_t kLanes[] = {1, 4};
 constexpr int64_t kLimits[] = {-1, 0, 1, 7, 20, 100, 5000};
 
+// Where a pass that can stop early (every subscriber a limited retrieval)
+// ends its blocks over an n-row domain: 128, 256 and 512 rows, then 1024
+// rows each (block_scan.h).
+std::vector<int64_t> LimitedBlockEnds(int64_t n) {
+  std::vector<int64_t> ends;
+  for (int64_t end = 0, size = 128; end < n;) {
+    end = std::min(end + size, n);
+    ends.push_back(end);
+    size = std::min(2 * size, kServingBlockRows);
+  }
+  return ends;
+}
+
+// The oracle's match count in its first `end` rows.
+int64_t MatchesBefore(const std::vector<double>& verdicts, int64_t end) {
+  return std::count(verdicts.begin(), verdicts.begin() + end, 1.0);
+}
+
+// The limits at a limited pass's first four block ends: the oracle's match
+// count up to each end, which that block fills exactly, and one more, which
+// only a later block fills.
+std::vector<int64_t> SeamLimits(const std::vector<double>& oracle) {
+  const std::vector<int64_t> ends =
+      LimitedBlockEnds(static_cast<int64_t>(oracle.size()));
+  std::vector<int64_t> limits;
+  for (size_t b = 0; b < std::min<size_t>(4, ends.size()); ++b) {
+    const int64_t count = MatchesBefore(oracle, ends[b]);
+    limits.push_back(count);
+    limits.push_back(count + 1);
+  }
+  return limits;
+}
+
 // The kernel widths this host runs: 2, and 4 where KernelWidth() is 4.
 std::vector<int> Widths() {
   return nn::KernelWidth() == 4 ? std::vector<int>{2, 4} : std::vector<int>{2};
@@ -109,6 +145,8 @@ struct World {
   std::vector<std::vector<Point>> points;  // Per subspace, per row.
   std::vector<std::array<std::unique_ptr<ExplorationSession>, 2>> sessions;
   std::vector<std::vector<double>> oracle;  // Per user, per row.
+  // Per user: kLimits, then its SeamLimits.
+  std::vector<std::vector<int64_t>> limits;
   // Per user, subspace and row: PredictSubspace on the row's point.
   std::vector<std::vector<std::vector<double>>> subspace_oracle;
 
@@ -231,7 +269,10 @@ void AddUsers(World* w) {
       EXPECT_GT(ones, 100.0) << "user=" << u;
     }
     EXPECT_LT(ones, static_cast<double>(oracle.size())) << "user=" << u;
+    std::vector<int64_t> limits(std::begin(kLimits), std::end(kLimits));
+    for (const int64_t limit : SeamLimits(oracle)) limits.push_back(limit);
     w->sessions.push_back(std::move(sessions));
+    w->limits.push_back(std::move(limits));
     w->oracle.push_back(std::move(oracle));
     w->subspace_oracle.push_back(std::move(subspace_oracle));
   }
@@ -724,8 +765,8 @@ bool HasSubregions(const User& user) {
 // The subjects.
 
 // A session's PredictRows over `sets` and, with `retrievals`,
-// RetrieveMatches at every limit, for every user, lane count and kernel
-// width. The users' sessions scan concurrently.
+// RetrieveMatches at each of the user's limits, for every user, lane count
+// and kernel width. The users' sessions scan concurrently.
 void CheckSessions(const World& w, std::span<const RowSet> sets,
                    bool retrievals) {
   const std::vector<std::vector<int64_t>> row_sets = RowSets(w);
@@ -746,7 +787,7 @@ void CheckSessions(const World& w, std::span<const RowSet> sets,
               << "row set " << i;
         }
         if (!retrievals) return;
-        for (const int64_t limit : kLimits) {
+        for (const int64_t limit : w.limits[static_cast<size_t>(u)]) {
           std::vector<int64_t> matches;
           ASSERT_TRUE(session.RetrieveMatches(w.table, limit, &matches).ok());
           EXPECT_EQ(matches, Matches(oracle, limit)) << "limit=" << limit;
@@ -793,12 +834,12 @@ void CheckHook(const World& w) {
 }
 
 // Which retrievals a mixed pass holds in its round for lane-count index `l`
-// and kernel width index `wi`: user u sends its k-th limit when u + k is the
-// round's index modulo the number of rounds. Over the rounds every (user,
-// limit) pair is sent exactly once, and each round still mixes users and
-// limits. Shared passes only merge and demultiplex subscribers, so one
-// round per pair suffices; the sessions check every pair at every lane
-// count and width.
+// and kernel width index `wi`: user u sends its k-th nonzero limit when
+// u + k is the round's index modulo the number of rounds. Over the rounds
+// every (user, limit) pair is sent exactly once, and each round still
+// mixes users and limits. Shared passes only merge and demultiplex
+// subscribers, so one round per pair suffices; the sessions check every
+// pair at every lane count and width.
 bool Sends(size_t u, size_t k, size_t l, size_t wi) {
   const size_t widths = Widths().size();
   return (u + k) % (std::size(kLanes) * widths) == l * widths + wi;
@@ -806,7 +847,10 @@ bool Sends(size_t u, size_t k, size_t l, size_t wi) {
 
 // RunBlockScan directly, per lane count and kernel width: with `alone`,
 // each user's unlimited retrieval alone, whose forward and hull-test counts
-// equal the reference's; with `mixed`, two shared passes. The first mixes
+// equal the reference's, and on one lane each of its nonzero seam limits
+// alone, whose counts equal the reference's over the limited schedule's
+// blocks up to the first whose end holds the limit's matches (a lane claims
+// no block past it); with `mixed`, two shared passes. The first mixes
 // every user's prediction over the whole table with the round's retrievals
 // at the limits (see Sends). It cannot stop early (it holds predictions), so
 // its counts are the sums of its subscribers' reference counts whatever the
@@ -815,10 +859,14 @@ bool Sends(size_t u, size_t k, size_t l, size_t wi) {
 // explicit domain, the scrambled rows with their duplicates.
 void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
                  bool alone, bool mixed) {
-  std::vector<int64_t> limits;
-  for (const int64_t limit : kLimits) {
-    if (limit != 0) limits.push_back(limit);  // 0 is answered without a pass.
+  // Per user, its nonzero limits: 0 is answered without a pass.
+  std::vector<std::vector<int64_t>> limits(w.users.size());
+  for (size_t u = 0; u < w.users.size(); ++u) {
+    for (const int64_t limit : w.limits[u]) {
+      if (limit != 0) limits[u].push_back(limit);
+    }
   }
+  const std::vector<int64_t> ends = LimitedBlockEnds(w.num_rows());
   const std::vector<std::vector<int64_t>> row_sets = RowSets(w);
   const std::vector<int64_t>& all = row_sets[kAllRows];
   const std::vector<int64_t>& scrambled = row_sets[kScrambled];
@@ -844,20 +892,40 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
         EXPECT_EQ(matches, Matches(w.oracle[uu], -1));
         EXPECT_EQ(alone.rows_forwarded, expected.forwarded);
         EXPECT_EQ(alone.rows_located, expected.located);
+        if (lanes != 1) return;
+        for (const int64_t limit : SeamLimits(w.oracle[uu])) {
+          if (limit == 0) continue;
+          SCOPED_TRACE(testing::Message() << "limit=" << limit);
+          sub.limit = limit;
+          matches.clear();
+          const BlockScanStats limited =
+              RunBlockScan(w.table, {}, {&sub, 1}, lanes);
+          EXPECT_EQ(matches, Matches(w.oracle[uu], limit));
+          size_t b = 0;
+          while (b + 1 < ends.size() &&
+                 MatchesBefore(w.oracle[uu], ends[b]) < limit) {
+            ++b;
+          }
+          const Counts ran = Sum(
+              costs[uu], std::span(all).first(static_cast<size_t>(ends[b])));
+          EXPECT_EQ(limited.rows_forwarded, ran.forwarded);
+          EXPECT_EQ(limited.rows_located, ran.located);
+        }
       });
       if (!mixed) continue;
 
       // Subscriber q predicts when kinds[q] is 0, else retrieves at
-      // limits[kinds[q] - 1].
+      // limits[users[q]][kinds[q] - 1].
       std::vector<ScanSubscriber> subs;
       std::vector<size_t> users;
       std::vector<size_t> kinds;
-      const size_t most = w.users.size() * (1 + limits.size());
+      size_t most = 0;
+      for (const std::vector<int64_t>& own : limits) most += 1 + own.size();
       std::vector<std::vector<double>> predictions(most);
       std::vector<std::vector<int64_t>> matches(most);
       Counts expected;
       for (size_t u = 0; u < w.users.size(); ++u) {
-        for (size_t k = 0; k <= limits.size(); ++k) {
+        for (size_t k = 0; k <= limits[u].size(); ++k) {
           if (k > 0 && !Sends(u, k - 1, l, wi)) continue;
           ScanSubscriber sub;
           sub.session = w.sessions[u][0].get();
@@ -867,7 +935,7 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
             sub.predictions = out;
           } else {
             sub.matches = &matches[subs.size()];
-            sub.limit = limits[k - 1];
+            sub.limit = limits[u][k - 1];
           }
           expected.Add(Sum(costs[u], all));
           subs.push_back(sub);
@@ -886,7 +954,7 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
         if (k == 0) {
           EXPECT_EQ(predictions[q], oracle);
         } else {
-          EXPECT_EQ(matches[q], Matches(oracle, limits[k - 1]));
+          EXPECT_EQ(matches[q], Matches(oracle, limits[users[q]][k - 1]));
         }
       }
       for (size_t u = 0; u < w.users.size(); ++u) {
@@ -921,7 +989,7 @@ void CheckPasses(const World& w, const std::vector<RowCosts>& costs,
 // and kernel width, with one std::thread per request. Every user sends the
 // round's retrievals: the unlimited round one at limit -1, whose passes
 // cannot stop early, so the scheduler's counts are the reference sums; the
-// limited round one at every other limit. At 1 lane each batch holds the
+// limited round one at each of its other limits. At 1 lane each batch holds the
 // whole round; at 4 lanes batches of at most 4 flush on a short deadline.
 // Limit 0 never reaches a pass.
 void CheckScheduler(const World& w, const std::vector<RowCosts>& costs,
@@ -941,7 +1009,7 @@ void CheckScheduler(const World& w, const std::vector<RowCosts>& costs,
         int64_t in_passes = 0;
         Counts expected;
         for (size_t u = 0; u < w.users.size(); ++u) {
-          for (const int64_t limit : kLimits) {
+          for (const int64_t limit : w.limits[u]) {
             if (unlimited != (limit < 0)) continue;
             users.push_back(u);
             limits.push_back(limit);
