@@ -91,8 +91,13 @@ class BlockPass {
       max_codes = std::max(max_codes, codes_per_row_[static_cast<size_t>(s)]);
     }
 
-    const int64_t lanes = std::min(ResolveThreadCount(num_threads),
-                                   std::max<int64_t>(num_blocks_, 1));
+    // At most one lane per kServingBlockRows rows of the domain, so a limited
+    // pass's smaller first blocks add no lanes (nor their dispatch and
+    // scratch).
+    const int64_t lanes = std::min(
+        ResolveThreadCount(num_threads),
+        std::max<int64_t>(
+            (domain_size_ + kServingBlockRows - 1) / kServingBlockRows, 1));
     const auto block = static_cast<size_t>(
         std::min<int64_t>(kServingBlockRows, domain_size_));
     const size_t q_count = subscribers_.size();

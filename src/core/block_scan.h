@@ -55,8 +55,9 @@ struct BlockScanStats {
 /// The pass's row domain is `rows` as given (any order, duplicates allowed),
 /// or `[0, table.num_rows())` when `rows` is empty, and every subscriber owns
 /// all of it. The domain is split into `kServingBlockRows`-row blocks that up
-/// to `num_threads` lanes claim in increasing order (0 = auto); a pass that
-/// can stop early (below) starts on a 128-row block and doubles it up to
+/// to `num_threads` lanes (0 = auto; at most one per `kServingBlockRows` rows
+/// of the domain) claim in increasing order; a pass that can stop early
+/// (below) starts on a 128-row block and doubles it up to
 /// `kServingBlockRows` (128, 256, 512, then 1024 rows each). Per block and
 /// active subspace in conjunction order, region first:
 ///  * each subscriber locates the rows still alive for it in its Meta*

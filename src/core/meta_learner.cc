@@ -240,7 +240,7 @@ double TaskModel::AccumulateBatch(CodeRows tuples,
   const std::span<const double> emb_r =
       f_r_.ForwardBatch(uis_feature_, 1, &scratch->r);
   const auto ne = static_cast<int64_t>(emb_r.size());
-  PackBatch(emb_r, count, scratch);
+  PackBatch(emb_r, scratch);
   const std::span<const double> logits =
       ForwardLogits(tuples, count, rows, scratch);
 
@@ -410,19 +410,16 @@ double TaskModel::PredictProbability(const std::vector<double>& tuple) const {
   return nn::Sigmoid(Logit(tuple));
 }
 
-void TaskModel::PackBatch(std::span<const double> emb_r, int64_t count,
+void TaskModel::PackBatch(std::span<const double> emb_r,
                           BatchScratch* scratch) const {
-  // A one-row forward runs its dense layers on the unpacked weights
-  // (Mlp::ForwardBatch), so it packs f_tau's code-row first layer alone.
-  f_tau_.Pack(&scratch->tau, {}, count > 1 ? SIZE_MAX : 1);
-  const size_t clf_layers = count > 1 ? SIZE_MAX : 0;
+  f_tau_.Pack(&scratch->tau);
   if (use_memory_) {
     // c = M_cp · [emb_R; emb_tau]. `mcp_left[o]` is the exact running-sum
     // prefix that MatVec reaches after the first N_e terms, and each row
     // continues the accumulation over its emb_tau half (M_cp's columns
     // [N_e, 2N_e), packed by input; no bias) in the same order —
     // bit-identical to the per-row product.
-    f_clf_.Pack(&scratch->clf, {}, clf_layers);
+    f_clf_.Pack(&scratch->clf);
     const int64_t ne = m_cp_.rows();
     scratch->mcp_left.resize(static_cast<size_t>(ne));
     nn::DotRows(m_cp_.data().data(), 2 * ne, ne, emb_r, nullptr,
@@ -434,7 +431,7 @@ void TaskModel::PackBatch(std::span<const double> emb_r, int64_t count,
     // first layer takes the constant emb_R head once, so rows feed f_clf
     // just their emb_tau half — no per-row copy of emb_R and half the
     // layer-1 multiply-accumulates, with the accumulation order unchanged.
-    f_clf_.Pack(&scratch->clf, emb_r, clf_layers);
+    f_clf_.Pack(&scratch->clf, emb_r);
   }
 }
 
@@ -466,7 +463,7 @@ void TaskModel::PredictProbabilityBatch(CodeRows tuples, int64_t count,
     LTE_CHECK_EQ(static_cast<int64_t>(rows.size()), count);
   }
   if (count == 0) return;
-  PackBatch(UisEmbedding(), count, scratch);
+  PackBatch(UisEmbedding(), scratch);
   // A full slice's buffers from the first call on, so a scratch reused
   // over batches of any size (a scan's bands) allocates for none after it.
   f_tau_.ReserveOutputs(&scratch->tau, kSlice);

@@ -154,12 +154,10 @@ class TaskModel {
 
   /// emb_R, refreshed first if a parameter update made it stale.
   const std::vector<double>& UisEmbedding() const;
-  /// Packs f_tau, f_clf and M_cp's emb_tau half by input, as far as a
-  /// batch of `count` rows reads them, and evaluates the terms over
-  /// `emb_r` that every row shares: M_cp's emb_R half, or f_clf's
-  /// first-layer head without memory.
-  void PackBatch(std::span<const double> emb_r, int64_t count,
-                 BatchScratch* scratch) const;
+  /// Packs f_tau, f_clf and M_cp's emb_tau half by input, and evaluates
+  /// the terms over `emb_r` that every row shares: M_cp's emb_R half, or
+  /// f_clf's first-layer head without memory.
+  void PackBatch(std::span<const double> emb_r, BatchScratch* scratch) const;
   /// The batch forward of AccumulateBatch and PredictProbabilityBatch, on
   /// PackBatch's weights: from `count` code rows (row `rows[n]` of
   /// `tuples`, or row n) to their logits, each bit-identical to Logit on

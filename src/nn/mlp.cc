@@ -1,6 +1,5 @@
 #include "nn/mlp.h"
 
-#include <algorithm>
 #include <string>
 
 #include "common/check.h"
@@ -15,15 +14,14 @@ bool PackLayer(const Linear& l, PackedLayer* packed) {
                       l.in_features(), l.out_features(), l.bias().data());
 }
 
-// The first `needed` packed layers must be current and these layers' (Pack
-// on this Mlp).
-void CheckPacked(std::span<const Linear> layers, const Mlp::Scratch& scratch,
-                 size_t needed) {
-  LTE_CHECK_MSG(scratch.packed_layers >= needed,
+// The packed weights must be these layers' (Pack on this Mlp).
+void CheckPacked(std::span<const Linear> layers,
+                 std::span<const PackedLayer> packed) {
+  LTE_CHECK_MSG(packed.size() == layers.size(),
                 "batch forward: weights not packed (call Pack)");
-  for (size_t i = 0; i < needed; ++i) {
-    LTE_CHECK_EQ(scratch.packed[i].in(), layers[i].in_features());
-    LTE_CHECK_EQ(scratch.packed[i].out(), layers[i].out_features());
+  for (size_t i = 0; i < layers.size(); ++i) {
+    LTE_CHECK_EQ(packed[i].in(), layers[i].in_features());
+    LTE_CHECK_EQ(packed[i].out(), layers[i].out_features());
   }
 }
 
@@ -101,16 +99,13 @@ std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
   return h;
 }
 
-bool Mlp::Pack(Scratch* scratch, std::span<const double> head,
-               size_t layers) const {
+bool Mlp::Pack(Scratch* scratch, std::span<const double> head) const {
   LTE_CHECK(!layers_.empty());
   const Linear& first = layers_.front();
   LTE_CHECK_LT(static_cast<int64_t>(head.size()), first.in_features());
   scratch->packed.resize(layers_.size());
-  scratch->packed_layers = std::min(layers, layers_.size());
-  scratch->first_finite =
-      scratch->packed_layers > 0 && PackLayer(first, &scratch->packed.front());
-  for (size_t i = 1; i < scratch->packed_layers; ++i) {
+  scratch->first_finite = PackLayer(first, &scratch->packed.front());
+  for (size_t i = 1; i < layers_.size(); ++i) {
     PackLayer(layers_[i], &scratch->packed[i]);
   }
   scratch->head = head;
@@ -144,7 +139,7 @@ std::span<const double> Mlp::ForwardBatch(std::span<const double> x,
   LTE_CHECK_EQ(static_cast<int64_t>(x.size()),
                count * (in_features() -
                         static_cast<int64_t>(scratch->head.size())));
-  if (count > 1) CheckPacked(layers_, *scratch, layers_.size());
+  if (count > 1) CheckPacked(layers_, scratch->packed);
   scratch->x = x;
   scratch->codes = {};
   scratch->rows = {};
@@ -157,7 +152,7 @@ std::span<const double> Mlp::ForwardBatch(CodeRows x, int64_t count,
   LTE_CHECK(!layers_.empty());
   LTE_CHECK(count >= 0 && x.per_row > 0);  // The kernel checks the rest.
   LTE_CHECK(scratch->head.empty());
-  CheckPacked(layers_, *scratch, count > 1 ? layers_.size() : 1);
+  CheckPacked(layers_, scratch->packed);
   if (!scratch->first_finite) {
     x = WidenCodeRows(x, rows, count, in_features(), &scratch->wide);
     rows = {};

@@ -43,10 +43,8 @@ class Mlp {
   /// the first batch, so a loop that reuses one scratch allocates nothing
   /// per call.
   struct Scratch {
-    /// Every layer's weights by input; Pack left the first
-    /// `packed_layers` current.
+    /// Every layer's weights by input, as Pack left them.
     std::vector<PackedLayer> packed;
-    size_t packed_layers = 0;
     /// Pack's verdict: every first-layer weight is finite.
     bool first_finite = false;
     /// Pack's shared head of every dense row, and the first layer's
@@ -67,20 +65,16 @@ class Mlp {
     std::vector<double> dense;  // The code rows as dense rows (backward).
   };
 
-  /// Packs the weights of the first `layers` layers (every layer by
-  /// default) by input into `*scratch`, for the batch forwards to read.
-  /// Call it before a run of forwards, and again after the weights change.
-  /// A forward of one row reads no packed dense layer, only a code-row
-  /// first layer, so forwards of single rows need `layers` 1 for code rows
-  /// and 0 for dense rows. With a `head`, every dense row of those
-  /// forwards starts with these shared inputs and carries only the ones
-  /// after them: the first layer's sums over the head are taken once here,
-  /// in ascending input order, and each row resumes from them. `head` must
+  /// Packs every layer's weights by input into `*scratch`, for the batch
+  /// forwards to read. Call it before a run of forwards, and again after
+  /// the weights change. With a `head`, every dense row of those forwards
+  /// starts with these shared inputs and carries only the ones after
+  /// them: the first layer's sums over the head are taken once here, in
+  /// ascending input order, and each row resumes from them. `head` must
   /// outlive the forwards and their BackwardBatch. Returns whether every
-  /// first-layer weight is finite (false when the first layer is not
-  /// packed); the code-row forward widens its rows when one is not.
-  bool Pack(Scratch* scratch, std::span<const double> head = {},
-            size_t layers = SIZE_MAX) const;
+  /// first-layer weight is finite; the code-row forward widens its rows
+  /// when one is not.
+  bool Pack(Scratch* scratch, std::span<const double> head = {}) const;
 
   /// Reserves `*scratch`'s layer outputs for forwards of up to `rows`
   /// rows, so that none of them allocates.

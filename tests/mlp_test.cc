@@ -210,38 +210,6 @@ TEST(MlpTest, IndexedBatchMatchesPerRowForward) {
   }
 }
 
-// A one-row forward reads no packed dense layer, so a Pack of the first
-// layer alone serves one code row and a Pack of no layer one dense row
-// (its head's sums still taken), each bit-identical to Forward. The first
-// layer's pack keeps the finiteness verdict.
-TEST(MlpTest, OneRowForwardsNeedOnlyTheCodeLayerPacked) {
-  Rng rng(15);
-  Mlp mlp({kCodeWidth, 16, 8, 1}, &rng);
-  const std::vector<Code> codes = RandomCodeRows(&rng, 3);
-  const std::vector<double> x = ExpandRows(codes);
-  const std::vector<double> row(x.begin() + kCodeWidth,
-                                x.begin() + 2 * kCodeWidth);
-  const double want = mlp.Forward(row)[0];
-  Mlp::Scratch scratch;
-  EXPECT_TRUE(mlp.Pack(&scratch, {}, 1));
-  EXPECT_EQ(scratch.packed_layers, 1u);
-  const std::vector<int64_t> second = {1};
-  std::span<const double> got =
-      mlp.ForwardBatch(CodeRows{codes, 4}, 1, &scratch, second);
-  EXPECT_EQ(Bits(got), Bits({&want, 1}));
-
-  const std::span<const double> head(row.data(), 5);
-  EXPECT_FALSE(mlp.Pack(&scratch, head, 0));
-  EXPECT_EQ(scratch.packed_layers, 0u);
-  got = mlp.ForwardBatch(std::span(row).subspan(5), 1, &scratch);
-  EXPECT_EQ(Bits(got), Bits({&want, 1}));
-
-  std::vector<double> params = mlp.GetParameters();
-  params[2] = std::numeric_limits<double>::infinity();
-  mlp.SetParameters(params);
-  EXPECT_FALSE(mlp.Pack(&scratch, {}, 1));
-}
-
 // The gather-add first layer is bit-identical to the dense batch forward
 // on the expanded rows, with a -0.0 and an exactly-zero first-layer weight
 // and zero-valued codes, for a ReLU first layer and for a lone linear layer
@@ -587,18 +555,6 @@ TEST(MlpDeathTest, BatchForwardRejectsRaggedInput) {
   const std::vector<double> ragged(11, 0.5);  // 11 % 3 != 0.
   EXPECT_DEATH(mlp.ForwardBatch(ragged, 3, &scratch),
                "x\\.size\\(\\)=11.*count=3");
-}
-
-// A forward of more than one row reads every packed layer.
-TEST(MlpDeathTest, BatchForwardRejectsAPartialPack) {
-  Rng rng(16);
-  Mlp mlp({4, 6, 1}, &rng);
-  Mlp::Scratch scratch;
-  mlp.Pack(&scratch, {}, 1);
-  const std::vector<Code> x = {{0, 0.5}, {3, 1.0}};  // Two rows.
-  EXPECT_DEATH(mlp.ForwardBatch(CodeRows{x, 1}, 2, &scratch), "call Pack");
-  const std::vector<double> dense(8, 0.5);
-  EXPECT_DEATH(mlp.ForwardBatch(dense, 2, &scratch), "call Pack");
 }
 
 TEST(MlpDeathTest, IndexedBatchRejectsOutOfRangeRow) {

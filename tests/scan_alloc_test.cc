@@ -4,7 +4,8 @@
 // block: the same calls on an 8-block table may allocate no more than on a
 // 2-block table — directly on a session and through the coalesced
 // scheduler — and a limited retrieval that runs four blocks of its doubling
-// schedule no more than one that stops after the first. Likewise
+// schedule no more than one that stops after the first, and on a table of
+// under 1024 rows no more at 4 threads than at 1 (one lane). Likewise
 // adaptation must not allocate per gradient step: StartExploration and
 // ContinueExploration at 40 online steps may allocate no more than at 4.
 // And a SuggestTuples call frees everything it allocates, so a session
@@ -183,6 +184,25 @@ TEST_F(ScanAllocTest, LimitedScanAllocationsDoNotGrowWithBlocks) {
   };
   const int64_t small_allocs = allocations(first_block);
   EXPECT_LE(allocations(fourth_block), small_allocs);
+}
+
+// A pass runs at most one lane per 1024 rows of its domain, however small
+// its first blocks: on a table of fewer rows a limited retrieval runs one
+// lane at 4 threads, so it allocates no more than at 1 thread.
+TEST_F(ScanAllocTest, LimitedScanOnOneBlockTableRunsOneLane) {
+  const data::Table table = large_->SnapshotPrefix(1000);
+  const auto allocations = [&](int64_t threads) {
+    ExplorationSession session(model_, threads);
+    Rng rng(5);
+    EXPECT_TRUE(
+        session.StartExploration(UserLabels(*model_), Variant::kMetaStar, &rng)
+            .ok());
+    return SteadyStateAllocations([&](std::vector<int64_t>* matches) {
+      EXPECT_TRUE(session.RetrieveMatches(table, 20, matches).ok());
+    });
+  };
+  const int64_t one_thread = allocations(1);
+  EXPECT_LE(allocations(4), one_thread);
 }
 
 // Heap allocations of the second StartExploration and of the second
